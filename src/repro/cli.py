@@ -88,11 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        "CorruptPayload errors (and the resilient fetch "
                        "path can retry them) instead of garbage decodes")
     build.add_argument("--codec", choices=list(CODECS), default="columnar",
-                       help="eventlist storage codec: columnar packs "
-                       "events as parallel int64/uint8 arrays with "
-                       "zero-copy decode and bulk replay; pickle stores "
-                       "the EventList object (rows a columnar pack "
-                       "cannot represent fall back to pickle either way)")
+                       help="row storage codec: columnar packs "
+                       "eventlists and micro-deltas as parallel integer "
+                       "arrays decoded without per-item objects; pickle "
+                       "stores the EventList / Delta objects (rows a "
+                       "columnar pack cannot represent fall back to "
+                       "pickle either way)")
     build.add_argument("--apply-workers", type=int, default=1,
                        help="client-side replay lanes: partitions replay "
                        "on a thread pool of this size (and the "

@@ -16,7 +16,10 @@ delta sum resolves such conflicts in favour of the right-hand operand
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    AbstractSet, Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple,
+    Union,
+)
 
 from repro.errors import DeltaError
 from repro.graph.static import Graph
@@ -24,6 +27,11 @@ from repro.types import AttrMap, EdgeId, NodeId, TimePoint, canonical_edge
 
 # A component key is ("n", node_id) or ("e", (u, v)).
 ComponentKey = Tuple[str, Union[NodeId, EdgeId]]
+
+# Node columns: (node id -> edge list, node id -> attribute pairs).
+NodeColumns = Tuple[
+    Dict[NodeId, Iterable[NodeId]], Dict[NodeId, Tuple[Tuple[str, Any], ...]]
+]
 
 
 @dataclass(frozen=True)
@@ -116,122 +124,214 @@ class Delta:
 
     - ``a + b``   (Def. 4): union by key, with ``b``'s version winning on
       conflicts.  Not commutative; associative; ``a + EMPTY == a``.
+      :meth:`sum` overlays a whole sequence the same way in one pass.
     - ``a - b``:  set difference by *full component equality* — a component
       of ``a`` survives unless an identical component exists in ``b``.
     - ``a & b``:  components identical in both (used to build DeltaGraph
       interior nodes).
     - ``a | b``:  all components from both; conflicting versions keep
       ``a``'s copy (union is only used between compatible deltas).
+
+    Static nodes are held as :class:`StaticNode` objects by id, or as
+    *columns* — an edge list and an attribute tuple per node id, which
+    is how the columnar codec decodes a stored row and what
+    :meth:`to_graph` consumes.  While a delta has columns they are the
+    whole truth and ``_nodes`` only memoises the nodes thawed out of
+    them so far; :meth:`static_nodes` thaws each node at most once.
     """
 
-    __slots__ = ("_components",)
+    __slots__ = ("_nodes", "_cols", "_edges")
 
     def __init__(self, components: Iterable[GraphComponent] = ()) -> None:
-        self._components: Dict[ComponentKey, GraphComponent] = {}
+        self._nodes: Dict[NodeId, StaticNode] = {}
+        self._cols: Optional[NodeColumns] = None
+        self._edges: Dict[EdgeId, StaticEdge] = {}
         for c in components:
-            self._components[c.key] = c
+            self.put(c)
+
+    @classmethod
+    def from_columns(
+        cls,
+        adjacency: Dict[NodeId, Iterable[NodeId]],
+        node_attrs: Dict[NodeId, Tuple[Tuple[str, Any], ...]],
+        edges: Optional[Dict[EdgeId, StaticEdge]] = None,
+    ) -> "Delta":
+        """A delta over node columns: ``adjacency`` and ``node_attrs``
+        map the same node ids to :attr:`StaticNode.E` / ``.A`` contents.
+        The delta takes ownership of the three dicts."""
+        out = cls.__new__(cls)
+        out._nodes = {}
+        out._cols = (adjacency, node_attrs)
+        out._edges = {} if edges is None else edges
+        return out
+
+    # -- representations --------------------------------------------------
+    def static_nodes(
+        self, within: Optional[AbstractSet[NodeId]] = None
+    ) -> Dict[NodeId, StaticNode]:
+        """The static nodes by id — all of them, or those in ``within``.
+        May be the delta's own map: callers read it or copy out of it.
+
+        Columns thaw node by node, each node once: a scoped load of one
+        node does not pay for its whole partition, and the next hit on
+        a cached row finds what earlier hits thawed.  When every node
+        has thawed the columns are dropped.
+        """
+        nodes, cols = self._nodes, self._cols
+        every = nodes if cols is None else cols[0]
+        wanted = (
+            every if within is None or every.keys() <= within
+            else every.keys() & within
+        )
+        if cols is not None:
+            adjacency, attrs = cols
+            for n in wanted:
+                if n not in nodes:
+                    nodes[n] = StaticNode(n, frozenset(adjacency[n]), attrs[n])
+            if len(nodes) == len(adjacency):
+                # retired only once ``nodes`` is complete: a concurrent
+                # reader that finds the columns gone finds every node
+                self._cols = None
+        if wanted is every:
+            return nodes  # complete: no later thaw writes to it
+        return {n: nodes[n] for n in wanted}
+
+    def static_edges(self) -> Dict[EdgeId, StaticEdge]:
+        """The explicit static edges by stored endpoint pair."""
+        return self._edges
+
+    def columns(self) -> NodeColumns:
+        """``(adjacency, node_attrs)`` by node id — the stored columns,
+        or the same view derived from thawed static nodes."""
+        cols = self._cols
+        if cols is not None:
+            return cols
+        nodes = self._nodes
+        return (
+            {n: c.E for n, c in nodes.items()},
+            {n: c.A for n, c in nodes.items()},
+        )
 
     # -- basic protocol -------------------------------------------------
     def __len__(self) -> int:
-        return len(self._components)
+        cols = self._cols
+        nodes = cols[0] if cols is not None else self._nodes
+        return len(nodes) + len(self._edges)
 
     def __iter__(self) -> Iterator[GraphComponent]:
-        return iter(self._components.values())
+        yield from self.static_nodes().values()
+        yield from self._edges.values()
 
     def __contains__(self, key: ComponentKey) -> bool:
-        return key in self._components
+        return self.get(key) is not None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Delta):
             return NotImplemented
-        return self._components == other._components
+        return (
+            self.static_nodes() == other.static_nodes()
+            and self._edges == other._edges
+        )
 
     def __repr__(self) -> str:
         return f"<Delta cardinality={self.cardinality} size={self.size}>"
 
     def get(self, key: ComponentKey) -> Optional[GraphComponent]:
-        return self._components.get(key)
+        kind, ident = key
+        if kind == "n":
+            return self.static_nodes().get(ident)  # type: ignore[arg-type]
+        return self._edges.get(ident)  # type: ignore[arg-type]
 
     def put(self, component: GraphComponent) -> None:
-        self._components[component.key] = component
+        if isinstance(component, StaticNode):
+            self.static_nodes()[component.I] = component
+        else:
+            self._edges[(component.u, component.v)] = component
 
     def discard(self, key: ComponentKey) -> None:
-        self._components.pop(key, None)
+        kind, ident = key
+        if kind == "n":
+            self.static_nodes().pop(ident, None)  # type: ignore[arg-type]
+        else:
+            self._edges.pop(ident, None)  # type: ignore[arg-type]
 
     def keys(self) -> Iterator[ComponentKey]:
-        return iter(self._components)
+        return (c.key for c in self)
 
     def node_ids(self) -> List[NodeId]:
-        return [c.I for c in self if isinstance(c, StaticNode)]
+        return list(self.columns()[0])
 
     @property
     def cardinality(self) -> int:
         """Unique number of component descriptions (paper Definition 3)."""
-        return len(self._components)
+        return len(self)
 
     @property
     def size(self) -> int:
         """Total number of node/edge descriptions including edge-list
         entries (paper Definition 3): a static node counts 1 plus one per
         edge-list entry; a static edge counts 1."""
-        total = 0
-        for c in self:
-            if isinstance(c, StaticNode):
-                total += 1 + len(c.E)
-            else:
-                total += 1
-        return total
+        return len(self) + sum(map(len, self.columns()[0].values()))
 
     # -- algebra ---------------------------------------------------------
-    def __add__(self, other: "Delta") -> "Delta":
+    def _binary(self, other: object, verb: str, pick) -> "Delta":
+        """``pick(a, b)`` chooses the surviving components, applied to
+        the operands' node maps and to their edge maps."""
         if not isinstance(other, Delta):
-            raise DeltaError(f"cannot add Delta and {type(other).__name__}")
+            raise DeltaError(
+                f"cannot {verb} Delta and {type(other).__name__}"
+            )
         out = Delta()
-        out._components = dict(self._components)
-        out._components.update(other._components)
+        out._nodes = pick(self.static_nodes(), other.static_nodes())
+        out._edges = pick(self._edges, other._edges)
         return out
+
+    def __add__(self, other: "Delta") -> "Delta":
+        return self._binary(other, "add", lambda a, b: {**a, **b})
 
     def __sub__(self, other: "Delta") -> "Delta":
-        if not isinstance(other, Delta):
-            raise DeltaError(f"cannot subtract {type(other).__name__} from Delta")
-        out = Delta()
-        for key, comp in self._components.items():
-            if other._components.get(key) != comp:
-                out._components[key] = comp
-        return out
+        return self._binary(
+            other, "subtract",
+            lambda a, b: {k: c for k, c in a.items() if b.get(k) != c},
+        )
 
     def __and__(self, other: "Delta") -> "Delta":
-        if not isinstance(other, Delta):
-            raise DeltaError(f"cannot intersect Delta with {type(other).__name__}")
-        small, large = (
-            (self, other) if len(self) <= len(other) else (other, self)
-        )
-        out = Delta()
-        for key, comp in small._components.items():
-            if large._components.get(key) == comp:
-                out._components[key] = comp
-        return out
+        def common(a: Dict, b: Dict) -> Dict:
+            small, large = (a, b) if len(a) <= len(b) else (b, a)
+            return {k: c for k, c in small.items() if large.get(k) == c}
+
+        return self._binary(other, "intersect", common)
 
     def __or__(self, other: "Delta") -> "Delta":
-        if not isinstance(other, Delta):
-            raise DeltaError(f"cannot union Delta with {type(other).__name__}")
-        out = Delta()
-        out._components = dict(other._components)
-        out._components.update(self._components)
-        return out
+        return self._binary(other, "union", lambda a, b: {**b, **a})
+
+    @staticmethod
+    def sum(deltas: Iterable["Delta"]) -> "Delta":
+        """``d0 + d1 + ...`` (later deltas win per component) as one
+        overlay of the operands' columns — no intermediate deltas, and
+        no ``StaticNode`` thawed for rows that are still columns."""
+        adjacency: Dict[NodeId, Iterable[NodeId]] = {}
+        attrs: Dict[NodeId, Tuple[Tuple[str, Any], ...]] = {}
+        edges: Dict[EdgeId, StaticEdge] = {}
+        for d in deltas:
+            adj, node_attrs = d.columns()
+            adjacency.update(adj)
+            attrs.update(node_attrs)
+            edges.update(d._edges)
+        return Delta.from_columns(adjacency, attrs, edges)
 
     def restricted_to(self, node_ids: Iterable[NodeId]) -> "Delta":
         """Sub-delta containing only the given nodes and edges with at least
         one endpoint among them (paper Example 5, partitioned snapshot)."""
         keep = set(node_ids)
         out = Delta()
-        for key, comp in self._components.items():
-            if isinstance(comp, StaticNode):
-                if comp.I in keep:
-                    out._components[key] = comp
-            else:
-                if comp.u in keep or comp.v in keep:
-                    out._components[key] = comp
+        out._nodes = {
+            n: c for n, c in self.static_nodes().items() if n in keep
+        }
+        out._edges = {
+            eid: e for eid, e in self._edges.items()
+            if e.u in keep or e.v in keep
+        }
         return out
 
     # -- conversion -------------------------------------------------------
@@ -243,20 +343,24 @@ class Delta:
         fetches) are dropped, matching how the paper's query processors
         assemble snapshots from micro-partitions.
         """
-        g = Graph(directed=directed)
-        nodes = [c for c in self if isinstance(c, StaticNode)]
-        for c in nodes:
-            g.add_node(c.I, c.attrs)
-        for c in self:
-            if isinstance(c, StaticEdge):
-                if g.has_node(c.u) and g.has_node(c.v):
-                    g.add_edge(c.u, c.v, c.attrs)
-        # edge-list entries on static nodes (node-centric encoding)
-        for c in nodes:
-            for nbr in c.E:
-                if g.has_node(nbr) and not g.has_edge(c.I, nbr):
-                    g.add_edge(c.I, nbr)
-        return g
+        adjacency, attrs = self.columns()
+        edges = self._edges
+        if edges:
+            # an explicit edge is an edge even where no edge list names it
+            extra: Dict[NodeId, List[NodeId]] = {}
+            for (u, v) in edges:
+                if u in adjacency:
+                    extra.setdefault(u, []).append(v)
+            adjacency = {
+                **adjacency,
+                **{u: (*adjacency[u], *vs) for u, vs in extra.items()},
+            }
+        return Graph.from_parts(
+            attrs,
+            adjacency,
+            {canonical_edge(u, v, directed): e.A for (u, v), e in edges.items()},
+            directed=directed,
+        )
 
     @staticmethod
     def from_graph(g: Graph, node_centric: bool = False) -> "Delta":

@@ -1,11 +1,14 @@
-"""Columnar eventlist encoding: packed parallel arrays, zero-copy decode.
+"""Columnar row encodings: packed parallel arrays for eventlists and
+micro-deltas, decoded without per-item object churn.
 
-The paper's prototype pickled eventlists as tuples of ``Event`` objects;
-profiling (PR 5's apply calibration) showed warm-path retrieval spends
-most of its simulated *and* wall-clock time in that object churn —
-unpickling thousands of small frozen dataclasses and replaying them one
-attribute access at a time.  This module stores an eventlist as six
-packed sections instead:
+The paper's prototype pickled eventlists as tuples of ``Event`` objects
+and micro-deltas as sets of frozen ``StaticNode`` objects; profiling
+(PR 5's apply calibration, PR 11's ledger) showed retrieval spends most
+of its simulated *and* wall-clock time in that object churn — unpickling
+thousands of small frozen dataclasses and walking them one attribute
+access at a time.
+
+**Eventlists** are stored as six packed sections:
 
 ====== ======================= =======================================
 offset section                 contents
@@ -33,6 +36,35 @@ memo shares one copy per distinct key.  Events whose ids or times don't
 fit the packed layout (non-``int`` node ids, values outside int64) make
 :func:`pack_eventlist` return ``None`` and the codec falls back to
 pickle — correctness never depends on the fast layout being applicable.
+
+**Micro-deltas** (:func:`pack_delta` / :func:`unpack_delta`) store their
+static nodes as a CSR adjacency — ``n`` nodes, ``m`` edge-list entries,
+every integer ``w`` bytes wide, where ``w`` is the narrowest of 4 / 8
+that holds every id of *this row*:
+
+========== =================== =======================================
+offset     section             contents
+========== =================== =======================================
+0          header              ``struct '=BBII'``: version (currently
+                               ``1``), ``w`` (4 = int32 or 8 = int64),
+                               n, m
+10         node ids            ``n`` × int-``w``
+10+wn      offsets             ``n+1`` × int-``w``: node ``i``'s edge
+                               list is neighbours ``[off[i], off[i+1])``
+10+w(2n+1) neighbours          ``m`` × int-``w``
+10+w(2n+1+m) side-table        pickle of ``({node id: attribute pairs},
+                               (StaticEdge, ...))``; absent when both
+                               are empty
+========== =================== =======================================
+
+Decode slices the neighbour column into one edge list per node and
+hands the columns to :meth:`Delta.from_columns` — no ``StaticNode`` is
+built until something asks for one (``Delta.to_graph`` and
+``Delta.sum`` never do).  The side-table carries only what few
+components have: node attribute tuples and explicit ``StaticEdge``
+components (TGI stores one per *attributed* edge).  A delta with a
+non-``int`` or beyond-int64 node id makes :func:`pack_delta` return
+``None`` and the codec falls back to pickle, exactly as for eventlists.
 """
 
 from __future__ import annotations
@@ -41,9 +73,12 @@ import pickle
 import struct
 import sys
 import threading
+from array import array
 from bisect import bisect_right
+from itertools import accumulate, chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.deltas.base import Delta
 from repro.graph.events import Event, EventKind
 from repro.types import NodeId, TimePoint
 
@@ -390,3 +425,83 @@ def merged_order(
             seen.add(seq)
             order.append((li, i))
     return windows, order
+
+
+# ----------------------------------------------------------------------
+# micro-deltas
+# ----------------------------------------------------------------------
+
+#: Micro-delta layout version byte.
+_DELTA_VERSION = 1
+
+#: Leading bytes: version, integer width, n nodes, m edge-list entries.
+_DELTA_HEADER = struct.Struct("=BBII")
+
+#: Integer width in bytes -> array / memoryview type code.
+_WIDTH_CODES = {4: "i", 8: "q"}
+
+
+def pack_delta(delta: Delta) -> Optional[bytes]:
+    """Pack a delta into the micro-delta layout, at the narrowest
+    integer width that holds its ids.
+
+    Returns ``None`` when a node id or edge-list entry is not a plain
+    ``int`` within int64 — the caller falls back to pickling.
+    """
+    adjacency, attrs = delta.columns()
+    ids = list(adjacency)
+    lists = adjacency.values()
+    offsets = list(accumulate(map(len, lists), initial=0))
+    nbrs = list(chain.from_iterable(lists))
+    if (set(map(type, ids)) | set(map(type, nbrs))) - {int}:
+        return None
+    for width, code in _WIDTH_CODES.items():
+        try:
+            cols = array(code, ids + offsets + nbrs)
+        except OverflowError:
+            continue
+        break
+    else:
+        return None
+    parts = [
+        _DELTA_HEADER.pack(_DELTA_VERSION, width, len(ids), len(nbrs)),
+        cols.tobytes(),
+    ]
+    node_attrs = {n: a for n, a in attrs.items() if a}
+    edges = tuple(delta.static_edges().values())
+    if node_attrs or edges:
+        parts.append(
+            pickle.dumps((node_attrs, edges), protocol=pickle.HIGHEST_PROTOCOL)
+        )
+    return b"".join(parts)
+
+
+def unpack_delta(data: Any) -> Delta:
+    """Decode a micro-delta payload into a columns-backed :class:`Delta`
+    (equal to the delta that was packed)."""
+    mv = memoryview(data)
+    if len(mv) < _DELTA_HEADER.size:
+        raise ValueError("truncated micro-delta payload")
+    version, width, n, m = _DELTA_HEADER.unpack_from(mv)
+    code = _WIDTH_CODES.get(width)
+    if version != _DELTA_VERSION or code is None:
+        raise ValueError(
+            f"unsupported micro-delta layout (version byte {version}, "
+            f"width byte {width})"
+        )
+    end = _DELTA_HEADER.size + width * (2 * n + 1 + m)
+    if len(mv) < end:
+        raise ValueError("truncated micro-delta payload")
+    cols = mv[_DELTA_HEADER.size:end].cast(code).tolist()
+    offsets, nbrs = cols[n:2 * n + 1], cols[2 * n + 1:]
+    # zip stops after the n edge lists, i.e. at the end of the id column
+    adjacency = dict(
+        zip(cols, map(nbrs.__getitem__, map(slice, offsets, offsets[1:])))
+    )
+    attrs = dict.fromkeys(adjacency, ())
+    edges = {}
+    if end < len(mv):
+        node_attrs, edge_components = pickle.loads(mv[end:])
+        attrs.update(node_attrs)
+        edges = {(e.u, e.v): e for e in edge_components}
+    return Delta.from_columns(adjacency, attrs, edges)

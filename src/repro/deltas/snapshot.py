@@ -11,7 +11,7 @@ Copy and Copy+Log baselines and as intermediate values during construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List
 
 from repro.deltas.base import Delta, StaticEdge, StaticNode
 from repro.graph.static import Graph
@@ -88,12 +88,7 @@ def merge_partitioned_snapshots(
     parts: Iterable[PartitionedSnapshot], directed: bool = False
 ) -> Graph:
     """Reassemble a full snapshot graph from partitioned snapshots."""
-    merged = Delta()
-    time: Optional[TimePoint] = None
-    for p in parts:
-        time = p.time if time is None else time
-        merged = merged + p.delta
-    return merged.to_graph(directed=directed)
+    return Delta.sum(p.delta for p in parts).to_graph(directed=directed)
 
 
 def split_delta(

@@ -10,7 +10,9 @@ neighborhoods).
 from __future__ import annotations
 
 import copy as _copy
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
+)
 
 from repro.errors import EventError, GraphError
 from repro.graph.events import Event, EventKind
@@ -52,6 +54,71 @@ class Graph:
         """Add ``node``; re-adding an existing node resets its attributes."""
         self._nodes[node] = dict(attrs) if attrs else {}
         self._adj.setdefault(node, set())
+
+    @classmethod
+    def from_parts(
+        cls,
+        node_attrs: Mapping[NodeId, Any],
+        adjacency: Mapping[NodeId, Iterable[NodeId]],
+        edge_attrs: Optional[Mapping[EdgeId, Any]] = None,
+        directed: bool = False,
+    ) -> "Graph":
+        """Bulk-load a graph from node-centric parts, filling the three
+        containers directly instead of one ``add_edge`` per edge.
+
+        ``node_attrs`` maps every node to its attributes (a dict or an
+        iterable of pairs; copied).  ``adjacency`` maps nodes to their
+        edge lists (out-neighbors when directed) and alone decides which
+        edges exist: entries naming a node outside ``node_attrs`` are
+        dangling and dropped by one set intersection per node, an
+        undirected edge is written once, from its smaller endpoint, and
+        an edge listed by only one endpoint is still an edge (its mirror
+        entry is added).  ``edge_attrs`` is looked up by canonical edge
+        id for every edge written (copied); it may cover more edges
+        than the graph ends up with.  Equivalent to ``add_node`` per
+        node, then ``add_edge`` per not-yet-present edge-list entry.
+        """
+        g = cls(directed=directed)
+        nodes = g._nodes = {
+            n: dict(a) if a else {} for n, a in node_attrs.items()
+        }
+        alive = set(nodes)
+        adj = g._adj = {
+            n: alive.intersection(nbrs)
+            for n, nbrs in adjacency.items() if n in alive
+        }
+        if len(adj) != len(nodes):
+            for n in nodes:
+                adj.setdefault(n, set())
+        edges = g._edge_attrs
+        if directed:
+            for u, nbrs in adj.items():
+                for v in nbrs:
+                    edges[(u, v)] = {}
+        else:
+            entries = loops = 0
+            for u, nbrs in adj.items():
+                entries += len(nbrs)
+                for v in nbrs:
+                    if u < v:
+                        edges[(u, v)] = {}
+                    elif u > v:
+                        if u not in adj[v]:
+                            edges[(v, u)] = {}
+                    else:
+                        edges[(u, u)] = {}
+                        loops += 1
+            if entries != 2 * len(edges) - loops:
+                # some edge is listed by one endpoint only: mirror it
+                for u, v in edges:
+                    adj[u].add(v)
+                    adj[v].add(u)
+        if edge_attrs:
+            for eid, attrs in edges.items():
+                found = edge_attrs.get(eid)
+                if found:
+                    attrs.update(found)
+        return g
 
     def remove_node(self, node: NodeId) -> None:
         """Remove ``node`` and all incident edges."""
@@ -380,15 +447,18 @@ class Graph:
     # structural queries
     # ------------------------------------------------------------------
     def subgraph(self, nodes: Iterable[NodeId]) -> "Graph":
-        """Induced subgraph on ``nodes`` (missing ids are ignored)."""
-        keep = {n for n in nodes if n in self._nodes}
-        sub = Graph(directed=self.directed)
-        for n in keep:
-            sub.add_node(n, self._nodes[n])
-        for (u, v), attrs in self._edge_attrs.items():
-            if u in keep and v in keep:
-                sub.add_edge(u, v, attrs)
-        return sub
+        """Induced subgraph on ``nodes`` (missing ids are ignored).
+
+        Induced from the kept nodes' adjacency sets, so the cost follows
+        the subgraph, not the whole graph's edge count."""
+        own, adj = self._nodes, self._adj
+        keep = {n for n in nodes if n in own}
+        return Graph.from_parts(
+            {n: own[n] for n in keep},
+            {n: adj[n] for n in keep},
+            self._edge_attrs,
+            directed=self.directed,
+        )
 
     def khop_nodes(self, root: NodeId, k: int) -> Set[NodeId]:
         """Ids of all nodes within ``k`` hops of ``root`` (including it)."""

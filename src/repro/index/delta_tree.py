@@ -116,7 +116,4 @@ def reconstruct_leaf(
     tree: DeltaTree, stored: Dict[int, Delta], leaf_index: int
 ) -> Delta:
     """Sum the stored deltas along the root→leaf path."""
-    acc = Delta()
-    for did in tree.path_to_leaf(leaf_index):
-        acc = acc + stored[did]
-    return acc
+    return Delta.sum(stored[did] for did in tree.path_to_leaf(leaf_index))

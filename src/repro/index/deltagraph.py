@@ -102,10 +102,7 @@ class DeltaGraphIndex(HistoricalGraphIndex):
         return path_keys, ekeys, cp_time
 
     def _reconstruct(self, values: Dict[tuple, object], path_keys: List[tuple]) -> Delta:
-        acc = Delta()
-        for key in path_keys:
-            acc = acc + values[key]  # type: ignore[operator]
-        return acc
+        return Delta.sum(values[key] for key in path_keys)  # type: ignore[misc]
 
     def get_snapshot(self, t: TimePoint, clients: int = 1) -> Graph:
         path_keys, ekeys, _cp = self._plan_keys(t)

@@ -549,13 +549,12 @@ class TGI(HistoricalGraphIndex):
                 + list(ekeys),
                 values,
             )
-            acc = Delta()
-            for group in path_groups:
-                for key in group:
-                    if key[3] in bad:
-                        continue
-                    acc = acc + values[key]
-            g = acc.to_graph()
+            # one overlay of the path's rows in root->leaf order (later
+            # row wins per node id), materialized once
+            g = Delta.sum(
+                values[key] for group in path_groups for key in group
+                if key[3] not in bad
+            ).to_graph()
             elists = [values[key] for key in ekeys if key[3] not in bad]
             if all(isinstance(el, ColumnarEventList) for el in elists):
                 # bulk replay off the packed columns (dedups replicated

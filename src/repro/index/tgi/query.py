@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.deltas.base import Delta, StaticEdge, StaticNode
+from repro.deltas.base import Delta, StaticNode
 from repro.deltas.columnar import _NO_OTHER, ColumnarEventList, merged_order
 from repro.graph.events import Event, EventKind
 from repro.graph.static import Graph
@@ -73,13 +73,13 @@ class PartialState:
         trace = current_span()
         if trace is not None:
             trace.inc("deltas_loaded", 1)
-        for comp in delta:
-            if isinstance(comp, StaticNode):
-                if self._in_scope(comp.I):
-                    self.nodes[comp.I] = comp
-            else:
-                if self._in_scope(comp.u) or self._in_scope(comp.v):
-                    self.edge_attrs[(comp.u, comp.v)] = comp.attrs
+        scope = self.scope
+        # one read of ``nodes`` (it freezes pending accumulators); the
+        # row hands over its memoised map, or just the in-scope part
+        self.nodes.update(delta.static_nodes(scope))
+        for (u, v), edge in delta.static_edges().items():
+            if scope is None or u in scope or v in scope:
+                self.edge_attrs[(u, v)] = edge.attrs
 
     # -- applying events ----------------------------------------------------
     def apply_event(self, ev: Event) -> None:
@@ -178,16 +178,20 @@ class PartialState:
 
     def to_graph(self, members: Iterable[NodeId], directed: bool = False) -> Graph:
         """Induced graph on ``members`` using the reconstructed states."""
-        keep = {n for n in members if n in self.nodes}
-        g = Graph(directed=directed)
-        for n in keep:
-            g.add_node(n, self.nodes[n].attrs)
-        for n in keep:
-            for nbr in self.nodes[n].E:
-                if nbr in keep and not g.has_edge(n, nbr):
-                    eid = canonical_edge(n, nbr)
-                    g.add_edge(n, nbr, self.edge_attrs.get(eid))
-        return g
+        nodes = self.nodes
+        keep = {n: nodes[n] for n in members if n in nodes}
+        edge_attrs = self.edge_attrs  # keyed smaller endpoint first
+        if directed and edge_attrs:
+            edge_attrs = {
+                **edge_attrs,
+                **{(v, u): a for (u, v), a in edge_attrs.items()},
+            }
+        return Graph.from_parts(
+            {n: st.A for n, st in keep.items()},
+            {n: st.E for n, st in keep.items()},
+            edge_attrs,
+            directed=directed,
+        )
 
 
 class _ColumnarApplier:

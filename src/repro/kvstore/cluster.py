@@ -68,10 +68,10 @@ class ClusterConfig:
     """Cluster shape: ``m`` machines, replication factor ``r``.
 
     ``codec`` picks the row serialization: ``"columnar"`` (the default)
-    stores eventlists as packed parallel arrays with lazy zero-copy
-    decode (:mod:`repro.deltas.columnar`); ``"pickle"`` reproduces the
-    paper prototype's pickle-everything behavior.  Non-eventlist rows
-    (micro-deltas, version chains, pointers) always pickle.
+    stores eventlists and micro-deltas as packed parallel arrays decoded
+    without per-item objects (:mod:`repro.deltas.columnar`);
+    ``"pickle"`` reproduces the paper prototype's pickle-everything
+    behavior.  Other rows (version chains, pointers) always pickle.
 
     ``max_request_keys`` bounds how many keys one multiget round may
     carry (0 = unlimited).  Oversized rounds — typically merged rounds

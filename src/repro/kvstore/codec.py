@@ -6,13 +6,27 @@ ends, so pickle's trust model is acceptable here) and optionally compress
 with zlib — Fig. 13a of the paper evaluates compressed vs. uncompressed
 delta storage.
 
-The ``columnar`` codec additionally stores eventlists in the packed
-parallel-array layout of :mod:`repro.deltas.columnar` (tags ``C`` /
-``c``): decode returns a lazy zero-copy :class:`ColumnarEventList` view
-instead of unpickling thousands of ``Event`` objects.  Only eventlists
-whose fields fit the packed layout use it; everything else (micro-deltas,
-version chains, pointers, exotic eventlists) falls back to pickle, so a
-store freely holds a mix of tags.
+The ``columnar`` codec additionally stores the two bulky row kinds in
+the packed layouts of :mod:`repro.deltas.columnar`, each under its own
+self-describing tag pair (raw / zlib):
+
+===== ================== ===============================================
+tags  value              decodes to
+===== ================== ===============================================
+R / Z anything           ``pickle.loads`` of the stream
+C / c eventlist          lazy zero-copy :class:`ColumnarEventList` view —
+                         no ``Event`` object is unpickled
+D / d micro-delta        columns-backed :class:`Delta` (node ids, CSR
+                         offsets + neighbours at int32 or int64, pickled
+                         side-table for attributes and explicit edges) —
+                         no ``StaticNode`` is built until one is asked for
+K     any of the above   CRC32 envelope around one tagged payload
+===== ================== ===============================================
+
+Only values whose fields fit a packed layout use it; everything else
+(version chains, pointers, eventlists or deltas with non-``int`` or
+beyond-int64 ids) falls back to pickle, so a store freely holds a mix of
+tags.
 """
 
 from __future__ import annotations
@@ -22,17 +36,26 @@ import zlib
 from dataclasses import dataclass
 from typing import Any
 
-from repro.deltas.columnar import ColumnarEventList, pack_eventlist
+from repro.deltas.base import Delta
+from repro.deltas.columnar import (
+    ColumnarEventList,
+    pack_delta,
+    pack_eventlist,
+    unpack_delta,
+)
 from repro.deltas.eventlist import EventList
 from repro.errors import CorruptPayload
 
 #: Magic prefixes distinguish the stored forms so a store can hold a mix
 #: (e.g. after changing the config between builds): raw / zlib pickle,
-#: raw / zlib columnar, checksummed wrapper.
+#: raw / zlib columnar eventlist, raw / zlib packed micro-delta,
+#: checksummed wrapper.
 _RAW = b"R"
 _ZIP = b"Z"
 _COL = b"C"
 _COLZ = b"c"
+_DEL = b"D"
+_DELZ = b"d"
 #: Checksummed wrapper: ``K`` + 4-byte big-endian CRC32 of the inner
 #: payload + the inner payload (itself a normal tagged value).  Lets a
 #: store detect bit-rot / corrupted reads (``ClusterConfig.checksums``)
@@ -62,8 +85,9 @@ def encode(
 ) -> EncodedValue:
     """Serialize ``obj``; optionally zlib-compress the stream.
 
-    With ``codec="columnar"``, eventlists that fit the packed layout are
-    stored as parallel arrays; all other values pickle as before.  With
+    With ``codec="columnar"``, eventlists and deltas that fit their
+    packed layouts are stored as parallel arrays; all other values
+    pickle as before.  With
     ``checksum=True`` the tagged payload is wrapped in a CRC32 envelope
     (tag ``K``) that :func:`decode` verifies, raising
     :class:`CorruptPayload` on mismatch.
@@ -72,17 +96,19 @@ def encode(
         raise ValueError(f"unknown codec {codec!r} (expected one of {CODECS})")
     encoded = None
     if codec == "columnar":
-        body = None
+        body, tags = None, (_COL, _COLZ)
         if isinstance(obj, ColumnarEventList):
             body = obj.packed_bytes()  # re-store a decoded row verbatim
         elif isinstance(obj, EventList):
             body = pack_eventlist(obj.ts, obj.te, obj.events)
+        elif isinstance(obj, Delta):
+            body, tags = pack_delta(obj), (_DEL, _DELZ)
         if body is not None:
             if compress:
-                packed = _COLZ + zlib.compress(body, level)
+                packed = tags[1] + zlib.compress(body, level)
                 encoded = EncodedValue(packed, len(body), len(packed), True)
             else:
-                packed = _COL + body
+                packed = tags[0] + body
                 encoded = EncodedValue(packed, len(body), len(packed), False)
     if encoded is None:
         raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -104,13 +130,16 @@ def encode(
 def decode(payload: bytes) -> Any:
     """Inverse of :func:`encode`.
 
-    Columnar payloads decode to a lazy :class:`ColumnarEventList` wrapping
-    the payload's buffer — zero-copy for the uncompressed tag.
+    Columnar eventlist payloads decode to a lazy
+    :class:`ColumnarEventList` wrapping the payload's buffer — zero-copy
+    for the uncompressed tag; packed micro-deltas to a columns-backed
+    :class:`Delta`.
     """
     if not payload:
         raise ValueError(
             "empty payload: a stored value always starts with a codec "
-            "tag byte (R/Z pickle, C/c columnar, K checksummed)"
+            "tag byte (R/Z pickle, C/c columnar eventlist, D/d packed "
+            "micro-delta, K checksummed)"
         )
     tag = payload[:1]
     if tag == _CRC:
@@ -131,6 +160,10 @@ def decode(payload: bytes) -> Any:
         return ColumnarEventList(memoryview(payload)[1:])
     if tag == _COLZ:
         return ColumnarEventList(zlib.decompress(payload[1:]))
+    if tag == _DEL:
+        return unpack_delta(memoryview(payload)[1:])
+    if tag == _DELZ:
+        return unpack_delta(zlib.decompress(payload[1:]))
     body = payload[1:]
     if tag == _ZIP:
         body = zlib.decompress(body)

@@ -94,6 +94,10 @@ def calibrate_apply_costs(
     for (key, enc) in sampled:
         value = decode(enc.payload)
         if isinstance(value, Delta):
+            # a packed row builds its StaticNodes on first use and keeps
+            # them; thawed here, every timed repeat replays the same
+            # thing (the thaw itself is priced by neither constant yet)
+            value.static_nodes()
             deltas.append(value)
             items += len(value)
             replay_bytes += enc.raw_size

@@ -21,31 +21,16 @@ from repro.errors import HGSError
 from repro.index.interface import HistoricalGraphIndex
 
 _MAGIC = "hgs-index"
-# 2: indexes carry the fetch-plan executor / delta-cache attributes
-# (repro.exec); version-1 files lack them and would fail at query time
-# 3: TGIConfig carries the `pipeline` toggle; version-2 files would fail
-# on config access during pipelined execution
-# 4: TGIConfig carries `delta_cache_bytes` / `checkpoint_entries` and the
-# TGI a `checkpoints` attribute; version-3 files would fail on config
-# access during checkpoint-aware planning (and silently predate the
-# pipeline-default flip)
-# 5: the TGI carries a `stats` GraphStatistics artifact (per-timespan
-# partition/degree/cut summaries, event-rate histograms, apply-cost
-# calibration) that planning, pricing and nearest-in-time checkpoint
-# seeding read; version-4 files lack it and would plan with the
-# degenerate whole-span bound while claiming stats-backed estimates
-# 6: rows may carry the columnar eventlist codec (tags C/c) and
-# TGIConfig the `apply_workers` lane count; version-5 files pickle-load
-# but would decode columnar payloads written by a re-save incorrectly
-# and fail on config access during parallel replay
-# 7: TGIConfig carries the `coalesce` flag (cross-query fetch
-# coalescing: single-flight key dedup + merged multiget rounds for
-# batched execution); version-6 files would fail on config access when
-# the session wires the executor's coalescing default
-# 8: ClusterConfig carries the `checksums` flag and rows may be wrapped
-# in the CRC32 envelope (tag K) it enables; version-7 files would fail
-# on config access when the fault harness or CLI inspects the flag
-_FORMAT_VERSION = 8
+# Older files raise PersistenceError on load; what each version added:
+# 2: fetch-plan executor / delta-cache attributes on indexes (repro.exec)
+# 3: TGIConfig.pipeline
+# 4: TGIConfig.delta_cache_bytes / checkpoint_entries, TGI.checkpoints
+# 5: TGI.stats (GraphStatistics: planning, pricing, near-seed decisions)
+# 6: columnar eventlist rows (tags C/c), TGIConfig.apply_workers
+# 7: TGIConfig.coalesce
+# 8: ClusterConfig.checksums, CRC32 row envelope (tag K)
+# 9: packed micro-delta rows (tags D/d); Delta pickles as node/edge maps
+_FORMAT_VERSION = 9
 
 
 class PersistenceError(HGSError):

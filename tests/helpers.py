@@ -89,3 +89,26 @@ def assert_history_equivalent(index, events, node, ts, te, compare_events=True):
         assert [s for _, s in got.versions()] == [
             s for _, s in want.versions()
         ], f"version-state mismatch for node {node}"
+
+
+def per_edge_graph(
+    node_attrs, adjacency, edge_attrs=None, directed=False, explicit_edges=()
+):
+    """Node-centric parts materialized the way ``Delta.to_graph``,
+    ``PartialState.to_graph`` and ``Graph.subgraph`` did before
+    ``Graph.from_parts``: ``add_node`` per node, ``add_edge`` per
+    explicit ``(u, v, attrs)`` edge, then one ``has_edge`` / ``add_edge``
+    per edge-list entry.  The reference the bulk loader is held to."""
+    edge_attrs = edge_attrs or {}
+    g = Graph(directed=directed)
+    for n, attrs in node_attrs.items():
+        g.add_node(n, dict(attrs))
+    for u, v, attrs in explicit_edges:
+        if g.has_node(u) and g.has_node(v):
+            g.add_edge(u, v, attrs)
+    for n, nbrs in adjacency.items():
+        for nbr in nbrs:
+            if g.has_node(n) and g.has_node(nbr) and not g.has_edge(n, nbr):
+                eid = canonical_edge(n, nbr, directed)
+                g.add_edge(n, nbr, dict(edge_attrs.get(eid, ())))
+    return g

@@ -198,7 +198,8 @@ def test_columnar_cluster_stores_columnar_eventlists(dataset1_events):
         for machine in tgi.cluster.machines
         for _k, v in machine.items()
     }
-    assert b"C" in tags  # eventlists packed; deltas/pointers stay pickled
+    # eventlists and micro-deltas packed; version chains stay pickled
+    assert tags == {b"C", b"D", b"R"}
 
 
 # -- pickling the lazy view ---------------------------------------------------
@@ -313,9 +314,10 @@ def test_parallel_index_survives_save_load(tmp_path, dataset1_events):
 
 # -- storage format gate ------------------------------------------------------
 
-def test_format5_files_rejected(tmp_path):
-    path = tmp_path / "v5.hgs"
-    path.write_bytes(pickle.dumps({"magic": "hgs-index", "format": 5,
+@pytest.mark.parametrize("fmt", [5, 8])
+def test_older_format_files_rejected(tmp_path, fmt):
+    path = tmp_path / "old.hgs"
+    path.write_bytes(pickle.dumps({"magic": "hgs-index", "format": fmt,
                                    "class": "TGI", "index": None}))
-    with pytest.raises(PersistenceError, match="format 5"):
+    with pytest.raises(PersistenceError, match=f"format {fmt}"):
         load_index(path)

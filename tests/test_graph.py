@@ -1,10 +1,13 @@
 """Unit tests for the in-memory property graph."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import EventError, GraphError
 from repro.graph.events import EventBuilder
 from repro.graph.static import Graph
+from tests.helpers import per_edge_graph
 
 
 @pytest.fixture
@@ -160,3 +163,97 @@ def test_node_attr_del():
     g.apply_event(eb.node_add(1, 0, {"a": 1, "b": 2}))
     g.apply_event(eb.node_attr_del(2, 0, "a"))
     assert g.node_attrs(0) == {"b": 2}
+
+
+# -- bulk loader --------------------------------------------------------------
+# ``from_parts`` against the per-edge construction it replaced
+# (``tests.helpers.per_edge_graph``).
+
+_IDS = st.integers(0, 11)
+_ATTRS = st.dictionaries(
+    st.sampled_from(["w", "label"]), st.integers(0, 3), max_size=2
+)
+
+
+def _same_graph(a, b):
+    """Equal, adjacency included (``==`` compares nodes and edges)."""
+    return a == b and all(
+        a.neighbors(n) == b.neighbors(n) for n in a.nodes()
+    )
+
+
+@st.composite
+def _parts(draw):
+    """Arbitrary node-centric parts: edge lists may name absent nodes,
+    list an edge from one endpoint only, or repeat an entry; edge
+    attributes may cover edges the lists do not define."""
+    nodes = draw(st.lists(_IDS, max_size=9, unique=True))
+    # attributes as dicts or as pair tuples (what a StaticNode carries)
+    node_attrs = {
+        n: a if draw(st.booleans()) else tuple(sorted(a.items()))
+        for n in nodes for a in [draw(_ATTRS)]
+    }
+    adjacency = {
+        n: draw(st.lists(st.integers(0, 14), max_size=5))
+        for n in nodes + [12] if draw(st.booleans())
+    }
+    edge_attrs = {
+        (draw(_IDS), draw(_IDS)): tuple(sorted(draw(_ATTRS).items()))
+        for _ in range(draw(st.integers(0, 8)))
+    }
+    return node_attrs, adjacency, edge_attrs
+
+
+@given(parts=_parts(), directed=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_from_parts_matches_per_edge_construction(parts, directed):
+    node_attrs, adjacency, edge_attrs = parts
+    got = Graph.from_parts(node_attrs, adjacency, edge_attrs, directed)
+    want = per_edge_graph(node_attrs, adjacency, edge_attrs, directed)
+    assert _same_graph(got, want)
+    # the loader copies what it is given
+    for n in got.nodes():
+        got.node_attrs(n)["touched"] = True
+    assert all("touched" not in dict(a) for a in node_attrs.values())
+
+
+@st.composite
+def _graphs(draw):
+    g = Graph(directed=draw(st.booleans()))
+    for n in draw(st.lists(_IDS, max_size=10, unique=True)):
+        g.add_node(n, draw(_ATTRS))
+    alive = sorted(g.nodes())
+    if alive:
+        for _ in range(draw(st.integers(0, 14))):
+            g.add_edge(
+                draw(st.sampled_from(alive)), draw(st.sampled_from(alive)),
+                draw(_ATTRS),
+            )
+    return g
+
+
+@given(g=_graphs(), keep=st.lists(st.integers(0, 14), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_subgraph_matches_edge_scan(g, keep):
+    want = Graph(directed=g.directed)
+    kept = {n for n in keep if g.has_node(n)}
+    for n in kept:
+        want.add_node(n, g.node_attrs(n))
+    for (u, v) in g.edges():
+        if u in kept and v in kept:
+            want.add_edge(u, v, g.edge_attrs(u, v))
+    got = g.subgraph(keep)
+    assert _same_graph(got, want)
+    # a private copy: attribute maps are not shared with the source
+    for eid in got.edges():
+        got.edge_attrs(*eid)["touched"] = True
+    assert all("touched" not in g.edge_attrs(*e) for e in g.edges())
+
+
+def test_from_parts_round_trips_a_graph(triangle):
+    parts = (
+        {n: triangle.node_attrs(n) for n in triangle.nodes()},
+        {n: triangle.neighbors(n) for n in triangle.nodes()},
+        {e: triangle.edge_attrs(*e) for e in triangle.edges()},
+    )
+    assert _same_graph(Graph.from_parts(*parts), triangle)

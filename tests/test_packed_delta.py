@@ -1,0 +1,404 @@
+"""Tests for packed micro-deltas (codec tags D/d): round trips over the
+layout's edge cases, the pickle fallback, the one-pass delta sum, and
+cross-codec member-identity of every query kind on one history."""
+
+from functools import reduce
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from repro import GraphSession
+from repro.api import QueryRequest
+from repro.deltas.base import Delta, StaticEdge, StaticNode
+from repro.deltas.columnar import pack_delta, unpack_delta
+from repro.errors import CorruptPayload
+from repro.faults import CrashWindow, FaultSchedule, inject_faults
+from repro.graph.static import Graph
+from repro.index.tgi import TGI, TGIConfig
+from repro.kvstore.cluster import ClusterConfig
+from repro.kvstore.codec import decode, encode
+from repro.kvstore.resilience import ResiliencePolicy
+from tests.helpers import per_edge_graph, random_history
+
+#: Ids on both sides of the int32 limits, so some rows need the wide
+#: column and some do not.
+NARROW_IDS = st.integers(-40, 40)
+WIDE_IDS = st.one_of(
+    NARROW_IDS,
+    st.integers(2**31 - 3, 2**31 + 3),
+    st.integers(-(2**31) - 3, -(2**31) + 3),
+)
+ATTRS = st.dictionaries(
+    st.sampled_from(["color", "w", "label"]),
+    st.one_of(st.integers(-5, 5), st.text(max_size=3), st.none()),
+    max_size=2,
+)
+
+
+@st.composite
+def deltas(draw, ids=WIDE_IDS):
+    """Node-centric deltas: static nodes with and without attributes,
+    edge lists that may name absent nodes, and explicit static edges
+    with and without attributes."""
+    comps = [
+        StaticNode.make(n, draw(st.lists(ids, max_size=4)), draw(ATTRS))
+        for n in draw(st.lists(ids, max_size=8, unique=True))
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        comps.append(StaticEdge.make(
+            draw(ids), draw(ids), draw(ATTRS), draw(st.booleans())
+        ))
+    return Delta(comps)
+
+
+def packed_body(payload: bytes) -> bytes:
+    """The tagged value inside an optional checksum envelope."""
+    return payload[5:] if payload[:1] == b"K" else payload
+
+
+# -- round trips -------------------------------------------------------------
+
+@pytest.mark.parametrize("compress", [False, True])
+@pytest.mark.parametrize("checksum", [False, True])
+@given(delta=deltas())
+@settings(max_examples=60, deadline=None)
+def test_roundtrip_equals_original(delta, compress, checksum):
+    enc = encode(delta, compress=compress, codec="columnar",
+                 checksum=checksum)
+    assert packed_body(enc.payload)[:1] == (b"d" if compress else b"D")
+    assert enc.stored_size == len(enc.payload)
+    got = decode(enc.payload)
+    assert len(got) == len(delta)
+    assert got.size == delta.size
+    assert got.to_graph() == delta.to_graph()
+    assert got == delta
+    # a decoded (still packed) row stores again as an equal row
+    again = encode(got, compress=compress, codec="columnar",
+                   checksum=checksum)
+    assert decode(again.payload) == delta
+
+
+def test_empty_delta_roundtrip():
+    enc = encode(Delta(), codec="columnar")
+    assert enc.payload[:1] == b"D"
+    got = decode(enc.payload)
+    assert got == Delta() and len(got) == 0
+    assert got.to_graph() == Graph()
+
+
+@given(delta=deltas(ids=NARROW_IDS))
+@settings(max_examples=30, deadline=None)
+def test_narrow_rows_use_int32(delta):
+    body = pack_delta(delta)
+    assert body[1] == 4
+
+
+def test_ids_straddling_int32_force_the_wide_column():
+    for big in (2**31, -(2**31) - 1):
+        as_id = Delta([StaticNode.make(big, [1])])
+        as_nbr = Delta([StaticNode.make(1, [big])])
+        for delta in (as_id, as_nbr):
+            body = pack_delta(delta)
+            assert body[1] == 8
+            assert unpack_delta(body) == delta
+    # the limits themselves still fit the narrow column
+    edge = Delta([StaticNode.make(2**31 - 1, [-(2**31)])])
+    assert pack_delta(edge)[1] == 4
+    assert unpack_delta(pack_delta(edge)) == edge
+
+
+def test_wide_rows_are_wider_narrow_rows_no_larger_than_pickle():
+    narrow = Delta([StaticNode.make(n, range(n + 1, n + 9)) for n in range(64)])
+    wide = Delta([
+        StaticNode.make(n + 2**40, range(n + 1, n + 9)) for n in range(64)
+    ])
+    assert len(pack_delta(narrow)) < len(pack_delta(wide))
+    packed = encode(narrow, codec="columnar")
+    pickled = encode(narrow, codec="pickle")
+    assert packed.stored_size < pickled.stored_size
+
+
+@pytest.mark.parametrize("delta", [
+    Delta([StaticNode.make("alice", ["bob"])]),          # non-int id
+    Delta([StaticNode.make(1, ["bob"])]),                # non-int neighbour
+    Delta([StaticNode.make(2**63, [1])]),                # beyond int64
+    Delta([StaticNode.make(1, [-(2**63) - 1])]),         # beyond int64
+    Delta([StaticNode.make(True, [2])]),                 # bool is not an id
+    Delta([StaticNode.make(1.0, [2])]),                  # float
+], ids=["str-id", "str-nbr", "big-id", "big-nbr", "bool", "float"])
+@pytest.mark.parametrize("compress", [False, True])
+@pytest.mark.parametrize("checksum", [False, True])
+def test_unpackable_deltas_fall_back_to_pickle(delta, compress, checksum):
+    assert pack_delta(delta) is None
+    enc = encode(delta, compress=compress, codec="columnar",
+                 checksum=checksum)
+    assert packed_body(enc.payload)[:1] == (b"Z" if compress else b"R")
+    got = decode(enc.payload)
+    assert got == delta
+    assert [type(c.I) for c in got] == [type(c.I) for c in delta]
+
+
+def test_pickle_codec_never_packs():
+    delta = Delta([StaticNode.make(1, [2]), StaticNode.make(2, [1])])
+    assert encode(delta, codec="pickle").payload[:1] == b"R"
+
+
+def test_malformed_packed_rows_rejected():
+    body = pack_delta(Delta([StaticNode.make(1, [2, 3])]))
+    with pytest.raises(ValueError, match="truncated"):
+        unpack_delta(body[:-3])
+    with pytest.raises(ValueError, match="unsupported micro-delta layout"):
+        unpack_delta(bytes([9]) + body[1:])
+    with pytest.raises(ValueError, match="unsupported micro-delta layout"):
+        unpack_delta(body[:1] + bytes([2]) + body[2:])
+
+
+def test_corrupted_packed_row_raises_corrupt_payload():
+    delta = Delta([StaticNode.make(n, [n + 1], {"w": n}) for n in range(8)])
+    for compress in (False, True):
+        enc = encode(delta, compress=compress, codec="columnar",
+                     checksum=True)
+        assert packed_body(enc.payload)[:1] in (b"D", b"d")
+        middle = len(enc.payload) // 2
+        flipped = (
+            enc.payload[:middle]
+            + bytes([enc.payload[middle] ^ 0x01])
+            + enc.payload[middle + 1:]
+        )
+        with pytest.raises(CorruptPayload):
+            decode(flipped)
+        assert decode(enc.payload) == delta
+
+
+# -- materialization ------------------------------------------------------------
+
+def per_edge_delta_graph(delta, directed):
+    """``Delta.to_graph`` as it was before the bulk loader: explicit
+    static edges first, then the nodes' edge lists, one by one."""
+    nodes = [c for c in delta if isinstance(c, StaticNode)]
+    return per_edge_graph(
+        {c.I: c.A for c in nodes},
+        {c.I: c.E for c in nodes},
+        directed=directed,
+        explicit_edges=[
+            (c.u, c.v, c.attrs) for c in delta if isinstance(c, StaticEdge)
+        ],
+    )
+
+
+@given(delta=deltas(ids=NARROW_IDS), directed=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_to_graph_matches_per_edge_materialization(delta, directed):
+    want = per_edge_delta_graph(delta, directed)
+    packed = decode(encode(delta, codec="columnar").payload)
+    for got in (delta.to_graph(directed), packed.to_graph(directed)):
+        assert got == want
+        assert all(got.neighbors(n) == want.neighbors(n) for n in want.nodes())
+
+
+# -- decoded rows: columns until someone asks for StaticNodes ----------------
+
+def test_decoded_row_thaws_once():
+    delta = Delta([
+        StaticNode.make(1, [2, 3], {"color": "red"}),
+        StaticNode.make(2, [1]),
+        StaticEdge.make(1, 2, {"w": 4}),
+    ])
+    row = decode(encode(delta, codec="columnar").payload)
+    # none of these needs a StaticNode
+    assert len(row) == 3 and row.size == 6
+    assert sorted(row.node_ids()) == [1, 2]
+    assert row.to_graph() == delta.to_graph()
+    assert Delta.sum([row]).to_graph() == delta.to_graph()
+    thawed = row.static_nodes()
+    assert thawed == {c.I: c for c in delta if isinstance(c, StaticNode)}
+    assert row.static_nodes() is thawed  # memoised: a cache hit re-thaws nothing
+    assert row.to_graph() == delta.to_graph()  # and still materializes
+
+
+@given(delta=deltas(), scopes=st.lists(st.sets(WIDE_IDS, max_size=6), max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_scoped_reads_thaw_each_node_once(delta, scopes):
+    """A scoped read returns exactly the in-scope nodes, and the node
+    objects it built are the ones every later read returns."""
+    want = {c.I: c for c in delta if isinstance(c, StaticNode)}
+    row = decode(encode(delta, codec="columnar").payload)
+    seen = {}
+    for scope in scopes:
+        got = row.static_nodes(scope)
+        assert got == {n: c for n, c in want.items() if n in scope}
+        for n, node in got.items():
+            assert seen.setdefault(n, node) is node
+        assert len(row) == len(delta)  # part-thawed rows keep their size
+    full = row.static_nodes()
+    assert full == want and row == delta
+    assert all(full[n] is node for n, node in seen.items())
+
+
+# -- the one-pass sum ---------------------------------------------------------
+
+@given(st.lists(deltas(ids=NARROW_IDS), max_size=5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sum_equals_left_fold_of_plus(parts, data):
+    want = reduce(lambda a, b: a + b, parts, Delta())
+    # any mix of thawed operands and still-packed decoded rows
+    operands = [
+        decode(encode(d, codec="columnar").payload)
+        if data.draw(st.booleans()) else d
+        for d in parts
+    ]
+    got = Delta.sum(operands)
+    assert got == want
+    assert len(got) == len(want)
+    assert got.to_graph() == want.to_graph()
+    # the operands are left as they were
+    assert all(a == b for a, b in zip(operands, parts))
+
+
+# -- cross-codec member identity on one generated history ---------------------
+
+def build_tgi(events, codec, checksums=False):
+    tgi = TGI(TGIConfig(
+        events_per_timespan=300,
+        eventlist_size=40,
+        micro_partition_size=8,
+        cluster=ClusterConfig(
+            num_machines=4, replication=1, codec=codec, checksums=checksums,
+        ),
+    ))
+    tgi.build(events)
+    return tgi
+
+
+@pytest.fixture(scope="module")
+def history():
+    return random_history(steps=900, seed=33)
+
+
+@pytest.fixture(scope="module")
+def pair(history):
+    return build_tgi(history, "pickle"), build_tgi(history, "columnar")
+
+
+def stored_tags(tgi):
+    return {
+        v.payload[:1]
+        for machine in tgi.cluster.machines for _k, v in machine.items()
+    }
+
+
+def test_columnar_build_packs_its_micro_deltas(pair):
+    pickled, packed = pair
+    assert stored_tags(pickled) == {b"R"}
+    assert {b"C", b"D"} <= stored_tags(packed)
+    assert packed.cluster.stored_bytes < pickled.cluster.stored_bytes
+
+
+def probe_times(history):
+    te = history[-1].time
+    return [te // 5, te // 2, (4 * te) // 5, te]
+
+
+def alive_centers(history, t, count=4):
+    nodes = sorted(
+        Graph.replay(history, until=t).nodes(),
+        key=lambda n: (n * 7919) % 101,
+    )
+    return nodes[:count]
+
+
+def test_snapshots_identical_across_codecs(history, pair):
+    sessions = [GraphSession.from_index(tgi) for tgi in pair]
+    for t in probe_times(history):
+        want = Graph.replay(history, until=t)
+        for session in sessions:
+            assert session.at(t).snapshot().value == want
+
+
+@pytest.mark.parametrize(
+    "algorithm", ["khop", "khop-per-center", "snapshot-first"]
+)
+def test_khops_identical_across_codecs(history, pair, algorithm):
+    sessions = [GraphSession.from_index(tgi) for tgi in pair]
+    for t in probe_times(history)[1:]:
+        whole = Graph.replay(history, until=t)
+        for center in alive_centers(history, t):
+            want = whole.khop_subgraph(center, 2)
+            for session in sessions:
+                got = session.at(t).khop(center, k=2, algorithm=algorithm)
+                assert got.value == want
+
+
+def test_node_histories_identical_across_codecs(history, pair):
+    te = history[-1].time
+    pickled, packed = (GraphSession.from_index(tgi) for tgi in pair)
+    for node in alive_centers(history, te, count=6):
+        a = pickled.between(te // 4, te).node_history(node).value
+        b = packed.between(te // 4, te).node_history(node).value
+        assert a.initial == b.initial
+        assert list(a.events) == list(b.events)
+        assert list(a.versions()) == list(b.versions())
+
+
+def test_batched_khops_identical_across_codecs(history, pair):
+    t = probe_times(history)[2]
+    whole = Graph.replay(history, until=t)
+    centers = alive_centers(history, t, count=5)
+    requests = [
+        QueryRequest(kind="khop", t=t, nodes=(c,), k=2, single=True)
+        for c in centers + centers[:2]  # overlapping members
+    ]
+    for tgi in pair:
+        results = GraphSession.from_index(tgi).execute_batch(requests)
+        for request, result in zip(requests, results):
+            assert result.value == whole.khop_subgraph(request.nodes[0], 2)
+
+
+def test_degraded_snapshot_identical_across_codecs(history):
+    """With one machine gone for good, ``allow_partial`` returns the
+    same partial graph from packed rows as from pickled ones."""
+    t = history[-1].time
+    partial = []
+    for codec in ("pickle", "columnar"):
+        tgi = build_tgi(history, codec)
+        session = GraphSession.from_index(tgi)
+        whole = session.at(t).snapshot().value
+        # placement does not depend on the codec: the same victim serves
+        # part of this snapshot in both builds
+        victim = min(rec.server for rec in tgi.last_fetch_stats.requests)
+        inject_faults(tgi.cluster, FaultSchedule(
+            crashes=(CrashWindow(victim, 0.0),),
+        ))
+        tgi.cluster.enable_resilience(
+            ResiliencePolicy(max_attempts=2, hedge=False)
+        )
+        result = session.execute(
+            QueryRequest(kind="snapshot", t=t, allow_partial=True)
+        )
+        assert result.degraded is not None and result.degraded["keys"] > 0
+        assert 0 < result.value.num_nodes < whole.num_nodes
+        partial.append(result)
+    assert partial[0].value == partial[1].value
+    assert partial[0].degraded == partial[1].degraded
+
+
+def test_corrupted_stored_delta_row_surfaces_typed(history):
+    tgi = build_tgi(history, "columnar", checksums=True)
+    t = history[-1].time
+    want = tgi.get_snapshot(t)
+    # a packed delta row this snapshot reads, on the machine serving it
+    machine, key, enc = next(
+        (m, rec.key, m.get(rec.key))
+        for rec in tgi.last_fetch_stats.requests
+        for m in [tgi.cluster.machines[rec.server]]
+        if m.get(rec.key).payload[5:6] == b"D"
+    )
+    flipped = enc.payload[:-1] + bytes([enc.payload[-1] ^ 0xFF])
+    machine.put(key, type(enc)(
+        flipped, enc.raw_size, enc.stored_size, enc.compressed
+    ))
+    with pytest.raises(CorruptPayload):
+        tgi.get_snapshot(t)
+    machine.put(key, enc)
+    assert tgi.get_snapshot(t) == want
