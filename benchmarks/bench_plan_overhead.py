@@ -1,0 +1,141 @@
+"""Planning overhead: what turning a query into store keys costs.
+
+The paper keeps the ``Timespans`` / ``Micropartitions`` metadata "small
+enough to cache at the query manager" (Sec. 4.4) so that planning costs
+nothing next to fetching.  This smoke pins that down on dataset 1
+(m=4, ps=64):
+
+- **plan + price wall-µs per key** for a snapshot plan and a k=2 k-hop
+  plan (``TGIPlanner.plan_*`` + ``price_plan``, warm layout);
+- **planning ms per batch** of 16 k=2 requests over 8 distinct centers
+  (``GraphSession._plan_batched`` for every member, no execution);
+- the **derivation counts** of one warm batch: ``hash_partition`` and
+  ``_stable_hash`` calls, ``TGIPlanner.plan_khop`` calls and uncached
+  ``expected_khop_pids`` evaluations.
+
+Timings are recorded, never asserted (they are the machine's); the
+counts repeat exactly and are the bar: a warm batch hashes nothing and
+plans each *distinct* request once.  Emits ``BENCH_plan_overhead.json``.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from pathlib import Path
+
+import repro.index.tgi.layout as layout_module
+import repro.kvstore.cluster as cluster_module
+import repro.stats.model as stats_model
+from repro import GraphSession, QueryRequest
+from repro.index.tgi import TGIPlanner, price_plan
+
+from benchmarks.conftest import build_tgi, print_series, probe_nodes
+
+BATCH = 16
+DISTINCT = 8
+K = 2
+REPEATS = 200
+
+RESULT_PATH = Path(__file__).resolve().parent.parent / (
+    "BENCH_plan_overhead.json"
+)
+
+def _us_per_key(plan_fn, cluster) -> dict:
+    plan = plan_fn()
+    price_plan(cluster, plan)  # warm: tables, rank index, placements
+    start = time.perf_counter()
+    for _ in range(REPEATS):
+        price_plan(cluster, plan_fn())
+    wall = time.perf_counter() - start
+    keys = len(plan.pricing_keys())
+    return {
+        "planned_keys": plan.num_keys,
+        "priced_keys": keys,
+        "plan_price_us_per_key": round(wall / REPEATS / keys * 1e6, 3),
+    }
+
+def _counting(monkeypatch, owner, name, counts):
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
+    tgi = build_tgi(dataset1_events)
+    session = GraphSession.from_index(tgi)
+    planner = session.planner
+    t = dataset1_events[-1].time
+    centers = probe_nodes(dataset1_events, DISTINCT, seed=31, alive_at=t)
+    requests = [
+        QueryRequest(kind="khop", t=t, nodes=(c,), k=K, single=True)
+        for c in (centers * (BATCH // DISTINCT))
+    ]
+
+    def _emit():
+        snapshot = _us_per_key(lambda: planner.plan_snapshot(t), tgi.cluster)
+        khop = _us_per_key(
+            lambda: planner.plan_khop(centers[0], t, k=K), tgi.cluster
+        )
+        session.execute_batch(requests)  # warm-up batch
+
+        counts = dict.fromkeys(
+            ("hash_partition", "_stable_hash", "plan_khop",
+             "_evaluate_khop_pids"), 0,
+        )
+        _counting(monkeypatch, layout_module, "hash_partition", counts)
+        _counting(monkeypatch, cluster_module, "_stable_hash", counts)
+        _counting(monkeypatch, TGIPlanner, "plan_khop", counts)
+        _counting(monkeypatch, stats_model, "_evaluate_khop_pids", counts)
+        start = time.perf_counter()
+        results = session.execute_batch(requests)
+        batch_ms = (time.perf_counter() - start) * 1e3
+        monkeypatch.undo()
+        assert all(r.ok for r in results)
+
+        start = time.perf_counter()
+        for _ in range(20):
+            shared: set = set()
+            for request in dict.fromkeys(requests):
+                session._plan_batched(request, shared)
+        plan_ms = (time.perf_counter() - start) / 20 * 1e3
+
+        payload = {
+            "dataset": "dataset1 (2500-node citation), m=4, ps=64",
+            "snapshot_plan": snapshot,
+            "khop_plan": khop,
+            "batch": {
+                "requests": BATCH,
+                "distinct": DISTINCT,
+                "planning_ms": round(plan_ms, 3),
+                "execute_batch_wall_ms": round(batch_ms, 3),
+            },
+            "warm_batch_calls": counts,
+        }
+        RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        return payload
+
+    payload = benchmark.pedantic(_emit, rounds=1, iterations=1)
+    print_series(
+        "plan + price, warm layout",
+        "plan           keys   wall us/key",
+        [
+            f"{name:12s} {row['priced_keys']:6d} "
+            f"{row['plan_price_us_per_key']:13.3f}"
+            for name, row in (
+                ("snapshot", payload["snapshot_plan"]),
+                ("khop k=2", payload["khop_plan"]),
+            )
+        ],
+    )
+    assert RESULT_PATH.exists()
+    calls = payload["warm_batch_calls"]
+    # the counts are the bar: a warm batch derives nothing from hashes
+    # and plans each distinct request exactly once
+    assert calls["hash_partition"] == 0
+    assert calls["_stable_hash"] == 0
+    assert calls["plan_khop"] == DISTINCT
+    assert calls["_evaluate_khop_pids"] <= DISTINCT

@@ -82,6 +82,9 @@ class QueryRequest:
     allow_partial: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.nodes, tuple):
+            # requests are hashed (batches plan each distinct one once)
+            object.__setattr__(self, "nodes", tuple(self.nodes))
         if self.kind not in KINDS:
             raise QueryError(f"unknown query kind {self.kind!r}")
         if self.algorithm not in ALGORITHMS:

@@ -69,8 +69,6 @@ from repro.index.tgi.layout import (
     TAG_EVENTLIST,
     TAG_SNAPSHOT,
     TimespanInfo,
-    delta_key,
-    sid_of_pid,
     version_chain_key,
 )
 from repro.index.tgi.query import PartialState, dedup_sorted
@@ -195,6 +193,7 @@ class TGI(HistoricalGraphIndex):
         self.stats = GraphStatistics()
         self._vc = VersionChainStore(self.cluster, self.config.placement_groups)
         self._spans: List[TimespanInfo] = []
+        self._span_starts: List[TimePoint] = []  # t_start per span
         self._running = Graph()  # state at the end of indexed history
         self._t_min: Optional[TimePoint] = None
         self._t_max: Optional[TimePoint] = None
@@ -227,15 +226,18 @@ class TGI(HistoricalGraphIndex):
     def __getstate__(self):
         # thread pools and locks don't pickle (save_index serializes
         # whole indexes); drop both — the pool is recreated lazily on
-        # the next parallel replay
+        # the next parallel replay.  ``_span_starts`` is derived from
+        # ``_spans`` and rebuilt on load, so files do not carry it
         state = dict(self.__dict__)
         state["_apply_pool"] = None
         state["_pool_lock"] = None
+        state.pop("_span_starts", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._pool_lock = threading.Lock()
+        self._span_starts = [span.t_start for span in self._spans]
 
     # ------------------------------------------------------------------
     # learned frontier-occupancy corrections
@@ -352,6 +354,7 @@ class TGI(HistoricalGraphIndex):
                 stats=self.stats,
             )
             self._spans.append(info)
+            self._span_starts.append(info.t_start)
         changed_chains = self._vc.flush()
         self._t_max = events[-1].time
         if self.delta_cache is not None:
@@ -376,8 +379,7 @@ class TGI(HistoricalGraphIndex):
             raise TimeRangeError(f"time {t} beyond indexed history ({self._t_max})")
         if t < self._t_min:
             raise TimeRangeError(f"time {t} precedes indexed history ({self._t_min})")
-        starts = [s.t_start for s in self._spans]
-        pos = bisect.bisect_right(starts, t) - 1
+        pos = bisect.bisect_right(self._span_starts, t) - 1
         return self._spans[max(pos, 0)]
 
     @property
@@ -417,40 +419,20 @@ class TGI(HistoricalGraphIndex):
         """Keys for the root→leaf path (grouped per tree node, in path
         order) and for the trailing eventlists, optionally restricted to a
         pid subset and extended with auxiliary rows."""
-        ns = self.config.placement_groups
+        keys = span.keys(self.config.placement_groups)
+        want = None if pids is None else sorted(pids)
         leaf = span.leaf_at(t)
         path_groups: List[List[DeltaKey]] = []
         for did in span.tree.path_to_leaf(leaf):
-            group: List[DeltaKey] = []
-            for pid in span.snapshot_pids.get(did, []):
-                if pids is None or pid in pids:
-                    group.append(
-                        delta_key(span.tsid, sid_of_pid(pid, ns),
-                                  TAG_SNAPSHOT, did, pid)
-                    )
+            group = keys.select(TAG_SNAPSHOT, did, want)
             if include_aux:
-                for pid in span.aux_snapshot_pids.get(did, []):
-                    if pids is None or pid in pids:
-                        group.append(
-                            delta_key(span.tsid, sid_of_pid(pid, ns),
-                                      TAG_AUX_SNAPSHOT, did, pid)
-                        )
+                group += keys.select(TAG_AUX_SNAPSHOT, did, want)
             path_groups.append(group)
         ekeys: List[DeltaKey] = []
         for j in span.eventlists_between(leaf, t):
-            for pid in span.eventlist_pids.get(j, []):
-                if pids is None or pid in pids:
-                    ekeys.append(
-                        delta_key(span.tsid, sid_of_pid(pid, ns),
-                                  TAG_EVENTLIST, j, pid)
-                    )
+            ekeys += keys.select(TAG_EVENTLIST, j, want)
             if include_aux:
-                for pid in span.aux_eventlist_pids.get(j, []):
-                    if pids is None or pid in pids:
-                        ekeys.append(
-                            delta_key(span.tsid, sid_of_pid(pid, ns),
-                                      TAG_AUX_EVENTLIST, j, pid)
-                        )
+                ekeys += keys.select(TAG_AUX_EVENTLIST, j, want)
         return path_groups, ekeys
 
     def _snapshot_stage(
@@ -593,19 +575,12 @@ class TGI(HistoricalGraphIndex):
         ``(t0, t]`` — the whole-graph replay gap between a materialized
         snapshot at ``t0`` and a query at ``t`` (the global analogue of
         :meth:`_gap_eventlist_keys`)."""
-        ns = self.config.placement_groups
-        keys: List[DeltaKey] = []
-        for j, (ts_j, te_j) in enumerate(span.eventlist_ranges):
-            if te_j <= t0:
-                continue
-            if ts_j >= t:
-                break
-            for pid in span.eventlist_pids.get(j, []):
-                keys.append(
-                    delta_key(span.tsid, sid_of_pid(pid, ns),
-                              TAG_EVENTLIST, j, pid)
-                )
-        return keys
+        keys = span.keys(self.config.placement_groups)
+        return [
+            key
+            for j in span.eventlists_overlapping(t0, t)
+            for key in keys.select(TAG_EVENTLIST, j, None)
+        ]
 
     def _snapshot_near_seed_candidate(
         self, span: TimespanInfo, t: TimePoint
@@ -661,19 +636,6 @@ class TGI(HistoricalGraphIndex):
     # ------------------------------------------------------------------
     # partial-state loading (shared by node / k-hop retrieval)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _pid_scope(
-        span: TimespanInfo, pids: Set[int], include_aux: bool
-    ) -> Set[NodeId]:
-        """Nodes covered by ``pids``: primary members, plus each
-        partition's replicated boundary neighbors when auxiliaries are
-        stored."""
-        scope = {n for n, p in span.node_pid.items() if p in pids}
-        if include_aux:
-            for pid in pids:
-                scope |= set(span.boundary.get(pid, frozenset()))
-        return scope
-
     def _replay_pid_state(
         self,
         span: TimespanInfo,
@@ -697,7 +659,7 @@ class TGI(HistoricalGraphIndex):
         if _degraded_pids(all_keys, values):
             return None
         state = PartialState(
-            scope=self._pid_scope(span, {pid}, include_aux)
+            scope=span.scope_of((pid,), include_aux)
         )
         for group in path_groups:
             for key in group:
@@ -827,23 +789,12 @@ class TGI(HistoricalGraphIndex):
         replay gap between a checkpointed state at ``t0`` and a query at
         ``t``.  Eventlist ``j`` scopes ``(ts_j, te_j]``, so the gap needs
         every list with ``te_j > t0`` and ``ts_j < t``."""
-        ns = self.config.placement_groups
+        table = span.keys(self.config.placement_groups)
         keys: List[DeltaKey] = []
-        for j, (ts_j, te_j) in enumerate(span.eventlist_ranges):
-            if te_j <= t0:
-                continue
-            if ts_j >= t:
-                break
-            if pid in span.eventlist_pids.get(j, []):
-                keys.append(
-                    delta_key(span.tsid, sid_of_pid(pid, ns),
-                              TAG_EVENTLIST, j, pid)
-                )
-            if include_aux and pid in span.aux_eventlist_pids.get(j, []):
-                keys.append(
-                    delta_key(span.tsid, sid_of_pid(pid, ns),
-                              TAG_AUX_EVENTLIST, j, pid)
-                )
+        for j in span.eventlists_overlapping(t0, t):
+            keys += table.select(TAG_EVENTLIST, j, (pid,))
+            if include_aux:
+                keys += table.select(TAG_AUX_EVENTLIST, j, (pid,))
         return keys
 
     def _near_seed_candidate(
@@ -957,7 +908,7 @@ class TGI(HistoricalGraphIndex):
         if _degraded_pids(gap_keys, values):
             return None
         nodes, edge_attrs = payload  # already a private copy (lookup clones)
-        state = PartialState(scope=self._pid_scope(span, {pid}, include_aux))
+        state = PartialState(scope=span.scope_of((pid,), include_aux))
         state.nodes = nodes
         state.edge_attrs = edge_attrs
         state.apply_eventlists(
@@ -1012,7 +963,7 @@ class TGI(HistoricalGraphIndex):
         memoized states and only the cold ones are fetched and replayed
         (then admitted); replay is per partition, which is exact because
         each partition's eventlists carry every event touching it."""
-        scope = self._pid_scope(span, pids, include_aux)
+        scope = span.scope_of(pids, include_aux)
         if self.checkpoints is None:
             plan = FetchPlan(f"load_pids({sorted(pids)}, t={t})")
             stage, path_groups, ekeys = self._snapshot_stage(
@@ -1496,9 +1447,7 @@ class TGI(HistoricalGraphIndex):
                         # ready before the next frontier advance
                         ckpt["hits"] += 1
                         loaded.add(pid)
-                        covered.update(
-                            self._pid_scope(span, {pid}, include_aux)
-                        )
+                        covered.update(span.scope_of((pid,), include_aux))
                         self._merge_state(merged, *payload)
                         continue
                     captured = self._capture_near_seed(
@@ -1524,7 +1473,7 @@ class TGI(HistoricalGraphIndex):
                 path_groups, ekeys = None, None
             pending.append(
                 (path_groups, ekeys, set(pids),
-                 self._pid_scope(span, set(pids) | set(near), include_aux),
+                 span.scope_of(set(pids) | set(near), include_aux),
                  near)
             )
             return stage

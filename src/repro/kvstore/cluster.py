@@ -118,6 +118,9 @@ class Cluster:
         self.config = config or ClusterConfig()
         self.machines = [StorageNode(i) for i in range(self.config.num_machines)]
         self._placement_len: Optional[int] = None
+        # placement key -> replica ring slice; a pure function of the
+        # (frozen) config, bounded by the distinct placement keys written
+        self._replicas: Dict[KeyTuple, Tuple[int, ...]] = {}
         self._down: set = set()
         #: Optional :class:`repro.faults.FaultInjector` (see repro.faults).
         self.faults = None
@@ -130,6 +133,16 @@ class Cluster:
         #: executions always release at ``at=0``, so tests and benches
         #: advance this clock between queries to move through a schedule.
         self.clock_ms: float = 0.0
+
+    def __getstate__(self):
+        # the placement memo is derived; persisted clusters never carry it
+        state = dict(self.__dict__)
+        del state["_replicas"]
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._replicas = {}
 
     # ------------------------------------------------------------------
     # failure injection
@@ -158,14 +171,17 @@ class Cluster:
         """Machines unavailable at sim-time ``now``: explicit ``_down``
         plus any scheduled crash window of the fault harness."""
         down = set(self._down)
-        faults = getattr(self, "faults", None)
-        if faults is not None:
-            down |= faults.down_machines(now)
+        if self.faults is not None:
+            down |= self.faults.down_machines(now)
         return down
 
-    def _live_replicas(self, placement_key: KeyTuple, now: float = 0.0) -> List[int]:
-        down = self._down_at(now)
-        live = [m for m in self.replicas_for(placement_key) if m not in down]
+    def _live_replicas(
+        self, placement_key: KeyTuple, down: Set[int]
+    ) -> Sequence[int]:
+        """Replicas of ``placement_key`` outside ``down`` (what
+        :meth:`_down_at` returned for the instant being routed)."""
+        replicas = self.replicas_for(placement_key)
+        live = [m for m in replicas if m not in down] if down else replicas
         if not live:
             raise StorageError(
                 f"all replicas down for placement {placement_key!r}"
@@ -220,12 +236,18 @@ class Cluster:
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    def replicas_for(self, placement_key: KeyTuple) -> List[int]:
+    def replicas_for(self, placement_key: KeyTuple) -> Tuple[int, ...]:
         """Machines holding rows with this placement key: the hash owner
-        plus the next ``r - 1`` machines on the ring."""
-        m = self.config.num_machines
-        first = _stable_hash(placement_key) % m
-        return [(first + i) % m for i in range(self.config.replication)]
+        plus the next ``r - 1`` machines on the ring (hashed once per
+        distinct placement key)."""
+        replicas = self._replicas.get(placement_key)
+        if replicas is None:
+            m = self.config.num_machines
+            first = _stable_hash(placement_key) % m
+            replicas = self._replicas[placement_key] = tuple(
+                (first + i) % m for i in range(self.config.replication)
+            )
+        return replicas
 
     def _check_placement_len(self, placement_len: int) -> None:
         if self._placement_len is None:
@@ -251,7 +273,7 @@ class Cluster:
             value,
             compress=self.config.compress,
             codec=self.config.codec,
-            checksum=getattr(self.config, "checksums", False),
+            checksum=self.config.checksums,
         )
         for machine_id in self.replicas_for(key[:placement_len]):
             if machine_id not in self._down:
@@ -287,8 +309,8 @@ class Cluster:
         """
         if self._placement_len is None:
             raise KeyNotFound(f"empty cluster has no key {key!r}")
-        now = getattr(self, "clock_ms", 0.0)
-        for machine_id in self._live_replicas(key[: self._placement_len], now):
+        down = self._down_at(self.clock_ms)
+        for machine_id in self._live_replicas(key[: self._placement_len], down):
             node = self.machines[machine_id]
             if key in node:
                 return decode(node.get(key).payload)
@@ -310,9 +332,9 @@ class Cluster:
             raise StorageError(
                 "scan prefix must include the full placement key"
             )
-        now = getattr(self, "clock_ms", 0.0)
+        down = self._down_at(self.clock_ms)
         rows: Dict[KeyTuple, Any] = {}
-        for machine_id in self._live_replicas(prefix[: self._placement_len], now):
+        for machine_id in self._live_replicas(prefix[: self._placement_len], down):
             for key, value in self.machines[machine_id].scan_prefix(prefix):
                 if key not in rows:
                     rows[key] = decode(value.payload)
@@ -327,14 +349,24 @@ class Cluster:
         ``recover_machine``, so routing falls back to the other live
         replicas before raising :class:`KeyNotFound`."""
         plen = self._placement_len
-        server_load: Dict[int, int] = {i: 0 for i in range(len(self.machines))}
+        down = self._down_at(now)  # once per round, not once per key
+        machines = self.machines
+        live_replicas = self._live_replicas
+        server_load = [0] * len(machines)
         assignment: Dict[KeyTuple, int] = {}
         for key in keys:
-            replicas = self._live_replicas(key[:plen], now)
-            holding = [m for m in replicas if key in self.machines[m]]
-            if not holding:
+            live = live_replicas(key[:plen], down)
+            if len(live) > 1:
+                live = [m for m in live if key in machines[m]]
+            elif key not in machines[live[0]]:
+                live = ()
+            if not live:
                 raise KeyNotFound(f"key {key!r} not on any live replica")
-            best = min(holding, key=lambda mid: server_load[mid])
+            # one holder (always, at r=1): nothing to balance
+            best = (
+                live[0] if len(live) == 1
+                else min(live, key=server_load.__getitem__)
+            )
             assignment[key] = best
             server_load[best] += 1
         return assignment
@@ -359,7 +391,7 @@ class Cluster:
         here, so they flow into ``simulate_plan`` and the timeline.
         """
         model = self.config.cost_model
-        faults = getattr(self, "faults", None)
+        faults = self.faults
         if assignment is None:
             assignment = self._route(keys, now)
         per_server: Dict[int, List[KeyTuple]] = {}
@@ -368,36 +400,30 @@ class Cluster:
 
         encoded_rows: Dict[KeyTuple, EncodedValue] = {}
         records: List[RequestRecord] = []
+        service_time = model.service_time
         rr_client = 0
         for server_id, server_keys in sorted(per_server.items()):
-            server_keys.sort()
             node = self.machines[server_id]
+            get, rank_of = node.get, node.rank
             spike_ms = (
                 faults.extra_latency_ms(server_id, now)
                 if faults is not None else 0.0
             )
-            prev_rank: Optional[int] = None
-            for key in server_keys:
-                encoded = node.get(key)
-                rank = node.rank(key)
-                contiguous = prev_rank is not None and rank == prev_rank + 1
+            prev_rank = -2
+            # clustering order is rank order (ranks are unique per node,
+            # so the sort never falls through to comparing key tuples)
+            for rank, key in sorted([(rank_of(k), k) for k in server_keys]):
+                encoded = get(key)
+                contiguous = rank == prev_rank + 1
                 prev_rank = rank
-                service = model.service_time(
-                    encoded.stored_size,
-                    encoded.raw_size,
-                    contiguous,
-                    encoded.compressed,
-                ) + spike_ms
+                stored, raw = encoded.stored_size, encoded.raw_size
+                compressed = encoded.compressed
                 records.append(
                     RequestRecord(
-                        key=key,
-                        server=server_id,
-                        client=client_offset + rr_client % clients,
-                        stored_bytes=encoded.stored_size,
-                        raw_bytes=encoded.raw_size,
-                        contiguous=contiguous,
-                        compressed=encoded.compressed,
-                        service_ms=service,
+                        key, server_id, client_offset + rr_client % clients,
+                        stored, raw, contiguous, compressed,
+                        service_time(stored, raw, contiguous, compressed)
+                        + spike_ms,
                     )
                 )
                 rr_client += 1
@@ -456,12 +482,12 @@ class Cluster:
                 raise KeyNotFound(f"empty cluster has no key {keys[0]!r}")
             return {}, FetchStats()
 
-        if getattr(self, "resilience", None) is not None:
+        if self.resilience is not None:
             return self._resilient_multiget(
                 keys, clients, timeline, at, client_offset
             )
 
-        base = getattr(self, "clock_ms", 0.0)
+        base = self.clock_ms
         limit = self.config.max_request_keys
         if not limit or len(keys) <= limit:
             now = base + at
@@ -469,7 +495,7 @@ class Cluster:
                 keys, clients, client_offset, now=now
             )
             self._raise_transients(records, now)
-            if getattr(self, "faults", None) is None:
+            if self.faults is None:
                 values = {
                     key: decode(encoded.payload)
                     for key, encoded in encoded_rows.items()
@@ -563,7 +589,7 @@ class Cluster:
         """Plain-path handling of injected transient errors: the whole
         round fails with a typed, retryable error (the resilient path
         retries these instead)."""
-        faults = getattr(self, "faults", None)
+        faults = self.faults
         if faults is None or not records:
             return
         failed = faults.transient_failures({r.server for r in records}, now)
@@ -577,7 +603,7 @@ class Cluster:
         """Decode one fetched row, applying any scheduled corruption for
         the serving machine first (detected via the checksum envelope and
         raised as :class:`CorruptPayload`)."""
-        faults = getattr(self, "faults", None)
+        faults = self.faults
         payload = encoded.payload
         if faults is not None and faults.corrupts(server, now):
             payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
@@ -635,11 +661,10 @@ class Cluster:
         timeline release instant for the next round.
         """
         policy = self.resilience
-        faults = getattr(self, "faults", None)
+        faults = self.faults
         model = self.config.cost_model
         rng = self._policy_rng
-        plen = self._placement_len
-        base = getattr(self, "clock_ms", 0.0)
+        base = self.clock_ms
         span = current_span()
         release = at
         now = base + at

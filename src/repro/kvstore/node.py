@@ -28,10 +28,20 @@ class StoredRow:
 class StorageNode:
     """One storage machine holding rows sorted by composite key."""
 
+    #: key -> position in ``_keys``: dropped by a put/delete that changes
+    #: the key set, rebuilt by the next :meth:`rank` (reads vastly
+    #: outnumber writes).  Derived, so never persisted.
+    _ranks: Optional[Dict[KeyTuple, int]] = None
+
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self._keys: List[KeyTuple] = []  # sorted
         self._rows: Dict[KeyTuple, EncodedValue] = {}
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_ranks", None)
+        return state
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -42,6 +52,7 @@ class StorageNode:
     def put(self, key: KeyTuple, value: EncodedValue) -> None:
         if key not in self._rows:
             bisect.insort(self._keys, key)
+            self._ranks = None
         self._rows[key] = value
 
     def get(self, key: KeyTuple) -> EncodedValue:
@@ -56,6 +67,7 @@ class StorageNode:
             idx = bisect.bisect_left(self._keys, key)
             if idx < len(self._keys) and self._keys[idx] == key:
                 del self._keys[idx]
+            self._ranks = None
 
     def scan_prefix(self, prefix: KeyTuple) -> Iterator[Tuple[KeyTuple, EncodedValue]]:
         """Yield rows whose key starts with ``prefix``, in key order."""
@@ -76,10 +88,13 @@ class StorageNode:
     def rank(self, key: KeyTuple) -> int:
         """Position of ``key`` in the node's sorted order (for contiguity
         checks by the cost model)."""
-        idx = bisect.bisect_left(self._keys, key)
-        if idx >= len(self._keys) or self._keys[idx] != key:
-            raise KeyNotFound(f"key {key!r} not on node {self.node_id}")
-        return idx
+        ranks = self._ranks
+        if ranks is None:
+            ranks = self._ranks = {k: i for i, k in enumerate(self._keys)}
+        try:
+            return ranks[key]
+        except KeyError:
+            raise KeyNotFound(f"key {key!r} not on node {self.node_id}") from None
 
     @property
     def stored_bytes(self) -> int:

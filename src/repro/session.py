@@ -120,6 +120,22 @@ class _BatchSpec:
     candidates: Dict[str, float]
     #: index of this spec's first plan in the batch's shared plan list
     first: int = 0
+    #: batch slots answered by this spec (equal requests share one)
+    members: int = 1
+    #: the finalized first result (or the exception finalizing raised),
+    #: set once and copied for every further member
+    outcome: Union[QueryResult, Exception, None] = None
+
+
+def _private_copy(value: Any) -> Any:
+    """A duplicate request's own copy of a result value: graphs are
+    mutable (callers may edit theirs), so each is copied; node states
+    and histories are immutable and shared."""
+    if isinstance(value, Graph):
+        return value.copy()
+    if isinstance(value, list):
+        return [_private_copy(item) for item in value]
+    return value
 
 
 def open_graph(
@@ -526,12 +542,16 @@ class GraphSession:
     def _khop_candidates(
         self, request: QueryRequest,
         shared_keys: Optional[Set] = None,
-    ) -> Tuple[Dict[str, float], bool, Dict[str, List[str]]]:
+    ) -> Tuple[
+        Dict[str, float], bool, Dict[str, List[str]], Dict[str, List]
+    ]:
         """Predicted sim-ms per candidate k-hop plan, whether the
         targeted bound could be planned at all (a single dead center
-        can't — the caller then lets Algorithm 4 raise cleanly), and
-        each candidate's planner notes (why a plan prices the way it
-        does: stats bounds, checkpoint seedings, warm snapshots).
+        can't — the caller then lets Algorithm 4 raise cleanly), each
+        candidate's planner notes (why a plan prices the way it does:
+        stats bounds, checkpoint seedings, warm snapshots), and each
+        candidate's pricing keys (what it was priced on, whether or not
+        a price came back — the batch's shared-context discount).
 
         ``shared_keys`` is the batched-execution shared-context discount
         (see :func:`~repro.index.tgi.planner.price_plan`): keys an
@@ -541,8 +561,10 @@ class GraphSession:
         candidates: Dict[str, float] = {}
         notes: Dict[str, List[str]] = {}
         snap_plan = self.planner.plan_snapshot(request.t)
+        pricing_keys = {ALGO_SNAPSHOT_FIRST: snap_plan.pricing_keys()}
         snap_price = self._safe_price(
-            snap_plan, clients, shared_keys=shared_keys
+            pricing_keys[ALGO_SNAPSHOT_FIRST], clients,
+            shared_keys=shared_keys,
         )
         if snap_price is not None:
             candidates[ALGO_SNAPSHOT_FIRST] = snap_price
@@ -559,7 +581,10 @@ class GraphSession:
             except IndexError_:
                 continue
             plannable = True
-            sub_price = self._safe_price(sub, clients, shared_keys=shared_keys)
+            sub_keys = sub.pricing_keys()
+            sub_price = self._safe_price(
+                sub_keys, clients, shared_keys=shared_keys
+            )
             if sub_price is None:
                 priceable = False
             else:
@@ -572,11 +597,12 @@ class GraphSession:
             for note in sub.notes:
                 if note not in khop_notes:
                     khop_notes.append(note)
-            for key in sub.pricing_keys():
+            for key in sub_keys:
                 if key not in union_seen:
                     union_seen.add(key)
                     union_keys.append(key)
         if plannable:
+            pricing_keys[ALGO_KHOP] = pricing_keys[ALGO_PER_CENTER] = union_keys
             notes[ALGO_KHOP] = khop_notes
             if priceable and request.single:
                 candidates[ALGO_KHOP] = per_center
@@ -589,20 +615,23 @@ class GraphSession:
                     candidates[ALGO_KHOP] = union_price
                 candidates[ALGO_PER_CENTER] = per_center
                 notes[ALGO_PER_CENTER] = list(khop_notes)
-        return candidates, plannable, notes
+        return candidates, plannable, notes, pricing_keys
 
     def _choose_khop(
         self, request: QueryRequest,
         shared_keys: Optional[Set] = None,
-    ) -> Tuple[str, Dict[str, float], Dict[str, float], Dict[str, List[str]]]:
+    ) -> Tuple[
+        str, Dict[str, float], Dict[str, float], Dict[str, List[str]], List
+    ]:
         """Resolve the algorithm for a k-hop request: forced choices pass
         through; ``auto`` takes the cheapest priced candidate (ties break
         toward the targeted bound, see :data:`_TIE_ORDER`), after the
         per-algorithm EWMA corrections learned from earlier queries.
         Returns the choice, the corrected candidate prices (what callers
         report), the raw model prices (what the feedback loop compares
-        actuals against), and each candidate's planner notes."""
-        raw, plannable, notes = self._khop_candidates(
+        actuals against), each candidate's planner notes, and the keys
+        the chosen candidate was priced on."""
+        raw, plannable, notes, pricing_keys = self._khop_candidates(
             request, shared_keys=shared_keys
         )
         candidates = self._corrected(raw)
@@ -610,27 +639,25 @@ class GraphSession:
             chosen = request.algorithm
             if chosen == ALGO_PER_CENTER and request.single:
                 chosen = ALGO_KHOP  # one center: the loop *is* Algorithm 4
-            return self._trace_pricing(chosen, candidates, raw, notes)
-        if not plannable or not candidates:
+        elif not plannable or not candidates:
             # no alive center to bound (or no priceable candidate — dead
             # placements under fault injection): run Algorithm 4, which
             # raises (or degrades) without fetching a full snapshot
-            return self._trace_pricing(
-                ALGO_KHOP, candidates, raw, notes
+            chosen = ALGO_KHOP
+        else:
+            chosen = min(
+                candidates,
+                key=lambda name: (candidates[name], _TIE_ORDER[name]),
             )
-        chosen = min(
-            candidates,
-            key=lambda name: (candidates[name], _TIE_ORDER[name]),
-        )
-        return self._trace_pricing(chosen, candidates, raw, notes)
+        self._trace_pricing(chosen, candidates, raw)
+        return chosen, candidates, raw, notes, pricing_keys.get(chosen, [])
 
     def _trace_pricing(
         self,
         chosen: str,
         candidates: Dict[str, float],
         raw: Dict[str, float],
-        notes: Dict[str, List[str]],
-    ) -> Tuple[str, Dict[str, float], Dict[str, float], Dict[str, List[str]]]:
+    ) -> None:
         """Attach a ``pricing`` span recording the candidate table and
         the choice (no-op unless this query is being traced)."""
         span = current_span()
@@ -645,37 +672,38 @@ class GraphSession:
                     for k in candidates
                 },
             ).end()
-        return chosen, candidates, raw, notes
 
     def _predict(
         self, request: QueryRequest,
         shared_keys: Optional[Set] = None,
-    ) -> Optional[float]:
-        """Predicted cost for the non-k-hop kinds (single candidate)."""
+    ) -> Tuple[Optional[float], List]:
+        """Predicted cost for the non-k-hop kinds (single candidate) and
+        the keys it was priced on (what a batch discounts for the
+        members planned after this one)."""
         try:
             if request.kind == "snapshot":
-                return price_plan(
-                    self.tgi.cluster,
-                    self.planner.plan_snapshot(request.t),
-                    clients=request.clients,
-                    shared_keys=shared_keys,
+                plan = self.planner.plan_snapshot(request.t)
+            elif request.kind == "node_histories":
+                plan = self.planner.plan_node_histories(
+                    request.nodes, request.ts, request.te
                 )
-            if request.kind in ("node_histories", "node_state"):
-                ts = request.ts if request.kind == "node_histories" else request.t
-                te = request.te if request.kind == "node_histories" else request.t
-                return price_plan(
-                    self.tgi.cluster,
-                    self.planner.plan_node_histories(request.nodes, ts, te),
-                    clients=request.clients,
-                    shared_keys=shared_keys,
+            elif request.kind == "node_state":
+                plan = self.planner.plan_node_histories(
+                    request.nodes, request.t, request.t
                 )
-        except (IndexError_, StorageError):
-            # IndexError_: unknown node / time out of range — execution
-            # raises the real error.  StorageError: a placement has no
-            # live replica at plan time; the resilient fetch path decides
-            # what happens, so pricing just abstains.
-            return None
-        return None  # khop_history: no metadata-only bound yet
+            else:
+                return None, []  # khop_history: no metadata-only bound yet
+        except IndexError_:
+            # unknown node / time out of range — execution raises the
+            # real error
+            return None, []
+        keys = plan.pricing_keys()
+        # a placement with no live replica at plan time makes the plan
+        # unpriceable, not unrunnable (see _safe_price)
+        return (
+            self._safe_price(keys, request.clients, shared_keys=shared_keys),
+            keys,
+        )
 
     # ------------------------------------------------------------------
     # execution
@@ -840,6 +868,20 @@ class GraphSession:
         sum exactly to the deduplicated totals; ``coalesced_hits`` /
         ``merged_rounds`` surface how much sharing happened.
 
+        **Equal requests are planned once.**  Requests that compare equal
+        (same kind, subjects, time, ``k``, algorithm, clients, deadline
+        budget and ``allow_partial``) share one compiled plan: the first
+        is priced, executed and finalized; every duplicate gets a
+        *private copy* of the value and the same ``algorithm`` /
+        ``candidates`` / ``predicted_ms`` / ``sim_time_ms`` (and
+        ``degraded`` block).  The group's fair ``requests`` and
+        ``bytes_read`` are split evenly over its members, so the shares
+        still sum to the deduplicated totals; every other counter
+        (rounds, cache / checkpoint / coalescing outcomes, retries) stays
+        on the first member, which did the work, so a sum over the batch
+        counts each event once.  Deadlines stay per slot: an expired
+        duplicate neither joins nor blocks its group.
+
         ``coalesce=False`` (or an index built with
         ``TGIConfig(coalesce=False)``) is the escape hatch: the batch
         degenerates to a serial ``execute`` loop with bit-identical
@@ -943,6 +985,10 @@ class GraphSession:
         specs: List[Optional[_BatchSpec]] = []
         plans: List[Any] = []
         errors: List[Optional[QueryResult]] = [None] * len(requests)
+        # equal requests are planned once: every later one joins the
+        # first's spec (deadlines stay per slot, so an expired duplicate
+        # neither joins nor blocks the group)
+        planned: Dict[QueryRequest, _BatchSpec] = {}
         for i, request in enumerate(requests):
             if expired(i):
                 exc: Exception = DeadlineExceeded(
@@ -952,6 +998,11 @@ class GraphSession:
                     raise exc
                 errors[i] = error_result(request, exc)
                 specs.append(None)
+                continue
+            spec = planned.get(request)
+            if spec is not None:
+                spec.members += 1
+                specs.append(spec)
                 continue
             try:
                 spec = self._plan_batched(request, shared)
@@ -963,8 +1014,11 @@ class GraphSession:
             if spec is not None:
                 spec.first = len(plans)
                 plans.extend(spec.plans)
+                planned[request] = spec
             specs.append(spec)
-        if len(plans) < 2:
+        if len(plans) < 2 and not any(
+            spec.members > 1 for spec in planned.values()
+        ):
             # nothing to coalesce across (e.g. all-khop_history batch)
             return [
                 errors[i] if errors[i] is not None
@@ -1039,7 +1093,6 @@ class GraphSession:
                 else guarded(requests[i], deadlines[i])
                 for i in range(len(requests))
             ]
-        report = pipe.coalesce
         out: List[QueryResult] = []
         for i, (request, spec) in enumerate(zip(requests, specs)):
             if errors[i] is not None:
@@ -1056,64 +1109,115 @@ class GraphSession:
                     raise exc
                 out.append(error_result(request, exc))
                 continue
-            decoded0 = decoded_events_total()
-            # finalize under the request's own collector: allow_partial
-            # requests absorb missing rows as a degraded result; strict
-            # requests run scope-less so a dropped partition raises a
-            # typed PartitionUnavailable into their error slot
-            req_collector = (
-                PartialCollector() if request.allow_partial else None
-            )
-            try:
-                with partial_scope(req_collector):
-                    finalized = [
-                        finalize(pipe.results[spec.first + j].values)
-                        for j, finalize in enumerate(spec.finalizes)
-                    ]
-                    value = spec.assemble(finalized)
-            except Exception as exc:
-                if not capture_errors:
-                    raise
-                out.append(error_result(request, exc))
+            settled = spec.outcome is not None
+            if not settled:
+                spec.outcome = self._finalize_batched(
+                    request, spec, pipe, capture_errors
+                )
+            if isinstance(spec.outcome, Exception):
+                out.append(error_result(request, spec.outcome))
                 continue
-            decoded = decoded_events_total() - decoded0
-            span = range(spec.first, spec.first + len(spec.plans))
-            fetch = FetchStats()
-            completion = 0.0
-            for idx in span:
-                fetch.merge(pipe.results[idx].stats)
-                completion = max(
-                    completion, pipe.results[idx].stats.sim_time_ms
-                )
-            stats = QueryStats.from_fetch(
-                fetch,
-                algorithm=spec.algorithm,
-                predicted_ms=spec.predicted,
-                candidates=spec.candidates,
+            result = (
+                self._duplicate_result(request, spec.outcome) if settled
+                else spec.outcome
             )
-            # the request completes when its last plan does on the shared
-            # timeline (merge() summed the per-plan completion instants)
-            stats.sim_time_ms = completion
-            if report is not None:
-                stats.requests = sum(
-                    report.fair_requests[idx] for idx in span
-                )
-                stats.bytes_read = sum(
-                    report.fair_bytes[idx] for idx in span
-                )
-            for ckpt in spec.ckpts:
-                stats.checkpoint_hits += ckpt["hits"]
-                stats.checkpoint_misses += ckpt["misses"]
-                stats.checkpoint_near_hits += ckpt["near_hits"]
-            stats.decoded_events += decoded
-            result = QueryResult(request, value, stats)
-            if req_collector is not None:
-                self._fold_degraded(result, req_collector)
-            self._record_totals(request.kind, stats)
+            self._record_totals(request.kind, result.stats)
             out.append(result)
         if out:
             self.last_result = out[-1]
         return out
+
+    def _finalize_batched(
+        self,
+        request: QueryRequest,
+        spec: _BatchSpec,
+        pipe: Any,
+        capture_errors: bool,
+    ) -> Union[QueryResult, Exception]:
+        """Finalize one planned spec off the shared execution's values
+        into its first member's result — or, under ``capture_errors``,
+        the exception that felled it (which every member then reports).
+        The spec's fair ``requests`` / ``bytes_read`` are split evenly
+        over its members, so the batch's shares still sum to the
+        deduplicated totals."""
+        decoded0 = decoded_events_total()
+        # finalize under the request's own collector: allow_partial
+        # requests absorb missing rows as a degraded result; strict
+        # requests run scope-less so a dropped partition raises a
+        # typed PartitionUnavailable into their error slot
+        req_collector = PartialCollector() if request.allow_partial else None
+        try:
+            with partial_scope(req_collector):
+                finalized = [
+                    finalize(pipe.results[spec.first + j].values)
+                    for j, finalize in enumerate(spec.finalizes)
+                ]
+                value = spec.assemble(finalized)
+        except Exception as exc:
+            if not capture_errors:
+                raise
+            return exc
+        decoded = decoded_events_total() - decoded0
+        span = range(spec.first, spec.first + len(spec.plans))
+        fetch = FetchStats()
+        completion = 0.0
+        for idx in span:
+            fetch.merge(pipe.results[idx].stats)
+            completion = max(completion, pipe.results[idx].stats.sim_time_ms)
+        stats = QueryStats.from_fetch(
+            fetch,
+            algorithm=spec.algorithm,
+            predicted_ms=spec.predicted,
+            candidates=spec.candidates,
+        )
+        # the request completes when its last plan does on the shared
+        # timeline (merge() summed the per-plan completion instants)
+        stats.sim_time_ms = completion
+        report = pipe.coalesce
+        if report is not None:
+            stats.requests = sum(report.fair_requests[idx] for idx in span)
+            stats.bytes_read = sum(report.fair_bytes[idx] for idx in span)
+        if spec.members > 1:
+            stats.requests /= spec.members
+            stats.bytes_read /= spec.members
+        for ckpt in spec.ckpts:
+            stats.checkpoint_hits += ckpt["hits"]
+            stats.checkpoint_misses += ckpt["misses"]
+            stats.checkpoint_near_hits += ckpt["near_hits"]
+        stats.decoded_events += decoded
+        result = QueryResult(request, value, stats)
+        if req_collector is not None:
+            self._fold_degraded(result, req_collector)
+        return result
+
+    @staticmethod
+    def _duplicate_result(
+        request: QueryRequest, first: QueryResult
+    ) -> QueryResult:
+        """The result of a batch slot whose request equals an earlier
+        member's: a private copy of the value, the shared plan outcome
+        (algorithm, prices, completion instant, degradation) and its even
+        share of the fetch.  The work counters (rounds, cache and
+        checkpoint outcomes, coalescing, retries) stay on the first
+        member alone — the duplicate did none of that work, and a sum
+        over the batch counts each event once."""
+        done = first.stats
+        stats = QueryStats(
+            requests=done.requests,
+            bytes_read=done.bytes_read,
+            sim_time_ms=done.sim_time_ms,
+            degraded_keys=done.degraded_keys,
+            degraded_partitions=list(done.degraded_partitions),
+            algorithm=done.algorithm,
+            predicted_ms=done.predicted_ms,
+            candidates=dict(done.candidates),
+        )
+        degraded = first.degraded
+        if degraded is not None:
+            degraded = {**degraded, "partitions": list(degraded["partitions"])}
+        return QueryResult(
+            request, _private_copy(first.value), stats, degraded=degraded
+        )
 
     def _plan_batched(
         self, request: QueryRequest, shared: Set
@@ -1127,8 +1231,8 @@ class GraphSession:
         if request.kind == "khop_history":
             return None
         if request.kind == "khop":
-            chosen, candidates, _raw, _notes = self._choose_khop(
-                request, shared_keys=shared
+            chosen, candidates, _raw, _notes, pricing_keys = (
+                self._choose_khop(request, shared_keys=shared)
             )
             t, k = request.t, request.k
             nodes = list(request.nodes)
@@ -1179,13 +1283,15 @@ class GraphSession:
                         )
                     return g
 
-            shared.update(self._shared_pricing_keys(request, chosen))
+            shared.update(pricing_keys)
             return _BatchSpec(
                 plans=plans, finalizes=finalizes, ckpts=ckpts,
                 assemble=assemble, algorithm=chosen,
                 predicted=candidates.get(chosen), candidates=candidates,
             )
-        predicted_raw = self._predict(request, shared_keys=shared)
+        predicted_raw, pricing_keys = self._predict(
+            request, shared_keys=shared
+        )
         if request.kind == "snapshot":
             algorithm = "snapshot"
             plan, fin, ckpt = tgi._snapshot_exec_plan(request.t)
@@ -1216,7 +1322,7 @@ class GraphSession:
             if predicted_raw is not None
             else None
         )
-        shared.update(self._shared_pricing_keys(request, algorithm))
+        shared.update(pricing_keys)
         return _BatchSpec(
             plans=[plan], finalizes=[fin], ckpts=[ckpt],
             assemble=assemble, algorithm=algorithm, predicted=predicted,
@@ -1225,48 +1331,9 @@ class GraphSession:
             ),
         )
 
-    def _shared_pricing_keys(
-        self, request: QueryRequest, chosen: str
-    ) -> Set:
-        """The keys a chosen plan will fetch, as later batch members
-        should discount them when pricing their own candidates."""
-        try:
-            if request.kind == "snapshot" or chosen == ALGO_SNAPSHOT_FIRST:
-                return set(
-                    self.planner.plan_snapshot(request.t).pricing_keys()
-                )
-            if request.kind in ("node_histories", "node_state"):
-                ts = (
-                    request.ts if request.kind == "node_histories"
-                    else request.t
-                )
-                te = (
-                    request.te if request.kind == "node_histories"
-                    else request.t
-                )
-                return set(
-                    self.planner.plan_node_histories(
-                        request.nodes, ts, te
-                    ).pricing_keys()
-                )
-            if request.kind == "khop":
-                keys: Set = set()
-                for center in dict.fromkeys(request.nodes):
-                    try:
-                        sub = self.planner.plan_khop(
-                            center, request.t, k=request.k
-                        )
-                    except IndexError_:
-                        continue
-                    keys.update(sub.pricing_keys())
-                return keys
-        except IndexError_:
-            pass
-        return set()
-
     def _execute_simple(self, request: QueryRequest) -> QueryResult:
         tgi = self.tgi
-        predicted_raw = self._predict(request)
+        predicted_raw, _keys = self._predict(request)
         algorithm = {
             "snapshot": "snapshot",
             "node_state": "micro-delta",
@@ -1308,7 +1375,7 @@ class GraphSession:
 
     def _execute_khop(self, request: QueryRequest) -> QueryResult:
         tgi = self.tgi
-        chosen, candidates, raw, _notes = self._choose_khop(request)
+        chosen, candidates, raw, _notes, _keys = self._choose_khop(request)
         t, k, clients = request.t, request.k, request.clients
         if chosen == ALGO_KHOP:
             if request.single:
@@ -1387,7 +1454,7 @@ class GraphSession:
                 request.nodes[0], request.ts, request.te
             )
         elif request.kind == "khop":
-            chosen, candidates, _raw, candidate_notes = (
+            chosen, candidates, _raw, candidate_notes, _keys = (
                 self._choose_khop(request)
             )
             if chosen == ALGO_SNAPSHOT_FIRST:

@@ -29,10 +29,20 @@ three consumers:
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.types import NodeId, TimePoint
 
@@ -127,6 +137,13 @@ class TimespanStats:
         if not self.nodes:
             return 0.0
         return sum(p.degree_sum for p in self.partitions.values()) / self.nodes
+
+    def __getstate__(self):
+        # the k-hop estimate memo (see expected_khop_pids) is derived;
+        # persisted statistics never carry it
+        state = dict(self.__dict__)
+        state.pop("_khop_memo", None)
+        return state
 
     def adjacent(self, pid: int) -> Dict[int, int]:
         """Partitions sharing a collapsed cut edge with ``pid``."""
@@ -232,10 +249,36 @@ def expected_khop_pids(
     ``pid0`` by boundary-cut weight to the already-selected set, so the
     expectation lands on the partitions a traversal is actually likely
     to enter.
+
+    The estimate is a pure function of the (immutable) statistics, so it
+    is memoised on ``span`` per ``(pid0, k, candidates)``, holding the
+    latest ``margin`` only: pricing, the shared-context discount and the
+    frontier feedback of one request all ask with the same margin, and
+    the learned margin moves between requests — so the memo stays
+    bounded by ``num_pids x distinct k`` however long the index serves.
     """
-    cand: List[int] = (
-        sorted(candidates) if candidates is not None
-        else sorted(span.reachable_pids(pid0, k))
+    cand_set = None if candidates is None else frozenset(candidates)
+    memo = span.__dict__.setdefault("_khop_memo", {})
+    slot = (pid0, k, cand_set)
+    hit = memo.get(slot)
+    if hit is not None and hit[0] == margin:
+        return hit[1]
+    estimate = _evaluate_khop_pids(span, pid0, k, cand_set, margin)
+    memo[slot] = (margin, estimate)
+    return estimate
+
+
+def _evaluate_khop_pids(
+    span: TimespanStats,
+    pid0: int,
+    k: int,
+    candidates: Optional[FrozenSet[int]],
+    margin: float,
+) -> KhopEstimate:
+    """One uncached evaluation of :func:`expected_khop_pids`."""
+    cand: List[int] = sorted(
+        candidates if candidates is not None
+        else span.reachable_pids(pid0, k)
     )
     if pid0 not in cand:
         cand.append(pid0)
@@ -253,38 +296,42 @@ def expected_khop_pids(
         reached = min(reached + frontier, float(total_nodes))
     reached = min(reached * margin, float(total_nodes))
 
+    sizes = {
+        pid: span.partitions[pid].nodes if pid in span.partitions else 0
+        for pid in cand
+    }
     expected = 0.0
     for pid in cand:
-        part = span.partitions.get(pid)
-        size = part.nodes if part is not None else 0
-        if size <= 0:
-            continue
-        expected += 1.0 - (1.0 - size / total_nodes) ** reached
+        if sizes[pid] > 0:
+            expected += 1.0 - (1.0 - sizes[pid] / total_nodes) ** reached
     count = min(len(cand), max(1, math.ceil(expected)))
 
     chosen: List[int] = [pid0]
-    chosen_set: Set[int] = {pid0}
-    # connectivity of every candidate to the growing selection
-    weight: Dict[int, int] = {}
-    for other, w in span.adjacent(pid0).items():
-        if other in cand:
-            weight[other] = weight.get(other, 0) + w
-    remaining = [pid for pid in cand if pid != pid0]
-    while len(chosen) < count and remaining:
-        remaining.sort(
-            key=lambda pid: (
-                -weight.get(pid, 0),
-                -(span.partitions[pid].nodes
-                  if pid in span.partitions else 0),
-                pid,
-            )
-        )
-        pick = remaining.pop(0)
-        chosen.append(pick)
-        chosen_set.add(pick)
+    # connectivity of every unchosen candidate to the growing selection;
+    # each pick takes the best (weight, then size, then lowest pid) off a
+    # heap whose entries go stale — and are skipped — when a later pick
+    # raises a candidate's weight
+    weight: Dict[int, int] = {pid: 0 for pid in cand if pid != pid0}
+
+    def connect(pick: int) -> List[int]:
+        grown = []
         for other, w in span.adjacent(pick).items():
-            if other in cand and other not in chosen_set:
-                weight[other] = weight.get(other, 0) + w
+            if other in weight:
+                weight[other] += w
+                grown.append(other)
+        return grown
+
+    connect(pid0)
+    heap = [(-w, -sizes[pid], pid) for pid, w in weight.items()]
+    heapq.heapify(heap)
+    while len(chosen) < count and heap:
+        neg_w, _neg_size, pick = heapq.heappop(heap)
+        if weight.get(pick) != -neg_w:
+            continue  # already chosen, or a stale (lighter) entry
+        chosen.append(pick)
+        del weight[pick]
+        for other in connect(pick):
+            heapq.heappush(heap, (-weight[other], -sizes[other], other))
     return KhopEstimate(tuple(chosen), reached, len(cand))
 
 

@@ -9,7 +9,7 @@ and the simulated fetch time is the makespan over the analytics workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.deltas.columnar import decoded_events_total
@@ -66,6 +66,12 @@ class ParallelFetchStats:
     coalesced_hits: int = 0
     coalesced_bytes_saved: int = 0
     merged_rounds: int = 0
+    retries: int = 0
+    hedges: int = 0
+    breaker_trips: int = 0
+    backoff_ms: float = 0.0
+    degraded_keys: int = 0
+    degraded_partitions: List[str] = field(default_factory=list)
     pipelined_ms: Optional[float] = None
 
     @property
@@ -74,23 +80,25 @@ class ParallelFetchStats:
             return self.pipelined_ms
         return lpt_makespan(self.partition_sim_ms, self.num_workers)
 
-    def absorb(self, fetch: FetchStats) -> None:
-        """Fold one store-side fetch into the aggregate counters."""
-        self.requests += fetch.num_requests
+    def absorb(self, fetch) -> None:
+        """Fold one store-side fetch — a :class:`FetchStats`, or another
+        :class:`ParallelFetchStats` — into the aggregate counters.
+
+        Driven by the fields of :class:`FetchStats`, so a counter added
+        there is either mirrored here or fails loudly on the first
+        fetch; completion time is not a counter (callers place it on
+        ``partition_sim_ms`` / ``pipelined_ms``)."""
+        self.requests += getattr(fetch, "num_requests", fetch.requests)
         self.bytes_read += fetch.bytes_read
-        self.rounds += fetch.rounds
-        self.cache_hits += fetch.cache_hits
-        self.cache_misses += fetch.cache_misses
-        self.cache_bytes_saved += fetch.cache_bytes_saved
-        self.overlap_saved_ms += fetch.overlap_saved_ms
-        self.apply_ms += fetch.apply_ms
-        self.checkpoint_hits += fetch.checkpoint_hits
-        self.checkpoint_misses += fetch.checkpoint_misses
-        self.checkpoint_near_hits += fetch.checkpoint_near_hits
-        self.decoded_events += fetch.decoded_events
-        self.coalesced_hits += fetch.coalesced_hits
-        self.coalesced_bytes_saved += fetch.coalesced_bytes_saved
-        self.merged_rounds += fetch.merged_rounds
+        for spec in fields(FetchStats):
+            name = spec.name
+            if name in ("requests", "sim_time_ms"):
+                continue
+            mine, theirs = getattr(self, name), getattr(fetch, name)
+            if isinstance(mine, list):  # partition labels: a union
+                mine.extend(label for label in theirs if label not in mine)
+            else:
+                setattr(self, name, mine + theirs)
 
 
 class TGIHandler:
@@ -313,16 +321,7 @@ class TGIHandler:
                 sg = self.fetch_subgraph(nid, k, ts, te)
                 fetch = self.last_fetch_stats
                 sim_ms += fetch.sim_time_ms
-                total.requests += fetch.requests
-                total.bytes_read += fetch.bytes_read
-                total.rounds += fetch.rounds
-                total.cache_hits += fetch.cache_hits
-                total.cache_misses += fetch.cache_misses
-                total.cache_bytes_saved += fetch.cache_bytes_saved
-                total.apply_ms += fetch.apply_ms
-                total.checkpoint_hits += fetch.checkpoint_hits
-                total.checkpoint_misses += fetch.checkpoint_misses
-                total.checkpoint_near_hits += fetch.checkpoint_near_hits
+                total.absorb(fetch)
                 if sg is not None:
                     out.append(sg)
             total.partition_sim_ms.append(sim_ms)

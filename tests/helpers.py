@@ -112,3 +112,157 @@ def per_edge_graph(
                 eid = canonical_edge(n, nbr, directed)
                 g.add_edge(n, nbr, dict(edge_attrs.get(eid, ())))
     return g
+
+
+# ----------------------------------------------------------------------
+# reference key derivation (the per-query loops the TGI ran before its
+# TimespanInfo key tables; kept as the oracle the tables are held to)
+# ----------------------------------------------------------------------
+def reference_snapshot_plan(tgi, span, t, pids=None, include_aux=False):
+    """``TGI._snapshot_plan`` derived by scanning every pid list and
+    hashing every key's ``sid``: the same ``(path_groups, ekeys)``."""
+    from repro.index.tgi.layout import (
+        TAG_AUX_EVENTLIST,
+        TAG_AUX_SNAPSHOT,
+        TAG_EVENTLIST,
+        TAG_SNAPSHOT,
+        delta_key,
+        sid_of_pid,
+    )
+
+    ns = tgi.config.placement_groups
+    leaf = max(
+        [i for i, cp in enumerate(span.checkpoints) if cp <= t], default=0
+    )
+    path_groups = []
+    for did in span.tree.path_to_leaf(leaf):
+        group = []
+        for pid in span.snapshot_pids.get(did, []):
+            if pids is None or pid in pids:
+                group.append(delta_key(
+                    span.tsid, sid_of_pid(pid, ns), TAG_SNAPSHOT, did, pid
+                ))
+        if include_aux:
+            for pid in span.aux_snapshot_pids.get(did, []):
+                if pids is None or pid in pids:
+                    group.append(delta_key(
+                        span.tsid, sid_of_pid(pid, ns),
+                        TAG_AUX_SNAPSHOT, did, pid,
+                    ))
+        path_groups.append(group)
+    ekeys = []
+    for j in range(leaf, len(span.eventlist_ranges)):
+        if span.eventlist_ranges[j][0] >= t:
+            break
+        for pid in span.eventlist_pids.get(j, []):
+            if pids is None or pid in pids:
+                ekeys.append(delta_key(
+                    span.tsid, sid_of_pid(pid, ns), TAG_EVENTLIST, j, pid
+                ))
+        if include_aux:
+            for pid in span.aux_eventlist_pids.get(j, []):
+                if pids is None or pid in pids:
+                    ekeys.append(delta_key(
+                        span.tsid, sid_of_pid(pid, ns),
+                        TAG_AUX_EVENTLIST, j, pid,
+                    ))
+    return path_groups, ekeys
+
+
+def reference_gap_keys(tgi, span, t0, t, pid=None, include_aux=False):
+    """Eventlist keys carrying events in ``(t0, t]`` — every partition's
+    (``pid=None``: ``TGI._snapshot_gap_keys``) or one partition's
+    (``TGI._gap_eventlist_keys``) — by a linear scan of the scopes."""
+    from repro.index.tgi.layout import (
+        TAG_AUX_EVENTLIST,
+        TAG_EVENTLIST,
+        delta_key,
+        sid_of_pid,
+    )
+
+    ns = tgi.config.placement_groups
+    keys = []
+    for j, (ts_j, te_j) in enumerate(span.eventlist_ranges):
+        if te_j <= t0 or ts_j >= t:
+            continue
+        for tag, pid_lists in (
+            (TAG_EVENTLIST, span.eventlist_pids),
+            (TAG_AUX_EVENTLIST, span.aux_eventlist_pids),
+        ):
+            if tag == TAG_AUX_EVENTLIST and not (include_aux and pid is not None):
+                continue
+            for p in pid_lists.get(j, []):
+                if pid is None or p == pid:
+                    keys.append(
+                        delta_key(span.tsid, sid_of_pid(p, ns), tag, j, p)
+                    )
+    return keys
+
+
+def reference_pid_scope(span, pids, include_aux):
+    """Nodes covered by ``pids`` by scanning ``node_pid``."""
+    scope = {n for n, p in span.node_pid.items() if p in pids}
+    if include_aux:
+        for pid in pids:
+            scope |= set(span.boundary.get(pid, frozenset()))
+    return scope
+
+
+def reference_expected_khop_pids(span, pid0, k, candidates=None, margin=1.5):
+    """``repro.stats.model.expected_khop_pids`` as first written: the
+    greedy growth re-sorts the remaining candidates for every pick.
+    The oracle the heap-based selection is held to."""
+    import math
+
+    from repro.stats.model import KhopEstimate
+
+    cand = (
+        sorted(candidates) if candidates is not None
+        else sorted(span.reachable_pids(pid0, k))
+    )
+    if pid0 not in cand:
+        cand.append(pid0)
+    total_nodes = max(1, span.nodes)
+    p0 = span.partitions.get(pid0)
+    d_first = (
+        p0.avg_degree if p0 is not None and p0.nodes else span.avg_degree
+    )
+    d_later = max(span.avg_degree - 1.0, 1.0)
+    frontier = 1.0
+    reached = 1.0
+    for hop in range(max(0, k)):
+        d = max(d_first, 1.0) if hop == 0 else d_later
+        frontier = frontier * d * max(0.0, 1.0 - reached / total_nodes)
+        reached = min(reached + frontier, float(total_nodes))
+    reached = min(reached * margin, float(total_nodes))
+    expected = 0.0
+    for pid in cand:
+        part = span.partitions.get(pid)
+        size = part.nodes if part is not None else 0
+        if size <= 0:
+            continue
+        expected += 1.0 - (1.0 - size / total_nodes) ** reached
+    count = min(len(cand), max(1, math.ceil(expected)))
+    chosen = [pid0]
+    chosen_set = {pid0}
+    weight = {}
+    for other, w in span.adjacent(pid0).items():
+        if other in cand:
+            weight[other] = weight.get(other, 0) + w
+    remaining = [pid for pid in cand if pid != pid0]
+    while len(chosen) < count and remaining:
+        remaining.sort(
+            key=lambda pid: (
+                -weight.get(pid, 0),
+                -(span.partitions[pid].nodes
+                  if pid in span.partitions else 0),
+                pid,
+            )
+        )
+        pick = remaining.pop(0)
+        chosen.append(pick)
+        chosen_set.add(pick)
+        for other, w in span.adjacent(pick).items():
+            if other in cand and other not in chosen_set:
+                weight[other] = weight.get(other, 0) + w
+    return KhopEstimate(tuple(chosen), reached, len(cand))

@@ -283,15 +283,20 @@ def test_batch_results_isolated_copy_on_read(dataset1_events):
         QueryRequest(kind="khop", t=900, nodes=(3,), k=2, single=True),
         QueryRequest(kind="khop", t=900, nodes=(3,), k=2, single=True),
         QueryRequest(kind="snapshot", t=900),
+        # equal requests are planned and materialized once; every
+        # duplicate still owns its value
+        QueryRequest(kind="khop", t=900, nodes=(3,), k=2, single=True),
+        QueryRequest(kind="snapshot", t=900),
     ]
     batch = session.execute_batch(requests)
-    g0, g1, snap = batch[0].value, batch[1].value, batch[2].value
-    assert g0 is not g1
+    g0, g1, snap, g2, snap2 = (r.value for r in batch)
+    assert len({id(g0), id(g1), id(g2)}) == 3 and snap is not snap2
     before_nodes = set(g1.nodes())
     snap_nodes = set(snap.nodes())
     g0.add_node(999_999)
     g0.add_edge(999_999, 3)
-    assert set(g1.nodes()) == before_nodes
+    snap2.add_node(999_998)
+    assert set(g1.nodes()) == before_nodes == set(g2.nodes())
     assert set(snap.nodes()) == snap_nodes
 
 

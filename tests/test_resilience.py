@@ -597,3 +597,35 @@ def test_resilience_stats_flow_to_query_stats(tgi, tmax):
         cluster.disable_resilience()
         clear_faults(cluster)
         cluster.set_clock(0.0)
+
+
+def test_son_fetch_reports_resilience_counters(tgi, tmax):
+    # ParallelFetchStats.absorb used to fold 15 FetchStats fields by hand
+    # and drop the resilience ones, so SoN/SoTS fetches under a policy
+    # reported zero retries whatever the store did
+    session = fresh_session(tgi)
+    cluster = tgi.cluster
+    want = session.nodes("id < 40").timeslice(1, tmax).fetch()
+    inject_faults(cluster, FaultSchedule(
+        crashes=flapping_crashes(1, period_ms=100.0, down_ms=40.0),
+        transient=(TransientFaults(1, probability=0.3),),
+        seed=9,
+    ))
+    cluster.enable_resilience(ResiliencePolicy(seed=9))
+    try:
+        retries = backoff = 0.0
+        for i in range(8):
+            cluster.set_clock(i * 25.0)
+            son = session.nodes("id < 40").timeslice(1, tmax).fetch()
+            assert sorted(nt.node_id for nt in son.collect()) == sorted(
+                nt.node_id for nt in want.collect()
+            )
+            retries += son.fetch_stats.retries
+            backoff += son.fetch_stats.backoff_ms
+        sots = session.subgraphs(k=1).timeslice(1, tmax).fetch(centers=[3, 5])
+        assert sots.fetch_stats.retries >= 0  # the field exists on SoTS too
+        assert retries > 0 and backoff > 0.0
+    finally:
+        cluster.disable_resilience()
+        clear_faults(cluster)
+        cluster.set_clock(0.0)
