@@ -30,7 +30,12 @@ import repro.stats.model as stats_model
 from repro import GraphSession, QueryRequest
 from repro.index.tgi import TGIPlanner, price_plan
 
-from benchmarks.conftest import build_tgi, print_series, probe_nodes
+from benchmarks.conftest import (
+    build_tgi,
+    counting,
+    print_series,
+    probe_nodes,
+)
 
 BATCH = 16
 DISTINCT = 8
@@ -55,15 +60,6 @@ def _us_per_key(plan_fn, cluster) -> dict:
         "plan_price_us_per_key": round(wall / REPEATS / keys * 1e6, 3),
     }
 
-def _counting(monkeypatch, owner, name, counts):
-    original = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-
 def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
     tgi = build_tgi(dataset1_events)
     session = GraphSession.from_index(tgi)
@@ -86,10 +82,10 @@ def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
             ("hash_partition", "_stable_hash", "plan_khop",
              "_evaluate_khop_pids"), 0,
         )
-        _counting(monkeypatch, layout_module, "hash_partition", counts)
-        _counting(monkeypatch, cluster_module, "_stable_hash", counts)
-        _counting(monkeypatch, TGIPlanner, "plan_khop", counts)
-        _counting(monkeypatch, stats_model, "_evaluate_khop_pids", counts)
+        counting(monkeypatch, layout_module, "hash_partition", counts)
+        counting(monkeypatch, cluster_module, "_stable_hash", counts)
+        counting(monkeypatch, TGIPlanner, "plan_khop", counts)
+        counting(monkeypatch, stats_model, "_evaluate_khop_pids", counts)
         start = time.perf_counter()
         results = session.execute_batch(requests)
         batch_ms = (time.perf_counter() - start) * 1e3

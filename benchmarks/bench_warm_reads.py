@@ -1,0 +1,158 @@
+"""Warm reads: what answering from a checkpointed state costs.
+
+GraphPool ("Efficient Snapshot Retrieval over Historical Graph Data")
+keeps retrieved snapshots in memory *shared* between readers because a
+copy per reader does not scale.  The checkpoint cache follows the same
+rule — payloads are immutable once admitted, and only a consumer that
+mutates a state or hands it to a caller copies it — and this smoke pins
+down what that leaves of a warm read on dataset 1 (m=4, ps=64,
+64 checkpoint entries):
+
+- **wall-µs per op** for a snapshot-first k=2 k-hop on an exact-warm
+  snapshot, the same k-hop at a near-warm time (advanced from the
+  snapshot before it), an Algorithm-4 k=2 k-hop and a ``node_state``
+  over warm partitions, and a warm ``snapshot()``;
+- the **copy counts** of one pass of each: ``Graph.copy`` and partition
+  state clones.
+
+Timings are recorded, never asserted (they are the machine's); the
+counts repeat exactly and are the bar: a reader of a warm state copies
+nothing, a near-warm k-hop copies its seed once, and only a *snapshot*
+result — the caller's own graph — costs one copy per query.  Emits
+``BENCH_warm_reads.json``.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+from pathlib import Path
+
+import repro.index.tgi.index as index_module
+from repro import GraphSession, QueryRequest
+from repro.graph.static import Graph
+
+from benchmarks.conftest import (
+    build_tgi,
+    counting,
+    print_series,
+    probe_nodes,
+)
+
+CENTERS = 8
+NEAR_TIMES = 12
+REPEATS = 5
+K = 2
+
+RESULT_PATH = Path(__file__).resolve().parent.parent / (
+    "BENCH_warm_reads.json"
+)
+
+
+
+def _khop(center, t, algorithm):
+    return QueryRequest(
+        kind="khop", t=t, nodes=(center,), k=K, single=True,
+        algorithm=algorithm,
+    )
+
+
+def test_warm_reads(benchmark, monkeypatch, dataset1_events):
+    tgi = build_tgi(dataset1_events)
+    session = GraphSession.from_index(tgi, checkpoint_entries=64)
+    t_max = dataset1_events[-1].time
+    t = t_max - 4 * NEAR_TIMES
+    centers = probe_nodes(dataset1_events, CENTERS, seed=37, alive_at=t)
+    # near-warm times are single-use (a k-hop leaves its time warm):
+    # the first run of them is timed, the second counted
+    timed_near = [t + 1 + i for i in range(NEAR_TIMES)]
+    counted_near = [t + 1 + NEAR_TIMES + i for i in range(NEAR_TIMES)]
+
+    scenarios = {
+        "snapshot_first_exact_warm": lambda times: [
+            session.execute(_khop(c, t, "snapshot-first")) for c in centers
+        ],
+        "snapshot_first_near_warm": lambda times: [
+            session.execute(_khop(centers[0], t2, "snapshot-first"))
+            for t2 in times
+        ],
+        "algorithm4_warm_partitions": lambda times: [
+            session.execute(_khop(c, t, "khop")) for c in centers
+        ],
+        "node_state_warm_partitions": lambda times: [
+            session.at(t).node_state(c) for c in centers
+        ],
+        "snapshot_exact_warm": lambda times: [
+            session.at(t).snapshot() for _ in centers
+        ],
+    }
+
+    def _emit():
+        session.at(t).snapshot()  # the warm materialized snapshot
+        for c in centers:  # ... and the warm partition states
+            session.execute(_khop(c, t, "khop"))
+        rows = {}
+        for name, run in scenarios.items():
+            single_use = name == "snapshot_first_near_warm"
+            repeats = 1 if single_use else REPEATS
+            start = time.perf_counter()
+            for _ in range(repeats):
+                results = run(timed_near)
+            wall = time.perf_counter() - start
+            rows[name] = {
+                "ops": len(results),
+                "wall_us_per_op": round(
+                    wall / repeats / len(results) * 1e6, 1
+                ),
+            }
+        for name, run in scenarios.items():
+            counts = {"copy": 0, "_clone_state": 0}
+            counting(monkeypatch, Graph, "copy", counts)
+            counting(monkeypatch, index_module, "_clone_state", counts)
+            results = run(counted_near)
+            monkeypatch.undo()
+            rows[name]["graph_copies"] = counts["copy"]
+            rows[name]["state_clones"] = counts["_clone_state"]
+            rows[name]["store_requests"] = sum(
+                r.stats.requests for r in results
+            )
+            rows[name]["checkpoint_near_hits"] = sum(
+                r.stats.checkpoint_near_hits for r in results
+            )
+        payload = {
+            "dataset": "dataset1 (2500-node citation), m=4, ps=64, "
+                       "64 checkpoint entries",
+            "k": K,
+            "scenarios": rows,
+        }
+        RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+        return payload
+
+    payload = benchmark.pedantic(_emit, rounds=1, iterations=1)
+    rows = payload["scenarios"]
+    print_series(
+        "warm reads, 64 checkpoint entries",
+        "scenario                       ops  wall us/op  copies  clones",
+        [
+            f"{name:28s} {row['ops']:5d} {row['wall_us_per_op']:11.1f} "
+            f"{row['graph_copies']:7d} {row['state_clones']:7d}"
+            for name, row in rows.items()
+        ],
+    )
+    assert RESULT_PATH.exists()
+    # the counts are the bar: readers of a warm state copy nothing ...
+    for name in ("snapshot_first_exact_warm", "algorithm4_warm_partitions",
+                 "node_state_warm_partitions"):
+        assert rows[name]["graph_copies"] == 0, name
+        assert rows[name]["state_clones"] == 0, name
+    # (a node_state still reads its version-chain row; k-hops read nothing)
+    assert rows["snapshot_first_exact_warm"]["store_requests"] == 0
+    assert rows["algorithm4_warm_partitions"]["store_requests"] == 0
+    # ... a near-warm k-hop copies the snapshot it advances, once ...
+    near = rows["snapshot_first_near_warm"]
+    assert near["checkpoint_near_hits"] == NEAR_TIMES
+    assert near["graph_copies"] == NEAR_TIMES
+    assert near["state_clones"] == 0
+    # ... and a snapshot result is the caller's own graph: one copy each
+    assert rows["snapshot_exact_warm"]["graph_copies"] == CENTERS
+    assert rows["snapshot_exact_warm"]["state_clones"] == 0

@@ -118,6 +118,18 @@ def probe_nodes(events, count: int, seed: int = 17, alive_at=None):
     return nodes if len(nodes) <= count else rng.sample(nodes, count)
 
 
+def counting(monkeypatch, owner, name: str, counts: dict) -> None:
+    """Rebind ``owner.name`` to a pass-through that bumps
+    ``counts[name]`` per call (undone with ``monkeypatch.undo()``)."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
 def print_series(title: str, header: str, rows) -> None:
     """Emit a paper-style series table to stdout (visible with ``pytest -s``
     and in the captured bench output)."""

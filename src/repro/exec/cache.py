@@ -17,9 +17,10 @@ Three reuse levels, cheapest miss first:
   states* (materialized partition states / snapshot graphs), keyed by the
   index at ``(timespan, partition, time)``.  A delta-cache hit still pays
   the Python replay of every component; a checkpoint hit skips replay
-  entirely and seeds the query from the memoized state.  Entries are
-  returned copy-on-read (via the clone function captured at admit time)
-  so consumers can never mutate the cached state.
+  entirely and seeds the query from the memoized state.  A payload is
+  immutable from the moment it is admitted and ``lookup`` hands out the
+  shared object: whoever is about to mutate it, or to give it to a
+  caller, copies — the cache never does.
 
 - :class:`CacheRegistry` — the process-wide pool sharing both caches
   across *consumers*: every session, TAF handler, or CLI query over the
@@ -39,11 +40,16 @@ under a per-object re-entrant lock.  (OrderedDict promotion and the
 locks two windows can corrupt the LRU linkage or leak/over-free a
 slot.)  The locks never pickle — ``save_index`` serializes whole
 indexes including bound caches, so ``__getstate__`` drops them and
-``__setstate__`` rebuilds fresh ones.
+``__setstate__`` rebuilds fresh ones.  A :class:`StateCheckpointCache`
+additionally saves no entries: they are a memo of replays the loaded
+index can redo, and would otherwise grow every file saved after a warm
+query by whole snapshot graphs.
 """
 
 from __future__ import annotations
 
+import bisect
+import gc
 import threading
 import time as _time
 from collections import OrderedDict
@@ -55,6 +61,33 @@ KeyTuple = Tuple
 #: In bytes-bounded mode, refuse to admit a single row larger than this
 #: fraction of the byte budget (it would evict too much of the working set).
 MAX_ROW_BUDGET_FRACTION = 0.25
+
+
+#: Full (oldest-generation) collections wanted at most once per this many
+#: middle-generation ones while a checkpoint cache lives in the process;
+#: CPython's default is 10.  See :func:`_relax_full_collections`.
+FULL_COLLECTION_EVERY = 1000
+
+
+def _relax_full_collections() -> None:
+    """Make CPython's full garbage collections rare in a process that
+    holds a checkpoint cache.
+
+    Cached payloads are long-lived, immutable and acyclic, but every
+    snapshot graph is one tracked ``set`` per node, and each full
+    collection re-traverses all of them: about 1 ms per cached D1
+    snapshot, a 20-40 ms pause with a few dozen warm, landing on
+    whichever read crosses the allocation threshold.  At the default
+    cadence that was 9 such pauses in 240 warm reads (a sixth of their
+    wall time), and which reads they hit moved a run's throughput by a
+    tenth.  Young collections, which reclaim the cyclic garbage queries
+    actually make, are untouched; a cadence the application already set
+    higher is kept, and so is a disabled collector.  Process-wide and
+    never undone: the cost being avoided lasts as long as any cache.
+    """
+    young, middle, old = gc.get_threshold()
+    if 0 < old < FULL_COLLECTION_EVERY:
+        gc.set_threshold(young, middle, FULL_COLLECTION_EVERY)
 
 
 #: Second-touch admission keeps this many times the entry capacity in
@@ -279,33 +312,46 @@ _SERIES_MAX = _MaxSentinel()
 
 
 class _CheckpointEntry:
-    __slots__ = ("key", "payload", "clone", "series", "t")
+    __slots__ = ("key", "payload", "series", "t")
 
     def __init__(
         self,
         key: KeyTuple,
         payload: Any,
-        clone: Callable[[Any], Any],
         series: Optional[KeyTuple] = None,
         t: Any = None,
     ) -> None:
         self.key = key
         self.payload = payload
-        self.clone = clone
         self.series = series
         self.t = t
 
+    def __setstate__(self, state: Any) -> None:
+        # entries are never saved; index files written before that rule
+        # still carry some (with a slot this class no longer has), and
+        # the cache that owns them drops them on load — nothing to restore
+        pass
+
 
 class StateCheckpointCache:
-    """LRU memo of fully-replayed states, returned copy-on-read.
+    """LRU memo of fully-replayed states, shared between readers.
 
     The consumer (the TGI) keys entries by ``(timespan, partition, time,
-    scope flags)`` and supplies, at admit time, a *clone* function that
-    produces an independent copy of the payload; ``lookup`` returns
-    ``clone(payload)`` so the cached state can never be mutated through a
-    returned reference.  ``peek`` answers warmness without counters or
-    promotion — the planner uses it to price checkpoint-aware plans
-    without perturbing the cache.
+    scope flags)``.  **Ownership rule:** a payload is immutable from the
+    moment it is admitted; ``lookup`` returns the shared object (counted
+    and LRU-promoted), and whoever is about to mutate a value, or to
+    hand it to a caller, makes the copy — the cache never does.  So
+    ``admit`` takes ownership of what it is given (a producer that keeps
+    using its object admits a copy), and the TGI copies at exactly three
+    sites: the result of a *snapshot* query (the caller owns that
+    graph), ``_capture_snapshot_near_seed`` (the seed graph is replayed
+    forward in place) and ``_capture_near_seed`` (the seed partition
+    state likewise).  Every other consumer only reads.  ``peek`` answers
+    warmness without counters or promotion — the planner uses it to
+    price checkpoint-aware plans without perturbing the cache.  Building
+    or unpickling a cache also makes CPython's *full* garbage
+    collections rare for the whole process (they would re-walk every
+    cached graph): see :func:`_relax_full_collections`.
 
     Two optional behaviors:
 
@@ -333,6 +379,7 @@ class StateCheckpointCache:
                 f"unknown admission policy {admission!r} "
                 f"(choose from {self.ADMISSION_POLICIES})"
             )
+        _relax_full_collections()
         self.max_entries = max_entries
         self.admission = admission
         self._lock = threading.RLock()
@@ -363,10 +410,8 @@ class StateCheckpointCache:
     ) -> Optional[Tuple[Any, KeyTuple]]:
         """The latest entry of ``series`` at or before ``t``, as a
         ``(t0, key)`` pair — non-perturbing, like :meth:`peek`; follow
-        with :meth:`lookup` on the returned key for the counted,
-        copy-on-read payload."""
-        import bisect
-
+        with :meth:`lookup` on the returned key for the counted, shared
+        payload."""
         with self._lock:
             entries = self._series.get(series)
             if not entries:
@@ -378,6 +423,8 @@ class StateCheckpointCache:
             return t0, key
 
     def lookup(self, key: KeyTuple) -> Optional[Any]:
+        """The shared payload under ``key`` (read-only for the caller:
+        copy before mutating it or handing it out), or ``None``."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -385,21 +432,19 @@ class StateCheckpointCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-        # clone outside the lock: payloads are immutable once admitted
-        # (copy-on-read contract), and cloning a large snapshot graph
-        # must not serialize every other window's lookups behind it
-        return entry.clone(entry.payload)
+            return entry.payload
 
     def admit(
         self,
         key: KeyTuple,
         payload: Any,
-        clone: Callable[[Any], Any],
         series: Optional[KeyTuple] = None,
         t: Any = None,
     ) -> bool:
-        """Insert a replayed state; returns whether it was admitted (a
-        second-touch policy defers the first sighting to probation)."""
+        """Insert a replayed state, taking ownership of ``payload`` (the
+        caller must not mutate it afterwards); returns whether it was
+        admitted (a second-touch policy defers the first sighting to
+        probation)."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
@@ -418,12 +463,8 @@ class StateCheckpointCache:
             else:
                 self._probation.pop(key, None)
             self._drop_from_series(self._entries.get(key))
-            self._entries[key] = _CheckpointEntry(
-                key, payload, clone, series, t
-            )
+            self._entries[key] = _CheckpointEntry(key, payload, series, t)
             if series is not None:
-                import bisect
-
                 bisect.insort(self._series.setdefault(series, []), (t, key))
             while len(self._entries) > self.max_entries:
                 _k, evicted = self._entries.popitem(last=False)
@@ -468,13 +509,21 @@ class StateCheckpointCache:
             )
 
     def __getstate__(self) -> Dict[str, Any]:
+        # capacity, admission policy and counters only: the lock does
+        # not pickle, and entries are a memo the loaded index rebuilds
         state = dict(self.__dict__)
-        state["_lock"] = None
+        for name in ("_lock", "_entries", "_series", "_probation"):
+            del state[name]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
+        _relax_full_collections()
         self.__dict__.update(state)
         self._lock = threading.RLock()
+        # always empty after a load, whatever the file carried
+        self._entries = OrderedDict()
+        self._series = {}
+        self._probation = OrderedDict()
 
     def __repr__(self) -> str:
         s = self.stats()

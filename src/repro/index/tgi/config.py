@@ -52,8 +52,9 @@ class TGIConfig:
             micro-delta rows.  Either bound alone enables caching.
         checkpoint_entries: capacity of the materialized-state checkpoint
             cache — fully-replayed partition states / snapshot graphs
-            keyed ``(timespan, partition, time)``, seeded copy-on-read so
-            warm queries skip the delta/event replay entirely (0 disables
+            keyed ``(timespan, partition, time)`` and shared between
+            readers (immutable once admitted), so warm queries skip the
+            delta/event replay entirely (0 disables
             checkpoints, reproducing replay-from-root accounting exactly).
         checkpoint_admission: ``"always"`` admits every replayed state;
             ``"second-touch"`` defers a never-seen key to a key-only

@@ -28,19 +28,20 @@ With ``TGIConfig.checkpoint_entries`` set, the index additionally
 memoizes *fully-replayed* states in a
 :class:`~repro.exec.cache.StateCheckpointCache`: per-partition partial
 states keyed ``(timespan, partition, time, aux)`` and whole snapshot
-graphs keyed ``(timespan, time)``.  Warm queries seed their replay from
-the nearest checkpoint (copy-on-read) instead of re-fetching and
-re-applying the root deltas — GraphPool's overlap-sharing of materialized
-states ("Efficient Snapshot Retrieval over Historical Graph Data"),
-applied at micro-partition granularity.  Seeding is exact because the
-build writes every event into the eventlist of *each* partition it
-touches, so a partition's primary (or primary+aux) replay is
-self-contained.
+graphs keyed ``(timespan, time)``.  Warm queries read the memoized state
+in place, or seed their replay from a copy of the nearest checkpoint,
+instead of re-fetching and re-applying the root deltas — GraphPool's
+overlap-sharing of materialized states ("Efficient Snapshot Retrieval
+over Historical Graph Data"), applied at micro-partition granularity.
+Seeding is exact because the build writes every event into the
+eventlist of *each* partition it touches, so a partition's primary (or
+primary+aux) replay is self-contained.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextvars
 import threading
 from dataclasses import replace as _dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -93,9 +94,10 @@ StatePayload = Tuple[Dict[NodeId, StaticNode], Dict[Tuple, dict]]
 
 
 def _clone_state(payload: StatePayload) -> StatePayload:
-    """Copy-on-read for partition-state checkpoints: node states are
-    immutable (fresh :class:`StaticNode` per evolution), so a shallow dict
-    copy suffices; edge-attribute dicts are mutated in place by
+    """A private copy of a partition-state checkpoint, for the one
+    consumer that replays it forward (the near-seed capture): node states
+    are immutable (fresh :class:`StaticNode` per evolution), so a shallow
+    dict copy suffices; edge-attribute dicts are mutated in place by
     ``EDGE_ATTR_SET`` replay, so each gets its own copy."""
     nodes, edges = payload
     return dict(nodes), {eid: dict(attrs) for eid, attrs in edges.items()}
@@ -456,8 +458,17 @@ class TGI(HistoricalGraphIndex):
         return FetchStage(label, tuple(groups)), path_groups, ekeys
 
     def get_snapshot(self, t: TimePoint, clients: int = 1) -> Graph:
+        return self._retrieve_snapshot(t, clients, read_only=False)
+
+    def _retrieve_snapshot(
+        self, t: TimePoint, clients: int, read_only: bool
+    ) -> Graph:
+        """Algorithm 1.  ``read_only`` is the caller's promise to only
+        read the graph and to let go of it before returning to its own
+        caller: it may then be the checkpoint cache's own object, shared
+        with every other reader (see :meth:`_snapshot_exec_plan`)."""
         decoded0 = decoded_events_total()
-        plan, finalize, ckpt = self._snapshot_exec_plan(t)
+        plan, finalize, ckpt = self._snapshot_exec_plan(t, read_only)
         result = self.executor.execute(plan, clients=clients)
         g = finalize(result.values)
         result.stats.checkpoint_hits += ckpt["hits"]
@@ -468,7 +479,7 @@ class TGI(HistoricalGraphIndex):
         return g
 
     def _snapshot_exec_plan(
-        self, t: TimePoint
+        self, t: TimePoint, read_only: bool = False
     ) -> Tuple[
         FetchPlan,
         "Callable[[Dict[DeltaKey, object]], Graph]",
@@ -484,14 +495,25 @@ class TGI(HistoricalGraphIndex):
         ``t0 < t`` — when the event-rate histograms price the gap replay
         under a cold build — fetches only the global eventlist gap
         ``(t0, t]`` and replays it forward (``checkpoints.near_hits``);
-        otherwise the full Algorithm-1 fetch runs cold."""
+        otherwise the full Algorithm-1 fetch runs cold.
+
+        By default the finalizer's graph is the caller's to keep and
+        mutate (an exact hit is copied out of the cache; a replayed
+        graph is kept and a copy admitted).  With ``read_only`` the
+        caller only reads it and then drops it — a snapshot-first k-hop
+        — so an exact hit is the cached object itself and a replayed
+        graph is moved into the cache: no copy either way."""
         span = self._span_at(t)
         ckpt = {"hits": 0, "misses": 0, "near_hits": 0}
         if self.checkpoints is not None:
             cached = self.checkpoints.lookup(_snapshot_ckpt_key(span.tsid, t))
             if cached is not None:
                 ckpt["hits"] += 1
-                return FetchPlan(f"snapshot(t={t})"), lambda values: cached, ckpt
+                return (
+                    FetchPlan(f"snapshot(t={t})"),
+                    lambda values: cached if read_only else cached.copy(),
+                    ckpt,
+                )
             seed = self._capture_snapshot_near_seed(span, t)
             if seed is not None:
                 g0, t0, gap_keys = seed
@@ -516,7 +538,7 @@ class TGI(HistoricalGraphIndex):
                     if not bad:
                         # a degraded snapshot must never seed later
                         # fault-free queries from the checkpoint cache
-                        self._admit_snapshot(span, t, g0)
+                        self._admit_snapshot(span, t, g0, move=read_only)
                     return g0
 
                 return plan, finalize_near, ckpt
@@ -549,21 +571,24 @@ class TGI(HistoricalGraphIndex):
             if not bad:
                 # a degraded snapshot must never seed later fault-free
                 # queries from the checkpoint cache
-                self._admit_snapshot(span, t, g)
+                self._admit_snapshot(span, t, g, move=read_only)
             return g
 
         return plan, finalize_cold, ckpt
 
-    def _admit_snapshot(self, span: TimespanInfo, t: TimePoint, g: Graph) -> None:
+    def _admit_snapshot(
+        self, span: TimespanInfo, t: TimePoint, g: Graph, move: bool
+    ) -> None:
         """Checkpoint a materialized snapshot under its time series so
         later queries can reuse it exactly or seed from it nearest-in-
-        time.  The cached graph is private (structural copy), as is every
-        graph a later hit returns — callers may mutate theirs."""
+        time.  ``move`` hands ``g`` itself to the cache — for a producer
+        that only reads it from here on and then drops it; otherwise the
+        producer keeps ``g`` (it is the caller's result, theirs to
+        mutate) and a copy is admitted."""
         if self.checkpoints is not None:
             self.checkpoints.admit(
                 _snapshot_ckpt_key(span.tsid, t),
-                g.copy(),
-                Graph.copy,
+                g if move else g.copy(),
                 series=("snapshot", span.tsid),
                 t=t,
             )
@@ -621,9 +646,10 @@ class TGI(HistoricalGraphIndex):
         self, span: TimespanInfo, t: TimePoint
     ) -> Optional[Tuple[Graph, TimePoint, List[DeltaKey]]]:
         """Decide *and capture* a whole-graph near seed — the candidate
-        decision plus the checkpointed graph itself (cloned now, so a
-        later eviction cannot strand the caller).  Returns ``(private
-        graph copy at t0, t0, gap keys)`` or ``None``."""
+        decision plus the checkpointed graph itself (captured now, so a
+        later eviction cannot strand the caller, and copied, because the
+        caller replays it forward in place).  Returns ``(private graph
+        copy at t0, t0, gap keys)`` or ``None``."""
         seed = self._snapshot_near_seed_candidate(span, t)
         if seed is None:
             return None
@@ -631,7 +657,7 @@ class TGI(HistoricalGraphIndex):
         g0 = self.checkpoints.lookup(_snapshot_ckpt_key(span.tsid, t0))
         if g0 is None:
             return None
-        return g0, t0, gap_keys
+        return g0.copy(), t0, gap_keys
 
     # ------------------------------------------------------------------
     # partial-state loading (shared by node / k-hop retrieval)
@@ -675,33 +701,18 @@ class TGI(HistoricalGraphIndex):
         include_aux: bool,
         state: PartialState,
     ) -> None:
-        """Checkpoint one replayed partition state (no-op when
-        checkpoints are off)."""
+        """Move one replayed partition state into the checkpoint cache
+        (no-op when checkpoints are off).  The cache gets ``state``'s own
+        dicts: replay is over once :meth:`_replay_pids` hands a state
+        out, and its consumers only read it or ``setdefault`` *out of*
+        it into a merged view (:meth:`_merge_state`)."""
         if self.checkpoints is not None:
-            # store a private copy: the caller's merged state shares the
-            # replayed dicts and may keep evolving them
             self.checkpoints.admit(
                 _state_key(span.tsid, pid, t, include_aux),
-                _clone_state((state.nodes, state.edge_attrs)),
-                _clone_state,
+                (state.nodes, state.edge_attrs),
                 series=_state_series(span.tsid, pid, include_aux),
                 t=t,
             )
-
-    def _replay_pid(
-        self,
-        span: TimespanInfo,
-        pid: int,
-        t: TimePoint,
-        include_aux: bool,
-        values: Dict[DeltaKey, object],
-        plan: Optional[Tuple[List[List[DeltaKey]], List[DeltaKey]]] = None,
-    ) -> PartialState:
-        """Replay one partition's state at ``t`` from fetched rows and
-        admit it as a materialized-state checkpoint."""
-        state = self._replay_pid_state(span, pid, t, include_aux, values, plan)
-        self._admit_state(span, pid, t, include_aux, state)
-        return state
 
     def _replay_pids(
         self,
@@ -758,9 +769,7 @@ class TGI(HistoricalGraphIndex):
             # each task runs in a fresh copy of the caller's context —
             # the degraded-mode collector (and any cancel scope checked
             # downstream) stays visible on the pool
-            import contextvars as _cv
-
-            tasks = [(pid, _cv.copy_context()) for pid in pids]
+            tasks = [(pid, contextvars.copy_context()) for pid in pids]
             states = list(
                 self._pool().map(lambda pc: pc[1].run(compute, pc[0]), tasks)
             )
@@ -851,9 +860,10 @@ class TGI(HistoricalGraphIndex):
         include_aux: bool,
     ) -> Optional[Tuple[StatePayload, TimePoint, List[DeltaKey]]]:
         """Decide *and capture* a near seed for one exact-missed
-        partition: the checkpointed payload at ``t0`` (cloned now, so a
+        partition: the checkpointed payload at ``t0`` (captured now, so a
         later eviction cannot strand the caller after the cold keys were
-        dropped from the plan), the seed time, and the gap keys.
+        dropped from the plan, and cloned, because :meth:`_seed_state`
+        replays it forward in place), the seed time, and the gap keys.
         ``None`` when seeding loses the pricing or the entry vanished."""
         seed = self._near_seed_candidate(span, pid, t, include_aux)
         if seed is None:
@@ -863,7 +873,7 @@ class TGI(HistoricalGraphIndex):
         )
         if payload0 is None:
             return None
-        return payload0, seed[0], seed[1]
+        return _clone_state(payload0), seed[0], seed[1]
 
     @staticmethod
     def _with_gap_group(
@@ -907,7 +917,7 @@ class TGI(HistoricalGraphIndex):
         as the state at ``t``."""
         if _degraded_pids(gap_keys, values):
             return None
-        nodes, edge_attrs = payload  # already a private copy (lookup clones)
+        nodes, edge_attrs = payload  # private: the capture cloned it
         state = PartialState(scope=span.scope_of((pid,), include_aux))
         state.nodes = nodes
         state.edge_attrs = edge_attrs
@@ -916,32 +926,16 @@ class TGI(HistoricalGraphIndex):
         )
         return state
 
-    def _replay_pid_from_seed(
-        self,
-        span: TimespanInfo,
-        pid: int,
-        t: TimePoint,
-        include_aux: bool,
-        payload: StatePayload,
-        t0: TimePoint,
-        gap_keys: Sequence[DeltaKey],
-        values: Dict[DeltaKey, object],
-    ) -> Optional[PartialState]:
-        """:meth:`_seed_state` plus checkpoint admission of the result."""
-        state = self._seed_state(
-            span, pid, t, include_aux, payload, t0, gap_keys, values
-        )
-        if state is not None:
-            self._admit_state(span, pid, t, include_aux, state)
-        return state
-
     @staticmethod
     def _merge_state(
         target: PartialState, nodes: Dict[NodeId, StaticNode],
         edge_attrs: Dict[Tuple, dict],
     ) -> None:
         """Fold one partition's replayed state into a merged view (first
-        load wins — boundary-replicated duplicates carry equal states)."""
+        load wins — boundary-replicated duplicates carry equal states).
+        Only reads its inputs, which may be a checkpoint's shared
+        payload; the merged view aliases their values, so it must never
+        be replayed further."""
         for n, s in nodes.items():
             target.nodes.setdefault(n, s)
         for e, a in edge_attrs.items():
@@ -1585,5 +1579,10 @@ class TGI(HistoricalGraphIndex):
     def get_khop_snapshot_first(
         self, node: NodeId, t: TimePoint, k: int = 1, clients: int = 1
     ) -> Graph:
-        """Algorithm 3: fetch the whole snapshot, then filter to k hops."""
-        return super().get_khop(node, t, k=k, clients=clients)
+        """Algorithm 3: fetch the whole snapshot, then filter to k hops.
+        The snapshot is only read, so a warm one is used in place and a
+        replayed one is left behind in the checkpoint cache."""
+        g = self._retrieve_snapshot(t, clients, read_only=True)
+        if not g.has_node(node):
+            raise IndexError_(f"node {node} not alive at t={t}")
+        return g.khop_subgraph(node, k)

@@ -1237,7 +1237,8 @@ class GraphSession:
             t, k = request.t, request.k
             nodes = list(request.nodes)
             if chosen == ALGO_SNAPSHOT_FIRST:
-                plan, fin, ckpt = tgi._snapshot_exec_plan(t)
+                # read-only: assemble only filters the snapshot
+                plan, fin, ckpt = tgi._snapshot_exec_plan(t, read_only=True)
                 plans, finalizes, ckpts = [plan], [fin], [ckpt]
 
                 def assemble(outs, nodes=nodes, single=request.single):
@@ -1404,7 +1405,7 @@ class GraphSession:
                     request.nodes[0], t, k=k, clients=clients
                 )
             else:
-                g = tgi.get_snapshot(t, clients=clients)
+                g = tgi._retrieve_snapshot(t, clients, read_only=True)
                 value = [
                     g.khop_subgraph(center, k) if g.has_node(center) else None
                     for center in request.nodes

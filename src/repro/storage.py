@@ -13,7 +13,9 @@ own files.  Do not load index files from untrusted sources.
 
 from __future__ import annotations
 
+import os
 import pickle
+import threading
 from pathlib import Path
 from typing import Union
 
@@ -38,7 +40,12 @@ class PersistenceError(HGSError):
 
 
 def save_index(index: HistoricalGraphIndex, path: Union[str, Path]) -> None:
-    """Serialize a built index (any of the six families) to ``path``."""
+    """Serialize a built index (any of the six families) to ``path``.
+
+    Crash-safe: the stream goes to a temp file beside ``path``, is
+    flushed and fsynced, and only then renamed over it, so a failure
+    part-way leaves whatever was at ``path`` untouched and no temp file
+    behind."""
     envelope = {
         "magic": _MAGIC,
         "format": _FORMAT_VERSION,
@@ -46,8 +53,20 @@ def save_index(index: HistoricalGraphIndex, path: Union[str, Path]) -> None:
         "index": index,
     }
     path = Path(path)
-    with path.open("wb") as f:
-        pickle.dump(envelope, f, protocol=pickle.HIGHEST_PROTOCOL)
+    # one temp name per concurrent writer, in the target's directory
+    # (``os.replace`` is atomic only within a file system)
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}-{threading.get_ident()}.tmp"
+    )
+    try:
+        with tmp.open("wb") as f:
+            pickle.dump(envelope, f, protocol=pickle.HIGHEST_PROTOCOL)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_index(path: Union[str, Path]) -> HistoricalGraphIndex:

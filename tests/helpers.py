@@ -16,15 +16,19 @@ def random_history(
     seed: int = 0,
     attr_churn: bool = True,
     deletions: bool = True,
+    edge_attr_churn: bool = False,
 ) -> List[Event]:
     """A random but *consistent* event stream: every event is applicable in
     strict mode (nodes exist before edges, edges removed before node
-    deletion, etc.)."""
+    deletion, etc.).  ``edge_attr_churn`` turns half of the attribute
+    steps into ``EDGE_ATTR_SET`` / ``EDGE_ATTR_DEL`` on live edges (off by
+    default, which leaves every existing seed's stream as it was)."""
     rng = random.Random(seed)
     eb = EventBuilder()
     events: List[Event] = []
     alive: set = set()
     edges: set = set()
+    attr_keys: dict = {}  # live edge -> its attribute keys, once churned
     next_node = 0
     t = 0
     for _ in range(steps):
@@ -44,13 +48,28 @@ def random_history(
             eid = rng.choice(sorted(edges))
             events.append(eb.edge_delete(t, *eid))
             edges.discard(eid)
+            attr_keys.pop(eid, None)
         elif roll < 0.86 and deletions and len(alive) > 6:
             n = rng.choice(sorted(alive))
             for eid in [e for e in sorted(edges) if n in e]:
                 events.append(eb.edge_delete(t, *eid))
                 edges.discard(eid)
+                attr_keys.pop(eid, None)
             events.append(eb.node_delete(t, n))
             alive.discard(n)
+        elif edge_attr_churn and roll < 0.93 and edges:
+            eid = rng.choice(sorted(edges))
+            keys = attr_keys.setdefault(eid, {"w"})
+            if keys and rng.random() < 0.4:
+                key = rng.choice(sorted(keys))
+                keys.discard(key)
+                events.append(eb.edge_attr_del(t, *eid, key))
+            else:
+                key = rng.choice("pq")
+                keys.add(key)
+                events.append(
+                    eb.edge_attr_set(t, *eid, key, rng.randint(0, 99))
+                )
         elif attr_churn and alive:
             n = rng.choice(sorted(alive))
             events.append(eb.node_attr_set(t, n, "x", rng.randint(0, 99)))
@@ -89,6 +108,55 @@ def assert_history_equivalent(index, events, node, ts, te, compare_events=True):
         assert [s for _, s in got.versions()] == [
             s for _, s in want.versions()
         ], f"version-state mismatch for node {node}"
+
+
+def counted(monkeypatch, owner, name):
+    """Rebind ``owner.name`` to a counting pass-through; returns the
+    one-element call counter."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def graph_parts(g):
+    """Everything a :class:`Graph` holds, as plain comparable containers
+    (``Graph.__eq__`` leaves the adjacency sets out)."""
+    return (
+        g.directed,
+        {n: dict(g.node_attrs(n)) for n in g.nodes()},
+        {n: set(g.neighbors(n)) for n in g.nodes()},
+        {e: dict(g.edge_attrs(*e)) for e in g.edges()},
+    )
+
+
+def audit_checkpoints(tgi, twin):
+    """Assert that every payload in ``tgi.checkpoints`` still equals a
+    cold recomputation on ``twin`` — an index over the same events built
+    with the same layout but no checkpoint cache.  This is the invariant
+    behind sharing payloads between readers: whatever the queries so far
+    did with the values they were given, no admitted state has changed.
+    Returns the number of payloads audited."""
+    entries = dict(tgi.checkpoints._entries)
+    for key, entry in entries.items():
+        if key[0] == "snapshot":
+            _tag, _tsid, t = key
+            want = twin.get_snapshot(t)
+            assert graph_parts(entry.payload) == graph_parts(want), key
+        else:
+            _tag, tsid, pid, t, include_aux = key
+            state, _scope, _stats = twin._load_pids(
+                twin._spans[tsid], {pid}, t, include_aux, 1
+            )
+            nodes, edge_attrs = entry.payload
+            assert nodes == state.nodes, key
+            assert edge_attrs == state.edge_attrs, key
+    return len(entries)
 
 
 def per_edge_graph(

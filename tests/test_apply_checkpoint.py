@@ -2,6 +2,9 @@
 cache, the size-aware/bytes-bounded delta cache, the registry lifecycle,
 and the session's selection feedback loop."""
 
+import gc
+import pickle
+
 import pytest
 
 from repro.errors import IndexError_
@@ -361,21 +364,59 @@ def test_tgi_bytes_bounded_cache(events):
 
 # -- StateCheckpointCache unit ------------------------------------------------
 
-def test_checkpoint_cache_copy_on_read_and_lru():
+def test_checkpoint_cache_shares_payloads_and_lru():
+    """The cache never copies: ``admit`` takes the object it is given and
+    every ``lookup`` returns that same object (readers copy before they
+    mutate)."""
     cache = StateCheckpointCache(2)
-    cache.admit(("a",), {"x": 1}, dict)
-    got = cache.lookup(("a",))
-    got["x"] = 99
-    assert cache.lookup(("a",)) == {"x": 1}
+    payload = {"x": 1}
+    cache.admit(("a",), payload)
+    assert cache.lookup(("a",)) is payload
+    assert cache.lookup(("a",)) is payload
+    assert cache.stats().hits == 2
+    assert cache.lookup(("b",)) is None and cache.stats().misses == 1
     assert cache.peek(("b",)) is False  # peek does not count
-    assert cache.stats().misses == 0
-    cache.admit(("b",), {}, dict)
+    assert cache.stats().misses == 1
+    cache.admit(("b",), {})
     cache.lookup(("a",))  # promote a
-    cache.admit(("c",), {}, dict)  # evicts b
+    cache.admit(("c",), {})  # evicts b
     assert ("b",) not in cache and ("a",) in cache
     assert cache.stats().evictions == 1
     with pytest.raises(ValueError):
         StateCheckpointCache(0)
+
+
+@pytest.fixture
+def gc_thresholds():
+    saved = gc.get_threshold()
+    yield
+    gc.set_threshold(*saved)
+
+
+@pytest.mark.skipif(
+    gc.get_threshold()[2] == 0, reason="this collector has no full cadence"
+)
+def test_checkpoint_cache_makes_full_collections_rare(gc_thresholds):
+    """A live cache (built or unpickled) raises the full-collection
+    cadence only: never the young thresholds, never a cadence the
+    application already set higher, never a disabled collector."""
+    from repro.exec.cache import FULL_COLLECTION_EVERY
+
+    gc.set_threshold(700, 10, 10)
+    cache = StateCheckpointCache(2)
+    assert gc.get_threshold() == (700, 10, FULL_COLLECTION_EVERY)
+    gc.set_threshold(500, 7, 10)
+    pickle.loads(pickle.dumps(cache))
+    assert gc.get_threshold() == (500, 7, FULL_COLLECTION_EVERY)
+    gc.set_threshold(700, 10, 10 * FULL_COLLECTION_EVERY)
+    StateCheckpointCache(2)
+    assert gc.get_threshold() == (700, 10, 10 * FULL_COLLECTION_EVERY)
+    gc.set_threshold(0, 10, 10)  # threshold0 == 0 switches collection off
+    StateCheckpointCache(2)
+    assert gc.get_threshold() == (0, 10, FULL_COLLECTION_EVERY)
+    gc.set_threshold(700, 10, 10)
+    DeltaCache(4)
+    assert gc.get_threshold() == (700, 10, 10)
 
 
 # -- registry lifecycle -------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.stats.model import FRONTIER_MARGIN, expected_khop_pids
 from repro.storage import load_index, save_index
 from repro.workloads.citation import CitationConfig, generate_citation_events
 from tests.helpers import (
+    counted as _counted,
     random_history,
     reference_expected_khop_pids,
     reference_gap_keys,
@@ -154,20 +155,6 @@ def test_expected_khop_pids_matches_resorting_reference(
 
 
 # -- (b) count guards ---------------------------------------------------------
-
-def _counted(monkeypatch, owner, name):
-    """Rebind ``owner.name`` to a counting pass-through; returns the
-    one-element call counter."""
-    calls = [0]
-    original = getattr(owner, name)
-
-    def wrapper(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, wrapper)
-    return calls
-
 
 def batch_of_16(t, centers):
     assert len(centers) == 8

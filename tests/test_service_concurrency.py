@@ -130,7 +130,6 @@ def test_delta_cache_concurrent_admit_lookup():
 
 def test_checkpoint_cache_concurrent_admit_lookup():
     cache = StateCheckpointCache(max_entries=32)
-    clone = lambda payload: payload  # noqa: E731 - identity is enough
 
     def churn(i):
         for n in range(300):
@@ -138,10 +137,7 @@ def test_checkpoint_cache_concurrent_admit_lookup():
             got = cache.lookup(key)
             if got is not None:
                 assert got == key[1]
-            cache.admit(
-                key, payload=key[1], clone=clone,
-                series=("series",), t=key[1],
-            )
+            cache.admit(key, payload=key[1], series=("series",), t=key[1])
             nearest = cache.nearest(("series",), n % 48)
             if nearest is not None:
                 t0, near_key = nearest

@@ -234,7 +234,7 @@ def test_explain_lists_candidate_notes(citation_tgi, citation_events):
 def test_checkpoint_cache_nearest_and_series():
     cache = StateCheckpointCache(8)
     for t in (10, 20, 30):
-        cache.admit(("s", t), {"t": t}, dict, series=("s",), t=t)
+        cache.admit(("s", t), {"t": t}, series=("s",), t=t)
     assert cache.nearest(("s",), 25) == (20, ("s", 20))
     assert cache.nearest(("s",), 30) == (30, ("s", 30))
     assert cache.nearest(("s",), 5) is None
@@ -247,9 +247,9 @@ def test_checkpoint_cache_nearest_and_series():
 
 def test_checkpoint_cache_eviction_prunes_series():
     cache = StateCheckpointCache(2)
-    cache.admit(("s", 1), {}, dict, series=("s",), t=1)
-    cache.admit(("s", 2), {}, dict, series=("s",), t=2)
-    cache.admit(("s", 3), {}, dict, series=("s",), t=3)  # evicts t=1
+    cache.admit(("s", 1), {}, series=("s",), t=1)
+    cache.admit(("s", 2), {}, series=("s",), t=2)
+    cache.admit(("s", 3), {}, series=("s",), t=3)  # evicts t=1
     assert cache.nearest(("s",), 1) is None
     assert cache.nearest(("s",), 9) == (3, ("s", 3))
 

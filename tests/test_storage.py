@@ -89,3 +89,28 @@ def test_load_rejects_future_format(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(PersistenceError):
         load_index(tmp_path / "missing.hgs")
+
+
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, events):
+    import pickle
+
+    tgi = TGI(TGIConfig(events_per_timespan=60, eventlist_size=15,
+                        micro_partition_size=8))
+    tgi.build(events)
+    path = tmp_path / "index.hgs"
+    save_index(tgi, path)
+    before = path.read_bytes()
+
+    def torn_dump(obj, f, protocol=None):
+        data = pickle.dumps(obj, protocol=protocol)
+        f.write(data[: len(data) // 2])
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(pickle, "dump", torn_dump)
+    with pytest.raises(OSError):
+        save_index(tgi, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["index.hgs"]
+    t = events[-1].time
+    assert load_index(path).get_snapshot(t) == Graph.replay(events, until=t)
