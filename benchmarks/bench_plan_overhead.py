@@ -8,7 +8,7 @@ nothing next to fetching.  This smoke pins that down on dataset 1
 - **plan + price wall-µs per key** for a snapshot plan and a k=2 k-hop
   plan (``TGIPlanner.plan_*`` + ``price_plan``, warm layout);
 - **planning ms per batch** of 16 k=2 requests over 8 distinct centers
-  (``GraphSession._plan_batched`` for every member, no execution);
+  (``GraphSession._compile`` for every member, no execution);
 - the **derivation counts** of one warm batch: ``hash_partition`` and
   ``_stable_hash`` calls, ``TGIPlanner.plan_khop`` calls and uncached
   ``expected_khop_pids`` evaluations.
@@ -96,7 +96,7 @@ def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
         for _ in range(20):
             shared: set = set()
             for request in dict.fromkeys(requests):
-                session._plan_batched(request, shared)
+                session._compile(request, shared)
         plan_ms = (time.perf_counter() - start) / 20 * 1e3
 
         payload = {

@@ -7,7 +7,7 @@ Analysis Framework (TAF).
 
 Quickstart::
 
-    from repro import TGI, TGIConfig, EventBuilder
+    from repro import GraphSession, TGI, TGIConfig, EventBuilder
 
     eb = EventBuilder()
     events = [eb.node_add(1, 0), eb.node_add(1, 1), eb.edge_add(2, 0, 1)]
@@ -15,13 +15,16 @@ Quickstart::
                           micro_partition_size=10))
     index.build(events)
 
-    session = index.session()           # the unified query facade
+    session = GraphSession(index)       # the unified query facade
     g = session.at(2).snapshot().value
 
 For stored indexes, ``open_graph(path)`` loads and wires everything —
 including the process-wide cache shared between sessions over the same
-file.  Direct ``TGI.get_*`` / ``TGIHandler`` calls remain supported as
-the internal layer.
+file.  A session runs every query one way — compile to a fetch plan,
+execute, finalize; a single query is the batch of one — and returns the
+stats with the result.  Direct ``TGI.get_*`` / ``TGIHandler.fetch_*``
+calls remain supported as the internal layer; the ``last_fetch_stats``
+they leave behind is for those direct callers — sessions never read it.
 """
 
 from repro.graph.events import Event, EventBuilder, EventKind

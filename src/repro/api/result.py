@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.api.request import QueryRequest
+from repro.kvstore.cost import COUNTER_NAMES
 
 
 @dataclass
@@ -113,41 +114,23 @@ class QueryStats:
     ) -> "QueryStats":
         """Normalize a ``FetchStats`` or ``ParallelFetchStats``.
 
-        The two shapes disagree on ``requests`` (record list vs. counter);
-        everything else is read by attribute name with 0 defaults, so any
-        future stats carrier only needs to speak the same field names.
+        The two shapes disagree on ``requests`` (record list vs. counter)
+        and ``bytes_read`` (derived vs. stored); every other counter is
+        copied by the field names of :class:`FetchStats`, so one added
+        there either has a namesake here or the constructor rejects it.
         """
-        requests = getattr(stats, "num_requests", None)
-        if requests is None:
-            requests = getattr(stats, "requests", 0)
+        counters = {
+            name: getattr(stats, name)
+            for name in COUNTER_NAMES if name != "requests"
+        }
+        counters["degraded_partitions"] = list(counters["degraded_partitions"])
         return cls(
-            requests=requests,
-            rounds=getattr(stats, "rounds", 0),
-            bytes_read=getattr(stats, "bytes_read", 0),
-            sim_time_ms=getattr(stats, "sim_time_ms", 0.0),
-            overlap_saved_ms=getattr(stats, "overlap_saved_ms", 0.0),
-            apply_ms=getattr(stats, "apply_ms", 0.0),
-            cache_hits=getattr(stats, "cache_hits", 0),
-            cache_misses=getattr(stats, "cache_misses", 0),
-            cache_bytes_saved=getattr(stats, "cache_bytes_saved", 0),
-            checkpoint_hits=getattr(stats, "checkpoint_hits", 0),
-            checkpoint_misses=getattr(stats, "checkpoint_misses", 0),
-            checkpoint_near_hits=getattr(stats, "checkpoint_near_hits", 0),
-            decoded_events=getattr(stats, "decoded_events", 0),
-            coalesced_hits=getattr(stats, "coalesced_hits", 0),
-            coalesced_bytes_saved=getattr(stats, "coalesced_bytes_saved", 0),
-            merged_rounds=getattr(stats, "merged_rounds", 0),
-            retries=getattr(stats, "retries", 0),
-            hedges=getattr(stats, "hedges", 0),
-            breaker_trips=getattr(stats, "breaker_trips", 0),
-            backoff_ms=getattr(stats, "backoff_ms", 0.0),
-            degraded_keys=getattr(stats, "degraded_keys", 0),
-            degraded_partitions=list(
-                getattr(stats, "degraded_partitions", ()) or ()
-            ),
+            requests=getattr(stats, "num_requests", stats.requests),
+            bytes_read=stats.bytes_read,
             algorithm=algorithm,
             predicted_ms=predicted_ms,
             candidates=dict(candidates or {}),
+            **counters,
         )
 
     def as_dict(self) -> Dict[str, Any]:

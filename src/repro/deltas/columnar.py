@@ -69,12 +69,14 @@ non-``int`` or beyond-int64 node id makes :func:`pack_delta` return
 
 from __future__ import annotations
 
+import contextvars
 import pickle
 import struct
 import sys
 import threading
 from array import array
 from bisect import bisect_right
+from contextlib import contextmanager
 from itertools import accumulate, chain
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -100,23 +102,45 @@ _INT64_MAX = 2 ** 63 - 1
 #: EventKind lookup by value (values are contiguous 0..7).
 _KINDS: Tuple[EventKind, ...] = tuple(EventKind)
 
-# Materialization counter: every Event object a ColumnarEventList
-# constructs is counted here, so fetch accounting can report how much
-# lazy decoding a query actually forced (FetchStats.decoded_events).
+# Materialization counters: every Event object a ColumnarEventList
+# constructs counts into the process-wide total and into the accumulator
+# of the query that forced it, when one is active
+# (FetchStats.decoded_events).  The accumulator rides a context variable:
+# it follows the query onto apply-pool threads (which run in a copy of
+# the caller's context) and never sees a concurrent query's decodes.
 _decoded_lock = threading.Lock()
 _decoded_events = 0
+_DECODED_CELL: "contextvars.ContextVar[Optional[List[int]]]" = (
+    contextvars.ContextVar("hgs_decoded_events", default=None)
+)
 
 
 def decoded_events_total() -> int:
     """Process-wide count of ``Event`` objects materialized from
-    columnar payloads (monotonic; consumers diff it around a query)."""
+    columnar payloads (monotonic)."""
     return _decoded_events
+
+
+@contextmanager
+def count_decoded() -> Iterator[List[int]]:
+    """Count the ``Event`` objects materialized inside the block — by
+    this thread or by threads running in a copy of its context — into the
+    yielded one-element list.  The innermost active scope takes a count."""
+    cell = [0]
+    token = _DECODED_CELL.set(cell)
+    try:
+        yield cell
+    finally:
+        _DECODED_CELL.reset(token)
 
 
 def _count_decoded(n: int) -> None:
     global _decoded_events
+    cell = _DECODED_CELL.get()
     with _decoded_lock:
         _decoded_events += n
+        if cell is not None:
+            cell[0] += n
 
 
 def _fits(x: Any) -> bool:

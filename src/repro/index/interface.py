@@ -14,7 +14,11 @@ treat them interchangeably:
 
 Every retrieval records a :class:`~repro.kvstore.cost.FetchStats` in
 ``last_fetch_stats`` (number of deltas read, bytes, simulated latency),
-which is the quantity the paper's figures report.
+which is the quantity the paper's figures report.  It holds whatever
+retrieval finished last on the object, so it only means something to a
+caller with the index to itself (benchmarks; the default loops below,
+which the baseline indexes inherit).  The TGI's query path returns the
+stats with the value instead, and sessions consume only those.
 """
 
 from __future__ import annotations
@@ -132,6 +136,27 @@ class NeighborhoodHistory:
         return [self.center, *self.neighbors]
 
 
+def neighbor_intervals(
+    center: NodeHistory,
+) -> List[Tuple[NodeId, TimePoint, TimePoint]]:
+    """Algorithm 5's second step: every node that is a neighbor of the
+    center at some point of its history, with the sub-interval from the
+    moment it first was one to the history's end — sorted by node id."""
+    spans: Dict[NodeId, Tuple[TimePoint, TimePoint]] = {}
+    state = center.initial
+    if state is not None:
+        for nbr in state.E:
+            spans[nbr] = (center.ts, center.te)
+    for ev in center.events:
+        state = evolve_node_state(state, ev, center.node)
+        if state is None:
+            continue
+        for nbr in state.E:
+            if nbr not in spans:
+                spans[nbr] = (ev.time, center.te)
+    return [(nbr, s, e) for nbr, (s, e) in sorted(spans.items())]
+
+
 class HistoricalGraphIndex(abc.ABC):
     """Interface shared by all temporal graph indexes."""
 
@@ -206,20 +231,8 @@ class HistoricalGraphIndex(abc.ABC):
         """
         center = self.get_node_history(node, ts, te, clients=clients)
         stats = self.last_fetch_stats
-        spans: Dict[NodeId, Tuple[TimePoint, TimePoint]] = {}
-        state = center.initial
-        if state is not None:
-            for nbr in state.E:
-                spans[nbr] = (ts, te)
-        for ev in center.events:
-            state = evolve_node_state(state, ev, node)
-            if state is None:
-                continue
-            for nbr in state.E:
-                if nbr not in spans:
-                    spans[nbr] = (ev.time, te)
         histories = []
-        for nbr, (s, e) in sorted(spans.items()):
+        for nbr, s, e in neighbor_intervals(center):
             histories.append(self.get_node_history(nbr, s, e, clients=clients))
             stats.merge(self.last_fetch_stats)
         self.last_fetch_stats = stats

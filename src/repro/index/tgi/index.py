@@ -47,7 +47,7 @@ from dataclasses import replace as _dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.deltas.base import Delta, StaticNode
-from repro.deltas.columnar import ColumnarEventList, decoded_events_total
+from repro.deltas.columnar import ColumnarEventList, count_decoded
 from repro.deltas.eventlist import EventList
 from repro.errors import IndexError_, PartitionUnavailable, TimeRangeError
 from repro.exec import (
@@ -60,7 +60,12 @@ from repro.exec import (
 )
 from repro.graph.events import Event
 from repro.graph.static import Graph
-from repro.index.interface import HistoricalGraphIndex, NodeHistory
+from repro.index.interface import (
+    HistoricalGraphIndex,
+    NeighborhoodHistory,
+    NodeHistory,
+    neighbor_intervals,
+)
 from repro.index.tgi.build import build_timespan
 from repro.index.tgi.config import TGIConfig
 from repro.index.tgi.layout import (
@@ -76,7 +81,12 @@ from repro.index.tgi.query import PartialState, dedup_sorted
 from repro.index.tgi.version_chain import VersionChainStore
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.cost import CostModel, FetchStats
-from repro.kvstore.degrade import active_partial, partition_label
+from repro.kvstore.degrade import (
+    PartialCollector,
+    active_partial,
+    partial_scope,
+    partition_label,
+)
 from repro.obs.trace import current_span, use_span
 from repro.partitioning.temporal import timespan_boundaries
 from repro.stats.calibrate import calibrate_apply_costs
@@ -91,6 +101,15 @@ from repro.types import NodeId, TimePoint
 
 #: Checkpoint payload for a replayed partition: (node states, edge attrs).
 StatePayload = Tuple[Dict[NodeId, StaticNode], Dict[Tuple, dict]]
+#: A nearest-in-time seeding: (private payload at t0, t0, gap keys).
+NearSeed = Tuple[StatePayload, TimePoint, List[DeltaKey]]
+#: A compiled retrieval — what every ``_*_plan`` builder returns: the
+#: fetch plan, the closure mapping its executed values to the result, and
+#: the counters resolved outside the executor (checkpoint outcomes, filled
+#: in while the plan is built and while its factories run).
+Compiled = Tuple[
+    FetchPlan, Callable[[Dict[DeltaKey, object]], object], FetchStats
+]
 
 
 def _clone_state(payload: StatePayload) -> StatePayload:
@@ -160,6 +179,24 @@ def _missing_chain(node) -> None:
     collector.add_partition(label)
 
 
+def _charge_dropped(labels: Set[str], what: str) -> None:
+    """Settle the partitions a plan's *factories* lost mid-execution.
+    Under coalesced execution they run inside the batch window's scope,
+    which absorbs the drop silently; the plan's finalizer, under the
+    request's own scope, calls this: a strict request fails typed (not a
+    smaller result with no error), an ``allow_partial`` one is charged."""
+    if not labels:
+        return
+    collector = active_partial()
+    if collector is None:
+        raise PartitionUnavailable(
+            f"{what} lost partitions: " + ", ".join(sorted(labels)),
+            partitions=sorted(labels),
+        )
+    for label in labels:
+        collector.add_partition(label)
+
+
 class TGI(HistoricalGraphIndex):
     """Temporal Graph Index over the simulated key-value cluster."""
 
@@ -200,7 +237,9 @@ class TGI(HistoricalGraphIndex):
         self._t_min: Optional[TimePoint] = None
         self._t_max: Optional[TimePoint] = None
         self._apply_pool = None  # lazy ThreadPoolExecutor (apply_workers > 1)
-        self._pool_lock = threading.Lock()
+        # guards what concurrent queries over one served index share and
+        # mutate: apply-pool creation and the frontier-margin EWMA
+        self._lock = threading.Lock()
         #: Learned occupancy corrections for the k-hop frontier model,
         #: keyed by k: EWMA of observed/predicted touched-partition
         #: ratios, folded into ``expected_khop_pids``' margin (fixes the
@@ -213,7 +252,7 @@ class TGI(HistoricalGraphIndex):
         would otherwise both build a pool and orphan one of them."""
         pool = self._apply_pool
         if pool is None:
-            with self._pool_lock:
+            with self._lock:
                 pool = self._apply_pool
                 if pool is None:
                     from concurrent.futures import ThreadPoolExecutor
@@ -232,13 +271,13 @@ class TGI(HistoricalGraphIndex):
         # ``_spans`` and rebuilt on load, so files do not carry it
         state = dict(self.__dict__)
         state["_apply_pool"] = None
-        state["_pool_lock"] = None
+        state["_lock"] = None
         state.pop("_span_starts", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._pool_lock = threading.Lock()
+        self._lock = threading.Lock()
         self._span_starts = [span.t_start for span in self._spans]
 
     # ------------------------------------------------------------------
@@ -262,7 +301,8 @@ class TGI(HistoricalGraphIndex):
     def frontier_corrections(self) -> Dict[int, float]:
         """Copy of the learned per-k frontier margin scales (planner
         drift surface: ``/metrics`` and ``hgs inspect`` report these)."""
-        return dict(self._frontier_corrections)
+        with self._lock:
+            return dict(self._frontier_corrections)
 
     def _observe_frontier(self, k: int, predicted: int, actual: int) -> None:
         """Fold one executed k-hop's touched-partition count back into
@@ -274,11 +314,12 @@ class TGI(HistoricalGraphIndex):
         if predicted <= 0 or actual <= 0:
             return
         alpha = self.FRONTIER_EWMA_ALPHA
-        current = self._frontier_corrections.get(k, 1.0)
-        updated = current * ((1.0 - alpha) + alpha * (actual / predicted))
-        self._frontier_corrections[k] = min(
-            self.FRONTIER_SCALE_MAX, max(self.FRONTIER_SCALE_MIN, updated)
-        )
+        with self._lock:  # read-modify-write from concurrent queries
+            current = self._frontier_corrections.get(k, 1.0)
+            updated = current * ((1.0 - alpha) + alpha * (actual / predicted))
+            self._frontier_corrections[k] = min(
+                self.FRONTIER_SCALE_MAX, max(self.FRONTIER_SCALE_MIN, updated)
+            )
 
     def _predicted_frontier_pids(
         self, span: TimespanInfo, centers: Sequence[NodeId], k: int
@@ -388,15 +429,6 @@ class TGI(HistoricalGraphIndex):
     def num_timespans(self) -> int:
         return len(self._spans)
 
-    def session(self, **kwargs):
-        """Open a :class:`~repro.session.GraphSession` facade over this
-        index — the preferred query API (cost-based plan selection,
-        shared caching, uniform stats).  Direct ``get_*`` calls remain
-        supported as the internal layer."""
-        from repro.session import GraphSession
-
-        return GraphSession.from_index(self, **kwargs)
-
     def use_calibrated_apply(self) -> CostModel:
         """Switch the cluster's cost model to apply constants *measured*
         at build time (``stats.calibration``): actual decode ms/KiB and
@@ -410,6 +442,30 @@ class TGI(HistoricalGraphIndex):
         self.config = _dc_replace(self.config, cluster=cluster_cfg)
         self.cluster.config = cluster_cfg
         return model
+
+    # ------------------------------------------------------------------
+    # running a compiled query
+    # ------------------------------------------------------------------
+    def _retrieve(
+        self, compiled: Compiled, clients: int
+    ) -> Tuple[object, FetchStats]:
+        """Execute one compiled query on its own; return its value *and*
+        its stats.  The public ``get_*`` wrappers park the stats on
+        ``last_fetch_stats`` for direct callers; nothing reads them back."""
+        result = self.executor.execute(compiled[0], clients=clients)
+        value = self._finish(compiled, result.values, result.stats)
+        return value, result.stats
+
+    def _finish(self, compiled: Compiled, values: Dict, into) -> object:
+        """Finalize an executed compiled query and fold what the executor
+        could not see — checkpoint outcomes and the events finalizing
+        forced to materialize — into the ``into`` stats."""
+        _plan, finalize, extra = compiled
+        with count_decoded() as decoded:
+            value = finalize(values)
+        into.merge(extra)
+        into.decoded_events += decoded[0]
+        return value
 
     # ------------------------------------------------------------------
     # snapshot retrieval (Algorithm 1)
@@ -458,33 +514,14 @@ class TGI(HistoricalGraphIndex):
         return FetchStage(label, tuple(groups)), path_groups, ekeys
 
     def get_snapshot(self, t: TimePoint, clients: int = 1) -> Graph:
-        return self._retrieve_snapshot(t, clients, read_only=False)
-
-    def _retrieve_snapshot(
-        self, t: TimePoint, clients: int, read_only: bool
-    ) -> Graph:
-        """Algorithm 1.  ``read_only`` is the caller's promise to only
-        read the graph and to let go of it before returning to its own
-        caller: it may then be the checkpoint cache's own object, shared
-        with every other reader (see :meth:`_snapshot_exec_plan`)."""
-        decoded0 = decoded_events_total()
-        plan, finalize, ckpt = self._snapshot_exec_plan(t, read_only)
-        result = self.executor.execute(plan, clients=clients)
-        g = finalize(result.values)
-        result.stats.checkpoint_hits += ckpt["hits"]
-        result.stats.checkpoint_misses += ckpt["misses"]
-        result.stats.checkpoint_near_hits += ckpt["near_hits"]
-        result.stats.decoded_events += decoded_events_total() - decoded0
-        self.last_fetch_stats = result.stats
+        g, self.last_fetch_stats = self._retrieve(
+            self._snapshot_exec_plan(t), clients
+        )
         return g
 
     def _snapshot_exec_plan(
         self, t: TimePoint, read_only: bool = False
-    ) -> Tuple[
-        FetchPlan,
-        "Callable[[Dict[DeltaKey, object]], Graph]",
-        Dict[str, int],
-    ]:
+    ) -> Compiled:
         """Build one snapshot query's plan plus a finalizer mapping the
         executed values to the graph at ``t`` (same plan/finalize shape
         as :meth:`_khops_plan`, so batched sessions can compose snapshot
@@ -504,20 +541,45 @@ class TGI(HistoricalGraphIndex):
         — so an exact hit is the cached object itself and a replayed
         graph is moved into the cache: no copy either way."""
         span = self._span_at(t)
-        ckpt = {"hits": 0, "misses": 0, "near_hits": 0}
+        extra = FetchStats()
+
+        def replay_and_admit(
+            g: Graph,
+            bad: Set[int],
+            ekeys: List[DeltaKey],
+            values: Dict[DeltaKey, object],
+            after: Optional[TimePoint] = None,
+        ) -> Graph:
+            """Advance ``g`` over the fetched eventlists to ``t`` and
+            checkpoint it — unless a degraded fetch dropped partitions: a
+            degraded snapshot must never seed later fault-free queries."""
+            elists = [values[key] for key in ekeys if key[3] not in bad]
+            if all(isinstance(el, ColumnarEventList) for el in elists):
+                # bulk replay off the packed columns (dedups replicated
+                # copies by seq, bounds by time via bisection)
+                g.apply_columnar(elists, until=t, after=after)
+            else:
+                g.apply_events(dedup_sorted(
+                    ev for el in elists for ev in el
+                    if (after is None or after < ev.time) and ev.time <= t
+                ))
+            if not bad:
+                self._admit_snapshot(span, t, g, move=read_only)
+            return g
+
         if self.checkpoints is not None:
             cached = self.checkpoints.lookup(_snapshot_ckpt_key(span.tsid, t))
             if cached is not None:
-                ckpt["hits"] += 1
+                extra.checkpoint_hits += 1
                 return (
                     FetchPlan(f"snapshot(t={t})"),
                     lambda values: cached if read_only else cached.copy(),
-                    ckpt,
+                    extra,
                 )
             seed = self._capture_snapshot_near_seed(span, t)
             if seed is not None:
                 g0, t0, gap_keys = seed
-                ckpt["near_hits"] += 1
+                extra.checkpoint_near_hits += 1
                 plan = FetchPlan(f"snapshot(t={t})~seed(t0={t0})")
                 plan.add_stage(
                     "snapshot-gap", KeyGroup("near-gap", tuple(gap_keys))
@@ -525,56 +587,25 @@ class TGI(HistoricalGraphIndex):
 
                 def finalize_near(values: Dict[DeltaKey, object]) -> Graph:
                     bad = _degraded_pids(gap_keys, values)
-                    elists = [
-                        values[key] for key in gap_keys if key[3] not in bad
-                    ]
-                    if all(isinstance(el, ColumnarEventList) for el in elists):
-                        g0.apply_columnar(elists, until=t, after=t0)
-                    else:
-                        g0.apply_events(dedup_sorted(
-                            ev for el in elists
-                            for ev in el if t0 < ev.time <= t
-                        ))
-                    if not bad:
-                        # a degraded snapshot must never seed later
-                        # fault-free queries from the checkpoint cache
-                        self._admit_snapshot(span, t, g0, move=read_only)
-                    return g0
+                    return replay_and_admit(g0, bad, gap_keys, values, t0)
 
-                return plan, finalize_near, ckpt
-            ckpt["misses"] += 1
+                return plan, finalize_near, extra
+            extra.checkpoint_misses += 1
         plan = FetchPlan(f"snapshot(t={t})")
         stage, path_groups, ekeys = self._snapshot_stage(span, t, "snapshot")
         plan.stages.append(stage)
 
         def finalize_cold(values: Dict[DeltaKey, object]) -> Graph:
-            bad = _degraded_pids(
-                [key for group in path_groups for key in group]
-                + list(ekeys),
-                values,
-            )
+            path_keys = [key for group in path_groups for key in group]
+            bad = _degraded_pids(path_keys + ekeys, values)
             # one overlay of the path's rows in root->leaf order (later
             # row wins per node id), materialized once
             g = Delta.sum(
-                values[key] for group in path_groups for key in group
-                if key[3] not in bad
+                values[key] for key in path_keys if key[3] not in bad
             ).to_graph()
-            elists = [values[key] for key in ekeys if key[3] not in bad]
-            if all(isinstance(el, ColumnarEventList) for el in elists):
-                # bulk replay off the packed columns (dedups replicated
-                # copies by seq, bounds by time via bisection)
-                g.apply_columnar(elists, until=t)
-            else:
-                g.apply_events(dedup_sorted(
-                    ev for el in elists for ev in el if ev.time <= t
-                ))
-            if not bad:
-                # a degraded snapshot must never seed later fault-free
-                # queries from the checkpoint cache
-                self._admit_snapshot(span, t, g, move=read_only)
-            return g
+            return replay_and_admit(g, bad, ekeys, values)
 
-        return plan, finalize_cold, ckpt
+        return plan, finalize_cold, extra
 
     def _admit_snapshot(
         self, span: TimespanInfo, t: TimePoint, g: Graph, move: bool
@@ -670,14 +701,17 @@ class TGI(HistoricalGraphIndex):
         include_aux: bool,
         values: Dict[DeltaKey, object],
         plan: Optional[Tuple[List[List[DeltaKey]], List[DeltaKey]]] = None,
+        scope: Optional[Set[NodeId]] = None,
     ) -> Optional[PartialState]:
         """Replay one partition's state at ``t`` from fetched rows (pure
         compute — no checkpoint admission, so it is safe on a worker
         thread).  ``plan`` takes the partition's already-computed
         ``(path_groups, ekeys)`` when the caller has them, avoiding a
-        second tree-path walk.  Returns ``None`` when a degraded fetch
-        dropped any of the partition's rows (the whole partition is
-        unavailable — never a partial replay)."""
+        second tree-path walk; ``scope`` narrows the replay to some of
+        the partition's nodes (a state nobody will checkpoint).  Returns
+        ``None`` when a degraded fetch dropped any of the partition's
+        rows (the whole partition is unavailable — never a partial
+        replay)."""
         path_groups, ekeys = plan if plan is not None else (
             self._snapshot_plan(span, t, pids={pid}, include_aux=include_aux)
         )
@@ -685,7 +719,8 @@ class TGI(HistoricalGraphIndex):
         if _degraded_pids(all_keys, values):
             return None
         state = PartialState(
-            scope=span.scope_of((pid,), include_aux)
+            scope=scope if scope is not None
+            else span.scope_of((pid,), include_aux)
         )
         for group in path_groups:
             for key in group:
@@ -718,7 +753,7 @@ class TGI(HistoricalGraphIndex):
         self,
         span: TimespanInfo,
         cold: Set[int],
-        near: Dict[int, Tuple[StatePayload, TimePoint, List[DeltaKey]]],
+        near: Dict[int, NearSeed],
         t: TimePoint,
         include_aux: bool,
         values: Dict[DeltaKey, object],
@@ -858,7 +893,7 @@ class TGI(HistoricalGraphIndex):
         pid: int,
         t: TimePoint,
         include_aux: bool,
-    ) -> Optional[Tuple[StatePayload, TimePoint, List[DeltaKey]]]:
+    ) -> Optional[NearSeed]:
         """Decide *and capture* a near seed for one exact-missed
         partition: the checkpointed payload at ``t0`` (captured now, so a
         later eviction cannot strand the caller after the cold keys were
@@ -875,10 +910,37 @@ class TGI(HistoricalGraphIndex):
             return None
         return _clone_state(payload0), seed[0], seed[1]
 
+    def _checkpoint_triage(
+        self,
+        span: TimespanInfo,
+        pid: int,
+        t: TimePoint,
+        include_aux: bool,
+        extra: FetchStats,
+    ) -> Tuple[Optional[StatePayload], Optional[NearSeed]]:
+        """How a plan gets one partition's state at ``t``, counted into
+        ``extra``: ``(payload, None)`` on an exact checkpoint hit, ``(None,
+        near seed)`` when seeding from an earlier checkpoint wins the
+        pricing, ``(None, None)`` for a cold fetch (checkpoints off too)."""
+        if self.checkpoints is None:
+            return None, None
+        payload = self.checkpoints.lookup(
+            _state_key(span.tsid, pid, t, include_aux)
+        )
+        if payload is not None:
+            extra.checkpoint_hits += 1
+            return payload, None
+        captured = self._capture_near_seed(span, pid, t, include_aux)
+        if captured is not None:
+            extra.checkpoint_near_hits += 1
+        else:
+            extra.checkpoint_misses += 1
+        return None, captured
+
     @staticmethod
     def _with_gap_group(
         stage: FetchStage,
-        near: Dict[int, Tuple[StatePayload, TimePoint, List[DeltaKey]]],
+        near: Dict[int, NearSeed],
     ) -> FetchStage:
         """Append the near seedings' deduplicated gap keys to a stage."""
         if not near:
@@ -941,81 +1003,6 @@ class TGI(HistoricalGraphIndex):
         for e, a in edge_attrs.items():
             target.edge_attrs.setdefault(e, a)
 
-    def _load_pids(
-        self,
-        span: TimespanInfo,
-        pids: Set[int],
-        t: TimePoint,
-        include_aux: bool,
-        clients: int,
-    ) -> Tuple[PartialState, Set[NodeId], FetchStats]:
-        """Reconstruct the states, at time ``t``, of all nodes covered by
-        ``pids`` (members plus boundary when ``include_aux``).  Returns the
-        partial state, the covered scope, and the fetch stats.
-
-        With checkpoints enabled, warm partitions are seeded from their
-        memoized states and only the cold ones are fetched and replayed
-        (then admitted); replay is per partition, which is exact because
-        each partition's eventlists carry every event touching it."""
-        scope = span.scope_of(pids, include_aux)
-        if self.checkpoints is None:
-            plan = FetchPlan(f"load_pids({sorted(pids)}, t={t})")
-            stage, path_groups, ekeys = self._snapshot_stage(
-                span, t, "partial-state", pids=pids, include_aux=include_aux
-            )
-            plan.stages.append(stage)
-            result = self.executor.execute(plan, clients=clients)
-            values, stats = result.values, result.stats
-            bad = _degraded_pids(
-                [key for group in path_groups for key in group]
-                + list(ekeys),
-                values,
-            )
-            state = PartialState(scope=scope)
-            for group in path_groups:
-                for key in group:
-                    if key[3] in bad:
-                        continue
-                    state.load_delta(values[key])
-            state.apply_eventlists(
-                [values[key] for key in ekeys if key[3] not in bad], until=t
-            )
-            return state, scope, stats
-
-        state = PartialState(scope=scope)
-        hits = 0
-        cold: Set[int] = set()
-        # pid -> (state payload at t0, t0, gap eventlist keys)
-        near: Dict[int, Tuple[StatePayload, TimePoint, List[DeltaKey]]] = {}
-        for pid in sorted(pids):
-            payload = self.checkpoints.lookup(
-                _state_key(span.tsid, pid, t, include_aux)
-            )
-            if payload is not None:
-                hits += 1
-                self._merge_state(state, *payload)
-                continue
-            captured = self._capture_near_seed(span, pid, t, include_aux)
-            if captured is not None:
-                near[pid] = captured
-            else:
-                cold.add(pid)
-        plan = FetchPlan(f"load_pids({sorted(cold)}, t={t})")
-        stage, _path_groups, _ekeys = self._snapshot_stage(
-            span, t, "partial-state", pids=cold, include_aux=include_aux
-        )
-        plan.stages.append(self._with_gap_group(stage, near))
-        result = self.executor.execute(plan, clients=clients)
-        for _pid, replayed in self._replay_pids(
-            span, cold, near, t, include_aux, result.values
-        ):
-            self._merge_state(state, replayed.nodes, replayed.edge_attrs)
-        stats = result.stats
-        stats.checkpoint_hits += hits
-        stats.checkpoint_misses += len(cold)
-        stats.checkpoint_near_hits += len(near)
-        return state, scope, stats
-
     # ------------------------------------------------------------------
     # node history (Algorithm 2)
     # ------------------------------------------------------------------
@@ -1041,27 +1028,14 @@ class TGI(HistoricalGraphIndex):
         per-node :meth:`get_node_history` loop — only the fetch schedule
         differs (a handful of rounds instead of O(nodes)).
         """
-        if not nodes:
-            self.last_fetch_stats = FetchStats()
-            return []
-        decoded0 = decoded_events_total()
-        plan, finalize, ckpt = self._node_histories_plan(nodes, ts, te)
-        result = self.executor.execute(plan, clients=clients)
-        out = finalize(result.values)
-        result.stats.checkpoint_hits += ckpt["hits"]
-        result.stats.checkpoint_misses += ckpt["misses"]
-        result.stats.checkpoint_near_hits += ckpt["near_hits"]
-        result.stats.decoded_events += decoded_events_total() - decoded0
-        self.last_fetch_stats = result.stats
+        out, self.last_fetch_stats = self._retrieve(
+            self._node_histories_plan(nodes, ts, te), clients
+        )
         return out
 
     def _node_histories_plan(
         self, nodes: Sequence[NodeId], ts: TimePoint, te: TimePoint
-    ) -> Tuple[
-        FetchPlan,
-        "Callable[[Dict[DeltaKey, object]], List[NodeHistory]]",
-        Dict[str, int],
-    ]:
+    ) -> Compiled:
         """Build the batched Algorithm-2 plan for ``nodes`` plus a
         finalizer that maps the executed plan's values back to one
         :class:`NodeHistory` per input node (input order, duplicates
@@ -1073,7 +1047,7 @@ class TGI(HistoricalGraphIndex):
         callers fold it into their fetch stats."""
         span = self._span_at(ts)
         ns = self.config.placement_groups
-        ckpt = {"hits": 0, "misses": 0, "near_hits": 0}
+        extra = FetchStats()
 
         # metadata-only planning: one micro plan per distinct partition;
         # checkpointed partitions seed their replayed state instead (the
@@ -1084,9 +1058,7 @@ class TGI(HistoricalGraphIndex):
         node_pid: Dict[NodeId, Optional[int]] = {}
         pid_plans: Dict[int, Tuple[List[List[DeltaKey]], List[DeltaKey]]] = {}
         seeded: Dict[int, StatePayload] = {}
-        seeded_near: Dict[
-            int, Tuple[StatePayload, TimePoint, List[DeltaKey]]
-        ] = {}
+        seeded_near: Dict[int, NearSeed] = {}
         chain_nodes: List[NodeId] = []
         for node in nodes:
             if node in node_pid:
@@ -1099,31 +1071,15 @@ class TGI(HistoricalGraphIndex):
                 and pid not in seeded
                 and pid not in seeded_near
             ):
-                payload = (
-                    self.checkpoints.lookup(
-                        _state_key(span.tsid, pid, ts, False)
-                    )
-                    if self.checkpoints is not None
-                    else None
+                payload, captured = self._checkpoint_triage(
+                    span, pid, ts, False, extra
                 )
                 if payload is not None:
                     seeded[pid] = payload
-                    ckpt["hits"] += 1
+                elif captured is not None:
+                    seeded_near[pid] = captured
                 else:
-                    captured = (
-                        self._capture_near_seed(span, pid, ts, False)
-                        if self.checkpoints is not None
-                        else None
-                    )
-                    if captured is not None:
-                        seeded_near[pid] = captured
-                        ckpt["near_hits"] += 1
-                    else:
-                        if self.checkpoints is not None:
-                            ckpt["misses"] += 1
-                        pid_plans[pid] = self._snapshot_plan(
-                            span, ts, pids={pid}
-                        )
+                    pid_plans[pid] = self._snapshot_plan(span, ts, pids={pid})
             if self._vc.has_chain(node):
                 chain_nodes.append(node)
 
@@ -1211,24 +1167,16 @@ class TGI(HistoricalGraphIndex):
                 state = replayed.get(pid)
                 if state is None:
                     # no checkpointing: scoped replay of just the members
-                    path_groups, ekeys = pid_plans[pid]
-                    pid_keys = [k for g in path_groups for k in g]
-                    pid_keys.extend(ekeys)
-                    if _degraded_pids(pid_keys, values):
-                        # partition dropped by a degraded fetch: the
-                        # members get no initial state for this window
-                        for node in members:
-                            initial[node] = None
-                        continue
-                    state = PartialState(scope=set(members))
-                    for group in path_groups:
-                        for key in group:
-                            state.load_delta(values[key])
-                    state.apply_eventlists(
-                        [values[key] for key in ekeys], until=ts
+                    # (``None`` again when a degraded fetch dropped the
+                    # partition: they get no initial state this window)
+                    state = self._replay_pid_state(
+                        span, pid, ts, False, values, pid_plans.get(pid),
+                        scope=set(members),
                     )
                 for node in members:
-                    initial[node] = state.node_state(node)
+                    initial[node] = (
+                        state.node_state(node) if state is not None else None
+                    )
 
             chains = {}
             for n in chain_nodes:
@@ -1257,7 +1205,7 @@ class TGI(HistoricalGraphIndex):
                 )
             return [histories[node] for node in nodes]
 
-        return plan, finalize, ckpt
+        return plan, finalize, extra
 
     # ------------------------------------------------------------------
     # k-hop neighborhood (Algorithms 3 and 4)
@@ -1267,77 +1215,29 @@ class TGI(HistoricalGraphIndex):
     ) -> Graph:
         """Algorithm 4: start from the node's micro-partition and expand
         outward, loading further partitions only when the frontier leaves
-        the already-covered scope."""
-        span = self._span_at(t)
-        include_aux = self.config.replicate_boundary
-        decoded0 = decoded_events_total()
-        pid0 = span.pid_of(node)
-        if pid0 is None:
-            # nothing was fetched for this query; reset the stats so a
-            # caller folding them after the raise cannot double-count the
-            # previous query's accounting
-            self.last_fetch_stats = FetchStats()
-            raise IndexError_(f"node {node} not alive at t={t}")
-
-        total = FetchStats()
-        merged = PartialState()
-        covered: Set[NodeId] = set()
-        loaded_pids: Set[int] = set()
-
-        def load(pids: Set[int]) -> None:
-            pids = pids - loaded_pids
-            if not pids:
-                return
-            state, scope, stats = self._load_pids(
-                span, pids, t, include_aux, clients
-            )
-            total.merge(stats)
-            loaded_pids.update(pids)
-            covered.update(scope)
-            for n, s in state.nodes.items():
-                merged.nodes.setdefault(n, s)
-            for e, a in state.edge_attrs.items():
-                merged.edge_attrs.setdefault(e, a)
-
-        load({pid0})
-        if merged.node_state(node) is None:
-            total.decoded_events += decoded_events_total() - decoded0
-            self.last_fetch_stats = total
-            collector = active_partial()
-            label = f"ts{span.tsid}:p{pid0}"
-            if collector is not None and label in collector.partitions:
-                # the center's own partition was dropped: that is an
-                # availability failure, not a missing node
-                raise PartitionUnavailable(
-                    f"partition of node {node} unavailable at t={t}",
-                    partitions=(label,),
-                )
-            raise IndexError_(f"node {node} not alive at t={t}")
-
-        members: Set[NodeId] = {node}
-        frontier: Set[NodeId] = {node}
-        for _ in range(k):
-            nxt: Set[NodeId] = set()
-            for n in frontier:
-                state = merged.node_state(n)
-                if state is not None:
-                    nxt |= state.E
-            nxt -= members
-            if not nxt:
-                break
-            missing = {n for n in nxt if n not in covered}
-            needed = {span.pid_of(n) for n in missing}
-            load({p for p in needed if p is not None})
-            members |= {n for n in nxt if merged.node_state(n) is not None}
-            frontier = {n for n in nxt if merged.node_state(n) is not None}
-        total.decoded_events += decoded_events_total() - decoded0
-        self.last_fetch_stats = total
-        self._observe_frontier(
-            k,
-            self._predicted_frontier_pids(span, [node], k),
-            len(loaded_pids),
+        the already-covered scope — :meth:`get_khops` over one center,
+        raising when it is not alive."""
+        (g,), self.last_fetch_stats = self._retrieve(
+            self._khops_plan([node], t, k), clients
         )
-        return merged.to_graph(members)
+        if g is None:
+            raise self._dead_center(node, t)
+        return g
+
+    def _dead_center(self, node: NodeId, t: TimePoint) -> Exception:
+        """The error for a k-hop center without a state at ``t``: the
+        node is not alive — unless the active partial scope dropped the
+        center's own partition, which is an availability failure, not a
+        missing node."""
+        span = self._span_at(t)
+        collector = active_partial()
+        label = f"ts{span.tsid}:p{span.pid_of(node)}"
+        if collector is not None and label in collector.partitions:
+            return PartitionUnavailable(
+                f"partition of node {node} unavailable at t={t}",
+                partitions=(label,),
+            )
+        return IndexError_(f"node {node} not alive at t={t}")
 
     def get_khops(
         self,
@@ -1354,30 +1254,16 @@ class TGI(HistoricalGraphIndex):
         ``k + 1`` rounds instead of O(centers · (k + 1)), and partitions
         shared between neighborhoods are fetched once.  Returns one graph
         per input center (input order, duplicates preserved); ``None``
-        marks centers not alive at ``t``.  Each alive center's graph is
-        identical to its individual :meth:`get_khop` result.
+        marks centers not alive at ``t``.
         """
-        if not centers:
-            self.last_fetch_stats = FetchStats()
-            return []
-        decoded0 = decoded_events_total()
-        plan, finalize, ckpt = self._khops_plan(centers, t, k)
-        result = self.executor.execute(plan, clients=clients)
-        out = finalize(result.values)
-        result.stats.checkpoint_hits += ckpt["hits"]
-        result.stats.checkpoint_misses += ckpt["misses"]
-        result.stats.checkpoint_near_hits += ckpt["near_hits"]
-        result.stats.decoded_events += decoded_events_total() - decoded0
-        self.last_fetch_stats = result.stats
+        out, self.last_fetch_stats = self._retrieve(
+            self._khops_plan(centers, t, k), clients
+        )
         return out
 
     def _khops_plan(
         self, centers: Sequence[NodeId], t: TimePoint, k: int
-    ) -> Tuple[
-        FetchPlan,
-        "Callable[[Dict[DeltaKey, object]], List[Optional[Graph]]]",
-        Dict[str, int],
-    ]:
+    ) -> Compiled:
         """Build the shared-frontier k-hop plan plus a finalizer mapping
         the executed values to one graph per input center.
 
@@ -1393,7 +1279,7 @@ class TGI(HistoricalGraphIndex):
         order = list(dict.fromkeys(centers))
         alive0 = [c for c in order if span.pid_of(c) is not None]
         plan = FetchPlan(f"khops({len(order)} centers, t={t}, k={k})")
-        ckpt = {"hits": 0, "misses": 0, "near_hits": 0}
+        extra = FetchStats()
 
         merged = PartialState()
         covered: Set[NodeId] = set()
@@ -1406,7 +1292,7 @@ class TGI(HistoricalGraphIndex):
         pending: List[Tuple[
             Optional[List[List[DeltaKey]]], Optional[List[DeltaKey]],
             Set[int], Set[NodeId],
-            Dict[int, Tuple[StatePayload, TimePoint, List[DeltaKey]]],
+            Dict[int, NearSeed],
         ]] = []
         members: Dict[NodeId, Set[NodeId]] = {}
         frontier: Dict[NodeId, Set[NodeId]] = {}
@@ -1427,32 +1313,23 @@ class TGI(HistoricalGraphIndex):
             pids = pids - loaded
             if not pids:
                 return None
-            near: Dict[
-                int, Tuple[StatePayload, TimePoint, List[DeltaKey]]
-            ] = {}
+            near: Dict[int, NearSeed] = {}
             if self.checkpoints is not None:
                 cold: Set[int] = set()
                 for pid in sorted(pids):
-                    payload = self.checkpoints.lookup(
-                        _state_key(span.tsid, pid, t, include_aux)
+                    payload, captured = self._checkpoint_triage(
+                        span, pid, t, include_aux, extra
                     )
                     if payload is not None:
                         # seed the memoized state now; covered/merged are
                         # ready before the next frontier advance
-                        ckpt["hits"] += 1
                         loaded.add(pid)
                         covered.update(span.scope_of((pid,), include_aux))
                         self._merge_state(merged, *payload)
-                        continue
-                    captured = self._capture_near_seed(
-                        span, pid, t, include_aux
-                    )
-                    if captured is not None:
-                        ckpt["near_hits"] += 1
+                    elif captured is not None:
                         near[pid] = captured
                     else:
                         cold.add(pid)
-                        ckpt["misses"] += 1
                 pids = cold
                 if not pids and not near:
                     return None
@@ -1558,23 +1435,13 @@ class TGI(HistoricalGraphIndex):
         ) -> List[Optional[Graph]]:
             settle(values)
             self._observe_frontier(k, predicted, len(loaded))
-            if dropped:
-                labels = sorted(dropped)
-                collector = active_partial()
-                if collector is None:
-                    raise PartitionUnavailable(
-                        "k-hop expansion lost partitions: "
-                        + ", ".join(labels),
-                        partitions=labels,
-                    )
-                for label in labels:
-                    collector.add_partition(label)
+            _charge_dropped(dropped, "k-hop expansion")
             graphs = {
                 c: merged.to_graph(members[c]) for c in members
             }
             return [graphs.get(c) for c in centers]
 
-        return plan, finalize, ckpt
+        return plan, finalize, extra
 
     def get_khop_snapshot_first(
         self, node: NodeId, t: TimePoint, k: int = 1, clients: int = 1
@@ -1582,7 +1449,63 @@ class TGI(HistoricalGraphIndex):
         """Algorithm 3: fetch the whole snapshot, then filter to k hops.
         The snapshot is only read, so a warm one is used in place and a
         replayed one is left behind in the checkpoint cache."""
-        g = self._retrieve_snapshot(t, clients, read_only=True)
+        g, self.last_fetch_stats = self._retrieve(
+            self._snapshot_exec_plan(t, read_only=True), clients
+        )
         if not g.has_node(node):
             raise IndexError_(f"node {node} not alive at t={t}")
         return g.khop_subgraph(node, k)
+
+    # ------------------------------------------------------------------
+    # 1-hop neighborhood evolution (Algorithm 5)
+    # ------------------------------------------------------------------
+    def get_khop_history(
+        self, node: NodeId, ts: TimePoint, te: TimePoint, clients: int = 1
+    ) -> NeighborhoodHistory:
+        out, self.last_fetch_stats = self._retrieve(
+            self._khop_history_plan(node, ts, te), clients
+        )
+        return out
+
+    def _khop_history_plan(
+        self, node: NodeId, ts: TimePoint, te: TimePoint
+    ) -> Compiled:
+        """Algorithm 5 as one plan: the center's history stages, then a
+        factory that reads the ``(neighbor, sub-interval)`` pairs off the
+        fetched center and chains each neighbor's history stages behind
+        its predecessor's.  Every sub-plan is built only once the one
+        before it was finalized (and its replayed states checkpointed),
+        so rounds, requests and checkpoint outcomes equal the inherited
+        one-history-at-a-time loop exactly."""
+        plan = FetchPlan(f"khop_history(node={node}, ts={ts}, te={te})")
+        extra = FetchStats()
+        histories: List[NodeHistory] = []
+        todo: List[Tuple[NodeId, TimePoint, TimePoint]] = [(node, ts, te)]
+        # what a degraded fetch dropped while the factories finalized
+        # under a batch window's scope (cf. ``_khops_plan``'s ``dropped``)
+        lost = PartialCollector()
+
+        def chain_next() -> None:
+            member, s, e = todo.pop(0)
+            sub = self._node_histories_plan([member], s, e)
+            plan.stages.extend(sub[0].stages)
+
+            def settle(values: Dict[DeltaKey, object]) -> None:
+                scope = lost if active_partial() is not None else None
+                with partial_scope(scope):
+                    history = self._finish(sub, values, extra)[0]
+                if not histories:
+                    todo.extend(neighbor_intervals(history))
+                histories.append(history)
+                if todo:
+                    chain_next()
+
+            plan.add_factory(settle)
+
+        chain_next()
+
+        def finalize(values: Dict[DeltaKey, object]) -> NeighborhoodHistory:
+            _charge_dropped(lost.partitions, "neighborhood history")
+            return NeighborhoodHistory(histories[0], tuple(histories[1:]))
+
+        return plan, finalize, extra

@@ -35,7 +35,7 @@ overlap instead of summing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 KeyTuple = Tuple
@@ -259,30 +259,21 @@ class FetchStats:
         return sum(r.raw_bytes for r in self.requests)
 
     def merge(self, other: "FetchStats") -> None:
-        """Fold another plan executed *sequentially after* this one."""
-        self.requests.extend(other.requests)
-        self.sim_time_ms += other.sim_time_ms
-        self.rounds += other.rounds
-        self.overlap_saved_ms += other.overlap_saved_ms
-        self.apply_ms += other.apply_ms
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_bytes_saved += other.cache_bytes_saved
-        self.checkpoint_hits += other.checkpoint_hits
-        self.checkpoint_misses += other.checkpoint_misses
-        self.checkpoint_near_hits += other.checkpoint_near_hits
-        self.decoded_events += other.decoded_events
-        self.coalesced_hits += other.coalesced_hits
-        self.coalesced_bytes_saved += other.coalesced_bytes_saved
-        self.merged_rounds += other.merged_rounds
-        self.retries += other.retries
-        self.hedges += other.hedges
-        self.breaker_trips += other.breaker_trips
-        self.backoff_ms += other.backoff_ms
-        self.degraded_keys += other.degraded_keys
-        for label in other.degraded_partitions:
-            if label not in self.degraded_partitions:
-                self.degraded_partitions.append(label)
+        """Fold another plan executed *sequentially after* this one.
+
+        Driven by the dataclass fields, so a counter added above flows
+        through without a line here: numbers add, the request records
+        concatenate, partition labels union."""
+        mine, theirs = vars(self), vars(other)
+        for name in COUNTER_NAMES:
+            value = theirs[name]
+            if type(value) is not list:
+                mine[name] += value
+            elif name == "degraded_partitions":
+                known = mine[name]
+                known.extend(label for label in value if label not in known)
+            else:
+                mine[name].extend(value)
 
     def merge_concurrent(
         self, other: "FetchStats", completed_at_ms: float
@@ -293,6 +284,11 @@ class FetchStats:
         sequential sum."""
         self.merge(other)
         self.sim_time_ms = completed_at_ms
+
+
+#: Every :class:`FetchStats` field, by name — what the stats records that
+#: mirror it (``QueryStats``, span attributes) copy, so none hand-lists them.
+COUNTER_NAMES = tuple(spec.name for spec in fields(FetchStats))
 
 
 def simulate_plan(

@@ -30,18 +30,31 @@ cheapest, and return a :class:`~repro.api.QueryResult` whose
 vs. actual cost.  ``SON``/``SOTS`` come back pre-bound to the session's
 handler.
 
-Retrieval-as-planning over priced alternatives follows "Efficient
+**There is one way to run a query.**  Every terminal kind compiles
+(``_compile``) to fetch plan(s) plus a finalize closure, a call's plans
+run through one ``PlanExecutor.execute_many``, and each request is
+finalized off its plans' values (``_finalize``).  ``execute(r)`` is the
+batch of one — plans back to back, the sequential sim clock, the only
+outcome the EWMA correction learns from; ``execute_batch`` runs many on
+one pipelined, coalesced timeline.  Stats travel with results (the index
+*returns* ``(value, FetchStats)``); the session never reads
+``last_fetch_stats``, so threads sharing one each report their own work.
+
+Retrieval-as-planning over priced alternatives, and single- and
+multi-point queries answered from one shared plan, follow "Efficient
 Snapshot Retrieval over Historical Graph Data" (Khurana & Deshpande,
 ICDE 2013); here the unit priced is the whole fetch plan.
 
 Direct construction of ``TGIHandler`` (and calling ``TGI.get_*`` for
 anything but internal plumbing) is deprecated in favor of sessions; both
-classes keep working and offer ``.session()`` shims.
+classes keep working for direct callers.
 """
 
 from __future__ import annotations
 
+import threading
 import time as _time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -67,7 +80,6 @@ from repro.api import (
     QueryResult,
     QueryStats,
 )
-from repro.deltas.columnar import decoded_events_total
 from repro.errors import IndexError_, QueryError, StorageError
 from repro.exec import (
     DeltaCache,
@@ -78,7 +90,7 @@ from repro.exec import (
 )
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, TGIPlanner, price_plan
-from repro.kvstore.cost import ExecutionTimeline, FetchStats
+from repro.kvstore.cost import COUNTER_NAMES, ExecutionTimeline, FetchStats
 from repro.kvstore.degrade import PartialCollector, partial_scope
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Span, Tracer, current_span
@@ -105,22 +117,22 @@ _TIE_ORDER = {ALGO_KHOP: 0, ALGO_PER_CENTER: 1, ALGO_SNAPSHOT_FIRST: 2}
 
 
 @dataclass
-class _BatchSpec:
-    """One batched request compiled for shared execution: its exec
-    plan(s), the per-plan finalizers, the checkpoint counters resolved at
-    plan-build time, and the recipe reassembling the finalized outputs
-    into the request's value shape."""
+class _Spec:
+    """One request compiled for execution: its ``(plan, finalize,
+    extra)`` triples (see :meth:`TGI._retrieve`), the recipe reassembling
+    the finalized outputs into the request's value shape, and what
+    pricing decided."""
 
-    plans: List[Any]
-    finalizes: List[Callable[[Dict], Any]]
-    ckpts: List[Dict[str, int]]
+    compiled: List[Tuple]
     assemble: Callable[[List[Any]], Any]
     algorithm: str
     predicted: Optional[float]
+    #: the uncorrected model price the EWMA compares actuals against
+    raw: Optional[float]
     candidates: Dict[str, float]
-    #: index of this spec's first plan in the batch's shared plan list
+    #: index of this spec's first plan in the run's shared plan list
     first: int = 0
-    #: batch slots answered by this spec (equal requests share one)
+    #: request slots answered by this spec (equal requests share one)
     members: int = 1
     #: the finalized first result (or the exception finalizing raised),
     #: set once and copied for every further member
@@ -284,6 +296,7 @@ class GraphSession:
                 checkpoint_admission=tgi.config.checkpoint_admission,
             )
             self._registered = True
+        self.cache = None
         if caching:
             if slot is not None:
                 self.cache = slot.delta
@@ -295,25 +308,17 @@ class GraphSession:
                     tgi.delta_cache if tgi.delta_cache is not None
                     else DeltaCache(capacity, byte_bound)
                 )
-            # rebind the index's executor so every path — direct TGI
-            # calls, TAF fetches, session queries — reads through the
-            # shared cache
-            tgi.delta_cache = self.cache
-            tgi.executor = PlanExecutor(
-                tgi.cluster, self.cache,
-                apply_workers=tgi.config.apply_workers,
-                coalesce=tgi.config.coalesce,
-            )
-        else:
-            self.cache = None
-            # an earlier session may have bound a cache to this index;
-            # capacity 0 must really mean uncached accounting
-            tgi.delta_cache = None
-            tgi.executor = PlanExecutor(
-                tgi.cluster, None,
-                apply_workers=tgi.config.apply_workers,
-                coalesce=tgi.config.coalesce,
-            )
+        # rebind the index's executor so every path — direct TGI calls,
+        # TAF fetches, session queries — reads through the shared cache;
+        # an earlier session may have bound one to this index, and
+        # capacity 0 must really mean uncached accounting
+        tgi.delta_cache = self.cache
+        tgi.executor = PlanExecutor(
+            tgi.cluster, self.cache,
+            apply_workers=tgi.config.apply_workers,
+            coalesce=tgi.config.coalesce,
+        )
+        self.checkpoint_cache = None
         if ckpt_capacity > 0:
             if slot is not None:
                 self.checkpoint_cache = slot.checkpoints
@@ -325,11 +330,8 @@ class GraphSession:
                         admission=tgi.config.checkpoint_admission,
                     )
                 )
-            tgi.checkpoints = self.checkpoint_cache
-        else:
-            self.checkpoint_cache = None
-            # checkpoint_entries 0 must really mean replay-from-root
-            tgi.checkpoints = None
+        # checkpoint_entries 0 must really mean replay-from-root
+        tgi.checkpoints = self.checkpoint_cache
         self.sc = spark_context or SparkContext(num_workers=workers)
         self.clients = clients
         self.handler = TGIHandler(
@@ -339,10 +341,12 @@ class GraphSession:
         #: Wall clock for deadline enforcement (monotonic seconds);
         #: injectable so tests can drive expiry deterministically.
         self.clock: Callable[[], float] = _time.monotonic
-        self.last_result: Optional[QueryResult] = None
         # per-algorithm EWMA of observed actual/predicted sim-ms ratios;
         # applied multiplicatively to subsequent candidate pricing
         self._correction: Dict[str, float] = {}
+        # guards the session state queries fold into from collector
+        # worker threads: the EWMA above and the totals below
+        self._lock = threading.Lock()
         #: Optional :class:`repro.obs.Tracer`.  ``None`` (the default)
         #: leaves every instrumentation site on its no-op path, so
         #: untraced accounting is bit-identical to pre-tracing builds.
@@ -378,7 +382,8 @@ class GraphSession:
     def corrections(self) -> Dict[str, float]:
         """The current per-algorithm predicted→actual correction factors
         (selection feedback loop; 1.0 = trust the cost model as-is)."""
-        return dict(self._correction)
+        with self._lock:
+            return dict(self._correction)
 
     def _corrected(self, candidates: Dict[str, float]) -> Dict[str, float]:
         return {
@@ -387,15 +392,17 @@ class GraphSession:
         }
 
     def _record_totals(self, kind: str, stats: QueryStats) -> None:
-        row = self._totals.get(kind)
-        if row is None:
-            row = self._totals[kind] = {
-                "queries": 0.0, "requests": 0.0, "bytes": 0.0, "sim_ms": 0.0,
-            }
-        row["queries"] += 1.0
-        row["requests"] += float(stats.requests or 0)
-        row["bytes"] += float(stats.bytes_read or 0)
-        row["sim_ms"] += float(stats.sim_time_ms or 0.0)
+        with self._lock:
+            row = self._totals.get(kind)
+            if row is None:
+                row = self._totals[kind] = {
+                    "queries": 0.0, "requests": 0.0, "bytes": 0.0,
+                    "sim_ms": 0.0,
+                }
+            row["queries"] += 1.0
+            row["requests"] += float(stats.requests or 0)
+            row["bytes"] += float(stats.bytes_read or 0)
+            row["sim_ms"] += float(stats.sim_time_ms or 0.0)
 
     def export_metrics(self, fmt: str = "json"):
         """Session-level telemetry for non-service users.
@@ -407,21 +414,23 @@ class GraphSession:
         :class:`~repro.obs.MetricsRegistry` in text exposition format.
         """
         frontier = self.tgi.frontier_corrections
+        corrections = self.corrections
+        with self._lock:  # a snapshot: queries may be folding in
+            totals = {
+                kind: dict(row) for kind, row in sorted(self._totals.items())
+            }
         if fmt == "json":
             return {
-                "corrections": self.corrections,
+                "corrections": corrections,
                 "frontier_margin_scale": {
                     str(k): v for k, v in sorted(frontier.items())
                 },
-                "totals": {
-                    kind: dict(row)
-                    for kind, row in sorted(self._totals.items())
-                },
+                "totals": totals,
             }
         if fmt != "prometheus":
             raise QueryError(f"unknown metrics format {fmt!r}")
         registry = MetricsRegistry()
-        for algo, scale in sorted(self._correction.items()):
+        for algo, scale in sorted(corrections.items()):
             registry.gauge(
                 "hgs_planner_correction",
                 "per-algorithm EWMA predicted-to-actual scale",
@@ -433,7 +442,7 @@ class GraphSession:
                 "learned k-hop frontier occupancy margin multiplier",
                 labels={"k": k},
             ).set(scale)
-        for kind, row in sorted(self._totals.items()):
+        for kind, row in totals.items():
             labels = {"kind": kind}
             registry.counter(
                 "hgs_session_queries_total",
@@ -462,10 +471,11 @@ class GraphSession:
         if predicted_raw is None or predicted_raw <= 0.0:
             return
         ratio = actual / predicted_raw
-        prev = self._correction.get(algorithm, 1.0)
-        self._correction[algorithm] = (
-            (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * ratio
-        )
+        with self._lock:  # read-modify-write from concurrent queries
+            prev = self._correction.get(algorithm, 1.0)
+            self._correction[algorithm] = (
+                (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * ratio
+            )
 
     # ------------------------------------------------------------------
     # construction shims
@@ -474,17 +484,6 @@ class GraphSession:
     def from_index(cls, tgi: TGI, **kwargs) -> "GraphSession":
         """Session over an already-built (or just-loaded) index."""
         return cls(tgi, **kwargs)
-
-    @classmethod
-    def from_handler(cls, handler: TGIHandler, **kwargs) -> "GraphSession":
-        """Adopt a legacy hand-wired :class:`TGIHandler` (deprecation
-        shim: the session reuses its index, Spark context and client
-        count instead of constructing fresh ones)."""
-        kwargs.setdefault("spark_context", handler.sc)
-        kwargs.setdefault("clients", handler.clients_per_partition)
-        session = cls(handler.tgi, **kwargs)
-        session.handler = handler
-        return session
 
     # ------------------------------------------------------------------
     # fluent builder entry points
@@ -714,13 +713,16 @@ class GraphSession:
         *,
         deadline_at: Optional[float] = None,
     ) -> QueryResult:
-        """Price, select, and run one compiled request.
+        """Price, select, and run one compiled request — the batch of
+        one: the same compile → run → finalize code as
+        :meth:`execute_batch`, with the request's plans executed back to
+        back instead of on a shared coalesced timeline.
 
         ``deadline_at`` is an absolute instant on :attr:`clock`
         (monotonic seconds); when omitted it is derived from the
         request's ``deadline_ms`` budget, counted from now.  An expired
-        deadline — at entry or between fetch rounds — raises
-        :class:`~repro.api.DeadlineExceeded`.  Cancellation is
+        deadline — at entry, between fetch rounds, or at assembly —
+        raises :class:`~repro.api.DeadlineExceeded`.  Cancellation is
         cooperative: the executor checks between stages and scheduling
         rounds, never mid-``multiget``, so a fetch already issued to the
         store completes before the query aborts.
@@ -731,39 +733,39 @@ class GraphSession:
         beneath it, and the finished span carries the result's
         :class:`QueryStats` as attributes.
         """
+        return self._traced(
+            "query", {"kind": request.kind},
+            lambda: self._run([request], [deadline_at])[0],
+            lambda root, result: self._annotate_query_span(
+                root, request, result
+            ),
+        )
+
+    def _traced(
+        self,
+        name: str,
+        attrs: Dict[str, Any],
+        body: Callable[[], Any],
+        annotate: Callable[[Span, Any], None],
+    ) -> Any:
+        """Run ``body`` — under a root span when a :attr:`tracer` is
+        attached, this call is sampled and no trace is open already —
+        and let ``annotate`` project its outcome onto that span."""
         tracer = self.tracer
         if (
             tracer is None
             or current_span() is not None  # already inside a trace
             or not tracer.should_sample()
         ):
-            return self._execute_with_deadline(request, deadline_at)
-        with tracer.trace("query", kind=request.kind) as root:
+            return body()
+        with tracer.trace(name, **attrs) as root:
             try:
-                result = self._execute_with_deadline(request, deadline_at)
+                out = body()
             except Exception as exc:
                 root.set(error=type(exc).__name__)
                 raise
-            self._annotate_query_span(root, request, result)
-        return result
-
-    def _execute_with_deadline(
-        self, request: QueryRequest, deadline_at: Optional[float]
-    ) -> QueryResult:
-        if deadline_at is None and request.deadline_ms is not None:
-            deadline_at = self.clock() + request.deadline_ms / 1000.0
-        if deadline_at is None:
-            return self._dispatch(request)
-
-        def check() -> None:
-            if self.clock() > deadline_at:
-                raise DeadlineExceeded(
-                    f"deadline exceeded running {request.kind} query"
-                )
-
-        check()
-        with cancel_scope(check):
-            return self._dispatch(request)
+            annotate(root, out)
+        return out
 
     @staticmethod
     def _annotate_query_span(
@@ -771,50 +773,22 @@ class GraphSession:
     ) -> None:
         """Project the result's stats onto its span: the span tree holds
         at least everything ``QueryStats`` reports, so the terminal
-        counters are a view of the trace."""
+        counters are a view of the trace (every :class:`FetchStats`
+        counter by name, ``bytes_read`` as ``bytes``)."""
         stats = result.stats
         span.set(
             kind=request.kind,
             algorithm=stats.algorithm,
             predicted_ms=stats.predicted_ms,
             candidates=stats.candidates,
-            sim_time_ms=stats.sim_time_ms,
-            requests=stats.requests,
             bytes=stats.bytes_read,
-            rounds=stats.rounds,
-            apply_ms=stats.apply_ms,
-            cache_hits=stats.cache_hits,
-            cache_misses=stats.cache_misses,
-            checkpoint_hits=stats.checkpoint_hits,
-            checkpoint_misses=stats.checkpoint_misses,
-            checkpoint_near_hits=stats.checkpoint_near_hits,
-            decoded_events=stats.decoded_events,
-            coalesced_hits=stats.coalesced_hits,
-            merged_rounds=stats.merged_rounds,
-            retries=stats.retries,
-            hedges=stats.hedges,
-            breaker_trips=stats.breaker_trips,
-            backoff_ms=stats.backoff_ms,
-            degraded_keys=stats.degraded_keys,
+            **{name: getattr(stats, name) for name in COUNTER_NAMES},
         )
         if result.error is not None:
             span.set(error=type(result.error).__name__)
         # the root's sim window is the query's makespan by construction,
         # so the exported trace reconciles with QueryStats.sim_time_ms
         span.set_sim(0.0, stats.sim_time_ms or 0.0)
-
-    def _dispatch(self, request: QueryRequest) -> QueryResult:
-        collector = PartialCollector() if request.allow_partial else None
-        with partial_scope(collector):
-            if request.kind == "khop":
-                result = self._execute_khop(request)
-            else:
-                result = self._execute_simple(request)
-        if collector is not None:
-            self._fold_degraded(result, collector)
-        self.last_result = result
-        self._record_totals(request.kind, result.stats)
-        return result
 
     @staticmethod
     def _fold_degraded(
@@ -885,11 +859,11 @@ class GraphSession:
         ``coalesce=False`` (or an index built with
         ``TGIConfig(coalesce=False)``) is the escape hatch: the batch
         degenerates to a serial ``execute`` loop with bit-identical
-        accounting.  ``khop_history`` requests (no composable plan form
-        yet) always run serially, before their results slot back into
-        input order.  The per-algorithm EWMA correction is *not* updated
-        from batched runs — coalesced actuals reflect shared work and
-        would mistrain the standalone predictions.
+        accounting.  Every kind has a plan form — ``khop_history`` chains
+        its neighbors' history stages behind the center's — so every
+        kind coalesces.  The per-algorithm EWMA correction is *not*
+        updated from batched runs — coalesced actuals reflect shared
+        work and would mistrain the standalone predictions.
 
         ``capture_errors=True`` turns per-request failures (bad plans,
         dead nodes at assembly, expired deadlines) into
@@ -905,25 +879,14 @@ class GraphSession:
         requests expire at their assembly check.
         """
         requests = list(requests)
-        tracer = self.tracer
-        if (
-            tracer is None
-            or current_span() is not None
-            or not tracer.should_sample()
-        ):
-            return self._execute_batch_inner(
-                requests, coalesce,
-                capture_errors=capture_errors, deadline_ats=deadline_ats,
-            )
-        with tracer.trace("batch", size=len(requests)) as root:
-            try:
-                results = self._execute_batch_inner(
-                    requests, coalesce,
-                    capture_errors=capture_errors, deadline_ats=deadline_ats,
-                )
-            except Exception as exc:
-                root.set(error=type(exc).__name__)
-                raise
+        if deadline_ats is None:
+            deadline_ats = [None] * len(requests)
+        elif len(deadline_ats) != len(requests):
+            raise ValueError("deadline_ats length must match requests length")
+        if coalesce is None:
+            coalesce = self.tgi.config.coalesce
+
+        def annotate(root: Span, results: List[QueryResult]) -> None:
             sim_end = 0.0
             for i, (request, result) in enumerate(zip(requests, results)):
                 q = root.child("query", lane=f"query-{i}")
@@ -932,215 +895,172 @@ class GraphSession:
                 sim_end = max(sim_end, result.stats.sim_time_ms or 0.0)
             root.set(sim_time_ms=sim_end)
             root.set_sim(0.0, sim_end)
-        return results
 
-    def _execute_batch_inner(
+        return self._traced(
+            "batch", {"size": len(requests)},
+            lambda: self._run(
+                requests, deadline_ats, capture_errors, coalesce
+            ),
+            annotate,
+        )
+
+    def _run(
         self,
         requests: List[QueryRequest],
-        coalesce: Optional[bool] = None,
-        *,
+        deadline_ats: Sequence[Optional[float]],
         capture_errors: bool = False,
-        deadline_ats: Optional[Sequence[Optional[float]]] = None,
+        coalesce: bool = True,
     ) -> List[QueryResult]:
+        """The one way a query runs: :meth:`_compile` every request to
+        plans + finalizers, execute all plans in one ``execute_many``,
+        :meth:`_finalize` each request off its plans' values.  One
+        distinct request asked once runs *standalone* — plans back to
+        back, the sequential sim clock, the outcome fed to the EWMA;
+        anything more shares one pipelined, coalesced timeline (or, with
+        ``coalesce`` off, runs as that many batches of one)."""
+        # absolute deadlines on the session clock: the given instants,
+        # else each request's ``deadline_ms`` budget counted from now
         now = self.clock()
-        if deadline_ats is None:
-            deadlines: List[Optional[float]] = [None] * len(requests)
-        else:
-            deadlines = list(deadline_ats)
-            if len(deadlines) != len(requests):
-                raise ValueError(
-                    "deadline_ats length must match requests length"
-                )
-        for i, request in enumerate(requests):
-            if deadlines[i] is None and request.deadline_ms is not None:
-                deadlines[i] = now + request.deadline_ms / 1000.0
+        deadlines = [
+            at if at is not None or request.deadline_ms is None
+            else now + request.deadline_ms / 1000.0
+            for request, at in zip(requests, deadline_ats)
+        ]
+        if not coalesce and len(requests) > 1:
+            return [
+                self._run([request], [deadline], capture_errors)[0]
+                for request, deadline in zip(requests, deadlines)
+            ]
+        results: List[Optional[QueryResult]] = [None] * len(requests)
 
-        def error_result(
-            request: QueryRequest, exc: Exception
-        ) -> QueryResult:
-            return QueryResult(request, None, QueryStats(), error=exc)
-
-        def guarded(
-            request: QueryRequest, deadline_at: Optional[float]
-        ) -> QueryResult:
-            try:
-                return self.execute(request, deadline_at=deadline_at)
-            except Exception as exc:
-                if not capture_errors:
-                    raise
-                return error_result(request, exc)
+        def fail(i: int, exc: Exception) -> None:
+            if not capture_errors:
+                raise exc
+            results[i] = QueryResult(
+                requests[i], None, QueryStats(), error=exc
+            )
 
         def expired(i: int) -> bool:
             return deadlines[i] is not None and self.clock() > deadlines[i]
 
-        do_coalesce = (
-            self.tgi.config.coalesce if coalesce is None else coalesce
-        )
-        if not do_coalesce or len(requests) < 2:
-            return [
-                guarded(request, deadline)
-                for request, deadline in zip(requests, deadlines)
-            ]
         shared: Set = set()
-        specs: List[Optional[_BatchSpec]] = []
+        specs: List[Optional[_Spec]] = []
         plans: List[Any] = []
-        errors: List[Optional[QueryResult]] = [None] * len(requests)
         # equal requests are planned once: every later one joins the
         # first's spec (deadlines stay per slot, so an expired duplicate
         # neither joins nor blocks the group)
-        planned: Dict[QueryRequest, _BatchSpec] = {}
+        planned: Dict[QueryRequest, _Spec] = {}
         for i, request in enumerate(requests):
+            spec = None
             if expired(i):
-                exc: Exception = DeadlineExceeded(
+                fail(i, DeadlineExceeded(
                     f"deadline exceeded before planning {request.kind} query"
-                )
-                if not capture_errors:
-                    raise exc
-                errors[i] = error_result(request, exc)
-                specs.append(None)
-                continue
-            spec = planned.get(request)
-            if spec is not None:
+                ))
+            elif request in planned:
+                spec = planned[request]
                 spec.members += 1
-                specs.append(spec)
-                continue
-            try:
-                spec = self._plan_batched(request, shared)
-            except Exception as exc:
-                if not capture_errors:
-                    raise
-                errors[i] = error_result(request, exc)
-                spec = None
-            if spec is not None:
-                spec.first = len(plans)
-                plans.extend(spec.plans)
-                planned[request] = spec
+            else:
+                try:
+                    spec = planned[request] = self._compile(request, shared)
+                except Exception as exc:
+                    fail(i, exc)
+                else:
+                    spec.first = len(plans)
+                    plans.extend(one[0] for one in spec.compiled)
             specs.append(spec)
-        if len(plans) < 2 and not any(
-            spec.members > 1 for spec in planned.values()
-        ):
-            # nothing to coalesce across (e.g. all-khop_history batch)
-            return [
-                errors[i] if errors[i] is not None
-                else guarded(requests[i], deadlines[i])
-                for i in range(len(requests))
-            ]
-        clients = max(request.clients for request in requests)
-        # cancel shared execution only when every participant is
-        # deadline-bounded: the latest deadline is the first instant at
-        # which *no* batchmate can still use the remaining fetches
-        live_deadlines = [
-            deadlines[i]
-            for i in range(len(requests))
-            if specs[i] is not None
-        ]
-        batch_deadline = (
-            max(live_deadlines)
-            if live_deadlines and all(d is not None for d in live_deadlines)
+        live = [i for i, spec in enumerate(specs) if spec is not None]
+        if not live:
+            return results
+        standalone = sum(spec.members for spec in planned.values()) == 1
+        # cancel execution only when every participant is deadline-
+        # bounded: the latest deadline is the first instant at which *no*
+        # batchmate can still use the remaining fetches
+        cancel_at = (
+            max(deadlines[i] for i in live)
+            if all(deadlines[i] is not None for i in live)
             else None
         )
+
+        def check() -> None:
+            if self.clock() > cancel_at:
+                raise DeadlineExceeded("deadline exceeded during execution")
+
         # A shared-window collector keeps one request's dead partitions
         # from killing its batchmates: the resilient fetch drops the
         # unreachable keys instead of raising, and each request settles
         # its own fate at finalize time — allow_partial requests fold
         # the drop into a degraded result, strict ones hit the missing
         # rows and fail (captured per-request when capture_errors).
-        window_collector = (
+        window = (
             PartialCollector()
             if capture_errors
             or any(request.allow_partial for request in requests)
             else None
         )
         try:
-            with partial_scope(window_collector):
-                if batch_deadline is not None:
-                    def batch_check() -> None:
-                        if self.clock() > batch_deadline:
-                            raise DeadlineExceeded(
-                                "deadline exceeded during shared batch"
-                                " execution"
-                            )
-
-                    with cancel_scope(batch_check):
-                        pipe = self.tgi.executor.execute_many(
-                            plans, clients=clients,
-                            pipelined=True, coalesce=True,
-                        )
-                else:
-                    pipe = self.tgi.executor.execute_many(
-                        plans, clients=clients, pipelined=True,
-                        coalesce=True,
-                    )
+            with partial_scope(window), (
+                cancel_scope(check) if cancel_at is not None
+                else nullcontext()
+            ):
+                pipe = self.tgi.executor.execute_many(
+                    plans,
+                    clients=max(request.clients for request in requests),
+                    pipelined=not standalone, coalesce=True,
+                )
         except DeadlineExceeded as exc:
-            if not capture_errors:
-                raise
-            return [
-                errors[i] if errors[i] is not None
-                else guarded(requests[i], deadlines[i])
-                if specs[i] is None
-                else error_result(requests[i], exc)
-                for i in range(len(requests))
-            ]
-        except StorageError:
+            for i in live:
+                fail(i, exc)
+            return results
+        except StorageError as exc:
             # the shared window died as a whole (e.g. a transient fault
             # on the plain fetch path, which has no per-key drop form);
-            # fall back to fault-isolated serial execution so only the
+            # fall back to fault-isolated batches of one so only the
             # requests that actually depend on the dead machine fail
-            if not capture_errors:
-                raise
-            return [
-                errors[i] if errors[i] is not None
-                else guarded(requests[i], deadlines[i])
-                for i in range(len(requests))
-            ]
-        out: List[QueryResult] = []
-        for i, (request, spec) in enumerate(zip(requests, specs)):
-            if errors[i] is not None:
-                out.append(errors[i])
-                continue
-            if spec is None:
-                out.append(guarded(request, deadlines[i]))
-                continue
+            for i in live:
+                if standalone or not capture_errors:
+                    fail(i, exc)
+                else:
+                    results[i] = self._run(
+                        [requests[i]], [deadlines[i]], capture_errors
+                    )[0]
+            return results
+        for i in live:
+            request, spec = requests[i], specs[i]
             if expired(i):
-                exc = DeadlineExceeded(
+                fail(i, DeadlineExceeded(
                     f"deadline exceeded assembling {request.kind} query"
-                )
-                if not capture_errors:
-                    raise exc
-                out.append(error_result(request, exc))
+                ))
                 continue
             settled = spec.outcome is not None
             if not settled:
-                spec.outcome = self._finalize_batched(
+                spec.outcome = self._finalize(
                     request, spec, pipe, capture_errors
                 )
             if isinstance(spec.outcome, Exception):
-                out.append(error_result(request, spec.outcome))
+                fail(i, spec.outcome)
                 continue
-            result = (
+            results[i] = (
                 self._duplicate_result(request, spec.outcome) if settled
                 else spec.outcome
             )
-            self._record_totals(request.kind, result.stats)
-            out.append(result)
-        if out:
-            self.last_result = out[-1]
-        return out
+            self._record_totals(request.kind, results[i].stats)
+        return results
 
-    def _finalize_batched(
+    def _finalize(
         self,
         request: QueryRequest,
-        spec: _BatchSpec,
+        spec: "_Spec",
         pipe: Any,
         capture_errors: bool,
     ) -> Union[QueryResult, Exception]:
-        """Finalize one planned spec off the shared execution's values
-        into its first member's result — or, under ``capture_errors``,
-        the exception that felled it (which every member then reports).
-        The spec's fair ``requests`` / ``bytes_read`` are split evenly
-        over its members, so the batch's shares still sum to the
-        deduplicated totals."""
-        decoded0 = decoded_events_total()
+        """Finalize one compiled spec off the execution's values into its
+        first member's result — or, under ``capture_errors``, the
+        exception that felled it (which every member then reports)."""
+        span = range(spec.first, spec.first + len(spec.compiled))
+        executed = [pipe.results[j] for j in span]
+        fetch = FetchStats()
+        for result in executed:
+            fetch.merge(result.stats)
         # finalize under the request's own collector: allow_partial
         # requests absorb missing rows as a degraded result; strict
         # requests run scope-less so a dropped partition raises a
@@ -1148,43 +1068,37 @@ class GraphSession:
         req_collector = PartialCollector() if request.allow_partial else None
         try:
             with partial_scope(req_collector):
-                finalized = [
-                    finalize(pipe.results[spec.first + j].values)
-                    for j, finalize in enumerate(spec.finalizes)
-                ]
-                value = spec.assemble(finalized)
+                value = spec.assemble([
+                    self.tgi._finish(one, result.values, fetch)
+                    for one, result in zip(spec.compiled, executed)
+                ])
         except Exception as exc:
             if not capture_errors:
                 raise
             return exc
-        decoded = decoded_events_total() - decoded0
-        span = range(spec.first, spec.first + len(spec.plans))
-        fetch = FetchStats()
-        completion = 0.0
-        for idx in span:
-            fetch.merge(pipe.results[idx].stats)
-            completion = max(completion, pipe.results[idx].stats.sim_time_ms)
         stats = QueryStats.from_fetch(
             fetch,
             algorithm=spec.algorithm,
             predicted_ms=spec.predicted,
             candidates=spec.candidates,
         )
-        # the request completes when its last plan does on the shared
-        # timeline (merge() summed the per-plan completion instants)
-        stats.sim_time_ms = completion
-        report = pipe.coalesce
-        if report is not None:
-            stats.requests = sum(report.fair_requests[idx] for idx in span)
-            stats.bytes_read = sum(report.fair_bytes[idx] for idx in span)
-        if spec.members > 1:
-            stats.requests /= spec.members
-            stats.bytes_read /= spec.members
-        for ckpt in spec.ckpts:
-            stats.checkpoint_hits += ckpt["hits"]
-            stats.checkpoint_misses += ckpt["misses"]
-            stats.checkpoint_near_hits += ckpt["near_hits"]
-        stats.decoded_events += decoded
+        if pipe.timeline is None:
+            # ran alone, plans back to back: merge() summed the query's
+            # clock, and only such an outcome may train the EWMA
+            self._observe(spec.algorithm, spec.raw, stats.sim_time_ms)
+        else:
+            # the request completes when its last plan does on the
+            # shared timeline; shared fetches are attributed fairly and
+            # the spec's share split evenly over its members, so the
+            # batch's shares still sum to the deduplicated totals
+            stats.sim_time_ms = max(r.stats.sim_time_ms for r in executed)
+            report = pipe.coalesce
+            if report is not None:
+                stats.requests = sum(report.fair_requests[j] for j in span)
+                stats.bytes_read = sum(report.fair_bytes[j] for j in span)
+            if spec.members > 1:
+                stats.requests /= spec.members
+                stats.bytes_read /= spec.members
         result = QueryResult(request, value, stats)
         if req_collector is not None:
             self._fold_degraded(result, req_collector)
@@ -1219,27 +1133,21 @@ class GraphSession:
             request, _private_copy(first.value), stats, degraded=degraded
         )
 
-    def _plan_batched(
-        self, request: QueryRequest, shared: Set
-    ) -> Optional[_BatchSpec]:
-        """Compile one request into exec plan(s) plus a reassembly
-        recipe, pricing candidates with the shared-context discount and
-        folding the chosen plan's pricing keys into ``shared`` for the
-        batch members planned after it.  Returns ``None`` for kinds the
-        batched path cannot compose (``khop_history``)."""
+    def _compile(self, request: QueryRequest, shared: Set) -> "_Spec":
+        """Compile one request of any kind into exec plan(s) plus a
+        reassembly recipe, pricing candidates with the shared-context
+        discount and folding the chosen plan's pricing keys into
+        ``shared`` for the requests compiled after it."""
         tgi = self.tgi
-        if request.kind == "khop_history":
-            return None
         if request.kind == "khop":
-            chosen, candidates, _raw, _notes, pricing_keys = (
+            chosen, candidates, raw, _notes, pricing_keys = (
                 self._choose_khop(request, shared_keys=shared)
             )
             t, k = request.t, request.k
             nodes = list(request.nodes)
             if chosen == ALGO_SNAPSHOT_FIRST:
                 # read-only: assemble only filters the snapshot
-                plan, fin, ckpt = tgi._snapshot_exec_plan(t, read_only=True)
-                plans, finalizes, ckpts = [plan], [fin], [ckpt]
+                compiled = [tgi._snapshot_exec_plan(t, read_only=True)]
 
                 def assemble(outs, nodes=nodes, single=request.single):
                     g = outs[0]
@@ -1257,170 +1165,73 @@ class GraphSession:
                 # fetch each *distinct* center as its own plan (matching
                 # how the candidate was priced); coalescing dedups the
                 # partitions the neighborhoods share
-                plans, finalizes, ckpts = [], [], []
                 order = list(dict.fromkeys(nodes))
-                for center in order:
-                    plan, fin, ckpt = tgi._khops_plan([center], t, k)
-                    plans.append(plan)
-                    finalizes.append(fin)
-                    ckpts.append(ckpt)
+                compiled = [tgi._khops_plan([c], t, k) for c in order]
 
                 def assemble(outs, order=order, nodes=nodes):
                     graphs = {c: outs[i][0] for i, c in enumerate(order)}
                     return [graphs[c] for c in nodes]
-            else:  # shared-frontier Algorithm 4 (or a forced per-center
-                #    on a single center, which is the same loop)
+            else:
+                # shared-frontier Algorithm 4 (a forced per-center on a
+                # single center is the same loop)
                 chosen = ALGO_KHOP
-                plan, fin, ckpt = tgi._khops_plan(nodes, t, k)
-                plans, finalizes, ckpts = [plan], [fin], [ckpt]
+                compiled = [tgi._khops_plan(nodes, t, k)]
 
                 def assemble(outs, nodes=nodes, single=request.single):
                     if not single:
                         return outs[0]
-                    g = outs[0][0]
-                    if g is None:
-                        raise IndexError_(
-                            f"node {nodes[0]} not alive at t={t}"
-                        )
-                    return g
+                    if outs[0][0] is None:
+                        raise tgi._dead_center(nodes[0], t)
+                    return outs[0][0]
 
             shared.update(pricing_keys)
-            return _BatchSpec(
-                plans=plans, finalizes=finalizes, ckpts=ckpts,
-                assemble=assemble, algorithm=chosen,
-                predicted=candidates.get(chosen), candidates=candidates,
+            return _Spec(
+                compiled=compiled, assemble=assemble, algorithm=chosen,
+                predicted=candidates.get(chosen), raw=raw.get(chosen),
+                candidates=candidates,
             )
-        predicted_raw, pricing_keys = self._predict(
-            request, shared_keys=shared
-        )
+        raw, pricing_keys = self._predict(request, shared_keys=shared)
+
+        def assemble(outs):
+            return outs[0]
+
         if request.kind == "snapshot":
             algorithm = "snapshot"
-            plan, fin, ckpt = tgi._snapshot_exec_plan(request.t)
-
-            def assemble(outs):
-                return outs[0]
-        else:  # node_histories / node_state
-            algorithm = (
-                "batched-histories" if request.kind == "node_histories"
-                else "micro-delta"
+            compiled = tgi._snapshot_exec_plan(request.t)
+        elif request.kind == "khop_history":
+            algorithm = "khop-history"
+            compiled = tgi._khop_history_plan(
+                request.nodes[0], request.ts, request.te
             )
-            ts = request.ts if request.kind == "node_histories" else request.t
-            te = request.te if request.kind == "node_histories" else request.t
-            plan, fin, ckpt = tgi._node_histories_plan(
-                list(request.nodes), ts, te
+        elif request.kind == "node_histories":
+            algorithm = "batched-histories"
+            compiled = tgi._node_histories_plan(
+                list(request.nodes), request.ts, request.te
             )
-            if request.kind == "node_state":
-                def assemble(outs):
-                    return outs[0][0].initial
-            elif request.single:
+            if request.single:
                 def assemble(outs):
                     return outs[0][0]
-            else:
-                def assemble(outs):
-                    return outs[0]
+        else:  # node_state
+            algorithm = "micro-delta"
+            compiled = tgi._node_histories_plan(
+                list(request.nodes), request.t, request.t
+            )
+
+            def assemble(outs):
+                return outs[0][0].initial
         predicted = (
-            predicted_raw * self._correction.get(algorithm, 1.0)
-            if predicted_raw is not None
+            raw * self._correction.get(algorithm, 1.0)
+            if raw is not None
             else None
         )
         shared.update(pricing_keys)
-        return _BatchSpec(
-            plans=[plan], finalizes=[fin], ckpts=[ckpt],
-            assemble=assemble, algorithm=algorithm, predicted=predicted,
+        return _Spec(
+            compiled=[compiled], assemble=assemble, algorithm=algorithm,
+            predicted=predicted, raw=raw,
             candidates=(
                 {algorithm: predicted} if predicted is not None else {}
             ),
         )
-
-    def _execute_simple(self, request: QueryRequest) -> QueryResult:
-        tgi = self.tgi
-        predicted_raw, _keys = self._predict(request)
-        algorithm = {
-            "snapshot": "snapshot",
-            "node_state": "micro-delta",
-            "node_histories": "batched-histories",
-            "khop_history": "khop-history",
-        }[request.kind]
-        if request.kind == "snapshot":
-            value = tgi.get_snapshot(request.t, clients=request.clients)
-        elif request.kind == "node_state":
-            value = tgi.get_node_state(
-                request.nodes[0], request.t, clients=request.clients
-            )
-        elif request.kind == "node_histories":
-            histories = tgi.get_node_histories(
-                list(request.nodes), request.ts, request.te,
-                clients=request.clients,
-            )
-            value = histories[0] if request.single else histories
-        else:  # khop_history
-            value = tgi.get_khop_history(
-                request.nodes[0], request.ts, request.te,
-                clients=request.clients,
-            )
-        predicted = (
-            predicted_raw * self._correction.get(algorithm, 1.0)
-            if predicted_raw is not None
-            else None
-        )
-        self._observe(
-            algorithm, predicted_raw, tgi.last_fetch_stats.sim_time_ms
-        )
-        stats = QueryStats.from_fetch(
-            tgi.last_fetch_stats,
-            algorithm=algorithm,
-            predicted_ms=predicted,
-            candidates={algorithm: predicted} if predicted is not None else {},
-        )
-        return QueryResult(request, value, stats)
-
-    def _execute_khop(self, request: QueryRequest) -> QueryResult:
-        tgi = self.tgi
-        chosen, candidates, raw, _notes, _keys = self._choose_khop(request)
-        t, k, clients = request.t, request.k, request.clients
-        if chosen == ALGO_KHOP:
-            if request.single:
-                value = tgi.get_khop(request.nodes[0], t, k=k,
-                                     clients=clients)
-            else:
-                value = tgi.get_khops(list(request.nodes), t, k=k,
-                                      clients=clients)
-            fetch = tgi.last_fetch_stats
-        elif chosen == ALGO_PER_CENTER:
-            # fetch each *distinct* center once (matching how the
-            # candidate was priced); duplicate inputs share the result
-            fetch = FetchStats()
-            graphs: Dict[NodeId, Optional[Graph]] = {}
-            for center in dict.fromkeys(request.nodes):
-                try:
-                    graphs[center] = tgi.get_khop(center, t, k=k,
-                                                  clients=clients)
-                except IndexError_:
-                    graphs[center] = None
-                fetch.merge(tgi.last_fetch_stats)
-            value = [graphs[center] for center in request.nodes]
-        elif chosen == ALGO_SNAPSHOT_FIRST:
-            if request.single:
-                value = tgi.get_khop_snapshot_first(
-                    request.nodes[0], t, k=k, clients=clients
-                )
-            else:
-                g = tgi._retrieve_snapshot(t, clients, read_only=True)
-                value = [
-                    g.khop_subgraph(center, k) if g.has_node(center) else None
-                    for center in request.nodes
-                ]
-            fetch = tgi.last_fetch_stats
-        else:
-            raise QueryError(f"unknown k-hop algorithm {chosen!r}")
-        self._observe(chosen, raw.get(chosen), fetch.sim_time_ms)
-        stats = QueryStats.from_fetch(
-            fetch,
-            algorithm=chosen,
-            predicted_ms=candidates.get(chosen),
-            candidates=candidates,
-        )
-        return QueryResult(request, value, stats)
 
     # ------------------------------------------------------------------
     # EXPLAIN

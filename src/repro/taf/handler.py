@@ -9,16 +9,14 @@ and the simulated fetch time is the makespan over the analytics workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.deltas.columnar import decoded_events_total
-from repro.errors import IndexError_
 from repro.exec import FetchPlan
 from repro.graph.events import Event
 from repro.index.interface import NodeHistory, evolve_node_state
 from repro.index.tgi.index import TGI
-from repro.kvstore.cost import FetchStats
+from repro.kvstore.cost import COUNTER_NAMES, FetchStats
 from repro.spark.rdd import SparkContext, lpt_makespan
 from repro.taf.node_t import NodeT, SubgraphT
 from repro.types import NodeId, TimePoint, canonical_edge
@@ -35,6 +33,17 @@ def _neighbors_over_time(nt: NodeT) -> Set[NodeId]:
         if state is not None:
             nbrs |= state.E
     return nbrs
+
+
+def _edge_attrs_of(g0) -> Dict[Tuple[NodeId, NodeId], dict]:
+    """The attributed edges of a k-hop graph (``None`` = center dead)."""
+    edge_attrs: Dict[Tuple[NodeId, NodeId], dict] = {}
+    if g0 is not None:
+        for (u, v) in g0.edges():
+            attrs = g0.edge_attrs(u, v)
+            if attrs:
+                edge_attrs[canonical_edge(u, v)] = dict(attrs)
+    return edge_attrs
 
 
 @dataclass
@@ -90,8 +99,7 @@ class ParallelFetchStats:
         ``partition_sim_ms`` / ``pipelined_ms``)."""
         self.requests += getattr(fetch, "num_requests", fetch.requests)
         self.bytes_read += fetch.bytes_read
-        for spec in fields(FetchStats):
-            name = spec.name
+        for name in COUNTER_NAMES:
             if name in ("requests", "sim_time_ms"):
                 continue
             mine, theirs = getattr(self, name), getattr(fetch, name)
@@ -109,8 +117,11 @@ class TGIHandler:
         Direct construction is the legacy wiring path.  Prefer
         :class:`repro.session.GraphSession` / ``open_graph``, which owns
         the handler, shares the cross-index delta cache, and prices plans
-        before fetching; an existing handler converts via
-        :meth:`session`.
+        before fetching.
+
+    ``retrieve_*`` *return* ``(result, ParallelFetchStats)`` and are what
+    ``SON`` / ``SOTS`` call; the ``fetch_*`` wrappers park the stats on
+    :attr:`last_fetch_stats` for direct callers (nothing reads it back).
 
     Args:
         tgi: the temporal graph index to fetch from.
@@ -130,14 +141,6 @@ class TGIHandler:
         self.clients_per_partition = clients_per_partition
         self.last_fetch_stats = ParallelFetchStats()
 
-    def session(self, **kwargs):
-        """Wrap this handler in a :class:`~repro.session.GraphSession`
-        (the preferred query facade); the session reuses this handler's
-        index, Spark context and client count."""
-        from repro.session import GraphSession
-
-        return GraphSession.from_handler(self, **kwargs)
-
     # ------------------------------------------------------------------
     def known_nodes(
         self, ts: TimePoint, te: TimePoint
@@ -155,70 +158,80 @@ class TGIHandler:
             raise ValueError("TGI is empty")
         return self.tgi._t_min, self.tgi._t_max
 
+    def _chunks(self, ids: Sequence[NodeId]) -> List[List[NodeId]]:
+        """``ids`` dealt round-robin over the analytics partitions (the
+        non-empty ones)."""
+        parts = self.sc.parallelize(ids).num_partitions
+        chunks: List[List[NodeId]] = [[] for _ in range(parts)]
+        for i, nid in enumerate(ids):
+            chunks[i % parts].append(nid)
+        return [chunk for chunk in chunks if chunk]
+
     # ------------------------------------------------------------------
     def fetch_node_histories(
         self, node_ids: Sequence[NodeId], ts: TimePoint, te: TimePoint
     ) -> List[NodeT]:
+        out, self.last_fetch_stats = self.retrieve_node_histories(
+            node_ids, ts, te
+        )
+        return out
+
+    def retrieve_node_histories(
+        self, node_ids: Sequence[NodeId], ts: TimePoint, te: TimePoint
+    ) -> Tuple[List[NodeT], ParallelFetchStats]:
         """Parallel fetch of temporal nodes (the SoN data path).
 
         Each analytics partition issues one *batched* history fetch for
-        its whole chunk (:meth:`TGI.get_node_histories`), so a partition
+        its whole chunk (:meth:`TGI._node_histories_plan`), so a partition
         costs O(1) store rounds instead of O(nodes).  With
         ``TGIConfig.pipeline`` enabled, all chunk plans are submitted
         through a single :meth:`PlanExecutor.execute_many` call, so the
         chunks' 2-round plans overlap on one shared execution timeline —
         the same async-client model the SoTS path uses — instead of
         running strictly one after another."""
+        tgi = self.tgi
         stats = ParallelFetchStats(num_workers=self.sc.num_workers)
-        parts = self.sc.parallelize(node_ids).num_partitions
-        chunks: List[List[NodeId]] = [[] for _ in range(parts)]
-        for i, nid in enumerate(node_ids):
-            chunks[i % parts].append(nid)
-        chunks = [chunk for chunk in chunks if chunk]
+        chunks = self._chunks(node_ids)
         out: List[NodeT] = []
-        if self.tgi.config.pipeline and chunks:
-            decoded0 = decoded_events_total()
-            plans = []
-            finalizers = []
-            for chunk in chunks:
-                plan, finalize, ckpt = self.tgi._node_histories_plan(
-                    chunk, ts, te
-                )
-                plans.append(plan)
-                finalizers.append(finalize)
-                stats.checkpoint_hits += ckpt["hits"]
-                stats.checkpoint_misses += ckpt["misses"]
-                stats.checkpoint_near_hits += ckpt["near_hits"]
-            pipelined = self.tgi.executor.execute_many(
-                plans, clients=self.clients_per_partition, pipelined=True,
+        if tgi.config.pipeline and chunks:
+            compiled = [
+                tgi._node_histories_plan(chunk, ts, te) for chunk in chunks
+            ]
+            pipelined = tgi.executor.execute_many(
+                [plan for plan, _finalize, _extra in compiled],
+                clients=self.clients_per_partition, pipelined=True,
             )
-            for finalize, result in zip(finalizers, pipelined.results):
-                out.extend(NodeT(h) for h in finalize(result.values))
+            for one, result in zip(compiled, pipelined.results):
+                out.extend(
+                    NodeT(h)
+                    for h in tgi._finish(one, result.values, pipelined.stats)
+                )
                 # per-plan attribution: when this chunk's plan completed
                 # on the shared timeline
                 stats.partition_sim_ms.append(result.stats.sim_time_ms)
             stats.absorb(pipelined.stats)
-            # the finalizers above extracted per-node events from the
-            # fetched eventlists — count what they forced to materialize
-            stats.decoded_events += decoded_events_total() - decoded0
             stats.pipelined_ms = pipelined.stats.sim_time_ms
-            self.last_fetch_stats = stats
-            return out
+            return out, stats
         for chunk in chunks:
-            histories = self.tgi.get_node_histories(
-                chunk, ts, te, clients=self.clients_per_partition
+            histories, fetch = tgi._retrieve(
+                tgi._node_histories_plan(chunk, ts, te),
+                self.clients_per_partition,
             )
-            fetch = self.tgi.last_fetch_stats
             stats.absorb(fetch)
             stats.partition_sim_ms.append(fetch.sim_time_ms)
             out.extend(NodeT(history) for history in histories)
-        self.last_fetch_stats = stats
-        return out
+        return out, stats
 
     # ------------------------------------------------------------------
     def fetch_subgraph(
         self, center: NodeId, k: int, ts: TimePoint, te: TimePoint
     ) -> Optional[SubgraphT]:
+        sg, self.last_fetch_stats = self.retrieve_subgraph(center, k, ts, te)
+        return sg
+
+    def retrieve_subgraph(
+        self, center: NodeId, k: int, ts: TimePoint, te: TimePoint
+    ) -> Tuple[Optional[SubgraphT], ParallelFetchStats]:
         """Fetch one temporal k-hop subgraph.
 
         Member discovery is level-wise *over time*: starting from the
@@ -227,28 +240,27 @@ class TGIHandler:
         evolves; ``get_version_at`` prunes back to the exact k-hop members
         at each queried time.
         """
+        tgi, clients = self.tgi, self.clients_per_partition
         histories: Dict[NodeId, NodeT] = {}
         fetch_total = FetchStats()
 
         def fetch_batch(nids: Sequence[NodeId]) -> List[NodeT]:
             """One batched history fetch for a whole frontier level."""
-            got = self.tgi.get_node_histories(
-                list(nids), ts, te, clients=self.clients_per_partition
+            got, fetch = tgi._retrieve(
+                tgi._node_histories_plan(list(nids), ts, te), clients
             )
-            fetch_total.merge(self.tgi.last_fetch_stats)
+            fetch_total.merge(fetch)
             return [NodeT(history) for history in got]
 
         def finish() -> ParallelFetchStats:
             stats = ParallelFetchStats(num_workers=self.sc.num_workers)
             stats.partition_sim_ms.append(fetch_total.sim_time_ms)
             stats.absorb(fetch_total)
-            self.last_fetch_stats = stats
             return stats
 
         root = fetch_batch([center])[0]
         if root.history.initial is None and not root.history.events:
-            finish()  # the root probe still cost a fetch; report it
-            return None
+            return None, finish()  # the root probe still cost a fetch
         histories[center] = root
         frontier = {center}
         for _ in range(k):
@@ -262,24 +274,15 @@ class TGIHandler:
                 histories[nid] = nt
             frontier = set(new)
 
-        # initial edge attributes among members, from the store's k-hop view
-        edge_attrs: Dict[Tuple[NodeId, NodeId], dict] = {}
-        try:
-            g0 = self.tgi.get_khop(center, ts, k=k,
-                                   clients=self.clients_per_partition)
-            fetch_total.merge(self.tgi.last_fetch_stats)
-            for (u, v) in g0.edges():
-                attrs = g0.edge_attrs(u, v)
-                if attrs:
-                    edge_attrs[canonical_edge(u, v)] = dict(attrs)
-        except IndexError_:
-            # center not alive at ts; attrs resolved from events — but the
-            # probe may have fetched rows before discovering that, so its
-            # accounting still counts
-            fetch_total.merge(self.tgi.last_fetch_stats)
-
-        finish()
-        return SubgraphT(center, k, histories, edge_attrs)
+        # initial edge attributes among members, from the store's k-hop
+        # view (``None`` when the center is not alive at ts: attrs then
+        # resolve from events, and what the probe fetched still counts)
+        (g0,), fetch = tgi._retrieve(tgi._khops_plan([center], ts, k), clients)
+        fetch_total.merge(fetch)
+        return (
+            SubgraphT(center, k, histories, _edge_attrs_of(g0)),
+            finish(),
+        )
 
     def fetch_subgraphs(
         self,
@@ -288,6 +291,18 @@ class TGIHandler:
         ts: TimePoint,
         te: TimePoint,
     ) -> List[SubgraphT]:
+        out, self.last_fetch_stats = self.retrieve_subgraphs(
+            centers, k, ts, te
+        )
+        return out
+
+    def retrieve_subgraphs(
+        self,
+        centers: Sequence[NodeId],
+        k: int,
+        ts: TimePoint,
+        te: TimePoint,
+    ) -> Tuple[List[SubgraphT], ParallelFetchStats]:
         """Parallel fetch of temporal subgraphs (the SoTS data path).
 
         With ``TGIConfig.pipeline`` enabled, each analytics chunk is driven
@@ -300,14 +315,8 @@ class TGIHandler:
         per-center schedule, reproducing its fetch counts exactly.
         """
         total = ParallelFetchStats(num_workers=self.sc.num_workers)
-        parts = self.sc.parallelize(centers).num_partitions
-        chunks: List[List[NodeId]] = [[] for _ in range(parts)]
-        for i, nid in enumerate(centers):
-            chunks[i % parts].append(nid)
         out: List[SubgraphT] = []
-        for chunk in chunks:
-            if not chunk:
-                continue
+        for chunk in self._chunks(centers):
             if self.tgi.config.pipeline:
                 subgraphs, fetch = self._fetch_subgraph_batch(
                     chunk, k, ts, te
@@ -318,15 +327,13 @@ class TGIHandler:
                 continue
             sim_ms = 0.0
             for nid in chunk:
-                sg = self.fetch_subgraph(nid, k, ts, te)
-                fetch = self.last_fetch_stats
+                sg, fetch = self.retrieve_subgraph(nid, k, ts, te)
                 sim_ms += fetch.sim_time_ms
                 total.absorb(fetch)
                 if sg is not None:
                     out.append(sg)
             total.partition_sim_ms.append(sim_ms)
-        self.last_fetch_stats = total
-        return out
+        return out, total
 
     def _fetch_subgraph_batch(
         self,
@@ -356,17 +363,18 @@ class TGIHandler:
             f"ts={ts}, te={te})"
         )
 
-        ckpt_counters: List[Dict[str, int]] = []
+        extra = FetchStats()  # what the level finalizers add to the fetch
 
         def add_level(nodes: List[NodeId], hops_done: int) -> None:
             """Append one batched history fetch for ``nodes`` plus the
             factory that records the results and expands further hops."""
-            subplan, finalize, ckpt = tgi._node_histories_plan(nodes, ts, te)
-            ckpt_counters.append(ckpt)
-            plan_a.stages.extend(subplan.stages)
+            level = tgi._node_histories_plan(nodes, ts, te)
+            plan_a.stages.extend(level[0].stages)
 
             def expand(values: Dict) -> None:
-                for nid, history in zip(nodes, finalize(values)):
+                for nid, history in zip(
+                    nodes, tgi._finish(level, values, extra)
+                ):
                     histories[nid] = NodeT(history)
                 hop = hops_done
                 while hop < k:
@@ -391,17 +399,15 @@ class TGIHandler:
             plan_a.add_factory(expand)
 
         add_level(list(order), 0)
-        plan_b, finalize_b, ckpt_b = tgi._khops_plan(order, ts, k)
-        ckpt_counters.append(ckpt_b)
+        khops = tgi._khops_plan(order, ts, k)
         pipelined = tgi.executor.execute_many(
-            [plan_a, plan_b], clients=self.clients_per_partition,
+            [plan_a, khops[0]], clients=self.clients_per_partition,
             pipelined=True,
         )
-        khop_graphs = dict(zip(order, finalize_b(pipelined.results[1].values)))
-        for ckpt in ckpt_counters:
-            pipelined.stats.checkpoint_hits += ckpt["hits"]
-            pipelined.stats.checkpoint_misses += ckpt["misses"]
-            pipelined.stats.checkpoint_near_hits += ckpt["near_hits"]
+        pipelined.stats.merge(extra)
+        khop_graphs = dict(zip(order, tgi._finish(
+            khops, pipelined.results[1].values, pipelined.stats
+        )))
 
         subgraphs: Dict[NodeId, Optional[SubgraphT]] = {}
         for center in order:
@@ -409,16 +415,9 @@ class TGIHandler:
             if root.history.initial is None and not root.events:
                 subgraphs[center] = None
                 continue
-            edge_attrs: Dict[Tuple[NodeId, NodeId], dict] = {}
-            g0 = khop_graphs.get(center)
-            if g0 is not None:
-                for (u, v) in g0.edges():
-                    attrs = g0.edge_attrs(u, v)
-                    if attrs:
-                        edge_attrs[canonical_edge(u, v)] = dict(attrs)
             subgraphs[center] = SubgraphT(
                 center, k,
                 {nid: histories[nid] for nid in members[center]},
-                edge_attrs,
+                _edge_attrs_of(khop_graphs.get(center)),
             )
         return [subgraphs[c] for c in centers], pipelined.stats

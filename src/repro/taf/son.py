@@ -305,7 +305,7 @@ class SON:
         universe = self.handler.known_nodes(ts, te)
         for pred in self._pre_id_predicates:
             universe = [n for n in universe if pred(n, {})]
-        nodes = self.handler.fetch_node_histories(universe, ts, te)
+        nodes, stats = self.handler.retrieve_node_histories(universe, ts, te)
         nodes = [
             nt
             for nt in nodes
@@ -316,7 +316,7 @@ class SON:
         if self._filter_keys is not None:
             nodes = [nt.project_attrs(self._filter_keys) for nt in nodes]
         out = SON(self.handler, _nodes=nodes, _interval=(ts, te))
-        out.fetch_stats = self.handler.last_fetch_stats
+        out.fetch_stats = stats
         return out
 
     def _effective_interval(self) -> Tuple[TimePoint, TimePoint]:
@@ -580,10 +580,12 @@ class SOTS:
         )
         for pred in self._pre_id_predicates:
             universe = [n for n in universe if pred(n, {})]
-        subgraphs = self.handler.fetch_subgraphs(universe, self.k, ts, te)
+        subgraphs, stats = self.handler.retrieve_subgraphs(
+            universe, self.k, ts, te
+        )
         out = SOTS(self.k, self.handler, _subgraphs=subgraphs,
                    _interval=(ts, te))
-        out.fetch_stats = self.handler.last_fetch_stats
+        out.fetch_stats = stats
         return out
 
     def _effective_interval(self) -> Tuple[TimePoint, TimePoint]:

@@ -150,8 +150,14 @@ def audit_checkpoints(tgi, twin):
             assert graph_parts(entry.payload) == graph_parts(want), key
         else:
             _tag, tsid, pid, t, include_aux = key
-            state, _scope, _stats = twin._load_pids(
-                twin._spans[tsid], {pid}, t, include_aux, 1
+            span = twin._spans[tsid]
+            path_groups, ekeys = twin._snapshot_plan(
+                span, t, pids={pid}, include_aux=include_aux
+            )
+            keys = [key for group in path_groups for key in group] + ekeys
+            state = twin._replay_pid_state(
+                span, pid, t, include_aux, twin.executor.fetch(keys).values,
+                (path_groups, ekeys),
             )
             nodes, edge_attrs = entry.payload
             assert nodes == state.nodes, key

@@ -365,7 +365,9 @@ def test_degraded_snapshot_identical_across_codecs(history):
         session = GraphSession.from_index(tgi)
         whole = session.at(t).snapshot().value
         # placement does not depend on the codec: the same victim serves
-        # part of this snapshot in both builds
+        # part of this snapshot in both builds (a direct index call
+        # leaves the request records the session does not report)
+        tgi.get_snapshot(t)
         victim = min(rec.server for rec in tgi.last_fetch_stats.requests)
         inject_faults(tgi.cluster, FaultSchedule(
             crashes=(CrashWindow(victim, 0.0),),

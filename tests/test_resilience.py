@@ -426,7 +426,13 @@ def test_coalesced_batch_owner_death_fails_typed(events, tmax):
     victim = 1
     fault_free_machines = []
     for r in baseline:
-        session.execute(r.request)
+        # the routing of each request, from a direct index call (sessions
+        # return QueryStats, which carry counts, not request records)
+        node = r.request.nodes[0]
+        if r.request.kind == "khop":
+            tgi.get_khop(node, tmax, k=r.request.k)
+        else:
+            tgi.get_node_history(node, 1, tmax)
         fault_free_machines.append(
             {rec.server for rec in tgi.last_fetch_stats.requests}
         )

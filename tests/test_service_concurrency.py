@@ -213,3 +213,50 @@ def test_concurrent_batches_fair_attribution_sums(events, tmax):
             assert sorted(result.value.nodes()) == sorted(
                 reference.value.nodes()
             )
+
+
+def test_concurrent_execute_stats_are_each_querys_own(events, tmax):
+    # one shared uncached session, every plan forced to Algorithm 4: a
+    # query's stats must account for exactly the work *it* did — the
+    # serial value of the same request — whatever its neighbors are
+    # doing.  (Stats used to be read back off the shared index object,
+    # so a thread could report another query's fetch.)
+    import sys
+
+    pool = [
+        QueryRequest(kind="khop", t=tmax - 40 * (node % 5), nodes=(node,),
+                     k=1 + node % 2, single=True, algorithm="khop")
+        for node in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89)
+    ] + [
+        # histories materialize events: decoded_events is not trivially 0
+        QueryRequest(kind="node_histories", ts=1, te=tmax, nodes=(node,),
+                     single=True)
+        for node in (4, 9)
+    ]
+
+    def counters(stats):
+        return (stats.requests, stats.bytes_read, stats.rounds,
+                stats.sim_time_ms, stats.decoded_events)
+
+    serial = GraphSession.from_index(build_tgi(events))
+    expected = [counters(serial.execute(request).stats) for request in pool]
+    assert any(want[4] > 0 for want in expected)
+    assert len(set(expected)) == len(expected)  # a swap would show
+
+    session = GraphSession.from_index(build_tgi(events))
+    wrong = []
+
+    def churn(i):
+        for n in range(30):
+            j = (i * 7 + n) % len(pool)
+            got = counters(session.execute(pool[j]).stats)
+            if got != expected[j]:
+                wrong.append((pool[j].describe(), got, expected[j]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        hammer(churn)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong, f"{len(wrong)} of {THREADS * 30}: {wrong[:3]}"

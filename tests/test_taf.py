@@ -251,8 +251,7 @@ def test_sots_pre_select(handler, t_end):
 
 
 def test_parallel_fetch_stats_recorded(handler, t_end):
-    SON(handler).Timeslice(1, t_end).fetch()
-    stats = handler.last_fetch_stats
+    stats = SON(handler).Timeslice(1, t_end).fetch().fetch_stats
     assert stats.requests > 0
     assert stats.sim_time_ms > 0
     assert len(stats.partition_sim_ms) >= 1
