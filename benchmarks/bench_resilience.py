@@ -99,8 +99,6 @@ def build_tgi(events):
         events_per_timespan=2500,
         eventlist_size=200,
         micro_partition_size=64,
-        pipeline=True,
-        coalesce=True,
         cluster=ClusterConfig(
             num_machines=M, replication=R, checksums=True,
         ),

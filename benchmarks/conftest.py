@@ -68,7 +68,6 @@ def build_tgi(
     compress: bool = False,
     partitioning: PartitioningStrategy = PartitioningStrategy.RANDOM,
     replicate: bool = False,
-    pipeline: bool = True,
 ) -> TGI:
     """Build a TGI with the paper's parameter names."""
     tgi = TGI(
@@ -78,7 +77,6 @@ def build_tgi(
             micro_partition_size=ps,
             partitioning=partitioning,
             replicate_boundary=replicate,
-            pipeline=pipeline,
             cluster=ClusterConfig(
                 num_machines=m, replication=r, compress=compress
             ),

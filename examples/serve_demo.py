@@ -33,8 +33,6 @@ def main() -> None:
         events_per_timespan=2500,
         eventlist_size=200,
         micro_partition_size=64,
-        pipeline=True,
-        coalesce=True,
         cluster=ClusterConfig(num_machines=4),
     ))
     tgi.build(events)

@@ -32,7 +32,6 @@ from repro.api import (
     ALGO_KHOP,
     ALGO_SNAPSHOT_FIRST,
     QueryRequest,
-    QueryStats,
     graph_summary,
     request_from_spec,
     result_payload,
@@ -94,12 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "stores the EventList / Delta objects (rows a "
                        "columnar pack cannot represent fall back to "
                        "pickle either way)")
-    build.add_argument("--apply-workers", type=int, default=1,
-                       help="client-side replay lanes: partitions replay "
-                       "on a thread pool of this size (and the "
-                       "simulation stripes costed apply stages across "
-                       "as many timeline lanes); results are "
-                       "bit-identical to serial")
     build.add_argument("--mincut", action="store_true",
                        help="locality-aware micro partitioning")
     build.add_argument("--replicate-boundary", action="store_true",
@@ -125,21 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "constants *calibrated* on this machine at build "
                        "time (measured decode ms/KiB and replay "
                        "ms/item); apply_ms appears in query JSON")
-    build.add_argument("--pipeline", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="overlap independent fetch plans on a shared "
-                       "execution timeline (async-client model); "
-                       "--no-pipeline restores the strictly sequential "
-                       "per-center schedule")
-    build.add_argument("--coalesce", default=True,
-                       action=argparse.BooleanOptionalAction,
-                       help="cross-query fetch coalescing for batched "
-                       "execution: keys needed by several concurrent "
-                       "plans are fetched once (single-flight dedup) and "
-                       "same-window fetches merge into one multiget "
-                       "round; --no-coalesce restores independent "
-                       "per-plan rounds (only engages with --pipeline "
-                       "and more than one plan in flight)")
 
     query = sub.add_parser("query", help="query a saved index")
     query.add_argument("index", help="index file from `hgs build`")
@@ -333,9 +311,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
         delta_cache_bytes=args.cache_bytes,
         checkpoint_entries=args.checkpoints,
         checkpoint_admission=args.checkpoint_admission,
-        apply_workers=args.apply_workers,
-        pipeline=args.pipeline,
-        coalesce=args.coalesce,
         cluster=ClusterConfig(
             num_machines=args.machines,
             replication=args.replication,
@@ -447,7 +422,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         return 2
     index = load_index(args.index)
     if not isinstance(index, TGI):
-        return _cmd_query_legacy(index, args)
+        print(f"hgs query supports TGI indexes (got {type(index).__name__})",
+              file=sys.stderr)
+        return 1
     session = GraphSession.from_index(
         index, index_id=str(Path(args.index).expanduser().resolve())
     )
@@ -479,35 +456,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             "members": sorted(result.value.nodes()),
             **stats,
         }, indent=2))
-    return 0
-
-
-def _cmd_query_legacy(index, args: argparse.Namespace) -> int:
-    """Baseline index families queried via the bare interface (no
-    planner, so no EXPLAIN, algorithm selection, or batching)."""
-    if args.batch is not None:
-        print(f"--batch supports TGI indexes (got {type(index).__name__})",
-              file=sys.stderr)
-        return 1
-    if args.explain:
-        print(f"--explain supports TGI indexes (got {type(index).__name__})")
-        return 1
-    if args.query_kind == "snapshot":
-        g = index.get_snapshot(args.time, clients=args.clients)
-        payload = {"snapshot": _graph_summary(g)}
-    elif args.query_kind == "node":
-        h = index.get_node_history(args.node, args.ts, args.te)
-        payload = {"node": args.node, "versions": _versions_summary(h)}
-    else:
-        g = index.get_khop(args.node, args.time, k=args.k)
-        payload = {
-            "center": args.node,
-            "k": args.k,
-            "neighborhood": _graph_summary(g),
-            "members": sorted(g.nodes()),
-        }
-    payload.update(QueryStats.from_fetch(index.last_fetch_stats).as_dict())
-    print(json.dumps(payload, indent=2))
     return 0
 
 
@@ -689,13 +637,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 "checksums": getattr(
                     index.config.cluster, "checksums", False
                 ),
-                "apply_workers": index.config.apply_workers,
                 "delta_cache_entries": index.config.delta_cache_entries,
                 "delta_cache_bytes": index.config.delta_cache_bytes,
                 "checkpoint_entries": index.config.checkpoint_entries,
                 "checkpoint_admission": index.config.checkpoint_admission,
-                "pipeline": index.config.pipeline,
-                "coalesce": index.config.coalesce,
             })
             # planner state a fresh session would start from: learned
             # per-k frontier margin multipliers persist with the index;

@@ -106,8 +106,9 @@ _KINDS: Tuple[EventKind, ...] = tuple(EventKind)
 # constructs counts into the process-wide total and into the accumulator
 # of the query that forced it, when one is active
 # (FetchStats.decoded_events).  The accumulator rides a context variable:
-# it follows the query onto apply-pool threads (which run in a copy of
-# the caller's context) and never sees a concurrent query's decodes.
+# it follows the query onto whichever thread runs it (workers run in a
+# copy of the caller's context) and never sees a concurrent query's
+# decodes.
 _decoded_lock = threading.Lock()
 _decoded_events = 0
 _DECODED_CELL: "contextvars.ContextVar[Optional[List[int]]]" = (

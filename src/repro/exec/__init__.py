@@ -23,20 +23,21 @@ leaving each index method to hand-assemble key lists and call
   exist where a true data dependency forces another round), runs the
   rounds through the cluster's existing cost simulation, and threads one
   :class:`~repro.kvstore.cost.FetchStats` through the whole plan —
-  including round counts and cache counters.  Independent plans can run
-  *pipelined* (:meth:`~repro.exec.executor.PlanExecutor.execute_many`):
-  rounds are released on a shared
-  :class:`~repro.kvstore.cost.ExecutionTimeline` as soon as their own
-  plan's dependency resolves, overlapping one plan's multigets with the
-  others' rounds and apply work.
+  including round counts and cache counters.  Independent plans — one
+  or many — run *pipelined*
+  (:meth:`~repro.exec.executor.PlanExecutor.execute_many`) on a shared
+  :class:`~repro.kvstore.cost.ExecutionTimeline`; there is exactly one
+  pipelined schedule, the coalesced one below.
 
-- :mod:`repro.exec.coalesce` — **cross-query fetch coalescing** under
-  pipelined execution: a single-flight in-flight table dedups keys
-  requested by several plans (each fetched once, consumers counted as
-  ``coalesced_hits``), keys registered in the same scheduling window
-  merge into one multiget round regardless of which plan contributed
-  them, and a :class:`~repro.exec.coalesce.CoalesceReport` splits the
-  shared work fairly across beneficiaries for per-query accounting.
+- :mod:`repro.exec.coalesce` — **cross-query fetch coalescing**, the
+  pipelined schedule: per scheduling window every unfinished plan
+  resolves its next stage, a single-flight in-flight table dedups keys
+  several stages name (each fetched once, consumers counted as
+  ``coalesced_hits``), the window's keys go out as one merged multiget
+  released as soon as its owners' previous rounds completed — overlapping
+  one plan's fetch with the others' rounds and apply work — and a
+  :class:`~repro.exec.coalesce.CoalesceReport` splits the shared work
+  fairly across beneficiaries for per-query accounting.
 
 - :mod:`repro.exec.cache` — a bounded-LRU
   :class:`~repro.exec.cache.DeltaCache` over decoded rows keyed by delta

@@ -1,11 +1,11 @@
 """Cross-query fetch coalescing: single-flight dedup + round merging.
 
-The pipelined executor (PRs 2/4) overlaps independent plans *in time* but
-never merges their work: two plans touching the same micro-delta keys pay
-for every byte twice and issue twice the requests.  This module adds the
-layer between :meth:`PlanExecutor.execute_many` and
-:meth:`Cluster.multiget` that makes N overlapping queries cost close to
-one, with three composed mechanisms:
+Overlapping independent plans *in time* alone never merges their work:
+two plans touching the same micro-delta keys pay for every byte twice
+and issue twice the requests.  This module is the layer between
+:meth:`PlanExecutor.execute_many` and :meth:`Cluster.multiget` — the one
+pipelined schedule, whether one plan is in flight or many — that makes N
+overlapping queries cost close to one, with three composed mechanisms:
 
 1. **Single-flight key dedup** — a per-execution in-flight table keyed by
    store key.  The first plan to request a key in a scheduling window
@@ -42,15 +42,24 @@ from __future__ import annotations
 
 from contextlib import nullcontext as _null_ctx
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exec.cache import DeltaCache
 from repro.exec.plan import FetchStage, KeyTuple
 from repro.kvstore.cluster import Cluster
-from repro.kvstore.cost import ExecutionTimeline, simulate_plan
+from repro.kvstore.cost import (
+    CostModel,
+    ExecutionTimeline,
+    RequestRecord,
+    simulate_plan,
+)
 from repro.obs.trace import current_span, use_span
 
 
+# ----------------------------------------------------------------------
+# what both schedules (sequential ``execute`` and the coalesced windows)
+# do with a stage's rows
+# ----------------------------------------------------------------------
 def _replay_items(value: Any) -> int:
     """How many components/events applying a decoded row replays: delta
     cardinality or event count; 1 for opaque scalar rows (pointers)."""
@@ -59,6 +68,52 @@ def _replay_items(value: Any) -> int:
     except TypeError:
         events = getattr(value, "events", None)
         return len(events) if events is not None else 1
+
+
+def serve_cached(
+    cache: Optional[DeltaCache],
+    model: CostModel,
+    keys: List[KeyTuple],
+    result: Any,
+) -> Tuple[List[KeyTuple], float]:
+    """Answer what the delta cache holds of a stage's ``keys`` into
+    ``result`` (a ``PlanResult``: values plus hit/miss counters).
+    Returns the keys still missing and the apply cost of the rows served
+    — cached rows are already decoded, so only their replay remains."""
+    if cache is None:
+        return keys, 0.0
+    costed = model.costs_apply
+    stats = result.stats
+    missing: List[KeyTuple] = []
+    apply_ms = 0.0
+    for key in keys:
+        row = cache.lookup(key)
+        if row is None:
+            missing.append(key)
+            continue
+        result.values[key] = row.value
+        stats.cache_hits += 1
+        stats.cache_bytes_saved += row.stored_bytes
+        if costed:
+            apply_ms += model.apply_time(
+                row.raw_bytes, _replay_items(row.value), decoded=True
+            )
+    stats.cache_misses += len(missing)
+    return missing, apply_ms
+
+
+def admit_fetched(
+    cache: Optional[DeltaCache],
+    records: Sequence[RequestRecord],
+    values: Dict[KeyTuple, Any],
+) -> None:
+    """Offer freshly fetched rows to the delta cache."""
+    if cache is not None:
+        for record in records:
+            cache.admit(
+                record.key, values[record.key],
+                record.stored_bytes, record.raw_bytes,
+            )
 
 
 @dataclass
@@ -126,16 +181,11 @@ class CoalesceScope:
     """
 
     def __init__(
-        self,
-        cluster: Cluster,
-        cache: Optional[DeltaCache],
-        num_plans: int,
-        apply_workers: int = 1,
+        self, cluster: Cluster, cache: Optional[DeltaCache], num_plans: int
     ) -> None:
         self.cluster = cluster
         self.cache = cache
         self.model = cluster.config.cost_model
-        self.apply_workers = apply_workers
         #: merged rounds run in a client namespace past every plan's own,
         #: modeling one shared async fetch pool for coalesced traffic
         self.client_offset_plans = num_plans
@@ -156,27 +206,11 @@ class CoalesceScope:
         flights as a waiter, own the rest."""
         model = self.model
         costed = model.costs_apply
-        part = _Participation(cursor=cursor)
         stats = cursor.result.stats
-        keys = stage.keys()
-        missing: List[KeyTuple] = []
-        if self.cache is None:
-            missing = keys
-        else:
-            for key in keys:
-                row = self.cache.lookup(key)
-                if row is None:
-                    missing.append(key)
-                else:
-                    cursor.result.values[key] = row.value
-                    stats.cache_hits += 1
-                    stats.cache_bytes_saved += row.stored_bytes
-                    if costed:
-                        part.apply_ms += model.apply_time(
-                            row.raw_bytes, _replay_items(row.value),
-                            decoded=True,
-                        )
-            stats.cache_misses += len(missing)
+        missing, cached_ms = serve_cached(
+            self.cache, model, stage.keys(), cursor.result
+        )
+        part = _Participation(cursor=cursor, apply_ms=cached_ms)
         for key in missing:
             flight = self.flights.get(key)
             if flight is None:
@@ -366,10 +400,12 @@ class CoalesceScope:
                 cursor.standalone_ms += simulate_plan(owned_records, model)
             if apply_ms > 0.0:
                 cstats.apply_ms += apply_ms
+                # the stage's replay runs on this plan's apply lane,
+                # released when its payload arrived: it overlaps the
+                # plan's next fetch round (key resolution needs only the
+                # decoded rows) and every other plan's in-flight work,
+                # and serializes against the plan's own earlier stages
                 lane = f"plan-{cursor.index}"
-                if self.apply_workers > 1:
-                    lane = f"{lane}-w{cursor.apply_seq % self.apply_workers}"
-                cursor.apply_seq += 1
                 work = timeline.submit_local(
                     apply_ms, at=cursor.ready_at, lane=lane
                 )
@@ -384,14 +420,7 @@ class CoalesceScope:
                         work.completed_ms - work.standalone_ms,
                         work.completed_ms,
                     ).end()
-            if self.cache is not None:
-                for record in owned_records:
-                    self.cache.admit(
-                        record.key,
-                        values[record.key],
-                        record.stored_bytes,
-                        record.raw_bytes,
-                    )
+            admit_fetched(self.cache, owned_records, values)
 
     # ------------------------------------------------------------------
     def report(self, num_plans: int) -> CoalesceReport:

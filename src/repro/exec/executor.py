@@ -6,18 +6,20 @@ answer never reach the store), so a plan's round count equals its number
 of non-empty stages — independent of how many logical consumers (nodes,
 partitions) contributed keys to a stage.
 
-Two execution modes:
+Two schedules, and no others:
 
 - :meth:`PlanExecutor.execute` runs one plan's stages strictly in
   sequence; the plan's ``sim_time_ms`` is the sum of its rounds (plus the
   apply cost of each stage, when the cost model prices apply work).
-- :meth:`PlanExecutor.execute_many` runs several *independent* plans
-  pipelined: every round is released on a shared
-  :class:`~repro.kvstore.cost.ExecutionTimeline` as soon as its own plan's
-  previous round completed, so one plan's multiget overlaps with another
-  plan's rounds and apply work, and factory stages of independent plans
-  resolve interleaved — the simulated analogue of Cassandra's async client
-  drivers.
+- :meth:`PlanExecutor.execute_many` runs *independent* plans — one or
+  many — pipelined on one shared
+  :class:`~repro.kvstore.cost.ExecutionTimeline` through a
+  :class:`~repro.exec.coalesce.CoalesceScope`: per scheduling window every
+  unfinished plan resolves its next stage, keys several stages name are
+  fetched once, and the window's keys go out as one merged multiget
+  released as soon as its owners' previous rounds completed — so one
+  plan's fetch overlaps the others' rounds and apply work, the simulated
+  analogue of Cassandra's async client drivers.
 
 When the cost model carries nonzero apply constants
 (:attr:`~repro.kvstore.cost.CostModel.costs_apply`), each stage is charged
@@ -34,27 +36,23 @@ is bit-identical to fetch-only accounting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 # Re-exported for compatibility: the cancellation scope lives in a leaf
 # module so the cluster's resilient retry loop can use it too.
 from repro.cancellation import cancel_scope, check_cancelled
 from repro.exec.cache import DeltaCache
-from repro.exec.coalesce import CoalesceReport, CoalesceScope
+from repro.exec.coalesce import (
+    CoalesceReport,
+    CoalesceScope,
+    admit_fetched,
+    _replay_items,
+    serve_cached,
+)
 from repro.exec.plan import FetchPlan, FetchStage, KeyGroup, KeyTuple
 from repro.kvstore.cluster import Cluster
-from repro.kvstore.cost import ExecutionTimeline, FetchStats, RoundTiming
+from repro.kvstore.cost import ExecutionTimeline, FetchStats
 from repro.obs.trace import current_span, use_span
-
-
-def _replay_items(value: Any) -> int:
-    """How many components/events applying a decoded row replays: delta
-    cardinality or event count; 1 for opaque scalar rows (pointers)."""
-    try:
-        return len(value)
-    except TypeError:
-        events = getattr(value, "events", None)
-        return len(events) if events is not None else 1
 
 
 @dataclass
@@ -76,14 +74,13 @@ class PipelineResult:
     round completed on the shared timeline, and its ``overlap_saved_ms``
     is that plan's sequential cost minus its completion time.  ``stats``
     aggregates all plans — its ``sim_time_ms`` is the timeline makespan.
-    ``timeline`` is ``None`` when the plans ran sequentially.
 
-    Under coalesced execution ``coalesce`` carries the
+    A pipelined execution carries its ``timeline`` and the
     :class:`~repro.exec.coalesce.CoalesceReport` (merged-round counts and
     fair per-plan request/byte attribution); the aggregate ``stats``'
     ``rounds`` then counts rounds actually *issued* (a merged round once),
     while each per-plan ``rounds`` counts the rounds that plan
-    participated in.
+    participated in.  Both are ``None`` when the plans ran sequentially.
     """
 
     results: List[PlanResult]
@@ -101,8 +98,7 @@ class _PlanCursor:
         self.result = PlanResult()
         self.pos = 0  # next entry in plan.stages
         self.ready_at = 0.0  # timeline instant the last round completed
-        self.apply_done = 0.0  # timeline instant the apply lanes drain
-        self.apply_seq = 0  # costed apply stages issued (stripes lanes)
+        self.apply_done = 0.0  # timeline instant the apply lane drains
         self.standalone_ms = 0.0  # sequential cost (rounds + apply) so far
 
     @property
@@ -121,26 +117,10 @@ class PlanExecutor:
     """
 
     def __init__(
-        self,
-        cluster: Cluster,
-        cache: Optional[DeltaCache] = None,
-        apply_workers: int = 1,
-        coalesce: bool = False,
+        self, cluster: Cluster, cache: Optional[DeltaCache] = None
     ) -> None:
-        if apply_workers < 1:
-            raise ValueError("apply_workers must be positive")
         self.cluster = cluster
         self.cache = cache
-        #: Simulated client-side apply lanes per plan: with ``k > 1``,
-        #: consecutive costed apply stages of one plan stripe across ``k``
-        #: lanes of the shared timeline instead of serializing on one
-        #: (mirroring the real ThreadPoolExecutor replay in the TGI).
-        self.apply_workers = apply_workers
-        #: Default for :meth:`execute_many`'s ``coalesce`` argument:
-        #: single-flight key dedup + merged rounds across concurrent
-        #: plans.  Only ever engages for pipelined multi-plan execution;
-        #: single plans and sequential mode are untouched either way.
-        self.coalesce = coalesce
 
     def execute(self, plan: FetchPlan, clients: int = 1) -> PlanResult:
         result = PlanResult()
@@ -158,7 +138,7 @@ class PlanExecutor:
             if stage is None:
                 continue
             result.stages.append(stage)
-            _timing, apply_ms = self._run_stage(stage, clients, result)
+            apply_ms = self._run_stage(stage, clients, result)
             # sequential execution replays each stage before fetching the
             # next, so apply time adds to the completion time
             result.stats.sim_time_ms += apply_ms
@@ -169,63 +149,43 @@ class PlanExecutor:
         plans: Sequence[FetchPlan],
         clients: int = 1,
         pipelined: bool = True,
-        coalesce: Optional[bool] = None,
     ) -> PipelineResult:
-        """Execute several independent plans, overlapped or sequentially.
+        """Execute independent plans, overlapped or sequentially.
 
-        Pipelined mode advances the plans round-robin, one stage each per
-        turn: a stage's multiget is released on the shared timeline at the
-        instant its own plan's previous round completed, so it overlaps
-        with the other plans' in-flight rounds and with their apply work
-        (factory resolution), which costs no simulated time.  All values
-        are identical to sequential execution; without a cache (or with
-        every row already cached) the fetched key set is too.  With a
-        *bounded* cache, the interleaved schedule changes the LRU
-        lookup/eviction order, so hit counts — and, past capacity, which
-        keys reach the store — can differ between the two modes.
-
-        ``coalesce`` (defaulting to the executor's flag) additionally
-        merges the plans' fetch work: keys requested by several plans are
-        fetched once (single-flight dedup, ``coalesced_hits``) and keys
-        registered in the same round-robin turn are issued as one merged
-        multiget round.  Values remain identical; the fetched key set is
-        the *union* of the plans' key sets instead of their concatenation.
-        Coalescing only engages for pipelined execution of two or more
-        plans — sequential mode and single plans are bit-identical to the
-        non-coalesced path.
+        Pipelined mode advances the plans in scheduling windows, one
+        stage each per window: keys several stages name — across plans,
+        or in two stages of one — are fetched once (single-flight dedup,
+        ``coalesced_hits``), and the window's keys are issued as one
+        merged multiget, released on the shared timeline at the instant
+        its owning plans' previous rounds completed, so it overlaps the
+        other plans' in-flight rounds and apply work (factory resolution
+        costs no simulated time).  All values are identical to sequential
+        execution; the fetched key set is the *union* of the plans' key
+        sets instead of their concatenation.  With a *bounded* cache the
+        interleaved schedule changes the LRU lookup/eviction order, so
+        hit counts — and, past capacity, which keys reach the store — can
+        differ between the two modes.
         """
         if not pipelined:
             results = [self.execute(plan, clients) for plan in plans]
             total = FetchStats()
             for r in results:
                 total.merge(r.stats)
-            return PipelineResult(results, total, None)
-        do_coalesce = self.coalesce if coalesce is None else coalesce
+            return PipelineResult(results, total)
 
         timeline = ExecutionTimeline(self.cluster.config.cost_model)
         cursors = [_PlanCursor(plan, i) for i, plan in enumerate(plans)]
-        scope: Optional[CoalesceScope] = None
-        if do_coalesce and len(plans) > 1:
-            scope = CoalesceScope(
-                self.cluster, self.cache, len(plans), self.apply_workers
-            )
-            while any(not c.done for c in cursors):
-                check_cancelled()
-                window = scope.begin_window()
-                for cursor in cursors:
-                    if cursor.done:
-                        continue
-                    stage = self._resolve_entry(cursor)
-                    if stage is not None:
-                        scope.admit_stage(window, cursor, stage)
-                scope.flush_window(window, clients, timeline)
-        else:
-            while any(not c.done for c in cursors):
-                check_cancelled()
-                for cursor in cursors:
-                    if cursor.done:
-                        continue
-                    self._advance(cursor, clients, timeline)
+        scope = CoalesceScope(self.cluster, self.cache, len(plans))
+        while any(not c.done for c in cursors):
+            check_cancelled()
+            window = scope.begin_window()
+            for cursor in cursors:
+                if cursor.done:
+                    continue
+                stage = self._resolve_entry(cursor)
+                if stage is not None:
+                    scope.admit_stage(window, cursor, stage)
+            scope.flush_window(window, clients, timeline)
 
         total = FetchStats()
         for cursor in cursors:
@@ -237,15 +197,13 @@ class PlanExecutor:
         # per-plan attributions are signed and don't sum to the schedule-
         # level win; the aggregate reports the timeline's
         total.overlap_saved_ms = timeline.overlap_saved_ms
-        report = None
-        if scope is not None:
-            # per-plan rounds count participation; the aggregate counts
-            # what actually hit the store (a merged round exactly once)
-            report = scope.report(len(plans))
-            total.rounds = scope.rounds_issued
-            total.merged_rounds = scope.merged_rounds
+        # per-plan rounds count participation; the aggregate counts what
+        # actually hit the store (a merged round exactly once)
+        total.rounds = scope.rounds_issued
+        total.merged_rounds = scope.merged_rounds
         return PipelineResult(
-            [c.result for c in cursors], total, timeline, report
+            [c.result for c in cursors], total, timeline,
+            scope.report(len(plans)),
         )
 
     def fetch(
@@ -273,65 +231,12 @@ class PlanExecutor:
             cursor.result.stages.append(stage)
         return stage
 
-    def _advance(
-        self, cursor: _PlanCursor, clients: int, timeline: ExecutionTimeline
-    ) -> None:
-        """Resolve and run one entry of a pipelined plan."""
-        stage = self._resolve_entry(cursor)
-        if stage is None:
-            return
-        # each in-flight plan gets its own client-id namespace: an async
-        # driver does not queue one plan's requests behind another's on a
-        # single synchronous fetcher (the shift never changes a round's
-        # standalone cost)
-        timing, apply_ms = self._run_stage(
-            stage, clients, cursor.result, timeline, cursor.ready_at,
-            client_offset=cursor.index * clients,
-        )
-        if timing is not None:
-            cursor.ready_at = timing.completed_ms
-            cursor.standalone_ms += timing.standalone_ms
-        if apply_ms > 0.0:
-            # the stage's replay runs on one of this plan's apply lanes,
-            # released when its payload arrived: it overlaps the plan's
-            # next fetch round (key resolution needs only the decoded
-            # rows) and every other plan's in-flight work.  With one
-            # worker the single lane serializes a plan's apply stages
-            # against each other; with k workers consecutive stages
-            # stripe across k lanes and only every k-th stage queues
-            workers = self.apply_workers
-            lane = f"plan-{cursor.index}"
-            if workers > 1:
-                lane = f"{lane}-w{cursor.apply_seq % workers}"
-            cursor.apply_seq += 1
-            work = timeline.submit_local(apply_ms, at=cursor.ready_at, lane=lane)
-            cursor.apply_done = max(cursor.apply_done, work.completed_ms)
-            cursor.standalone_ms += apply_ms
-            span = current_span()
-            if span is not None:
-                span.child(
-                    "apply", lane=lane, plan=cursor.index,
-                    apply_ms=round(apply_ms, 6),
-                ).set_sim(
-                    work.completed_ms - work.standalone_ms,
-                    work.completed_ms,
-                ).end()
-
     def _run_stage(
-        self,
-        stage: FetchStage,
-        clients: int,
-        result: PlanResult,
-        timeline: Optional[ExecutionTimeline] = None,
-        at: float = 0.0,
-        client_offset: int = 0,
-    ) -> Tuple[Optional[RoundTiming], float]:
-        """Run one stage; returns the store round's timing (``None`` when
-        every key was served locally or no timeline is in use) and the
-        stage's client-side apply cost (0 under a fetch-only model)."""
+        self, stage: FetchStage, clients: int, result: PlanResult
+    ) -> float:
+        """Run one stage of a sequential plan into ``result``; returns
+        the stage's client-side apply cost (0 under a fetch-only model)."""
         model = self.cluster.config.cost_model
-        costed = model.costs_apply
-        apply_ms = 0.0
         keys = stage.keys()
         parent = current_span()
         stage_span = None
@@ -339,25 +244,7 @@ class PlanExecutor:
             stage_span = parent.child(
                 "stage", label=getattr(stage, "label", None), keys=len(keys),
             )
-        missing: List[KeyTuple] = []
-        if self.cache is None:
-            missing = keys
-        else:
-            for key in keys:
-                row = self.cache.lookup(key)
-                if row is None:
-                    missing.append(key)
-                else:
-                    result.values[key] = row.value
-                    result.stats.cache_hits += 1
-                    result.stats.cache_bytes_saved += row.stored_bytes
-                    if costed:
-                        # cached rows are already decoded; replay remains
-                        apply_ms += model.apply_time(
-                            row.raw_bytes, _replay_items(row.value),
-                            decoded=True,
-                        )
-            result.stats.cache_misses += len(missing)
+        missing, apply_ms = serve_cached(self.cache, model, keys, result)
         if stage_span is not None and self.cache is not None:
             stage_span.set(
                 cache_hits=len(keys) - len(missing),
@@ -369,35 +256,22 @@ class PlanExecutor:
                 stage_span.set(
                     served_from="cache", apply_ms=round(apply_ms, 6)
                 ).end()
-            return None, apply_ms
+            return apply_ms
         if stage_span is None:
-            values, stats = self.cluster.multiget(
-                missing, clients=clients, timeline=timeline, at=at,
-                client_offset=client_offset,
-            )
+            values, stats = self.cluster.multiget(missing, clients=clients)
         else:
             # nest this stage's store rounds under the stage span
             with use_span(stage_span):
-                values, stats = self.cluster.multiget(
-                    missing, clients=clients, timeline=timeline, at=at,
-                    client_offset=client_offset,
-                )
+                values, stats = self.cluster.multiget(missing, clients=clients)
         result.values.update(values)
         result.stats.merge(stats)
-        if costed:
+        if model.costs_apply:
             for record in stats.requests:
                 apply_ms += model.apply_time(
                     record.raw_bytes, _replay_items(values[record.key])
                 )
         result.stats.apply_ms += apply_ms
-        if self.cache is not None:
-            for record in stats.requests:
-                self.cache.admit(
-                    record.key,
-                    values[record.key],
-                    record.stored_bytes,
-                    record.raw_bytes,
-                )
+        admit_fetched(self.cache, stats.requests, values)
         if stage_span is not None:
             stage_span.set(
                 requests=len(stats.requests),
@@ -405,7 +279,4 @@ class PlanExecutor:
                 rounds=stats.rounds,
                 apply_ms=round(apply_ms, 6),
             ).end()
-        return (
-            timeline.rounds[-1] if timeline is not None else None,
-            apply_ms,
-        )
+        return apply_ms

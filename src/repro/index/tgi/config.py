@@ -63,30 +63,6 @@ class TGIConfig:
         stats_buckets: event-rate histogram resolution of the build-time
             :class:`~repro.stats.model.GraphStatistics` artifact (buckets
             per timespan).
-        apply_workers: per-partition apply lanes.  1 (the default) keeps
-            replay strictly serial; ``k > 1`` replays independent
-            partitions on a ``ThreadPoolExecutor`` of ``k`` threads and
-            stripes the executor's costed apply stages across ``k``
-            simulated lanes.  Results are bit-identical to serial —
-            partition states are computed concurrently but admitted in
-            sorted partition order.
-        pipeline: overlap independent fetch plans on a shared execution
-            timeline (modeling Cassandra's async client drivers) and let
-            the TAF handler drive whole analytics chunks through the
-            batched paths — the shared-frontier SoTS fetch and the
-            one-``execute_many`` SoN history fetch.  On by default (the
-            figure benches were re-validated against the overlapped cost
-            model); build with ``--no-pipeline`` / ``pipeline=False`` to
-            reproduce the strictly sequential per-center schedule.
-        coalesce: cross-query fetch coalescing for pipelined multi-plan
-            execution (batched sessions, TAF chunk fetches): keys
-            requested by several concurrent plans are fetched once
-            (single-flight dedup, reported as ``coalesced_hits``) and
-            same-window key groups merge into shared multiget rounds.
-            On by default; ``coalesce=False`` is the escape hatch that
-            reproduces the pre-coalescing request/round counts exactly.
-            Only engages when ``pipeline`` is on and more than one plan
-            is in flight.
         cluster: shape of the backing key-value cluster (``m``, ``r``,
             compression, cost model, per-round request-size limit).
     """
@@ -105,9 +81,6 @@ class TGIConfig:
     checkpoint_entries: int = 0
     checkpoint_admission: str = "always"
     stats_buckets: int = 16
-    apply_workers: int = 1
-    pipeline: bool = True
-    coalesce: bool = True
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
     def __post_init__(self) -> None:
@@ -137,5 +110,3 @@ class TGIConfig:
             )
         if self.stats_buckets < 1:
             raise IndexError_("stats_buckets must be positive")
-        if self.apply_workers < 1:
-            raise IndexError_("apply_workers must be positive")

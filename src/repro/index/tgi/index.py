@@ -41,7 +41,6 @@ primary+aux) replay is self-contained.
 from __future__ import annotations
 
 import bisect
-import contextvars
 import threading
 from dataclasses import replace as _dc_replace
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -223,12 +222,7 @@ class TGI(HistoricalGraphIndex):
             if self.config.checkpoint_entries > 0
             else None
         )
-        self.executor = PlanExecutor(
-            self.cluster,
-            self.delta_cache,
-            apply_workers=self.config.apply_workers,
-            coalesce=self.config.coalesce,
-        )
+        self.executor = PlanExecutor(self.cluster, self.delta_cache)
         self.stats = GraphStatistics()
         self._vc = VersionChainStore(self.cluster, self.config.placement_groups)
         self._spans: List[TimespanInfo] = []
@@ -236,9 +230,8 @@ class TGI(HistoricalGraphIndex):
         self._running = Graph()  # state at the end of indexed history
         self._t_min: Optional[TimePoint] = None
         self._t_max: Optional[TimePoint] = None
-        self._apply_pool = None  # lazy ThreadPoolExecutor (apply_workers > 1)
         # guards what concurrent queries over one served index share and
-        # mutate: apply-pool creation and the frontier-margin EWMA
+        # mutate: the frontier-margin EWMA
         self._lock = threading.Lock()
         #: Learned occupancy corrections for the k-hop frontier model,
         #: keyed by k: EWMA of observed/predicted touched-partition
@@ -246,31 +239,11 @@ class TGI(HistoricalGraphIndex):
         #: static margin's over-prediction on min-cut builds).
         self._frontier_corrections: Dict[int, float] = {}
 
-    def _pool(self):
-        """The shared per-partition apply pool (created on first use).
-        Creation is locked: concurrent queries over one served index
-        would otherwise both build a pool and orphan one of them."""
-        pool = self._apply_pool
-        if pool is None:
-            with self._lock:
-                pool = self._apply_pool
-                if pool is None:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    pool = ThreadPoolExecutor(
-                        max_workers=self.config.apply_workers,
-                        thread_name_prefix="tgi-apply",
-                    )
-                    self._apply_pool = pool
-        return pool
-
     def __getstate__(self):
-        # thread pools and locks don't pickle (save_index serializes
-        # whole indexes); drop both — the pool is recreated lazily on
-        # the next parallel replay.  ``_span_starts`` is derived from
-        # ``_spans`` and rebuilt on load, so files do not carry it
+        # locks don't pickle (save_index serializes whole indexes).
+        # ``_span_starts`` is derived from ``_spans`` and rebuilt on
+        # load, so files do not carry it
         state = dict(self.__dict__)
-        state["_apply_pool"] = None
         state["_lock"] = None
         state.pop("_span_starts", None)
         return state
@@ -704,8 +677,8 @@ class TGI(HistoricalGraphIndex):
         scope: Optional[Set[NodeId]] = None,
     ) -> Optional[PartialState]:
         """Replay one partition's state at ``t`` from fetched rows (pure
-        compute — no checkpoint admission, so it is safe on a worker
-        thread).  ``plan`` takes the partition's already-computed
+        compute — no checkpoint admission).  ``plan`` takes the
+        partition's already-computed
         ``(path_groups, ekeys)`` when the caller has them, avoiding a
         second tree-path walk; ``scope`` narrows the replay to some of
         the partition's nodes (a state nobody will checkpoint).  Returns
@@ -761,17 +734,9 @@ class TGI(HistoricalGraphIndex):
             Dict[int, Tuple[List[List[DeltaKey]], List[DeltaKey]]]
         ] = None,
     ) -> List[Tuple[int, PartialState]]:
-        """Replay all cold and near-seeded partitions of one fetch round.
-
-        With ``apply_workers > 1`` the per-partition replays run on the
-        shared thread pool (they are independent: each builds a private
-        ``PartialState`` from read-only fetched rows); states are then
-        admitted and returned in the serial order — cold partitions
-        sorted by pid, then near-seeded ones — so merge results and
-        checkpoint contents are bit-identical to ``apply_workers=1``."""
-        pids = sorted(cold) + sorted(near)
-        if not pids:
-            return []
+        """Replay all cold and near-seeded partitions of one fetch
+        round, one after another; states are admitted and returned cold
+        partitions sorted by pid first, then near-seeded ones."""
 
         def replay(pid: int) -> Optional[PartialState]:
             entry = near.get(pid)
@@ -790,8 +755,7 @@ class TGI(HistoricalGraphIndex):
             if parent is None:
                 return replay(pid)
             # one child span per partition, current while it replays so
-            # events_applied (and any nested work) attributes to it —
-            # including on pool threads, which run in a copied context
+            # events_applied (and any nested work) attributes to it
             sub = parent.child("apply.partition", pid=pid, seeded=pid in near)
             try:
                 with use_span(sub):
@@ -799,17 +763,8 @@ class TGI(HistoricalGraphIndex):
             finally:
                 sub.end()
 
-        if self.config.apply_workers > 1 and len(pids) > 1:
-            # worker threads do not inherit this thread's contextvars, so
-            # each task runs in a fresh copy of the caller's context —
-            # the degraded-mode collector (and any cancel scope checked
-            # downstream) stays visible on the pool
-            tasks = [(pid, contextvars.copy_context()) for pid in pids]
-            states = list(
-                self._pool().map(lambda pc: pc[1].run(compute, pc[0]), tasks)
-            )
-        else:
-            states = [compute(pid) for pid in pids]
+        pids = sorted(cold) + sorted(near)
+        states = [compute(pid) for pid in pids]
         out: List[Tuple[int, PartialState]] = []
         for pid, state in zip(pids, states):
             if state is None:
@@ -970,7 +925,7 @@ class TGI(HistoricalGraphIndex):
     ) -> Optional[PartialState]:
         """Advance a checkpointed partition state from ``t0`` to ``t`` by
         replaying only the gap eventlists (pure compute — no checkpoint
-        admission, so it is safe on a worker thread).
+        admission).
         Exact for the same reason cold per-partition replay is: the build
         writes every event into the eventlist of each partition it
         touches, so the gap rows carry everything that moved this
@@ -1149,8 +1104,7 @@ class TGI(HistoricalGraphIndex):
             if self.checkpoints is not None:
                 # replay whole partitions (not just the queried members,
                 # so the admitted checkpoints serve any later query over
-                # these partitions) — cold and near-seeded ones together,
-                # on the apply pool when configured
+                # these partitions) — cold and near-seeded ones together
                 replayed = dict(self._replay_pids(
                     span,
                     {p for p in by_pid

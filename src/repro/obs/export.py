@@ -5,7 +5,7 @@ the pipelined execution story into a picture: process 1 is the
 *simulated timeline* with one track per storage machine and one per
 apply lane, so overlapped fetch rounds, coalesced windows and apply
 work render as parallel bars; process 2 is wall clock, with one track
-per Python thread, which makes apply-worker fan-out visible.
+per Python thread.
 
 Timestamps are microseconds (the format's unit): sim-ms map 1:1 at
 ``ms * 1000``; wall times are rebased to the trace root's start.

@@ -7,8 +7,7 @@ rounds, apply lanes, resilience events — attaches children to whatever
 span is *current*.  Currency is carried in a :mod:`contextvars`
 variable (the same pattern as :mod:`repro.cancellation`), so work that
 hops threads keeps attributing correctly as long as the context is
-copied across the hop — which the TGI's apply-worker pool and the
-service collector both do.
+copied across the hop — which the service collector does.
 
 Spans carry two clocks:
 
@@ -77,7 +76,8 @@ def use_span(span: Optional["Span"]) -> Iterator[Optional["Span"]]:
 
 class _TraceShared:
     """State shared by every span of one trace: a single lock guarding
-    tree mutation (children are appended from pool threads), the
+    tree mutation (a span can be current on several threads: workers
+    run in a copy of the caller's context), the
     tracer's clock, and the span-id counter."""
 
     __slots__ = ("lock", "clock", "ids")

@@ -313,11 +313,7 @@ class GraphSession:
         # an earlier session may have bound one to this index, and
         # capacity 0 must really mean uncached accounting
         tgi.delta_cache = self.cache
-        tgi.executor = PlanExecutor(
-            tgi.cluster, self.cache,
-            apply_workers=tgi.config.apply_workers,
-            coalesce=tgi.config.coalesce,
-        )
+        tgi.executor = PlanExecutor(tgi.cluster, self.cache)
         self.checkpoint_cache = None
         if ckpt_capacity > 0:
             if slot is not None:
@@ -808,17 +804,16 @@ class GraphSession:
         result.stats.degraded_keys = keys
         result.degraded = {"keys": keys, "partitions": partitions}
 
-    def batch(self, coalesce: Optional[bool] = None) -> "Batch":
+    def batch(self) -> "Batch":
         """A deferred multi-query builder: the same fluent ``at`` /
         ``between`` views queue requests instead of running them, and
         :meth:`Batch.run` executes the whole set through one shared,
         coalesced timeline (see :meth:`execute_batch`)."""
-        return Batch(self, coalesce=coalesce)
+        return Batch(self)
 
     def execute_batch(
         self,
         requests: Sequence[QueryRequest],
-        coalesce: Optional[bool] = None,
         *,
         capture_errors: bool = False,
         deadline_ats: Optional[Sequence[Optional[float]]] = None,
@@ -830,9 +825,9 @@ class GraphSession:
         **shared-context discount**: keys an already-chosen concurrent
         plan will fetch anyway price at zero, because coalesced execution
         fetches them once.  All chosen plans then run through a single
-        ``execute_many`` with coalescing on: keys needed by several
-        requests are fetched once (single-flight dedup) and same-window
-        fetches to the store merge into one multiget round.
+        pipelined ``execute_many``: keys needed by several requests are
+        fetched once (single-flight dedup) and same-window fetches to the
+        store merge into one multiget round.
 
         Returns one :class:`QueryResult` per request, in input order,
         with values member-identical to a serial :meth:`execute` loop.
@@ -856,14 +851,12 @@ class GraphSession:
         counts each event once.  Deadlines stay per slot: an expired
         duplicate neither joins nor blocks its group.
 
-        ``coalesce=False`` (or an index built with
-        ``TGIConfig(coalesce=False)``) is the escape hatch: the batch
-        degenerates to a serial ``execute`` loop with bit-identical
-        accounting.  Every kind has a plan form — ``khop_history`` chains
-        its neighbors' history stages behind the center's — so every
-        kind coalesces.  The per-algorithm EWMA correction is *not*
-        updated from batched runs — coalesced actuals reflect shared
-        work and would mistrain the standalone predictions.
+        The serial baseline is a plain :meth:`execute` loop.  Every kind
+        has a plan form — ``khop_history`` chains its neighbors' history
+        stages behind the center's — so every kind coalesces.  The
+        per-algorithm EWMA correction is *not* updated from batched
+        runs — coalesced actuals reflect shared work and would mistrain
+        the standalone predictions.
 
         ``capture_errors=True`` turns per-request failures (bad plans,
         dead nodes at assembly, expired deadlines) into
@@ -883,8 +876,6 @@ class GraphSession:
             deadline_ats = [None] * len(requests)
         elif len(deadline_ats) != len(requests):
             raise ValueError("deadline_ats length must match requests length")
-        if coalesce is None:
-            coalesce = self.tgi.config.coalesce
 
         def annotate(root: Span, results: List[QueryResult]) -> None:
             sim_end = 0.0
@@ -898,9 +889,7 @@ class GraphSession:
 
         return self._traced(
             "batch", {"size": len(requests)},
-            lambda: self._run(
-                requests, deadline_ats, capture_errors, coalesce
-            ),
+            lambda: self._run(requests, deadline_ats, capture_errors),
             annotate,
         )
 
@@ -909,15 +898,13 @@ class GraphSession:
         requests: List[QueryRequest],
         deadline_ats: Sequence[Optional[float]],
         capture_errors: bool = False,
-        coalesce: bool = True,
     ) -> List[QueryResult]:
         """The one way a query runs: :meth:`_compile` every request to
         plans + finalizers, execute all plans in one ``execute_many``,
         :meth:`_finalize` each request off its plans' values.  One
         distinct request asked once runs *standalone* — plans back to
         back, the sequential sim clock, the outcome fed to the EWMA;
-        anything more shares one pipelined, coalesced timeline (or, with
-        ``coalesce`` off, runs as that many batches of one)."""
+        anything more shares one pipelined, coalesced timeline."""
         # absolute deadlines on the session clock: the given instants,
         # else each request's ``deadline_ms`` budget counted from now
         now = self.clock()
@@ -926,11 +913,6 @@ class GraphSession:
             else now + request.deadline_ms / 1000.0
             for request, at in zip(requests, deadline_ats)
         ]
-        if not coalesce and len(requests) > 1:
-            return [
-                self._run([request], [deadline], capture_errors)[0]
-                for request, deadline in zip(requests, deadlines)
-            ]
         results: List[Optional[QueryResult]] = [None] * len(requests)
 
         def fail(i: int, exc: Exception) -> None:
@@ -1005,7 +987,7 @@ class GraphSession:
                 pipe = self.tgi.executor.execute_many(
                     plans,
                     clients=max(request.clients for request in requests),
-                    pipelined=not standalone, coalesce=True,
+                    pipelined=not standalone,
                 )
         except DeadlineExceeded as exc:
             for i in live:
@@ -1093,9 +1075,8 @@ class GraphSession:
             # batch's shares still sum to the deduplicated totals
             stats.sim_time_ms = max(r.stats.sim_time_ms for r in executed)
             report = pipe.coalesce
-            if report is not None:
-                stats.requests = sum(report.fair_requests[j] for j in span)
-                stats.bytes_read = sum(report.fair_bytes[j] for j in span)
+            stats.requests = sum(report.fair_requests[j] for j in span)
+            stats.bytes_read = sum(report.fair_bytes[j] for j in span)
             if spec.members > 1:
                 stats.requests /= spec.members
                 stats.bytes_read /= spec.members
@@ -1240,8 +1221,8 @@ class GraphSession:
         """The retrieval plan and its cost estimate, without fetching.
 
         For k-hop requests the output also lists every candidate's
-        predicted cost and which one ``auto`` would pick; for pipelined
-        indexes it appends the executor's round timeline.
+        predicted cost and which one ``auto`` would pick; the executor's
+        round timeline closes the report.
         """
         chosen: Optional[str] = None
         candidates: Dict[str, float] = {}
@@ -1312,8 +1293,7 @@ class GraphSession:
                 lines.append(f"  - {name}: {ms:.2f} sim-ms — {verdict}")
                 for note in candidate_notes.get(name, []):
                     lines.append(f"      note: {note}")
-        if self.tgi.config.pipeline:
-            lines.append(self._timeline_estimate(plan, request.clients))
+        lines.append(self._timeline_estimate(plan, request.clients))
         return "\n".join(lines)
 
     def _timeline_estimate(self, plan, clients: int) -> str:
@@ -1475,12 +1455,9 @@ class Batch:
     ``clear`` resets it).
     """
 
-    def __init__(
-        self, session: GraphSession, coalesce: Optional[bool] = None
-    ) -> None:
+    def __init__(self, session: GraphSession) -> None:
         self.session = session
         self.clients = session.clients
-        self.coalesce = coalesce
         self.requests: List[QueryRequest] = []
 
     def at(self, t: TimePoint) -> TimeView:
@@ -1516,6 +1493,4 @@ class Batch:
         """Execute every queued request through one shared, coalesced
         timeline; returns one :class:`QueryResult` per request, in queue
         order."""
-        return self.session.execute_batch(
-            self.requests, coalesce=self.coalesce
-        )
+        return self.session.execute_batch(self.requests)

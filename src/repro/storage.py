@@ -32,7 +32,8 @@ _MAGIC = "hgs-index"
 # 7: TGIConfig.coalesce
 # 8: ClusterConfig.checksums, CRC32 row envelope (tag K)
 # 9: packed micro-delta rows (tags D/d); Delta pickles as node/edge maps
-_FORMAT_VERSION = 9
+# 10: TGIConfig loses apply_workers / pipeline / coalesce
+_FORMAT_VERSION = 10
 
 
 class PersistenceError(HGSError):

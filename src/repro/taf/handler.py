@@ -54,9 +54,9 @@ class ParallelFetchStats:
     each analytics partition; the fetch completes at the LPT makespan over
     the Spark workers (plus nothing else — the direct worker↔store protocol
     avoids a master bottleneck, Fig. 10).  When the partitions' plans ran
-    *pipelined* on one shared execution timeline, ``pipelined_ms`` carries
-    the timeline makespan and overrides the LPT schedule (the per-plan
-    completion times in ``partition_sim_ms`` already overlap)."""
+    on one shared execution timeline (the SoN path), ``pipelined_ms``
+    carries the timeline makespan and overrides the LPT schedule (the
+    per-plan completion times in ``partition_sim_ms`` already overlap)."""
 
     partition_sim_ms: List[float] = field(default_factory=list)
     num_workers: int = 1
@@ -183,106 +183,43 @@ class TGIHandler:
 
         Each analytics partition issues one *batched* history fetch for
         its whole chunk (:meth:`TGI._node_histories_plan`), so a partition
-        costs O(1) store rounds instead of O(nodes).  With
-        ``TGIConfig.pipeline`` enabled, all chunk plans are submitted
-        through a single :meth:`PlanExecutor.execute_many` call, so the
+        costs O(1) store rounds instead of O(nodes), and all chunk plans
+        go through a single :meth:`PlanExecutor.execute_many` call: the
         chunks' 2-round plans overlap on one shared execution timeline —
-        the same async-client model the SoTS path uses — instead of
-        running strictly one after another."""
+        the async-client model of Fig. 10 — instead of running strictly
+        one after another."""
         tgi = self.tgi
         stats = ParallelFetchStats(num_workers=self.sc.num_workers)
-        chunks = self._chunks(node_ids)
+        compiled = [
+            tgi._node_histories_plan(chunk, ts, te)
+            for chunk in self._chunks(node_ids)
+        ]
+        pipelined = tgi.executor.execute_many(
+            [plan for plan, _finalize, _extra in compiled],
+            clients=self.clients_per_partition, pipelined=True,
+        )
         out: List[NodeT] = []
-        if tgi.config.pipeline and chunks:
-            compiled = [
-                tgi._node_histories_plan(chunk, ts, te) for chunk in chunks
-            ]
-            pipelined = tgi.executor.execute_many(
-                [plan for plan, _finalize, _extra in compiled],
-                clients=self.clients_per_partition, pipelined=True,
+        for one, result in zip(compiled, pipelined.results):
+            out.extend(
+                NodeT(h)
+                for h in tgi._finish(one, result.values, pipelined.stats)
             )
-            for one, result in zip(compiled, pipelined.results):
-                out.extend(
-                    NodeT(h)
-                    for h in tgi._finish(one, result.values, pipelined.stats)
-                )
-                # per-plan attribution: when this chunk's plan completed
-                # on the shared timeline
-                stats.partition_sim_ms.append(result.stats.sim_time_ms)
-            stats.absorb(pipelined.stats)
-            stats.pipelined_ms = pipelined.stats.sim_time_ms
-            return out, stats
-        for chunk in chunks:
-            histories, fetch = tgi._retrieve(
-                tgi._node_histories_plan(chunk, ts, te),
-                self.clients_per_partition,
-            )
-            stats.absorb(fetch)
-            stats.partition_sim_ms.append(fetch.sim_time_ms)
-            out.extend(NodeT(history) for history in histories)
+            # per-plan attribution: when this chunk's plan completed
+            # on the shared timeline
+            stats.partition_sim_ms.append(result.stats.sim_time_ms)
+        stats.absorb(pipelined.stats)
+        stats.pipelined_ms = pipelined.stats.sim_time_ms
         return out, stats
 
     # ------------------------------------------------------------------
     def fetch_subgraph(
         self, center: NodeId, k: int, ts: TimePoint, te: TimePoint
     ) -> Optional[SubgraphT]:
-        sg, self.last_fetch_stats = self.retrieve_subgraph(center, k, ts, te)
-        return sg
-
-    def retrieve_subgraph(
-        self, center: NodeId, k: int, ts: TimePoint, te: TimePoint
-    ) -> Tuple[Optional[SubgraphT], ParallelFetchStats]:
-        """Fetch one temporal k-hop subgraph.
-
-        Member discovery is level-wise *over time*: starting from the
-        center, each hop adds every node that is a neighbor at any point
-        during ``[ts, te]``, so the SubgraphT covers the neighborhood as it
-        evolves; ``get_version_at`` prunes back to the exact k-hop members
-        at each queried time.
-        """
-        tgi, clients = self.tgi, self.clients_per_partition
-        histories: Dict[NodeId, NodeT] = {}
-        fetch_total = FetchStats()
-
-        def fetch_batch(nids: Sequence[NodeId]) -> List[NodeT]:
-            """One batched history fetch for a whole frontier level."""
-            got, fetch = tgi._retrieve(
-                tgi._node_histories_plan(list(nids), ts, te), clients
-            )
-            fetch_total.merge(fetch)
-            return [NodeT(history) for history in got]
-
-        def finish() -> ParallelFetchStats:
-            stats = ParallelFetchStats(num_workers=self.sc.num_workers)
-            stats.partition_sim_ms.append(fetch_total.sim_time_ms)
-            stats.absorb(fetch_total)
-            return stats
-
-        root = fetch_batch([center])[0]
-        if root.history.initial is None and not root.history.events:
-            return None, finish()  # the root probe still cost a fetch
-        histories[center] = root
-        frontier = {center}
-        for _ in range(k):
-            nbrs: Set[NodeId] = set()
-            for nid in frontier:
-                nbrs |= _neighbors_over_time(histories[nid])
-            new = sorted(nbrs - set(histories))
-            if not new:
-                break
-            for nid, nt in zip(new, fetch_batch(new)):
-                histories[nid] = nt
-            frontier = set(new)
-
-        # initial edge attributes among members, from the store's k-hop
-        # view (``None`` when the center is not alive at ts: attrs then
-        # resolve from events, and what the probe fetched still counts)
-        (g0,), fetch = tgi._retrieve(tgi._khops_plan([center], ts, k), clients)
-        fetch_total.merge(fetch)
-        return (
-            SubgraphT(center, k, histories, _edge_attrs_of(g0)),
-            finish(),
-        )
+        """One temporal k-hop subgraph — the batch of one (``None`` for
+        a center that exists at no point of ``[ts, te]``; the root probe
+        still cost a fetch)."""
+        out = self.fetch_subgraphs([center], k, ts, te)
+        return out[0] if out else None
 
     def fetch_subgraphs(
         self,
@@ -305,34 +242,19 @@ class TGIHandler:
     ) -> Tuple[List[SubgraphT], ParallelFetchStats]:
         """Parallel fetch of temporal subgraphs (the SoTS data path).
 
-        With ``TGIConfig.pipeline`` enabled, each analytics chunk is driven
-        through the shared-frontier batched path
-        (:meth:`_fetch_subgraph_batch`): every BFS level fetches the whole
-        chunk's frontier in one batched history plan, the k-hop edge-attr
-        plan runs overlapped with the expansion, and the chunk costs
-        O(levels) rounds instead of O(centers · levels).  The default
-        (non-pipelined) configuration keeps the strictly sequential
-        per-center schedule, reproducing its fetch counts exactly.
+        Each analytics chunk is driven through the shared-frontier
+        batched path (:meth:`_fetch_subgraph_batch`): every BFS level
+        fetches the whole chunk's frontier in one batched history plan,
+        the k-hop edge-attr plan runs overlapped with the expansion, and
+        the chunk costs O(levels) rounds instead of O(centers · levels).
         """
         total = ParallelFetchStats(num_workers=self.sc.num_workers)
         out: List[SubgraphT] = []
         for chunk in self._chunks(centers):
-            if self.tgi.config.pipeline:
-                subgraphs, fetch = self._fetch_subgraph_batch(
-                    chunk, k, ts, te
-                )
-                total.absorb(fetch)
-                total.partition_sim_ms.append(fetch.sim_time_ms)
-                out.extend(sg for sg in subgraphs if sg is not None)
-                continue
-            sim_ms = 0.0
-            for nid in chunk:
-                sg, fetch = self.retrieve_subgraph(nid, k, ts, te)
-                sim_ms += fetch.sim_time_ms
-                total.absorb(fetch)
-                if sg is not None:
-                    out.append(sg)
-            total.partition_sim_ms.append(sim_ms)
+            subgraphs, fetch = self._fetch_subgraph_batch(chunk, k, ts, te)
+            total.absorb(fetch)
+            total.partition_sim_ms.append(fetch.sim_time_ms)
+            out.extend(sg for sg in subgraphs if sg is not None)
         return out, total
 
     def _fetch_subgraph_batch(
@@ -349,8 +271,15 @@ class TGIHandler:
         union of every center's new frontier nodes in one batched history
         plan (levels grow the plan dynamically via factories); (b) the
         shared-frontier k-hop plan supplying the initial edge attributes
-        at ``ts``.  Per-center results are identical to
-        :meth:`fetch_subgraph`; only the fetch schedule differs.
+        at ``ts`` (``None`` for a center not alive at ``ts``: its attrs
+        then resolve from events, and what the probe fetched still
+        counts).
+
+        Member discovery is level-wise *over time*: starting from the
+        center, each hop adds every node that is a neighbor at any point
+        during ``[ts, te]``, so the SubgraphT covers the neighborhood as it
+        evolves; ``get_version_at`` prunes back to the exact k-hop members
+        at each queried time.
         """
         tgi = self.tgi
         order = list(dict.fromkeys(centers))

@@ -90,6 +90,46 @@ def ground_truth_history(
     return state, changes
 
 
+def ground_truth_subgraph(
+    events: List[Event], center: NodeId, k: int, ts: TimePoint, te: TimePoint
+):
+    """Reference temporal k-hop subgraph over ``[ts, te]``, from the raw
+    log alone: ``(members, edge_attrs)``.  ``members`` maps every member
+    to its :func:`ground_truth_history`, discovered level by level — each
+    hop adds every node that neighbors a frontier node at *any* point of
+    the interval; ``edge_attrs`` holds the attributed edges of the
+    center's k-hop neighborhood in the snapshot at ``ts`` (empty when the
+    center is not alive then).  ``None`` for a center that exists at no
+    point of the interval."""
+    root = ground_truth_history(events, center, ts, te)
+    if root[0] is None and not root[1]:
+        return None
+    members = {center: root}
+    frontier = [center]
+    for _ in range(k):
+        nbrs = set()
+        for nid in frontier:
+            state, changes = members[nid]
+            if state is not None:
+                nbrs |= state.E
+            for ev in changes:
+                state = evolve_node_state(state, ev, nid)
+                if state is not None:
+                    nbrs |= state.E
+        frontier = sorted(nbrs - set(members))
+        for nid in frontier:
+            members[nid] = ground_truth_history(events, nid, ts, te)
+    edge_attrs = {}
+    snapshot = Graph.replay(events, until=ts)
+    if snapshot.has_node(center):
+        hood = snapshot.khop_subgraph(center, k)
+        for (u, v) in hood.edges():
+            attrs = hood.edge_attrs(u, v)
+            if attrs:
+                edge_attrs[canonical_edge(u, v)] = dict(attrs)
+    return members, edge_attrs
+
+
 def assert_history_equivalent(index, events, node, ts, te, compare_events=True):
     """Assert an index's node history matches the replay ground truth."""
     want_state, want_events = ground_truth_history(events, node, ts, te)

@@ -192,7 +192,7 @@ def citation_events():
 def build_tgi(events, **overrides):
     config = dict(
         events_per_timespan=1200, eventlist_size=150,
-        micro_partition_size=32, pipeline=True, coalesce=True,
+        micro_partition_size=32,
         cluster=ClusterConfig(num_machines=4),
     )
     config.update(overrides)

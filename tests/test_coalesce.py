@@ -1,7 +1,6 @@
 """Tests for cross-query fetch coalescing: single-flight key dedup,
 machine-level round merging, batched session execution with fair
-attribution, the ``TGIConfig.coalesce=False`` escape hatch, and the
-satellites that ride along (merged-round split accounting, failover
+attribution, and the satellites that ride along (merged-round split accounting, failover
 deregistration, snapshot near-seeding, frontier-margin learning,
 shared-context pricing)."""
 
@@ -43,7 +42,7 @@ def test_single_flight_dedup_counter_exact():
     plan_a = _one_stage_plan("a", shared + only_a)
     plan_b = _one_stage_plan("b", shared + only_b)
     pipe = PlanExecutor(cluster).execute_many(
-        [plan_a, plan_b], pipelined=True, coalesce=True
+        [plan_a, plan_b], pipelined=True
     )
     # every unique key fetched exactly once; plan b's overlap served from
     # plan a's flights and counted as coalesced hits, not store requests
@@ -64,7 +63,7 @@ def test_fair_attribution_sums_to_dedup_totals():
     plan_a = _one_stage_plan("a", shared + only_a)
     plan_b = _one_stage_plan("b", shared + only_b)
     pipe = PlanExecutor(cluster).execute_many(
-        [plan_a, plan_b], pipelined=True, coalesce=True
+        [plan_a, plan_b], pipelined=True
     )
     report = pipe.coalesce
     assert report is not None
@@ -85,14 +84,8 @@ def test_same_window_fetches_merge_into_one_round():
     plan_a = _one_stage_plan("a", keys[:8])
     plan_b = _one_stage_plan("b", keys[8:16])
     executor = PlanExecutor(cluster)
-    sequential = executor.execute_many(
-        [plan_a, plan_b], pipelined=True, coalesce=False
-    )
-    plan_a2 = _one_stage_plan("a", keys[:8])
-    plan_b2 = _one_stage_plan("b", keys[8:16])
-    merged = executor.execute_many(
-        [plan_a2, plan_b2], pipelined=True, coalesce=True
-    )
+    sequential = executor.execute_many([plan_a, plan_b], pipelined=False)
+    merged = executor.execute_many([plan_a, plan_b], pipelined=True)
     # disjoint key sets: no dedup, but the two single-stage plans land in
     # one scheduling window and issue one merged multiget round
     assert sequential.stats.rounds == 2
@@ -111,7 +104,7 @@ def test_split_round_accounting_exact():
     plan_a = _one_stage_plan("a", keys)       # owns everything
     plan_b = _one_stage_plan("b", keys[:3])   # rides the first chunk
     pipe = PlanExecutor(cluster).execute_many(
-        [plan_a, plan_b], pipelined=True, coalesce=True
+        [plan_a, plan_b], pipelined=True
     )
     assert pipe.stats.rounds == 4
     assert pipe.stats.num_requests == len(keys)
@@ -122,33 +115,6 @@ def test_split_round_accounting_exact():
         assert pipe.results[0].values[key] == {"row": key[3]}
     for key in keys[:3]:
         assert pipe.results[1].values[key] == {"row": key[3]}
-
-
-def test_escape_hatch_matches_non_coalesced_execution():
-    cluster, keys = _loaded_cluster()
-    executor_off = PlanExecutor(cluster)
-
-    def plans():
-        return [
-            _one_stage_plan("a", keys[:12]),
-            _one_stage_plan("b", keys[6:18]),
-        ]
-
-    baseline = executor_off.execute_many(
-        plans(), pipelined=True, coalesce=False
-    )
-    # a coalesce-default executor with the per-call escape hatch off is
-    # bit-identical to the pre-coalescing pipeline
-    hatch = PlanExecutor(cluster, coalesce=True).execute_many(
-        plans(), pipelined=True, coalesce=False
-    )
-    assert hatch.stats.num_requests == baseline.stats.num_requests
-    assert hatch.stats.rounds == baseline.stats.rounds
-    assert hatch.stats.sim_time_ms == baseline.stats.sim_time_ms
-    assert hatch.stats.coalesced_hits == 0
-    assert hatch.coalesce is None
-    for got, want in zip(hatch.results, baseline.results):
-        assert got.values == want.values
 
 
 def test_failover_deregisters_inflight_flights():
@@ -191,13 +157,11 @@ def dataset1_events():
     )
 
 
-def build_tgi(events, coalesce=True, checkpoints=0, **overrides):
+def build_tgi(events, checkpoints=0, **overrides):
     config = TGIConfig(
         events_per_timespan=1200,
         eventlist_size=150,
         micro_partition_size=32,
-        pipeline=True,
-        coalesce=coalesce,
         checkpoint_entries=checkpoints,
         cluster=ClusterConfig(num_machines=4),
         **overrides,
@@ -259,22 +223,6 @@ def test_batch_fewer_requests_and_rounds_than_serial(dataset1_events):
     assert max(r.stats.sim_time_ms for r in batch) < sum(
         r.stats.sim_time_ms for r in serial
     )
-
-
-def test_config_escape_hatch_reproduces_serial_counts(dataset1_events):
-    requests = _batch_requests()
-    session_serial = GraphSession.from_index(build_tgi(dataset1_events))
-    serial = [session_serial.execute(r) for r in requests]
-    hatch_session = GraphSession.from_index(
-        build_tgi(dataset1_events, coalesce=False)
-    )
-    hatch = hatch_session.execute_batch(requests)
-    for s, h in zip(serial, hatch):
-        assert h.stats.requests == s.stats.requests
-        assert h.stats.rounds == s.stats.rounds
-        assert h.stats.sim_time_ms == pytest.approx(s.stats.sim_time_ms)
-        assert h.stats.coalesced_hits == 0
-        assert h.stats.merged_rounds == 0
 
 
 def test_batch_results_isolated_copy_on_read(dataset1_events):

@@ -1,6 +1,6 @@
 """Tests for the columnar eventlist codec: packed-layout round-trips,
-lazy zero-copy decode, pickle fallback, cross-codec query parity, the
-format gate, and parallel apply lanes."""
+lazy zero-copy decode, pickle fallback, cross-codec query parity, and
+the format gate."""
 
 import pickle
 
@@ -12,13 +12,12 @@ from repro.deltas.columnar import (
     pack_eventlist,
 )
 from repro.deltas.eventlist import EventList
-from repro.errors import IndexError_
 from repro.graph.events import Event, EventBuilder, EventKind
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, TGIConfig
 from repro.kvstore.cluster import ClusterConfig
 from repro.kvstore.codec import decode, encode
-from repro.storage import PersistenceError, load_index, save_index
+from repro.storage import PersistenceError, load_index
 from repro.workloads.citation import CitationConfig, generate_citation_events
 from tests.helpers import random_history
 
@@ -46,14 +45,13 @@ def all_kind_events():
     ]
 
 
-def build_tgi(events, codec="columnar", apply_workers=1, checkpoints=0,
+def build_tgi(events, codec="columnar", checkpoints=0,
               m=4, ps=32, l=150, span=1200):
     tgi = TGI(TGIConfig(
         events_per_timespan=span,
         eventlist_size=l,
         micro_partition_size=ps,
         checkpoint_entries=checkpoints,
-        apply_workers=apply_workers,
         cluster=ClusterConfig(num_machines=m, codec=codec),
     ))
     tgi.build(events)
@@ -279,42 +277,9 @@ def test_snapshot_needs_no_event_materialization(dataset1_events):
     assert tgi.last_fetch_stats.decoded_events == 0
 
 
-# -- parallel apply lanes -----------------------------------------------------
-
-def test_apply_workers_must_be_positive():
-    with pytest.raises(IndexError_):
-        TGIConfig(apply_workers=0)
-
-
-def test_parallel_replay_bit_identical_to_serial(dataset1_events):
-    serial = build_tgi(dataset1_events, checkpoints=8)
-    threaded = build_tgi(dataset1_events, checkpoints=8, apply_workers=3)
-    te = dataset1_events[-1].time
-    for t in (te // 3, te):
-        assert serial.get_snapshot(t) == threaded.get_snapshot(t)
-    for center in (5, 42):
-        assert (serial.get_khop(center, te, k=2)
-                == threaded.get_khop(center, te, k=2))
-    for node in (3, 50):
-        a = serial.get_node_history(node, 1, te)
-        b = threaded.get_node_history(node, 1, te)
-        assert a.initial == b.initial and list(a.events) == list(b.events)
-
-
-def test_parallel_index_survives_save_load(tmp_path, dataset1_events):
-    tgi = build_tgi(dataset1_events[:400], apply_workers=2, checkpoints=4)
-    t = dataset1_events[399].time
-    tgi.get_snapshot(t)  # touch the pool so __getstate__ has to drop it
-    path = tmp_path / "parallel.hgs"
-    save_index(tgi, path)
-    loaded = load_index(path)
-    assert loaded.get_snapshot(t) == Graph.replay(dataset1_events[:400],
-                                                  until=t)
-
-
 # -- storage format gate ------------------------------------------------------
 
-@pytest.mark.parametrize("fmt", [5, 8])
+@pytest.mark.parametrize("fmt", [5, 8, 9])
 def test_older_format_files_rejected(tmp_path, fmt):
     path = tmp_path / "old.hgs"
     path.write_bytes(pickle.dumps({"magic": "hgs-index", "format": fmt,

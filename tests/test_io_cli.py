@@ -152,9 +152,43 @@ def test_cli_explain_pipelined_shows_timeline(tmp_path, capsys):
     index = tmp_path / "i.hgs"
     main(["generate", "citation", str(trace), "--nodes", "80"])
     main(["build", str(trace), str(index), "--span", "200",
-          "--eventlist", "50", "--partition-size", "20", "--pipeline"])
+          "--eventlist", "50", "--partition-size", "20"])
     capsys.readouterr()
     assert main(["query", str(index), "--explain", "snapshot", "200"]) == 0
     out = capsys.readouterr().out
     assert "ExecutionTimeline[" in out
     assert "overlap saved" in out
+
+
+def test_cli_query_refuses_a_baseline_index(tmp_path, capsys):
+    from repro.index.copylog import CopyLogIndex
+    from repro.storage import save_index
+
+    baseline = CopyLogIndex()
+    baseline.build(random_history(steps=60, seed=4))
+    path = tmp_path / "copylog.hgs"
+    save_index(baseline, path)
+    capsys.readouterr()
+    assert main(["query", str(path), "snapshot", "30"]) == 1
+    captured = capsys.readouterr()
+    assert "CopyLogIndex" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("flag", [
+    ["--no-pipeline"], ["--apply-workers", "4"], ["--no-coalesce"],
+])
+def test_cli_build_rejects_the_removed_schedule_flags(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["build", str(tmp_path / "t.jsonl"), str(tmp_path / "i.hgs")]
+             + flag)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_tgi_config_has_no_schedule_knobs():
+    from repro.index.tgi import TGIConfig
+
+    for knob in ("pipeline", "coalesce", "apply_workers"):
+        with pytest.raises(TypeError):
+            TGIConfig(**{knob: False})

@@ -38,14 +38,11 @@ def events():
     )
 
 
-def build_tgi(events, m=4, apply_workers=1, replication=1, checkpoints=0):
+def build_tgi(events, m=4, replication=1, checkpoints=0):
     tgi = TGI(TGIConfig(
         events_per_timespan=1200,
         eventlist_size=150,
         micro_partition_size=32,
-        pipeline=True,
-        coalesce=True,
-        apply_workers=apply_workers,
         checkpoint_entries=checkpoints,
         cluster=ClusterConfig(num_machines=m, replication=replication),
     ))
@@ -175,7 +172,9 @@ def test_degraded_trace_events(events, tmax):
 # -- contextvar propagation --------------------------------------------------
 
 def test_apply_lane_spans_cross_threads(events, tmax):
-    tgi = build_tgi(events, apply_workers=2, checkpoints=8)
+    """Every replayed partition gets its own ``apply.partition`` span,
+    current while it replays, so the work done inside lands on it."""
+    tgi = build_tgi(events, checkpoints=8)
     session = GraphSession.from_index(tgi)
     tracer = traced(session)
     centers = [ev.node for ev in events[:40]
@@ -187,10 +186,6 @@ def test_apply_lane_spans_cross_threads(events, tmax):
     root = tracer.last()
     parts = root.find("apply.partition")
     assert parts
-    # replay ran on the apply pool, and the spans (created on those
-    # threads via the copied context) still landed in this tree
-    threads = {s.thread for s in parts}
-    assert any(t.startswith("tgi-apply") for t in threads)
     # the replay did real work inside those spans: checkpoint deltas
     # loaded, plus any gap eventlists applied (this dataset's spans are
     # covered by deltas alone, so the eventlist count may be zero)

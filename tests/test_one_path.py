@@ -28,7 +28,7 @@ def events():
 def build_tgi(events, cls=TGI, **overrides):
     config = dict(
         events_per_timespan=1200, eventlist_size=150,
-        micro_partition_size=32, pipeline=True, coalesce=True,
+        micro_partition_size=32,
         cluster=ClusterConfig(num_machines=4),
     )
     config.update(overrides)
@@ -127,10 +127,9 @@ def every_kind(t):
     ]
 
 
-@pytest.mark.parametrize("pipeline", [True, False])
-def test_no_terminal_reads_last_fetch_stats(events, pipeline):
+def test_no_terminal_reads_last_fetch_stats(events):
     tgi = build_tgi(
-        events, cls=WriteOnlyStatsTGI, pipeline=pipeline,
+        events, cls=WriteOnlyStatsTGI,
         delta_cache_entries=256, checkpoint_entries=32,
         cluster=ClusterConfig(num_machines=4, replication=1),
     )

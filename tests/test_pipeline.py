@@ -1,6 +1,7 @@
 """Tests for pipelined plan execution: the ExecutionTimeline cost model,
-PlanExecutor.execute_many, the shared-frontier batched k-hop, the
-pipelined TAF subgraph path, and the replica-fallback read path."""
+PlanExecutor.execute_many, the shared-frontier batched k-hop, the TAF
+data paths on the shared timeline (against a log-replay oracle), and the
+replica-fallback read path."""
 
 import pytest
 
@@ -17,7 +18,11 @@ from repro.kvstore.cost import (
 )
 from repro.spark.rdd import SparkContext
 from repro.taf.handler import TGIHandler
-from tests.helpers import random_history
+from tests.helpers import (
+    ground_truth_history,
+    ground_truth_subgraph,
+    random_history,
+)
 
 
 # -- ExecutionTimeline -------------------------------------------------------
@@ -102,8 +107,10 @@ def test_merge_concurrent_takes_timeline_completion():
 
 # -- execute_many ------------------------------------------------------------
 
-def _loaded_cluster(rows=24, machines=3):
-    cluster = Cluster(ClusterConfig(num_machines=machines))
+def _loaded_cluster(rows=24, machines=3, max_request_keys=0):
+    cluster = Cluster(ClusterConfig(
+        num_machines=machines, max_request_keys=max_request_keys
+    ))
     keys = [(i % 4, i % 2, ("S", 0), i) for i in range(rows)]
     for key in keys:
         cluster.put(key, {"row": key[3]})
@@ -175,7 +182,8 @@ def test_execute_many_per_plan_attribution():
         assert result.stats.rounds == 2
         # a plan completes no later than the whole schedule
         assert result.stats.sim_time_ms <= pipe.stats.sim_time_ms + 1e-9
-    assert pipe.stats.rounds == 4
+    # each window's two stages went out as one merged round
+    assert pipe.stats.rounds == 2
 
 
 def test_execute_many_cache_behavior_identical():
@@ -221,6 +229,53 @@ def test_execute_many_dynamic_plan_growth():
         [plan], pipelined=True
     )
     assert keys[1] in pipe.results[0].values
+
+
+def _two_stage_plan(first, second):
+    plan = FetchPlan("lone")
+    plan.add_stage("lone-1", KeyGroup("rows", tuple(first)))
+    plan.add_factory(
+        lambda values: FetchStage("lone-2", (KeyGroup("derived", tuple(second)),))
+    )
+    return plan
+
+
+def test_lone_pipelined_plan_accounts_like_its_timeline():
+    """One plan alone on the shared timeline overlaps with nothing: its
+    own attribution must say what the timeline says, split rounds
+    included (20 keys under a 7-key request limit go out as 3 chunks)."""
+    cluster, keys = _loaded_cluster(max_request_keys=7)
+    seq = PlanExecutor(cluster).execute(_two_stage_plan(keys[:20], keys[20:]))
+    pipe = PlanExecutor(cluster).execute_many(
+        [_two_stage_plan(keys[:20], keys[20:])], pipelined=True
+    )
+    lone = pipe.results[0]
+    assert pipe.stats.overlap_saved_ms == pytest.approx(0.0)
+    assert lone.stats.overlap_saved_ms == pytest.approx(
+        pipe.stats.overlap_saved_ms
+    )
+    assert lone.stats.rounds == pipe.stats.rounds == seq.stats.rounds == 4
+    assert lone.stats.num_requests == seq.stats.num_requests == len(keys)
+    assert lone.values == seq.values
+    assert lone.stats.sim_time_ms == pytest.approx(seq.stats.sim_time_ms)
+    assert lone.stats.coalesced_hits == 0
+
+
+def test_lone_pipelined_plan_fetches_a_repeated_key_once():
+    """A plan that names one key in two stages (a node-histories plan
+    does) single-flights it on the shared timeline, batchmates or not;
+    sequential ``execute`` asks the store again."""
+    cluster, keys = _loaded_cluster()
+    seq = PlanExecutor(cluster).execute(_two_stage_plan(keys[:4], keys[2:6]))
+    pipe = PlanExecutor(cluster).execute_many(
+        [_two_stage_plan(keys[:4], keys[2:6])], pipelined=True
+    )
+    lone = pipe.results[0]
+    assert seq.stats.num_requests == 8
+    assert lone.stats.num_requests == pipe.stats.num_requests == 6
+    assert lone.stats.coalesced_hits == pipe.coalesce.coalesced_hits == 2
+    assert pipe.coalesce.fair_requests == [6.0]
+    assert lone.values == seq.values
 
 
 # -- replica fallback --------------------------------------------------------
@@ -356,105 +411,177 @@ def test_khop_dead_node_resets_stats(tgi, events):
     assert tgi.last_fetch_stats.num_requests == 0
 
 
-# -- pipelined TAF subgraph path ---------------------------------------------
+# -- TAF data paths on the shared timeline -----------------------------------
 
-@pytest.fixture(scope="module")
-def handlers(events):
-    # pipeline is on by default; the sequential side of the comparison
-    # must pin it off explicitly.  Coalescing (also on by default) is
-    # pinned off on both sides: these tests isolate the overlap effect
-    # of pipelining alone — coalesced execution merges rounds outright,
-    # which tests/test_coalesce.py covers
-    seq = TGIHandler(
-        make_tgi(events, pipeline=False, coalesce=False),
-        SparkContext(num_workers=2),
-    )
-    pipe = TGIHandler(
-        make_tgi(events, pipeline=True, coalesce=False),
-        SparkContext(num_workers=2),
-    )
-    return seq, pipe
+TS, TE = 100, 450
 
 
-def test_pipelined_subgraphs_match_sequential(handlers, events):
-    seq, pipe = handlers
-    centers = _probe_nodes(events, 10)
-    a = seq.fetch_subgraphs(centers, 2, 100, 450)
-    b = pipe.fetch_subgraphs(centers, 2, 100, 450)
-    assert len(a) == len(b)
-    for x, y in zip(a, b):
-        assert x.center == y.center
-        assert {n: nt.history for n, nt in x.members.items()} == (
-            {n: nt.history for n, nt in y.members.items()}
+@pytest.fixture()
+def handler(tgi):
+    return TGIHandler(tgi, SparkContext(num_workers=2))
+
+
+def _late_center(tgi, events):
+    """A node dead at ``TS`` but born in ``(TS, TE]``, inside the span
+    that holds ``TS`` (so the k-hop probe has a partition to fetch)."""
+    span = tgi._span_at(TS)
+    for node in sorted({ev.node for ev in events}):
+        first = min(ev.time for ev in events if ev.touches(node))
+        if TS < first <= TE and span.pid_of(node) is not None:
+            return node
+    raise AssertionError("need a center born inside the probed span")
+
+
+def _parts(sg):
+    """Everything a :class:`SubgraphT` holds, as comparable containers."""
+    members = {
+        n: (nt.history.initial, list(nt.history.events))
+        for n, nt in sg.members.items()
+    }
+    return sg.center, sg.k, members, sg.edge_attrs_initial
+
+
+def _assert_subgraph_is_oracle(sg, events, center, k):
+    members, edge_attrs = ground_truth_subgraph(events, center, k, TS, TE)
+    assert _parts(sg) == (center, k, members, edge_attrs)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_subgraphs_match_log_replay_oracle(handler, tgi, events, k):
+    nodes = _probe_nodes(events, 10)
+    late = _late_center(tgi, events)
+    # a duplicate, a center dead at TS but born later, a never-existing id
+    centers = nodes + [nodes[3], late, 999_999]
+    got = handler.fetch_subgraphs(centers, k, TS, TE)
+    alive = [
+        c for c in centers
+        if ground_truth_subgraph(events, c, k, TS, TE) is not None
+    ]
+    assert late in alive and nodes[3] in alive and 999_999 not in alive
+    assert sorted(sg.center for sg in got) == sorted(alive)
+    for sg in got:
+        _assert_subgraph_is_oracle(sg, events, sg.center, k)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_fetch_subgraph_is_the_batch_of_one(handler, tgi, events, k):
+    for center in _probe_nodes(events, 6) + [_late_center(tgi, events)]:
+        one = handler.fetch_subgraph(center, k, TS, TE)
+        alone = handler.last_fetch_stats
+        many = handler.fetch_subgraphs([center], k, TS, TE)
+        if ground_truth_subgraph(events, center, k, TS, TE) is None:
+            assert one is None and many == []
+            continue
+        _assert_subgraph_is_oracle(one, events, center, k)
+        assert _parts(one) == _parts(many[0])
+        assert alone.requests == handler.last_fetch_stats.requests
+        assert alone.rounds == handler.last_fetch_stats.rounds
+    assert handler.fetch_subgraph(999_999, k, TS, TE) is None
+    assert handler.fetch_subgraphs([999_999], k, TS, TE) == []
+
+
+def test_node_histories_match_log_replay_oracle(handler, tgi, events):
+    nodes = _probe_nodes(events, 25) + [_late_center(tgi, events), 999_999]
+    got = handler.fetch_node_histories(nodes, TS, TE)
+    assert sorted(nt.node_id for nt in got) == sorted(nodes)
+    for nt in got:
+        assert (nt.history.initial, list(nt.history.events)) == (
+            ground_truth_history(events, nt.node_id, TS, TE)
         )
-        assert x.edge_attrs_initial == y.edge_attrs_initial
 
 
-def test_pipelined_subgraphs_cost_fewer_rounds(handlers, events):
-    seq, pipe = handlers
+def test_pipelined_subgraphs_match_sequential(handler, events):
+    """The shared-frontier chunk fetch returns what one fetch per center
+    returns."""
     centers = _probe_nodes(events, 10)
-    seq.fetch_subgraphs(centers, 1, 100, 450)
-    seq_stats = seq.last_fetch_stats
-    pipe.fetch_subgraphs(centers, 1, 100, 450)
-    pipe_stats = pipe.last_fetch_stats
-    assert pipe_stats.rounds < seq_stats.rounds
-    assert pipe_stats.requests < seq_stats.requests
-    assert pipe_stats.sim_time_ms < seq_stats.sim_time_ms
-    assert pipe_stats.overlap_saved_ms > 0.0
+    batched = {
+        sg.center: _parts(sg)
+        for sg in handler.fetch_subgraphs(centers, 2, TS, TE)
+    }
+    per_center = [handler.fetch_subgraph(c, 2, TS, TE) for c in centers]
+    assert batched == {
+        sg.center: _parts(sg) for sg in per_center if sg is not None
+    }
+
+
+#: What the strictly sequential per-center schedule (history fetch per
+#: BFS level, then the k-hop probe, one center after another) cost on
+#: this history, ``k=1``, the first 10 probe nodes — measured before that
+#: schedule was removed.
+SEQUENTIAL_PER_CENTER_REQUESTS = 379
+SEQUENTIAL_PER_CENTER_ROUNDS = 40
+
+
+def test_pipelined_subgraphs_cost_fewer_rounds(handler, events):
+    centers = _probe_nodes(events, 10)
+    requests = rounds = 0
+    sim_ms = 0.0
+    for center in centers:  # one shared timeline per center
+        handler.fetch_subgraph(center, 1, TS, TE)
+        requests += handler.last_fetch_stats.requests
+        rounds += handler.last_fetch_stats.rounds
+        sim_ms += handler.last_fetch_stats.sim_time_ms
+    handler.fetch_subgraphs(centers, 1, TS, TE)
+    stats = handler.last_fetch_stats
+    # the chunks' shared frontier beats a timeline per center, which in
+    # turn beats the sequential per-center schedule
+    assert stats.rounds < rounds <= SEQUENTIAL_PER_CENTER_ROUNDS
+    assert stats.requests < requests <= SEQUENTIAL_PER_CENTER_REQUESTS
+    assert stats.sim_time_ms < sim_ms
+    assert stats.coalesced_hits > 0
 
 
 def test_pipelined_warm_cache_hits_identical(events):
-    """With a warm delta cache both modes serve every row locally."""
-    results = []
-    for pipeline in (False, True):
-        tgi = make_tgi(events, pipeline=pipeline,
-                       delta_cache_entries=65536)
-        handler = TGIHandler(tgi, SparkContext(num_workers=2))
-        centers = _probe_nodes(events, 8)
-        handler.fetch_subgraphs(centers, 1, 100, 450)  # warm
-        handler.fetch_subgraphs(centers, 1, 100, 450)
-        results.append(handler.last_fetch_stats)
-    warm_seq, warm_pipe = results
-    assert warm_seq.requests == 0 and warm_pipe.requests == 0
-    assert warm_seq.rounds == 0 and warm_pipe.rounds == 0
-    # the shared frontier looks each row up once; the per-center loop
-    # re-looks-up rows shared between centers, so it can only hit more
-    assert 0 < warm_pipe.cache_hits <= warm_seq.cache_hits
+    """With a warm delta cache every row is served locally."""
+    tgi = make_tgi(events, delta_cache_entries=65536)
+    handler = TGIHandler(tgi, SparkContext(num_workers=2))
+    centers = _probe_nodes(events, 8)
+    handler.fetch_subgraphs(centers, 1, TS, TE)  # warm
+    cold = handler.last_fetch_stats
+    handler.fetch_subgraphs(centers, 1, TS, TE)
+    warm = handler.last_fetch_stats
+    assert cold.requests > 0
+    assert warm.requests == 0 and warm.rounds == 0
+    assert warm.sim_time_ms == 0.0
+    # every row the cold fetch read or shared is now a cache hit
+    assert warm.cache_hits == (
+        cold.requests + cold.cache_hits + cold.coalesced_hits
+    )
 
 
 def test_subgraph_merges_khop_probe_stats_for_late_center(tgi, events):
-    """Satellite: a center alive in (ts, te] but dead at ts used to drop
-    the k-hop probe's accounting on IndexError_."""
-    ts, te = 100, 450
-    span = tgi._span_at(ts)
-    late = None
-    for node in sorted({ev.node for ev in events}):
-        first = min(ev.time for ev in events if ev.touches(node))
-        if ts < first <= te and span.pid_of(node) is not None:
-            late = node
-            break
-    assert late is not None, "need a center born inside the probed span"
+    """A center alive in (ts, te] but dead at ts keeps the accounting of
+    the k-hop probe that discovered it dead."""
+    late = _late_center(tgi, events)
     handler = TGIHandler(tgi, SparkContext(num_workers=2))
 
-    # expected accounting, mirroring fetch_subgraph's schedule
-    expected = 0
-    histories = tgi.get_node_histories([late], ts, te)
-    expected += tgi.last_fetch_stats.num_requests
+    # expected accounting: every key the direct calls ask for is, on
+    # fetch_subgraph's shared timeline, either fetched (once) or served
+    # from a flight already made for another stage
+    asked, keys = 0, set()
+
+    def note(stats):
+        nonlocal asked
+        asked += stats.num_requests
+        keys.update(r.key for r in stats.requests)
+
+    histories = tgi.get_node_histories([late], TS, TE)
+    note(tgi.last_fetch_stats)
     assert histories[0].initial is None and histories[0].events
     from repro.taf.handler import _neighbors_over_time
     from repro.taf.node_t import NodeT
 
     nbrs = sorted(_neighbors_over_time(NodeT(histories[0])))
     if nbrs:
-        tgi.get_node_histories(nbrs, ts, te)
-        expected += tgi.last_fetch_stats.num_requests
-    probe_requests = 0
+        tgi.get_node_histories(nbrs, TS, TE)
+        note(tgi.last_fetch_stats)
     with pytest.raises(IndexError_):
-        tgi.get_khop(late, ts, k=1)
-    probe_requests = tgi.last_fetch_stats.num_requests
-    assert probe_requests > 0  # the probe did fetch before discovering
-    expected += probe_requests
+        tgi.get_khop(late, TS, k=1)
+    assert tgi.last_fetch_stats.num_requests > 0  # the probe did fetch
+    note(tgi.last_fetch_stats)
 
-    sg = handler.fetch_subgraph(late, 1, ts, te)
+    sg = handler.fetch_subgraph(late, 1, TS, TE)
     assert sg is not None
-    assert handler.last_fetch_stats.requests == expected
+    stats = handler.last_fetch_stats
+    assert stats.requests == len(keys)
+    assert stats.requests + stats.coalesced_hits == asked

@@ -120,7 +120,7 @@ def dataset1_events():
 def build_tgi(events, r=1, **overrides):
     config = dict(
         events_per_timespan=1200, eventlist_size=150,
-        micro_partition_size=32, pipeline=True, coalesce=True,
+        micro_partition_size=32,
         cluster=ClusterConfig(num_machines=4, replication=r),
     )
     config.update(overrides)

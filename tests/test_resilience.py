@@ -323,8 +323,6 @@ def build_tgi(events, r=2, m=4, checksums=False):
         events_per_timespan=1200,
         eventlist_size=150,
         micro_partition_size=32,
-        pipeline=True,
-        coalesce=True,
         cluster=ClusterConfig(
             num_machines=m, replication=r, checksums=checksums,
         ),

@@ -50,8 +50,6 @@ def tgi(events):
         events_per_timespan=1200,
         eventlist_size=150,
         micro_partition_size=32,
-        pipeline=True,
-        coalesce=True,
         cluster=ClusterConfig(num_machines=2),
     ))
     tgi.build(events)

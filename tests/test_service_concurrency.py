@@ -38,8 +38,6 @@ def build_tgi(events, cache_entries=0, checkpoints=0):
         events_per_timespan=1200,
         eventlist_size=150,
         micro_partition_size=32,
-        pipeline=True,
-        coalesce=True,
         delta_cache_entries=cache_entries,
         checkpoint_entries=checkpoints,
         cluster=ClusterConfig(num_machines=2),

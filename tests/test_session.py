@@ -28,17 +28,13 @@ def dataset1_events():
 
 
 def build_tgi(events, m=4, ps=32, l=150, span=1200, replicate=False,
-              pipeline=False, cache_entries=0, coalesce=False):
-    # coalesce defaults off here: these tests pin the pre-coalescing
-    # schedules (tests/test_coalesce.py covers coalesced execution)
+              cache_entries=0):
     tgi = TGI(TGIConfig(
         events_per_timespan=span,
         eventlist_size=l,
         micro_partition_size=ps,
         replicate_boundary=replicate,
-        pipeline=pipeline,
         delta_cache_entries=cache_entries,
-        coalesce=coalesce,
         cluster=ClusterConfig(num_machines=m),
     ))
     tgi.build(events)
@@ -329,39 +325,48 @@ def test_open_graph_rejects_baseline_indexes(tmp_path, dataset1_events):
         open_graph(path)
 
 
-# -- pipelined SoN path (satellite) ------------------------------------------
+# -- SoN path on the shared timeline -----------------------------------------
 
 def test_pipelined_son_chunks_overlap(dataset1_events):
     te = dataset1_events[-1].time
     ts = te // 3
     nodes = list(range(60))
+    tgi = build_tgi(dataset1_events)
+    handler = TGIHandler(tgi, SparkContext(num_workers=2))
 
-    seq_tgi = build_tgi(dataset1_events)
-    seq = TGIHandler(seq_tgi, SparkContext(num_workers=2))
-    seq_out = seq.fetch_node_histories(nodes, ts, te)
-    seq_stats = seq.last_fetch_stats
+    # the baseline: each chunk's plan run on its own, one after another
+    seq = [
+        tgi._retrieve(tgi._node_histories_plan(chunk, ts, te), 1)
+        for chunk in handler._chunks(nodes)
+    ]
+    seq_requests = sum(fetch.num_requests for _h, fetch in seq)
+    seq_rounds = sum(fetch.rounds for _h, fetch in seq)
+    # ... which costs what the sequential schedule did before it went
+    assert (seq_requests, seq_rounds) == (298, 8)
 
-    pipe_tgi = build_tgi(dataset1_events, pipeline=True)
-    pipe = TGIHandler(pipe_tgi, SparkContext(num_workers=2))
-    pipe_out = pipe.fetch_node_histories(nodes, ts, te)
-    pipe_stats = pipe.last_fetch_stats
-
-    # identical results and identical store work — only the schedule moves
-    assert [nt.history for nt in pipe_out] == [nt.history for nt in seq_out]
-    assert pipe_stats.requests == seq_stats.requests
-    assert pipe_stats.rounds == seq_stats.rounds
-    # the chunks' plans overlapped on one timeline instead of summing
-    assert pipe_stats.overlap_saved_ms > 0
-    assert pipe_stats.sim_time_ms <= sum(seq_stats.partition_sim_ms) + 1e-9
+    out = handler.fetch_node_histories(nodes, ts, te)
+    stats = handler.last_fetch_stats
+    assert [nt.history for nt in out] == [
+        history for histories, _fetch in seq for history in histories
+    ]
+    # the chunks' plans share one timeline: partitions several chunks
+    # need are fetched once and same-window stages merge into one round
+    assert (stats.requests, stats.rounds) == (134, 2)
+    assert stats.requests + stats.coalesced_hits == seq_requests
+    assert stats.merged_rounds == stats.rounds
+    assert stats.sim_time_ms < sum(fetch.sim_time_ms for _h, fetch in seq)
+    # every chunk completes with the merged rounds it rode
+    assert stats.partition_sim_ms == [stats.sim_time_ms] * len(seq)
 
 
 def test_pipelined_son_through_session(dataset1_events):
     te = dataset1_events[-1].time
-    tgi = build_tgi(dataset1_events, pipeline=True)
+    tgi = build_tgi(dataset1_events)
     son = GraphSession.from_index(tgi).nodes("id < 50").timeslice(
         1, te).fetch()
     assert len(son) > 0
-    assert son.fetch_stats.overlap_saved_ms > 0
+    assert son.fetch_stats.merged_rounds > 0
+    assert son.fetch_stats.coalesced_hits > 0
 
 
 # -- CLI ---------------------------------------------------------------------
