@@ -10,11 +10,12 @@ that API:
   Builder terminals (``session.at(t).khop(...)``) compile to requests;
   requests are what the session prices, executes, and EXPLAINs.
 - :class:`~repro.api.result.QueryStats` — the consolidated fetch
-  accounting every query returns: requests, rounds, bytes, simulated
-  latency, overlap savings, cache counters, plus the chosen plan and its
-  predicted vs. actual cost.  It normalizes the store-side
+  accounting every query returns: the additive
+  :class:`~repro.kvstore.cost.Counters` (declared once; the store-side
   :class:`~repro.kvstore.cost.FetchStats` and the TAF-side
-  :class:`~repro.taf.handler.ParallelFetchStats` into one shape.
+  :class:`~repro.taf.handler.ParallelFetchStats` extend the same record)
+  plus the query's share of requests and bytes, its simulated latency,
+  and the chosen plan with its predicted vs. actual cost.
 - :class:`~repro.api.result.QueryResult` — payload + stats + the request
   that produced them.
 

@@ -1,12 +1,12 @@
 """Uniform query results: payload + one consolidated stats object.
 
-Before the session facade, three divergent accounting shapes leaked to
-callers: raw :class:`~repro.kvstore.cost.FetchStats` from the index,
-:class:`~repro.taf.handler.ParallelFetchStats` from the TAF handler, and
-the ad-hoc dict the CLI assembled in ``_fetch_summary``.
-:class:`QueryStats` normalizes all of them — and adds what none carried:
-which plan the session chose and what the cost model predicted for it
-versus what the execution actually cost.
+:class:`QueryStats` is what a session query reports: the additive
+:class:`~repro.kvstore.cost.Counters` every retrieval accounts in (the
+same record the index's :class:`~repro.kvstore.cost.FetchStats` and the
+TAF handler's :class:`~repro.taf.handler.ParallelFetchStats` extend),
+the query's fair share of the store traffic, and what neither of those
+carries: which plan the session chose and what the cost model predicted
+for it versus what the execution actually cost.
 """
 
 from __future__ import annotations
@@ -15,52 +15,20 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.api.request import QueryRequest
-from repro.kvstore.cost import COUNTER_NAMES
+from repro.kvstore.cost import Counters, FetchStats
 
 
 @dataclass
-class QueryStats:
-    """Consolidated fetch accounting for one executed query.
+class QueryStats(Counters):
+    """Consolidated fetch accounting for one executed query: the
+    :class:`~repro.kvstore.cost.Counters` (declared and documented there)
+    plus the query's traffic share, clock and plan choice.
 
     Attributes:
         requests: store requests issued (cache hits excluded).
-        rounds: multiget rounds.
         bytes_read: stored bytes moved off the simulated wire.
         sim_time_ms: simulated completion time of the fetch (including
             client-side apply time when the cost model prices it).
-        overlap_saved_ms: simulated time won by pipelined overlap.
-        apply_ms: simulated client-side apply time (payload decode plus
-            delta/event replay; 0 under a fetch-only cost model).
-        cache_hits / cache_misses / cache_bytes_saved: delta-cache
-            outcomes (0 when the session runs uncached).
-        checkpoint_hits / checkpoint_misses: materialized-state checkpoint
-            outcomes (0 when checkpoints are off); a hit seeded replay
-            from a memoized state instead of re-fetching and re-applying.
-        checkpoint_near_hits: nearest-in-time seedings — replay started
-            from a checkpoint at an earlier time and fetched only the
-            eventlist gap between the two times.
-        decoded_events: Event objects materialized from columnar rows
-            while answering the query (0 when every row was pickled, or
-            when the bulk replay kernel applied the arrays directly
-            without building Event objects at all).
-        coalesced_hits: keys this query needed that another concurrently
-            executing plan had already fetched (single-flight dedup; 0
-            outside batched/coalesced execution).
-        coalesced_bytes_saved: stored bytes those hits kept off the wire.
-        merged_rounds: multiget rounds this query shared with at least
-            one other plan in a batch (always <= ``rounds``).
-        retries: failed key fetches re-attempted by the resilience
-            policy (0 when the cluster runs without one).
-        hedges: key fetches speculatively re-routed off a straggler
-            replica by hedged reads.
-        breaker_trips: circuit-breaker closed->open transitions caused
-            by this query's rounds.
-        backoff_ms: simulated milliseconds spent sleeping between retry
-            attempts (already included in ``sim_time_ms``).
-        degraded_keys: keys dropped after the retry budget was exhausted
-            (only ever nonzero for ``allow_partial`` requests).
-        degraded_partitions: human-readable labels of the partitions
-            those keys belonged to.
         algorithm: the plan the session executed (e.g. ``snapshot-first``).
         predicted_ms: the cost model's estimate for the chosen plan,
             priced via ``Cluster.plan_records`` before fetching.
@@ -74,27 +42,8 @@ class QueryStats:
     # per-request share can be fractional; standalone queries keep
     # integral values
     requests: float = 0
-    rounds: int = 0
     bytes_read: float = 0
     sim_time_ms: float = 0.0
-    overlap_saved_ms: float = 0.0
-    apply_ms: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_bytes_saved: int = 0
-    checkpoint_hits: int = 0
-    checkpoint_misses: int = 0
-    checkpoint_near_hits: int = 0
-    decoded_events: int = 0
-    coalesced_hits: int = 0
-    coalesced_bytes_saved: int = 0
-    merged_rounds: int = 0
-    retries: int = 0
-    hedges: int = 0
-    breaker_trips: int = 0
-    backoff_ms: float = 0.0
-    degraded_keys: int = 0
-    degraded_partitions: list = field(default_factory=list)
     algorithm: Optional[str] = None
     predicted_ms: Optional[float] = None
     candidates: Dict[str, float] = field(default_factory=dict)
@@ -107,31 +56,24 @@ class QueryStats:
     @classmethod
     def from_fetch(
         cls,
-        stats: Any,
+        stats: FetchStats,
         algorithm: Optional[str] = None,
         predicted_ms: Optional[float] = None,
         candidates: Optional[Dict[str, float]] = None,
     ) -> "QueryStats":
-        """Normalize a ``FetchStats`` or ``ParallelFetchStats``.
-
-        The two shapes disagree on ``requests`` (record list vs. counter)
-        and ``bytes_read`` (derived vs. stored); every other counter is
-        copied by the field names of :class:`FetchStats`, so one added
-        there either has a namesake here or the constructor rejects it.
-        """
-        counters = {
-            name: getattr(stats, name)
-            for name in COUNTER_NAMES if name != "requests"
-        }
-        counters["degraded_partitions"] = list(counters["degraded_partitions"])
-        return cls(
-            requests=getattr(stats, "num_requests", stats.requests),
+        """A query's stats off the :class:`FetchStats` of its fetch: the
+        request records and their bytes become totals, the clock carries
+        over, and every counter is folded in by :meth:`Counters.add`."""
+        out = cls(
+            requests=stats.num_requests,
             bytes_read=stats.bytes_read,
+            sim_time_ms=stats.sim_time_ms,
             algorithm=algorithm,
             predicted_ms=predicted_ms,
             candidates=dict(candidates or {}),
-            **counters,
         )
+        out.add(stats)
+        return out
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready summary, keeping the CLI's historical key names

@@ -35,14 +35,13 @@ from repro.api import (
     graph_summary,
     request_from_spec,
     result_payload,
-    versions_summary,
 )
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, PartitioningStrategy, TGIConfig
 from repro.io import read_events, write_events
 from repro.kvstore.cluster import CODECS, ClusterConfig
 from repro.kvstore.cost import CostModel
-from repro.session import GraphSession
+from repro.session import GraphSession, index_id_for
 from repro.storage import load_index, save_index
 from repro.workloads.citation import CitationConfig, generate_citation_events
 from repro.workloads.friendster import (
@@ -339,12 +338,23 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-# kind-specific JSON rendering now lives in repro.api.wire, shared with
-# the HTTP service so `--batch` files replay against `hgs serve` with
-# identical payload keys
-_graph_summary = graph_summary
-_versions_summary = versions_summary
-_result_payload = result_payload
+def _open_session(args: argparse.Namespace) -> Optional[GraphSession]:
+    """The session ``hgs query`` / ``trace`` / ``serve`` run against:
+    ``args.index`` loaded, keyed in the cache registry like
+    :func:`~repro.session.open_graph` keys it, with the cluster's
+    resilience policy armed under ``--resilient``.  An index file that
+    is not a TGI is refused on stderr (``None``; the caller exits 1)."""
+    index = load_index(args.index)
+    if not isinstance(index, TGI):
+        print(f"hgs {args.command} supports TGI indexes "
+              f"(got {type(index).__name__})", file=sys.stderr)
+        return None
+    session = GraphSession.from_index(
+        index, index_id=index_id_for(args.index)
+    )
+    if args.resilient:
+        index.cluster.enable_resilience()
+    return session
 
 
 def _request_for(args: argparse.Namespace) -> QueryRequest:
@@ -363,11 +373,6 @@ def _request_for(args: argparse.Namespace) -> QueryRequest:
                         allow_partial=allow_partial)
 
 
-# spec parsing is shared with the HTTP service (see repro.api.wire);
-# malformed specs raise the structured BadRequest either way
-_request_from_spec = request_from_spec
-
-
 def _batch_specs(path: str) -> List[dict]:
     """Read ``--batch`` request specs: one JSON object per line
     (blank lines and ``#`` comments skipped); ``-`` reads stdin."""
@@ -384,19 +389,29 @@ def _batch_specs(path: str) -> List[dict]:
     return specs
 
 
-def _cmd_query_batch(session: GraphSession,
-                     args: argparse.Namespace) -> int:
-    """``--batch``: all requests through one shared coalesced timeline,
-    one JSON result per line (input order)."""
+def _batch_requests(args: argparse.Namespace) -> List[QueryRequest]:
+    """The ``--batch`` file's specs compiled to requests (parsing shared
+    with the HTTP service: a malformed spec raises the same structured
+    ``BadRequest``), each under ``--allow-partial`` when given."""
     requests = [
-        _request_from_spec(spec, args.algorithm)
+        request_from_spec(spec, args.algorithm)
         for spec in _batch_specs(args.batch)
     ]
-    if getattr(args, "allow_partial", False):
+    if args.allow_partial:
         requests = [
             dataclasses.replace(request, allow_partial=True)
             for request in requests
         ]
+    return requests
+
+
+def _cmd_query_batch(session: GraphSession,
+                     args: argparse.Namespace) -> int:
+    """``--batch``: all requests through one shared coalesced timeline,
+    one JSON result per line (input order).  The kind-specific payload
+    lives in :mod:`repro.api.wire`, shared with the HTTP service, so a
+    ``--batch`` file replays against ``hgs serve`` with identical keys."""
+    requests = _batch_requests(args)
     if args.explain:
         for i, request in enumerate(requests):
             print(f"-- request {i}: {request.describe()}")
@@ -405,7 +420,7 @@ def _cmd_query_batch(session: GraphSession,
     for request, result in zip(requests,
                                session.execute_batch(requests)):
         print(json.dumps({
-            **_result_payload(request, result),
+            **result_payload(request, result),
             **result.stats.as_dict(),
         }))
     return 0
@@ -420,16 +435,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("hgs query: --batch replaces the query subcommand; "
               "give one or the other", file=sys.stderr)
         return 2
-    index = load_index(args.index)
-    if not isinstance(index, TGI):
-        print(f"hgs query supports TGI indexes (got {type(index).__name__})",
-              file=sys.stderr)
+    session = _open_session(args)
+    if session is None:
         return 1
-    session = GraphSession.from_index(
-        index, index_id=str(Path(args.index).expanduser().resolve())
-    )
-    if args.resilient:
-        index.cluster.enable_resilience()
     if args.batch is not None:
         return _cmd_query_batch(session, args)
     request = _request_for(args)
@@ -437,25 +445,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print(session.explain(request))
         return 0
     result = session.execute(request)
-    stats = result.stats.as_dict()
-    if args.query_kind == "snapshot":
-        print(json.dumps({
-            "snapshot": _graph_summary(result.value), **stats,
-        }, indent=2))
-    elif args.query_kind == "node":
-        print(json.dumps({
-            "node": args.node,
-            "versions": _versions_summary(result.value),
-            **stats,
-        }, indent=2))
-    else:
-        print(json.dumps({
-            "center": args.node,
-            "k": args.k,
-            "neighborhood": _graph_summary(result.value),
-            "members": sorted(result.value.nodes()),
-            **stats,
-        }, indent=2))
+    print(json.dumps({
+        **result_payload(request, result), **result.stats.as_dict(),
+    }, indent=2))
     return 0
 
 
@@ -471,28 +463,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print("hgs trace: --batch replaces the query subcommand; "
               "give one or the other", file=sys.stderr)
         return 2
-    index = load_index(args.index)
-    if not isinstance(index, TGI):
-        print(f"hgs trace supports TGI indexes "
-              f"(got {type(index).__name__})", file=sys.stderr)
+    session = _open_session(args)
+    if session is None:
         return 1
-    session = GraphSession.from_index(
-        index, index_id=str(Path(args.index).expanduser().resolve())
-    )
-    if args.resilient:
-        index.cluster.enable_resilience()
     session.tracer = Tracer(SamplingPolicy.all())
     if args.batch is not None:
-        requests = [
-            _request_from_spec(spec, args.algorithm)
-            for spec in _batch_specs(args.batch)
-        ]
-        if args.allow_partial:
-            requests = [
-                dataclasses.replace(request, allow_partial=True)
-                for request in requests
-            ]
-        results = session.execute_batch(requests)
+        results = session.execute_batch(_batch_requests(args))
         stats_sim = max(
             (r.stats.sim_time_ms or 0.0) for r in results
         ) if results else 0.0
@@ -529,16 +505,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import AccessLogger, QueryService
     from repro.service import serve as serve_until_signalled
 
-    index = load_index(args.index)
-    if not isinstance(index, TGI):
-        print(f"hgs serve supports TGI indexes (got {type(index).__name__})",
-              file=sys.stderr)
+    session = _open_session(args)
+    if session is None:
         return 1
-    session = GraphSession.from_index(
-        index, index_id=str(Path(args.index).expanduser().resolve())
-    )
-    if args.resilient:
-        index.cluster.enable_resilience()
     tracer = None
     if args.trace != "off":
         from repro.obs import SamplingPolicy, SlowQueryLog, Tracer
@@ -620,7 +589,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         print(json.dumps({
             "events": len(events),
             "time_range": [events[0].time, events[-1].time] if events else None,
-            "final_graph": _graph_summary(g),
+            "final_graph": graph_summary(g),
             "event_kinds": kinds,
         }, indent=2))
     else:

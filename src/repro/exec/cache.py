@@ -344,9 +344,9 @@ class StateCheckpointCache:
     ``admit`` takes ownership of what it is given (a producer that keeps
     using its object admits a copy), and the TGI copies at exactly three
     sites: the result of a *snapshot* query (the caller owns that
-    graph), ``_capture_snapshot_near_seed`` (the seed graph is replayed
-    forward in place) and ``_capture_near_seed`` (the seed partition
-    state likewise).  Every other consumer only reads.  ``peek`` answers
+    graph) and ``_capture_near_seed``'s two payload shapes (a seed
+    snapshot graph and a seed partition state are each replayed forward
+    in place).  Every other consumer only reads.  ``peek`` answers
     warmness without counters or promotion — the planner uses it to
     price checkpoint-aware plans without perturbing the cache.  Building
     or unpickling a cache also makes CPython's *full* garbage
@@ -648,36 +648,10 @@ class CacheRegistry:
             self._sweep()
 
     # ------------------------------------------------------------------
-    # un-refcounted access (legacy consumers, tests, introspection)
-    # ------------------------------------------------------------------
-    def get(self, index_id: str, max_entries: int) -> DeltaCache:
-        """The shared delta cache for ``index_id``, created on first use
-        (no reference counting — the slot lives until explicitly dropped
-        or TTL-swept after its ref-counted consumers close)."""
-        if max_entries < 1:
-            # fail loudly before creating a phantom slot: the historical
-            # contract of this accessor is a usable cache or a ValueError
-            raise ValueError(
-                "CacheRegistry.get needs capacity for at least 1 entry"
-            )
-        with self._lock:
-            return self._slot(index_id, max_entries, 0, 0).delta
-
-    def peek(self, index_id: str) -> Optional[DeltaCache]:
-        """The shared delta cache for ``index_id`` if one exists."""
-        with self._lock:
-            slot = self._slots.get(index_id)
-            return slot.delta if slot is not None else None
-
     def peek_slot(self, index_id: str) -> Optional[CacheSlot]:
         """The whole slot for ``index_id`` if one exists (no creation)."""
         with self._lock:
             return self._slots.get(index_id)
-
-    def drop(self, index_id: str) -> None:
-        """Forget one index's shared caches (e.g. the index was rebuilt)."""
-        with self._lock:
-            self._slots.pop(index_id, None)
 
     def clear(self) -> None:
         """Forget every shared cache (used by tests and benchmarks)."""

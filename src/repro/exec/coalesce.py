@@ -48,6 +48,7 @@ from repro.exec.cache import DeltaCache
 from repro.exec.plan import FetchStage, KeyTuple
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.cost import (
+    RESILIENCE_COUNTERS,
     CostModel,
     ExecutionTimeline,
     RequestRecord,
@@ -335,25 +336,16 @@ class CoalesceScope:
                         1 for plans in chunk_plans.values() if len(plans) > 1
                     ),
                 ).end()
-            if (
-                stats.retries or stats.hedges or stats.breaker_trips
-                or stats.degraded_keys or stats.degraded_partitions
-            ):
+            if any(getattr(stats, name) for name in RESILIENCE_COUNTERS):
                 # resilience counters of the merged round: attributed to
                 # the first owning participant so the batch aggregate
                 # (which sums per-plan stats) counts each event once
                 first_owner = next(
                     (p for p in window.parts if p.owned), window.parts[0]
                 )
-                fstats = first_owner.cursor.result.stats
-                fstats.retries += stats.retries
-                fstats.hedges += stats.hedges
-                fstats.breaker_trips += stats.breaker_trips
-                fstats.backoff_ms += stats.backoff_ms
-                fstats.degraded_keys += stats.degraded_keys
-                for label in stats.degraded_partitions:
-                    if label not in fstats.degraded_partitions:
-                        fstats.degraded_partitions.append(label)
+                first_owner.cursor.result.stats.add(
+                    stats, RESILIENCE_COUNTERS
+                )
 
         for part in window.parts:
             cursor = part.cursor

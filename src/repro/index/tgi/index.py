@@ -43,7 +43,7 @@ from __future__ import annotations
 import bisect
 import threading
 from dataclasses import replace as _dc_replace
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.deltas.base import Delta, StaticNode
 from repro.deltas.columnar import ColumnarEventList, count_decoded
@@ -79,7 +79,7 @@ from repro.index.tgi.layout import (
 from repro.index.tgi.query import PartialState, dedup_sorted
 from repro.index.tgi.version_chain import VersionChainStore
 from repro.kvstore.cluster import Cluster
-from repro.kvstore.cost import CostModel, FetchStats
+from repro.kvstore.cost import CostModel, Counters, FetchStats
 from repro.kvstore.degrade import (
     PartialCollector,
     active_partial,
@@ -94,20 +94,20 @@ from repro.stats.model import (
     GraphStatistics,
     expected_khop_pids,
     prefer_near_seed,
-    prefer_snapshot_near_seed,
 )
 from repro.types import NodeId, TimePoint
 
 #: Checkpoint payload for a replayed partition: (node states, edge attrs).
 StatePayload = Tuple[Dict[NodeId, StaticNode], Dict[Tuple, dict]]
-#: A nearest-in-time seeding: (private payload at t0, t0, gap keys).
-NearSeed = Tuple[StatePayload, TimePoint, List[DeltaKey]]
+#: A nearest-in-time seeding: (private payload at t0, t0, gap keys) — the
+#: payload a partition state, or the whole graph for a snapshot.
+NearSeed = Tuple[Union[StatePayload, Graph], TimePoint, List[DeltaKey]]
 #: A compiled retrieval — what every ``_*_plan`` builder returns: the
 #: fetch plan, the closure mapping its executed values to the result, and
 #: the counters resolved outside the executor (checkpoint outcomes, filled
 #: in while the plan is built and while its factories run).
 Compiled = Tuple[
-    FetchPlan, Callable[[Dict[DeltaKey, object]], object], FetchStats
+    FetchPlan, Callable[[Dict[DeltaKey, object]], object], Counters
 ]
 
 
@@ -122,22 +122,23 @@ def _clone_state(payload: StatePayload) -> StatePayload:
 
 
 def _state_key(
-    tsid: int, pid: int, t: TimePoint, include_aux: bool
+    tsid: int, pid: Optional[int], t: TimePoint, include_aux: bool
 ) -> Tuple:
-    """Checkpoint key of one partition's fully-replayed state at ``t``."""
+    """Checkpoint key of a fully-replayed state at ``t``: one partition's,
+    or — ``pid=None`` — the whole materialized snapshot graph."""
+    if pid is None:
+        return ("snapshot", tsid, t)
     return ("pids", tsid, pid, t, include_aux)
 
 
-def _state_series(tsid: int, pid: int, include_aux: bool) -> Tuple:
-    """Time-series id of one partition's states (all checkpointed ``t``
-    values of the same ``(timespan, partition, aux)`` sort together, so
-    the cache can answer nearest-in-time probes)."""
+def _state_series(tsid: int, pid: Optional[int], include_aux: bool) -> Tuple:
+    """Time-series id of one partition's states, or (``pid=None``) of the
+    timespan's materialized snapshots: all checkpointed ``t`` values of
+    the same ``(timespan, partition, aux)`` sort together, so the cache
+    can answer nearest-in-time probes."""
+    if pid is None:
+        return ("snapshot", tsid)
     return ("pids", tsid, pid, include_aux)
-
-
-def _snapshot_ckpt_key(tsid: int, t: TimePoint) -> Tuple:
-    """Checkpoint key of a whole materialized snapshot graph at ``t``."""
-    return ("snapshot", tsid, t)
 
 
 def _degraded_pids(keys, values) -> Set[int]:
@@ -436,7 +437,7 @@ class TGI(HistoricalGraphIndex):
         _plan, finalize, extra = compiled
         with count_decoded() as decoded:
             value = finalize(values)
-        into.merge(extra)
+        into.add(extra)
         into.decoded_events += decoded[0]
         return value
 
@@ -514,7 +515,7 @@ class TGI(HistoricalGraphIndex):
         — so an exact hit is the cached object itself and a replayed
         graph is moved into the cache: no copy either way."""
         span = self._span_at(t)
-        extra = FetchStats()
+        extra = Counters()
 
         def replay_and_admit(
             g: Graph,
@@ -541,7 +542,9 @@ class TGI(HistoricalGraphIndex):
             return g
 
         if self.checkpoints is not None:
-            cached = self.checkpoints.lookup(_snapshot_ckpt_key(span.tsid, t))
+            cached = self.checkpoints.lookup(
+                _state_key(span.tsid, None, t, False)
+            )
             if cached is not None:
                 extra.checkpoint_hits += 1
                 return (
@@ -549,7 +552,7 @@ class TGI(HistoricalGraphIndex):
                     lambda values: cached if read_only else cached.copy(),
                     extra,
                 )
-            seed = self._capture_snapshot_near_seed(span, t)
+            seed = self._capture_near_seed(span, None, t, False)
             if seed is not None:
                 g0, t0, gap_keys = seed
                 extra.checkpoint_near_hits += 1
@@ -591,77 +594,11 @@ class TGI(HistoricalGraphIndex):
         mutate) and a copy is admitted."""
         if self.checkpoints is not None:
             self.checkpoints.admit(
-                _snapshot_ckpt_key(span.tsid, t),
+                _state_key(span.tsid, None, t, False),
                 g if move else g.copy(),
-                series=("snapshot", span.tsid),
+                series=_state_series(span.tsid, None, False),
                 t=t,
             )
-
-    def _snapshot_gap_keys(
-        self, span: TimespanInfo, t0: TimePoint, t: TimePoint
-    ) -> List[DeltaKey]:
-        """Eventlist keys carrying *any* partition's events in
-        ``(t0, t]`` — the whole-graph replay gap between a materialized
-        snapshot at ``t0`` and a query at ``t`` (the global analogue of
-        :meth:`_gap_eventlist_keys`)."""
-        keys = span.keys(self.config.placement_groups)
-        return [
-            key
-            for j in span.eventlists_overlapping(t0, t)
-            for key in keys.select(TAG_EVENTLIST, j, None)
-        ]
-
-    def _snapshot_near_seed_candidate(
-        self, span: TimespanInfo, t: TimePoint
-    ) -> Optional[Tuple[TimePoint, List[DeltaKey]]]:
-        """Whole-graph nearest-in-time seeding decision: the latest
-        materialized snapshot of this timespan at some ``t0 < t``, if the
-        event-rate histograms price its gap replay under the cold
-        Algorithm-1 build.  Returns ``(t0, gap_keys)`` when seeding wins,
-        else ``None``.  Non-perturbing (planner-safe): callers holding
-        the decision fetch the payload via ``lookup``."""
-        cp = self.checkpoints
-        if cp is None:
-            return None
-        found = cp.nearest(("snapshot", span.tsid), t)
-        if found is None:
-            return None
-        t0, _key0 = found
-        if t0 >= t:
-            # the exact-hit path handles t0 == t; never replay backward
-            return None
-        gap_keys = self._snapshot_gap_keys(span, t0, t)
-        path_groups, ekeys = self._snapshot_plan(span, t)
-        num_cold = sum(len(g) for g in path_groups) + len(ekeys)
-        if not prefer_snapshot_near_seed(
-            self.stats.span(span.tsid),
-            t0,
-            t,
-            num_cold,
-            len(gap_keys),
-            self.config.cluster.cost_model,
-            self.stats.calibration,
-            leaf_time=span.checkpoints[span.leaf_at(t)],
-        ):
-            return None
-        return t0, gap_keys
-
-    def _capture_snapshot_near_seed(
-        self, span: TimespanInfo, t: TimePoint
-    ) -> Optional[Tuple[Graph, TimePoint, List[DeltaKey]]]:
-        """Decide *and capture* a whole-graph near seed — the candidate
-        decision plus the checkpointed graph itself (captured now, so a
-        later eviction cannot strand the caller, and copied, because the
-        caller replays it forward in place).  Returns ``(private graph
-        copy at t0, t0, gap keys)`` or ``None``."""
-        seed = self._snapshot_near_seed_candidate(span, t)
-        if seed is None:
-            return None
-        t0, gap_keys = seed
-        g0 = self.checkpoints.lookup(_snapshot_ckpt_key(span.tsid, t0))
-        if g0 is None:
-            return None
-        return g0.copy(), t0, gap_keys
 
     # ------------------------------------------------------------------
     # partial-state loading (shared by node / k-hop retrieval)
@@ -779,39 +716,44 @@ class TGI(HistoricalGraphIndex):
     def _gap_eventlist_keys(
         self,
         span: TimespanInfo,
-        pid: int,
+        pid: Optional[int],
         t0: TimePoint,
         t: TimePoint,
         include_aux: bool,
     ) -> List[DeltaKey]:
-        """Eventlist keys holding ``pid``'s events in ``(t0, t]`` — the
-        replay gap between a checkpointed state at ``t0`` and a query at
-        ``t``.  Eventlist ``j`` scopes ``(ts_j, te_j]``, so the gap needs
-        every list with ``te_j > t0`` and ``ts_j < t``."""
+        """Eventlist keys holding ``pid``'s events — every partition's,
+        for ``pid=None`` — in ``(t0, t]``: the replay gap between a
+        checkpointed state at ``t0`` and a query at ``t``.  Eventlist
+        ``j`` scopes ``(ts_j, te_j]``, so the gap needs every list with
+        ``te_j > t0`` and ``ts_j < t``."""
         table = span.keys(self.config.placement_groups)
+        want = None if pid is None else (pid,)
         keys: List[DeltaKey] = []
         for j in span.eventlists_overlapping(t0, t):
-            keys += table.select(TAG_EVENTLIST, j, (pid,))
+            keys += table.select(TAG_EVENTLIST, j, want)
             if include_aux:
-                keys += table.select(TAG_AUX_EVENTLIST, j, (pid,))
+                keys += table.select(TAG_AUX_EVENTLIST, j, want)
         return keys
 
     def _near_seed_candidate(
         self,
         span: TimespanInfo,
-        pid: int,
+        pid: Optional[int],
         t: TimePoint,
         include_aux: bool,
     ) -> Optional[Tuple[TimePoint, List[DeltaKey]]]:
-        """Nearest-in-time seeding decision for one cold partition.
+        """Nearest-in-time seeding decision for one cold partition — or,
+        with ``pid=None``, for the whole materialized snapshot: the same
+        rule over every partition.
 
         Probes the checkpoint cache for the latest state of ``(timespan,
         partition, aux)`` at some ``t0 < t`` and — using the build-time
         statistics (expected gap events from the event-rate histogram vs
         the full replay-from-root volume) — decides whether forward
         replay over the gap beats a cold fetch.  Returns ``(t0,
-        gap_keys)`` when seeding wins, else ``None``.  Non-perturbing:
-        callers holding the decision fetch the payload via ``lookup``.
+        gap_keys)`` when seeding wins, else ``None``.  Non-perturbing
+        (planner-safe): callers holding the decision fetch the payload
+        via ``lookup``.
         """
         cp = self.checkpoints
         if cp is None:
@@ -825,12 +767,13 @@ class TGI(HistoricalGraphIndex):
             return None
         gap_keys = self._gap_eventlist_keys(span, pid, t0, t, include_aux)
         path_groups, ekeys = self._snapshot_plan(
-            span, t, pids={pid}, include_aux=include_aux
+            span, t, pids=None if pid is None else {pid},
+            include_aux=include_aux,
         )
         num_cold = sum(len(g) for g in path_groups) + len(ekeys)
         if not prefer_near_seed(
             self.stats.span(span.tsid),
-            pid,
+            range(span.num_pids) if pid is None else (pid,),
             t0,
             t,
             num_cold,
@@ -845,16 +788,18 @@ class TGI(HistoricalGraphIndex):
     def _capture_near_seed(
         self,
         span: TimespanInfo,
-        pid: int,
+        pid: Optional[int],
         t: TimePoint,
         include_aux: bool,
     ) -> Optional[NearSeed]:
         """Decide *and capture* a near seed for one exact-missed
-        partition: the checkpointed payload at ``t0`` (captured now, so a
-        later eviction cannot strand the caller after the cold keys were
-        dropped from the plan, and cloned, because :meth:`_seed_state`
-        replays it forward in place), the seed time, and the gap keys.
-        ``None`` when seeding loses the pricing or the entry vanished."""
+        partition (``pid=None``: the materialized snapshot): the
+        checkpointed payload at ``t0`` (captured now, so a later eviction
+        cannot strand the caller after the cold keys were dropped from
+        the plan, and copied, because the caller replays it forward in
+        place — :meth:`_seed_state` a partition state, the snapshot
+        finalizer a graph), the seed time, and the gap keys.  ``None``
+        when seeding loses the pricing or the entry vanished."""
         seed = self._near_seed_candidate(span, pid, t, include_aux)
         if seed is None:
             return None
@@ -863,7 +808,8 @@ class TGI(HistoricalGraphIndex):
         )
         if payload0 is None:
             return None
-        return _clone_state(payload0), seed[0], seed[1]
+        private = payload0.copy() if pid is None else _clone_state(payload0)
+        return private, seed[0], seed[1]
 
     def _checkpoint_triage(
         self,
@@ -871,7 +817,7 @@ class TGI(HistoricalGraphIndex):
         pid: int,
         t: TimePoint,
         include_aux: bool,
-        extra: FetchStats,
+        extra: Counters,
     ) -> Tuple[Optional[StatePayload], Optional[NearSeed]]:
         """How a plan gets one partition's state at ``t``, counted into
         ``extra``: ``(payload, None)`` on an exact checkpoint hit, ``(None,
@@ -1002,7 +948,7 @@ class TGI(HistoricalGraphIndex):
         callers fold it into their fetch stats."""
         span = self._span_at(ts)
         ns = self.config.placement_groups
-        extra = FetchStats()
+        extra = Counters()
 
         # metadata-only planning: one micro plan per distinct partition;
         # checkpointed partitions seed their replayed state instead (the
@@ -1233,7 +1179,7 @@ class TGI(HistoricalGraphIndex):
         order = list(dict.fromkeys(centers))
         alive0 = [c for c in order if span.pid_of(c) is not None]
         plan = FetchPlan(f"khops({len(order)} centers, t={t}, k={k})")
-        extra = FetchStats()
+        extra = Counters()
 
         merged = PartialState()
         covered: Set[NodeId] = set()
@@ -1432,7 +1378,7 @@ class TGI(HistoricalGraphIndex):
         so rounds, requests and checkpoint outcomes equal the inherited
         one-history-at-a-time loop exactly."""
         plan = FetchPlan(f"khop_history(node={node}, ts={ts}, te={te})")
-        extra = FetchStats()
+        extra = Counters()
         histories: List[NodeHistory] = []
         todo: List[Tuple[NodeId, TimePoint, TimePoint]] = [(node, ts, te)]
         # what a degraded fetch dropped while the factories finalized

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import IndexError_
-from repro.index.tgi.index import _snapshot_ckpt_key, _state_key
+from repro.index.tgi.index import _state_key
 from repro.index.tgi.layout import DeltaKey, version_chain_key
 from repro.kvstore.cost import simulate_plan
 from repro.stats.model import FRONTIER_MARGIN, expected_khop_pids
@@ -190,12 +190,12 @@ class TGIPlanner:
         span = self.tgi._span_at(t)
         plan = QueryPlan(query=f"snapshot(t={t})")
         cp = self.tgi.checkpoints
-        if cp is not None and cp.peek(_snapshot_ckpt_key(span.tsid, t)):
+        if cp is not None and cp.peek(_state_key(span.tsid, None, t, False)):
             plan.notes.append(
                 "materialized snapshot checkpoint is warm: no fetch"
             )
             return plan
-        seed = self.tgi._snapshot_near_seed_candidate(span, t)
+        seed = self.tgi._near_seed_candidate(span, None, t, False)
         if seed is not None:
             t0, gap_keys = seed
             plan.steps.append(

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.kvstore.cluster import Cluster
-from repro.kvstore.cost import FetchStats
 from repro.index.tgi.layout import DeltaKey, version_chain_key
 from repro.types import NodeId, TimePoint
 
@@ -72,16 +71,6 @@ class VersionChainStore:
     def has_chain(self, node: NodeId) -> bool:
         """Whether a chain row for ``node`` exists in the store."""
         return node in self._flushed
-
-    def fetch(
-        self, node: NodeId, clients: int = 1
-    ) -> Tuple[Tuple[VersionPointer, ...], FetchStats]:
-        """Costed fetch of one node's chain (empty chain for unknown nodes)."""
-        key = version_chain_key(node, self._placement_groups)
-        if node not in self._flushed:
-            return (), FetchStats()
-        values, stats = self._cluster.multiget([key], clients=clients)
-        return values[key], stats
 
     def pointers_in_range(
         self,

@@ -165,12 +165,13 @@ class RequestRecord:
 
 
 @dataclass
-class FetchStats:
-    """Accounting for one logical fetch operation (e.g. one snapshot query).
+class Counters:
+    """The additive counters of one retrieval — the one vocabulary every
+    stats record (:class:`FetchStats`, the session's ``QueryStats``, the
+    TAF handler's ``ParallelFetchStats``) extends with only what it alone
+    adds, and every hop between them moves with :meth:`add`.
 
     Attributes:
-        requests: one record per key read.
-        sim_time_ms: simulated completion time of the whole plan.
         rounds: number of multiget rounds the operation issued.
         overlap_saved_ms: simulated time the operation saved by running its
             rounds on a shared :class:`ExecutionTimeline` instead of
@@ -224,8 +225,6 @@ class FetchStats:
             those keys belong to.
     """
 
-    requests: List[RequestRecord] = field(default_factory=list)
-    sim_time_ms: float = 0.0
     rounds: int = 0
     overlap_saved_ms: float = 0.0
     apply_ms: float = 0.0
@@ -246,6 +245,47 @@ class FetchStats:
     degraded_keys: int = 0
     degraded_partitions: List[str] = field(default_factory=list)
 
+    def add(self, other: "Counters", names: Tuple[str, ...] = ()) -> None:
+        """Fold ``other``'s counters — all of them, or just ``names`` —
+        into this record: numbers add, partition labels union.  Driven by
+        the dataclass fields, so a counter added above flows through
+        every record and every hop without a line anywhere else."""
+        mine, theirs = vars(self), vars(other)
+        for name in names or COUNTER_NAMES:
+            value = theirs[name]
+            if type(value) is list:
+                known = mine[name]
+                known.extend(label for label in value if label not in known)
+            else:
+                mine[name] += value
+
+
+#: Every additive counter, by name — what ``add``, the span annotation
+#: and the service's ``/metrics`` families iterate, so none hand-lists them.
+COUNTER_NAMES = tuple(spec.name for spec in fields(Counters))
+
+#: The counters a resilient multiget reports for a *merged* round, which
+#: coalesced execution attributes to one participant so a batch's sum
+#: counts each event once.
+RESILIENCE_COUNTERS = (
+    "retries", "hedges", "breaker_trips", "backoff_ms",
+    "degraded_keys", "degraded_partitions",
+)
+
+
+@dataclass
+class FetchStats(Counters):
+    """Accounting for one logical fetch operation (e.g. one snapshot
+    query): the :class:`Counters` plus the store requests themselves.
+
+    Attributes:
+        requests: one record per key read.
+        sim_time_ms: simulated completion time of the whole plan.
+    """
+
+    requests: List[RequestRecord] = field(default_factory=list)
+    sim_time_ms: float = 0.0
+
     @property
     def num_requests(self) -> int:
         return len(self.requests)
@@ -259,21 +299,11 @@ class FetchStats:
         return sum(r.raw_bytes for r in self.requests)
 
     def merge(self, other: "FetchStats") -> None:
-        """Fold another plan executed *sequentially after* this one.
-
-        Driven by the dataclass fields, so a counter added above flows
-        through without a line here: numbers add, the request records
-        concatenate, partition labels union."""
-        mine, theirs = vars(self), vars(other)
-        for name in COUNTER_NAMES:
-            value = theirs[name]
-            if type(value) is not list:
-                mine[name] += value
-            elif name == "degraded_partitions":
-                known = mine[name]
-                known.extend(label for label in value if label not in known)
-            else:
-                mine[name].extend(value)
+        """Fold another plan executed *sequentially after* this one: the
+        counters add, the request records concatenate, the clocks sum."""
+        self.add(other)
+        self.requests.extend(other.requests)
+        self.sim_time_ms += other.sim_time_ms
 
     def merge_concurrent(
         self, other: "FetchStats", completed_at_ms: float
@@ -284,11 +314,6 @@ class FetchStats:
         sequential sum."""
         self.merge(other)
         self.sim_time_ms = completed_at_ms
-
-
-#: Every :class:`FetchStats` field, by name — what the stats records that
-#: mirror it (``QueryStats``, span attributes) copy, so none hand-lists them.
-COUNTER_NAMES = tuple(spec.name for spec in fields(FetchStats))
 
 
 def simulate_plan(

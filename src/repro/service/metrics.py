@@ -41,6 +41,58 @@ from repro.obs.metrics import (
 #: longer hardcodes its own copy.
 DEFAULT_BOUNDS_MS = DEFAULT_LATENCY_BOUNDS_MS
 
+#: ``counter -> (registry kind, family, help)``: the ``/metrics`` family
+#: each :data:`~repro.kvstore.cost.COUNTER_NAMES` entry feeds.  The signed
+#: ``overlap_saved_ms`` (a plan that queued behind its batchmates reports a
+#: negative share) sums into a gauge; the partition labels count queries.
+QUERY_FAMILIES: Dict[str, Tuple[str, str, str]] = {
+    "rounds": (
+        "counter", "hgs_store_rounds_total", "Multiget rounds issued"),
+    "overlap_saved_ms": (
+        "gauge", "hgs_overlap_saved_ms_total",
+        "Simulated ms won (lost, when negative) by overlapped execution"),
+    "apply_ms": (
+        "counter", "hgs_apply_ms_total",
+        "Simulated client-side decode + replay ms"),
+    "cache_hits": ("counter", "hgs_cache_hits_total", "Executor cache hits"),
+    "cache_misses": (
+        "counter", "hgs_cache_misses_total", "Executor cache misses"),
+    "cache_bytes_saved": (
+        "counter", "hgs_cache_bytes_saved_total",
+        "Stored bytes the delta cache kept off the wire"),
+    "checkpoint_hits": (
+        "counter", "hgs_checkpoint_hits_total", "Exact checkpoint hits"),
+    "checkpoint_misses": (
+        "counter", "hgs_checkpoint_misses_total", "Checkpoint misses"),
+    "checkpoint_near_hits": (
+        "counter", "hgs_checkpoint_near_hits_total", "Near-checkpoint hits"),
+    "decoded_events": (
+        "counter", "hgs_decoded_events_total",
+        "Event objects materialized off the zero-decode path"),
+    "coalesced_hits": (
+        "counter", "hgs_coalesced_hits_total",
+        "Rows served from coalesced fetches"),
+    "coalesced_bytes_saved": (
+        "counter", "hgs_coalesced_bytes_saved_total",
+        "Bytes not re-fetched thanks to coalescing"),
+    "merged_rounds": (
+        "counter", "hgs_merged_rounds_total", "Multiget rounds merged away"),
+    "retries": ("counter", "hgs_store_retries_total", "Store round retries"),
+    "hedges": (
+        "counter", "hgs_store_hedges_total", "Hedged store sub-rounds"),
+    "breaker_trips": (
+        "counter", "hgs_breaker_trips_total", "Circuit-breaker trips"),
+    "backoff_ms": (
+        "counter", "hgs_store_backoff_ms_total",
+        "Simulated ms slept between retry attempts"),
+    "degraded_keys": (
+        "counter", "hgs_degraded_keys_total",
+        "Keys missing from degraded answers"),
+    "degraded_partitions": (
+        "counter", "hgs_degraded_queries_total",
+        "Queries answered with degraded coverage"),
+}
+
 
 class LatencyHistogram(Histogram):
     """A fixed-bucket latency histogram with percentile estimates.
@@ -134,47 +186,11 @@ class ServiceMetrics:
         self.max_batch_size = reg.gauge(
             "hgs_exec_batch_size_max", "Largest micro-batch executed"
         )
-        self.coalesced_hits = reg.counter(
-            "hgs_coalesced_hits_total", "Rows served from coalesced fetches"
-        )
-        self.coalesced_bytes_saved = reg.counter(
-            "hgs_coalesced_bytes_saved_total",
-            "Bytes not re-fetched thanks to coalescing",
-        )
-        self.merged_rounds = reg.counter(
-            "hgs_merged_rounds_total", "Multiget rounds merged away"
-        )
-        self.cache_hits = reg.counter(
-            "hgs_cache_hits_total", "Executor cache hits"
-        )
-        self.cache_misses = reg.counter(
-            "hgs_cache_misses_total", "Executor cache misses"
-        )
-        self.checkpoint_hits = reg.counter(
-            "hgs_checkpoint_hits_total", "Exact checkpoint hits"
-        )
-        self.checkpoint_misses = reg.counter(
-            "hgs_checkpoint_misses_total", "Checkpoint misses"
-        )
-        self.checkpoint_near_hits = reg.counter(
-            "hgs_checkpoint_near_hits_total", "Near-checkpoint hits"
-        )
-        self.retries = reg.counter(
-            "hgs_store_retries_total", "Store round retries"
-        )
-        self.hedges = reg.counter(
-            "hgs_store_hedges_total", "Hedged store sub-rounds"
-        )
-        self.breaker_trips = reg.counter(
-            "hgs_breaker_trips_total", "Circuit-breaker trips"
-        )
-        self.degraded_queries = reg.counter(
-            "hgs_degraded_queries_total",
-            "Queries answered with degraded coverage",
-        )
-        self.degraded_keys = reg.counter(
-            "hgs_degraded_keys_total", "Keys missing from degraded answers"
-        )
+        #: one family per ``QueryStats`` counter, fed by ``record_query``
+        self.per_query = {
+            counter: getattr(reg, kind)(family, help)
+            for counter, (kind, family, help) in QUERY_FAMILIES.items()
+        }
         #: wall time from HTTP admission to response write
         self.service_latency = self._latency(
             "hgs_service_latency_ms", "HTTP admission-to-response wall time"
@@ -274,21 +290,11 @@ class ServiceMetrics:
             self._by_kind(kind).inc()
             self._store_requests(caller).inc(stats.requests)
             self._store_bytes(caller).inc(stats.bytes_read)
-            self.coalesced_hits.inc(stats.coalesced_hits)
-            self.coalesced_bytes_saved.inc(stats.coalesced_bytes_saved)
-            self.merged_rounds.inc(stats.merged_rounds)
-            self.cache_hits.inc(stats.cache_hits)
-            self.cache_misses.inc(stats.cache_misses)
-            self.checkpoint_hits.inc(stats.checkpoint_hits)
-            self.checkpoint_misses.inc(stats.checkpoint_misses)
-            self.checkpoint_near_hits.inc(stats.checkpoint_near_hits)
-            self.retries.inc(getattr(stats, "retries", 0))
-            self.hedges.inc(getattr(stats, "hedges", 0))
-            self.breaker_trips.inc(getattr(stats, "breaker_trips", 0))
-            degraded_keys = getattr(stats, "degraded_keys", 0)
-            if degraded_keys or getattr(stats, "degraded_partitions", ()):
-                self.degraded_queries.inc()
-                self.degraded_keys.inc(degraded_keys)
+            for counter, metric in self.per_query.items():
+                value = getattr(stats, counter)
+                # a list of partition labels counts once: one more
+                # query answered with degraded coverage
+                metric.inc(bool(value) if type(value) is list else value)
 
     # -- reporting ------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -312,9 +318,10 @@ class ServiceMetrics:
             )
             batches = int(self.batches.value)
             batched_requests = int(self.batched_requests.value)
-            ckpt_hits = int(self.checkpoint_hits.value)
-            ckpt_misses = int(self.checkpoint_misses.value)
-            ckpt_near = int(self.checkpoint_near_hits.value)
+            per_query = self.per_query
+            ckpt_hits = int(per_query["checkpoint_hits"].value)
+            ckpt_misses = int(per_query["checkpoint_misses"].value)
+            ckpt_near = int(per_query["checkpoint_near_hits"].value)
             ckpt_lookups = ckpt_hits + ckpt_misses + ckpt_near
             return {
                 "requests": {
@@ -342,11 +349,11 @@ class ServiceMetrics:
                     "max_size": int(self.max_batch_size.value),
                 },
                 "coalesce": {
-                    "hits": int(self.coalesced_hits.value),
+                    "hits": int(per_query["coalesced_hits"].value),
                     "bytes_saved": round(
-                        self.coalesced_bytes_saved.value, 2
+                        per_query["coalesced_bytes_saved"].value, 2
                     ),
-                    "merged_rounds": int(self.merged_rounds.value),
+                    "merged_rounds": int(per_query["merged_rounds"].value),
                 },
                 "store": {
                     "requests_by_caller": {
@@ -359,8 +366,8 @@ class ServiceMetrics:
                     },
                 },
                 "cache": {
-                    "hits": int(self.cache_hits.value),
-                    "misses": int(self.cache_misses.value),
+                    "hits": int(per_query["cache_hits"].value),
+                    "misses": int(per_query["cache_misses"].value),
                 },
                 "checkpoints": {
                     "hits": ckpt_hits,
@@ -372,11 +379,13 @@ class ServiceMetrics:
                     ),
                 },
                 "resilience": {
-                    "retries": int(self.retries.value),
-                    "hedges": int(self.hedges.value),
-                    "breaker_trips": int(self.breaker_trips.value),
-                    "degraded_queries": int(self.degraded_queries.value),
-                    "degraded_keys": int(self.degraded_keys.value),
+                    "retries": int(per_query["retries"].value),
+                    "hedges": int(per_query["hedges"].value),
+                    "breaker_trips": int(per_query["breaker_trips"].value),
+                    "degraded_queries": int(
+                        per_query["degraded_partitions"].value
+                    ),
+                    "degraded_keys": int(per_query["degraded_keys"].value),
                 },
                 "latency": {
                     "service_ms": self.service_latency.as_dict(),

@@ -769,8 +769,9 @@ class GraphSession:
     ) -> None:
         """Project the result's stats onto its span: the span tree holds
         at least everything ``QueryStats`` reports, so the terminal
-        counters are a view of the trace (every :class:`FetchStats`
-        counter by name, ``bytes_read`` as ``bytes``)."""
+        counters are a view of the trace (traffic, clock and every
+        :class:`~repro.kvstore.cost.Counters` field by name,
+        ``bytes_read`` as ``bytes``)."""
         stats = result.stats
         span.set(
             kind=request.kind,
@@ -778,6 +779,8 @@ class GraphSession:
             predicted_ms=stats.predicted_ms,
             candidates=stats.candidates,
             bytes=stats.bytes_read,
+            requests=stats.requests,
+            sim_time_ms=stats.sim_time_ms,
             **{name: getattr(stats, name) for name in COUNTER_NAMES},
         )
         if result.error is not None:

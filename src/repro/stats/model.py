@@ -23,8 +23,10 @@ three consumers:
   ms/KiB and replay ms/item on this machine);
 - the nearest-in-time checkpoint seeding path prices forward replay from
   a warm state at ``t0 < t`` against a cold fetch using the per-partition
-  event-rate histogram (:meth:`TimespanStats.events_between`,
-  :func:`prefer_near_seed`).
+  event-rate histogram (:meth:`TimespanStats.events_between`), by one
+  rule whatever the state's extent: :func:`prefer_near_seed` sums over
+  the partitions it is given — one for a partition checkpoint, all of
+  them for a materialized snapshot.
 """
 
 from __future__ import annotations
@@ -337,7 +339,7 @@ def _evaluate_khop_pids(
 
 def prefer_near_seed(
     span: Optional[TimespanStats],
-    pid: int,
+    pids: Iterable[int],
     t0: TimePoint,
     t: TimePoint,
     num_cold_keys: int,
@@ -346,15 +348,17 @@ def prefer_near_seed(
     calibration: Optional[ApplyCalibration] = None,
     leaf_time: Optional[TimePoint] = None,
 ) -> bool:
-    """Whether forward-replaying a partition from a checkpoint at ``t0``
-    beats a cold fetch-and-replay at ``t``.
+    """Whether forward-replaying a checkpointed state from ``t0`` beats a
+    cold fetch-and-replay at ``t`` — for the state of the partitions
+    ``pids``: one for a partition checkpoint, every partition of the span
+    for a materialized snapshot (a snapshot touches them all).
 
     Both sides are priced with the cost model's per-request constants and
     a replay cost per item — the model's own ``replay_per_item_ms`` when
     apply work is costed, else the calibrated measurement, else a small
     default.  The event-rate histogram supplies the expected replay
-    volumes; without statistics the decision degrades to comparing fetch
-    key counts.
+    volumes, summed over ``pids``; without statistics the decision
+    degrades to comparing fetch key counts.
 
     ``leaf_time`` is the tree-leaf checkpoint the cold path would replay
     forward from: events before it are already materialized inside the
@@ -372,51 +376,14 @@ def prefer_near_seed(
         )
     if span is None:
         return num_gap_keys < num_cold_keys
-    gap_events = span.events_between(pid, t0, t)
-    near_cost = num_gap_keys * per_key + gap_events * replay_ms
-    part = span.partitions.get(pid)
-    cold_from = leaf_time if leaf_time is not None else span.t_start - 1
-    cold_items = (
-        (part.nodes + part.internal_edges + part.cut_edges)
-        if part is not None
-        else 0
-    ) + span.events_between(pid, cold_from, t)
-    cold_cost = num_cold_keys * per_key + cold_items * replay_ms
-    return near_cost < cold_cost
-
-
-def prefer_snapshot_near_seed(
-    span: Optional[TimespanStats],
-    t0: TimePoint,
-    t: TimePoint,
-    num_cold_keys: int,
-    num_gap_keys: int,
-    model,
-    calibration: Optional[ApplyCalibration] = None,
-    leaf_time: Optional[TimePoint] = None,
-) -> bool:
-    """Whether forward-replaying a *whole-graph* snapshot from a
-    materialized checkpoint at ``t0`` beats a cold snapshot build at
-    ``t`` — :func:`prefer_near_seed` summed over every partition, since
-    a snapshot touches them all.  Without statistics the decision
-    degrades to comparing fetch key counts, exactly like the
-    per-partition version."""
-    per_key = model.seek_ms + model.rtt_ms
-    replay_ms = getattr(model, "replay_per_item_ms", 0.0)
-    if replay_ms <= 0.0:
-        replay_ms = (
-            calibration.replay_per_item_ms
-            if calibration is not None and calibration.replay_per_item_ms > 0
-            else _FALLBACK_REPLAY_MS
-        )
-    if span is None:
-        return num_gap_keys < num_cold_keys
     cold_from = leaf_time if leaf_time is not None else span.t_start - 1
     gap_events = 0
     cold_items = 0
-    for pid, part in span.partitions.items():
+    for pid in pids:
         gap_events += span.events_between(pid, t0, t)
-        cold_items += part.nodes + part.internal_edges + part.cut_edges
+        part = span.partitions.get(pid)
+        if part is not None:
+            cold_items += part.nodes + part.internal_edges + part.cut_edges
         cold_items += span.events_between(pid, cold_from, t)
     near_cost = num_gap_keys * per_key + gap_events * replay_ms
     cold_cost = num_cold_keys * per_key + cold_items * replay_ms

@@ -5,6 +5,9 @@ parallel-fetch protocol: the node universe is split across the analytics
 cluster's partitions, each partition fetches its share of temporal nodes
 directly from the store (no aggregation bottleneck at the query manager),
 and the simulated fetch time is the makespan over the analytics workers.
+A fetch is accounted in :class:`ParallelFetchStats`: the store's
+:class:`~repro.kvstore.cost.Counters` folded in per chunk fetch, plus
+that schedule.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from repro.exec import FetchPlan
 from repro.graph.events import Event
 from repro.index.interface import NodeHistory, evolve_node_state
 from repro.index.tgi.index import TGI
-from repro.kvstore.cost import COUNTER_NAMES, FetchStats
+from repro.kvstore.cost import Counters, FetchStats
 from repro.spark.rdd import SparkContext, lpt_makespan
 from repro.taf.node_t import NodeT, SubgraphT
 from repro.types import NodeId, TimePoint, canonical_edge
@@ -47,8 +50,10 @@ def _edge_attrs_of(g0) -> Dict[Tuple[NodeId, NodeId], dict]:
 
 
 @dataclass
-class ParallelFetchStats:
-    """Accounting for one parallel SoN/SoTS fetch.
+class ParallelFetchStats(Counters):
+    """Accounting for one parallel SoN/SoTS fetch: the
+    :class:`~repro.kvstore.cost.Counters` plus the fetch's store volume
+    and its schedule over the analytics workers.
 
     ``partition_sim_ms`` holds the simulated store-side latency incurred by
     each analytics partition; the fetch completes at the LPT makespan over
@@ -62,25 +67,6 @@ class ParallelFetchStats:
     num_workers: int = 1
     requests: int = 0
     bytes_read: int = 0
-    rounds: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_bytes_saved: int = 0
-    overlap_saved_ms: float = 0.0
-    apply_ms: float = 0.0
-    checkpoint_hits: int = 0
-    checkpoint_misses: int = 0
-    checkpoint_near_hits: int = 0
-    decoded_events: int = 0
-    coalesced_hits: int = 0
-    coalesced_bytes_saved: int = 0
-    merged_rounds: int = 0
-    retries: int = 0
-    hedges: int = 0
-    breaker_trips: int = 0
-    backoff_ms: float = 0.0
-    degraded_keys: int = 0
-    degraded_partitions: List[str] = field(default_factory=list)
     pipelined_ms: Optional[float] = None
 
     @property
@@ -89,24 +75,13 @@ class ParallelFetchStats:
             return self.pipelined_ms
         return lpt_makespan(self.partition_sim_ms, self.num_workers)
 
-    def absorb(self, fetch) -> None:
-        """Fold one store-side fetch — a :class:`FetchStats`, or another
-        :class:`ParallelFetchStats` — into the aggregate counters.
-
-        Driven by the fields of :class:`FetchStats`, so a counter added
-        there is either mirrored here or fails loudly on the first
-        fetch; completion time is not a counter (callers place it on
-        ``partition_sim_ms`` / ``pipelined_ms``)."""
-        self.requests += getattr(fetch, "num_requests", fetch.requests)
+    def absorb(self, fetch: FetchStats) -> None:
+        """Fold one store-side fetch into the aggregate: its counters and
+        its volume.  Completion time is not a counter (callers place it
+        on ``partition_sim_ms`` / ``pipelined_ms``)."""
+        self.add(fetch)
+        self.requests += fetch.num_requests
         self.bytes_read += fetch.bytes_read
-        for name in COUNTER_NAMES:
-            if name in ("requests", "sim_time_ms"):
-                continue
-            mine, theirs = getattr(self, name), getattr(fetch, name)
-            if isinstance(mine, list):  # partition labels: a union
-                mine.extend(label for label in theirs if label not in mine)
-            else:
-                setattr(self, name, mine + theirs)
 
 
 class TGIHandler:
@@ -292,7 +267,7 @@ class TGIHandler:
             f"ts={ts}, te={te})"
         )
 
-        extra = FetchStats()  # what the level finalizers add to the fetch
+        extra = Counters()  # what the level finalizers add to the fetch
 
         def add_level(nodes: List[NodeId], hops_done: int) -> None:
             """Append one batched history fetch for ``nodes`` plus the
@@ -333,7 +308,7 @@ class TGIHandler:
             [plan_a, khops[0]], clients=self.clients_per_partition,
             pipelined=True,
         )
-        pipelined.stats.merge(extra)
+        pipelined.stats.add(extra)
         khop_graphs = dict(zip(order, tgi._finish(
             khops, pipelined.results[1].values, pipelined.stats
         )))

@@ -285,8 +285,8 @@ def reference_snapshot_plan(tgi, span, t, pids=None, include_aux=False):
 
 def reference_gap_keys(tgi, span, t0, t, pid=None, include_aux=False):
     """Eventlist keys carrying events in ``(t0, t]`` — every partition's
-    (``pid=None``: ``TGI._snapshot_gap_keys``) or one partition's
-    (``TGI._gap_eventlist_keys``) — by a linear scan of the scopes."""
+    (``pid=None``) or one partition's, as ``TGI._gap_eventlist_keys``
+    selects them — by a linear scan of the scopes."""
     from repro.index.tgi.layout import (
         TAG_AUX_EVENTLIST,
         TAG_EVENTLIST,

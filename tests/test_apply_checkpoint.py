@@ -434,14 +434,6 @@ def test_session_cache_entries_zero_overrides_config_byte_bound(events):
     assert s2.cache is not None and s2.cache.max_bytes == 32 * 1024
 
 
-def test_registry_get_rejects_zero_capacity_without_phantom_slot():
-    reg = CacheRegistry()
-    with pytest.raises(ValueError):
-        reg.get("idx", 0)
-    assert "idx" not in reg
-    assert reg.get("idx", 8) is not None
-
-
 def test_registry_refcounted_release_drops_slot():
     reg = CacheRegistry()
     slot = reg.acquire("idx", delta_entries=8)

@@ -19,7 +19,7 @@ from repro.api import QueryRequest
 from repro.errors import IndexError_
 from repro.exec import StateCheckpointCache, shared_caches
 from repro.graph.static import Graph
-from repro.index.tgi.index import _clone_state, _snapshot_ckpt_key
+from repro.index.tgi.index import _clone_state, _state_key
 from repro.kvstore.cluster import ClusterConfig
 from repro.kvstore.cost import FetchStats
 from repro.storage import load_index, save_index
@@ -217,7 +217,7 @@ def near_time(tgi, t):
     for t2 in range(t + 1, t + 40):
         if (
             tgi._span_at(t2).tsid == span.tsid
-            and tgi._snapshot_near_seed_candidate(span, t2) is not None
+            and tgi._near_seed_candidate(span, None, t2, False) is not None
         ):
             return t2
     raise AssertionError(f"no near-seedable time after t={t}")
@@ -236,7 +236,7 @@ def warm(monkeypatch, citation_events):
 
 
 def cached_snapshot(tgi, t):
-    key = _snapshot_ckpt_key(tgi._span_at(t).tsid, t)
+    key = _state_key(tgi._span_at(t).tsid, None, t, False)
     return tgi.checkpoints._entries[key].payload
 
 

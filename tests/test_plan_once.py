@@ -75,7 +75,7 @@ def test_table_plans_equal_reference(steps, seed, replicate, data):
                 reference_pid_scope(span, scope_pids, include_aux)
             )
         t0 = data.draw(st.integers(span.checkpoints[0], t))
-        assert tgi._snapshot_gap_keys(span, t0, t) == (
+        assert tgi._gap_eventlist_keys(span, None, t0, t, False) == (
             reference_gap_keys(tgi, span, t0, t)
         )
         pid = data.draw(st.integers(0, span.num_pids - 1))

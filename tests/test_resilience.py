@@ -14,6 +14,7 @@ from repro import GraphSession, TGI, TGIConfig
 from repro.api import (
     DeadlineExceeded,
     QueryRequest,
+    QueryStats,
     Unavailable,
     error_payload,
     request_from_spec,
@@ -530,25 +531,10 @@ def test_storage_errors_map_to_503_unavailable():
 
 def test_metrics_fold_resilience_counters():
     metrics = ServiceMetrics()
-
-    class S:
-        requests = 4
-        bytes_read = 100
-        coalesced_hits = 0
-        coalesced_bytes_saved = 0
-        merged_rounds = 0
-        cache_hits = 0
-        cache_misses = 0
-        checkpoint_hits = 0
-        checkpoint_misses = 0
-        checkpoint_near_hits = 0
-        retries = 3
-        hedges = 1
-        breaker_trips = 2
-        degraded_keys = 5
-        degraded_partitions = ["ts0:p1"]
-
-    metrics.record_query("c", "khop", S())
+    metrics.record_query("c", "khop", QueryStats(
+        requests=4, bytes_read=100, retries=3, hedges=1, breaker_trips=2,
+        degraded_keys=5, degraded_partitions=["ts0:p1"],
+    ))
     snap = metrics.snapshot()["resilience"]
     assert snap == {
         "retries": 3, "hedges": 1, "breaker_trips": 2,

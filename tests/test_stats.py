@@ -18,7 +18,14 @@ from repro.kvstore.cost import (
     CostModel,
 )
 from repro.session import GraphSession
-from repro.stats import ApplyCalibration, GraphStatistics, expected_khop_pids
+from repro.stats import (
+    ApplyCalibration,
+    GraphStatistics,
+    PartitionStats,
+    TimespanStats,
+    expected_khop_pids,
+    prefer_near_seed,
+)
 from repro.storage import PersistenceError, load_index, save_index
 from repro.workloads.citation import CitationConfig, generate_citation_events
 from tests.helpers import random_history
@@ -252,6 +259,65 @@ def test_checkpoint_cache_eviction_prunes_series():
     cache.admit(("s", 3), {}, series=("s",), t=3)  # evicts t=1
     assert cache.nearest(("s",), 1) is None
     assert cache.nearest(("s",), 9) == (3, ("s", 3))
+
+
+def two_partition_span():
+    """Bucket-aligned inputs, so every cost term is an exact number:
+    buckets of width 10 over (0, 40]; partition 0 is small and steady,
+    partition 1 large and busy late."""
+    def part(pid, nodes, internal, cut, buckets):
+        return PartitionStats(
+            pid=pid, nodes=nodes, internal_edges=internal, cut_edges=cut,
+            degree_sum=0, degree_max=0, events=sum(buckets),
+            events_per_bucket=buckets,
+        )
+
+    return TimespanStats(
+        tsid=0, t_start=1, t_end=40, nodes=50, edges=39, num_pids=2,
+        events=56, bucket_bounds=(0.0, 10.0, 20.0, 30.0, 40.0),
+        partitions={
+            0: part(0, 10, 5, 2, (4, 4, 4, 4)),
+            1: part(1, 40, 30, 2, (0, 0, 20, 20)),
+        },
+        cut_weights={0: {1: 2}, 1: {0: 2}},
+    )
+
+
+def test_prefer_near_seed_is_one_rule_over_the_pids_given():
+    """Seed at t0=20, query at t=40, cold path replaying from the leaf at
+    10, 1 ms per key and 0.5 ms per replayed item.  Per partition:
+    p0 gap 8 events, cold 17 state items + 12 events; p1 gap 40, cold
+    72 + 40.  Ten cold keys on the other side of the scale."""
+    span = two_partition_span()
+    model = CostModel(seek_ms=0.75, rtt_ms=0.25, replay_per_item_ms=0.5)
+
+    def verdict(pids, gap_keys):
+        return prefer_near_seed(
+            span, pids, 20, 40, 10, gap_keys, model, leaf_time=10
+        )
+
+    # one partition: the verdicts the per-partition rule gave before it
+    # took a pid tuple (measured at the parent commit on these inputs):
+    # p0 is n + 4 < 24.5, p1 is n + 20 < 66
+    assert verdict((0,), 20) is True
+    assert verdict((0,), 21) is False
+    assert verdict((1,), 46) is False
+    assert verdict((1,), 45) is True
+    # both (a snapshot's extent): the terms sum — n + 24 < 10 + 70.5 —
+    # so the verdict flips between 56 and 57 gap keys, past where
+    # either partition alone flips
+    assert [verdict((0, 1), n) for n in (46, 56, 57, 70)] == [
+        True, True, False, False
+    ]
+    # a pid the statistics do not know adds nothing to either side
+    assert verdict((0, 1, 7), 56) is True and verdict((0, 1, 7), 57) is False
+
+
+def test_prefer_near_seed_without_statistics_compares_key_counts():
+    model = CostModel()
+    for pids in ((0,), (0, 1), range(5)):
+        assert prefer_near_seed(None, pids, 20, 40, 10, 9, model) is True
+        assert prefer_near_seed(None, pids, 20, 40, 10, 10, model) is False
 
 
 def test_near_seed_khop_parity_and_fewer_requests(history_events):
