@@ -98,19 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="1-hop edge-cut replication")
     build.add_argument("--cache-entries", type=int, default=0,
                        help="delta-cache capacity in rows (0 = disabled)")
-    build.add_argument("--cache-bytes", type=int, default=0,
-                       help="delta-cache byte bound with size-aware "
-                       "admission (0 = no byte bound)")
     build.add_argument("--checkpoints", type=int, default=0,
                        help="materialized-state checkpoint capacity: "
                        "fully-replayed partition states / snapshots "
                        "reused across queries (0 = disabled)")
-    build.add_argument("--checkpoint-admission",
-                       choices=["always", "second-touch"],
-                       default="always",
-                       help="checkpoint admission policy: second-touch "
-                       "admits a replayed state only on its second "
-                       "replay, so one-off scans don't churn the LRU")
     build.add_argument("--apply-cost", action="store_true",
                        help="cost client-side apply work (payload decode "
                        "+ delta/event replay) in the simulation with "
@@ -307,9 +298,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         ),
         replicate_boundary=args.replicate_boundary,
         delta_cache_entries=args.cache_entries,
-        delta_cache_bytes=args.cache_bytes,
         checkpoint_entries=args.checkpoints,
-        checkpoint_admission=args.checkpoint_admission,
         cluster=ClusterConfig(
             num_machines=args.machines,
             replication=args.replication,
@@ -603,13 +592,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 "machines": index.config.cluster.num_machines,
                 "replication": index.config.cluster.replication,
                 "codec": index.config.cluster.codec,
-                "checksums": getattr(
-                    index.config.cluster, "checksums", False
-                ),
+                "checksums": index.config.cluster.checksums,
                 "delta_cache_entries": index.config.delta_cache_entries,
-                "delta_cache_bytes": index.config.delta_cache_bytes,
                 "checkpoint_entries": index.config.checkpoint_entries,
-                "checkpoint_admission": index.config.checkpoint_admission,
             })
             # planner state a fresh session would start from: learned
             # per-k frontier margin multipliers persist with the index;
@@ -622,13 +607,15 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                         index.frontier_corrections.items()
                     )
                 },
-                "corrections": GraphSession.from_index(index).corrections,
+                "corrections": {},
             }
             if index.stats:
                 cal = index.stats.calibration
                 info["stats"] = {
                     "spans": len(index.stats.spans),
-                    "buckets": index.config.stats_buckets,
+                    "buckets": len(
+                        next(iter(index.stats.spans.values())).bucket_bounds
+                    ) - 1,
                     "calibration": (
                         {
                             "apply_per_kb_ms": round(cal.apply_per_kb_ms, 5),

@@ -8,10 +8,7 @@ Three reuse levels, cheapest miss first:
   update), so a decoded row can be reused across fetch plans without
   re-reading or re-deserializing it.  The cache tracks the *stored* size
   of every entry so the executor can report bytes saved in the fetch
-  stats.  Capacity can be bounded by entry count, by total stored bytes,
-  or both; in bytes-bounded mode admission is *size-aware* — one huge
-  root-snapshot row is refused instead of evicting many small micro-delta
-  rows that each serve a different query.
+  stats.
 
 - :class:`StateCheckpointCache` — bounded LRU over *fully-replayed
   states* (materialized partition states / snapshot graphs), keyed by the
@@ -27,10 +24,7 @@ Three reuse levels, cheapest miss first:
   same stored index agrees on an index id (for on-disk indexes, the
   resolved file path + fingerprint) and gets the same :class:`CacheSlot`
   back.  Slots are reference-counted (``acquire`` / ``release``, driven
-  by ``GraphSession.close()``); an unreferenced slot is dropped
-  immediately, or — when the registry is built with a TTL — kept warm for
-  that long so short-lived consumers in a long-running service still hit
-  each other's rows.
+  by ``GraphSession.close()``); the last release drops the slot.
 
 All three are **thread-safe**: the query service executes overlapping
 batching windows on a thread pool over one shared index, so lookups,
@@ -51,16 +45,11 @@ from __future__ import annotations
 import bisect
 import gc
 import threading
-import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 KeyTuple = Tuple
-
-#: In bytes-bounded mode, refuse to admit a single row larger than this
-#: fraction of the byte budget (it would evict too much of the working set).
-MAX_ROW_BUDGET_FRACTION = 0.25
 
 
 #: Full (oldest-generation) collections wanted at most once per this many
@@ -90,11 +79,6 @@ def _relax_full_collections() -> None:
         gc.set_threshold(young, middle, FULL_COLLECTION_EVERY)
 
 
-#: Second-touch admission keeps this many times the entry capacity in
-#: probation (key-only, so probation is far cheaper than real entries).
-PROBATION_FACTOR = 4
-
-
 @dataclass(frozen=True)
 class CachedRow:
     """A decoded row plus the sizes its fetch would have cost.
@@ -120,8 +104,6 @@ class CacheStats:
     entries: int
     max_entries: int
     bytes_cached: int = 0
-    max_bytes: int = 0
-    rejected: int = 0
     invalidations: int = 0
     generation: int = 0
 
@@ -132,32 +114,20 @@ class CacheStats:
 
 
 class DeltaCache:
-    """LRU cache of decoded rows, bounded by entry count and/or bytes.
+    """LRU cache of decoded rows, bounded by entry count.
 
     ``lookup`` promotes on hit and counts hits/misses; ``admit`` inserts
-    and evicts least-recently-used entries past either bound.  Counters
+    and evicts least-recently-used entries past ``max_entries``.  Counters
     are cumulative over the cache's lifetime (``clear`` drops entries,
     not counters, so a batch update does not erase observed behavior).
-
-    Args:
-        max_entries: entry bound (0 = unbounded by entries; then
-            ``max_bytes`` must be set).
-        max_bytes: stored-byte bound (0 = unbounded by bytes).  When set,
-            admission is size-aware: a row larger than
-            :data:`MAX_ROW_BUDGET_FRACTION` of the budget is rejected
-            (counted in ``stats().rejected``) rather than admitted at the
-            cost of many smaller rows.
     """
 
-    def __init__(self, max_entries: int, max_bytes: int = 0) -> None:
-        if max_entries < 0 or max_bytes < 0:
-            raise ValueError("cache bounds cannot be negative")
-        if max_entries == 0 and max_bytes == 0:
+    def __init__(self, max_entries: int) -> None:
+        if max_entries < 1:
             raise ValueError(
-                "DeltaCache needs at least one bound (entries or bytes)"
+                "DeltaCache needs capacity for at least 1 entry"
             )
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
         self._lock = threading.RLock()
         self._rows: "OrderedDict[KeyTuple, CachedRow]" = OrderedDict()
         self.bytes_cached = 0
@@ -165,7 +135,6 @@ class DeltaCache:
         self.misses = 0
         self.evictions = 0
         self.bytes_saved = 0
-        self.rejected = 0
         self.invalidations = 0
         self.generation = 0
 
@@ -191,15 +160,6 @@ class DeltaCache:
         self, key: KeyTuple, value: Any, stored_bytes: int, raw_bytes: int
     ) -> None:
         with self._lock:
-            if (
-                self.max_bytes
-                and stored_bytes > self.max_bytes * MAX_ROW_BUDGET_FRACTION
-            ):
-                # size-aware admission: this one row would push out too
-                # much of the working set to be worth caching
-                self.rejected += 1
-                self.invalidate(key)
-                return
             old = self._rows.get(key)
             if old is not None:
                 self.bytes_cached -= old.stored_bytes
@@ -208,15 +168,10 @@ class DeltaCache:
                 value, stored_bytes, raw_bytes, self.generation
             )
             self.bytes_cached += stored_bytes
-            while self._over_budget():
+            while len(self._rows) > self.max_entries:
                 _k, evicted = self._rows.popitem(last=False)
                 self.bytes_cached -= evicted.stored_bytes
                 self.evictions += 1
-
-    def _over_budget(self) -> bool:
-        if self.max_entries and len(self._rows) > self.max_entries:
-            return True
-        return bool(self.max_bytes) and self.bytes_cached > self.max_bytes
 
     def invalidate(self, key: KeyTuple) -> None:
         with self._lock:
@@ -261,8 +216,6 @@ class DeltaCache:
                 entries=len(self._rows),
                 max_entries=self.max_entries,
                 bytes_cached=self.bytes_cached,
-                max_bytes=self.max_bytes,
-                rejected=self.rejected,
                 invalidations=self.invalidations,
                 generation=self.generation,
             )
@@ -295,7 +248,6 @@ class CheckpointStats:
     evictions: int
     entries: int
     max_entries: int
-    deferred: int = 0
 
 
 class _MaxSentinel:
@@ -353,47 +305,29 @@ class StateCheckpointCache:
     collections rare for the whole process (they would re-walk every
     cached graph): see :func:`_relax_full_collections`.
 
-    Two optional behaviors:
-
-    - **Time series** — ``admit`` may name a ``series`` (e.g.
-      ``(timespan, partition, aux)``) and an orderable ``t``; the cache
-      then indexes the entry by time so :meth:`nearest` can answer "the
-      warmest state at or before ``t``" — the lookup behind
-      nearest-in-time checkpoint seeding.
-    - **Admission policy** — ``admission="second-touch"`` defers the
-      first admit of a never-seen key to a bounded key-only probation
-      set; only a key admitted *again* (i.e. replayed twice) enters the
-      LRU for real, so one-off scans stop churning the working set.
-      Deferred admits are counted in ``stats().deferred``.
+    **Time series** — ``admit`` may name a ``series`` (e.g.
+    ``(timespan, partition, aux)``) and an orderable ``t``; the cache
+    then indexes the entry by time so :meth:`nearest` can answer "the
+    warmest state at or before ``t``" — the lookup behind
+    nearest-in-time checkpoint seeding.
     """
 
-    ADMISSION_POLICIES = ("always", "second-touch")
-
-    def __init__(self, max_entries: int, admission: str = "always") -> None:
+    def __init__(self, max_entries: int) -> None:
         if max_entries < 1:
             raise ValueError(
                 "StateCheckpointCache needs capacity for at least 1 entry"
             )
-        if admission not in self.ADMISSION_POLICIES:
-            raise ValueError(
-                f"unknown admission policy {admission!r} "
-                f"(choose from {self.ADMISSION_POLICIES})"
-            )
         _relax_full_collections()
         self.max_entries = max_entries
-        self.admission = admission
         self._lock = threading.RLock()
         self._entries: "OrderedDict[KeyTuple, _CheckpointEntry]" = (
             OrderedDict()
         )
         # sorted (t, key) pairs per series, for nearest-in-time probes
         self._series: Dict[KeyTuple, list] = {}
-        # key-only probation LRU for second-touch admission
-        self._probation: "OrderedDict[KeyTuple, None]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.deferred = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -440,28 +374,12 @@ class StateCheckpointCache:
         payload: Any,
         series: Optional[KeyTuple] = None,
         t: Any = None,
-    ) -> bool:
+    ) -> None:
         """Insert a replayed state, taking ownership of ``payload`` (the
-        caller must not mutate it afterwards); returns whether it was
-        admitted (a second-touch policy defers the first sighting to
-        probation)."""
+        caller must not mutate it afterwards)."""
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
-            elif (
-                self.admission == "second-touch"
-                and key not in self._probation
-            ):
-                self._probation[key] = None
-                while (
-                    len(self._probation)
-                    > self.max_entries * PROBATION_FACTOR
-                ):
-                    self._probation.popitem(last=False)
-                self.deferred += 1
-                return False
-            else:
-                self._probation.pop(key, None)
             self._drop_from_series(self._entries.get(key))
             self._entries[key] = _CheckpointEntry(key, payload, series, t)
             if series is not None:
@@ -470,7 +388,6 @@ class StateCheckpointCache:
                 _k, evicted = self._entries.popitem(last=False)
                 self._drop_from_series(evicted)
                 self.evictions += 1
-            return True
 
     def _drop_from_series(self, entry: Optional[_CheckpointEntry]) -> None:
         if entry is None or entry.series is None:
@@ -495,7 +412,6 @@ class StateCheckpointCache:
         with self._lock:
             self._entries.clear()
             self._series.clear()
-            self._probation.clear()
 
     def stats(self) -> CheckpointStats:
         with self._lock:
@@ -505,14 +421,13 @@ class StateCheckpointCache:
                 evictions=self.evictions,
                 entries=len(self._entries),
                 max_entries=self.max_entries,
-                deferred=self.deferred,
             )
 
     def __getstate__(self) -> Dict[str, Any]:
-        # capacity, admission policy and counters only: the lock does
-        # not pickle, and entries are a memo the loaded index rebuilds
+        # capacity and counters only: the lock does not pickle, and
+        # entries are a memo the loaded index rebuilds
         state = dict(self.__dict__)
-        for name in ("_lock", "_entries", "_series", "_probation"):
+        for name in ("_lock", "_entries", "_series"):
             del state[name]
         return state
 
@@ -523,7 +438,6 @@ class StateCheckpointCache:
         # always empty after a load, whatever the file carried
         self._entries = OrderedDict()
         self._series = {}
-        self._probation = OrderedDict()
 
     def __repr__(self) -> str:
         s = self.stats()
@@ -545,7 +459,6 @@ class CacheSlot:
         self.delta: Optional[DeltaCache] = None
         self.checkpoints: Optional[StateCheckpointCache] = None
         self.refs = 0
-        self.expires_at: Optional[float] = None  # set while unreferenced
 
 
 class CacheRegistry:
@@ -559,93 +472,45 @@ class CacheRegistry:
     Lifecycle: consumers that want the slot kept alive call
     :meth:`acquire` and pair it with :meth:`release` (what
     ``GraphSession.close()`` does).  When the last reference is released
-    the slot is dropped — immediately by default, or after ``ttl``
-    seconds when the registry was built with one, so a long-running
-    service keeps recently-used indexes warm across short-lived sessions
-    without holding every index it ever touched.
+    the slot is dropped.
     """
 
-    def __init__(
-        self,
-        ttl: Optional[float] = None,
-        clock: Callable[[], float] = _time.monotonic,
-    ) -> None:
-        self.ttl = ttl
-        self.clock = clock
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._slots: Dict[str, CacheSlot] = {}
 
     # ------------------------------------------------------------------
-    def _sweep(self) -> None:
-        """Drop unreferenced slots whose grace period expired."""
-        now = self.clock()
-        dead = [
-            index_id
-            for index_id, slot in self._slots.items()
-            if slot.refs <= 0
-            and slot.expires_at is not None
-            and slot.expires_at <= now
-        ]
-        for index_id in dead:
-            del self._slots[index_id]
-
-    def _slot(
-        self,
-        index_id: str,
-        delta_entries: int,
-        delta_bytes: int,
-        checkpoint_entries: int,
-        checkpoint_admission: str = "always",
-    ) -> CacheSlot:
-        with self._lock:
-            self._sweep()
-            slot = self._slots.get(index_id)
-            if slot is None:
-                slot = CacheSlot()
-                self._slots[index_id] = slot
-            if slot.delta is None and (delta_entries > 0 or delta_bytes > 0):
-                slot.delta = DeltaCache(delta_entries, delta_bytes)
-            if slot.checkpoints is None and checkpoint_entries > 0:
-                slot.checkpoints = StateCheckpointCache(
-                    checkpoint_entries, admission=checkpoint_admission
-                )
-            return slot
-
     def acquire(
         self,
         index_id: str,
         delta_entries: int = 0,
-        delta_bytes: int = 0,
         checkpoint_entries: int = 0,
-        checkpoint_admission: str = "always",
     ) -> CacheSlot:
         """The shared slot for ``index_id``, reference-counted.
 
         Pair with :meth:`release`; the caches requested here are created
         on first use and shared verbatim with every other consumer."""
         with self._lock:
-            slot = self._slot(
-                index_id, delta_entries, delta_bytes, checkpoint_entries,
-                checkpoint_admission,
-            )
+            slot = self._slots.get(index_id)
+            if slot is None:
+                slot = CacheSlot()
+                self._slots[index_id] = slot
+            if slot.delta is None and delta_entries > 0:
+                slot.delta = DeltaCache(delta_entries)
+            if slot.checkpoints is None and checkpoint_entries > 0:
+                slot.checkpoints = StateCheckpointCache(checkpoint_entries)
             slot.refs += 1
-            slot.expires_at = None
             return slot
 
     def release(self, index_id: str) -> None:
-        """Drop one reference; the last release discards the slot (after
-        the registry's TTL, when one is configured)."""
+        """Drop one reference; the last release discards the slot."""
         with self._lock:
             slot = self._slots.get(index_id)
             if slot is None:
                 return
             slot.refs -= 1
             if slot.refs <= 0:
-                if self.ttl is None:
-                    del self._slots[index_id]
-                else:
-                    slot.expires_at = self.clock() + self.ttl
-            self._sweep()
+                del self._slots[index_id]
 
     # ------------------------------------------------------------------
     def peek_slot(self, index_id: str) -> Optional[CacheSlot]:

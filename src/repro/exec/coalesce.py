@@ -16,9 +16,7 @@ overlapping queries cost close to one, with three composed mechanisms:
 2. **Machine-level round merging** — all keys registered in one
    scheduling window (one round-robin turn over the in-flight plans)
    are issued as a single merged multiget, so requests from different
-   plans routed to the same machine share one round.  The cluster splits
-   merged rounds that exceed ``ClusterConfig.max_request_keys`` into
-   sequential chunks with exact per-chunk attribution.
+   plans routed to the same machine share one round.
 3. **Fair attribution** — every fetched row remembers its beneficiaries;
    :meth:`CoalesceScope.report` splits each row's request and bytes
    evenly across them so that batched per-query stats sum to the true
@@ -248,9 +246,10 @@ class CoalesceScope:
         model = self.model
         costed = model.costs_apply
         pending = window.pending
-        chunk_of: Dict[KeyTuple, int] = {}
-        chunk_timings: List[Any] = []
-        chunk_plans: Dict[int, Set[int]] = {}
+        #: the merged round on the timeline, and whether its rows went to
+        #: more than one plan
+        timing = None
+        merged = 0
         values: Dict[KeyTuple, Any] = {}
         rec_by_key: Dict[KeyTuple, Any] = {}
         if pending:
@@ -288,16 +287,10 @@ class CoalesceScope:
                     if not flight.done:
                         self.flights.pop(flight.key, None)
                 raise
-            limit = self.cluster.config.max_request_keys
-            size = limit if limit else len(merged_keys)
-            for i, key in enumerate(merged_keys):
-                chunk_of[key] = i // size
-            chunk_timings = timeline.rounds[-stats.rounds:] if stats.rounds else []
-            n_chunks = (len(merged_keys) + size - 1) // size
-            if len(chunk_timings) != n_chunks and chunk_timings:
-                # resilient retries issued extra rounds: charge every
-                # chunk the window's final completion (conservative)
-                chunk_timings = [chunk_timings[-1]] * n_chunks
+            # resilient retries issue extra rounds: every flight settles
+            # at the window's final completion (conservative)
+            timing = timeline.rounds[-1] if stats.rounds else None
+            plans: Set[int] = set()
             rec_by_key = {r.key: r for r in stats.requests}
             for flight in pending:
                 if flight.key not in values:
@@ -311,30 +304,21 @@ class CoalesceScope:
                 flight.value = values[flight.key]
                 flight.stored_bytes = record.stored_bytes
                 flight.raw_bytes = record.raw_bytes
-                flight.completed_ms = chunk_timings[
-                    chunk_of[flight.key]
-                ].completed_ms
+                flight.completed_ms = timing.completed_ms
                 flight.done = True
-                ci = chunk_of[flight.key]
-                chunk_plans.setdefault(ci, set()).update(
-                    flight.beneficiaries
-                )
+                plans |= flight.beneficiaries
+            merged = int(len(plans) > 1)
             self.rounds_issued += stats.rounds
-            self.merged_rounds += sum(
-                1 for plans in chunk_plans.values() if len(plans) > 1
-            )
+            self.merged_rounds += merged
             if window_span is not None:
-                if chunk_timings:
+                if timing is not None:
                     window_span.set_sim(
-                        min(t.released_ms for t in chunk_timings),
-                        max(t.completed_ms for t in chunk_timings),
+                        timing.released_ms, timing.completed_ms
                     )
                 window_span.set(
                     requests=len(stats.requests),
                     rounds=stats.rounds,
-                    merged=sum(
-                        1 for plans in chunk_plans.values() if len(plans) > 1
-                    ),
+                    merged=merged,
                 ).end()
             if any(getattr(stats, name) for name in RESILIENCE_COUNTERS):
                 # resilience counters of the merged round: attributed to
@@ -351,7 +335,7 @@ class CoalesceScope:
             cursor = part.cursor
             cstats = cursor.result.stats
             apply_ms = part.apply_ms
-            my_chunks: Set[int] = set()
+            arrive = part.dep_ms
             owned_records = []
             for key in part.owned:
                 record = rec_by_key.get(key)
@@ -359,7 +343,6 @@ class CoalesceScope:
                     continue  # degraded fetch dropped this key
                 owned_records.append(record)
                 cursor.result.values[key] = values[key]
-                my_chunks.add(chunk_of[key])
                 if costed:
                     apply_ms += model.apply_time(
                         record.raw_bytes, _replay_items(values[key])
@@ -369,21 +352,17 @@ class CoalesceScope:
                     continue  # degraded fetch dropped the owner's key
                 cursor.result.values[flight.key] = flight.value
                 cstats.coalesced_bytes_saved += flight.stored_bytes
-                my_chunks.add(chunk_of[flight.key])
+                arrive = max(arrive, flight.completed_ms)
                 if costed:
                     apply_ms += model.apply_time(
                         flight.raw_bytes, _replay_items(flight.value),
                         decoded=True,
                     )
             cstats.requests.extend(owned_records)
-            owned_chunks = {chunk_of[k] for k in part.owned if k in rec_by_key}
-            cstats.rounds += len(owned_chunks)
-            cstats.merged_rounds += sum(
-                1 for ci in owned_chunks if len(chunk_plans[ci]) > 1
-            )
-            arrive = part.dep_ms
-            for ci in my_chunks:
-                arrive = max(arrive, chunk_timings[ci].completed_ms)
+            if owned_records:
+                cstats.rounds += 1
+                cstats.merged_rounds += merged
+                arrive = max(arrive, timing.completed_ms)
             if arrive:
                 cursor.ready_at = max(cursor.ready_at, arrive)
             if owned_records:

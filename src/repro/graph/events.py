@@ -182,6 +182,19 @@ def check_sorted(events: Sequence[Event]) -> None:
             )
 
 
+def dedup_sorted(events: Iterable[Event]) -> List[Event]:
+    """Merge possibly replicated event partitions into one stream sorted
+    by ``(time, seq)`` with each ``seq`` once (duplicates arise because
+    edge events are stored with both endpoints)."""
+    seen = set()
+    out = []
+    for ev in sorted(events, key=Event.sort_key):
+        if ev.seq not in seen:
+            seen.add(ev.seq)
+            out.append(ev)
+    return out
+
+
 def events_in_range(
     events: Iterable[Event], ts: TimePoint, te: TimePoint
 ) -> Iterator[Event]:

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.deltas.base import Delta
 from repro.deltas.eventlist import EventList, split_events_into_lists
 from repro.errors import TimeRangeError
-from repro.graph.events import Event
+from repro.graph.events import Event, dedup_sorted
 from repro.graph.static import Graph
 from repro.index.common import snapshot_delta_of_graph, static_node_from_graph
 from repro.index.delta_tree import DeltaTree, build_delta_tree
@@ -142,7 +142,7 @@ class DeltaGraphIndex(HistoricalGraphIndex):
                         state = evolve_node_state(state, ev, node)
                 elif ev.time <= te and ev.touches(node):
                     changes.append(ev)
-        changes = self._dedup_events(changes)
+        changes = dedup_sorted(changes)
         return NodeHistory(node, ts, te, state, tuple(changes))
 
     @property

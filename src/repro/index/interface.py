@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.deltas.base import StaticNode
 from repro.errors import IndexError_, TimeRangeError
@@ -238,17 +238,3 @@ class HistoricalGraphIndex(abc.ABC):
         self.last_fetch_stats = stats
         return NeighborhoodHistory(center, tuple(histories))
 
-    # -- shared helpers ----------------------------------------------------
-    @staticmethod
-    def _dedup_events(events: Iterable[Event]) -> List[Event]:
-        """Merge possibly replicated event partitions into one sorted,
-        duplicate-free stream (duplicates arise because edge events are
-        stored with both endpoints)."""
-        seen = set()
-        out = []
-        for ev in sorted(events, key=Event.sort_key):
-            if ev.seq in seen:
-                continue
-            seen.add(ev.seq)
-            out.append(ev)
-        return out

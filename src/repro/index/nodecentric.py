@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import IndexError_, TimeRangeError
-from repro.graph.events import Event
+from repro.graph.events import Event, dedup_sorted
 from repro.graph.static import Graph
 from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
 from repro.kvstore.cluster import Cluster, ClusterConfig
@@ -58,7 +58,7 @@ class NodeCentricIndex(HistoricalGraphIndex):
         keys = [self._key(n) for n in self._nodes]
         values, stats = self.cluster.multiget(keys, clients=clients)
         self.last_fetch_stats = stats
-        merged = self._dedup_events(
+        merged = dedup_sorted(
             ev for evs in values.values() for ev in evs if ev.time <= t
         )
         return Graph.replay(merged, until=t)
@@ -130,7 +130,7 @@ class NodeCentricIndex(HistoricalGraphIndex):
             frontier = nxt
         self.last_fetch_stats = stats_total
 
-        merged = self._dedup_events(
+        merged = dedup_sorted(
             ev
             for n in members
             for ev in fetched.get(n, ())

@@ -149,7 +149,6 @@ def build_timespan(
             node_pid,
             num_pids,
             span_events,
-            buckets=config.stats_buckets,
         )
 
     boundary: Dict[int, FrozenSet[NodeId]] = {}

@@ -43,28 +43,17 @@ class TGIConfig:
         collapse: time-collapse function Ω for dynamic partitioning.
         node_weighting: node-weight option for dynamic partitioning.
         delta_cache_entries: capacity of the query manager's LRU cache of
-            decoded rows (0 disables entry-bounded caching, reproducing
-            uncached fetch counts exactly; cached fetches report hit/miss
-            counters in their ``FetchStats``).
-        delta_cache_bytes: stored-byte bound for the same cache (0 = no
-            byte bound).  When set, admission is size-aware: one huge
-            root-snapshot row is refused rather than evicting many small
-            micro-delta rows.  Either bound alone enables caching.
+            decoded rows (0 disables caching, reproducing uncached fetch
+            counts exactly; cached fetches report hit/miss counters in
+            their ``FetchStats``).
         checkpoint_entries: capacity of the materialized-state checkpoint
             cache — fully-replayed partition states / snapshot graphs
             keyed ``(timespan, partition, time)`` and shared between
             readers (immutable once admitted), so warm queries skip the
             delta/event replay entirely (0 disables
             checkpoints, reproducing replay-from-root accounting exactly).
-        checkpoint_admission: ``"always"`` admits every replayed state;
-            ``"second-touch"`` defers a never-seen key to a key-only
-            probation set and admits only on its second replay, so
-            one-off scans stop churning the checkpoint LRU.
-        stats_buckets: event-rate histogram resolution of the build-time
-            :class:`~repro.stats.model.GraphStatistics` artifact (buckets
-            per timespan).
         cluster: shape of the backing key-value cluster (``m``, ``r``,
-            compression, cost model, per-round request-size limit).
+            compression, codec, cost model, row checksums).
     """
 
     events_per_timespan: int = 4000
@@ -77,10 +66,7 @@ class TGIConfig:
     collapse: CollapseFunction = CollapseFunction.UNION_MAX
     node_weighting: NodeWeighting = NodeWeighting.UNIFORM
     delta_cache_entries: int = 0
-    delta_cache_bytes: int = 0
     checkpoint_entries: int = 0
-    checkpoint_admission: str = "always"
-    stats_buckets: int = 16
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
     def __post_init__(self) -> None:
@@ -100,13 +86,5 @@ class TGIConfig:
             raise IndexError_("placement_groups must be positive")
         if self.delta_cache_entries < 0:
             raise IndexError_("delta_cache_entries cannot be negative")
-        if self.delta_cache_bytes < 0:
-            raise IndexError_("delta_cache_bytes cannot be negative")
         if self.checkpoint_entries < 0:
             raise IndexError_("checkpoint_entries cannot be negative")
-        if self.checkpoint_admission not in ("always", "second-touch"):
-            raise IndexError_(
-                "checkpoint_admission must be 'always' or 'second-touch'"
-            )
-        if self.stats_buckets < 1:
-            raise IndexError_("stats_buckets must be positive")

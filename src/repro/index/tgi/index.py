@@ -57,7 +57,7 @@ from repro.exec import (
     PlanExecutor,
     StateCheckpointCache,
 )
-from repro.graph.events import Event
+from repro.graph.events import Event, dedup_sorted
 from repro.graph.static import Graph
 from repro.index.interface import (
     HistoricalGraphIndex,
@@ -76,7 +76,7 @@ from repro.index.tgi.layout import (
     TimespanInfo,
     version_chain_key,
 )
-from repro.index.tgi.query import PartialState, dedup_sorted
+from repro.index.tgi.query import PartialState
 from repro.index.tgi.version_chain import VersionChainStore
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.cost import CostModel, Counters, FetchStats
@@ -205,21 +205,12 @@ class TGI(HistoricalGraphIndex):
         self.config = config or TGIConfig()
         self.cluster = Cluster(self.config.cluster)
         self.delta_cache = (
-            DeltaCache(
-                self.config.delta_cache_entries,
-                self.config.delta_cache_bytes,
-            )
-            if (
-                self.config.delta_cache_entries > 0
-                or self.config.delta_cache_bytes > 0
-            )
+            DeltaCache(self.config.delta_cache_entries)
+            if self.config.delta_cache_entries > 0
             else None
         )
         self.checkpoints = (
-            StateCheckpointCache(
-                self.config.checkpoint_entries,
-                admission=self.config.checkpoint_admission,
-            )
+            StateCheckpointCache(self.config.checkpoint_entries)
             if self.config.checkpoint_entries > 0
             else None
         )

@@ -78,6 +78,34 @@ class QueryPlan:
             return list(self.expected_keys)
         return self.all_keys()
 
+    @classmethod
+    def union(cls, query: str, subs: Sequence["QueryPlan"]) -> "QueryPlan":
+        """The deduplicated union of ``subs`` — what one fetch shared by
+        all of them reads.  Steps of one purpose (and chaining) merge in
+        first-seen order and a key an earlier step already holds is
+        dropped; the expected key set is the union of every sub's, or
+        ``None`` unless all of them (and at least one) carry one.  Notes
+        are the caller's to carry over."""
+        plan = cls(query=query)
+        merged: Dict[Tuple[str, bool], List[DeltaKey]] = {}
+        seen: Set[DeltaKey] = set()
+        expected: Dict[DeltaKey, None] = {}
+        for sub in subs:
+            for step in sub.steps:
+                bucket = merged.setdefault((step.purpose, step.chained), [])
+                for key in step.keys:
+                    if key not in seen:
+                        seen.add(key)
+                        bucket.append(key)
+            expected.update(dict.fromkeys(sub.expected_keys or ()))
+        plan.steps = [
+            PlanStep(purpose, tuple(keys), chained=chained)
+            for (purpose, chained), keys in merged.items()
+        ]
+        if subs and all(sub.expected_keys is not None for sub in subs):
+            plan.expected_keys = tuple(expected)
+        return plan
+
     def placements(self) -> Set[Tuple]:
         """Distinct placement keys the plan touches (parallelism bound)."""
         return {k[:2] for k in self.all_keys()}
@@ -268,29 +296,13 @@ class TGIPlanner:
         deduplicated union of every node's plan — nodes sharing a
         micro-partition or chain row contribute its keys once, which is
         exactly what the batched fetch reads."""
-        plan = QueryPlan(
-            query=f"node_histories({len(nodes)} nodes, ts={ts}, te={te})"
+        plan = QueryPlan.union(
+            f"node_histories({len(nodes)} nodes, ts={ts}, te={te})",
+            [
+                self.plan_node_history(node, ts, te)
+                for node in dict.fromkeys(nodes)
+            ],
         )
-        merged: Dict[Tuple[str, bool], List[DeltaKey]] = {}
-        order: List[Tuple[str, bool]] = []
-        seen: Set[DeltaKey] = set()
-        for node in dict.fromkeys(nodes):
-            sub = self.plan_node_history(node, ts, te)
-            for step in sub.steps:
-                bucket_id = (step.purpose, step.chained)
-                if bucket_id not in merged:
-                    merged[bucket_id] = []
-                    order.append(bucket_id)
-                bucket = merged[bucket_id]
-                for key in step.keys:
-                    if key not in seen:
-                        seen.add(key)
-                        bucket.append(key)
-        for purpose, chained in order:
-            plan.steps.append(
-                PlanStep(purpose, tuple(merged[(purpose, chained)]),
-                         chained=chained)
-            )
         if self.tgi.checkpoints is not None and nodes:
             span = self.tgi._span_at(ts)
             pids = {
@@ -431,41 +443,27 @@ class TGIPlanner:
         if *no* center is alive the plan is empty rather than an error
         (``get_khops`` returns ``None`` per dead center).
         """
-        plan = QueryPlan(
-            query=f"khops({len(centers)} centers, t={t}, k={k})"
-        )
-        merged: Dict[str, List[DeltaKey]] = {}
-        seen: Set[DeltaKey] = set()
-        expected_union: List[DeltaKey] = []
-        expected_seen: Set[DeltaKey] = set()
-        all_expected = True
-        any_sub = False
+        subs: List[QueryPlan] = []
         for center in dict.fromkeys(centers):
             try:
-                sub = self.plan_khop(center, t, k=k)
+                subs.append(self.plan_khop(center, t, k=k))
             except IndexError_:
                 continue
-            any_sub = True
-            for step in sub.steps:
-                bucket = merged.setdefault(step.purpose, [])
-                for key in step.keys:
-                    if key not in seen:
-                        seen.add(key)
-                        bucket.append(key)
-            if sub.expected_keys is None:
-                all_expected = False
-            else:
-                for key in sub.expected_keys:
-                    if key not in expected_seen:
-                        expected_seen.add(key)
-                        expected_union.append(key)
+        return self.union_khops(centers, t, k, subs)
+
+    @staticmethod
+    def union_khops(
+        centers: Sequence[NodeId], t: TimePoint, k: int,
+        subs: Sequence[QueryPlan],
+    ) -> QueryPlan:
+        """The :meth:`plan_khops` plan of ``centers`` from the
+        :meth:`plan_khop` plans of its distinct alive ones (``subs``) —
+        for a caller that planned each center already, to price it."""
+        plan = QueryPlan.union(
+            f"khops({len(centers)} centers, t={t}, k={k})", subs
+        )
+        for sub in subs:
             for note in sub.notes:
                 if note not in plan.notes:
                     plan.notes.append(note)
-        for purpose, keys in merged.items():
-            plan.steps.append(PlanStep(purpose, tuple(keys)))
-        if any_sub and all_expected:
-            # shared frontier: the expected fetch is the deduplicated
-            # union of every center's expected key set
-            plan.expected_keys = tuple(expected_union)
         return plan

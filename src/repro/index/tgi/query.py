@@ -13,7 +13,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.deltas.base import Delta, StaticNode
 from repro.deltas.columnar import _NO_OTHER, ColumnarEventList, merged_order
-from repro.graph.events import Event, EventKind
+from repro.graph.events import Event, EventKind, dedup_sorted
 from repro.graph.static import Graph
 from repro.index.interface import evolve_node_state
 from repro.obs.trace import current_span
@@ -405,14 +405,3 @@ class _ColumnarApplier:
                     node, frozenset(st[1]), tuple(sorted(st[0].items()))
                 )
         self._work.clear()
-
-
-def dedup_sorted(events: Iterable[Event]) -> List[Event]:
-    """Sort by (time, seq) and drop replicated copies (same seq)."""
-    seen: Set[int] = set()
-    out: List[Event] = []
-    for ev in sorted(events, key=Event.sort_key):
-        if ev.seq not in seen:
-            seen.add(ev.seq)
-            out.append(ev)
-    return out

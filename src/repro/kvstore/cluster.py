@@ -73,12 +73,6 @@ class ClusterConfig:
     ``"pickle"`` reproduces the paper prototype's pickle-everything
     behavior.  Other rows (version chains, pointers) always pickle.
 
-    ``max_request_keys`` bounds how many keys one multiget round may
-    carry (0 = unlimited).  Oversized rounds — typically merged rounds
-    produced by cross-query coalescing — are split into sequential
-    chunks, each planned and costed independently (scan contiguity does
-    not survive a split, matching a real store's per-request limits).
-
     ``checksums`` wraps every stored payload in a CRC32 envelope (5
     bytes per row) verified on decode, so corrupted reads surface as a
     typed :class:`~repro.errors.CorruptPayload` instead of garbage —
@@ -90,7 +84,6 @@ class ClusterConfig:
     compress: bool = False
     codec: str = "columnar"
     cost_model: CostModel = CostModel()
-    max_request_keys: int = 0
     checksums: bool = False
 
     def __post_init__(self) -> None:
@@ -104,10 +97,6 @@ class ClusterConfig:
         if self.codec not in CODECS:
             raise StorageError(
                 f"unknown codec {self.codec!r} (expected one of {CODECS})"
-            )
-        if self.max_request_keys < 0:
-            raise StorageError(
-                "max_request_keys must be >= 0 (0 = unlimited)"
             )
 
 
@@ -471,7 +460,7 @@ class Cluster:
         queueing on one shared fetcher (a constant shift never changes the
         round's standalone cost).
 
-        With a resilience policy enabled (:meth:`enable_resilience`) each
+        With a resilience policy enabled (:meth:`enable_resilience`) the
         round runs through the retry/hedge/breaker loop instead; see
         :meth:`_resilient_round`.
         """
@@ -483,71 +472,34 @@ class Cluster:
             return {}, FetchStats()
 
         if self.resilience is not None:
-            return self._resilient_multiget(
+            return self._resilient_round(
                 keys, clients, timeline, at, client_offset
             )
 
-        base = self.clock_ms
-        limit = self.config.max_request_keys
-        if not limit or len(keys) <= limit:
-            now = base + at
-            records, encoded_rows = self._plan_requests(
-                keys, clients, client_offset, now=now
-            )
-            self._raise_transients(records, now)
-            if self.faults is None:
-                values = {
-                    key: decode(encoded.payload)
-                    for key, encoded in encoded_rows.items()
-                }
-            else:
-                server_of = {r.key: r.server for r in records}
-                values = {
-                    key: self._decode_row(encoded, server_of[key], now)
-                    for key, encoded in encoded_rows.items()
-                }
-            stats = FetchStats(requests=records, rounds=1 if keys else 0)
-            stats.sim_time_ms = simulate_plan(records, self.config.cost_model)
-            timing = None
-            if timeline is not None and records:
-                timing = timeline.submit(records, at=at)
-            span = current_span()
-            if span is not None and records:
-                self._trace_round(span, records, stats.sim_time_ms, timing, at)
-            return values, stats
-
-        # Oversized round: split into sequential chunks, each planned
-        # independently (contiguity resets at chunk boundaries — a real
-        # store re-seeks per request batch).  Per-chunk records keep
-        # attribution exact: every key's server/bytes/service time is
-        # costed within the chunk that actually carried it.
-        values = {}
-        stats = FetchStats()
-        release = at
-        for start in range(0, len(keys), limit):
-            chunk = keys[start:start + limit]
-            now = base + release
-            records, encoded_rows = self._plan_requests(
-                chunk, clients, client_offset, now=now
-            )
-            self._raise_transients(records, now)
+        now = self.clock_ms + at
+        records, encoded_rows = self._plan_requests(
+            keys, clients, client_offset, now=now
+        )
+        self._raise_transients(records, now)
+        if self.faults is None:
+            values = {
+                key: decode(encoded.payload)
+                for key, encoded in encoded_rows.items()
+            }
+        else:
             server_of = {r.key: r.server for r in records}
-            for key, encoded in encoded_rows.items():
-                values[key] = self._decode_row(encoded, server_of[key], now)
-            chunk_ms = simulate_plan(records, self.config.cost_model)
-            stats.requests.extend(records)
-            stats.rounds += 1
-            stats.sim_time_ms += chunk_ms
-            timing = None
-            if timeline is not None and records:
-                timing = timeline.submit(records, at=release)
-            span = current_span()
-            if span is not None and records:
-                self._trace_round(span, records, chunk_ms, timing, release)
-            if timing is not None:
-                release = timing.completed_ms
-            else:
-                release += chunk_ms
+            values = {
+                key: self._decode_row(encoded, server_of[key], now)
+                for key, encoded in encoded_rows.items()
+            }
+        stats = FetchStats(requests=records, rounds=1 if keys else 0)
+        stats.sim_time_ms = simulate_plan(records, self.config.cost_model)
+        timing = None
+        if timeline is not None and records:
+            timing = timeline.submit(records, at=at)
+        span = current_span()
+        if span is not None and records:
+            self._trace_round(span, records, stats.sim_time_ms, timing, at)
         return values, stats
 
     # ------------------------------------------------------------------
@@ -612,34 +564,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # resilient fetch path
     # ------------------------------------------------------------------
-    def _resilient_multiget(
-        self,
-        keys: Sequence[KeyTuple],
-        clients: int,
-        timeline: Optional[ExecutionTimeline],
-        at: float,
-        client_offset: int,
-    ) -> Tuple[Dict[KeyTuple, Any], FetchStats]:
-        """Chunking wrapper around :meth:`_resilient_round` (mirrors the
-        plain path's ``max_request_keys`` split)."""
-        values: Dict[KeyTuple, Any] = {}
-        stats = FetchStats()
-        limit = self.config.max_request_keys
-        key_list = list(keys)
-        release = at
-        if not limit or len(key_list) <= limit:
-            chunks = [key_list] if key_list else []
-        else:
-            chunks = [
-                key_list[start:start + limit]
-                for start in range(0, len(key_list), limit)
-            ]
-        for chunk in chunks:
-            release = self._resilient_round(
-                chunk, clients, timeline, release, client_offset, values, stats
-            )
-        return values, stats
-
     def _resilient_round(
         self,
         round_keys: Sequence[KeyTuple],
@@ -647,9 +571,7 @@ class Cluster:
         timeline: Optional[ExecutionTimeline],
         at: float,
         client_offset: int,
-        out_values: Dict[KeyTuple, Any],
-        stats: FetchStats,
-    ) -> float:
+    ) -> Tuple[Dict[KeyTuple, Any], FetchStats]:
         """One logical round under the resilience policy.
 
         Attempts are planned against breaker-admitted live replicas,
@@ -657,8 +579,7 @@ class Cluster:
         (charged in sim-ms) until every key decoded, the policy's
         ``max_attempts`` ran out, or the request's cancel scope raised.
         Keys that stay unavailable degrade (inside a ``partial_scope``)
-        or raise a typed :class:`PartitionUnavailable`.  Returns the
-        timeline release instant for the next round.
+        or raise a typed :class:`PartitionUnavailable`.
         """
         policy = self.resilience
         faults = self.faults
@@ -668,6 +589,8 @@ class Cluster:
         span = current_span()
         release = at
         now = base + at
+        values: Dict[KeyTuple, Any] = {}
+        stats = FetchStats()
         remaining: List[KeyTuple] = list(round_keys)
         #: machines that already failed each key this round (transient
         #: error or corrupt payload) — avoided on retry when possible.
@@ -704,7 +627,7 @@ class Cluster:
                         avoid.setdefault(record.key, set()).add(record.server)
                         continue
                     try:
-                        out_values[record.key] = self._decode_row(
+                        values[record.key] = self._decode_row(
                             encoded_rows[record.key], record.server, now
                         )
                     except CorruptPayload:
@@ -740,7 +663,7 @@ class Cluster:
                 now = base + release
             remaining = failed + blocked
             if not remaining:
-                return release
+                return values, stats
             if attempt + 1 >= policy.max_attempts:
                 break
             stats.retries += len(remaining)
@@ -776,7 +699,7 @@ class Cluster:
                 "degraded", keys=len(remaining), partitions=labels,
                 sim_at=release,
             )
-        return release
+        return values, stats
 
     def _route_resilient(
         self,

@@ -89,7 +89,7 @@ from repro.exec import (
     shared_caches,
 )
 from repro.graph.static import Graph
-from repro.index.tgi import TGI, TGIPlanner, price_plan
+from repro.index.tgi import QueryPlan, TGI, TGIPlanner, price_plan
 from repro.kvstore.cost import COUNTER_NAMES, ExecutionTimeline, FetchStats
 from repro.kvstore.degrade import PartialCollector, partial_scope
 from repro.obs.metrics import MetricsRegistry
@@ -156,7 +156,6 @@ def open_graph(
     workers: int = 2,
     clients: int = 1,
     cache_entries: Optional[int] = None,
-    cache_bytes: Optional[int] = None,
     checkpoint_entries: Optional[int] = None,
 ) -> "GraphSession":
     """Open a stored index as a :class:`GraphSession`.
@@ -174,8 +173,6 @@ def open_graph(
         cache_entries: shared-cache capacity; ``None`` defers to the
             index's ``delta_cache_entries`` (0 keeps caching off, which
             reproduces uncached fetch accounting exactly).
-        cache_bytes: shared-cache byte bound (``None`` defers to the
-            index's ``delta_cache_bytes``).
         checkpoint_entries: materialized-state checkpoint capacity
             (``None`` defers to the index's ``checkpoint_entries``).
     """
@@ -192,7 +189,6 @@ def open_graph(
         workers=workers,
         clients=clients,
         cache_entries=cache_entries,
-        cache_bytes=cache_bytes,
         checkpoint_entries=checkpoint_entries,
     )
 
@@ -224,13 +220,7 @@ class GraphSession:
         cache_entries: capacity of the shared delta cache; ``None`` uses
             the index's ``delta_cache_entries`` config (so the default
             session reproduces the index's configured fetch accounting),
-            any positive value forces caching on, 0 forces it off
-            (including a configured byte bound, unless ``cache_bytes``
-            explicitly re-enables one).
-        cache_bytes: stored-byte bound for the same cache (``None`` =
-            the index's ``delta_cache_bytes``); either bound alone
-            enables caching, and the byte bound makes admission
-            size-aware.
+            any positive value forces caching on, 0 forces it off.
         checkpoint_entries: capacity of the materialized-state checkpoint
             cache (``None`` = the index's ``checkpoint_entries``; 0 off).
             Warm-partition replay is seeded from these checkpoints and
@@ -239,7 +229,7 @@ class GraphSession:
     Sessions over a stored index (``index_id`` set) hold a reference on
     the process-wide registry slot; call :meth:`close` (or use the
     session as a context manager) when done — the last reference drops
-    the shared caches (after the registry's TTL, when one is set).
+    the shared caches.
     """
 
     def __init__(
@@ -251,7 +241,6 @@ class GraphSession:
         workers: int = 2,
         clients: int = 1,
         cache_entries: Optional[int] = None,
-        cache_bytes: Optional[int] = None,
         checkpoint_entries: Optional[int] = None,
     ) -> None:
         if not isinstance(tgi, TGI):
@@ -267,37 +256,25 @@ class GraphSession:
             if cache_entries is not None
             else tgi.config.delta_cache_entries
         )
-        if cache_bytes is not None:
-            byte_bound = cache_bytes
-        elif cache_entries == 0:
-            # the documented contract: an explicit cache_entries=0 forces
-            # caching off outright — it must not be resurrected by the
-            # index's configured byte bound
-            byte_bound = 0
-        else:
-            byte_bound = tgi.config.delta_cache_bytes
         ckpt_capacity = (
             checkpoint_entries
             if checkpoint_entries is not None
             else tgi.config.checkpoint_entries
         )
-        if capacity < 0 or byte_bound < 0:
+        if capacity < 0:
             raise QueryError("cache_entries cannot be negative")
         if ckpt_capacity < 0:
             raise QueryError("checkpoint_entries cannot be negative")
-        caching = capacity > 0 or byte_bound > 0
         slot = None
-        if index_id is not None and (caching or ckpt_capacity > 0):
+        if index_id is not None and (capacity > 0 or ckpt_capacity > 0):
             slot = shared_caches.acquire(
                 index_id,
                 delta_entries=capacity,
-                delta_bytes=byte_bound,
                 checkpoint_entries=ckpt_capacity,
-                checkpoint_admission=tgi.config.checkpoint_admission,
             )
             self._registered = True
         self.cache = None
-        if caching:
+        if capacity > 0:
             if slot is not None:
                 self.cache = slot.delta
             else:
@@ -306,7 +283,7 @@ class GraphSession:
                 # identity (id() reuse would alias a dead index's rows)
                 self.cache = (
                     tgi.delta_cache if tgi.delta_cache is not None
-                    else DeltaCache(capacity, byte_bound)
+                    else DeltaCache(capacity)
                 )
         # rebind the index's executor so every path — direct TGI calls,
         # TAF fetches, session queries — reads through the shared cache;
@@ -321,10 +298,7 @@ class GraphSession:
             else:
                 self.checkpoint_cache = (
                     tgi.checkpoints if tgi.checkpoints is not None
-                    else StateCheckpointCache(
-                        ckpt_capacity,
-                        admission=tgi.config.checkpoint_admission,
-                    )
+                    else StateCheckpointCache(ckpt_capacity)
                 )
         # checkpoint_entries 0 must really mean replay-from-root
         tgi.checkpoints = self.checkpoint_cache
@@ -359,9 +333,9 @@ class GraphSession:
 
         Idempotent.  The index object stays usable (its caches remain
         bound); only the registry slot's lifetime is affected — when the
-        last session over an index id closes, the slot is dropped (or
-        TTL-retained) so long-running services don't accumulate caches
-        for every index they ever opened."""
+        last session over an index id closes, the slot is dropped so
+        long-running services don't accumulate caches for every index
+        they ever opened."""
         if self._closed:
             return
         self._closed = True
@@ -538,15 +512,16 @@ class GraphSession:
         self, request: QueryRequest,
         shared_keys: Optional[Set] = None,
     ) -> Tuple[
-        Dict[str, float], bool, Dict[str, List[str]], Dict[str, List]
+        Dict[str, float], bool, Dict[str, List[str]], Dict[str, QueryPlan]
     ]:
         """Predicted sim-ms per candidate k-hop plan, whether the
         targeted bound could be planned at all (a single dead center
         can't — the caller then lets Algorithm 4 raise cleanly), each
         candidate's planner notes (why a plan prices the way it does:
         stats bounds, checkpoint seedings, warm snapshots), and each
-        candidate's pricing keys (what it was priced on, whether or not
-        a price came back — the batch's shared-context discount).
+        candidate's plan (what it was priced on, whether or not a price
+        came back — the batch's shared-context discount, and what
+        EXPLAIN prints).
 
         ``shared_keys`` is the batched-execution shared-context discount
         (see :func:`~repro.index.tgi.planner.price_plan`): keys an
@@ -556,29 +531,25 @@ class GraphSession:
         candidates: Dict[str, float] = {}
         notes: Dict[str, List[str]] = {}
         snap_plan = self.planner.plan_snapshot(request.t)
-        pricing_keys = {ALGO_SNAPSHOT_FIRST: snap_plan.pricing_keys()}
+        plans = {ALGO_SNAPSHOT_FIRST: snap_plan}
         snap_price = self._safe_price(
-            pricing_keys[ALGO_SNAPSHOT_FIRST], clients,
-            shared_keys=shared_keys,
+            snap_plan, clients, shared_keys=shared_keys
         )
         if snap_price is not None:
             candidates[ALGO_SNAPSHOT_FIRST] = snap_price
             notes[ALGO_SNAPSHOT_FIRST] = list(snap_plan.notes)
         per_center = 0.0
-        union_keys: List = []
-        union_seen = set()
+        subs: List[QueryPlan] = []
         khop_notes: List[str] = []
-        plannable = False
         priceable = True
         for center in dict.fromkeys(request.nodes):
             try:
                 sub = self.planner.plan_khop(center, request.t, k=request.k)
             except IndexError_:
                 continue
-            plannable = True
-            sub_keys = sub.pricing_keys()
+            subs.append(sub)
             sub_price = self._safe_price(
-                sub_keys, clients, shared_keys=shared_keys
+                sub, clients, shared_keys=shared_keys
             )
             if sub_price is None:
                 priceable = False
@@ -592,31 +563,36 @@ class GraphSession:
             for note in sub.notes:
                 if note not in khop_notes:
                     khop_notes.append(note)
-            for key in sub_keys:
-                if key not in union_seen:
-                    union_seen.add(key)
-                    union_keys.append(key)
-        if plannable:
-            pricing_keys[ALGO_KHOP] = pricing_keys[ALGO_PER_CENTER] = union_keys
+        if not request.single:
+            # the shared frontier fetches the per-center union once (of
+            # no alive center: an empty plan, as ``get_khops`` answers)
+            plans[ALGO_KHOP] = plans[ALGO_PER_CENTER] = (
+                self.planner.union_khops(
+                    request.nodes, request.t, request.k, subs
+                )
+            )
+        elif subs:
+            plans[ALGO_KHOP] = subs[0]
+        if subs:
             notes[ALGO_KHOP] = khop_notes
             if priceable and request.single:
                 candidates[ALGO_KHOP] = per_center
             elif priceable:
-                # the shared frontier fetches the per-center union once
                 union_price = self._safe_price(
-                    union_keys, clients, shared_keys=shared_keys
+                    plans[ALGO_KHOP], clients, shared_keys=shared_keys
                 )
                 if union_price is not None:
                     candidates[ALGO_KHOP] = union_price
                 candidates[ALGO_PER_CENTER] = per_center
                 notes[ALGO_PER_CENTER] = list(khop_notes)
-        return candidates, plannable, notes, pricing_keys
+        return candidates, bool(subs), notes, plans
 
     def _choose_khop(
         self, request: QueryRequest,
         shared_keys: Optional[Set] = None,
     ) -> Tuple[
-        str, Dict[str, float], Dict[str, float], Dict[str, List[str]], List
+        str, Dict[str, float], Dict[str, float], Dict[str, List[str]],
+        Optional[QueryPlan],
     ]:
         """Resolve the algorithm for a k-hop request: forced choices pass
         through; ``auto`` takes the cheapest priced candidate (ties break
@@ -624,9 +600,9 @@ class GraphSession:
         per-algorithm EWMA corrections learned from earlier queries.
         Returns the choice, the corrected candidate prices (what callers
         report), the raw model prices (what the feedback loop compares
-        actuals against), each candidate's planner notes, and the keys
-        the chosen candidate was priced on."""
-        raw, plannable, notes, pricing_keys = self._khop_candidates(
+        actuals against), each candidate's planner notes, and the chosen
+        candidate's plan (``None`` for a lone center unknown at ``t``)."""
+        raw, plannable, notes, plans = self._khop_candidates(
             request, shared_keys=shared_keys
         )
         candidates = self._corrected(raw)
@@ -645,7 +621,7 @@ class GraphSession:
                 key=lambda name: (candidates[name], _TIE_ORDER[name]),
             )
         self._trace_pricing(chosen, candidates, raw)
-        return chosen, candidates, raw, notes, pricing_keys.get(chosen, [])
+        return chosen, candidates, raw, notes, plans.get(chosen)
 
     def _trace_pricing(
         self,
@@ -668,6 +644,24 @@ class GraphSession:
                 },
             ).end()
 
+    def _plan_for(self, request: QueryRequest, merged: bool) -> QueryPlan:
+        """The :class:`QueryPlan` of a non-k-hop request.  Pricing asks
+        for the ``merged`` form — the deduplicated batched plan the fetch
+        runs, for a population of one too; EXPLAIN prints a lone subject
+        as its own Algorithm 2 plan (a ``khop_history`` as its
+        center's)."""
+        if request.kind == "snapshot":
+            return self.planner.plan_snapshot(request.t)
+        ts, te = (
+            (request.t, request.t) if request.kind == "node_state"
+            else (request.ts, request.te)
+        )
+        if merged or (
+            request.kind == "node_histories" and not request.single
+        ):
+            return self.planner.plan_node_histories(request.nodes, ts, te)
+        return self.planner.plan_node_history(request.nodes[0], ts, te)
+
     def _predict(
         self, request: QueryRequest,
         shared_keys: Optional[Set] = None,
@@ -675,19 +669,10 @@ class GraphSession:
         """Predicted cost for the non-k-hop kinds (single candidate) and
         the keys it was priced on (what a batch discounts for the
         members planned after this one)."""
+        if request.kind == "khop_history":
+            return None, []  # no metadata-only bound yet
         try:
-            if request.kind == "snapshot":
-                plan = self.planner.plan_snapshot(request.t)
-            elif request.kind == "node_histories":
-                plan = self.planner.plan_node_histories(
-                    request.nodes, request.ts, request.te
-                )
-            elif request.kind == "node_state":
-                plan = self.planner.plan_node_histories(
-                    request.nodes, request.t, request.t
-                )
-            else:
-                return None, []  # khop_history: no metadata-only bound yet
+            plan = self._plan_for(request, merged=True)
         except IndexError_:
             # unknown node / time out of range — execution raises the
             # real error
@@ -1124,7 +1109,7 @@ class GraphSession:
         ``shared`` for the requests compiled after it."""
         tgi = self.tgi
         if request.kind == "khop":
-            chosen, candidates, raw, _notes, pricing_keys = (
+            chosen, candidates, raw, _notes, plan = (
                 self._choose_khop(request, shared_keys=shared)
             )
             t, k = request.t, request.k
@@ -1168,7 +1153,8 @@ class GraphSession:
                         raise tgi._dead_center(nodes[0], t)
                     return outs[0][0]
 
-            shared.update(pricing_keys)
+            if plan is not None:
+                shared.update(plan.pricing_keys())
             return _Spec(
                 compiled=compiled, assemble=assemble, algorithm=chosen,
                 predicted=candidates.get(chosen), raw=raw.get(chosen),
@@ -1230,51 +1216,33 @@ class GraphSession:
         chosen: Optional[str] = None
         candidates: Dict[str, float] = {}
         candidate_notes: Dict[str, List[str]] = {}
-        if request.kind == "snapshot":
-            plan = self.planner.plan_snapshot(request.t)
-        elif request.kind == "node_state":
-            plan = self.planner.plan_node_history(
-                request.nodes[0], request.t, request.t
-            )
-        elif request.kind == "node_histories":
-            if request.single:
-                plan = self.planner.plan_node_history(
-                    request.nodes[0], request.ts, request.te
-                )
-            else:
-                plan = self.planner.plan_node_histories(
-                    request.nodes, request.ts, request.te
-                )
-        elif request.kind == "khop_history":
-            plan = self.planner.plan_node_history(
-                request.nodes[0], request.ts, request.te
-            )
-        elif request.kind == "khop":
-            chosen, candidates, _raw, candidate_notes, _keys = (
+        if request.kind == "khop":
+            # the pricing pass planned every candidate: print its choice
+            chosen, candidates, _raw, candidate_notes, plan = (
                 self._choose_khop(request)
             )
-            if chosen == ALGO_SNAPSHOT_FIRST:
-                plan = self.planner.plan_snapshot(request.t)
-            elif request.single:
+            if plan is None:
+                # a lone center unknown at t: the planner says so
                 plan = self.planner.plan_khop(
                     request.nodes[0], request.t, k=request.k
                 )
-            else:
-                plan = self.planner.plan_khops(
-                    request.nodes, request.t, k=request.k
-                )
         else:
-            raise QueryError(f"cannot explain query kind {request.kind!r}")
+            plan = self._plan_for(request, merged=False)
 
         lines = [plan.explain()]
-        records = self.tgi.cluster.plan_records(
-            plan.pricing_keys(), clients=request.clients
-        )
-        est = price_plan(self.tgi.cluster, plan, clients=request.clients)
-        lines.append(
-            f"estimate: {len(records)} requests, "
-            f"~{est:.2f} sim-ms as one sequential round"
-        )
+        keys = plan.pricing_keys()
+        timeline: List[str] = []
+        try:
+            est = price_plan(self.tgi.cluster, keys, clients=request.clients)
+            timeline.append(self._timeline_estimate(plan, request.clients))
+            lines.append(
+                f"estimate: {len(keys)} requests, "
+                f"~{est:.2f} sim-ms as one sequential round"
+            )
+        except StorageError as exc:
+            # a placement with no live replica: execution settles that at
+            # fetch time (see _safe_price), so the plan still explains
+            lines.append(f"estimate: unpriceable ({exc})")
         if candidates:
             ranked = ", ".join(
                 f"{name}={ms:.2f} sim-ms"
@@ -1296,8 +1264,7 @@ class GraphSession:
                 lines.append(f"  - {name}: {ms:.2f} sim-ms — {verdict}")
                 for note in candidate_notes.get(name, []):
                     lines.append(f"      note: {note}")
-        lines.append(self._timeline_estimate(plan, request.clients))
-        return "\n".join(lines)
+        return "\n".join(lines + timeline)
 
     def _timeline_estimate(self, plan, clients: int) -> str:
         """Group the plan's steps into the multiget rounds the executor

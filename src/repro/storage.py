@@ -26,14 +26,16 @@ _MAGIC = "hgs-index"
 # Older files raise PersistenceError on load; what each version added:
 # 2: fetch-plan executor / delta-cache attributes on indexes (repro.exec)
 # 3: TGIConfig.pipeline
-# 4: TGIConfig.delta_cache_bytes / checkpoint_entries, TGI.checkpoints
+# 4: TGIConfig.checkpoint_entries, TGI.checkpoints
 # 5: TGI.stats (GraphStatistics: planning, pricing, near-seed decisions)
 # 6: columnar eventlist rows (tags C/c), TGIConfig.apply_workers
 # 7: TGIConfig.coalesce
 # 8: ClusterConfig.checksums, CRC32 row envelope (tag K)
 # 9: packed micro-delta rows (tags D/d); Delta pickles as node/edge maps
 # 10: TGIConfig loses apply_workers / pipeline / coalesce
-_FORMAT_VERSION = 10
+# 11: TGIConfig loses its cache byte bound, checkpoint admission policy
+#     and stats bucket count; ClusterConfig its per-round key limit
+_FORMAT_VERSION = 11
 
 
 class PersistenceError(HGSError):

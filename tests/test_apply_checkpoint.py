@@ -311,55 +311,22 @@ def test_session_auto_selects_warm_materialized_snapshot(events):
     assert sorted(result.value.nodes()) == sorted(want.nodes())
 
 
-# -- bytes-bounded, size-aware delta cache -----------------------------------
-
-def test_delta_cache_bytes_bound_evicts_lru():
-    cache = DeltaCache(max_entries=0, max_bytes=1000)
-    for i in range(5):
-        cache.admit((i,), i, stored_bytes=240, raw_bytes=240)
-    assert cache.bytes_cached <= 1000
-    assert len(cache) == 4
-    assert (0,) not in cache and (4,) in cache
-    assert cache.stats().evictions == 1
-    assert cache.stats().max_bytes == 1000
-
-
-def test_delta_cache_rejects_oversized_row():
-    cache = DeltaCache(max_entries=0, max_bytes=1000)
-    for i in range(4):
-        cache.admit((i,), i, stored_bytes=200, raw_bytes=200)
-    cache.admit(("huge",), "root", stored_bytes=600, raw_bytes=600)
-    # the huge root row is refused; the small working set survives
-    assert ("huge",) not in cache
-    assert len(cache) == 4
-    assert cache.stats().rejected == 1
-    assert cache.stats().evictions == 0
-
+# -- delta cache bounds -------------------------------------------------------
 
 def test_delta_cache_requires_some_bound():
     with pytest.raises(ValueError):
         DeltaCache(0)
     with pytest.raises(ValueError):
-        DeltaCache(0, 0)
-    DeltaCache(0, 1024)  # bytes-only bound is fine
+        DeltaCache(-1)
 
 
 def test_delta_cache_readmission_updates_bytes():
-    cache = DeltaCache(max_entries=4, max_bytes=0)
+    cache = DeltaCache(max_entries=4)
     cache.admit(("a",), 1, stored_bytes=100, raw_bytes=100)
     cache.admit(("a",), 2, stored_bytes=300, raw_bytes=300)
     assert cache.bytes_cached == 300
     cache.invalidate(("a",))
     assert cache.bytes_cached == 0
-
-
-def test_tgi_bytes_bounded_cache(events):
-    tgi = make_tgi(events, delta_cache_bytes=64 * 1024)
-    assert tgi.delta_cache is not None
-    node = sorted({ev.node for ev in events})[0]
-    tgi.get_node_history(node, 100, 450)
-    tgi.get_node_history(node, 100, 450)
-    assert tgi.last_fetch_stats.cache_hits > 0
 
 
 # -- StateCheckpointCache unit ------------------------------------------------
@@ -421,19 +388,6 @@ def test_checkpoint_cache_makes_full_collections_rare(gc_thresholds):
 
 # -- registry lifecycle -------------------------------------------------------
 
-def test_session_cache_entries_zero_overrides_config_byte_bound(events):
-    """An explicit cache_entries=0 forces caching off even when the
-    index was built with a byte bound (the documented '0 = uncached
-    accounting' contract)."""
-    tgi = make_tgi(events, delta_cache_bytes=64 * 1024)
-    s = GraphSession.from_index(tgi, cache_entries=0)
-    assert s.cache is None and tgi.delta_cache is None
-    # explicit cache_bytes re-enables a byte-bounded cache regardless
-    s2 = GraphSession.from_index(tgi, cache_entries=0,
-                                 cache_bytes=32 * 1024)
-    assert s2.cache is not None and s2.cache.max_bytes == 32 * 1024
-
-
 def test_registry_refcounted_release_drops_slot():
     reg = CacheRegistry()
     slot = reg.acquire("idx", delta_entries=8)
@@ -442,21 +396,6 @@ def test_registry_refcounted_release_drops_slot():
     reg.release("idx")
     assert "idx" in reg
     reg.release("idx")
-    assert "idx" not in reg
-
-
-def test_registry_ttl_keeps_unreferenced_slot_warm():
-    now = [0.0]
-    reg = CacheRegistry(ttl=100.0, clock=lambda: now[0])
-    reg.acquire("idx", delta_entries=8)
-    reg.release("idx")
-    assert "idx" in reg  # inside the grace period
-    slot = reg.acquire("idx", delta_entries=8)  # re-acquire keeps it
-    reg.release("idx")
-    now[0] = 99.0
-    assert reg.peek_slot("idx") is slot
-    now[0] = 200.0
-    reg.acquire("other", delta_entries=8)  # any access sweeps
     assert "idx" not in reg
 
 

@@ -1,6 +1,6 @@
 """Tests for cross-query fetch coalescing: single-flight key dedup,
 machine-level round merging, batched session execution with fair
-attribution, and the satellites that ride along (merged-round split accounting, failover
+attribution, and the satellites that ride along (failover
 deregistration, snapshot near-seeding, frontier-margin learning,
 shared-context pricing)."""
 
@@ -12,18 +12,18 @@ from repro.errors import StorageError
 from repro.exec import FetchPlan, KeyGroup, PlanExecutor
 from repro.exec.coalesce import CoalesceScope
 from repro.exec.executor import _PlanCursor
+from repro.faults import FaultSchedule, TransientFaults, inject_faults
 from repro.index.tgi import price_plan
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.cost import ExecutionTimeline
+from repro.kvstore.resilience import ResiliencePolicy
 from repro.workloads.citation import CitationConfig, generate_citation_events
 
 
 # -- executor-level: the coalescing protocol ---------------------------------
 
-def _loaded_cluster(rows=20, machines=2, max_request_keys=0):
-    cluster = Cluster(ClusterConfig(
-        num_machines=machines, max_request_keys=max_request_keys
-    ))
+def _loaded_cluster(rows=20, machines=2):
+    cluster = Cluster(ClusterConfig(num_machines=machines))
     keys = [(0, i % 4, ("S", 0), i) for i in range(rows)]
     for key in keys:
         cluster.put(key, {"row": key[3]})
@@ -96,27 +96,6 @@ def test_same_window_fetches_merge_into_one_round():
     assert merged.results[1].stats.merged_rounds == 1
 
 
-def test_split_round_accounting_exact():
-    # 20 unique keys, merged round capped at 6 keys per request: the
-    # merged multiget splits into ceil(20/6) = 4 chunks, each counted as
-    # its own round, and per-plan rounds count only participated chunks
-    cluster, keys = _loaded_cluster(rows=20, max_request_keys=6)
-    plan_a = _one_stage_plan("a", keys)       # owns everything
-    plan_b = _one_stage_plan("b", keys[:3])   # rides the first chunk
-    pipe = PlanExecutor(cluster).execute_many(
-        [plan_a, plan_b], pipelined=True
-    )
-    assert pipe.stats.rounds == 4
-    assert pipe.stats.num_requests == len(keys)
-    assert pipe.results[0].stats.rounds == 4
-    assert pipe.results[1].stats.rounds == 0  # owned nothing
-    assert pipe.results[1].stats.coalesced_hits == 3
-    for key in keys:
-        assert pipe.results[0].values[key] == {"row": key[3]}
-    for key in keys[:3]:
-        assert pipe.results[1].values[key] == {"row": key[3]}
-
-
 def test_failover_deregisters_inflight_flights():
     cluster, keys = _loaded_cluster(machines=2)
     plan_a = _one_stage_plan("a", keys[:8])
@@ -146,6 +125,39 @@ def test_failover_deregisters_inflight_flights():
     for cursor in cursors:
         for key in keys[:8]:
             assert cursor.result.values[key] == {"row": key[3]}
+
+
+def test_retried_window_settles_at_its_last_round():
+    """A resilient merged round that retried issued several store
+    rounds: every flight still settles at the last one's completion, and
+    each plan that owned keys counts the window as one round of its own."""
+    cluster, keys = _loaded_cluster(machines=2)
+    plan_a = _one_stage_plan("a", keys[:12])
+    plan_b = _one_stage_plan("b", keys[8:])  # joins 4 flights, owns 8
+    cursors = [_PlanCursor(plan_a, 0), _PlanCursor(plan_b, 1)]
+    # machine 0 fails every request of the first attempt, then heals
+    inject_faults(cluster, FaultSchedule(
+        transient=(TransientFaults(0, probability=1.0, until_ms=0.01),),
+    ))
+    cluster.enable_resilience(ResiliencePolicy(hedge=False))
+    scope = CoalesceScope(cluster, None, num_plans=2)
+    timeline = ExecutionTimeline(cluster.config.cost_model)
+
+    window = scope.begin_window()
+    scope.admit_stage(window, cursors[0], plan_a.stages[0])
+    scope.admit_stage(window, cursors[1], plan_b.stages[0])
+    scope.flush_window(window, clients=1, timeline=timeline)
+
+    assert scope.rounds_issued == len(timeline.rounds) > 1
+    assert cursors[0].result.stats.retries > 0
+    last = timeline.rounds[-1].completed_ms
+    assert {f.completed_ms for f in scope.flights.values()} == {last}
+    for cursor, wanted in zip(cursors, (keys[:12], keys[8:])):
+        assert cursor.ready_at == last
+        assert cursor.result.stats.rounds == 1
+        assert cursor.result.stats.merged_rounds == 1
+        assert cursor.result.values == {k: {"row": k[3]} for k in wanted}
+    assert scope.merged_rounds == 1
 
 
 # -- session-level: batched execution over dataset 1 -------------------------

@@ -279,7 +279,7 @@ def test_snapshot_needs_no_event_materialization(dataset1_events):
 
 # -- storage format gate ------------------------------------------------------
 
-@pytest.mark.parametrize("fmt", [5, 8, 9])
+@pytest.mark.parametrize("fmt", [5, 8, 9, 10])
 def test_older_format_files_rejected(tmp_path, fmt):
     path = tmp_path / "old.hgs"
     path.write_bytes(pickle.dumps({"magic": "hgs-index", "format": fmt,

@@ -107,10 +107,8 @@ def test_merge_concurrent_takes_timeline_completion():
 
 # -- execute_many ------------------------------------------------------------
 
-def _loaded_cluster(rows=24, machines=3, max_request_keys=0):
-    cluster = Cluster(ClusterConfig(
-        num_machines=machines, max_request_keys=max_request_keys
-    ))
+def _loaded_cluster(rows=24, machines=3):
+    cluster = Cluster(ClusterConfig(num_machines=machines))
     keys = [(i % 4, i % 2, ("S", 0), i) for i in range(rows)]
     for key in keys:
         cluster.put(key, {"row": key[3]})
@@ -242,9 +240,8 @@ def _two_stage_plan(first, second):
 
 def test_lone_pipelined_plan_accounts_like_its_timeline():
     """One plan alone on the shared timeline overlaps with nothing: its
-    own attribution must say what the timeline says, split rounds
-    included (20 keys under a 7-key request limit go out as 3 chunks)."""
-    cluster, keys = _loaded_cluster(max_request_keys=7)
+    own attribution must say what the timeline says."""
+    cluster, keys = _loaded_cluster()
     seq = PlanExecutor(cluster).execute(_two_stage_plan(keys[:20], keys[20:]))
     pipe = PlanExecutor(cluster).execute_many(
         [_two_stage_plan(keys[:20], keys[20:])], pipelined=True
@@ -254,7 +251,7 @@ def test_lone_pipelined_plan_accounts_like_its_timeline():
     assert lone.stats.overlap_saved_ms == pytest.approx(
         pipe.stats.overlap_saved_ms
     )
-    assert lone.stats.rounds == pipe.stats.rounds == seq.stats.rounds == 4
+    assert lone.stats.rounds == pipe.stats.rounds == seq.stats.rounds == 2
     assert lone.stats.num_requests == seq.stats.num_requests == len(keys)
     assert lone.values == seq.values
     assert lone.stats.sim_time_ms == pytest.approx(seq.stats.sim_time_ms)

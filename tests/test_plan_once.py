@@ -192,6 +192,64 @@ def test_warm_snapshot_routes_without_hashing(monkeypatch, dataset1_events):
     assert stable[0] == 0 and hashes[0] == 0
 
 
+@pytest.mark.parametrize("centers, single", [
+    ((5,), True),
+    ((1, 3, 5, 7, 3), False),
+])
+def test_explain_plans_each_distinct_center_once(
+    monkeypatch, dataset1_events, centers, single
+):
+    """EXPLAIN prints the plans its pricing pass made: one ``plan_khop``
+    per distinct center, one ``plan_snapshot``, and one store costing
+    per priced plan plus the estimate and the timeline."""
+    session = GraphSession.from_index(build_tgi(dataset1_events))
+    request = QueryRequest(
+        kind="khop", t=900, nodes=centers, k=2, single=single
+    )
+    khops = _counted(monkeypatch, TGIPlanner, "plan_khop")
+    snapshots = _counted(monkeypatch, TGIPlanner, "plan_snapshot")
+    costings = _counted(monkeypatch, Cluster, "plan_records")
+    text = session.explain(request)
+    distinct = len(set(centers))
+    assert khops[0] == distinct
+    assert snapshots[0] == 1
+    # snapshot-first, each center, (the shared frontier,) the printed
+    # plan's estimate and its timeline
+    assert costings[0] == 1 + distinct + (0 if single else 1) + 2
+    assert "candidates:" in text and "ExecutionTimeline[" in text
+
+
+def test_explain_survives_a_dead_placement(dataset1_events):
+    """What ``execute`` answers degraded and unpriced, EXPLAIN prints
+    with an unpriceable estimate instead of dying at plan time."""
+    tgi = build_tgi(dataset1_events, r=1)
+    session = GraphSession.from_index(tgi)
+    request = QueryRequest(
+        kind="khop", t=900, nodes=(5,), k=2, single=True, allow_partial=True
+    )
+    tgi.get_khop(5, 900, k=2)
+    dead = min(rec.server for rec in tgi.last_fetch_stats.requests)
+    tgi.cluster.fail_machine(dead)
+    tgi.cluster.enable_resilience(
+        ResiliencePolicy(max_attempts=2, hedge=False)
+    )
+    result = session.execute(request)
+    text = session.explain(request)
+    assert result.degraded is not None
+    assert result.stats.predicted_ms is None
+    assert text.startswith("QueryPlan[khop(node=5, t=900, k=2)]")
+    assert "estimate: unpriceable (all replicas down for placement" in text
+    assert "ExecutionTimeline[" not in text
+
+
+def test_explain_of_a_lone_dead_center_raises(dataset1_events):
+    session = GraphSession.from_index(build_tgi(dataset1_events))
+    with pytest.raises(IndexError_):
+        session.explain(QueryRequest(
+            kind="khop", t=900, nodes=(10 ** 6,), k=1, single=True
+        ))
+
+
 # -- (c) duplicate collapse ---------------------------------------------------
 
 def members(g):

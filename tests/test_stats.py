@@ -1,13 +1,12 @@
 """Tests for the build-time graph statistics subsystem (``repro/stats``):
 collection, persistence, calibrated apply costs, stats-backed planner
-bounds, nearest-in-time checkpoint seeding, second-touch admission, and
-selective delta-cache invalidation on update."""
+bounds, nearest-in-time checkpoint seeding, and selective delta-cache
+invalidation on update."""
 
 import pickle
 
 import pytest
 
-from repro.errors import IndexError_
 from repro.exec import StateCheckpointCache
 from repro.index.tgi import TGI, TGIConfig, TGIPlanner
 from repro.index.tgi.layout import VC_TSID, version_chain_key
@@ -382,39 +381,6 @@ def test_planner_prices_near_seeding(history_events):
     near_plan = planner.plan_khop(center, t2, k=2)
     assert near_plan.num_keys < cold_plan.num_keys
     assert any("near-seeded" in n for n in near_plan.notes)
-
-
-# -- second-touch admission ---------------------------------------------------
-
-def test_second_touch_cache_unit():
-    cache = StateCheckpointCache(4, admission="second-touch")
-    assert cache.admit(("a",), {"v": 1}, dict) is False  # probation
-    assert ("a",) not in cache
-    assert cache.stats().deferred == 1
-    assert cache.admit(("a",), {"v": 1}, dict) is True  # second touch
-    assert ("a",) in cache
-    with pytest.raises(ValueError):
-        StateCheckpointCache(4, admission="sometimes")
-
-
-def test_second_touch_tgi_admits_on_repeat(history_events):
-    tgi = make_tgi(history_events, checkpoint_entries=256,
-                   checkpoint_admission="second-touch")
-    tgi.get_snapshot(450)
-    assert len(tgi.checkpoints) == 0  # one-off: everything in probation
-    assert tgi.checkpoints.stats().deferred > 0
-    tgi.get_snapshot(450)
-    assert len(tgi.checkpoints) > 0  # hot: admitted on the second replay
-    tgi.get_snapshot(450)
-    assert tgi.last_fetch_stats.checkpoint_hits == 1
-    assert tgi.last_fetch_stats.num_requests == 0
-
-
-def test_checkpoint_admission_config_validated():
-    with pytest.raises(IndexError_):
-        TGIConfig(checkpoint_admission="third-touch")
-    with pytest.raises(IndexError_):
-        TGIConfig(stats_buckets=0)
 
 
 # -- selective delta-cache invalidation on update -----------------------------
