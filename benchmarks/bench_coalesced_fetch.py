@@ -19,7 +19,15 @@ Three strategies over the same 16 centers (dataset 1, m=4, k=2):
 
 The bar: coalesced execution issues >= 2.5x fewer store requests and
 completes in >= 2x lower simulated time than the pipelined-only
-baseline, with member-identical neighborhoods.  Emits
+baseline, with member-identical neighborhoods.
+
+The batch also *replays* each partition once: its 16 plans are handed
+one :class:`~repro.index.tgi.query.ReplayShare`, as a session execution
+does, so a partition several neighborhoods touch is replayed by the
+first plan that settles it and read by the rest.  The partitions-
+replayed row is asserted exactly (sequential = the sum over plans of the
+partitions each loads; coalesced = the distinct partitions touched);
+wall-ms per strategy is recorded, never asserted.  Emits
 ``BENCH_coalesced_fetch.json``.
 """
 
@@ -32,6 +40,7 @@ from pathlib import Path
 import pytest
 
 from benchmarks.conftest import build_tgi, print_series, probe_nodes
+from repro.index.tgi.query import ReplayShare
 
 N_CENTERS = 16
 K = 2
@@ -52,12 +61,21 @@ PIPELINED_ONLY = {
     "merged_rounds": 0,
 }
 
+#: Partitions replayed on this dataset, centers and build: what the 16
+#: plans load between them, and how many distinct ones that is.
+PARTITIONS_LOADED = 568
+PARTITIONS_TOUCHED = 40
+
 
 @pytest.fixture(scope="module")
 def setup(dataset1_events):
     t = dataset1_events[-1].time
     centers = probe_nodes(dataset1_events, N_CENTERS, seed=31, alive_at=t)
     return dataset1_events, centers, t
+
+
+def _pids(keys):
+    return {key[3] for key in keys}
 
 
 def _row(label, stats, values, wall_ms):
@@ -82,23 +100,29 @@ def sequential(setup):
 
     total = FetchStats()
     values = []
+    replayed = 0
     start = time.perf_counter()
     for center in centers:
         values.append(tgi.get_khop(center, t, k=K))
         total.merge(tgi.last_fetch_stats)
+        replayed += len(_pids(r.key for r in tgi.last_fetch_stats.requests))
     wall_ms = (time.perf_counter() - start) * 1e3
-    return _row("sequential per-center", total, values, wall_ms)
+    row = _row("sequential per-center", total, values, wall_ms)
+    row["partitions_replayed"] = replayed
+    return row
 
 
 @pytest.fixture(scope="module")
 def coalesced(setup):
     events, centers, t = setup
     tgi = build_tgi(events, m=M)
-    plans, finalizes = [], []
+    plans, finalizes, extras = [], [], []
+    share = ReplayShare()  # one per execution, as GraphSession._run does
     for center in centers:
-        plan, finalize, _ckpt = tgi._khops_plan([center], t, K)
+        plan, finalize, extra = tgi._khops_plan([center], t, K, share=share)
         plans.append(plan)
         finalizes.append(finalize)
+        extras.append(extra)
     start = time.perf_counter()
     pipe = tgi.executor.execute_many(plans, clients=1, pipelined=True)
     values = [
@@ -109,6 +133,14 @@ def coalesced(setup):
     row = _row("batched+coalesced", pipe.stats, values, wall_ms)
     row["unique_keys"] = pipe.coalesce.unique_keys
     row["fair_requests_sum"] = sum(pipe.coalesce.fair_requests)
+    # a plan replays what it loaded and did not read from the share
+    row["coalesced_replays"] = sum(e.coalesced_replays for e in extras)
+    row["partitions_replayed"] = sum(
+        len(_pids(result.values)) for result in pipe.results
+    ) - row["coalesced_replays"]
+    row["partitions_touched"] = len(
+        _pids(r.key for r in pipe.stats.requests)
+    )
     return row
 
 
@@ -117,7 +149,8 @@ def _fmt(row):
         f"{row['label']:<24} {row['requests']:>6} req {row['rounds']:>5} "
         f"rounds {row['bytes'] / 1024:>9.1f} KiB {row['sim_ms']:>8.2f} "
         f"sim-ms {row['coalesced_hits']:>5} coalesced"
-        + (f" {row['wall_ms']:>8.1f} wall-ms" if "wall_ms" in row else "")
+        + (f" {row['partitions_replayed']:>4} partitions replayed"
+           f" {row['wall_ms']:>8.1f} wall-ms" if "wall_ms" in row else "")
     )
 
 
@@ -158,6 +191,18 @@ def test_coalesced_beats_pipelined_baseline(benchmark, sequential,
     benchmark.pedantic(_check, rounds=1, iterations=1)
 
 
+def test_each_partition_replayed_once(benchmark, sequential, coalesced):
+    def _check():
+        assert sequential["partitions_replayed"] == PARTITIONS_LOADED
+        assert coalesced["partitions_touched"] == PARTITIONS_TOUCHED
+        assert coalesced["partitions_replayed"] == PARTITIONS_TOUCHED
+        assert coalesced["coalesced_replays"] == (
+            PARTITIONS_LOADED - PARTITIONS_TOUCHED
+        )
+
+    benchmark.pedantic(_check, rounds=1, iterations=1)
+
+
 def test_fair_attribution_conserved(benchmark, coalesced):
     def _check():
         # per-plan fair shares sum exactly to the deduplicated totals
@@ -191,6 +236,10 @@ def test_emit_json(benchmark, sequential, coalesced):
             ),
             "sim_speedup_vs_pipelined": round(
                 PIPELINED_ONLY["sim_ms"] / coalesced["sim_ms"], 2
+            ),
+            "replay_reduction_vs_sequential": round(
+                sequential["partitions_replayed"]
+                / coalesced["partitions_replayed"], 2
             ),
         }
         RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

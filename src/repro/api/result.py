@@ -111,11 +111,16 @@ class QueryStats(Counters):
             }
         if self.decoded_events:
             out["decoded_events"] = self.decoded_events
-        if self.coalesced_hits or self.merged_rounds:
+        if (
+            self.coalesced_hits
+            or self.merged_rounds
+            or self.coalesced_replays
+        ):
             out["coalesce"] = {
                 "hits": self.coalesced_hits,
                 "bytes_saved": _num(self.coalesced_bytes_saved),
                 "merged_rounds": self.merged_rounds,
+                "replays": self.coalesced_replays,
             }
         if self.retries or self.hedges or self.breaker_trips:
             out["resilience"] = {

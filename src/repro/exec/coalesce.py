@@ -25,7 +25,11 @@ overlapping queries cost close to one, with three composed mechanisms:
 
 Isolation follows the delta-cache discipline already in force: decoded
 *rows* are shared across consumers (they are treated as immutable
-everywhere), while query *state* — graphs, histories — is always built
+everywhere).  Replayed query *state* is shared too, read-only, between
+the k-hop plans of one execution (their
+:class:`~repro.index.tgi.query.ReplayShare`: first fold wins, nothing
+folded in is replayed further, and a plan reads it only inside its own
+covered scope), while *results* — graphs, histories — are always built
 per plan, so mutating one plan's returned value never leaks into
 another's.
 

@@ -76,7 +76,7 @@ from repro.index.tgi.layout import (
     TimespanInfo,
     version_chain_key,
 )
-from repro.index.tgi.query import PartialState
+from repro.index.tgi.query import PartialState, ReplayShare
 from repro.index.tgi.version_chain import VersionChainStore
 from repro.kvstore.cluster import Cluster
 from repro.kvstore.cost import CostModel, Counters, FetchStats
@@ -885,15 +885,20 @@ class TGI(HistoricalGraphIndex):
         target: PartialState, nodes: Dict[NodeId, StaticNode],
         edge_attrs: Dict[Tuple, dict],
     ) -> None:
-        """Fold one partition's replayed state into a merged view (first
-        load wins — boundary-replicated duplicates carry equal states).
-        Only reads its inputs, which may be a checkpoint's shared
-        payload; the merged view aliases their values, so it must never
-        be replayed further."""
+        """Fold replayed partition state into a merged view (first fold
+        wins — boundary-replicated duplicates carry equal states).  Only
+        reads its inputs, which may be a checkpoint's shared payload;
+        the merged view aliases their values and may itself be an
+        execution's :class:`ReplayShare` state that other plans read, so
+        it is never replayed further and nothing folded in ever
+        changes."""
+        # one read of ``nodes`` (a property that freezes the pending
+        # columnar applier), not one per folded node
+        into_nodes, into_edges = target.nodes, target.edge_attrs
         for n, s in nodes.items():
-            target.nodes.setdefault(n, s)
+            into_nodes.setdefault(n, s)
         for e, a in edge_attrs.items():
-            target.edge_attrs.setdefault(e, a)
+            into_edges.setdefault(e, a)
 
     # ------------------------------------------------------------------
     # node history (Algorithm 2)
@@ -1153,7 +1158,11 @@ class TGI(HistoricalGraphIndex):
         return out
 
     def _khops_plan(
-        self, centers: Sequence[NodeId], t: TimePoint, k: int
+        self,
+        centers: Sequence[NodeId],
+        t: TimePoint,
+        k: int,
+        share: Optional[ReplayShare] = None,
     ) -> Compiled:
         """Build the shared-frontier k-hop plan plus a finalizer mapping
         the executed values to one graph per input center.
@@ -1163,8 +1172,21 @@ class TGI(HistoricalGraphIndex):
         fetched, advances every center's frontier, and emits one stage
         with the union of the still-missing micro-partition keys across
         all centers.  Checkpointed partitions are seeded directly into the
-        merged state and never reach the plan; the returned counter dict
-        records those hits (and the cold misses) for the caller's stats."""
+        merged state and never reach the plan; the returned counters
+        record those hits (and the cold misses) for the caller's stats.
+
+        ``share`` is the execution's :class:`ReplayShare`: the merged
+        state at ``(timespan, t)`` and the partitions already folded into
+        it are common to every plan handed the same share, so a stage
+        replays only the partitions no batchmate has replayed yet and
+        counts the rest as ``coalesced_replays``.  Everything else stays
+        the plan's own — ``loaded``, ``covered``, members, frontiers,
+        ``dropped`` — so it declares and fetches exactly the keys it
+        would alone, and it reads the shared state only inside its *own*
+        ``covered`` scope: a partition a degraded fetch dropped for this
+        plan stays dropped for it even when a batchmate folded it in.
+        Without a ``share`` the plan makes its own (same code, nothing to
+        skip)."""
         span = self._span_at(t)
         include_aux = self.config.replicate_boundary
         order = list(dict.fromkeys(centers))
@@ -1172,19 +1194,15 @@ class TGI(HistoricalGraphIndex):
         plan = FetchPlan(f"khops({len(order)} centers, t={t}, k={k})")
         extra = Counters()
 
-        merged = PartialState()
+        merged, held = (ReplayShare() if share is None else share).at(
+            span.tsid, t, include_aux
+        )
         covered: Set[NodeId] = set()
         loaded: Set[int] = set()
-        # partitions fetched but not yet folded into `merged`: the
-        # stage's combined (path_groups, ekeys) — or (None, None) in
-        # checkpoint mode, where settle replays per partition — plus the
-        # fetched pid set, its covered scope, and the stage's
-        # nearest-checkpoint seedings (pid -> payload at t0, t0, gap keys)
-        pending: List[Tuple[
-            Optional[List[List[DeltaKey]]], Optional[List[DeltaKey]],
-            Set[int], Set[NodeId],
-            Dict[int, NearSeed],
-        ]] = []
+        # stages declared but not yet settled: the stage, its cold pid
+        # set, and its nearest-checkpoint seedings (pid -> payload at t0,
+        # t0, gap keys)
+        pending: List[Tuple[FetchStage, Set[int], Dict[int, NearSeed]]] = []
         members: Dict[NodeId, Set[NodeId]] = {}
         frontier: Dict[NodeId, Set[NodeId]] = {}
         # per center, frontier candidates awaiting the alive-at-t filter
@@ -1216,7 +1234,9 @@ class TGI(HistoricalGraphIndex):
                         # ready before the next frontier advance
                         loaded.add(pid)
                         covered.update(span.scope_of((pid,), include_aux))
-                        self._merge_state(merged, *payload)
+                        if pid not in held:
+                            held.add(pid)
+                            self._merge_state(merged, *payload)
                     elif captured is not None:
                         near[pid] = captured
                     else:
@@ -1224,73 +1244,76 @@ class TGI(HistoricalGraphIndex):
                 pids = cold
                 if not pids and not near:
                     return None
-            stage, path_groups, ekeys = self._snapshot_stage(
+            stage, _path_groups, _ekeys = self._snapshot_stage(
                 span, t, f"khop-frontier-{hop[0]}", pids=pids,
                 include_aux=include_aux,
             )
             stage = self._with_gap_group(stage, near)
             loaded.update(pids)
             loaded.update(near)
-            if self.checkpoints is not None:
-                path_groups, ekeys = None, None
-            pending.append(
-                (path_groups, ekeys, set(pids),
-                 span.scope_of(set(pids) | set(near), include_aux),
-                 near)
-            )
+            pending.append((stage, set(pids), near))
             return stage
 
         def settle(values: Dict[DeltaKey, object]) -> None:
-            """Fold fetched rows into the merged state, then resolve which
-            of the last hop's candidates are alive at ``t``."""
-            while pending:
-                path_groups, ekeys, pids, scope, near = pending.pop(0)
-                if path_groups is None:
-                    # checkpoint mode: per-partition replay (on the apply
-                    # pool when configured), so each cold partition's
+            """Fold the fetched partitions the share does not hold yet
+            into the merged state, then resolve which of the last hop's
+            candidates are alive at ``t``."""
+            for stage, cold, near in pending:
+                rows = {group.role: group.keys for group in stage.groups}
+                bad = _degraded_pids(
+                    [key for keys in rows.values() for key in keys], values
+                )
+                for pid in bad:
+                    dropped.add(f"ts{span.tsid}:p{pid}")
+                good = (cold | near.keys()) - bad
+                todo = good - held
+                extra.coalesced_replays += len(good) - len(todo)
+                if self.checkpoints is not None:
+                    # per-partition replay, so each cold partition's
                     # state is admitted as a checkpoint and near-seeded
                     # partitions advance from their earlier checkpoint
                     # over just the gap eventlists
-                    replayed = self._replay_pids(
-                        span, pids, near, t, include_aux, values
-                    )
-                    for _pid, state in replayed:
+                    for _pid, state in self._replay_pids(
+                        span, cold & todo,
+                        {pid: near[pid] for pid in near.keys() & todo},
+                        t, include_aux, values,
+                    ):
                         self._merge_state(
                             merged, state.nodes, state.edge_attrs
                         )
-                    survivors = {pid for pid, _state in replayed}
-                    for pid in (pids | set(near)) - survivors:
-                        dropped.add(f"ts{span.tsid}:p{pid}")
-                    covered.update(scope)
-                    continue
-                stage_keys = [k for g in path_groups for k in g]
-                stage_keys.extend(ekeys)
-                bad = _degraded_pids(stage_keys, values)
-                for pid in bad:
-                    dropped.add(f"ts{span.tsid}:p{pid}")
-                state = PartialState(scope=scope)
-                for group in path_groups:
-                    for key in group:
-                        if key[3] in bad:
-                            continue
-                        state.load_delta(values[key])
-                state.apply_eventlists(
-                    [values[key] for key in ekeys if key[3] not in bad],
-                    until=t,
-                )
-                covered.update(scope)
-                self._merge_state(merged, state.nodes, state.edge_attrs)
+                elif todo:
+                    # one merged-scope replay over what is left: the
+                    # path's rows in root->leaf order, then the events
+                    state = PartialState(
+                        scope=span.scope_of(todo, include_aux)
+                    )
+                    for key in rows["micro-path"]:
+                        if key[3] in todo:
+                            state.load_delta(values[key])
+                    state.apply_eventlists(
+                        [
+                            values[key] for key in rows["eventlist"]
+                            if key[3] in todo
+                        ],
+                        until=t,
+                    )
+                    self._merge_state(merged, state.nodes, state.edge_attrs)
+                held.update(todo)
+                # own-scope read rule: what this plan's fetch lost is
+                # not covered, whatever a batchmate folded into the share
+                covered.update(span.scope_of(good, include_aux))
+            pending.clear()
+            states = merged.nodes
             if not started[0]:
                 started[0] = True
                 for c in alive0:
-                    if merged.node_state(c) is not None:
+                    if c in covered and c in states:
                         members[c] = {c}
                         frontier[c] = {c}
             else:
                 for c, cand in candidates.items():
                     alive = {
-                        n for n in cand
-                        if merged.node_state(n) is not None
+                        n for n in cand if n in covered and n in states
                     }
                     members[c] |= alive
                     frontier[c] = alive
@@ -1299,16 +1322,15 @@ class TGI(HistoricalGraphIndex):
         def advance(values: Dict[DeltaKey, object]) -> Optional[FetchStage]:
             settle(values)
             hop[0] += 1
+            states = merged.nodes
             needed: Set[NodeId] = set()
             for c, front in frontier.items():
                 cand: Set[NodeId] = set()
                 for n in front:
-                    state = merged.node_state(n)
-                    if state is not None:
-                        cand |= state.E
+                    cand |= states[n].E
                 cand -= members[c]
                 candidates[c] = cand
-                needed |= {n for n in cand if n not in covered}
+                needed |= cand - covered
             pids = {span.pid_of(n) for n in needed}
             pids.discard(None)
             return stage_for(pids)

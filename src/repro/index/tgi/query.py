@@ -194,6 +194,43 @@ class PartialState:
         )
 
 
+class ReplayShare:
+    """The replayed state the plans of *one execution* share: per
+    ``(timespan, t, aux)`` a single merged :class:`PartialState` plus the
+    set of partitions already folded into it.
+
+    One :meth:`GraphSession._run <repro.session.GraphSession._run>` (an
+    ``execute``, an ``execute_batch``, a collector window) creates one,
+    hands it to every k-hop plan it compiles and drops it when it
+    returns; a plan built on its own makes its own, so a lone plan runs
+    the same code.  A partition several overlapping neighborhoods touch
+    is then replayed by the first plan that settles it and *read* by the
+    rest (``Counters.coalesced_replays``) — the replay-side twin of the
+    coalescer's one fetch per key.  What is folded in is immutable from
+    then on (first fold wins; results are built out of it by
+    :meth:`PartialState.to_graph`, never aliased), and a plan reads a
+    node only inside its own covered scope, so sharing moves no plan's
+    members, declared keys or degraded bookkeeping.  Not thread-safe and
+    not meant to be: it lives on one execution's stack.
+    """
+
+    __slots__ = ("_states",)
+
+    def __init__(self) -> None:
+        self._states: Dict[Tuple, Tuple[PartialState, Set[int]]] = {}
+
+    def at(
+        self, tsid: int, t: TimePoint, include_aux: bool
+    ) -> Tuple[PartialState, Set[int]]:
+        """The merged state at ``t`` of timespan ``tsid`` and the pids
+        folded into it so far (both shared: callers fold in place)."""
+        key = (tsid, t, include_aux)
+        found = self._states.get(key)
+        if found is None:
+            found = self._states[key] = (PartialState(), set())
+        return found
+
+
 class _ColumnarApplier:
     """Bulk replay kernel over columnar eventlist rows.
 

@@ -208,6 +208,12 @@ class Counters:
         merged_rounds: multiget rounds this fetch shared with at least
             one other plan (machine-level round merging); always
             ``<= rounds``.
+        coalesced_replays: partitions whose replayed state this plan read
+            from its execution's shared state instead of replaying its
+            own rows — a batchmate's plan had already folded the
+            partition in (the rows were still declared and fetched, or
+            single-flighted, exactly as without sharing; always 0 for a
+            query that compiles to one plan).
         retries: key requests re-issued by the resilient fetch path after
             a transient failure, corrupt payload, or blocked routing
             (0 without a resilience policy).
@@ -238,6 +244,7 @@ class Counters:
     coalesced_hits: int = 0
     coalesced_bytes_saved: int = 0
     merged_rounds: int = 0
+    coalesced_replays: int = 0
     retries: int = 0
     hedges: int = 0
     breaker_trips: int = 0

@@ -77,6 +77,9 @@ QUERY_FAMILIES: Dict[str, Tuple[str, str, str]] = {
         "Bytes not re-fetched thanks to coalescing"),
     "merged_rounds": (
         "counter", "hgs_merged_rounds_total", "Multiget rounds merged away"),
+    "coalesced_replays": (
+        "counter", "hgs_coalesced_replays_total",
+        "Partition states read from a batchmate's replay"),
     "retries": ("counter", "hgs_store_retries_total", "Store round retries"),
     "hedges": (
         "counter", "hgs_store_hedges_total", "Hedged store sub-rounds"),

@@ -90,6 +90,7 @@ from repro.exec import (
 )
 from repro.graph.static import Graph
 from repro.index.tgi import QueryPlan, TGI, TGIPlanner, price_plan
+from repro.index.tgi.query import ReplayShare
 from repro.kvstore.cost import COUNTER_NAMES, ExecutionTimeline, FetchStats
 from repro.kvstore.degrade import PartialCollector, partial_scope
 from repro.obs.metrics import MetricsRegistry
@@ -815,7 +816,13 @@ class GraphSession:
         fetches them once.  All chosen plans then run through a single
         pipelined ``execute_many``: keys needed by several requests are
         fetched once (single-flight dedup) and same-window fetches to the
-        store merge into one multiget round.
+        store merge into one multiget round.  The batch's k-hop plans
+        also share one replayed state per ``(timespan, t)`` for the
+        length of this call (see :meth:`_run`): a partition several
+        neighborhoods touch is replayed once and read by the rest,
+        reported per plan as ``coalesced_replays``; which keys each plan
+        declares and fetches — and so every traffic and clock figure
+        below — is unaffected.
 
         Returns one :class:`QueryResult` per request, in input order,
         with values member-identical to a serial :meth:`execute` loop.
@@ -892,7 +899,15 @@ class GraphSession:
         :meth:`_finalize` each request off its plans' values.  One
         distinct request asked once runs *standalone* — plans back to
         back, the sequential sim clock, the outcome fed to the EWMA;
-        anything more shares one pipelined, coalesced timeline."""
+        anything more shares one pipelined, coalesced timeline.
+
+        Either way the k-hop plans of one call share what they replay:
+        one :class:`~repro.index.tgi.query.ReplayShare`, created here,
+        handed to every plan :meth:`_compile` builds and dropped on
+        return (a fault-isolated re-run of one request below is its own
+        call with its own).  It must not outlive the call — replayed
+        state parked on the session would be garbage the next query's
+        collector walks."""
         # absolute deadlines on the session clock: the given instants,
         # else each request's ``deadline_ms`` budget counted from now
         now = self.clock()
@@ -914,6 +929,9 @@ class GraphSession:
             return deadlines[i] is not None and self.clock() > deadlines[i]
 
         shared: Set = set()
+        # one replayed state per (timespan, t) for every k-hop plan of
+        # this execution; a local, so it dies with this call
+        replay_share = ReplayShare()
         specs: List[Optional[_Spec]] = []
         plans: List[Any] = []
         # equal requests are planned once: every later one joins the
@@ -931,7 +949,9 @@ class GraphSession:
                 spec.members += 1
             else:
                 try:
-                    spec = planned[request] = self._compile(request, shared)
+                    spec = planned[request] = self._compile(
+                        request, shared, replay_share
+                    )
                 except Exception as exc:
                     fail(i, exc)
                 else:
@@ -1102,11 +1122,18 @@ class GraphSession:
             request, _private_copy(first.value), stats, degraded=degraded
         )
 
-    def _compile(self, request: QueryRequest, shared: Set) -> "_Spec":
+    def _compile(
+        self,
+        request: QueryRequest,
+        shared: Set,
+        replay_share: Optional[ReplayShare] = None,
+    ) -> "_Spec":
         """Compile one request of any kind into exec plan(s) plus a
         reassembly recipe, pricing candidates with the shared-context
         discount and folding the chosen plan's pricing keys into
-        ``shared`` for the requests compiled after it."""
+        ``shared`` for the requests compiled after it.  ``replay_share``
+        is the execution's replayed state, handed to every k-hop plan
+        built (a plan compiled without one makes its own)."""
         tgi = self.tgi
         if request.kind == "khop":
             chosen, candidates, raw, _notes, plan = (
@@ -1135,7 +1162,10 @@ class GraphSession:
                 # how the candidate was priced); coalescing dedups the
                 # partitions the neighborhoods share
                 order = list(dict.fromkeys(nodes))
-                compiled = [tgi._khops_plan([c], t, k) for c in order]
+                compiled = [
+                    tgi._khops_plan([c], t, k, share=replay_share)
+                    for c in order
+                ]
 
                 def assemble(outs, order=order, nodes=nodes):
                     graphs = {c: outs[i][0] for i, c in enumerate(order)}
@@ -1144,7 +1174,7 @@ class GraphSession:
                 # shared-frontier Algorithm 4 (a forced per-center on a
                 # single center is the same loop)
                 chosen = ALGO_KHOP
-                compiled = [tgi._khops_plan(nodes, t, k)]
+                compiled = [tgi._khops_plan(nodes, t, k, share=replay_share)]
 
                 def assemble(outs, nodes=nodes, single=request.single):
                     if not single:

@@ -8,6 +8,8 @@ from typing import List, Optional, Tuple
 from repro.graph.events import Event, EventBuilder
 from repro.graph.static import Graph
 from repro.index.interface import evolve_node_state
+from repro.index.tgi import TGI, TGIConfig
+from repro.kvstore.cluster import ClusterConfig
 from repro.types import NodeId, TimePoint, canonical_edge
 
 
@@ -173,6 +175,22 @@ def graph_parts(g):
         {n: set(g.neighbors(n)) for n in g.nodes()},
         {e: dict(g.edge_attrs(*e)) for e in g.edges()},
     )
+
+
+def small_tgi(events, **overrides):
+    """A many-span, many-partition TGI over a ``random_history``.  No
+    boundary replication: per-partition replay is exact without it, so a
+    cold recomputation is an oracle for every state (with it, an
+    EDGE_ATTR_SET can leave a partition state holding part of an edge's
+    attributes, differently per fetch shape — see ROADMAP)."""
+    config = dict(
+        events_per_timespan=150, eventlist_size=25, micro_partition_size=8,
+        cluster=ClusterConfig(num_machines=3),
+    )
+    config.update(overrides)
+    tgi = TGI(TGIConfig(**config))
+    tgi.build(events)
+    return tgi
 
 
 def audit_checkpoints(tgi, twin):

@@ -29,27 +29,13 @@ from tests.helpers import (
     counted,
     graph_parts,
     random_history,
+    small_tgi,
 )
 
 ROGUE = 10**6
 
 
 # -- (a) cache audit -----------------------------------------------------------
-
-def small_tgi(events, **overrides):
-    # no boundary replication: per-partition replay is exact without it,
-    # so a cold recomputation is an oracle for every payload (with it, an
-    # EDGE_ATTR_SET can leave a partition state holding part of an
-    # edge's attributes, differently per fetch shape — see ROADMAP)
-    config = dict(
-        events_per_timespan=150, eventlist_size=25, micro_partition_size=8,
-        cluster=ClusterConfig(num_machines=3),
-    )
-    config.update(overrides)
-    tgi = TGI(TGIConfig(**config))
-    tgi.build(events)
-    return tgi
-
 
 def vandalize(value):
     """Mutate everything mutable in a query's value, the way a caller

@@ -17,6 +17,7 @@ from repro.api import QueryRequest
 from repro.exec import CacheRegistry, DeltaCache, StateCheckpointCache
 from repro.kvstore.cluster import ClusterConfig
 from repro.workloads.citation import CitationConfig, generate_citation_events
+from tests.helpers import graph_parts
 
 THREADS = 8
 
@@ -258,3 +259,54 @@ def test_concurrent_execute_stats_are_each_querys_own(events, tmax):
     finally:
         sys.setswitchinterval(interval)
     assert not wrong, f"{len(wrong)} of {THREADS * 30}: {wrong[:3]}"
+
+
+def test_concurrent_batches_share_replay_only_within_themselves(events, tmax):
+    # one shared uncached session, every thread its own execute_batch of
+    # overlapping Algorithm-4 k-hops: the replayed state is shared per
+    # execution, never across threads, so every batch must report its
+    # own members and its own stats exactly — ``coalesced_replays``
+    # included, which counts what *this* batch's plans read from one
+    # another
+    import sys
+
+    pools = [
+        [QueryRequest(kind="khop", t=tmax - 40 * (i % 3), nodes=(node,),
+                      k=2, single=True, algorithm="khop")
+         for node in centers]
+        for i, centers in enumerate([
+            (1, 2, 3, 5, 8), (2, 3, 5, 8, 13), (34, 21, 13, 8, 5),
+            (1, 1, 55, 89, 2),
+        ])
+    ]
+
+    def outcome(results):
+        return [
+            (graph_parts(r.value), r.stats.requests, r.stats.bytes_read,
+             r.stats.rounds, r.stats.sim_time_ms, r.stats.coalesced_hits,
+             r.stats.coalesced_replays)
+            for r in results
+        ]
+
+    serial = GraphSession.from_index(build_tgi(events))
+    expected = [outcome(serial.execute_batch(pool)) for pool in pools]
+    assert all(
+        sum(slot[6] for slot in batch) > 0 for batch in expected
+    )
+
+    session = GraphSession.from_index(build_tgi(events))
+    wrong = []
+
+    def churn(i):
+        for n in range(6):
+            j = (i + n) % len(pools)
+            if outcome(session.execute_batch(pools[j])) != expected[j]:
+                wrong.append((i, n, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        hammer(churn)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not wrong, f"{len(wrong)} of {THREADS * 6}: {wrong[:5]}"
