@@ -50,10 +50,10 @@ def arity_sweep(dataset1_events):
             micro_partition_size=64, arity=arity,
         ))
         tgi.build(dataset1_events)
-        tgi.get_snapshot(t)
+        _, stats = tgi.retrieve_snapshot(t)
         out[arity] = {
-            "snapshot_deltas": tgi.last_fetch_stats.num_requests,
-            "snapshot_ms": tgi.last_fetch_stats.sim_time_ms,
+            "snapshot_deltas": stats.num_requests,
+            "snapshot_ms": stats.sim_time_ms,
             "storage_kib": tgi.cluster.stored_bytes // 1024,
         }
     return out
@@ -73,12 +73,10 @@ def timespan_sweep(dataset1_events):
             micro_partition_size=64,
         ))
         tgi.build(dataset1_events)
-        tgi.get_snapshot(t)
-        snap_ms = tgi.last_fetch_stats.sim_time_ms
+        snap_ms = tgi.retrieve_snapshot(t)[1].sim_time_ms
         hist_ms = 0.0
         for n in probes:
-            tgi.get_node_history(n, t // 8, t)
-            hist_ms += tgi.last_fetch_stats.sim_time_ms
+            hist_ms += tgi.retrieve_node_history(n, t // 8, t)[1].sim_time_ms
         out[span] = {
             "timespans": tgi.num_timespans,
             "snapshot_ms": snap_ms,

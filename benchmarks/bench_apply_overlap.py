@@ -73,22 +73,15 @@ def _query_pass(tgi, times, centers):
     agg = {"requests": 0, "apply_ms": 0.0, "sim_ms": 0.0,
            "ckpt_hits": 0, "ckpt_misses": 0}
     start = time.perf_counter()
-    for t in times:
-        tgi.get_snapshot(t)
-        stats = tgi.last_fetch_stats
+    fetches = [tgi.retrieve_snapshot(t)[1] for t in times]
+    fetches.append(tgi.retrieve_khops(centers, times[-1], k=K)[1])
+    wall_ms = (time.perf_counter() - start) * 1e3
+    for stats in fetches:
         agg["requests"] += stats.num_requests
         agg["apply_ms"] += stats.apply_ms
         agg["sim_ms"] += stats.sim_time_ms
         agg["ckpt_hits"] += stats.checkpoint_hits
         agg["ckpt_misses"] += stats.checkpoint_misses
-    tgi.get_khops(centers, times[-1], k=K)
-    stats = tgi.last_fetch_stats
-    agg["requests"] += stats.num_requests
-    agg["apply_ms"] += stats.apply_ms
-    agg["sim_ms"] += stats.sim_time_ms
-    agg["ckpt_hits"] += stats.checkpoint_hits
-    agg["ckpt_misses"] += stats.checkpoint_misses
-    wall_ms = (time.perf_counter() - start) * 1e3
     return wall_ms, agg
 
 
@@ -127,8 +120,7 @@ def overlap(dataset1_events):
     ):
         tgi = _build(events, apply_cost=apply_cost, checkpoints=0)
         handler = TGIHandler(tgi, SparkContext(num_workers=2))
-        handler.fetch_subgraphs(centers, K, ts, te)
-        stats = handler.last_fetch_stats
+        _, stats = handler.retrieve_subgraphs(centers, K, ts, te)
         rows[label] = {
             "sim_ms": stats.sim_time_ms,
             "apply_ms": stats.apply_ms,

@@ -34,11 +34,10 @@ def setup(dataset1_events):
     return tgi, dataset1_events, nodes, ts, te
 
 
-def _measure(label, fn, index):
+def _measure(label, fn):
     start = time.perf_counter()
-    out = fn()
+    out, stats = fn()
     wall_ms = (time.perf_counter() - start) * 1e3
-    stats = index.last_fetch_stats
     return {
         "label": label,
         "histories": out,
@@ -58,15 +57,13 @@ def sweep(setup, dataset1_events):
         _measure(
             "per-node loop",
             # the interface's default loop is exactly the old handler path
-            lambda: HistoricalGraphIndex.get_node_histories(
+            lambda: HistoricalGraphIndex.retrieve_node_histories(
                 tgi, nodes, ts, te
             ),
-            tgi,
         ),
         _measure(
             "batched",
-            lambda: tgi.get_node_histories(nodes, ts, te),
-            tgi,
+            lambda: tgi.retrieve_node_histories(nodes, ts, te),
         ),
     ]
     return rows
@@ -87,8 +84,7 @@ def cached_sweep(setup, dataset1_events):
     tgi.get_node_histories(nodes, ts, te)  # warm the cache
     return _measure(
         "batched+warm cache",
-        lambda: tgi.get_node_histories(nodes, ts, te),
-        tgi,
+        lambda: tgi.retrieve_node_histories(nodes, ts, te),
     )
 
 

@@ -103,9 +103,10 @@ def sequential(setup):
     replayed = 0
     start = time.perf_counter()
     for center in centers:
-        values.append(tgi.get_khop(center, t, k=K))
-        total.merge(tgi.last_fetch_stats)
-        replayed += len(_pids(r.key for r in tgi.last_fetch_stats.requests))
+        value, stats = tgi.retrieve_khop(center, t, k=K)
+        values.append(value)
+        total.merge(stats)
+        replayed += len(_pids(r.key for r in stats.requests))
     wall_ms = (time.perf_counter() - start) * 1e3
     row = _row("sequential per-center", total, values, wall_ms)
     row["partitions_replayed"] = replayed

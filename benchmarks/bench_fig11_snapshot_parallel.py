@@ -22,8 +22,8 @@ def sweep(tgi_dataset1, dataset1_events):
     for c in CLIENT_COUNTS:
         series = []
         for t in times:
-            g = tgi_dataset1.get_snapshot(t, clients=c)
-            series.append((g.num_nodes, tgi_dataset1.last_fetch_stats.sim_time_ms))
+            g, stats = tgi_dataset1.retrieve_snapshot(t, clients=c)
+            series.append((g.num_nodes, stats.sim_time_ms))
         results[c] = series
     return results
 

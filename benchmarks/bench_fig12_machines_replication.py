@@ -26,8 +26,8 @@ def sweep(dataset1_events):
         for c in CLIENTS:
             series = []
             for t in times:
-                g = tgi.get_snapshot(t, clients=c)
-                series.append((g.num_nodes, tgi.last_fetch_stats.sim_time_ms))
+                g, stats = tgi.retrieve_snapshot(t, clients=c)
+                series.append((g.num_nodes, stats.sim_time_ms))
             per_c[c] = series
         results[label] = per_c
     return results

@@ -26,8 +26,8 @@ def compression_sweep(dataset1_events):
         tgi = build_tgi(dataset1_events, m=2, compress=compress)
         series = []
         for t in times:
-            g = tgi.get_snapshot(t, clients=8)
-            series.append((g.num_nodes, tgi.last_fetch_stats.sim_time_ms))
+            g, stats = tgi.retrieve_snapshot(t, clients=8)
+            series.append((g.num_nodes, stats.sim_time_ms))
         out[label] = (series, tgi.cluster.stored_bytes)
     return out
 
@@ -40,8 +40,8 @@ def partition_size_sweep(dataset1_events):
         tgi = build_tgi(dataset1_events, m=4, ps=ps)
         series = []
         for t in times:
-            g = tgi.get_snapshot(t, clients=8)
-            series.append((g.num_nodes, tgi.last_fetch_stats.sim_time_ms))
+            g, stats = tgi.retrieve_snapshot(t, clients=8)
+            series.append((g.num_nodes, stats.sim_time_ms))
         out[ps] = series
     return out
 
@@ -51,14 +51,11 @@ def friendster_sweep(tgi_dataset4, dataset4_events):
     times = snapshot_probe_times(dataset4_events, 5)
     series = []
     for t in times:
-        g = tgi_dataset4.get_snapshot(t, clients=1)
+        g, stats = tgi_dataset4.retrieve_snapshot(t, clients=1)
         # players all join before the friendship edges arrive, so snapshot
         # *size* (the paper's x-axis) is nodes + edges here
         size = g.num_nodes + g.num_edges
-        series.append(
-            (size, tgi_dataset4.last_fetch_stats.sim_time_ms,
-             tgi_dataset4.last_fetch_stats.raw_bytes_read)
-        )
+        series.append((size, stats.sim_time_ms, stats.raw_bytes_read))
     return series
 
 

@@ -26,8 +26,8 @@ def version_probe(tgi, events, nodes, ts, te, clients=1):
     """Average (num_changes, sim_ms) pairs bucketed by change count."""
     out = []
     for n in nodes:
-        h = tgi.get_node_history(n, ts, te, clients=clients)
-        out.append((len(h.events), tgi.last_fetch_stats.sim_time_ms))
+        h, stats = tgi.retrieve_node_history(n, ts, te, clients=clients)
+        out.append((len(h.events), stats.sim_time_ms))
     return sorted(out)
 
 

@@ -47,12 +47,12 @@ def one_hop_sweep(dataset4_events):
         total_ms = total_req = fetched = 0
         for n in nodes:
             try:
-                tgi.get_khop(n, t_end, k=1)
+                _, stats = tgi.retrieve_khop(n, t_end, k=1)
             except Exception:
                 continue
             fetched += 1
-            total_ms += tgi.last_fetch_stats.sim_time_ms
-            total_req += tgi.last_fetch_stats.num_requests
+            total_ms += stats.sim_time_ms
+            total_req += stats.num_requests
         out[label] = (total_ms / fetched, total_req / fetched)
     return out
 
@@ -70,8 +70,8 @@ def growing_data_sweep(dataset1_events, dataset2_events, dataset3_events):
         tgi = build_tgi(events)
         series = []
         for t in times:
-            g = tgi.get_snapshot(t, clients=4)
-            series.append((g.num_nodes, tgi.last_fetch_stats.sim_time_ms))
+            g, stats = tgi.retrieve_snapshot(t, clients=4)
+            series.append((g.num_nodes, stats.sim_time_ms))
         out[label] = series
     return out
 

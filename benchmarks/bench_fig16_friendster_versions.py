@@ -26,9 +26,11 @@ def sweep(tgi_dataset4, dataset4_events):
     for c in CLIENTS:
         series = []
         for n in nodes:
-            h = tgi_dataset4.get_node_history(n, 1, t_end, clients=c)
+            h, stats = tgi_dataset4.retrieve_node_history(
+                n, 1, t_end, clients=c
+            )
             series.append(
-                (len(h.events), tgi_dataset4.last_fetch_stats.sim_time_ms)
+                (len(h.events), stats.sim_time_ms)
             )
         out[c] = sorted(series)
     return out

@@ -71,8 +71,8 @@ def bounds(dataset1_events):
         for center in centers:
             plan = planner.plan_khop(center, t, k=k)
             ratios.append(len(plan.expected_keys) / whole_span_keys)
-            tgi.get_khop(center, t, k=k)
-            touched = {r.key[3] for r in tgi.last_fetch_stats.requests}
+            _, stats = tgi.retrieve_khop(center, t, k=k)
+            touched = {r.key[3] for r in stats.requests}
             if touched <= {key[3] for key in plan.all_keys()}:
                 sound += 1
         rows[k] = {
@@ -149,10 +149,9 @@ def near_seeding(dataset1_events):
     t1 = (span.t_start + span.t_end * 3) // 4
     t2 = min(t1 + (span.t_end - span.t_start) // 50, warm._t_max)
     warm.get_khops(centers, t1, k=2)  # checkpoints partition states at t1
-    cold_graphs = cold.get_khops(centers, t2, k=2)
-    cold_requests = cold.last_fetch_stats.num_requests
-    near_graphs = warm.get_khops(centers, t2, k=2)
-    stats = warm.last_fetch_stats
+    cold_graphs, cold_stats = cold.retrieve_khops(centers, t2, k=2)
+    cold_requests = cold_stats.num_requests
+    near_graphs, stats = warm.retrieve_khops(centers, t2, k=2)
     identical = all(
         (a is None and b is None) or (a is not None and a == b)
         for a, b in zip(near_graphs, cold_graphs)

@@ -68,29 +68,28 @@ def measurements(indexes):
     for name, idx in indexes.items():
         row = {}
 
-        idx.get_snapshot(T_MID)
-        row["snapshot"] = (idx.last_fetch_stats.raw_bytes_read,
-                           idx.last_fetch_stats.num_requests)
+        _, stats = idx.retrieve_snapshot(T_MID)
+        row["snapshot"] = (stats.raw_bytes_read, stats.num_requests)
 
         b = r = 0
         for n in probes:
-            idx.get_node_state(n, T_MID)
-            b += idx.last_fetch_stats.raw_bytes_read
-            r += idx.last_fetch_stats.num_requests
+            _, stats = idx.retrieve_node_state(n, T_MID)
+            b += stats.raw_bytes_read
+            r += stats.num_requests
         row["static_vertex"] = (b / len(probes), r / len(probes))
 
         b = r = 0
         for n in probes:
-            idx.get_node_history(n, T_MID, T_END)
-            b += idx.last_fetch_stats.raw_bytes_read
-            r += idx.last_fetch_stats.num_requests
+            _, stats = idx.retrieve_node_history(n, T_MID, T_END)
+            b += stats.raw_bytes_read
+            r += stats.num_requests
         row["vertex_versions"] = (b / len(probes), r / len(probes))
 
         b = r = 0
         for n in probes:
-            idx.get_khop(n, T_MID, k=1)
-            b += idx.last_fetch_stats.raw_bytes_read
-            r += idx.last_fetch_stats.num_requests
+            _, stats = idx.retrieve_khop(n, T_MID, k=1)
+            b += stats.raw_bytes_read
+            r += stats.num_requests
         row["one_hop"] = (b / len(probes), r / len(probes))
 
         row["storage"] = idx.cluster.stored_bytes

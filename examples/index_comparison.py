@@ -54,16 +54,13 @@ def main() -> None:
     for name, idx in indexes.items():
         storage = idx.cluster.stored_bytes // 1024
 
-        idx.get_snapshot(mid)
-        snap = idx.last_fetch_stats
+        _, snap = idx.retrieve_snapshot(mid)
         snap_cell = f"{snap.num_requests}r/{snap.sim_time_ms:7.1f}ms"
 
-        idx.get_node_history(probe_node, mid // 2, t_end)
-        hist = idx.last_fetch_stats
+        _, hist = idx.retrieve_node_history(probe_node, mid // 2, t_end)
         hist_cell = f"{hist.num_requests}r/{hist.sim_time_ms:7.1f}ms"
 
-        idx.get_khop(probe_node, mid, k=1)
-        hop = idx.last_fetch_stats
+        _, hop = idx.retrieve_khop(probe_node, mid, k=1)
         hop_cell = f"{hop.num_requests}r/{hop.sim_time_ms:7.1f}ms"
 
         print(

@@ -22,9 +22,9 @@ For stored indexes, ``open_graph(path)`` loads and wires everything —
 including the process-wide cache shared between sessions over the same
 file.  A session runs every query one way — compile to a fetch plan,
 execute, finalize; a single query is the batch of one — and returns the
-stats with the result.  Direct ``TGI.get_*`` / ``TGIHandler.fetch_*``
-calls remain supported as the internal layer; the ``last_fetch_stats``
-they leave behind is for those direct callers — sessions never read it.
+stats with the result.  Called directly, every index family's
+``retrieve_*`` (and ``TGIHandler.retrieve_*``) returns ``(value, stats)``
+and ``get_*`` / ``fetch_*`` return the value alone.
 """
 
 from repro.graph.events import Event, EventBuilder, EventKind

@@ -21,6 +21,7 @@ from repro.index.common import (
 )
 from repro.index.interface import HistoricalGraphIndex, NodeHistory
 from repro.kvstore.cluster import Cluster, ClusterConfig
+from repro.kvstore.cost import FetchStats
 from repro.types import NodeId, TimePoint
 
 
@@ -32,7 +33,6 @@ class CopyIndex(HistoricalGraphIndex):
         cluster_config: Optional[ClusterConfig] = None,
         placement_groups: int = 4,
     ) -> None:
-        super().__init__()
         self.cluster = Cluster(cluster_config)
         self.placement_groups = placement_groups
         self._times: List[TimePoint] = []  # snapshot times, sorted
@@ -66,21 +66,21 @@ class CopyIndex(HistoricalGraphIndex):
             raise TimeRangeError(f"time {t} precedes indexed history")
         return pos
 
-    def get_snapshot(self, t: TimePoint, clients: int = 1) -> Graph:
+    def retrieve_snapshot(
+        self, t: TimePoint, clients: int = 1
+    ) -> Tuple[Graph, FetchStats]:
         pos = self._index_at(t)
         values, stats = self.cluster.multiget([self._keys[pos]], clients=clients)
-        self.last_fetch_stats = stats
         delta: Delta = values[self._keys[pos]]
-        return delta.to_graph()
+        return delta.to_graph(), stats
 
-    def get_node_history(
+    def retrieve_node_history(
         self, node: NodeId, ts: TimePoint, te: TimePoint, clients: int = 1
-    ) -> NodeHistory:
+    ) -> Tuple[NodeHistory, FetchStats]:
         start = self._index_at(ts)
         end = self._index_at(te)
         keys = self._keys[start : end + 1]
         values, stats = self.cluster.multiget(keys, clients=clients)
-        self.last_fetch_stats = stats
         state = static_node_from_graph(values[keys[0]].to_graph(), node)
         events: List[Event] = []
         prev = state
@@ -92,4 +92,4 @@ class CopyIndex(HistoricalGraphIndex):
             events.extend(diff)
             seq += len(diff) + 1
             prev = cur
-        return NodeHistory(node, ts, te, state, tuple(events))
+        return NodeHistory(node, ts, te, state, tuple(events)), stats

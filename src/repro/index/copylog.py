@@ -18,6 +18,7 @@ from repro.graph.static import Graph
 from repro.index.common import snapshot_delta_of_graph, static_node_from_graph
 from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
 from repro.kvstore.cluster import Cluster, ClusterConfig
+from repro.kvstore.cost import FetchStats
 from repro.types import NodeId, TimePoint
 
 
@@ -37,7 +38,6 @@ class CopyLogIndex(HistoricalGraphIndex):
         lists_per_checkpoint: int = 4,
         placement_groups: int = 4,
     ) -> None:
-        super().__init__()
         self.cluster = Cluster(cluster_config)
         self.eventlist_size = eventlist_size
         self.lists_per_checkpoint = lists_per_checkpoint
@@ -87,10 +87,11 @@ class CopyLogIndex(HistoricalGraphIndex):
         ]
         return self._checkpoint_keys[cp], ekeys
 
-    def get_snapshot(self, t: TimePoint, clients: int = 1) -> Graph:
+    def retrieve_snapshot(
+        self, t: TimePoint, clients: int = 1
+    ) -> Tuple[Graph, FetchStats]:
         skey, ekeys = self._plan_snapshot_keys(t)
         values, stats = self.cluster.multiget([skey, *ekeys], clients=clients)
-        self.last_fetch_stats = stats
         delta: Delta = values[skey]
         g = delta.to_graph()
         for key in ekeys:
@@ -99,11 +100,11 @@ class CopyLogIndex(HistoricalGraphIndex):
                 if ev.time > t:
                     break
                 g.apply_event(ev)
-        return g
+        return g, stats
 
-    def get_node_history(
+    def retrieve_node_history(
         self, node: NodeId, ts: TimePoint, te: TimePoint, clients: int = 1
-    ) -> NodeHistory:
+    ) -> Tuple[NodeHistory, FetchStats]:
         skey, ekeys_init = self._plan_snapshot_keys(ts)
         cp_time = self._checkpoint_times[self._checkpoint_at(ts)]
         ekeys_range = [
@@ -113,7 +114,6 @@ class CopyLogIndex(HistoricalGraphIndex):
         ]
         keys = [skey, *ekeys_init, *ekeys_range]
         values, stats = self.cluster.multiget(keys, clients=clients)
-        self.last_fetch_stats = stats
 
         snap: Delta = values[skey]
         g_cp = snap.to_graph()
@@ -128,4 +128,4 @@ class CopyLogIndex(HistoricalGraphIndex):
                 elif ev.time <= te and ev.touches(node):
                     changes.append(ev)
         changes = dedup_sorted(changes)
-        return NodeHistory(node, ts, te, state, tuple(changes))
+        return NodeHistory(node, ts, te, state, tuple(changes)), stats

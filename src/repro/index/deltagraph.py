@@ -21,6 +21,7 @@ from repro.index.common import snapshot_delta_of_graph, static_node_from_graph
 from repro.index.delta_tree import DeltaTree, build_delta_tree
 from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
 from repro.kvstore.cluster import Cluster, ClusterConfig
+from repro.kvstore.cost import FetchStats
 from repro.types import NodeId, TimePoint
 
 
@@ -40,7 +41,6 @@ class DeltaGraphIndex(HistoricalGraphIndex):
         arity: int = 2,
         placement_groups: int = 4,
     ) -> None:
-        super().__init__()
         self.cluster = Cluster(cluster_config)
         self.eventlist_size = eventlist_size
         self.arity = arity
@@ -104,10 +104,11 @@ class DeltaGraphIndex(HistoricalGraphIndex):
     def _reconstruct(self, values: Dict[tuple, object], path_keys: List[tuple]) -> Delta:
         return Delta.sum(values[key] for key in path_keys)  # type: ignore[misc]
 
-    def get_snapshot(self, t: TimePoint, clients: int = 1) -> Graph:
+    def retrieve_snapshot(
+        self, t: TimePoint, clients: int = 1
+    ) -> Tuple[Graph, FetchStats]:
         path_keys, ekeys, _cp = self._plan_keys(t)
         values, stats = self.cluster.multiget([*path_keys, *ekeys], clients=clients)
-        self.last_fetch_stats = stats
         g = self._reconstruct(values, path_keys).to_graph()
         for key in ekeys:
             el: EventList = values[key]  # type: ignore[assignment]
@@ -115,11 +116,11 @@ class DeltaGraphIndex(HistoricalGraphIndex):
                 if ev.time > t:
                     break
                 g.apply_event(ev)
-        return g
+        return g, stats
 
-    def get_node_history(
+    def retrieve_node_history(
         self, node: NodeId, ts: TimePoint, te: TimePoint, clients: int = 1
-    ) -> NodeHistory:
+    ) -> Tuple[NodeHistory, FetchStats]:
         path_keys, ekeys_init, cp_time = self._plan_keys(ts)
         init_set = set(ekeys_init)
         ekeys_range = [
@@ -129,7 +130,6 @@ class DeltaGraphIndex(HistoricalGraphIndex):
         ]
         keys = [*path_keys, *ekeys_init, *ekeys_range]
         values, stats = self.cluster.multiget(keys, clients=clients)
-        self.last_fetch_stats = stats
 
         base = self._reconstruct(values, path_keys).to_graph()
         state = static_node_from_graph(base, node)
@@ -143,7 +143,7 @@ class DeltaGraphIndex(HistoricalGraphIndex):
                 elif ev.time <= te and ev.touches(node):
                     changes.append(ev)
         changes = dedup_sorted(changes)
-        return NodeHistory(node, ts, te, state, tuple(changes))
+        return NodeHistory(node, ts, te, state, tuple(changes)), stats
 
     @property
     def tree_height(self) -> int:

@@ -5,27 +5,24 @@ node-centric, DeltaGraph, TGI) on five retrieval primitives.  All six are
 implemented against this interface so benchmarks and equivalence tests can
 treat them interchangeably:
 
-- :meth:`get_snapshot` — graph as of a time point;
-- :meth:`get_node_state` — one node's static state at a time point;
-- :meth:`get_node_history` — a node's initial state plus all changes over
-  an interval (its *versions*);
-- :meth:`get_khop` — static k-hop neighborhood at a time point;
-- :meth:`get_khop_history` — 1-hop neighborhood evolution over an interval.
+- :meth:`retrieve_snapshot` — graph as of a time point;
+- :meth:`retrieve_node_state` — one node's static state at a time point;
+- :meth:`retrieve_node_history` — a node's initial state plus all changes
+  over an interval (its *versions*);
+- :meth:`retrieve_khop` — static k-hop neighborhood at a time point;
+- :meth:`retrieve_khop_history` — 1-hop neighborhood over an interval.
 
-Every retrieval records a :class:`~repro.kvstore.cost.FetchStats` in
-``last_fetch_stats`` (number of deltas read, bytes, simulated latency),
-which is the quantity the paper's figures report.  It holds whatever
-retrieval finished last on the object, so it only means something to a
-caller with the index to itself (benchmarks; the default loops below,
-which the baseline indexes inherit).  The TGI's query path returns the
-stats with the value instead, and sessions consume only those.
+Every ``retrieve_x`` returns ``(value, FetchStats)`` — the value and what
+fetching it cost (deltas read, bytes, simulated latency: the quantity the
+paper's figures report); ``get_x`` is ``retrieve_x(...)[0]``, defined
+once on the base class.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.deltas.base import StaticNode
 from repro.errors import IndexError_, TimeRangeError
@@ -157,84 +154,102 @@ def neighbor_intervals(
     return [(nbr, s, e) for nbr, (s, e) in sorted(spans.items())]
 
 
-class HistoricalGraphIndex(abc.ABC):
-    """Interface shared by all temporal graph indexes."""
+def value_only(retrieve: str) -> Callable[..., Any]:
+    """The ``get_x`` of a ``retrieve_x``: the same call, returning the
+    value without its stats.  Dispatches by name, so a family that
+    overrides ``retrieve_x`` has the matching ``get_x`` already."""
+    def get(self, *args, **kwargs):
+        return getattr(self, retrieve)(*args, **kwargs)[0]
+    get.__name__ = retrieve.replace("retrieve", "get", 1)
+    get.__doc__ = f"The value of :meth:`{retrieve}`, without its stats."
+    return get
 
-    def __init__(self) -> None:
-        self.last_fetch_stats = FetchStats()
+
+class HistoricalGraphIndex(abc.ABC):
+    """Interface shared by all temporal graph indexes: ``retrieve_x``
+    returns ``(value, FetchStats)``, ``get_x`` the value alone."""
 
     # -- lifecycle -------------------------------------------------------
     @abc.abstractmethod
     def build(self, events: Sequence[Event]) -> None:
         """Construct the index from a chronologically sorted event stream."""
 
-    # -- retrieval primitives ---------------------------------------------
+    # -- retrieval primitives: value and cost ------------------------------
     @abc.abstractmethod
-    def get_snapshot(self, t: TimePoint, clients: int = 1) -> Graph:
+    def retrieve_snapshot(
+        self, t: TimePoint, clients: int = 1
+    ) -> Tuple[Graph, FetchStats]:
         """The full graph state as of time ``t``."""
 
     @abc.abstractmethod
-    def get_node_history(
+    def retrieve_node_history(
         self, node: NodeId, ts: TimePoint, te: TimePoint, clients: int = 1
-    ) -> NodeHistory:
+    ) -> Tuple[NodeHistory, FetchStats]:
         """State at ``ts`` plus all changes to ``node`` during ``(ts, te]``."""
 
-    def get_node_state(
+    def retrieve_node_state(
         self, node: NodeId, t: TimePoint, clients: int = 1
-    ) -> Optional[StaticNode]:
+    ) -> Tuple[Optional[StaticNode], FetchStats]:
         """Static state of ``node`` at ``t`` (``None`` if not alive)."""
-        return self.get_node_history(node, t, t, clients=clients).initial
+        history, stats = self.retrieve_node_history(node, t, t, clients)
+        return history.initial, stats
 
-    def get_node_histories(
+    def retrieve_node_histories(
         self,
         nodes: Sequence[NodeId],
         ts: TimePoint,
         te: TimePoint,
         clients: int = 1,
-    ) -> List[NodeHistory]:
+    ) -> Tuple[List[NodeHistory], FetchStats]:
         """Histories of many nodes over the same interval, in input order.
 
-        Default implementation loops :meth:`get_node_history` and merges
-        the per-node stats; indexes with batched access paths (TGI)
+        Default implementation loops :meth:`retrieve_node_history` and
+        merges the per-node stats; indexes with batched access paths (TGI)
         override it to coalesce the whole population into a handful of
         fetch rounds.
         """
         total = FetchStats()
         out: List[NodeHistory] = []
         for node in nodes:
-            out.append(self.get_node_history(node, ts, te, clients=clients))
-            total.merge(self.last_fetch_stats)
-        self.last_fetch_stats = total
-        return out
+            history, stats = self.retrieve_node_history(node, ts, te, clients)
+            out.append(history)
+            total.merge(stats)
+        return out, total
 
-    def get_khop(
+    def retrieve_khop(
         self, node: NodeId, t: TimePoint, k: int = 1, clients: int = 1
-    ) -> Graph:
+    ) -> Tuple[Graph, FetchStats]:
         """Static k-hop neighborhood of ``node`` at ``t``.
 
         Default implementation is the paper's Algorithm 3 (fetch the whole
         snapshot, filter); indexes with targeted access override it with
         Algorithm 4.
         """
-        g = self.get_snapshot(t, clients=clients)
+        g, stats = self.retrieve_snapshot(t, clients)
         if not g.has_node(node):
             raise IndexError_(f"node {node} not alive at t={t}")
-        return g.khop_subgraph(node, k)
+        return g.khop_subgraph(node, k), stats
 
-    def get_khop_history(
+    def retrieve_khop_history(
         self, node: NodeId, ts: TimePoint, te: TimePoint, clients: int = 1
-    ) -> NeighborhoodHistory:
+    ) -> Tuple[NeighborhoodHistory, FetchStats]:
         """1-hop neighborhood evolution (paper Algorithm 5).
 
         Fetches the center's history, derives the set of (neighbor,
         sub-interval) pairs from it, and fetches each neighbor's history.
         """
-        center = self.get_node_history(node, ts, te, clients=clients)
-        stats = self.last_fetch_stats
+        center, total = self.retrieve_node_history(node, ts, te, clients)
         histories = []
         for nbr, s, e in neighbor_intervals(center):
-            histories.append(self.get_node_history(nbr, s, e, clients=clients))
-            stats.merge(self.last_fetch_stats)
-        self.last_fetch_stats = stats
-        return NeighborhoodHistory(center, tuple(histories))
+            history, stats = self.retrieve_node_history(nbr, s, e, clients)
+            histories.append(history)
+            total.merge(stats)
+        return NeighborhoodHistory(center, tuple(histories)), total
 
+    # -- the same primitives, value only -----------------------------------
+    get_snapshot = value_only("retrieve_snapshot")
+    get_node_state = value_only("retrieve_node_state")
+    get_node_history = value_only("retrieve_node_history")
+    get_node_histories = value_only("retrieve_node_histories")
+    get_khop = value_only("retrieve_khop")
+    get_khop_history = value_only("retrieve_khop_history")

@@ -15,6 +15,7 @@ from repro.graph.events import Event
 from repro.graph.static import Graph
 from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
 from repro.kvstore.cluster import Cluster, ClusterConfig
+from repro.kvstore.cost import FetchStats
 from repro.types import NodeId, TimePoint
 
 
@@ -34,7 +35,6 @@ class LogIndex(HistoricalGraphIndex):
         eventlist_size: int = 1000,
         placement_groups: int = 4,
     ) -> None:
-        super().__init__()
         self.cluster = Cluster(cluster_config)
         self.eventlist_size = eventlist_size
         self.placement_groups = placement_groups
@@ -59,27 +59,31 @@ class LogIndex(HistoricalGraphIndex):
         if t > self._t_max:
             raise TimeRangeError(f"time {t} beyond indexed history ({self._t_max})")
 
-    def _fetch_lists_until(self, t: TimePoint, clients: int) -> List[EventList]:
+    def _fetch_lists_until(
+        self, t: TimePoint, clients: int
+    ) -> Tuple[List[EventList], FetchStats]:
         keys = [key for (ts, _te, key) in self._lists if ts < t]
         values, stats = self.cluster.multiget(keys, clients=clients)
-        self.last_fetch_stats = stats
-        return [values[k] for k in keys]
+        return [values[k] for k in keys], stats
 
-    def get_snapshot(self, t: TimePoint, clients: int = 1) -> Graph:
+    def retrieve_snapshot(
+        self, t: TimePoint, clients: int = 1
+    ) -> Tuple[Graph, FetchStats]:
         self._check_time(t)
         g = Graph()
-        for el in self._fetch_lists_until(t, clients):
+        lists, stats = self._fetch_lists_until(t, clients)
+        for el in lists:
             for ev in el:
                 if ev.time > t:
                     break
                 g.apply_event(ev)
-        return g
+        return g, stats
 
-    def get_node_history(
+    def retrieve_node_history(
         self, node: NodeId, ts: TimePoint, te: TimePoint, clients: int = 1
-    ) -> NodeHistory:
+    ) -> Tuple[NodeHistory, FetchStats]:
         self._check_time(te)
-        lists = self._fetch_lists_until(te + 1, clients)
+        lists, stats = self._fetch_lists_until(te + 1, clients)
         state = None
         versions: List[Event] = []
         for el in lists:
@@ -88,4 +92,4 @@ class LogIndex(HistoricalGraphIndex):
                     state = evolve_node_state(state, ev, node)
                 elif ev.time <= te and ev.touches(node):
                     versions.append(ev)
-        return NodeHistory(node, ts, te, state, tuple(versions))
+        return NodeHistory(node, ts, te, state, tuple(versions)), stats

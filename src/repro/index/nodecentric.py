@@ -15,6 +15,7 @@ from repro.graph.events import Event, dedup_sorted
 from repro.graph.static import Graph
 from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
 from repro.kvstore.cluster import Cluster, ClusterConfig
+from repro.kvstore.cost import FetchStats
 from repro.partitioning.random_part import hash_partition
 from repro.types import NodeId, TimePoint
 
@@ -27,7 +28,6 @@ class NodeCentricIndex(HistoricalGraphIndex):
         cluster_config: Optional[ClusterConfig] = None,
         placement_groups: int = 4,
     ) -> None:
-        super().__init__()
         self.cluster = Cluster(cluster_config)
         self.placement_groups = placement_groups
         self._nodes: List[NodeId] = []
@@ -53,23 +53,23 @@ class NodeCentricIndex(HistoricalGraphIndex):
         if t > self._t_max:
             raise TimeRangeError(f"time {t} beyond indexed history ({self._t_max})")
 
-    def get_snapshot(self, t: TimePoint, clients: int = 1) -> Graph:
+    def retrieve_snapshot(
+        self, t: TimePoint, clients: int = 1
+    ) -> Tuple[Graph, FetchStats]:
         self._check_time(t)
         keys = [self._key(n) for n in self._nodes]
         values, stats = self.cluster.multiget(keys, clients=clients)
-        self.last_fetch_stats = stats
         merged = dedup_sorted(
             ev for evs in values.values() for ev in evs if ev.time <= t
         )
-        return Graph.replay(merged, until=t)
+        return Graph.replay(merged, until=t), stats
 
-    def get_node_history(
+    def retrieve_node_history(
         self, node: NodeId, ts: TimePoint, te: TimePoint, clients: int = 1
-    ) -> NodeHistory:
+    ) -> Tuple[NodeHistory, FetchStats]:
         self._check_time(te)
         key = self._key(node)
         values, stats = self.cluster.multiget([key], clients=clients)
-        self.last_fetch_stats = stats
         state = None
         changes: List[Event] = []
         for ev in values[key]:
@@ -77,27 +77,23 @@ class NodeCentricIndex(HistoricalGraphIndex):
                 state = evolve_node_state(state, ev, node)
             elif ev.time <= te:
                 changes.append(ev)
-        return NodeHistory(node, ts, te, state, tuple(changes))
+        return NodeHistory(node, ts, te, state, tuple(changes)), stats
 
-    def get_khop(
+    def retrieve_khop(
         self, node: NodeId, t: TimePoint, k: int = 1, clients: int = 1
-    ) -> Graph:
+    ) -> Tuple[Graph, FetchStats]:
         """Targeted k-hop: fetch the root's row, then expand frontier rows
         (the natural vertex-centric analogue of paper Algorithm 4)."""
         self._check_time(t)
         fetched: Dict[NodeId, Tuple[Event, ...]] = {}
-        stats_total = None
+        total = FetchStats()
 
         def fetch(nodes: List[NodeId]) -> None:
-            nonlocal stats_total
             keys = [self._key(n) for n in nodes if n not in fetched]
             if not keys:
                 return
             values, stats = self.cluster.multiget(keys, clients=clients)
-            if stats_total is None:
-                stats_total = stats
-            else:
-                stats_total.merge(stats)
+            total.merge(stats)
             for key, evs in values.items():
                 fetched[key[2][1]] = evs
 
@@ -112,7 +108,6 @@ class NodeCentricIndex(HistoricalGraphIndex):
         fetch([node])
         root_state = state_of(node)
         if root_state is None:
-            self.last_fetch_stats = stats_total
             raise IndexError_(f"node {node} not alive at t={t}")
         members: Set[NodeId] = {node}
         frontier = set(root_state.E)
@@ -128,7 +123,6 @@ class NodeCentricIndex(HistoricalGraphIndex):
                 if st is not None:
                     nxt |= st.E
             frontier = nxt
-        self.last_fetch_stats = stats_total
 
         merged = dedup_sorted(
             ev
@@ -137,4 +131,4 @@ class NodeCentricIndex(HistoricalGraphIndex):
             if ev.time <= t
         )
         full = Graph.replay(merged, until=t)
-        return full.subgraph(members & set(full.nodes()))
+        return full.subgraph(members & set(full.nodes())), total

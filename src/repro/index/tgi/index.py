@@ -3,18 +3,19 @@
 ``TGI`` composes the timespan builder, the version-chain store and the
 partial-state query machinery into the full retrieval API:
 
-- :meth:`get_snapshot` — Algorithm 1 (path of derived partitioned
+- :meth:`retrieve_snapshot` — Algorithm 1 (path of derived partitioned
   snapshots + trailing partitioned eventlists, fetched in parallel);
-- :meth:`get_node_history` — Algorithm 2 (targeted micro-delta fetch for
-  the state at ``ts``, version chain for the changes in ``(ts, te]``);
-- :meth:`get_khop` — Algorithm 4 (expand outward from the node's
+- :meth:`retrieve_node_history` — Algorithm 2 (targeted micro-delta fetch
+  for the state at ``ts``, version chain for the changes in ``(ts, te]``);
+- :meth:`retrieve_khop` — Algorithm 4 (expand outward from the node's
   micro-partition; with boundary replication a 1-hop fetch touches a
   single partition's rows — Fig. 5d);
-- :meth:`get_khop_snapshot_first` — Algorithm 3 (fetch snapshot, filter);
-- :meth:`get_khop_history` — Algorithm 5 (inherited; center history plus
-  neighbor histories);
-- :meth:`get_node_histories` — batched Algorithm 2 over a node population
-  (one fetch round per dependency level instead of per node);
+- :meth:`retrieve_khop_snapshot_first` — Algorithm 3 (snapshot, filter);
+- :meth:`retrieve_khop_history` — Algorithm 5 (center history plus
+  neighbor histories, as one plan);
+- :meth:`retrieve_node_histories` / :meth:`retrieve_khops` — batched
+  Algorithms 2 and 4 over a node population (one fetch round per
+  dependency level instead of per node);
 - :meth:`update` — batch append of new events as fresh timespans.
 
 All retrieval goes through the fetch-plan execution layer
@@ -64,6 +65,7 @@ from repro.index.interface import (
     NeighborhoodHistory,
     NodeHistory,
     neighbor_intervals,
+    value_only,
 )
 from repro.index.tgi.build import build_timespan
 from repro.index.tgi.config import TGIConfig
@@ -201,7 +203,6 @@ class TGI(HistoricalGraphIndex):
     """Temporal Graph Index over the simulated key-value cluster."""
 
     def __init__(self, config: Optional[TGIConfig] = None) -> None:
-        super().__init__()
         self.config = config or TGIConfig()
         self.cluster = Cluster(self.config.cluster)
         self.delta_cache = (
@@ -415,8 +416,7 @@ class TGI(HistoricalGraphIndex):
         self, compiled: Compiled, clients: int
     ) -> Tuple[object, FetchStats]:
         """Execute one compiled query on its own; return its value *and*
-        its stats.  The public ``get_*`` wrappers park the stats on
-        ``last_fetch_stats`` for direct callers; nothing reads them back."""
+        its stats — what every ``retrieve_*`` below hands back."""
         result = self.executor.execute(compiled[0], clients=clients)
         value = self._finish(compiled, result.values, result.stats)
         return value, result.stats
@@ -478,11 +478,10 @@ class TGI(HistoricalGraphIndex):
         ]
         return FetchStage(label, tuple(groups)), path_groups, ekeys
 
-    def get_snapshot(self, t: TimePoint, clients: int = 1) -> Graph:
-        g, self.last_fetch_stats = self._retrieve(
-            self._snapshot_exec_plan(t), clients
-        )
-        return g
+    def retrieve_snapshot(
+        self, t: TimePoint, clients: int = 1
+    ) -> Tuple[Graph, FetchStats]:
+        return self._retrieve(self._snapshot_exec_plan(t), clients)
 
     def _snapshot_exec_plan(
         self, t: TimePoint, read_only: bool = False
@@ -903,18 +902,19 @@ class TGI(HistoricalGraphIndex):
     # ------------------------------------------------------------------
     # node history (Algorithm 2)
     # ------------------------------------------------------------------
-    def get_node_history(
+    def retrieve_node_history(
         self, node: NodeId, ts: TimePoint, te: TimePoint, clients: int = 1
-    ) -> NodeHistory:
-        return self.get_node_histories([node], ts, te, clients=clients)[0]
+    ) -> Tuple[NodeHistory, FetchStats]:
+        (one,), stats = self.retrieve_node_histories([node], ts, te, clients)
+        return one, stats
 
-    def get_node_histories(
+    def retrieve_node_histories(
         self,
         nodes: Sequence[NodeId],
         ts: TimePoint,
         te: TimePoint,
         clients: int = 1,
-    ) -> List[NodeHistory]:
+    ) -> Tuple[List[NodeHistory], FetchStats]:
         """Batched Algorithm 2: histories of a whole node population in
         O(1) fetch rounds.
 
@@ -922,13 +922,12 @@ class TGI(HistoricalGraphIndex):
         eventlist and version-chain row (nodes sharing a micro-partition
         share rows, fetched once); a second round fetches the union of
         all chain-pointed eventlist rows.  Results are identical to a
-        per-node :meth:`get_node_history` loop — only the fetch schedule
-        differs (a handful of rounds instead of O(nodes)).
+        per-node :meth:`retrieve_node_history` loop — only the fetch
+        schedule differs (a handful of rounds instead of O(nodes)).
         """
-        out, self.last_fetch_stats = self._retrieve(
+        return self._retrieve(
             self._node_histories_plan(nodes, ts, te), clients
         )
-        return out
 
     def _node_histories_plan(
         self, nodes: Sequence[NodeId], ts: TimePoint, te: TimePoint
@@ -1106,19 +1105,17 @@ class TGI(HistoricalGraphIndex):
     # ------------------------------------------------------------------
     # k-hop neighborhood (Algorithms 3 and 4)
     # ------------------------------------------------------------------
-    def get_khop(
+    def retrieve_khop(
         self, node: NodeId, t: TimePoint, k: int = 1, clients: int = 1
-    ) -> Graph:
+    ) -> Tuple[Graph, FetchStats]:
         """Algorithm 4: start from the node's micro-partition and expand
         outward, loading further partitions only when the frontier leaves
-        the already-covered scope — :meth:`get_khops` over one center,
-        raising when it is not alive."""
-        (g,), self.last_fetch_stats = self._retrieve(
-            self._khops_plan([node], t, k), clients
-        )
+        the already-covered scope — :meth:`retrieve_khops` over one
+        center, raising when it is not alive."""
+        (g,), stats = self.retrieve_khops([node], t, k, clients)
         if g is None:
             raise self._dead_center(node, t)
-        return g
+        return g, stats
 
     def _dead_center(self, node: NodeId, t: TimePoint) -> Exception:
         """The error for a k-hop center without a state at ``t``: the
@@ -1135,13 +1132,13 @@ class TGI(HistoricalGraphIndex):
             )
         return IndexError_(f"node {node} not alive at t={t}")
 
-    def get_khops(
+    def retrieve_khops(
         self,
         centers: Sequence[NodeId],
         t: TimePoint,
         k: int = 1,
         clients: int = 1,
-    ) -> List[Optional[Graph]]:
+    ) -> Tuple[List[Optional[Graph]], FetchStats]:
         """Batched Algorithm 4 with a *shared frontier*.
 
         At every hop the micro-partitions needed by *any* center's
@@ -1152,10 +1149,9 @@ class TGI(HistoricalGraphIndex):
         per input center (input order, duplicates preserved); ``None``
         marks centers not alive at ``t``.
         """
-        out, self.last_fetch_stats = self._retrieve(
-            self._khops_plan(centers, t, k), clients
-        )
-        return out
+        return self._retrieve(self._khops_plan(centers, t, k), clients)
+
+    get_khops = value_only("retrieve_khops")
 
     def _khops_plan(
         self,
@@ -1356,29 +1352,28 @@ class TGI(HistoricalGraphIndex):
 
         return plan, finalize, extra
 
-    def get_khop_snapshot_first(
+    def retrieve_khop_snapshot_first(
         self, node: NodeId, t: TimePoint, k: int = 1, clients: int = 1
-    ) -> Graph:
+    ) -> Tuple[Graph, FetchStats]:
         """Algorithm 3: fetch the whole snapshot, then filter to k hops.
         The snapshot is only read, so a warm one is used in place and a
         replayed one is left behind in the checkpoint cache."""
-        g, self.last_fetch_stats = self._retrieve(
+        g, stats = self._retrieve(
             self._snapshot_exec_plan(t, read_only=True), clients
         )
         if not g.has_node(node):
             raise IndexError_(f"node {node} not alive at t={t}")
-        return g.khop_subgraph(node, k)
+        return g.khop_subgraph(node, k), stats
+
+    get_khop_snapshot_first = value_only("retrieve_khop_snapshot_first")
 
     # ------------------------------------------------------------------
     # 1-hop neighborhood evolution (Algorithm 5)
     # ------------------------------------------------------------------
-    def get_khop_history(
+    def retrieve_khop_history(
         self, node: NodeId, ts: TimePoint, te: TimePoint, clients: int = 1
-    ) -> NeighborhoodHistory:
-        out, self.last_fetch_stats = self._retrieve(
-            self._khop_history_plan(node, ts, te), clients
-        )
-        return out
+    ) -> Tuple[NeighborhoodHistory, FetchStats]:
+        return self._retrieve(self._khop_history_plan(node, ts, te), clients)
 
     def _khop_history_plan(
         self, node: NodeId, ts: TimePoint, te: TimePoint

@@ -37,8 +37,8 @@ finalized off its plans' values (``_finalize``).  ``execute(r)`` is the
 batch of one — plans back to back, the sequential sim clock, the only
 outcome the EWMA correction learns from; ``execute_batch`` runs many on
 one pipelined, coalesced timeline.  Stats travel with results (the index
-*returns* ``(value, FetchStats)``); the session never reads
-``last_fetch_stats``, so threads sharing one each report their own work.
+returns ``(value, FetchStats)``), so threads sharing a session each
+report their own work.
 
 Retrieval-as-planning over priced alternatives, and single- and
 multi-point queries answered from one shared plan, follow "Efficient

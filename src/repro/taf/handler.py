@@ -94,9 +94,8 @@ class TGIHandler:
         the handler, shares the cross-index delta cache, and prices plans
         before fetching.
 
-    ``retrieve_*`` *return* ``(result, ParallelFetchStats)`` and are what
-    ``SON`` / ``SOTS`` call; the ``fetch_*`` wrappers park the stats on
-    :attr:`last_fetch_stats` for direct callers (nothing reads it back).
+    ``retrieve_*`` return ``(result, ParallelFetchStats)`` and are what
+    ``SON`` / ``SOTS`` call; ``fetch_*`` is ``retrieve_*(...)[0]``.
 
     Args:
         tgi: the temporal graph index to fetch from.
@@ -114,7 +113,6 @@ class TGIHandler:
         self.tgi = tgi
         self.sc = spark_context or SparkContext()
         self.clients_per_partition = clients_per_partition
-        self.last_fetch_stats = ParallelFetchStats()
 
     # ------------------------------------------------------------------
     def known_nodes(
@@ -146,10 +144,7 @@ class TGIHandler:
     def fetch_node_histories(
         self, node_ids: Sequence[NodeId], ts: TimePoint, te: TimePoint
     ) -> List[NodeT]:
-        out, self.last_fetch_stats = self.retrieve_node_histories(
-            node_ids, ts, te
-        )
-        return out
+        return self.retrieve_node_histories(node_ids, ts, te)[0]
 
     def retrieve_node_histories(
         self, node_ids: Sequence[NodeId], ts: TimePoint, te: TimePoint
@@ -203,10 +198,7 @@ class TGIHandler:
         ts: TimePoint,
         te: TimePoint,
     ) -> List[SubgraphT]:
-        out, self.last_fetch_stats = self.retrieve_subgraphs(
-            centers, k, ts, te
-        )
-        return out
+        return self.retrieve_subgraphs(centers, k, ts, te)[0]
 
     def retrieve_subgraphs(
         self,

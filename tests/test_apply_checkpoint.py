@@ -174,21 +174,20 @@ def test_apply_cost_changes_only_time_accounting(events):
     plain = make_tgi(events, model=CostModel())
     costed = make_tgi(events, model=APPLY)
     nodes = sorted({ev.node for ev in events})[:20]
-    assert plain.get_snapshot(450) == costed.get_snapshot(450)
-    assert plain.last_fetch_stats.num_requests == (
-        costed.last_fetch_stats.num_requests
+    plain_snap, plain_stats = plain.retrieve_snapshot(450)
+    costed_snap, costed_stats = costed.retrieve_snapshot(450)
+    assert plain_snap == costed_snap
+    assert plain_stats.num_requests == costed_stats.num_requests
+    assert costed_stats.apply_ms > 0.0
+    plain_hist, plain_stats = plain.retrieve_node_histories(nodes, 100, 450)
+    costed_hist, costed_stats = costed.retrieve_node_histories(
+        nodes, 100, 450
     )
-    assert costed.last_fetch_stats.apply_ms > 0.0
-    assert plain.get_node_histories(nodes, 100, 450) == (
-        costed.get_node_histories(nodes, 100, 450)
-    )
-    assert plain.last_fetch_stats.rounds == costed.last_fetch_stats.rounds
-    assert plain.last_fetch_stats.bytes_read == (
-        costed.last_fetch_stats.bytes_read
-    )
-    assert costed.last_fetch_stats.sim_time_ms == pytest.approx(
-        plain.last_fetch_stats.sim_time_ms
-        + costed.last_fetch_stats.apply_ms
+    assert plain_hist == costed_hist
+    assert plain_stats.rounds == costed_stats.rounds
+    assert plain_stats.bytes_read == costed_stats.bytes_read
+    assert costed_stats.sim_time_ms == pytest.approx(
+        plain_stats.sim_time_ms + costed_stats.apply_ms
     )
 
 
@@ -197,15 +196,15 @@ def test_apply_cost_changes_only_time_accounting(events):
 def test_checkpoint_snapshot_warm_path(events):
     cold = make_tgi(events)
     warm = make_tgi(events, checkpoint_entries=256)
-    first = warm.get_snapshot(450)
-    assert warm.last_fetch_stats.checkpoint_misses == 1
+    first, stats = warm.retrieve_snapshot(450)
+    assert stats.checkpoint_misses == 1
     assert first == cold.get_snapshot(450)
-    second = warm.get_snapshot(450)
+    second, stats = warm.retrieve_snapshot(450)
     assert second == first
-    assert warm.last_fetch_stats.num_requests == 0
-    assert warm.last_fetch_stats.rounds == 0
-    assert warm.last_fetch_stats.checkpoint_hits == 1
-    assert warm.last_fetch_stats.sim_time_ms == 0.0
+    assert stats.num_requests == 0
+    assert stats.rounds == 0
+    assert stats.checkpoint_hits == 1
+    assert stats.sim_time_ms == 0.0
 
 
 def test_checkpoint_snapshot_copy_on_read(events):
@@ -225,17 +224,17 @@ def test_checkpoint_khop_member_identical_and_cheaper(events):
     nodes = sorted({ev.node for ev in events})[:15]
     center = nodes[3]
     want = cold.get_khop(center, 450, k=2)
-    first = warm.get_khop(center, 450, k=2)
-    cold_requests = warm.last_fetch_stats.num_requests
-    assert warm.last_fetch_stats.checkpoint_misses > 0
+    first, stats = warm.retrieve_khop(center, 450, k=2)
+    cold_requests = stats.num_requests
+    assert stats.checkpoint_misses > 0
     assert first == want
-    second = warm.get_khop(center, 450, k=2)
+    second, stats = warm.retrieve_khop(center, 450, k=2)
     assert second == want
-    assert warm.last_fetch_stats.num_requests == 0 < cold_requests
-    assert warm.last_fetch_stats.checkpoint_hits > 0
+    assert stats.num_requests == 0 < cold_requests
+    assert stats.checkpoint_hits > 0
     # the shared-frontier batch seeds from the same checkpoints
-    batched = warm.get_khops(nodes, 450, k=2)
-    assert warm.last_fetch_stats.checkpoint_hits > 0
+    batched, stats = warm.retrieve_khops(nodes, 450, k=2)
+    assert stats.checkpoint_hits > 0
     for node, got in zip(nodes, batched):
         try:
             assert got == cold.get_khop(node, 450, k=2)
@@ -248,10 +247,11 @@ def test_checkpoint_histories_member_identical_and_cheaper(events):
     warm = make_tgi(events, checkpoint_entries=512)
     nodes = sorted({ev.node for ev in events})[:25]
     want = cold.get_node_histories(nodes, 100, 450)
-    assert warm.get_node_histories(nodes, 100, 450) == want
-    cold_requests = warm.last_fetch_stats.num_requests
-    assert warm.get_node_histories(nodes, 100, 450) == want
-    warm_stats = warm.last_fetch_stats
+    got, cold_stats = warm.retrieve_node_histories(nodes, 100, 450)
+    assert got == want
+    cold_requests = cold_stats.num_requests
+    got, warm_stats = warm.retrieve_node_histories(nodes, 100, 450)
+    assert got == want
     # micro paths + initial eventlists are seeded; only chains remain
     assert 0 < warm_stats.num_requests < cold_requests
     assert warm_stats.checkpoint_hits > 0
@@ -264,8 +264,7 @@ def test_checkpoints_shared_across_query_kinds(events):
     nodes = sorted({ev.node for ev in events})[:25]
     tgi.get_node_histories(nodes, 100, 450)
     center = nodes[3]
-    tgi.get_khop(center, 100, k=1)
-    assert tgi.last_fetch_stats.checkpoint_hits > 0
+    assert tgi.retrieve_khop(center, 100, k=1)[1].checkpoint_hits > 0
 
 
 def test_checkpoints_survive_update(events):
@@ -275,8 +274,9 @@ def test_checkpoints_survive_update(events):
     t = events[399].time
     before = warm.get_snapshot(t)
     warm.update(events[400:])
-    assert warm.get_snapshot(t) == before
-    assert warm.last_fetch_stats.checkpoint_hits == 1
+    after, stats = warm.retrieve_snapshot(t)
+    assert after == before
+    assert stats.checkpoint_hits == 1
     fresh = make_tgi(events)
     assert warm.get_snapshot(480) == fresh.get_snapshot(480)
 

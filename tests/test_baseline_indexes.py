@@ -73,24 +73,20 @@ def test_time_out_of_range_raises(events, cls, kw):
 
 def test_log_cost_grows_with_time(events):
     idx = build(LogIndex, events, eventlist_size=20)
-    idx.get_snapshot(30)
-    early = idx.last_fetch_stats.num_requests
-    idx.get_snapshot(250)
-    late = idx.last_fetch_stats.num_requests
+    early = idx.retrieve_snapshot(30)[1].num_requests
+    late = idx.retrieve_snapshot(250)[1].num_requests
     assert late > early
 
 
 def test_copy_snapshot_is_single_fetch(events):
     idx = build(CopyIndex, events)
-    idx.get_snapshot(125)
-    assert idx.last_fetch_stats.num_requests == 1
+    assert idx.retrieve_snapshot(125)[1].num_requests == 1
 
 
 def test_copylog_fetches_one_snapshot_plus_lists(events):
     idx = build(CopyLogIndex, events, eventlist_size=40,
                 lists_per_checkpoint=3)
-    idx.get_snapshot(125)
-    n = idx.last_fetch_stats.num_requests
+    n = idx.retrieve_snapshot(125)[1].num_requests
     assert 1 <= n <= 4  # one checkpoint + at most lists_per_checkpoint lists
 
 
@@ -98,8 +94,7 @@ def test_nodecentric_history_is_single_row(events):
     idx = build(NodeCentricIndex, events)
     final = Graph.replay(events)
     node = sorted(final.nodes())[0]
-    idx.get_node_history(node, 60, 220)
-    assert idx.last_fetch_stats.num_requests == 1
+    assert idx.retrieve_node_history(node, 60, 220)[1].num_requests == 1
 
 
 def test_nodecentric_khop_equals_ground_truth(events):
@@ -114,8 +109,8 @@ def test_nodecentric_khop_fetches_few_rows(events):
     idx = build(NodeCentricIndex, events)
     final = Graph.replay(events)
     node = max(final.nodes(), key=final.degree)
-    idx.get_khop(node, 250, k=1)
-    assert idx.last_fetch_stats.num_requests <= 1 + final.degree(node)
+    _, stats = idx.retrieve_khop(node, 250, k=1)
+    assert stats.num_requests <= 1 + final.degree(node)
 
 
 def test_copy_storage_far_exceeds_log(events):

@@ -21,7 +21,6 @@ from repro.exec import StateCheckpointCache, shared_caches
 from repro.graph.static import Graph
 from repro.index.tgi.index import _clone_state, _state_key
 from repro.kvstore.cluster import ClusterConfig
-from repro.kvstore.cost import FetchStats
 from repro.storage import load_index, save_index
 from repro.workloads.citation import CitationConfig, generate_citation_events
 from tests.helpers import (
@@ -397,8 +396,7 @@ def test_checkpoints_are_never_persisted(tmp_path, citation_events):
     fifty_warm_queries(session, t_max)
     assert len(tgi.checkpoints) > 10
     assert tgi.checkpoints.stats().hits > 0
-    # what a query has always left on the index object is not the subject
-    tgi.last_fetch_stats = FetchStats()
+    # the frontier margins queries teach the index are not the subject
     tgi._frontier_corrections.clear()
     save_index(tgi, tmp_path / "after.hgs")
     before = (tmp_path / "before.hgs").stat().st_size

@@ -302,15 +302,14 @@ def test_batch_shared_context_discounts_pricing(dataset1_events):
 
 def test_snapshot_near_seed_parity(dataset1_events):
     warm = build_tgi(dataset1_events, checkpoints=8)
-    g1 = warm.get_snapshot(600)
-    assert warm.last_fetch_stats.checkpoint_near_hits == 0
-    g2 = warm.get_snapshot(900)
-    near = warm.last_fetch_stats
+    g1, first = warm.retrieve_snapshot(600)
+    assert first.checkpoint_near_hits == 0
+    g2, near = warm.retrieve_snapshot(900)
     cold = build_tgi(dataset1_events)
-    expect = cold.get_snapshot(900)
+    expect, cold_stats = cold.retrieve_snapshot(900)
     if near.checkpoint_near_hits:
         # gap replay fetched less than the cold build
-        assert near.num_requests < cold.last_fetch_stats.num_requests
+        assert near.num_requests < cold_stats.num_requests
     assert set(g2.nodes()) == set(expect.nodes())
     assert set(g2.edges()) == set(expect.edges())
     for node in g2.nodes():
@@ -324,8 +323,7 @@ def test_snapshot_near_seed_parity(dataset1_events):
 def test_snapshot_exact_checkpoint_hit_skips_fetch(dataset1_events):
     warm = build_tgi(dataset1_events, checkpoints=8)
     warm.get_snapshot(900)
-    warm.get_snapshot(900)
-    stats = warm.last_fetch_stats
+    _, stats = warm.retrieve_snapshot(900)
     assert stats.checkpoint_hits == 1
     assert stats.num_requests == 0
 

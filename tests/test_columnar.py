@@ -264,17 +264,17 @@ def test_node_history_parity_across_codecs(tgi_pickle, tgi_columnar,
 
 def test_node_history_reports_decoded_events(tgi_columnar, dataset1_events):
     te = dataset1_events[-1].time
-    tgi_columnar.get_node_history(5, 1, te)
+    _, stats = tgi_columnar.retrieve_node_history(5, 1, te)
     # version-chain change extraction materializes the matching rows
-    assert tgi_columnar.last_fetch_stats.decoded_events > 0
+    assert stats.decoded_events > 0
 
 
 def test_snapshot_needs_no_event_materialization(dataset1_events):
     tgi = build_tgi(dataset1_events)
     t = dataset1_events[-1].time
-    tgi.get_snapshot(t)
+    _, stats = tgi.retrieve_snapshot(t)
     # the bulk kernels replay straight off the columns
-    assert tgi.last_fetch_stats.decoded_events == 0
+    assert stats.decoded_events == 0
 
 
 # -- storage format gate ------------------------------------------------------

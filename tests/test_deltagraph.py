@@ -37,8 +37,7 @@ def test_node_history_equals_replay(index, events):
 
 
 def test_snapshot_cost_is_path_not_full_history(index, events):
-    index.get_snapshot(260)
-    fetched = index.last_fetch_stats.num_requests
+    fetched = index.retrieve_snapshot(260)[1].num_requests
     # path of height h plus trailing eventlists; far below total row count
     assert fetched <= index.tree_height + 3
 

@@ -194,24 +194,25 @@ def test_batched_histories_include_unknown_nodes(tgi):
 def test_batched_issues_constant_rounds(tgi, events):
     """The acceptance criterion: N nodes in one span cost O(1) multiget
     rounds per stage, not O(N)."""
-    few = tgi.get_node_histories(_probe_nodes(events, 5), 100, 450)
-    few_rounds = tgi.last_fetch_stats.rounds
-    many = tgi.get_node_histories(_probe_nodes(events, 40), 100, 450)
-    many_rounds = tgi.last_fetch_stats.rounds
+    few, few_stats = tgi.retrieve_node_histories(
+        _probe_nodes(events, 5), 100, 450
+    )
+    many, many_stats = tgi.retrieve_node_histories(
+        _probe_nodes(events, 40), 100, 450
+    )
     assert len(many) == 8 * len(few)
-    assert few_rounds <= 2 and many_rounds <= 2
+    assert few_stats.rounds <= 2 and many_stats.rounds <= 2
 
 
 def test_batched_fetches_fewer_requests_than_loop(tgi, events):
     nodes = _probe_nodes(events, 40)
-    tgi.get_node_histories(nodes, 100, 450)
-    batched = tgi.last_fetch_stats
+    _, batched = tgi.retrieve_node_histories(nodes, 100, 450)
     loop_requests = 0
     loop_ms = 0.0
     for n in nodes:
-        tgi.get_node_history(n, 100, 450)
-        loop_requests += tgi.last_fetch_stats.num_requests
-        loop_ms += tgi.last_fetch_stats.sim_time_ms
+        _, one = tgi.retrieve_node_history(n, 100, 450)
+        loop_requests += one.num_requests
+        loop_ms += one.sim_time_ms
     assert batched.num_requests < loop_requests
     assert batched.sim_time_ms < loop_ms
 
@@ -226,8 +227,7 @@ def test_cache_disabled_reproduces_uncached_fetch_counts(events):
     plan_keys = planner.plan_node_history(node, 100, 450).num_keys
     counts = []
     for _ in range(3):
-        idx.get_node_history(node, 100, 450)
-        stats = idx.last_fetch_stats
+        _, stats = idx.retrieve_node_history(node, 100, 450)
         assert stats.cache_hits == 0 and stats.cache_misses == 0
         counts.append(stats.num_requests)
     assert counts == [plan_keys] * 3
@@ -236,10 +236,8 @@ def test_cache_disabled_reproduces_uncached_fetch_counts(events):
 def test_cache_enabled_skips_repeat_reads(events):
     idx = make_tgi(events, delta_cache_entries=4096)
     node = _probe_nodes(events, 1)[0]
-    idx.get_node_history(node, 100, 450)
-    cold = idx.last_fetch_stats
-    idx.get_node_history(node, 100, 450)
-    warm = idx.last_fetch_stats
+    _, cold = idx.retrieve_node_history(node, 100, 450)
+    _, warm = idx.retrieve_node_history(node, 100, 450)
     assert cold.cache_misses == cold.num_requests > 0
     assert warm.num_requests == 0 and warm.rounds == 0
     # the warm run performs the same lookups; all of them hit
@@ -290,9 +288,9 @@ def test_snapshot_plan_still_matches_executed_fetch(tgi, events):
     planner = TGIPlanner(tgi)
     t = events[-1].time
     plan = planner.plan_snapshot(t)
-    tgi.get_snapshot(t)
-    assert plan.num_keys == tgi.last_fetch_stats.num_requests
-    assert tgi.last_fetch_stats.rounds == 1
+    _, stats = tgi.retrieve_snapshot(t)
+    assert plan.num_keys == stats.num_requests
+    assert stats.rounds == 1
 
 
 # -- TAF handler on the batched path -----------------------------------------
@@ -308,9 +306,8 @@ def test_handler_fetch_rounds_scale_with_partitions_not_nodes(
     """A SoN fetch over N nodes costs O(partitions) rounds, not O(N)."""
     nodes = _probe_nodes(events, 40)
     parts = handler.sc.parallelize(nodes).num_partitions
-    out = handler.fetch_node_histories(nodes, 100, 450)
+    out, stats = handler.retrieve_node_histories(nodes, 100, 450)
     assert len(out) == len(nodes)
-    stats = handler.last_fetch_stats
     assert stats.rounds <= 2 * parts
     assert stats.requests > 0 and stats.bytes_read > 0
     assert len(stats.partition_sim_ms) == parts
@@ -342,13 +339,12 @@ def test_handler_subgraph_dead_center_returns_none(handler, events):
 
 
 def test_handler_subgraph_dead_center_reports_own_stats(handler, events):
-    # pollute last_fetch_stats with a real fetch, then confirm the dead
-    # center replaces it with its own (empty) probe accounting instead of
-    # leaving the previous stats to be double-counted by fetch_subgraphs
-    handler.fetch_node_histories(_probe_nodes(events, 10), 100, 450)
-    polluted = handler.last_fetch_stats
-    assert polluted.requests > 0
-    assert handler.fetch_subgraph(999_999, 1, 100, 450) is None
-    stats = handler.last_fetch_stats
-    assert stats is not polluted
+    # a dead center accounts its own (empty) probe and nothing of the
+    # real fetch that ran on the handler just before it
+    _, before = handler.retrieve_node_histories(
+        _probe_nodes(events, 10), 100, 450
+    )
+    assert before.requests > 0
+    out, stats = handler.retrieve_subgraphs([999_999], 1, 100, 450)
+    assert out == []
     assert stats.requests == 0  # unknown node: no pid, no version chain

@@ -366,9 +366,9 @@ def test_degraded_snapshot_identical_across_codecs(history):
         whole = session.at(t).snapshot().value
         # placement does not depend on the codec: the same victim serves
         # part of this snapshot in both builds (a direct index call
-        # leaves the request records the session does not report)
-        tgi.get_snapshot(t)
-        victim = min(rec.server for rec in tgi.last_fetch_stats.requests)
+        # returns the request records the session does not report)
+        _, direct = tgi.retrieve_snapshot(t)
+        victim = min(rec.server for rec in direct.requests)
         inject_faults(tgi.cluster, FaultSchedule(
             crashes=(CrashWindow(victim, 0.0),),
         ))
@@ -388,11 +388,11 @@ def test_degraded_snapshot_identical_across_codecs(history):
 def test_corrupted_stored_delta_row_surfaces_typed(history):
     tgi = build_tgi(history, "columnar", checksums=True)
     t = history[-1].time
-    want = tgi.get_snapshot(t)
+    want, stats = tgi.retrieve_snapshot(t)
     # a packed delta row this snapshot reads, on the machine serving it
     machine, key, enc = next(
         (m, rec.key, m.get(rec.key))
-        for rec in tgi.last_fetch_stats.requests
+        for rec in stats.requests
         for m in [tgi.cluster.machines[rec.server]]
         if m.get(rec.key).payload[5:6] == b"D"
     )

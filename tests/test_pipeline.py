@@ -362,9 +362,9 @@ def test_khops_match_per_center_khop(tgi, events):
 
 
 def test_khops_dead_center_is_none(tgi):
-    out = tgi.get_khops([999_999], 450, k=1)
+    out, stats = tgi.retrieve_khops([999_999], 450, k=1)
     assert out == [None]
-    assert tgi.last_fetch_stats.rounds == 0
+    assert stats.rounds == 0
 
 
 def test_khops_preserve_order_and_duplicates(tgi, events):
@@ -377,35 +377,23 @@ def test_khops_preserve_order_and_duplicates(tgi, events):
 
 def test_khops_rounds_independent_of_center_count(tgi, events):
     k = 2
-    tgi.get_khops(_probe_nodes(events, 4), 450, k=k)
-    few_rounds = tgi.last_fetch_stats.rounds
-    tgi.get_khops(_probe_nodes(events, 40), 450, k=k)
-    many_rounds = tgi.last_fetch_stats.rounds
-    assert few_rounds <= k + 1 and many_rounds <= k + 1
+    _, few = tgi.retrieve_khops(_probe_nodes(events, 4), 450, k=k)
+    _, many = tgi.retrieve_khops(_probe_nodes(events, 40), 450, k=k)
+    assert few.rounds <= k + 1 and many.rounds <= k + 1
 
 
 def test_khops_fetch_union_of_per_center_key_sets(tgi, events):
     nodes = _probe_nodes(events, 10)
-    tgi.get_khops(nodes, 450, k=1)
-    shared_keys = {r.key for r in tgi.last_fetch_stats.requests}
+    _, shared = tgi.retrieve_khops(nodes, 450, k=1)
+    shared_keys = {r.key for r in shared.requests}
     union = set()
     for node in nodes:
         try:
-            tgi.get_khop(node, 450, k=1)
+            _, one = tgi.retrieve_khop(node, 450, k=1)
         except IndexError_:
             continue
-        union |= {r.key for r in tgi.last_fetch_stats.requests}
+        union |= {r.key for r in one.requests}
     assert shared_keys == union
-
-
-def test_khop_dead_node_resets_stats(tgi, events):
-    """A pid-less center must not leave the previous query's stats in
-    ``last_fetch_stats`` (callers fold them after catching the raise)."""
-    tgi.get_snapshot(450)
-    assert tgi.last_fetch_stats.num_requests > 0
-    with pytest.raises(IndexError_):
-        tgi.get_khop(999_999, 450, k=1)
-    assert tgi.last_fetch_stats.num_requests == 0
 
 
 # -- TAF data paths on the shared timeline -----------------------------------
@@ -464,15 +452,12 @@ def test_subgraphs_match_log_replay_oracle(handler, tgi, events, k):
 def test_fetch_subgraph_is_the_batch_of_one(handler, tgi, events, k):
     for center in _probe_nodes(events, 6) + [_late_center(tgi, events)]:
         one = handler.fetch_subgraph(center, k, TS, TE)
-        alone = handler.last_fetch_stats
         many = handler.fetch_subgraphs([center], k, TS, TE)
         if ground_truth_subgraph(events, center, k, TS, TE) is None:
             assert one is None and many == []
             continue
         _assert_subgraph_is_oracle(one, events, center, k)
         assert _parts(one) == _parts(many[0])
-        assert alone.requests == handler.last_fetch_stats.requests
-        assert alone.rounds == handler.last_fetch_stats.rounds
     assert handler.fetch_subgraph(999_999, k, TS, TE) is None
     assert handler.fetch_subgraphs([999_999], k, TS, TE) == []
 
@@ -514,12 +499,11 @@ def test_pipelined_subgraphs_cost_fewer_rounds(handler, events):
     requests = rounds = 0
     sim_ms = 0.0
     for center in centers:  # one shared timeline per center
-        handler.fetch_subgraph(center, 1, TS, TE)
-        requests += handler.last_fetch_stats.requests
-        rounds += handler.last_fetch_stats.rounds
-        sim_ms += handler.last_fetch_stats.sim_time_ms
-    handler.fetch_subgraphs(centers, 1, TS, TE)
-    stats = handler.last_fetch_stats
+        _, one = handler.retrieve_subgraphs([center], 1, TS, TE)
+        requests += one.requests
+        rounds += one.rounds
+        sim_ms += one.sim_time_ms
+    _, stats = handler.retrieve_subgraphs(centers, 1, TS, TE)
     # the chunks' shared frontier beats a timeline per center, which in
     # turn beats the sequential per-center schedule
     assert stats.rounds < rounds <= SEQUENTIAL_PER_CENTER_ROUNDS
@@ -533,10 +517,8 @@ def test_pipelined_warm_cache_hits_identical(events):
     tgi = make_tgi(events, delta_cache_entries=65536)
     handler = TGIHandler(tgi, SparkContext(num_workers=2))
     centers = _probe_nodes(events, 8)
-    handler.fetch_subgraphs(centers, 1, TS, TE)  # warm
-    cold = handler.last_fetch_stats
-    handler.fetch_subgraphs(centers, 1, TS, TE)
-    warm = handler.last_fetch_stats
+    _, cold = handler.retrieve_subgraphs(centers, 1, TS, TE)
+    _, warm = handler.retrieve_subgraphs(centers, 1, TS, TE)
     assert cold.requests > 0
     assert warm.requests == 0 and warm.rounds == 0
     assert warm.sim_time_ms == 0.0
@@ -562,23 +544,20 @@ def test_subgraph_merges_khop_probe_stats_for_late_center(tgi, events):
         asked += stats.num_requests
         keys.update(r.key for r in stats.requests)
 
-    histories = tgi.get_node_histories([late], TS, TE)
-    note(tgi.last_fetch_stats)
+    histories, fetch = tgi.retrieve_node_histories([late], TS, TE)
+    note(fetch)
     assert histories[0].initial is None and histories[0].events
     from repro.taf.handler import _neighbors_over_time
     from repro.taf.node_t import NodeT
 
     nbrs = sorted(_neighbors_over_time(NodeT(histories[0])))
     if nbrs:
-        tgi.get_node_histories(nbrs, TS, TE)
-        note(tgi.last_fetch_stats)
-    with pytest.raises(IndexError_):
-        tgi.get_khop(late, TS, k=1)
-    assert tgi.last_fetch_stats.num_requests > 0  # the probe did fetch
-    note(tgi.last_fetch_stats)
+        note(tgi.retrieve_node_histories(nbrs, TS, TE)[1])
+    dead, probe = tgi.retrieve_khops([late], TS, k=1)
+    assert dead == [None]
+    assert probe.num_requests > 0  # the probe did fetch
+    note(probe)
 
-    sg = handler.fetch_subgraph(late, 1, TS, TE)
-    assert sg is not None
-    stats = handler.last_fetch_stats
+    (sg,), stats = handler.retrieve_subgraphs([late], 1, TS, TE)
     assert stats.requests == len(keys)
     assert stats.requests + stats.coalesced_hits == asked

@@ -19,7 +19,6 @@ from repro.errors import IndexError_
 from repro.faults import CrashWindow, FaultSchedule, clear_faults, inject_faults
 from repro.index.tgi import PartitioningStrategy, TGIPlanner
 from repro.kvstore.cluster import Cluster, ClusterConfig
-from repro.kvstore.cost import FetchStats
 from repro.kvstore.resilience import ResiliencePolicy
 from repro.stats.model import FRONTIER_MARGIN, expected_khop_pids
 from repro.storage import load_index, save_index
@@ -227,8 +226,8 @@ def test_explain_survives_a_dead_placement(dataset1_events):
     request = QueryRequest(
         kind="khop", t=900, nodes=(5,), k=2, single=True, allow_partial=True
     )
-    tgi.get_khop(5, 900, k=2)
-    dead = min(rec.server for rec in tgi.last_fetch_stats.requests)
+    _, direct = tgi.retrieve_khop(5, 900, k=2)
+    dead = min(rec.server for rec in direct.requests)
     tgi.cluster.fail_machine(dead)
     tgi.cluster.enable_resilience(
         ResiliencePolicy(max_attempts=2, hedge=False)
@@ -508,9 +507,8 @@ def test_tables_are_never_persisted(tmp_path, dataset1_events):
     answers = [answer(session.execute(r)) for r in requests]
     assert tgi._spans[-1]._keys is not None  # the tables did fill
     assert any(node._ranks for node in tgi.cluster.machines)
-    # what a query has always left on the index object (the last fetch's
-    # stats, the learned frontier margins) is not this test's subject
-    tgi.last_fetch_stats = FetchStats()
+    # what queries leave on the index object (the learned frontier
+    # margins) is not this test's subject
     tgi._frontier_corrections.clear()
     save_index(tgi, tmp_path / "after.hgs")
     assert (tmp_path / "after.hgs").stat().st_size == (

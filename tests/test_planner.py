@@ -20,19 +20,17 @@ def test_snapshot_plan_matches_actual_fetch(setup):
     events, tgi, planner = setup
     t = events[-1].time
     plan = planner.plan_snapshot(t)
-    tgi.get_snapshot(t)
-    assert plan.num_keys == tgi.last_fetch_stats.num_requests
-    assert set(plan.all_keys()) == {
-        r.key for r in tgi.last_fetch_stats.requests
-    }
+    _, stats = tgi.retrieve_snapshot(t)
+    assert plan.num_keys == stats.num_requests
+    assert set(plan.all_keys()) == {r.key for r in stats.requests}
 
 
 def test_node_history_plan_matches_actual_fetch(setup):
     events, tgi, planner = setup
     node = sorted({e.node for e in events})[0]
     plan = planner.plan_node_history(node, 100, 280)
-    tgi.get_node_history(node, 100, 280)
-    assert plan.num_keys == tgi.last_fetch_stats.num_requests
+    _, stats = tgi.retrieve_node_history(node, 100, 280)
+    assert plan.num_keys == stats.num_requests
 
 
 def test_khop_plan_is_superset_of_actual(setup):
@@ -43,8 +41,8 @@ def test_khop_plan_is_superset_of_actual(setup):
     g = Graph.replay(events)
     node = max(g.nodes(), key=g.degree)
     plan = planner.plan_khop(node, t, k=1)
-    tgi.get_khop(node, t, k=1)
-    actual = {r.key for r in tgi.last_fetch_stats.requests}
+    _, stats = tgi.retrieve_khop(node, t, k=1)
+    actual = {r.key for r in stats.requests}
     assert actual <= set(plan.all_keys())
 
 

@@ -1,11 +1,15 @@
 """Unit tests for 1-hop edge-cut replication (auxiliary partitions)."""
 
+import pytest
+
 from repro.deltas.base import Delta, StaticEdge, StaticNode
+from repro.graph.static import Graph
 from repro.partitioning.base import Partitioning
 from repro.partitioning.replication import (
     build_auxiliary_partitions,
     replication_factor,
 )
+from tests.helpers import graph_parts, random_history, small_tgi
 
 
 def chain_snapshot():
@@ -64,3 +68,18 @@ def test_replication_factor():
 
 def test_replication_factor_empty():
     assert replication_factor(Partitioning(1, {}), []) == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP direction 1: under replicate_boundary an auxiliary "
+    "eventlist's EDGE_ATTR_SET invents a partial attribute dict for an "
+    "edge leaving the partition's scope, and first-load-wins merging "
+    "lets it shadow the owner's complete one"
+))
+def test_khop_is_exact_under_boundary_replication():
+    events = random_history(steps=500, seed=8, edge_attr_churn=True)
+    tgi = small_tgi(events, replicate_boundary=True)
+    got, _stats = tgi.retrieve_khop(0, 250, k=2)
+    want = Graph.replay(events, until=250).khop_subgraph(0, 2)
+    # today edge (13, 50) reads {'q': 79}; replay says {'w': 4, 'q': 79}
+    assert graph_parts(got) == graph_parts(want)

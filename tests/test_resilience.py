@@ -429,12 +429,10 @@ def test_coalesced_batch_owner_death_fails_typed(events, tmax):
         # return QueryStats, which carry counts, not request records)
         node = r.request.nodes[0]
         if r.request.kind == "khop":
-            tgi.get_khop(node, tmax, k=r.request.k)
+            _, fetch = tgi.retrieve_khop(node, tmax, k=r.request.k)
         else:
-            tgi.get_node_history(node, 1, tmax)
-        fault_free_machines.append(
-            {rec.server for rec in tgi.last_fetch_stats.requests}
-        )
+            _, fetch = tgi.retrieve_node_history(node, 1, tmax)
+        fault_free_machines.append({rec.server for rec in fetch.requests})
     assert any(victim in m for m in fault_free_machines)
     assert any(victim not in m for m in fault_free_machines)
     inject_faults(tgi.cluster, FaultSchedule(

@@ -344,8 +344,7 @@ def test_pipelined_son_chunks_overlap(dataset1_events):
     # ... which costs what the sequential schedule did before it went
     assert (seq_requests, seq_rounds) == (298, 8)
 
-    out = handler.fetch_node_histories(nodes, ts, te)
-    stats = handler.last_fetch_stats
+    out, stats = handler.retrieve_node_histories(nodes, ts, te)
     assert [nt.history for nt in out] == [
         history for histories, _fetch in seq for history in histories
     ]

@@ -164,8 +164,7 @@ def test_use_calibrated_apply_switches_model(history_events):
     assert model.costs_apply
     assert model.apply_per_kb_ms == cal.apply_per_kb_ms
     assert model.replay_per_item_ms == cal.replay_per_item_ms
-    tgi.get_snapshot(450)
-    assert tgi.last_fetch_stats.apply_ms > 0.0
+    assert tgi.retrieve_snapshot(450)[1].apply_ms > 0.0
 
 
 # -- stats-backed planner bounds ----------------------------------------------
@@ -193,8 +192,8 @@ def test_khop_stats_bound_sound_and_tighter(citation_tgi, citation_events):
         if len(plan.expected_keys) < whole_span_keys:
             tightened += 1
         # sound bound covers the partitions actually touched
-        tgi.get_khop(center, t, k=1)
-        touched = {r.key[3] for r in tgi.last_fetch_stats.requests}
+        _, stats = tgi.retrieve_khop(center, t, k=1)
+        touched = {r.key[3] for r in stats.requests}
         bound_pids = {key[3] for key in plan.all_keys()}
         assert touched <= bound_pids
     assert tightened > 0  # the stats bound is not the whole-span fallback
@@ -330,10 +329,8 @@ def test_near_seed_khop_parity_and_fewer_requests(history_events):
     center = sorted(span.node_pid)[3]
     warm.get_khop(center, t1, k=2)  # checkpoints partition states at t1
     want = cold.get_khop(center, t2, k=2)
-    cold.get_khop(center, t2, k=2)
-    cold_requests = cold.last_fetch_stats.num_requests
-    got = warm.get_khop(center, t2, k=2)
-    stats = warm.last_fetch_stats
+    cold_requests = cold.retrieve_khop(center, t2, k=2)[1].num_requests
+    got, stats = warm.retrieve_khop(center, t2, k=2)
     assert stats.checkpoint_near_hits > 0
     assert stats.num_requests < cold_requests
     assert got == want  # member- and edge-identical to a cold replay
@@ -348,8 +345,9 @@ def test_near_seed_histories_parity(history_events):
     nodes = sorted(span.node_pid)[:20]
     warm.get_node_histories(nodes, t1, warm._t_max)
     want = cold.get_node_histories(nodes, t2, cold._t_max)
-    assert warm.get_node_histories(nodes, t2, warm._t_max) == want
-    assert warm.last_fetch_stats.checkpoint_near_hits > 0
+    got, stats = warm.retrieve_node_histories(nodes, t2, warm._t_max)
+    assert got == want
+    assert stats.checkpoint_near_hits > 0
 
 
 def test_near_seed_admits_advanced_state(history_events):
@@ -361,11 +359,11 @@ def test_near_seed_admits_advanced_state(history_events):
     t2 = min(t1 + 6, warm._t_max)
     center = sorted(span.node_pid)[3]
     warm.get_khop(center, t1, k=2)
-    first = warm.get_khop(center, t2, k=2)
-    assert warm.last_fetch_stats.checkpoint_near_hits > 0
-    second = warm.get_khop(center, t2, k=2)
-    assert warm.last_fetch_stats.num_requests == 0
-    assert warm.last_fetch_stats.checkpoint_hits > 0
+    first, near = warm.retrieve_khop(center, t2, k=2)
+    assert near.checkpoint_near_hits > 0
+    second, exact = warm.retrieve_khop(center, t2, k=2)
+    assert exact.num_requests == 0
+    assert exact.checkpoint_hits > 0
     assert second == first
 
 
@@ -389,8 +387,8 @@ def test_update_invalidates_only_changed_chains(history_events):
     events = history_events
     idx = make_tgi(events[:400], delta_cache_entries=4096)
     nodes = sorted({ev.node for ev in events[:400]})[:25]
-    idx.get_node_histories(nodes, 100, 390)
-    warm_keys = {r.key for r in idx.last_fetch_stats.requests}
+    _, warm_stats = idx.retrieve_node_histories(nodes, 100, 390)
+    warm_keys = {r.key for r in warm_stats.requests}
     span_keys = {k for k in warm_keys if k[0] != VC_TSID}
     chain_keys = {k for k in warm_keys if k[0] == VC_TSID}
     assert span_keys and chain_keys

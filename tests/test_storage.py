@@ -1,12 +1,23 @@
 """Tests for index persistence."""
 
+import pickle
+import random
+import zlib
+
 import pytest
 
 from repro.graph.static import Graph
 from repro.index.deltagraph import DeltaGraphIndex
 from repro.index.tgi import TGI, TGIConfig
-from repro.storage import PersistenceError, load_index, save_index
-from tests.helpers import random_history
+from repro.storage import (
+    _FORMAT_VERSION,
+    _HEADER,
+    _MAGIC,
+    PersistenceError,
+    load_index,
+    save_index,
+)
+from tests.helpers import random_history, small_tgi
 
 
 @pytest.fixture(scope="module")
@@ -46,44 +57,76 @@ def test_loaded_index_supports_update(tmp_path, events):
     assert loaded.get_snapshot(t) == Graph.replay(events, until=t)
 
 
+def envelope(version, payload):
+    """A file laid out as ``save_index`` writes one."""
+    return _HEADER.pack(_MAGIC, version, zlib.crc32(payload)) + payload
+
+
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "junk.hgs"
     path.write_bytes(b"not an index")
-    with pytest.raises(PersistenceError):
+    with pytest.raises(PersistenceError, match="not an HGS index"):
+        load_index(path)
+
+
+def test_load_rejects_garbage_behind_a_valid_header(tmp_path):
+    path = tmp_path / "junk.hgs"
+    path.write_bytes(envelope(_FORMAT_VERSION, b"not a pickle"))
+    with pytest.raises(PersistenceError, match="cannot read"):
         load_index(path)
 
 
 def test_load_rejects_wrong_payload(tmp_path):
-    import pickle
-
-    from repro.storage import _FORMAT_VERSION
-
     path = tmp_path / "wrong.hgs"
-    path.write_bytes(pickle.dumps({"magic": "hgs-index",
-                                   "format": _FORMAT_VERSION,
-                                   "class": "X", "index": 42}))
-    with pytest.raises(PersistenceError):
+    path.write_bytes(envelope(_FORMAT_VERSION, pickle.dumps(42)))
+    with pytest.raises(PersistenceError, match="does not contain an index"):
         load_index(path)
 
 
 def test_load_rejects_pre_exec_layer_format(tmp_path):
-    import pickle
-
+    # formats up to 11 were one pickled envelope dict: recognized and
+    # named, not unpickled
     path = tmp_path / "old.hgs"
-    path.write_bytes(pickle.dumps({"magic": "hgs-index", "format": 1,
-                                   "class": "TGI", "index": None}))
-    with pytest.raises(PersistenceError):
-        load_index(path)
+    for version in (1, 11):
+        path.write_bytes(pickle.dumps(
+            {"magic": "hgs-index", "format": version, "class": "TGI",
+             "index": None}, protocol=pickle.HIGHEST_PROTOCOL,
+        ))
+        with pytest.raises(
+            PersistenceError, match=f"unsupported index format {version} "
+        ):
+            load_index(path)
 
 
 def test_load_rejects_future_format(tmp_path):
-    import pickle
-
     path = tmp_path / "future.hgs"
-    path.write_bytes(pickle.dumps({"magic": "hgs-index", "format": 99,
-                                   "class": "TGI", "index": None}))
-    with pytest.raises(PersistenceError):
+    path.write_bytes(envelope(99, pickle.dumps(None)))
+    with pytest.raises(PersistenceError, match="unsupported index format 99"):
         load_index(path)
+
+
+def test_truncation_and_every_bit_flip_fail_typed(tmp_path):
+    """No damaged file loads, and none fails with anything but
+    ``PersistenceError``: the header is checked, and the payload
+    checksummed, before a byte reaches ``pickle``."""
+    tgi = small_tgi(random_history(steps=300, seed=1))
+    path = tmp_path / "index.hgs"
+    save_index(tgi, path)
+    good = path.read_bytes()
+    rng = random.Random(0)
+    damaged = [good[:cut] for cut in (0, 5, _HEADER.size, len(good) // 2,
+                                      len(good) - 1)]
+    for _ in range(300):
+        bit = rng.randrange(len(good) * 8)
+        flipped = bytearray(good)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        damaged.append(bytes(flipped))
+    for data in damaged:
+        path.write_bytes(data)
+        with pytest.raises(PersistenceError):
+            load_index(path)
+    path.write_bytes(good)
+    assert isinstance(load_index(path), TGI)
 
 
 def test_load_missing_file(tmp_path):
@@ -92,8 +135,6 @@ def test_load_missing_file(tmp_path):
 
 
 def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch, events):
-    import pickle
-
     tgi = TGI(TGIConfig(events_per_timespan=60, eventlist_size=15,
                         micro_partition_size=8))
     tgi.build(events)

@@ -146,10 +146,8 @@ def test_node_history_fetches_far_less_than_snapshot(tgi, events):
     # how much of the index each query touches, and packed micro-deltas
     # shrink a snapshot's rows far more than a history's eventlists
     pickled = make_tgi(events, cluster=ClusterConfig(codec="pickle"))
-    pickled.get_snapshot(350)
-    snap_bytes = pickled.last_fetch_stats.bytes_read
-    tgi.get_node_history(node, 80, 350)
-    hist_bytes = tgi.last_fetch_stats.bytes_read
+    snap_bytes = pickled.retrieve_snapshot(350)[1].bytes_read
+    hist_bytes = tgi.retrieve_node_history(node, 80, 350)[1].bytes_read
     assert hist_bytes < snap_bytes / 3
 
 
