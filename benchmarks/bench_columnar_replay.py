@@ -82,7 +82,7 @@ def _build(events, codec):
 
 def _eventlist_chains(cluster):
     """Stored eventlist payloads grouped into version chains, the way
-    ``_replay_pid_state`` applies them (one ``apply_eventlists`` call
+    ``PartitionStates._replay`` applies them (one ``apply_eventlists`` call
     per chain, rows in index order)."""
     chains = {}
     items = 0

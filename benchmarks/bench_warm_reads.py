@@ -28,7 +28,7 @@ import json
 import time
 from pathlib import Path
 
-import repro.index.tgi.index as index_module
+import repro.index.tgi.states as states_module
 from repro import GraphSession, QueryRequest
 from repro.graph.static import Graph
 
@@ -108,7 +108,7 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
         for name, run in scenarios.items():
             counts = {"copy": 0, "_clone_state": 0}
             counting(monkeypatch, Graph, "copy", counts)
-            counting(monkeypatch, index_module, "_clone_state", counts)
+            counting(monkeypatch, states_module, "_clone_state", counts)
             results = run(counted_near)
             monkeypatch.undo()
             rows[name]["graph_copies"] = counts["copy"]

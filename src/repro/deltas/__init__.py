@@ -1,4 +1,4 @@
-"""The delta framework (paper Sec. 4.1): deltas, eventlists, snapshots."""
+"""The delta framework (paper Sec. 4.1): deltas and eventlists."""
 
 from repro.deltas.base import Delta, EMPTY_DELTA, StaticEdge, StaticNode
 from repro.deltas.columnar import (
@@ -6,19 +6,7 @@ from repro.deltas.columnar import (
     decoded_events_total,
     pack_eventlist,
 )
-from repro.deltas.eventlist import (
-    EventList,
-    PartitionedEventList,
-    partition_eventlist,
-    split_events_into_lists,
-)
-from repro.deltas.snapshot import (
-    PartitionedSnapshot,
-    SnapshotDelta,
-    merge_partitioned_snapshots,
-    partition_snapshot,
-    split_delta,
-)
+from repro.deltas.eventlist import EventList, split_events_into_lists
 
 __all__ = [
     "Delta",
@@ -29,12 +17,5 @@ __all__ = [
     "decoded_events_total",
     "pack_eventlist",
     "EventList",
-    "PartitionedEventList",
-    "partition_eventlist",
     "split_events_into_lists",
-    "SnapshotDelta",
-    "PartitionedSnapshot",
-    "partition_snapshot",
-    "merge_partitioned_snapshots",
-    "split_delta",
 ]

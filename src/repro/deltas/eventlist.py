@@ -2,8 +2,9 @@
 
 An *eventlist* is a chronologically sorted set of events scoped by a time
 interval ``(ts, te]``.  A *partitioned eventlist* additionally restricts the
-scope to a set of nodes.  Eventlists are the "Log" half of every index: they
-capture fine-grained changes between materialized snapshots.
+scope to a set of nodes (the TGI build writes those,
+``repro.index.tgi.build``).  Eventlists are the "Log" half of every
+index: they capture fine-grained changes between materialized snapshots.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DeltaError
 from repro.graph.events import Event, check_sorted
@@ -105,29 +106,6 @@ class EventList:
         return out
 
 
-@dataclass(frozen=True)
-class PartitionedEventList:
-    """An eventlist restricted to one node partition (paper Example 3)."""
-
-    partition_id: int
-    eventlist: EventList
-
-    @property
-    def ts(self) -> TimePoint:
-        return self.eventlist.ts
-
-    @property
-    def te(self) -> TimePoint:
-        return self.eventlist.te
-
-    @property
-    def events(self) -> Tuple[Event, ...]:
-        return self.eventlist.events
-
-    def __len__(self) -> int:
-        return len(self.eventlist)
-
-
 def split_events_into_lists(
     events: Sequence[Event], max_size: int
 ) -> List[EventList]:
@@ -152,25 +130,3 @@ def split_events_into_lists(
     if bucket:
         lists.append(EventList.build(bucket))
     return lists
-
-
-def partition_eventlist(
-    el: EventList, assign: Callable[[NodeId], int], num_partitions: int
-) -> List[PartitionedEventList]:
-    """Split one eventlist into per-partition eventlists.
-
-    An event is routed to the partition of its subject node; edge events
-    touching two partitions are *replicated* into both (the paper stores
-    edge information with both endpoints in node-centric layouts).
-    """
-    buckets: List[List[Event]] = [[] for _ in range(num_partitions)]
-    for ev in el.events:
-        pids: Set[int] = {assign(ev.node)}
-        if ev.other is not None:
-            pids.add(assign(ev.other))
-        for pid in pids:
-            buckets[pid].append(ev)
-    return [
-        PartitionedEventList(pid, EventList(el.ts, el.te, tuple(evs)))
-        for pid, evs in enumerate(buckets)
-    ]

@@ -296,7 +296,8 @@ class StateCheckpointCache:
     ``admit`` takes ownership of what it is given (a producer that keeps
     using its object admits a copy), and the TGI copies at exactly three
     sites: the result of a *snapshot* query (the caller owns that
-    graph) and ``_capture_near_seed``'s two payload shapes (a seed
+    graph) and the two payload shapes of
+    ``repro.index.tgi.states.capture_near_seed`` (a seed
     snapshot graph and a seed partition state are each replayed forward
     in place).  Every other consumer only reads.  ``peek`` answers
     warmness without counters or promotion — the planner uses it to

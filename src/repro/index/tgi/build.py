@@ -70,27 +70,26 @@ def _split_delta_by_pid(
 
 
 def _split_aux_by_pid(
-    delta: Delta,
-    boundary: Dict[int, FrozenSet[NodeId]],
-    members: Dict[int, Set[NodeId]],
+    delta: Delta, boundary: Dict[int, FrozenSet[NodeId]]
 ) -> Dict[int, Delta]:
     """Auxiliary micros: for each pid, replicas of its boundary nodes plus
-    attributed edges among the pid's scope that touch the boundary."""
+    *every* attributed edge touching one of them — the either-endpoint
+    rule of the primary split, so a partition's primary+aux rows hold the
+    complete attribute dict of each edge its scope touches, wherever the
+    other endpoint lives (the auxiliary eventlists carry every event
+    touching a boundary node; replaying one onto a missing dict would
+    invent a partial one)."""
     out: Dict[int, Delta] = {}
     for pid, bnd in boundary.items():
         if not bnd:
             continue
-        scope = members.get(pid, set()) | set(bnd)
         aux = Delta()
         for comp in delta:
             if isinstance(comp, StaticNode):
                 if comp.I in bnd:
                     aux.put(comp)
-            else:
-                touches_boundary = comp.u in bnd or comp.v in bnd
-                inside_scope = comp.u in scope and comp.v in scope
-                if touches_boundary and inside_scope:
-                    aux.put(comp)
+            elif comp.u in bnd or comp.v in bnd:
+                aux.put(comp)
         if len(aux):
             out[pid] = aux
     return out
@@ -134,10 +133,6 @@ def build_timespan(
         node_pid = {
             n: hash_partition(n, num_pids, salt=1000 + tsid) for n in alive
         }
-
-    members: Dict[int, Set[NodeId]] = {pid: set() for pid in range(num_pids)}
-    for n, pid in node_pid.items():
-        members[pid].add(n)
 
     if stats is not None:
         stats.spans[tsid] = collect_timespan_stats(
@@ -200,7 +195,7 @@ def build_timespan(
                 micros[pid],
             )
         if config.replicate_boundary:
-            aux = _split_aux_by_pid(delta, boundary, members)
+            aux = _split_aux_by_pid(delta, boundary)
             apids = sorted(aux)
             info.aux_snapshot_pids[did] = apids
             for pid in apids:

@@ -1,0 +1,190 @@
+"""History plans of the Temporal Graph Index (Algorithms 2 and 5).
+
+:class:`HistoryPlans` is a mixin base of
+:class:`~repro.index.tgi.index.TGI` holding the batched node-history
+plan builder and the neighborhood-history plan chained out of it.  It
+reads the index's ``config``, ``_vc``, ``_span_at`` and ``_finish``.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.errors import PartitionUnavailable
+from repro.exec import FetchPlan, FetchStage, KeyGroup
+from repro.graph.events import Event, dedup_sorted
+from repro.index.interface import (
+    NeighborhoodHistory,
+    NodeHistory,
+    neighbor_intervals,
+)
+from repro.index.tgi.layout import DeltaKey, version_chain_key
+from repro.index.tgi.states import (
+    Compiled,
+    PartitionStates,
+    _charge_dropped,
+    _degraded_pids,
+)
+from repro.kvstore.cost import Counters
+from repro.kvstore.degrade import (
+    PartialCollector,
+    active_partial,
+    partial_scope,
+)
+from repro.types import NodeId, TimePoint
+
+
+def _missing_chain(node) -> None:
+    """A node's version-chain row was dropped by a degraded fetch:
+    record it (inside a partial scope) or raise typed."""
+    label = f"vc:{node}"
+    collector = active_partial()
+    if collector is None:
+        raise PartitionUnavailable(
+            f"version chain unavailable for node {node!r}",
+            partitions=(label,),
+        )
+    collector.add_partition(label)
+
+
+class HistoryPlans:
+    """Mixin base of ``TGI``: Algorithm-2 and Algorithm-5 plans."""
+
+    def _node_histories_plan(
+        self, nodes: Sequence[NodeId], ts: TimePoint, te: TimePoint
+    ) -> Compiled:
+        """Build the batched Algorithm-2 plan for ``nodes`` plus a
+        finalizer that maps the executed plan's values back to one
+        :class:`NodeHistory` per input node (input order, duplicates
+        preserved).  Splitting plan from finalizer lets callers compose
+        several history levels — and other plans — into one pipelined
+        execution.  The third element counts the checkpoint hits/misses
+        the plan resolved at build time (warm partitions contribute no
+        fetch keys — their initial states come from the memoized replay);
+        callers fold it into their fetch stats."""
+        span = self._span_at(ts)
+        ns = self.config.placement_groups
+        extra = Counters()
+
+        node_pid = {node: span.pid_of(node) for node in dict.fromkeys(nodes)}
+        chain_nodes = [n for n in node_pid if self._vc.has_chain(n)]
+        # metadata-only planning: the initial states are read out of the
+        # nodes' partitions' states at ``ts`` (warm partitions contribute
+        # no keys); without checkpoints only these nodes are replayed
+        states = PartitionStates(
+            self, span, ts, False, extra, only=set(node_pid)
+        )
+        stage = states.stage(
+            {pid for pid in node_pid.values() if pid is not None},
+            "micros+chains",
+        )
+        plan = FetchPlan(
+            f"node_histories({len(node_pid)} nodes, ts={ts}, te={te})"
+        )
+        plan.add_stage(
+            "micros+chains",
+            *(stage.groups if stage is not None else ()),
+            KeyGroup(
+                "version-chain",
+                tuple(version_chain_key(n, ns) for n in chain_nodes),
+            ),
+        )
+
+        def pointer_stage(values: Dict[DeltaKey, object]) -> Optional[FetchStage]:
+            pointer_keys: List[DeltaKey] = []
+            pseen: Set[DeltaKey] = set()
+            for n in chain_nodes:
+                chain = values.get(version_chain_key(n, ns))
+                if chain is None:
+                    _missing_chain(n)
+                    continue
+                for key in self._vc.pointers_in_range(chain, ts, te):
+                    if key not in pseen:
+                        pseen.add(key)
+                        pointer_keys.append(key)
+            if not pointer_keys:
+                return None
+            return FetchStage(
+                "version-pointers",
+                (KeyGroup("pointer", tuple(pointer_keys)),),
+            )
+
+        plan.add_factory(pointer_stage)
+
+        def finalize(values: Dict[DeltaKey, object]) -> List[NodeHistory]:
+            # a node whose partition a degraded fetch dropped gets no
+            # initial state this window
+            states.settle(values)
+            initial = states.merged.nodes
+
+            chains = {}
+            for n in chain_nodes:
+                chain = values.get(version_chain_key(n, ns))
+                if chain is None:
+                    _missing_chain(n)
+                    continue
+                chains[n] = chain
+            histories: Dict[NodeId, NodeHistory] = {}
+            for node in node_pid:
+                changes: List[Event] = []
+                if node in chains:
+                    keys = self._vc.pointers_in_range(chains[node], ts, te)
+                    bad = _degraded_pids(keys, values)
+                    # filter_by_time bisects; filter_by_id materializes
+                    # only the rows touching this node on columnar rows
+                    changes = dedup_sorted(
+                        ev
+                        for key in keys
+                        if key[3] not in bad
+                        for ev in values[key]
+                        .filter_by_time(ts, te).filter_by_id((node,))
+                    )
+                histories[node] = NodeHistory(
+                    node, ts, te, initial.get(node), tuple(changes)
+                )
+            return [histories[node] for node in nodes]
+
+        return plan, finalize, extra
+
+    def _khop_history_plan(
+        self, node: NodeId, ts: TimePoint, te: TimePoint
+    ) -> Compiled:
+        """Algorithm 5 as one plan: the center's history stages, then a
+        factory that reads the ``(neighbor, sub-interval)`` pairs off the
+        fetched center and chains each neighbor's history stages behind
+        its predecessor's.  Every sub-plan is built only once the one
+        before it was finalized (and its replayed states checkpointed),
+        so rounds, requests and checkpoint outcomes equal the inherited
+        one-history-at-a-time loop exactly."""
+        plan = FetchPlan(f"khop_history(node={node}, ts={ts}, te={te})")
+        extra = Counters()
+        histories: List[NodeHistory] = []
+        todo: List[Tuple[NodeId, TimePoint, TimePoint]] = [(node, ts, te)]
+        # what a degraded fetch dropped while the factories finalized
+        # under a batch window's scope (cf. ``_khops_plan``'s ``dropped``)
+        lost = PartialCollector()
+
+        def chain_next() -> None:
+            member, s, e = todo.pop(0)
+            sub = self._node_histories_plan([member], s, e)
+            plan.stages.extend(sub[0].stages)
+
+            def settle(values: Dict[DeltaKey, object]) -> None:
+                scope = lost if active_partial() is not None else None
+                with partial_scope(scope):
+                    history = self._finish(sub, values, extra)[0]
+                if not histories:
+                    todo.extend(neighbor_intervals(history))
+                histories.append(history)
+                if todo:
+                    chain_next()
+
+            plan.add_factory(settle)
+
+        chain_next()
+
+        def finalize(values: Dict[DeltaKey, object]) -> NeighborhoodHistory:
+            _charge_dropped(lost.partitions, "neighborhood history")
+            return NeighborhoodHistory(histories[0], tuple(histories[1:]))
+
+        return plan, finalize, extra

@@ -15,13 +15,12 @@ expensive, exactly like a relational EXPLAIN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import IndexError_
-from repro.index.tgi.index import _state_key
 from repro.index.tgi.layout import DeltaKey, version_chain_key
+from repro.index.tgi.states import _state_key, near_seed_candidate, triage
 from repro.kvstore.cost import simulate_plan
-from repro.stats.model import FRONTIER_MARGIN, expected_khop_pids
 from repro.types import NodeId, TimePoint
 
 
@@ -67,6 +66,14 @@ class QueryPlan:
     @property
     def num_keys(self) -> int:
         return sum(step.num_keys for step in self.steps)
+
+    def add_step(
+        self, purpose: str, keys: Iterable[DeltaKey], chained: bool = False
+    ) -> None:
+        """Append a step fetching ``keys`` (none: no step)."""
+        keys = tuple(keys)
+        if keys:
+            self.steps.append(PlanStep(purpose, keys, chained))
 
     def all_keys(self) -> List[DeltaKey]:
         return [k for step in self.steps for k in step.keys]
@@ -179,35 +186,39 @@ class TGIPlanner:
         self.tgi = tgi
 
     # ------------------------------------------------------------------
-    def _warm_pids(
-        self, span, pids: Set[int], t: TimePoint, include_aux: bool
-    ) -> Set[int]:
-        """Partitions whose replayed state at ``t`` is checkpointed (a
-        non-perturbing probe — pricing must not touch hit counters)."""
-        cp = self.tgi.checkpoints
-        if cp is None:
-            return set()
-        return {
-            pid for pid in pids
-            if cp.peek(_state_key(span.tsid, pid, t, include_aux))
-        }
-
-    def _near_pids(
-        self, span, pids: Set[int], t: TimePoint, include_aux: bool
-    ) -> Dict[int, List[DeltaKey]]:
-        """Partitions the fetch would near-seed from an earlier
-        checkpoint, mapped to the gap eventlist keys it would read
-        instead of the full replay-from-root key set.  Uses the exact
-        runtime decision helper (non-perturbing), so plans match what
-        execution does."""
-        if self.tgi.checkpoints is None:
-            return {}
-        out: Dict[int, List[DeltaKey]] = {}
-        for pid in sorted(pids):
-            seed = self.tgi._near_seed_candidate(span, pid, t, include_aux)
-            if seed is not None:
-                out[pid] = seed[1]
-        return out
+    def _state_steps(
+        self, plan: QueryPlan, span, pids: Set[int], t: TimePoint,
+        include_aux: bool,
+    ) -> None:
+        """Append to ``plan`` the steps fetching the states of ``pids``
+        at ``t`` — the triage an executing plan runs, read without
+        perturbing the checkpoint cache (pricing must not touch hit
+        counters), so plans match what execution does: nothing for a
+        checkpointed partition, the gap eventlists for a near-seeded
+        one, the root→leaf micro path and trailing eventlists for the
+        rest."""
+        warm, near, cold = triage(self.tgi, span, pids, t, include_aux)
+        if warm:
+            plan.notes.append(
+                f"{len(warm)} partitions checkpoint-seeded"
+            )
+        path_groups, ekeys = self.tgi._snapshot_plan(
+            span, t, pids=set(cold), include_aux=include_aux
+        )
+        plan.add_step(
+            "partition micro paths",
+            (key for group in path_groups for key in group),
+        )
+        plan.add_step("partition eventlists", ekeys)
+        plan.add_step(
+            "near-gap eventlists",
+            (key for seed in near.values() for key in seed[1]),
+        )
+        if near:
+            plan.notes.append(
+                f"{len(near)} partitions near-seeded from earlier "
+                f"checkpoints (gap replay only)"
+            )
 
     def plan_snapshot(self, t: TimePoint) -> QueryPlan:
         """Plan Algorithm 1 (GetSnapshot).
@@ -223,7 +234,7 @@ class TGIPlanner:
                 "materialized snapshot checkpoint is warm: no fetch"
             )
             return plan
-        seed = self.tgi._near_seed_candidate(span, None, t, False)
+        seed = near_seed_candidate(self.tgi, span, None, t, False)
         if seed is not None:
             t0, gap_keys = seed
             plan.steps.append(
@@ -244,76 +255,43 @@ class TGIPlanner:
         self, node: NodeId, ts: TimePoint, te: TimePoint
     ) -> QueryPlan:
         """Plan Algorithm 2 (GetNodeHistory): targeted micros for the
-        state at ``ts`` plus version-chain-resolved eventlist rows."""
-        span = self.tgi._span_at(ts)
-        plan = QueryPlan(query=f"node_history(node={node}, ts={ts}, te={te})")
-        pid = span.pid_of(node)
-        if pid is not None:
-            near = self._near_pids(span, {pid}, ts, False)
-            if self._warm_pids(span, {pid}, ts, False):
-                plan.notes.append(
-                    "initial state checkpoint-seeded (1 partition)"
-                )
-            elif near:
-                plan.steps.append(
-                    PlanStep("near-gap eventlists", tuple(near[pid]))
-                )
-                plan.notes.append(
-                    "initial state near-seeded from an earlier "
-                    "checkpoint (gap replay only)"
-                )
-            else:
-                path_groups, ekeys = self.tgi._snapshot_plan(
-                    span, ts, pids={pid}
-                )
-                plan.steps.append(
-                    PlanStep(
-                        "targeted micro path",
-                        tuple(k for group in path_groups for k in group),
-                    )
-                )
-                plan.steps.append(PlanStep("initial-state eventlists",
-                                           tuple(ekeys)))
-        if node in self.tgi._vc._flushed:
-            plan.steps.append(
-                PlanStep(
-                    "version chain",
-                    (version_chain_key(node,
-                                       self.tgi.config.placement_groups),),
-                )
-            )
-            chain = self.tgi._vc._pending.get(node, [])
-            keys = self.tgi._vc.pointers_in_range(tuple(chain), ts, te)
-            plan.steps.append(PlanStep("version-pointed eventlists",
-                                       tuple(keys), chained=True))
+        state at ``ts`` plus version-chain-resolved eventlist rows —
+        :meth:`plan_node_histories` over one node."""
+        plan = self.plan_node_histories([node], ts, te)
+        plan.query = f"node_history(node={node}, ts={ts}, te={te})"
         return plan
 
     def plan_node_histories(
         self, nodes: Sequence[NodeId], ts: TimePoint, te: TimePoint
     ) -> QueryPlan:
         """Plan the batched Algorithm 2
-        (:meth:`~repro.index.tgi.index.TGI.get_node_histories`): the
-        deduplicated union of every node's plan — nodes sharing a
-        micro-partition or chain row contribute its keys once, which is
-        exactly what the batched fetch reads."""
-        plan = QueryPlan.union(
-            f"node_histories({len(nodes)} nodes, ts={ts}, te={te})",
-            [
-                self.plan_node_history(node, ts, te)
-                for node in dict.fromkeys(nodes)
-            ],
+        (:meth:`~repro.index.tgi.index.TGI.get_node_histories`): nodes
+        sharing a micro-partition or an eventlist row contribute its
+        keys once, which is exactly what the batched fetch reads."""
+        tgi = self.tgi
+        span = tgi._span_at(ts)
+        plan = QueryPlan(
+            query=f"node_histories({len(nodes)} nodes, ts={ts}, te={te})"
         )
-        if self.tgi.checkpoints is not None and nodes:
-            span = self.tgi._span_at(ts)
-            pids = {
-                span.pid_of(n) for n in dict.fromkeys(nodes)
-            } - {None}
-            warm = self._warm_pids(span, pids, ts, False)
-            if warm:
-                plan.notes.append(
-                    f"initial states checkpoint-seeded "
-                    f"({len(warm)} partitions)"
+        distinct = list(dict.fromkeys(nodes))
+        self._state_steps(
+            plan, span, {span.pid_of(n) for n in distinct} - {None}, ts, False
+        )
+        chained = [n for n in distinct if tgi._vc.has_chain(n)]
+        plan.add_step("version chain", (
+            version_chain_key(n, tgi.config.placement_groups)
+            for n in chained
+        ))
+        plan.add_step(
+            "version-pointed eventlists",
+            dict.fromkeys(
+                key for n in chained
+                for key in tgi._vc.pointers_in_range(
+                    tuple(tgi._vc._pending.get(n, ())), ts, te
                 )
+            ),
+            chained=True,
+        )
         return plan
 
     def plan_khop(self, node: NodeId, t: TimePoint, k: int = 1) -> QueryPlan:
@@ -339,11 +317,11 @@ class TGIPlanner:
             raise IndexError_(f"node {node} unknown in timespan {span.tsid}")
         include_aux = self.tgi.config.replicate_boundary
         plan = QueryPlan(query=f"khop(node={node}, t={t}, k={k})")
-        span_stats = self.tgi.stats.span(span.tsid)
 
         # bound the partitions that could be touched using metadata only
         pids: Set[int] = {pid0}
         expected_pids: Optional[Set[int]] = None
+        stats_bound = self.tgi._stats_frontier(span, pid0, k)
         if include_aux:
             # with replication, hop h's neighbors live in the auxiliaries of
             # hop h-1's partitions; further pids come from boundary metadata
@@ -360,24 +338,17 @@ class TGIPlanner:
                     break
                 pids |= nxt
                 frontier_pids = nxt
-        elif span_stats is not None:
+        elif stats_bound is not None:
             # sound bound: partitions within k cut-adjacency levels; the
             # frontier-growth model then selects the expected subset
-            pids = {
-                pid for pid in span_stats.reachable_pids(pid0, k)
-                if pid < span.num_pids
-            }
-            scale = self.tgi.frontier_margin_scale(k)
-            est = expected_khop_pids(
-                span_stats, pid0, k, pids,
-                margin=FRONTIER_MARGIN * scale,
-            )
+            pids, est = stats_bound
             expected_pids = set(est.pids)
             note = (
                 f"stats bound: expected {len(est.pids)}/{len(pids)} "
                 f"partitions (frontier model reaches "
                 f"~{est.reached_nodes:.0f} nodes)"
             )
+            scale = self.tgi.frontier_margin_scale(k)
             if scale != 1.0:
                 note += f"; learned margin x{scale:.2f}"
             plan.notes.append(note)
@@ -386,48 +357,12 @@ class TGIPlanner:
             # is every partition present in the span — the actual fetch
             # loads lazily and typically touches far fewer
             pids = set(range(span.num_pids))
-        warm = self._warm_pids(span, pids, t, include_aux)
-        if warm:
-            pids = pids - warm
-            if expected_pids is not None:
-                expected_pids -= warm
-            plan.notes.append(
-                f"{len(warm)} partitions checkpoint-seeded"
-            )
-        near = self._near_pids(span, pids, t, include_aux)
-        if near:
-            pids = pids - set(near)
-            plan.notes.append(
-                f"{len(near)} partitions near-seeded from earlier "
-                f"checkpoints (gap replay only)"
-            )
-        path_groups, ekeys = self.tgi._snapshot_plan(
-            span, t, pids=pids, include_aux=include_aux
-        )
-        plan.steps.append(
-            PlanStep(
-                "partition micro paths",
-                tuple(k_ for group in path_groups for k_ in group),
-            )
-        )
-        plan.steps.append(PlanStep("partition eventlists", tuple(ekeys)))
-        if near:
-            gap_keys = tuple(
-                key for pid in sorted(near) for key in near[pid]
-            )
-            plan.steps.append(PlanStep("near-gap eventlists", gap_keys))
+        self._state_steps(plan, span, pids, t, include_aux)
         if expected_pids is not None:
-            exp_groups, exp_ekeys = self.tgi._snapshot_plan(
-                span, t, pids=expected_pids - set(near),
-                include_aux=include_aux,
+            # warm partitions contribute no keys to either set
+            plan.expected_keys = tuple(
+                key for key in plan.all_keys() if key[3] in expected_pids
             )
-            expected: List[DeltaKey] = [
-                key for group in exp_groups for key in group
-            ]
-            expected.extend(exp_ekeys)
-            for pid in sorted(set(near) & expected_pids):
-                expected.extend(near[pid])
-            plan.expected_keys = tuple(expected)
         return plan
 
     def plan_khops(

@@ -1,14 +1,10 @@
-"""Graph partitioning: random hash, multilevel min-cut, temporal collapse,
-edge-cut replication."""
+"""Graph partitioning: random hash, multilevel min-cut, temporal collapse.
+(Edge-cut replication of a partition's boundary is done where the rows
+are written: ``repro.index.tgi.build``.)"""
 
 from repro.partitioning.base import Partitioner, Partitioning, edge_cut
 from repro.partitioning.mincut import MinCutPartitioner
 from repro.partitioning.random_part import RandomPartitioner, hash_partition
-from repro.partitioning.replication import (
-    AuxiliaryPartition,
-    build_auxiliary_partitions,
-    replication_factor,
-)
 from repro.partitioning.temporal import (
     CollapseFunction,
     CollapsedGraph,
@@ -25,9 +21,6 @@ __all__ = [
     "MinCutPartitioner",
     "RandomPartitioner",
     "hash_partition",
-    "AuxiliaryPartition",
-    "build_auxiliary_partitions",
-    "replication_factor",
     "CollapseFunction",
     "CollapsedGraph",
     "NodeWeighting",

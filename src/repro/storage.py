@@ -45,7 +45,10 @@ _MAGIC = b"hgs-index"
 # 12: checksummed binary header ahead of the pickled index (below), not
 #     an envelope dict pickled around it; indexes no longer carry the
 #     stats of the last query run on them
-_FORMAT_VERSION = 12
+# 13: under ``replicate_boundary`` an auxiliary micro holds every
+#     attributed edge touching a boundary node, not only those inside
+#     the partition's scope (older replicated rows replay inexactly)
+_FORMAT_VERSION = 13
 #: magic, format version, CRC32 of everything after the header
 _HEADER = struct.Struct(">9sII")
 # formats <= 11 were one pickle stream of an envelope dict whose head

@@ -9,7 +9,9 @@ from repro.graph.events import Event, EventBuilder
 from repro.graph.static import Graph
 from repro.index.interface import evolve_node_state
 from repro.index.tgi import TGI, TGIConfig
+from repro.index.tgi.states import PartitionStates
 from repro.kvstore.cluster import ClusterConfig
+from repro.kvstore.cost import Counters
 from repro.types import NodeId, TimePoint, canonical_edge
 
 
@@ -178,19 +180,31 @@ def graph_parts(g):
 
 
 def small_tgi(events, **overrides):
-    """A many-span, many-partition TGI over a ``random_history``.  No
-    boundary replication: per-partition replay is exact without it, so a
-    cold recomputation is an oracle for every state (with it, an
-    EDGE_ATTR_SET can leave a partition state holding part of an edge's
-    attributes, differently per fetch shape — see ROADMAP)."""
+    """A many-span, many-partition TGI over a ``random_history``, with
+    boundary replication on: a partition's primary+aux rows replay to the
+    complete state of its scope (the self-containment invariant,
+    ``repro.index.tgi.states``), so a cold recomputation is an oracle for
+    every state whatever the fetch shape."""
     config = dict(
         events_per_timespan=150, eventlist_size=25, micro_partition_size=8,
-        cluster=ClusterConfig(num_machines=3),
+        replicate_boundary=True, cluster=ClusterConfig(num_machines=3),
     )
     config.update(overrides)
     tgi = TGI(TGIConfig(**config))
     tgi.build(events)
     return tgi
+
+
+def cold_partition_state(twin, tsid, pid, t, include_aux):
+    """One partition's state at ``t``, fetched and replayed from the
+    root on ``twin`` — an index with no checkpoint cache, so nothing is
+    seeded, admitted or shared."""
+    states = PartitionStates(
+        twin, twin._spans[tsid], t, include_aux, Counters()
+    )
+    stage = states.stage({pid}, "audit")
+    states.settle(twin.executor.fetch(stage.keys()).values)
+    return states.merged
 
 
 def audit_checkpoints(tgi, twin):
@@ -208,15 +222,7 @@ def audit_checkpoints(tgi, twin):
             assert graph_parts(entry.payload) == graph_parts(want), key
         else:
             _tag, tsid, pid, t, include_aux = key
-            span = twin._spans[tsid]
-            path_groups, ekeys = twin._snapshot_plan(
-                span, t, pids={pid}, include_aux=include_aux
-            )
-            keys = [key for group in path_groups for key in group] + ekeys
-            state = twin._replay_pid_state(
-                span, pid, t, include_aux, twin.executor.fetch(keys).values,
-                (path_groups, ekeys),
-            )
+            state = cold_partition_state(twin, tsid, pid, t, include_aux)
             nodes, edge_attrs = entry.payload
             assert nodes == state.nodes, key
             assert edge_attrs == state.edge_attrs, key
@@ -303,7 +309,7 @@ def reference_snapshot_plan(tgi, span, t, pids=None, include_aux=False):
 
 def reference_gap_keys(tgi, span, t0, t, pid=None, include_aux=False):
     """Eventlist keys carrying events in ``(t0, t]`` — every partition's
-    (``pid=None``) or one partition's, as ``TGI._gap_eventlist_keys``
+    (``pid=None``) or one partition's, as ``states.gap_eventlist_keys``
     selects them — by a linear scan of the scopes."""
     from repro.index.tgi.layout import (
         TAG_AUX_EVENTLIST,

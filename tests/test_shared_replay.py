@@ -19,9 +19,11 @@ from repro import GraphSession, TGI, TGIConfig
 from repro.api import QueryRequest
 from repro.errors import IndexError_, PartitionUnavailable
 from repro.faults import CrashWindow, FaultSchedule, clear_faults, inject_faults
+from repro.graph.static import Graph
 from repro.index.tgi.query import PartialState, ReplayShare
+from repro.index.tgi.states import PartitionStates, triage
 from repro.kvstore.cluster import ClusterConfig
-from repro.kvstore.cost import COUNTER_NAMES
+from repro.kvstore.cost import COUNTER_NAMES, Counters
 from repro.kvstore.resilience import ResiliencePolicy
 from repro.workloads.citation import CitationConfig, generate_citation_events
 from tests.helpers import (
@@ -133,6 +135,69 @@ def test_batch_slots_equal_serial_loop_and_log_replay(config, mix):
             assert comparable(g) == oracle_parts(
                 events, center, request.k, request.t
             ), (request, center)
+
+
+@pytest.mark.parametrize("replicate", [False, True])
+@pytest.mark.parametrize("checkpoint_entries", [0, 64])
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=50), st.data())
+def test_folded_state_equals_log_replay_on_the_covered_scope(
+    checkpoint_entries, replicate, seed, data
+):
+    """What every k-hop and history plan reads — the loader's merged
+    state — is the log's, node for node and edge dict for edge dict, for
+    any partition subset: cold, exact-warm (the same ``t`` again) and
+    near-seeded (just after it), with and without replication; and the
+    planner's non-perturbing triage sorts the partitions exactly as the
+    executing one then does."""
+    events = random_history(steps=300, seed=seed, edge_attr_churn=True)
+    tgi = small_tgi(
+        events, replicate_boundary=replicate,
+        checkpoint_entries=checkpoint_entries,
+    )
+    t1 = data.draw(st.integers(events[0].time + 20, events[-1].time - 8))
+    for t in (t1, t1, t1 + data.draw(st.integers(1, 6))):
+        span = tgi._span_at(t)
+        pids = data.draw(st.sets(
+            st.integers(0, span.num_pids - 1), min_size=1, max_size=4,
+        ))
+        warm, near, cold = triage(tgi, span, pids, t, replicate)
+        path_groups, ekeys = tgi._snapshot_plan(
+            span, t, pids=set(cold), include_aux=replicate
+        )
+        planned = [key for group in path_groups for key in group] + ekeys
+        planned += [key for seed_ in near.values() for key in seed_[1]]
+
+        extra = Counters()
+        states = PartitionStates(tgi, span, t, replicate, extra)
+        stage = states.stage(pids, "probe")
+        keys = stage.keys() if stage is not None else []
+        assert sorted(keys) == sorted(planned)
+        assert (
+            extra.checkpoint_hits, extra.checkpoint_near_hits,
+            extra.checkpoint_misses,
+        ) == (
+            (len(warm), len(near), len(cold)) if checkpoint_entries
+            else (0, 0, 0)
+        )
+        states.settle(tgi.executor.fetch(keys).values)
+        assert states.loaded == pids and not states.dropped
+        covered = states.covered
+        assert covered == span.scope_of(pids, replicate)
+
+        g = Graph.replay(events, until=t)
+        nodes = states.merged.nodes
+        assert set(nodes) == {n for n in covered if g.has_node(n)}
+        for n, state in nodes.items():
+            assert dict(state.A) == g.node_attrs(n), (t, n)
+            assert set(state.E) == g.neighbors(n), (t, n)
+        assert {
+            e: attrs for e, attrs in states.merged.edge_attrs.items() if attrs
+        } == {
+            e: g.edge_attrs(*e) for e in g.edges()
+            if g.edge_attrs(*e) and (e[0] in covered or e[1] in covered)
+        }, t
 
 
 # -- fixtures for the counted tests --------------------------------------------
