@@ -376,8 +376,9 @@ class Delta:
             nbrs = g.neighbors(n) if node_centric else ()
             out.put(StaticNode.make(n, nbrs, g.node_attrs(n)))
         if not node_centric:
-            for (u, v) in g.edges():
-                out.put(StaticEdge.make(u, v, g.edge_attrs(u, v), g.directed))
+            attributed = g.attributed_edges()
+            for e in g.edges():
+                out.put(StaticEdge.make(*e, attributed.get(e), g.directed))
         return out
 
 

@@ -64,10 +64,10 @@ def _relax_full_collections() -> None:
 
     Cached payloads are long-lived, immutable and acyclic, but every
     snapshot graph is one tracked ``set`` per node, and each full
-    collection re-traverses all of them: about 1 ms per cached D1
-    snapshot, a 20-40 ms pause with a few dozen warm, landing on
+    collection re-traverses all of them: about 0.7 ms per cached D1
+    snapshot, an 11-27 ms pause with a few dozen warm, landing on
     whichever read crosses the allocation threshold.  At the default
-    cadence that was 9 such pauses in 240 warm reads (a sixth of their
+    cadence that is 4 such pauses in 240 warm reads (a seventh of their
     wall time), and which reads they hit moved a run's throughput by a
     tenth.  Young collections, which reclaim the cyclic garbage queries
     actually make, are untouched; a cadence the application already set

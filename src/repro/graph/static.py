@@ -9,10 +9,7 @@ neighborhoods).
 
 from __future__ import annotations
 
-import copy as _copy
-from typing import (
-    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple,
-)
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Set
 
 from repro.errors import EventError, GraphError
 from repro.graph.events import Event, EventKind
@@ -36,15 +33,23 @@ class Graph:
     Nodes carry attribute maps; edges carry attribute maps and are
     undirected by default (the paper's experiments use undirected graphs;
     direction is supported because the data model in Sec. 3.1 includes it).
+
+    Representation invariant.  ``_adj`` maps every node to its neighbor
+    set (out-neighbors when directed) and is the only record of which
+    edges exist: undirected adjacency is symmetric, a self-loop is
+    listed once, ``_num_edges`` is the count.  ``_edge_attrs`` is sparse
+    — a subset of the edges keyed by canonical id, with a map only for
+    an edge that has attributes or whose map :meth:`edge_attrs` handed
+    out for writing; an absent entry and an empty one mean the same.
     """
 
-    __slots__ = ("directed", "_nodes", "_adj", "_edge_attrs")
+    __slots__ = ("directed", "_nodes", "_adj", "_num_edges", "_edge_attrs")
 
     def __init__(self, directed: bool = False) -> None:
         self.directed = directed
         self._nodes: Dict[NodeId, AttrMap] = {}
-        # adjacency: node -> set of neighbor ids (out-neighbors if directed)
         self._adj: Dict[NodeId, Set[NodeId]] = {}
+        self._num_edges = 0
         self._edge_attrs: Dict[EdgeId, AttrMap] = {}
 
     # ------------------------------------------------------------------
@@ -63,20 +68,19 @@ class Graph:
         edge_attrs: Optional[Mapping[EdgeId, Any]] = None,
         directed: bool = False,
     ) -> "Graph":
-        """Bulk-load a graph from node-centric parts, filling the three
-        containers directly instead of one ``add_edge`` per edge.
+        """Bulk-load a graph from node-centric parts: node and adjacency
+        containers are filled directly, nothing is allocated per edge.
 
         ``node_attrs`` maps every node to its attributes (a dict or an
         iterable of pairs; copied).  ``adjacency`` maps nodes to their
         edge lists (out-neighbors when directed) and alone decides which
         edges exist: entries naming a node outside ``node_attrs`` are
-        dangling and dropped by one set intersection per node, an
-        undirected edge is written once, from its smaller endpoint, and
-        an edge listed by only one endpoint is still an edge (its mirror
-        entry is added).  ``edge_attrs`` is looked up by canonical edge
-        id for every edge written (copied); it may cover more edges
-        than the graph ends up with.  Equivalent to ``add_node`` per
-        node, then ``add_edge`` per not-yet-present edge-list entry.
+        dangling and dropped by one set intersection per node, and an
+        undirected edge listed by only one endpoint is still an edge
+        (its mirror entry is added).  ``edge_attrs`` is read by
+        canonical edge id (non-empty maps copied); it may cover more
+        edges than the graph ends up with.  Equivalent to ``add_node``
+        per node, then ``add_edge`` per not-yet-present edge-list entry.
         """
         g = cls(directed=directed)
         nodes = g._nodes = {
@@ -90,35 +94,35 @@ class Graph:
         if len(adj) != len(nodes):
             for n in nodes:
                 adj.setdefault(n, set())
-        edges = g._edge_attrs
-        if directed:
+        if not directed:
             for u, nbrs in adj.items():
                 for v in nbrs:
-                    edges[(u, v)] = {}
-        else:
-            entries = loops = 0
-            for u, nbrs in adj.items():
-                entries += len(nbrs)
-                for v in nbrs:
-                    if u < v:
-                        edges[(u, v)] = {}
-                    elif u > v:
-                        if u not in adj[v]:
-                            edges[(v, u)] = {}
-                    else:
-                        edges[(u, u)] = {}
-                        loops += 1
-            if entries != 2 * len(edges) - loops:
-                # some edge is listed by one endpoint only: mirror it
-                for u, v in edges:
-                    adj[u].add(v)
-                    adj[v].add(u)
-        if edge_attrs:
-            for eid, attrs in edges.items():
-                found = edge_attrs.get(eid)
-                if found:
-                    attrs.update(found)
+                    if u not in adj[v]:
+                        adj[v].add(u)  # v != u: not the set being walked
+        g._settle_edges(edge_attrs)
         return g
+
+    def _settle_edges(self, source: Optional[Mapping[EdgeId, Any]]) -> None:
+        """Count the edges the adjacency holds, then copy out of
+        ``source`` the non-empty maps of those edges, walking whichever
+        of the two is smaller."""
+        adj, directed = self._adj, self.directed
+        count = sum(map(len, adj.values()))
+        if not directed:  # both endpoints list an edge, a self-loop once
+            count += sum(map(set.__contains__, adj.values(), adj))
+            count //= 2
+        self._num_edges = count
+        if source and len(source) <= count:
+            self._edge_attrs = {
+                e: dict(a) for e, a in source.items()
+                if a and (directed or e[0] <= e[1])
+                and e[1] in adj.get(e[0], ())
+            }
+        elif source:
+            get = source.get
+            self._edge_attrs = {
+                e: dict(a) for e in self.edges() for a in (get(e),) if a
+            }
 
     def remove_node(self, node: NodeId) -> None:
         """Remove ``node`` and all incident edges."""
@@ -127,32 +131,34 @@ class Graph:
         for nbr in list(self._adj[node]):
             self.remove_edge(node, nbr)
         if self.directed:
-            # incoming edges are not tracked in _adj[node]; scan for them
-            for (u, v) in [e for e in self._edge_attrs if e[1] == node]:
-                self.remove_edge(u, v)
+            for u, nbrs in self._adj.items():
+                if node in nbrs:
+                    self.remove_edge(u, node)
         del self._nodes[node]
         del self._adj[node]
 
     def add_edge(
         self, u: NodeId, v: NodeId, attrs: Optional[AttrMap] = None
     ) -> None:
-        """Add edge ``(u, v)``; both endpoints must already exist."""
+        """Add edge ``(u, v)``; both endpoints must already exist.
+        Re-adding an existing edge resets its attributes."""
         if u not in self._nodes or v not in self._nodes:
             raise GraphError(f"edge ({u}, {v}) references a missing node")
-        eid = canonical_edge(u, v, self.directed)
-        self._edge_attrs[eid] = dict(attrs) if attrs else {}
-        self._adj[u].add(v)
-        if not self.directed:
-            self._adj[v].add(u)
+        nbrs = self._adj[u]
+        if v not in nbrs:
+            nbrs.add(v)
+            if not self.directed:
+                self._adj[v].add(u)
+            self._num_edges += 1
+        if attrs:
+            self._edge_attrs[canonical_edge(u, v, self.directed)] = dict(attrs)
+        elif self._edge_attrs:
+            self._edge_attrs.pop(canonical_edge(u, v, self.directed), None)
 
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
-        eid = canonical_edge(u, v, self.directed)
-        if eid not in self._edge_attrs:
+        if not self.has_edge(u, v):
             raise GraphError(f"edge ({u}, {v}) not in graph")
-        del self._edge_attrs[eid]
-        self._adj[u].discard(v)
-        if not self.directed:
-            self._adj[v].discard(u)
+        self._apply(_K_EDGE_DELETE, u, v, None)
 
     # ------------------------------------------------------------------
     # accessors
@@ -161,7 +167,7 @@ class Graph:
         return node in self._nodes
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return canonical_edge(u, v, self.directed) in self._edge_attrs
+        return v in self._adj.get(u, ())
 
     def node_attrs(self, node: NodeId) -> AttrMap:
         try:
@@ -170,17 +176,33 @@ class Graph:
             raise GraphError(f"node {node} not in graph") from None
 
     def edge_attrs(self, u: NodeId, v: NodeId) -> AttrMap:
+        """The edge's attribute map, writable: an attribute-less edge
+        gets its (empty) map on first request, so code that only reads
+        goes through :meth:`attributed_edges` instead."""
         eid = canonical_edge(u, v, self.directed)
-        try:
-            return self._edge_attrs[eid]
-        except KeyError:
-            raise GraphError(f"edge ({u}, {v}) not in graph") from None
+        attrs = self._edge_attrs.get(eid)
+        if attrs is None:
+            if not self.has_edge(u, v):
+                raise GraphError(f"edge ({u}, {v}) not in graph")
+            attrs = self._edge_attrs[eid] = {}
+        return attrs
+
+    def attributed_edges(self) -> Dict[EdgeId, AttrMap]:
+        """The edges that carry attributes, by canonical id, with their
+        live maps (read-only by convention); every other edge has none."""
+        return {e: a for e, a in self._edge_attrs.items() if a}
 
     def nodes(self) -> Iterator[NodeId]:
         return iter(self._nodes)
 
     def edges(self) -> Iterator[EdgeId]:
-        return iter(self._edge_attrs)
+        """Canonical edge ids in adjacency order (smaller endpoint
+        first when undirected)."""
+        directed = self.directed
+        for u, nbrs in self._adj.items():
+            for v in nbrs:
+                if directed or u <= v:
+                    yield (u, v)
 
     def neighbors(self, node: NodeId) -> Set[NodeId]:
         """Neighbor ids of ``node`` (out-neighbors when directed)."""
@@ -198,7 +220,7 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self._edge_attrs)
+        return self._num_edges
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -212,7 +234,8 @@ class Graph:
         return (
             self.directed == other.directed
             and self._nodes == other._nodes
-            and self._edge_attrs == other._edge_attrs
+            and self._adj == other._adj
+            and self.attributed_edges() == other.attributed_edges()
         )
 
     def __repr__(self) -> str:
@@ -220,16 +243,17 @@ class Graph:
         return f"<Graph {kind} n={self.num_nodes} m={self.num_edges}>"
 
     def copy(self) -> "Graph":
-        """Structural copy: independent node/adjacency/edge containers and
+        """Structural copy: independent node/adjacency containers and
         attribute maps.  Attribute *values* are shared — the event replay
         treats them as immutable (replaced, never mutated in place), so a
-        copy can never observe changes through them.  Much faster than
-        ``copy.deepcopy`` for the materialized-snapshot checkpoint path.
-        """
+        copy can never observe changes through them."""
         g = Graph(directed=self.directed)
         g._nodes = {n: dict(a) for n, a in self._nodes.items()}
         g._adj = {n: set(s) for n, s in self._adj.items()}
-        g._edge_attrs = {e: dict(a) for e, a in self._edge_attrs.items()}
+        g._num_edges = self._num_edges
+        g._edge_attrs = {
+            e: dict(a) for e, a in self._edge_attrs.items() if a
+        }
         return g
 
     # ------------------------------------------------------------------
@@ -244,74 +268,102 @@ class Graph:
         edge is a no-op.  With ``strict=True`` such events raise
         :class:`EventError`.
         """
-        kind = ev.kind
+        if strict:
+            problem = self._inapplicable(ev)
+            if problem is not None:
+                raise EventError(problem)
+        self._apply(ev.kind, ev.node, ev.other, (ev.key, ev.value, None))
+
+    def _inapplicable(self, ev: Event) -> Optional[str]:
+        """What lenient replay would tolerate about ``ev`` on this graph
+        as it stands (``None`` when it applies cleanly)."""
+        kind, node, other, key = ev.kind, ev.node, ev.other, ev.key
+        attrs = self._nodes.get(node)
         if kind == EventKind.NODE_ADD:
-            if ev.node in self._nodes:
-                if strict:
-                    raise EventError(f"node {ev.node} already exists")
-                return
-            self.add_node(ev.node, ev.value)
-        elif kind == EventKind.NODE_DELETE:
-            if ev.node not in self._nodes:
-                if strict:
-                    raise EventError(f"node {ev.node} does not exist")
-                return
-            self.remove_node(ev.node)
-        elif kind == EventKind.EDGE_ADD:
-            assert ev.other is not None
-            # auto-create endpoints in lenient mode: real traces (e.g. raw
-            # citation dumps) frequently reference nodes before their
-            # explicit creation records
-            for endpoint in (ev.node, ev.other):
+            return None if attrs is None else f"node {node} already exists"
+        if kind in (EventKind.NODE_DELETE, EventKind.NODE_ATTR_SET):
+            return f"node {node} does not exist" if attrs is None else None
+        if kind == EventKind.NODE_ATTR_DEL:
+            missing = attrs is None or key not in attrs
+            return f"attribute {key} missing on {node}" if missing else None
+        if kind == EventKind.EDGE_ADD:
+            for endpoint in (node, other):
                 if endpoint not in self._nodes:
-                    if strict:
-                        raise EventError(f"endpoint {endpoint} does not exist")
-                    self.add_node(endpoint)
-            if self.has_edge(ev.node, ev.other):
-                if strict:
-                    raise EventError(f"edge {ev.edge} already exists")
-                return
-            self.add_edge(ev.node, ev.other, ev.value)
-        elif kind == EventKind.EDGE_DELETE:
-            assert ev.other is not None
-            if not self.has_edge(ev.node, ev.other):
-                if strict:
-                    raise EventError(f"edge {ev.edge} does not exist")
-                return
-            self.remove_edge(ev.node, ev.other)
-        elif kind == EventKind.NODE_ATTR_SET:
-            if ev.node not in self._nodes:
-                if strict:
-                    raise EventError(f"node {ev.node} does not exist")
-                self.add_node(ev.node)
-            assert ev.key is not None
-            self._nodes[ev.node][ev.key] = ev.value
-        elif kind == EventKind.NODE_ATTR_DEL:
-            assert ev.key is not None
-            attrs = self._nodes.get(ev.node)
-            if attrs is None or ev.key not in attrs:
-                if strict:
-                    raise EventError(f"attribute {ev.key} missing on {ev.node}")
-                return
-            del attrs[ev.key]
-        elif kind == EventKind.EDGE_ATTR_SET:
-            assert ev.other is not None and ev.key is not None
-            eid = canonical_edge(ev.node, ev.other, self.directed)
-            attrs = self._edge_attrs.get(eid)
+                    return f"endpoint {endpoint} does not exist"
+            exists = self.has_edge(node, other)
+            return f"edge {ev.edge} already exists" if exists else None
+        if not self.has_edge(node, other):
+            return f"edge {ev.edge} does not exist"
+        if kind == EventKind.EDGE_ATTR_DEL:
+            eid = canonical_edge(node, other, self.directed)
+            if key not in self._edge_attrs.get(eid, ()):
+                return f"edge attribute {key} missing on {ev.edge}"
+        return None
+
+    def _apply(
+        self, kind: int, node: Any, other: Any, entry: Optional[tuple]
+    ) -> None:
+        """Lenient application of one event given as its columns (``entry``
+        is its ``(key, value, old)``): the kernel under ``apply_event``
+        and ``apply_columnar``."""
+        nodes, adj, edge_attrs = self._nodes, self._adj, self._edge_attrs
+        directed = self.directed
+        key, value, _old = entry if entry is not None else (None, None, None)
+        if kind == _K_EDGE_ADD:
+            # auto-create endpoints: real traces (e.g. raw citation dumps)
+            # reference nodes before their explicit creation records
+            if node not in nodes:
+                nodes[node] = {}
+                adj.setdefault(node, set())
+            if other not in nodes:
+                nodes[other] = {}
+                adj.setdefault(other, set())
+            nbrs = adj[node]
+            if other not in nbrs:
+                nbrs.add(other)
+                if not directed:
+                    adj[other].add(node)
+                self._num_edges += 1
+                if value:
+                    eid = canonical_edge(node, other, directed)
+                    edge_attrs[eid] = dict(value)
+        elif kind == _K_EDGE_DELETE:
+            nbrs = adj.get(node)
+            if nbrs is not None and other in nbrs:
+                nbrs.discard(other)
+                if not directed:
+                    adj[other].discard(node)
+                self._num_edges -= 1
+                if edge_attrs:
+                    edge_attrs.pop(
+                        canonical_edge(node, other, directed), None
+                    )
+        elif kind == _K_NODE_ADD:
+            if node not in nodes:
+                nodes[node] = dict(value) if value else {}
+                adj.setdefault(node, set())
+        elif kind == _K_NODE_DELETE:
+            if node in nodes:
+                self.remove_node(node)
+        elif kind == _K_NODE_ATTR_SET:
+            attrs = nodes.get(node)
             if attrs is None:
-                if strict:
-                    raise EventError(f"edge {eid} does not exist")
-                return
-            attrs[ev.key] = ev.value
-        elif kind == EventKind.EDGE_ATTR_DEL:
-            assert ev.other is not None and ev.key is not None
-            eid = canonical_edge(ev.node, ev.other, self.directed)
-            attrs = self._edge_attrs.get(eid)
-            if attrs is None or ev.key not in attrs:
-                if strict:
-                    raise EventError(f"edge attribute {ev.key} missing on {eid}")
-                return
-            del attrs[ev.key]
+                attrs = {}
+                nodes[node] = attrs
+                adj.setdefault(node, set())
+            attrs[key] = value
+        elif kind == _K_NODE_ATTR_DEL:
+            attrs = nodes.get(node)
+            if attrs is not None and key in attrs:
+                del attrs[key]
+        elif kind == _K_EDGE_ATTR_SET:
+            if other in adj.get(node, ()):
+                eid = canonical_edge(node, other, directed)
+                edge_attrs.setdefault(eid, {})[key] = value
+        elif kind == _K_EDGE_ATTR_DEL:
+            attrs = edge_attrs.get(canonical_edge(node, other, directed))
+            if attrs is not None and key in attrs:
+                del attrs[key]
         else:  # pragma: no cover - exhaustive over EventKind
             raise EventError(f"unknown event kind {kind!r}")
 
@@ -349,59 +401,7 @@ class Graph:
         if not cels:
             return
         windows, order = merged_order(cels, until=until, after=after)
-        nodes, adj, edge_attrs = self._nodes, self._adj, self._edge_attrs
-        directed = self.directed
-
-        def row(kind: int, node: Any, other: Any, entry: Optional[tuple]) -> None:
-            key, value, _old = entry if entry is not None else (None, None, None)
-            if kind == _K_EDGE_ADD:
-                # auto-create endpoints (lenient mode, see apply_event)
-                if node not in nodes:
-                    nodes[node] = {}
-                    adj.setdefault(node, set())
-                if other not in nodes:
-                    nodes[other] = {}
-                    adj.setdefault(other, set())
-                eid = canonical_edge(node, other, directed)
-                if eid not in edge_attrs:
-                    edge_attrs[eid] = dict(value) if value else {}
-                    adj[node].add(other)
-                    if not directed:
-                        adj[other].add(node)
-            elif kind == _K_EDGE_DELETE:
-                eid = canonical_edge(node, other, directed)
-                if eid in edge_attrs:
-                    del edge_attrs[eid]
-                    adj[node].discard(other)
-                    if not directed:
-                        adj[other].discard(node)
-            elif kind == _K_NODE_ADD:
-                if node not in nodes:
-                    nodes[node] = dict(value) if value else {}
-                    adj.setdefault(node, set())
-            elif kind == _K_NODE_DELETE:
-                if node in nodes:
-                    self.remove_node(node)
-            elif kind == _K_NODE_ATTR_SET:
-                attrs = nodes.get(node)
-                if attrs is None:
-                    attrs = {}
-                    nodes[node] = attrs
-                    adj.setdefault(node, set())
-                attrs[key] = value
-            elif kind == _K_NODE_ATTR_DEL:
-                attrs = nodes.get(node)
-                if attrs is not None and key in attrs:
-                    del attrs[key]
-            elif kind == _K_EDGE_ATTR_SET:
-                attrs = edge_attrs.get(canonical_edge(node, other, directed))
-                if attrs is not None:
-                    attrs[key] = value
-            elif kind == _K_EDGE_ATTR_DEL:
-                attrs = edge_attrs.get(canonical_edge(node, other, directed))
-                if attrs is not None and key in attrs:
-                    del attrs[key]
-
+        row = self._apply
         if order is None:
             for li, cel in enumerate(cels):
                 lo, hi = windows[li]
@@ -447,18 +447,17 @@ class Graph:
     # structural queries
     # ------------------------------------------------------------------
     def subgraph(self, nodes: Iterable[NodeId]) -> "Graph":
-        """Induced subgraph on ``nodes`` (missing ids are ignored).
-
-        Induced from the kept nodes' adjacency sets, so the cost follows
-        the subgraph, not the whole graph's edge count."""
+        """Induced subgraph on ``nodes`` (missing ids are ignored), as a
+        private copy.  Induced from the kept nodes' adjacency sets —
+        symmetric by the class invariant, so nothing is re-validated —
+        and the cost follows the subgraph, not the whole graph."""
         own, adj = self._nodes, self._adj
-        keep = {n for n in nodes if n in own}
-        return Graph.from_parts(
-            {n: own[n] for n in keep},
-            {n: adj[n] for n in keep},
-            self._edge_attrs,
-            directed=self.directed,
-        )
+        keep = own.keys() & nodes
+        g = Graph(directed=self.directed)
+        g._nodes = {n: dict(own[n]) for n in keep}
+        g._adj = {n: adj[n] & keep for n in keep}
+        g._settle_edges(self._edge_attrs)
+        return g
 
     def khop_nodes(self, root: NodeId, k: int) -> Set[NodeId]:
         """Ids of all nodes within ``k`` hops of ``root`` (including it)."""
@@ -488,6 +487,7 @@ class Graph:
         g = nx.DiGraph() if self.directed else nx.Graph()
         for n, attrs in self._nodes.items():
             g.add_node(n, **attrs)
+        g.add_edges_from(self.edges())
         for (u, v), attrs in self._edge_attrs.items():
             g.add_edge(u, v, **attrs)
         return g

@@ -22,10 +22,8 @@ def snapshot_delta_of_graph(g: Graph) -> Delta:
     (edge lists inline) plus explicit :class:`StaticEdge` components for
     edges that carry attributes (so attribute data survives partitioning)."""
     delta = Delta.from_graph(g, node_centric=True)
-    for (u, v) in g.edges():
-        attrs = g.edge_attrs(u, v)
-        if attrs:
-            delta.put(StaticEdge.make(u, v, attrs, g.directed))
+    for (u, v), attrs in g.attributed_edges().items():
+        delta.put(StaticEdge.make(u, v, attrs, g.directed))
     return delta
 
 

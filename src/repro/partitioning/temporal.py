@@ -91,9 +91,9 @@ def _edge_intervals(
 
     for n in initial.nodes():
         node_alive_since[n] = ts
-    for (u, v) in initial.edges():
-        w = float(initial.edge_attrs(u, v).get("weight", 1.0))
-        edge_open[(u, v)] = (ts, w)
+    attributed = initial.attributed_edges()
+    for e in initial.edges():
+        edge_open[e] = (ts, float(attributed.get(e, {}).get("weight", 1.0)))
 
     for ev in events:
         t = min(max(ev.time, ts), te)

@@ -40,13 +40,12 @@ def _neighbors_over_time(nt: NodeT) -> Set[NodeId]:
 
 def _edge_attrs_of(g0) -> Dict[Tuple[NodeId, NodeId], dict]:
     """The attributed edges of a k-hop graph (``None`` = center dead)."""
-    edge_attrs: Dict[Tuple[NodeId, NodeId], dict] = {}
-    if g0 is not None:
-        for (u, v) in g0.edges():
-            attrs = g0.edge_attrs(u, v)
-            if attrs:
-                edge_attrs[canonical_edge(u, v)] = dict(attrs)
-    return edge_attrs
+    if g0 is None:
+        return {}
+    return {
+        canonical_edge(u, v): dict(attrs)
+        for (u, v), attrs in g0.attributed_edges().items()
+    }
 
 
 @dataclass

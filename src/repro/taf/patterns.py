@@ -56,10 +56,11 @@ class EdgeCounter(IncrementalCounter):
         self._matched: set = set()
 
     def initial(self, g: Graph) -> float:
-        self._matched = set()
-        for (u, v) in g.edges():
-            if self.predicate is None or self.predicate(g.edge_attrs(u, v)):
-                self._matched.add((u, v))
+        attributed = g.attributed_edges()
+        self._matched = {
+            e for e in g.edges()
+            if self.predicate is None or self.predicate(attributed.get(e, {}))
+        }
         self._count = len(self._matched)
         return self._count
 

@@ -21,11 +21,13 @@ def random_history(
     attr_churn: bool = True,
     deletions: bool = True,
     edge_attr_churn: bool = False,
+    bare_edges: bool = False,
 ) -> List[Event]:
     """A random but *consistent* event stream: every event is applicable in
     strict mode (nodes exist before edges, edges removed before node
     deletion, etc.).  ``edge_attr_churn`` turns half of the attribute
-    steps into ``EDGE_ATTR_SET`` / ``EDGE_ATTR_DEL`` on live edges (off by
+    steps into ``EDGE_ATTR_SET`` / ``EDGE_ATTR_DEL`` on live edges and
+    ``bare_edges`` adds every other edge without attributes (both off by
     default, which leaves every existing seed's stream as it was)."""
     rng = random.Random(seed)
     eb = EventBuilder()
@@ -46,7 +48,11 @@ def random_history(
             u, v = rng.sample(sorted(alive), 2)
             eid = canonical_edge(u, v)
             if eid not in edges:
-                events.append(eb.edge_add(t, *eid, {"w": rng.randint(1, 9)}))
+                attrs = {"w": rng.randint(1, 9)}
+                if bare_edges and len(events) % 2:
+                    attrs = None
+                    attr_keys[eid] = set()
+                events.append(eb.edge_add(t, *eid, attrs))
                 edges.add(eid)
         elif roll < 0.80 and deletions and edges:
             eid = rng.choice(sorted(edges))
@@ -127,10 +133,8 @@ def ground_truth_subgraph(
     snapshot = Graph.replay(events, until=ts)
     if snapshot.has_node(center):
         hood = snapshot.khop_subgraph(center, k)
-        for (u, v) in hood.edges():
-            attrs = hood.edge_attrs(u, v)
-            if attrs:
-                edge_attrs[canonical_edge(u, v)] = dict(attrs)
+        for (u, v), attrs in hood.attributed_edges().items():
+            edge_attrs[canonical_edge(u, v)] = dict(attrs)
     return members, edge_attrs
 
 
@@ -169,13 +173,15 @@ def counted(monkeypatch, owner, name):
 
 
 def graph_parts(g):
-    """Everything a :class:`Graph` holds, as plain comparable containers
-    (``Graph.__eq__`` leaves the adjacency sets out)."""
+    """Everything a :class:`Graph` holds, as plain comparable containers,
+    read without asking ``g`` for a writable edge map (audits run this
+    over cached payloads)."""
+    attributed = g.attributed_edges()
     return (
         g.directed,
         {n: dict(g.node_attrs(n)) for n in g.nodes()},
         {n: set(g.neighbors(n)) for n in g.nodes()},
-        {e: dict(g.edge_attrs(*e)) for e in g.edges()},
+        {e: dict(attributed.get(e, ())) for e in g.edges()},
     )
 
 

@@ -51,9 +51,12 @@ def vandalize(value):
     for n in list(value.nodes())[:3]:
         value.node_attrs(n)["rogue"] = True
         value.neighbors(n).add(ROGUE)
-    for eid in list(value.edges())[:3]:
+    edges, attributed = list(value.edges()), value.attributed_edges()
+    bare = [eid for eid in edges if eid not in attributed]
+    for eid in edges[:3] + bare[:3]:  # a bare edge's map is a first write
         value.edge_attrs(*eid)["rogue"] = True
         value.edge_attrs(*eid).pop("w", None)
+        assert value.attributed_edges()[eid]["rogue"] is True
     value.add_node(ROGUE, {"rogue": True})
 
 
@@ -92,12 +95,15 @@ def cold_answer(twin, request, algorithm):
 
 @st.composite
 def read_mixes(draw):
-    """A history with edge-attribute churn and a mix of reads over a few
-    hot times (repeats are exact-warm) and the times just after them
-    (near-warm, advanced from the state before)."""
+    """A history with edge-attribute churn, every other edge added bare,
+    and a mix of reads over a few hot times (repeats are exact-warm) and
+    the times just after them (near-warm, advanced from the state
+    before)."""
     steps = draw(st.integers(min_value=160, max_value=320))
     seed = draw(st.integers(min_value=0, max_value=50))
-    events = random_history(steps=steps, seed=seed, edge_attr_churn=True)
+    events = random_history(
+        steps=steps, seed=seed, edge_attr_churn=True, bare_edges=True
+    )
     t_min, t_max = events[0].time, events[-1].time
     hot = draw(st.lists(
         st.integers(min_value=t_min + 20, max_value=t_max - 8),
@@ -292,6 +298,28 @@ def test_snapshot_result_is_the_callers_own_copy(warm):
     assert (copies[0], clones[0]) == (2, 0)
     assert fresh.value is not cached_snapshot(session.tgi, t_cold)
     assert fresh.value == twin.get_snapshot(t_cold)
+
+
+def test_a_first_write_to_a_bare_edge_reaches_no_payload(warm):
+    """Citation edges carry no attributes, so every map a caller gets is
+    made on request — on the caller's graph, never on the cached one."""
+    session, twin, _copies, _clones = warm
+    reads = [
+        QueryRequest(kind="snapshot", t=T_WARM),
+        khop(5, T_WARM, "snapshot-first"),
+        khop(5, T_WARM, "khop"),
+        khop(5, T_WARM, "khop"),  # over the partition states just admitted
+    ]
+    for request in reads:
+        value = session.execute(request).value
+        edges = list(value.edges())
+        assert edges and not value.attributed_edges()
+        for eid in edges:
+            value.edge_attrs(*eid)["rogue"] = True
+        assert set(value.attributed_edges()) == set(edges)
+        assert not cached_snapshot(session.tgi, T_WARM).attributed_edges()
+        assert audit_checkpoints(session.tgi, twin) > 0
+        assert not session.execute(request).value.attributed_edges()
 
 
 def test_reads_over_warm_partitions_clone_nothing(warm):

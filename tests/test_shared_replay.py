@@ -195,8 +195,8 @@ def test_folded_state_equals_log_replay_on_the_covered_scope(
         assert {
             e: attrs for e, attrs in states.merged.edge_attrs.items() if attrs
         } == {
-            e: g.edge_attrs(*e) for e in g.edges()
-            if g.edge_attrs(*e) and (e[0] in covered or e[1] in covered)
+            e: attrs for e, attrs in g.attributed_edges().items()
+            if e[0] in covered or e[1] in covered
         }, t
 
 
@@ -367,7 +367,9 @@ def test_existing_stats_are_where_they_were(events, tmax):
 # -- (d) isolation -------------------------------------------------------------
 
 def test_a_mutated_result_changes_no_batchmate_and_no_later_query():
-    history = random_history(steps=300, seed=3, edge_attr_churn=True)
+    history = random_history(
+        steps=300, seed=3, edge_attr_churn=True, bare_edges=True
+    )
     session = GraphSession.from_index(small_tgi(history))
     t = history[-1].time
     alive = sorted(session.execute(
@@ -379,8 +381,12 @@ def test_a_mutated_result_changes_no_batchmate_and_no_later_query():
     victim = batch[0]
     for n in victim.nodes():
         victim.node_attrs(n)["rogue"] = True
-    for eid in list(victim.edges()):
+    edges = list(victim.edges())
+    assert 0 < len(victim.attributed_edges()) < len(edges)  # some are bare
+    for eid in edges:
         victim.edge_attrs(*eid)["rogue"] = True
+    assert all(attrs["rogue"] for attrs in victim.attributed_edges().values())
+    assert len(victim.attributed_edges()) == len(edges)
     victim.add_node(10**6, {"rogue": True})
     victim.add_edge(10**6, alive[0])
     assert [graph_parts(g) for g in batch[1:]] == clean[1:]
