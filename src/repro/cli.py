@@ -180,17 +180,22 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (0 = pick a free port; the bound "
                        "port is printed on startup)")
-    serve.add_argument("--batch-window-ms", type=float, default=10.0,
-                       help="micro-batching window: in-flight requests "
-                       "accumulate this long (or until --max-batch) and "
-                       "execute as one coalesced batch, so overlapping "
-                       "queries from independent callers share store "
-                       "fetches")
+    serve.add_argument("--batch-window-ms", type=float, default=0.0,
+                       help="linger: the longest a free worker holds the "
+                       "first request of a batch for company (default 0: "
+                       "a request that meets a free worker runs at once).  "
+                       "Batches form from backpressure either way: "
+                       "whatever arrives while every worker is busy runs "
+                       "as one coalesced batch, so overlapping queries "
+                       "from independent callers share store fetches")
     serve.add_argument("--max-batch", type=int, default=32,
-                       help="flush the window early at this many requests")
+                       help="largest batch handed to a worker (the oldest "
+                       "requests go first; the rest wait for the next "
+                       "free worker); reaching it ends a linger early")
     serve.add_argument("--workers", type=int, default=1,
-                       help="executor threads running batches (1 also "
-                       "serializes session-state updates)")
+                       help="executor threads, i.e. batches in flight at "
+                       "once; requests wait only while all are busy (1 "
+                       "also serializes session-state updates)")
     serve.add_argument("--rate-limit", type=float, default=None,
                        help="per-caller token-bucket rate in requests/s "
                        "(429 + Retry-After beyond it; default unlimited)")

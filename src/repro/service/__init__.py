@@ -5,13 +5,14 @@ interactive version queries (Sec. 4) and the Temporal Analysis
 Framework's bulk fetches (Sec. 6).  Both arrive *concurrently* in a
 deployment, and PR 7's cross-query fetch coalescing only pays off when
 overlapping queries actually execute together.  This package supplies
-the missing piece — a serving layer that manufactures that overlap:
+the missing piece — a serving layer that batches the overlap there is:
 
 - :mod:`repro.service.collector` — the micro-batching
-  :class:`~repro.service.collector.MicroBatchCollector`: in-flight
-  requests accumulate for a bounded window (or until a size trigger)
-  and run as one ``execute_batch`` on a worker thread, so independent
-  HTTP callers share store fetches as if one caller had batched them.
+  :class:`~repro.service.collector.MicroBatchCollector`: a request that
+  meets a free worker runs at once; requests arriving while every
+  worker is busy accumulate and run as one ``execute_batch`` when one
+  frees, so independent HTTP callers share store fetches as if one
+  caller had batched them.
 - :mod:`repro.service.http` — an asyncio, stdlib-only HTTP/1.1 front
   end (``POST /query``, ``GET /healthz``, ``GET /metrics``), plus
   :class:`~repro.service.http.BackgroundService` for in-process tests

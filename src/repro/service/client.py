@@ -13,19 +13,36 @@ the *typed* exceptions of :mod:`repro.api.wire`, so::
         sleep(exc.retry_after)
 
 works the same against the HTTP service as against an in-process
-session.  One connection per call keeps the client trivially
-thread-safe (each benchmark worker thread owns its own socket churn);
-sustained high-throughput callers would keep-alive, but the service's
-cost story is about *store* fetches, not client sockets.
+session.  The client keeps its connection: one persistent
+:class:`~http.client.HTTPConnection` *per calling thread* (a
+``threading.local``, so a client shared between threads stays
+thread-safe without a lock), opened on first use and reused by every
+later call from that thread.  The server hangs up idle keep-alive
+connections when it drains; a kept connection found dropped — before
+any response byte arrived — is reopened once and the request resent
+(queries are read-only, so a resend is safe).  A timeout or an error
+*response* is never retried.  :meth:`ServiceClient.close` (or leaving
+the ``with`` block) drops the calling thread's connection; another
+thread's goes with that thread.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 from typing import Any, Dict, Optional
 
 from repro.api import ServiceError, error_from_payload
+
+
+#: how a request on a connection the server has hung up fails before a
+#: status line is read (``RemoteDisconnected`` is a ``ConnectionResetError``)
+_DROPPED = (
+    ConnectionResetError,
+    BrokenPipeError,
+    http.client.CannotSendRequest,
+)
 
 
 class ServiceClient:
@@ -45,8 +62,30 @@ class ServiceClient:
         self.caller = caller
         self.timeout = timeout
         self.auth_token = auth_token
+        self._local = threading.local()
+
+    # -- lifecycle ------------------------------------------------------
+    def close(self) -> None:
+        """Drop the calling thread's connection (the next call reopens)."""
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
     # -- plumbing -------------------------------------------------------
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout
+            )
+        return conn
+
     def _request(
         self,
         method: str,
@@ -54,40 +93,50 @@ class ServiceClient:
         body: Optional[Dict[str, Any]] = None,
         headers: Optional[Dict[str, str]] = None,
     ) -> Dict[str, Any]:
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
+        send_headers = {
+            "Content-Type": "application/json",
+            "X-Caller": self.caller,
+        }
+        if self.auth_token:
+            send_headers["Authorization"] = f"Bearer {self.auth_token}"
+        if headers:
+            send_headers.update(headers)
+        payload = (
+            json.dumps(body).encode("utf-8") if body is not None else None
         )
-        try:
-            send_headers = {
-                "Content-Type": "application/json",
-                "X-Caller": self.caller,
-            }
-            if self.auth_token:
-                send_headers["Authorization"] = f"Bearer {self.auth_token}"
-            if headers:
-                send_headers.update(headers)
-            payload = (
-                json.dumps(body).encode("utf-8") if body is not None else None
-            )
+        conn = self._connection()
+        kept = conn.sock is not None
+
+        def exchange() -> http.client.HTTPResponse:
             conn.request(method, path, body=payload, headers=send_headers)
-            response = conn.getresponse()
-            raw = response.read()
+            return conn.getresponse()
+
+        try:
             try:
-                decoded = json.loads(raw) if raw else {}
-            except json.JSONDecodeError:
-                decoded = {}
-            if response.status >= 400:
-                retry_after = response.getheader("Retry-After")
-                raise error_from_payload(
-                    response.status,
-                    decoded,
-                    retry_after=(
-                        float(retry_after) if retry_after else None
-                    ),
-                )
-            return decoded
-        finally:
+                response = exchange()
+            except _DROPPED:
+                if not kept:
+                    raise
+                # the server hung up while this connection sat idle
+                conn.close()
+                response = exchange()
+            raw = response.read()
+        except BaseException:
+            # never keep a connection with an exchange half done on it
             conn.close()
+            raise
+        try:
+            decoded = json.loads(raw) if raw else {}
+        except json.JSONDecodeError:
+            decoded = {}
+        if response.status >= 400:
+            retry_after = response.getheader("Retry-After")
+            raise error_from_payload(
+                response.status,
+                decoded,
+                retry_after=float(retry_after) if retry_after else None,
+            )
+        return decoded
 
     # -- API ------------------------------------------------------------
     def query(

@@ -5,26 +5,41 @@ This is where the service earns its keep: PR 7 taught
 queries through one coalesced, pipelined execution — keys needed by
 multiple queries fetched once, same-window fetches merged into shared
 multiget rounds (the cross-query analogue of the paper's Algorithm 4
-shared-frontier fetching).  But that only helps callers who *arrive
-together*.  The :class:`MicroBatchCollector` manufactures togetherness:
-requests from independent HTTP callers accumulate for a bounded window
-(``window_ms``, or until ``max_batch`` arrive, whichever is first) and
-the whole window executes as one batch on a worker thread.  Overlapping
-k-hop neighborhoods from 32 different clients then share root-partition
-and spanning-delta fetches exactly as if one caller had batched them.
+shared-frontier fetching).  But that only helps callers whose requests
+*overlap*.  The :class:`MicroBatchCollector` batches exactly the
+overlap there is, by the group-commit rule: **a batch is what arrived
+while the last one ran.**
 
-Latency contract: a request waits at most one window before execution
-starts, and the window arms only when the first request of a batch
-arrives — an idle service adds zero latency to the next request beyond
-its own execution.  Fault isolation: the batch runs with
-``capture_errors=True``, so one bad request (dead node, expired
-deadline) resolves to its own structured error while its batchmates
-complete.
+- A worker is free ⇒ the open window is dispatched at once; a lone
+  request on an idle service runs as a batch of one, with no timer.
+- Every worker is busy ⇒ the window stays open and accumulates; it
+  closes when a batch finishes (oldest ``max_batch`` members first, the
+  rest stay as the next window).  Batches are as large as the backlog:
+  coalescing grows with load, never with a wait.
+- ``window_ms`` (default 0) is an optional *linger*: the upper bound on
+  how long a free worker holds the first request of a window for
+  company.  ``max_batch`` arrivals end a linger early; a linger that
+  expires while every worker is busy changes nothing until one frees.
 
-Threading model: ``submit``/``drain`` run on the event loop;
-``execute_batch`` runs on a :class:`~concurrent.futures.ThreadPoolExecutor`
-(default one worker, which also serializes session-state updates);
-completion callbacks hop back to the loop thread to resolve futures.
+Overlapping k-hop neighborhoods from 32 different clients then share
+root-partition and spanning-delta fetches exactly as if one caller had
+batched them.
+
+Latency contract: a request waits only for a free worker (plus the
+linger, when one is configured) — an idle service adds zero latency to
+the next request beyond its own execution.  Requests wait in one
+visible place, ``_pending``: at most ``workers`` batches are ever
+handed to the pool, so its internal queue stays empty.  Fault
+isolation: the batch runs with ``capture_errors=True``, so one bad
+request (dead node, expired deadline) resolves to its own structured
+error while its batchmates complete; a batch that raises outright
+fails its own members only.
+
+Threading model: ``submit``/``drain`` and every dispatch decision run
+on the event loop; ``execute_batch`` runs on a
+:class:`~concurrent.futures.ThreadPoolExecutor` (default one worker,
+which also serializes session-state updates); completion callbacks hop
+back to the loop thread to resolve futures.
 """
 
 from __future__ import annotations
@@ -50,6 +65,9 @@ class CollectedResult:
     batch_size: int
     queue_ms: float
     exec_ms: float
+    #: why the batch closed: ``idle`` (a lone request met a free worker),
+    #: ``backpressure`` (a batch finished), ``full``, ``linger``, ``drain``
+    trigger: str
 
 
 @dataclass
@@ -59,24 +77,29 @@ class _Pending:
     deadline_at: Optional[float]
     future: "asyncio.Future[CollectedResult]"
     enqueued_at: float
+    # run_in_executor does not propagate contextvars; a batch runs under
+    # its oldest member's, so an active trace span (repro.obs) follows
+    # the request onto the worker thread
+    context: contextvars.Context
 
 
 @dataclass
 class _Batch:
     batch_id: int
     members: List[_Pending]
+    trigger: str
     started_at: float = 0.0
     queue_mss: List[float] = field(default_factory=list)
 
 
 class MicroBatchCollector:
-    """Accumulate in-flight requests and execute them per-window."""
+    """Batch whatever arrived while the workers were busy."""
 
     def __init__(
         self,
         session: Any,
         *,
-        window_ms: float = 10.0,
+        window_ms: float = 0.0,
         max_batch: int = 32,
         workers: int = 1,
         metrics: Optional[ServiceMetrics] = None,
@@ -87,16 +110,18 @@ class MicroBatchCollector:
         self.session = session
         self.window_s = max(0.0, window_ms) / 1000.0
         self.max_batch = max_batch
+        self.workers = max(1, workers)
         self.metrics = metrics
         self.clock = clock
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, workers),
+            max_workers=self.workers,
             thread_name_prefix="hgs-exec",
         )
         self._pending: List[_Pending] = []
+        #: the running linger; ``None`` with requests pending means the
+        #: window is closed and waits only for a free worker
         self._timer: Optional[asyncio.TimerHandle] = None
         self._inflight: Set["asyncio.Future[Any]"] = set()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._accepting = True
         self._batch_seq = 0
         self.batches_run = 0
@@ -112,50 +137,58 @@ class MicroBatchCollector:
 
         ``deadline_at`` is absolute on the session clock, measured from
         wherever the caller considers the request to have *arrived* —
-        the HTTP layer passes admission time, so time spent waiting in
-        the window counts against the budget.  Raises
+        the HTTP layer passes admission time, so time spent waiting for
+        a free worker counts against the budget.  Raises
         :class:`~repro.api.Draining` once :meth:`drain` has started.
         """
         if not self._accepting:
             raise Draining("service is draining; not accepting new queries")
         loop = asyncio.get_running_loop()
-        self._loop = loop
         pending = _Pending(
             request=request,
             caller=caller,
             deadline_at=deadline_at,
             future=loop.create_future(),
             enqueued_at=self.clock(),
+            context=contextvars.copy_context(),
         )
+        if not self._pending and self.window_s > 0.0:
+            self._timer = loop.call_later(self.window_s, self._linger_over)
         self._pending.append(pending)
-        if len(self._pending) >= self.max_batch:
-            self._flush()
-        elif self._timer is None:
-            self._timer = loop.call_later(self.window_s, self._flush)
+        self._dispatch("idle")
         return await pending.future
 
-    def _flush(self) -> None:
-        """Close the open window and hand it to a worker thread."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending:
-            return
-        members, self._pending = self._pending, []
-        self._batch_seq += 1
-        batch = _Batch(batch_id=self._batch_seq, members=members)
-        assert self._loop is not None
-        # run_in_executor does not propagate contextvars; copy them so
-        # an active trace span (repro.obs) follows the batch onto the
-        # worker thread
-        ctx = contextvars.copy_context()
-        future = self._loop.run_in_executor(
-            self._pool, lambda: ctx.run(self._run_batch, batch)
-        )
-        self._inflight.add(future)
-        future.add_done_callback(
-            lambda fut, batch=batch: self._finish(batch, fut)
-        )
+    def _linger_over(self) -> None:
+        self._timer = None
+        self._dispatch("linger")
+
+    def _dispatch(self, trigger: str) -> None:
+        """Hand the oldest pending requests to a worker — if one is free
+        and the window has closed (no linger running, or ``max_batch``
+        reached, or draining).  Called whenever either can have changed:
+        an arrival, a finished batch, an expired linger, a drain."""
+        loop = asyncio.get_running_loop()
+        while self._pending and len(self._inflight) < self.workers:
+            if self._timer is not None:
+                if len(self._pending) >= self.max_batch:
+                    trigger = "full"
+                elif not self._accepting:
+                    trigger = "drain"
+                else:
+                    return
+                self._timer.cancel()
+                self._timer = None
+            members = self._pending[: self.max_batch]
+            del self._pending[: self.max_batch]
+            self._batch_seq += 1
+            batch = _Batch(self._batch_seq, members, trigger)
+            future = loop.run_in_executor(
+                self._pool, members[0].context.run, self._run_batch, batch
+            )
+            self._inflight.add(future)
+            future.add_done_callback(
+                lambda fut, batch=batch: self._finish(batch, fut)
+            )
 
     # -- execution (worker thread) --------------------------------------
     def _run_batch(self, batch: _Batch):
@@ -175,6 +208,8 @@ class MicroBatchCollector:
     # -- completion (event-loop thread) ---------------------------------
     def _finish(self, batch: _Batch, future: "asyncio.Future[Any]") -> None:
         self._inflight.discard(future)
+        # first, so the freed worker never idles while requests wait
+        self._dispatch("backpressure")
         self.batches_run += 1
         if future.cancelled() or future.exception() is not None:
             exc = (
@@ -189,7 +224,7 @@ class MicroBatchCollector:
         results, exec_ms = future.result()
         if self.metrics is not None:
             self.metrics.record_batch(
-                len(batch.members), exec_ms, batch.queue_mss
+                len(batch.members), exec_ms, batch.queue_mss, batch.trigger
             )
         for p, result, queue_ms in zip(
             batch.members, results, batch.queue_mss
@@ -206,6 +241,7 @@ class MicroBatchCollector:
                         batch_size=len(batch.members),
                         queue_ms=queue_ms,
                         exec_ms=exec_ms,
+                        trigger=batch.trigger,
                     )
                 )
 
@@ -219,17 +255,18 @@ class MicroBatchCollector:
         return self._accepting
 
     async def drain(self) -> None:
-        """Stop accepting, flush the open window, and wait for every
-        in-flight batch to resolve.  Admitted requests complete; new
-        ones see :class:`~repro.api.Draining`."""
+        """Stop accepting, cut any linger short, and wait until every
+        admitted request — pending or in flight — has resolved.
+        Admitted requests complete; new ones see
+        :class:`~repro.api.Draining`."""
         self._accepting = False
-        self._flush()
-        while self._inflight:
+        while self._pending or self._inflight:
+            # each finished batch dispatches the next one itself; this
+            # call only has work on the first turn (an open linger)
+            self._dispatch("drain")
             await asyncio.gather(
                 *list(self._inflight), return_exceptions=True
             )
-            # completion callbacks may have flushed nothing further, but
-            # gathering copies: loop until the set is empty
         self._pool.shutdown(wait=True)
 
 

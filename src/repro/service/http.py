@@ -9,7 +9,7 @@ Three routes:
 - ``POST /query`` — one JSON spec per request (the ``hgs query
   --batch`` schema), answered with the same payload keys plus a
   ``"service"`` block recording batching provenance (batch id/size,
-  window queue time, execution wall time).
+  time queued for a free worker, execution wall time).
 - ``GET /healthz`` — liveness plus drain state.
 - ``GET /metrics`` — the :class:`~repro.service.metrics.ServiceMetrics`
   snapshot (JSON), plus the session's planner state (correction factors
@@ -99,7 +99,7 @@ class QueryService:
         self,
         session: Any,
         *,
-        window_ms: float = 10.0,
+        window_ms: float = 0.0,
         max_batch: int = 32,
         workers: int = 1,
         rate: Optional[float] = None,
@@ -429,6 +429,7 @@ class QueryService:
         log.update(
             batch_id=collected.batch_id,
             batch_size=collected.batch_size,
+            trigger=collected.trigger,
             queue_ms=round(collected.queue_ms, 3),
             exec_ms=round(collected.exec_ms, 3),
         )

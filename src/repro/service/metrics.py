@@ -202,9 +202,10 @@ class ServiceMetrics:
         self.exec_latency = self._latency(
             "hgs_exec_latency_ms", "execute_batch wall time"
         )
-        #: time requests waited in the collector window
+        #: time requests waited in the collector for a free worker
+        #: (plus the linger, when one is configured)
         self.queue_latency = self._latency(
-            "hgs_queue_latency_ms", "Collector queue wait"
+            "hgs_queue_latency_ms", "Wait in the collector for a free worker"
         )
 
     def _latency(self, name: str, help: str) -> LatencyHistogram:
@@ -239,6 +240,13 @@ class ServiceMetrics:
             "hgs_http_rejected_total",
             "Requests rejected before execution",
             labels={"reason": reason},
+        )
+
+    def _dispatched(self, trigger: str):
+        return self.registry.counter(
+            "hgs_exec_dispatch_total",
+            "Executed micro-batches by what closed the window",
+            labels={"trigger": trigger},
         )
 
     def _store_requests(self, caller: str):
@@ -276,10 +284,15 @@ class ServiceMetrics:
             self._rejected(reason).inc()
 
     def record_batch(
-        self, size: int, exec_ms: float, queue_mss: Sequence[float]
+        self,
+        size: int,
+        exec_ms: float,
+        queue_mss: Sequence[float],
+        trigger: str,
     ) -> None:
         with self._lock:
             self.batches.inc()
+            self._dispatched(trigger).inc()
             self.batched_requests.inc(size)
             if size > self.max_batch_size.value:
                 self.max_batch_size.set(size)
@@ -319,6 +332,9 @@ class ServiceMetrics:
             store_bytes = self._family_by_label(
                 "hgs_store_bytes_total", "caller"
             )
+            by_trigger = self._family_by_label(
+                "hgs_exec_dispatch_total", "trigger"
+            )
             batches = int(self.batches.value)
             batched_requests = int(self.batched_requests.value)
             per_query = self.per_query
@@ -350,6 +366,9 @@ class ServiceMetrics:
                         if batches else None
                     ),
                     "max_size": int(self.max_batch_size.value),
+                    "by_trigger": {
+                        k: int(v) for k, v in sorted(by_trigger.items())
+                    },
                 },
                 "coalesce": {
                     "hits": int(per_query["coalesced_hits"].value),

@@ -2,7 +2,9 @@
 control, the HTTP front end + client, deadlines, and graceful drain."""
 
 import asyncio
+import http.client
 import json
+import socket
 import threading
 import time
 
@@ -16,6 +18,8 @@ from repro.api import (
     NotFound,
     Overloaded,
     QueryRequest,
+    QueryResult,
+    QueryStats,
     RateLimited,
     ServiceError,
     Unauthorized,
@@ -499,3 +503,434 @@ def test_client_errors_are_typed(client):
         assert exc.retryable is False
     else:  # pragma: no cover
         pytest.fail("expected a ServiceError")
+
+
+# -- dispatch on a free worker, batch from backpressure ----------------------
+
+class GatedSession:
+    """``execute_batch`` records its requests, then parks until the test
+    releases the gate once for it — so every test below decides, without
+    a sleep, what arrives while a batch runs.  Answers through ``inner``
+    (a real session) when given one, else with empty results."""
+
+    def __init__(self, inner=None):
+        self.inner = inner
+        self.batches = []
+        self.gate = threading.Semaphore(0)
+        self.fail = None
+
+    def release(self, n=1):
+        for _ in range(n):
+            self.gate.release()
+
+    def execute_batch(self, requests, **kwargs):
+        self.batches.append(list(requests))
+        assert self.gate.acquire(timeout=10.0), "gate never released"
+        if self.fail is not None:
+            raise self.fail
+        if self.inner is not None:
+            return self.inner.execute_batch(requests, **kwargs)
+        return [QueryResult(r, None, QueryStats()) for r in requests]
+
+
+def wait_until(condition, timeout=10.0):
+    """Block until ``condition()`` holds: waits *for* an event, never
+    *an amount of time*."""
+    give_up = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < give_up, "condition never held"
+        time.sleep(0.001)
+
+
+async def until(condition, timeout=10.0):
+    give_up = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < give_up, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+async def submit_all(collector, requests):
+    """Start one ``submit`` per request and run each up to its await."""
+    tasks = [asyncio.ensure_future(collector.submit(r)) for r in requests]
+    await asyncio.sleep(0)
+    return tasks
+
+
+def snapshot_requests(n):
+    return [QueryRequest(kind="snapshot", t=t) for t in range(1, n + 1)]
+
+
+def pool_queue(collector):
+    return collector._pool._work_queue.qsize()
+
+
+def test_lone_request_on_idle_collector_runs_at_once():
+    session = GatedSession()
+    collector = MicroBatchCollector(session)
+
+    async def run():
+        (task,) = await submit_all(collector, snapshot_requests(1))
+        # handed to the worker inside submit(): nothing pending, no timer
+        assert collector._timer is None
+        assert not collector._pending and len(collector._inflight) == 1
+        session.release()
+        out = await task
+        await collector.drain()
+        return out
+
+    out = asyncio.run(run())
+    assert out.batch_size == 1 and out.trigger == "idle"
+    assert collector.window_s == 0.0
+
+
+def test_arrivals_behind_a_running_batch_form_one_batch():
+    session = GatedSession()
+    collector = MicroBatchCollector(session)
+    a, b, c, d = snapshot_requests(4)
+
+    async def run():
+        first = await submit_all(collector, [a])
+        await until(lambda: len(session.batches) == 1)
+        rest = await submit_all(collector, [b, c, d])
+        assert len(collector._pending) == 3 and collector._timer is None
+        assert len(collector._inflight) == 1 and pool_queue(collector) == 0
+        session.release(2)
+        outs = await asyncio.gather(*first, *rest)
+        await collector.drain()
+        return outs
+
+    outs = asyncio.run(run())
+    assert session.batches == [[a], [b, c, d]]
+    assert [o.batch_size for o in outs] == [1, 3, 3, 3]
+    assert len({o.batch_id for o in outs[1:]}) == 1
+    assert [o.trigger for o in outs] == ["idle"] + ["backpressure"] * 3
+    assert [o.result.request for o in outs] == [a, b, c, d]
+
+
+def test_backlog_leaves_in_max_batch_slices_oldest_first():
+    session = GatedSession()
+    collector = MicroBatchCollector(session, max_batch=2)
+    requests = snapshot_requests(6)
+
+    async def run():
+        tasks = await submit_all(collector, requests[:1])
+        await until(lambda: len(session.batches) == 1)
+        tasks += await submit_all(collector, requests[1:])
+        for running in (1, 2, 3, 4):
+            await until(lambda: len(session.batches) == running)
+            # one worker: one batch in flight, none parked in the pool
+            assert len(collector._inflight) == 1
+            assert pool_queue(collector) == 0
+            session.release()
+        outs = await asyncio.gather(*tasks)
+        await collector.drain()
+        return outs
+
+    outs = asyncio.run(run())
+    assert session.batches == [
+        requests[:1], requests[1:3], requests[3:5], requests[5:]
+    ]
+    assert [o.batch_size for o in outs] == [1, 2, 2, 2, 2, 1]
+
+
+def test_two_workers_run_two_batches_and_the_third_waits():
+    session = GatedSession()
+    collector = MicroBatchCollector(session, workers=2)
+    a, b, c = snapshot_requests(3)
+
+    async def run():
+        tasks = await submit_all(collector, [a, b, c])
+        await until(lambda: len(session.batches) == 2)
+        assert len(collector._inflight) == 2
+        assert [p.request for p in collector._pending] == [c]
+        assert pool_queue(collector) == 0
+        session.release()
+        await until(lambda: len(session.batches) == 3)
+        assert len(collector._inflight) == 2 and not collector._pending
+        session.release(2)
+        outs = await asyncio.gather(*tasks)
+        await collector.drain()
+        return outs
+
+    outs = asyncio.run(run())
+    assert session.batches == [[a], [b], [c]]
+    assert [o.trigger for o in outs] == ["idle", "idle", "backpressure"]
+
+
+def test_linger_expiring_behind_a_busy_worker_waits_for_it():
+    session = GatedSession()
+    collector = MicroBatchCollector(session, window_ms=1.0)
+    a, b = snapshot_requests(2)
+
+    async def run():
+        first = await submit_all(collector, [a])
+        # a free worker holds the first request for the linger
+        assert collector._timer is not None and not collector._inflight
+        await until(lambda: len(session.batches) == 1)
+        second = await submit_all(collector, [b])
+        assert collector._timer is not None
+        await until(lambda: collector._timer is None)
+        # expired, but the worker is busy: nothing moves, nothing queues
+        assert [p.request for p in collector._pending] == [b]
+        assert len(collector._inflight) == 1 and pool_queue(collector) == 0
+        session.release(2)
+        outs = await asyncio.gather(*first, *second)
+        await collector.drain()
+        return outs
+
+    outs = asyncio.run(run())
+    assert session.batches == [[a], [b]]
+    assert [o.trigger for o in outs] == ["linger", "backpressure"]
+
+
+def test_failed_batch_fails_only_its_members():
+    session = GatedSession()
+    collector = MicroBatchCollector(session)
+    a, b, c = snapshot_requests(3)
+
+    async def run():
+        first = await submit_all(collector, [a])
+        await until(lambda: len(session.batches) == 1)
+        rest = await submit_all(collector, [b, c])
+        session.fail = RuntimeError("boom")
+        session.release()
+        with pytest.raises(RuntimeError, match="boom"):
+            await first[0]
+        # the next window was dispatched by the failing batch's completion
+        await until(lambda: len(session.batches) == 2)
+        session.fail = None
+        session.release()
+        outs = await asyncio.gather(*rest)
+        await collector.drain()
+        return outs
+
+    outs = asyncio.run(run())
+    assert session.batches == [[a], [b, c]]
+    assert all(o.result.ok and o.batch_size == 2 for o in outs)
+
+
+def test_drain_runs_the_whole_backlog():
+    session = GatedSession()
+    collector = MicroBatchCollector(
+        session, window_ms=10_000.0, max_batch=2
+    )
+    requests = snapshot_requests(5)
+
+    async def run():
+        # two fill the first batch; three wait behind it, more than the
+        # one batch a single completion can take
+        tasks = await submit_all(collector, requests)
+        await until(lambda: len(session.batches) == 1)
+        assert len(collector._pending) == 3 and collector._timer is not None
+        session.release(3)
+        await collector.drain()
+        assert all(task.done() for task in tasks)
+        assert collector._timer is None and not collector._inflight
+        return [task.result() for task in tasks]
+
+    outs = asyncio.run(run())
+    assert session.batches == [requests[:2], requests[2:4], requests[4:]]
+    assert [o.trigger for o in outs] == ["full"] * 4 + ["backpressure"]
+
+
+def test_drain_cuts_a_linger_short():
+    session = GatedSession()
+    collector = MicroBatchCollector(session, window_ms=10_000.0)
+
+    async def run():
+        (task,) = await submit_all(collector, snapshot_requests(1))
+        assert collector._timer is not None and not collector._inflight
+        session.release()
+        await collector.drain()
+        assert task.done() and collector._timer is None
+        return task.result()
+
+    assert asyncio.run(run()).trigger == "drain"
+
+
+def test_dispatch_triggers_reach_metrics():
+    session = GatedSession()
+    metrics = ServiceMetrics()
+    collector = MicroBatchCollector(session, metrics=metrics)
+
+    async def run():
+        tasks = await submit_all(collector, snapshot_requests(1))
+        await until(lambda: len(session.batches) == 1)
+        tasks += await submit_all(collector, snapshot_requests(2))
+        session.release(2)
+        await asyncio.gather(*tasks)
+        await collector.drain()
+
+    asyncio.run(run())
+    batches = metrics.snapshot()["batches"]
+    assert batches["count"] == 2 and batches["requests"] == 3
+    assert batches["by_trigger"] == {"backpressure": 1, "idle": 1}
+    text = metrics.render_prometheus()
+    assert 'hgs_exec_dispatch_total{trigger="backpressure"} 1' in text
+    assert 'hgs_exec_dispatch_total{trigger="idle"} 1' in text
+
+
+def test_deadline_expired_behind_a_running_batch_http_504(tgi, tmax):
+    # no window at all: the budget is spent waiting for the one worker
+    session = GatedSession(fresh_session(tgi))
+    outcome = {}
+
+    def issue(name, spec):
+        with ServiceClient(port=svc.port) as client:
+            try:
+                outcome[name] = client.query(spec)
+            except ServiceError as exc:
+                outcome[name] = exc
+
+    with BackgroundService(session) as svc:
+        collector = svc.service.collector
+        slow = threading.Thread(
+            target=issue, args=("slow", {"kind": "snapshot", "time": tmax}))
+        slow.start()
+        wait_until(lambda: len(session.batches) == 1)
+        late = threading.Thread(target=issue, args=("late", {
+            "kind": "snapshot", "time": tmax // 2, "deadline_ms": 1,
+        }))
+        late.start()
+        wait_until(lambda: len(collector._pending) == 1)
+        deadline_at = collector._pending[0].deadline_at
+        wait_until(lambda: time.monotonic() > deadline_at)
+        session.release(2)
+        slow.join(timeout=10.0)
+        late.join(timeout=10.0)
+        assert not slow.is_alive() and not late.is_alive()
+    assert outcome["slow"]["snapshot"]["nodes"] > 0
+    assert isinstance(outcome["late"], DeadlineExceeded)
+    assert outcome["late"].http_status == 504
+
+
+def test_access_log_names_the_trigger(tgi, tmax, tmp_path):
+    log_path = tmp_path / "access.jsonl"
+    logger = AccessLogger(str(log_path))
+    try:
+        with BackgroundService(fresh_session(tgi), access_log=logger) as svc:
+            with ServiceClient(port=svc.port) as client:
+                client.query({"kind": "snapshot", "time": tmax // 2})
+    finally:
+        logger.close()
+    (line,) = [json.loads(l) for l in log_path.read_text().splitlines()]
+    assert line["trigger"] == "idle" and line["batch_size"] == 1
+
+
+# -- the client keeps its connection -----------------------------------------
+
+def test_client_reuses_one_connection(tgi):
+    with BackgroundService(fresh_session(tgi)) as svc:
+        with ServiceClient(port=svc.port) as client:
+            client.healthz()
+            sock = client._connection().sock
+            client.healthz()
+            assert client._connection().sock is sock
+            assert len(svc.service._conn_tasks) == 1
+        assert client._connection().sock is None
+        wait_until(lambda: not svc.service._conn_tasks)
+
+
+def test_client_survives_a_server_restart(tgi):
+    session = fresh_session(tgi)
+    with BackgroundService(session) as first:
+        client = ServiceClient(port=first.port)
+        assert client.healthz() == {"status": "ok"}
+    # the drain hung up the client's idle connection
+    with client:
+        with pytest.raises(OSError):
+            client.healthz()  # reconnects once: nobody is listening
+        with BackgroundService(session, port=first.port):
+            assert client.healthz() == {"status": "ok"}
+
+
+def test_client_threads_get_a_connection_each(tgi):
+    with BackgroundService(fresh_session(tgi)) as svc:
+        with ServiceClient(port=svc.port) as client:
+            client.healthz()
+            other = {}
+            done = threading.Event()
+
+            def call():
+                other["health"] = client.healthz()
+                other["sock"] = client._connection().sock
+                done.wait(timeout=10.0)  # keep the thread's socket open
+
+            thread = threading.Thread(target=call)
+            thread.start()
+            wait_until(lambda: "sock" in other)
+            try:
+                assert other["health"] == {"status": "ok"}
+                assert other["sock"] is not client._connection().sock
+                assert len(svc.service._conn_tasks) == 2
+            finally:
+                done.set()
+                thread.join(timeout=10.0)
+            assert not thread.is_alive()
+
+
+class ScriptedServer:
+    """A one-connection-at-a-time TCP peer answering each request it
+    reads with the next scripted action: an HTTP status, ``"hangup"``
+    (close without a byte) or ``"stall"`` (never answer).  Its thread
+    ends with the script."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.accepted = 0
+        self.unstall = threading.Event()
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        with self.listener:
+            while self.script:
+                conn, _addr = self.listener.accept()
+                self.accepted += 1
+                with conn:
+                    while self.script and conn.recv(65536):
+                        action = self.script.pop(0)
+                        if action == "stall":
+                            self.unstall.wait(timeout=10.0)
+                        if not isinstance(action, int):
+                            break
+                        conn.sendall(
+                            b"HTTP/1.1 %d Scripted\r\n"
+                            b"Content-Length: 2\r\n\r\n{}" % action
+                        )
+
+    def close(self):
+        self.unstall.set()
+        self.thread.join(timeout=10.0)
+        assert not self.thread.is_alive(), "script not played out"
+
+
+@pytest.mark.parametrize("script, calls, raises, connections", [
+    # a kept connection found dropped is reopened once ...
+    ([200, "hangup", 200], 2, None, 2),
+    # ... and only once
+    ([200, "hangup", "hangup"], 2, http.client.RemoteDisconnected, 2),
+    # a fresh connection's failure is the caller's to see
+    (["hangup"], 1, http.client.RemoteDisconnected, 1),
+    # an error response or a timeout is not a dropped connection
+    ([200, 500], 2, ServiceError, 1),
+    ([200, "stall"], 2, TimeoutError, 1),
+])
+def test_client_reconnects_once_and_only_when_dropped(
+    script, calls, raises, connections
+):
+    server = ScriptedServer(script)
+    try:
+        with ServiceClient(port=server.port, timeout=0.2) as client:
+            for _ in range(calls - 1):
+                assert client.healthz() == {}
+            if raises is None:
+                assert client.healthz() == {}
+            else:
+                with pytest.raises(raises):
+                    client.healthz()
+        assert server.accepted == connections
+    finally:
+        server.close()

@@ -16,6 +16,7 @@ from repro import GraphSession, TGI, TGIConfig
 from repro.api import QueryRequest
 from repro.exec import CacheRegistry, DeltaCache, StateCheckpointCache
 from repro.kvstore.cluster import ClusterConfig
+from repro.service import BackgroundService, ServiceClient
 from repro.workloads.citation import CitationConfig, generate_citation_events
 from tests.helpers import graph_parts
 
@@ -310,3 +311,57 @@ def test_concurrent_batches_share_replay_only_within_themselves(events, tmax):
     finally:
         sys.setswitchinterval(interval)
     assert not wrong, f"{len(wrong)} of {THREADS * 6}: {wrong[:5]}"
+
+
+def test_shared_client_under_backpressure_answers_every_caller(events, tmax):
+    # eight threads share ONE ServiceClient (a kept connection each)
+    # against two workers: batches form from the backlog alone, and a
+    # crossed response, a lost request or a batch parked in the pool's
+    # hidden queue would each show
+    import sys
+
+    nodes = (1, 2, 3, 5, 8, 13, 21, 34)
+    serial = GraphSession.from_index(build_tgi(events))
+    expected = {
+        node: sorted(serial.execute(khop_request(node, tmax)).value.nodes())
+        for node in nodes
+    }
+    wrong = []
+    queued = []
+    per_thread = 12
+
+    with BackgroundService(
+        GraphSession.from_index(build_tgi(events)), workers=2
+    ) as svc, ServiceClient(port=svc.port, caller="shared") as client:
+        collector = svc.service.collector
+
+        def churn(i):
+            try:
+                for n in range(per_thread):
+                    node = nodes[(i + n) % len(nodes)]
+                    out = client.query(
+                        {"kind": "khop", "node": node, "time": tmax, "k": 2}
+                    )
+                    if out["members"] != expected[node]:
+                        wrong.append((i, n, node))
+                    queued.append(collector._pool._work_queue.qsize())
+            finally:
+                client.close()  # this thread's connection
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            hammer(churn)
+        finally:
+            sys.setswitchinterval(interval)
+        batches = client.metrics()["batches"]
+
+    total = THREADS * per_thread
+    assert not wrong, f"{len(wrong)} of {total}: {wrong[:5]}"
+    assert batches["requests"] == total
+    assert sum(batches["by_trigger"].values()) == batches["count"]
+    assert set(batches["by_trigger"]) <= {"idle", "backpressure"}
+    assert batches["max_size"] > 1  # the backlog did batch
+    # a dispatched batch is picked up by an idle worker at once: a queue
+    # deeper than the workers would mean batches were parked in the pool
+    assert max(queued) <= 2
