@@ -200,7 +200,8 @@ class ColumnarEventList:
 
     Quacks like :class:`~repro.deltas.eventlist.EventList` (``ts``,
     ``te``, ``events``, ``len``, iteration, ``filter_by_time`` /
-    ``filter_by_id`` / ``apply_to`` / ``change_points``), but holds only
+    ``filter_by_id`` / ``group_by_id`` / ``apply_to`` /
+    ``change_points``), but holds only
     ``memoryview`` casts over the payload plus a ``(lo, hi)`` row window.
     ``filter_by_time`` narrows the window by bisection on the times
     column — no event is materialized; ``events`` materializes (and
@@ -350,6 +351,34 @@ class ColumnarEventList:
         from repro.deltas.eventlist import EventList
 
         return EventList(self.ts, self.te, sub)
+
+    def group_by_id(self, node_ids) -> Dict[NodeId, List[Event]]:
+        """:meth:`filter_by_id` for each of ``node_ids`` in one scan of
+        the id columns: ``{node: events touching it}`` over the nodes
+        some row touches.  A matching row materializes (and counts) once,
+        so an edge event between two of the nodes is one object in both
+        lists; a self-loop is listed once."""
+        keep = set(node_ids)
+        lo, hi = self._lo, self._hi
+        at = self._event_at
+        out: Dict[NodeId, List[Event]] = {}
+        made = 0
+        for i, u, v in zip(
+            range(lo, hi),
+            self._nodes[lo:hi].tolist(),
+            self._others[lo:hi].tolist(),
+        ):
+            hit_u = u in keep
+            hit_v = v != u and v != _NO_OTHER and v in keep
+            if hit_u or hit_v:
+                ev = at(i)
+                made += 1
+                if hit_u:
+                    out.setdefault(u, []).append(ev)
+                if hit_v:
+                    out.setdefault(v, []).append(ev)
+        _count_decoded(made)
+        return out
 
     def apply_to(self, g) -> Any:
         """Bulk-apply all events in order to ``g`` (mutates, returns it)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import DeltaError
 from repro.graph.events import Event, check_sorted
@@ -89,6 +89,23 @@ class EventList:
             ev for ev in self.events if ev.node in keep or ev.other in keep
         )
         return EventList(self.ts, self.te, sub)
+
+    def group_by_id(
+        self, node_ids: Iterable[NodeId]
+    ) -> Dict[NodeId, List[Event]]:
+        """:meth:`filter_by_id` for each of ``node_ids`` in one scan:
+        ``{node: events touching it}`` over the nodes some event touches.
+        An edge event between two of the nodes is one object in both
+        lists; a self-loop is listed once."""
+        keep = set(node_ids)
+        out: Dict[NodeId, List[Event]] = {}
+        for ev in self.events:
+            u, v = ev.node, ev.other
+            if u in keep:
+                out.setdefault(u, []).append(ev)
+            if v is not None and v != u and v in keep:
+                out.setdefault(v, []).append(ev)
+        return out
 
     def apply_to(self, g: Graph) -> Graph:
         """Apply all events in order to ``g`` (mutates and returns it)."""

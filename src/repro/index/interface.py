@@ -102,18 +102,33 @@ class NodeHistory:
                 state = nxt
         return out
 
+    def states_at(
+        self, points: Sequence[TimePoint]
+    ) -> List[Optional[StaticNode]]:
+        """The node's state as of every point of ``points``, in the
+        caller's order, from one forward pass over ``events`` (points may
+        come unsorted and repeat; each must lie within the history)."""
+        order = sorted(range(len(points)), key=points.__getitem__)
+        for j in order[:1] + order[-1:]:
+            if not (self.ts <= points[j] <= self.te):
+                raise TimeRangeError(
+                    f"time {points[j]} outside history range "
+                    f"[{self.ts}, {self.te}]"
+                )
+        out: List[Optional[StaticNode]] = [None] * len(points)
+        events, node = self.events, self.node
+        state, i, n = self.initial, 0, len(events)
+        for j in order:
+            t = points[j]
+            while i < n and events[i].time <= t:
+                state = evolve_node_state(state, events[i], node)
+                i += 1
+            out[j] = state
+        return out
+
     def state_at(self, t: TimePoint) -> Optional[StaticNode]:
         """The node's state as of ``t`` (must lie within the history)."""
-        if not (self.ts <= t <= self.te):
-            raise TimeRangeError(
-                f"time {t} outside history range [{self.ts}, {self.te}]"
-            )
-        state = self.initial
-        for ev in self.events:
-            if ev.time > t:
-                break
-            state = evolve_node_state(state, ev, self.node)
-        return state
+        return self.states_at((t,))[0]
 
     @property
     def num_versions(self) -> int:

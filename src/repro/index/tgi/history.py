@@ -67,7 +67,10 @@ class HistoryPlans:
         extra = Counters()
 
         node_pid = {node: span.pid_of(node) for node in dict.fromkeys(nodes)}
-        chain_nodes = [n for n in node_pid if self._vc.has_chain(n)]
+        chain_keys = {
+            n: version_chain_key(n, ns)
+            for n in node_pid if self._vc.has_chain(n)
+        }
         # metadata-only planning: the initial states are read out of the
         # nodes' partitions' states at ``ts`` (warm partitions contribute
         # no keys); without checkpoints only these nodes are replayed
@@ -84,17 +87,14 @@ class HistoryPlans:
         plan.add_stage(
             "micros+chains",
             *(stage.groups if stage is not None else ()),
-            KeyGroup(
-                "version-chain",
-                tuple(version_chain_key(n, ns) for n in chain_nodes),
-            ),
+            KeyGroup("version-chain", tuple(chain_keys.values())),
         )
 
         def pointer_stage(values: Dict[DeltaKey, object]) -> Optional[FetchStage]:
             pointer_keys: List[DeltaKey] = []
             pseen: Set[DeltaKey] = set()
-            for n in chain_nodes:
-                chain = values.get(version_chain_key(n, ns))
+            for n, chain_key in chain_keys.items():
+                chain = values.get(chain_key)
                 if chain is None:
                     _missing_chain(n)
                     continue
@@ -118,30 +118,34 @@ class HistoryPlans:
             initial = states.merged.nodes
 
             chains = {}
-            for n in chain_nodes:
-                chain = values.get(version_chain_key(n, ns))
+            for n, chain_key in chain_keys.items():
+                chain = values.get(chain_key)
                 if chain is None:
                     _missing_chain(n)
                     continue
                 chains[n] = chain
-            histories: Dict[NodeId, NodeHistory] = {}
-            for node in node_pid:
-                changes: List[Event] = []
-                if node in chains:
-                    keys = self._vc.pointers_in_range(chains[node], ts, te)
-                    bad = _degraded_pids(keys, values)
-                    # filter_by_time bisects; filter_by_id materializes
-                    # only the rows touching this node on columnar rows
-                    changes = dedup_sorted(
-                        ev
-                        for key in keys
-                        if key[3] not in bad
-                        for ev in values[key]
-                        .filter_by_time(ts, te).filter_by_id((node,))
-                    )
-                histories[node] = NodeHistory(
-                    node, ts, te, initial.get(node), tuple(changes)
+            # the asked nodes whose chains point at each eventlist row
+            readers: Dict[DeltaKey, List[NodeId]] = {}
+            for n, chain in chains.items():
+                keys = self._vc.pointers_in_range(chain, ts, te)
+                bad = _degraded_pids(keys, values)
+                for key in keys:
+                    if key[3] not in bad:
+                        readers.setdefault(key, []).append(n)
+            # each row is windowed (a bisection) and scanned once for all
+            # its readers; columnar rows materialize only matching rows
+            changes: Dict[NodeId, List[Event]] = {}
+            for key, who in readers.items():
+                rows = values[key].filter_by_time(ts, te).group_by_id(who)
+                for n, evs in rows.items():
+                    changes.setdefault(n, []).extend(evs)
+            histories = {
+                node: NodeHistory(
+                    node, ts, te, initial.get(node),
+                    tuple(dedup_sorted(changes.get(node, ()))),
                 )
+                for node in node_pid
+            }
             return [histories[node] for node in nodes]
 
         return plan, finalize, extra

@@ -21,8 +21,10 @@ This module parses that small language:
 from __future__ import annotations
 
 import datetime as _dt
+import math
 import re
-from typing import Any, Callable, List, Optional, Tuple
+from bisect import bisect_left
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.types import TIME_MAX, TIME_MIN, TimePoint
@@ -141,6 +143,64 @@ def parse_entity_predicate(expr: str) -> Callable[[int, dict], bool]:
     if not disjuncts:
         raise QueryError(f"empty predicate {expr!r}")
     return lambda nid, attrs: any(d(nid, attrs) for d in disjuncts)
+
+
+#: The ``int`` ids one ``id <op> v`` comparison accepts, as half-open
+#: ``[lo, hi)`` intervals.
+_ID_SPANS: dict = {
+    "=": lambda v: [(v, v + 1)],
+    "==": lambda v: [(v, v + 1)],
+    "!=": lambda v: [(-math.inf, v), (v + 1, math.inf)],
+    "<": lambda v: [(-math.inf, v)],
+    "<=": lambda v: [(-math.inf, v + 1)],
+    ">": lambda v: [(v + 1, math.inf)],
+    ">=": lambda v: [(v, math.inf)],
+}
+
+IdSpans = List[Tuple[Any, Any]]
+
+
+def id_intervals(expr: str) -> Optional[IdSpans]:
+    """The ``int`` ids an ``id``-only entity predicate accepts, as sorted
+    disjoint half-open intervals ``[lo, hi)`` (``±inf`` unbounded):
+    ``and`` intersects, ``or`` unions.  ``None`` when a clause names
+    another field or compares with a non-``int`` literal — only the
+    compiled closure decides those."""
+    union: IdSpans = []
+    for part in _split_clauses(expr, "or"):
+        spans: IdSpans = [(-math.inf, math.inf)]
+        for clause in _split_clauses(part, "and"):
+            m = _COMPARISON.match(clause)
+            if not m:
+                raise QueryError(f"cannot parse predicate clause {clause!r}")
+            field, op, raw = m.groups()
+            literal = parse_literal(raw)
+            if field != "id" or type(literal) is not int:
+                return None
+            spans = sorted(
+                (max(lo, lo2), min(hi, hi2))
+                for lo, hi in spans
+                for lo2, hi2 in _ID_SPANS[op](literal)
+                if max(lo, lo2) < min(hi, hi2)
+            )
+        union.extend(spans)
+    merged: IdSpans = []
+    for lo, hi in sorted(union):
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def ids_within(ids: Sequence[int], spans: IdSpans) -> List[int]:
+    """The members of the sorted ``int`` sequence ``ids`` that fall in
+    ``spans`` (as :func:`id_intervals` returns them), in order: one
+    bisection per interval bound, no per-id test."""
+    out: List[int] = []
+    for lo, hi in spans:
+        out.extend(ids[bisect_left(ids, lo):bisect_left(ids, hi)])
+    return out
 
 
 def parse_time_expression(expr: str) -> Tuple[TimePoint, TimePoint]:

@@ -13,14 +13,14 @@ A **temporal subgraph** (SubgraphT) generalizes NodeT to a set of nodes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.deltas.base import StaticNode
 from repro.errors import TimeRangeError
 from repro.graph.events import Event
 from repro.graph.static import Graph
-from repro.index.interface import NodeHistory, evolve_node_state
-from repro.types import AttrMap, NodeId, TimePoint, canonical_edge
+from repro.index.interface import NodeHistory
+from repro.types import AttrMap, NodeId, TimePoint
 
 
 class NodeT:
@@ -72,11 +72,16 @@ class NodeT:
         return self.history.events
 
     def timeslice(self, ts: TimePoint, te: TimePoint) -> "NodeT":
-        """Restrict the temporal node to ``[ts, te]`` ⊆ its range."""
+        """Restrict the temporal node to ``[ts, te]`` ∩ its range (the
+        window must overlap the range)."""
         if ts > te:
             raise TimeRangeError(f"inverted timeslice [{ts}, {te}]")
-        ts = max(ts, self.get_start_time())
-        te = min(te, self.get_end_time())
+        lo, hi = self.get_start_time(), self.get_end_time()
+        if te < lo or ts > hi:
+            raise TimeRangeError(
+                f"timeslice [{ts}, {te}] does not overlap range [{lo}, {hi}]"
+            )
+        ts, te = max(ts, lo), min(te, hi)
         initial = self.history.state_at(ts)
         events = tuple(
             ev for ev in self.history.events if ts < ev.time <= te
@@ -128,6 +133,38 @@ class NodeT:
         )
 
 
+def states_by_point(
+    nodes: Iterable[NodeT], points: Sequence[TimePoint]
+) -> List[Dict[NodeId, StaticNode]]:
+    """One ``{node: state}`` map per point of ``points``: the live state
+    of each of ``nodes`` whose range covers the point, in ``nodes`` order.
+    A node's states over the whole grid come from one
+    :meth:`~repro.index.interface.NodeHistory.states_at` walk."""
+    out: List[Dict[NodeId, StaticNode]] = [{} for _ in points]
+    for nt in nodes:
+        h = nt.history
+        inside = [j for j, t in enumerate(points) if h.ts <= t <= h.te]
+        states = h.states_at([points[j] for j in inside])
+        for j, state in zip(inside, states):
+            if state is not None:
+                out[j][h.node] = state
+    return out
+
+
+def induced_graph(
+    states: Dict[NodeId, StaticNode],
+    edge_attrs: Optional[Dict[Tuple[NodeId, NodeId], AttrMap]] = None,
+) -> Graph:
+    """The graph the node states imply among themselves: one node per
+    state, an edge wherever an edge list names another state's node, and
+    the edge's attributes from ``edge_attrs`` by canonical edge id."""
+    return Graph.from_parts(
+        {n: s.A for n, s in states.items()},
+        {n: s.E for n, s in states.items()},
+        edge_attrs,
+    )
+
+
 class SubgraphT:
     """Evolution of a subgraph (k-hop neighborhood) over ``[ts, te]``.
 
@@ -162,21 +199,7 @@ class SubgraphT:
     def get_version_at(self, t: TimePoint) -> Graph:
         """Materialize the subgraph state at ``t`` (induced on members that
         are alive and within k hops of the center at ``t``)."""
-        g = Graph()
-        states: Dict[NodeId, StaticNode] = {}
-        for nid, nt in self.members.items():
-            if not (nt.get_start_time() <= t <= nt.get_end_time()):
-                continue
-            state = nt.get_state_at(t)
-            if state is not None:
-                states[nid] = state
-        for nid, state in states.items():
-            g.add_node(nid, state.attrs)
-        for nid, state in states.items():
-            for nbr in state.E:
-                if nbr in states and not g.has_edge(nid, nbr):
-                    eid = canonical_edge(nid, nbr)
-                    g.add_edge(nid, nbr, self.edge_attrs_initial.get(eid))
+        g = self.members_induced_at(t)
         if g.has_node(self.center):
             return g.khop_subgraph(self.center, self.k)
         return g
@@ -223,22 +246,19 @@ class SubgraphT:
     def members_induced_at(self, t: TimePoint) -> Graph:
         """Induced graph on *all* member nodes alive at ``t`` (no k-hop
         pruning) — the stable operand used by incremental computation."""
-        g = Graph()
-        states: Dict[NodeId, StaticNode] = {}
-        for nid, nt in self.members.items():
-            if not (nt.get_start_time() <= t <= nt.get_end_time()):
-                continue
-            state = nt.get_state_at(t)
-            if state is not None:
-                states[nid] = state
-        for nid, state in states.items():
-            g.add_node(nid, state.attrs)
-        for nid, state in states.items():
-            for nbr in state.E:
-                if nbr in states and not g.has_edge(nid, nbr):
-                    eid = canonical_edge(nid, nbr)
-                    g.add_edge(nid, nbr, self.edge_attrs_initial.get(eid))
-        return g
+        return next(self.members_induced_over((t,)))
+
+    def members_induced_over(
+        self, points: Sequence[TimePoint]
+    ) -> Iterator[Graph]:
+        """:meth:`members_induced_at` at each of ``points``, in order: a
+        fresh graph per point, with every member's states over the whole
+        grid read in one pass over its events."""
+        attrs = self.edge_attrs_initial
+        return (
+            induced_graph(states, attrs)
+            for states in states_by_point(self.members.values(), points)
+        )
 
     def timeslice(self, ts: TimePoint, te: TimePoint) -> "SubgraphT":
         return SubgraphT(

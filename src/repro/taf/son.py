@@ -25,21 +25,46 @@ from repro.graph.events import Event
 from repro.graph.static import Graph
 from repro.index.interface import evolve_node_state
 from repro.taf.expressions import (
+    IdSpans,
+    id_intervals,
+    ids_within,
     parse_entity_predicate,
     parse_time_expression,
     predicate_fields,
 )
 from repro.taf.handler import TGIHandler
-from repro.taf.node_t import NodeT, SubgraphT
+from repro.taf.node_t import NodeT, SubgraphT, induced_graph, states_by_point
 from repro.taf import timepoints as tp_mod
 from repro.types import NodeId, TimePoint, canonical_edge
 
 TimepointsSpec = Union[None, int, Sequence[TimePoint], Callable[..., List[TimePoint]]]
 
+#: A pre-fetch id predicate: the compiled closure and, when it compiles
+#: to them, the ``int`` id intervals it accepts.
+IdPredicate = Tuple[Callable[[int, dict], bool], Optional[IdSpans]]
 
-def _call_metric(f: Callable, operand: Any, center: Optional[NodeId]) -> Any:
-    """Call a user metric with (operand) or (operand, center) depending on
-    its arity, so both ``gm.density`` and ``nm.LCC`` work unmodified."""
+
+def _prune_ids(
+    universe: List[NodeId], predicates: List[IdPredicate], ordered: bool
+) -> List[NodeId]:
+    """Apply pre-fetch id predicates to a fetch universe.  Over an
+    ``ordered`` (sorted) universe of ``int`` ids a predicate with
+    intervals slices it by bisection; otherwise its closure tests each
+    id."""
+    bisect = ordered and set(map(type, universe)) <= {int}
+    for compiled, spans in predicates:
+        if bisect and spans is not None:
+            universe = ids_within(universe, spans)
+        else:
+            universe = [n for n in universe if compiled(n, {})]
+    return universe
+
+
+def _metric_caller(f: Callable) -> Callable[[Any, Optional[NodeId]], Any]:
+    """``call(operand, center)`` for a user metric: ``f(operand, center)``
+    or ``f(operand)`` depending on its arity, so both ``gm.density`` and
+    ``nm.LCC`` work unmodified.  The arity is resolved here, once per
+    operator call, not per invocation."""
     try:
         params = [
             p
@@ -54,9 +79,11 @@ def _call_metric(f: Callable, operand: Any, center: Optional[NodeId]) -> Any:
         wants_two = len(params) >= 2
     except (TypeError, ValueError):
         wants_two = False
-    if wants_two and center is not None:
-        return f(operand, center)
-    return f(operand)
+    if wants_two:
+        return lambda operand, center: (
+            f(operand) if center is None else f(operand, center)
+        )
+    return lambda operand, center: f(operand)
 
 
 def _resolve_timepoints(spec: TimepointsSpec, operand: Any) -> List[TimePoint]:
@@ -177,7 +204,10 @@ class TGraph:
         may be an int (uniform sample count, as in Fig. 7c), a list, a
         selector function (Fig. 9a), or None for all change points."""
         points = _resolve_timepoints(timepoints, self)
-        return [(t, metric(self.graph_at(t))) for t in points]
+        return [
+            (t, metric(g))
+            for t, g in zip(points, self._son._graphs_over(points))
+        ]
 
 
 class SON:
@@ -192,7 +222,7 @@ class SON:
         self.handler = handler
         self._nodes = _nodes
         self._interval = _interval
-        self._pre_id_predicates: List[Callable[[int, dict], bool]] = []
+        self._pre_id_predicates: List[IdPredicate] = []
         self._deferred_predicates: List[Callable[[NodeT], bool]] = []
         self._filter_keys: Optional[List[str]] = None
         #: fetch accounting of the retrieval that materialized this set
@@ -271,7 +301,9 @@ class SON:
             compiled = parse_entity_predicate(predicate)
             if self._nodes is None and fields == {"id"}:
                 out = self._clone()
-                out._pre_id_predicates.append(compiled)
+                out._pre_id_predicates.append(
+                    (compiled, id_intervals(predicate))
+                )
                 return out
             pred = _any_version_predicate(compiled)
         elif callable(predicate):
@@ -302,9 +334,10 @@ class SON:
         if self.handler is None:
             raise QueryError("cannot fetch a SoN without a TGIHandler")
         ts, te = self._effective_interval()
-        universe = self.handler.known_nodes(ts, te)
-        for pred in self._pre_id_predicates:
-            universe = [n for n in universe if pred(n, {})]
+        universe = _prune_ids(
+            self.handler.known_nodes(ts, te), self._pre_id_predicates,
+            ordered=True,
+        )
         nodes, stats = self.handler.retrieve_node_histories(universe, ts, te)
         nodes = [
             nt
@@ -353,20 +386,16 @@ class SON:
         """
         if tp is None:
             return TGraph(self)
-        members: Dict[NodeId, Any] = {}
-        for nt in self.collect():
-            if nt.get_start_time() <= tp <= nt.get_end_time():
-                state = nt.get_state_at(tp)
-                if state is not None:
-                    members[nt.node_id] = state
-        g = Graph()
-        for nid, state in members.items():
-            g.add_node(nid, state.attrs)
-        for nid, state in members.items():
-            for nbr in state.E:
-                if nbr in members and not g.has_edge(nid, nbr):
-                    g.add_edge(nid, nbr)
-        return g
+        return next(self._graphs_over((tp,)))
+
+    def _graphs_over(self, points: Sequence[TimePoint]) -> Iterator[Graph]:
+        """``GetGraph(t)`` for each of ``points``, in order: a fresh graph
+        per point, with every member's states over the whole grid read in
+        one pass over its events."""
+        return (
+            induced_graph(states)
+            for states in states_by_point(self.collect(), points)
+        )
 
     # ------------------------------------------------------------------
     # compute operators
@@ -385,10 +414,11 @@ class SON:
         API compatibility and recorded on the result.
         """
         rdd = self._spark().parallelize(self.collect())
+        call = _metric_caller(f)
 
         def run(nt: NodeT):
             t = at if at is not None else nt.get_start_time()
-            return (nt.node_id, _call_metric(f, nt.get_state_at(t), nt.node_id))
+            return (nt.node_id, call(nt.get_state_at(t), nt.node_id))
 
         return ComputedValues(dict(rdd.map(run).collect()), key=key)
 
@@ -397,16 +427,19 @@ class SON:
         f: Callable,
         timepoints: TimepointsSpec = None,
     ) -> TemporalSeriesSet:
-        """Paper operator 5: evaluate ``f`` on every version of each node."""
+        """Paper operator 5: evaluate ``f`` on every version of each node
+        (the node's states over the whole grid come from one pass over
+        its events)."""
         rdd = self._spark().parallelize(self.collect())
+        call = _metric_caller(f)
 
         def run(nt: NodeT):
             points = _resolve_timepoints(timepoints, nt)
-            series = [
-                (t, _call_metric(f, nt.get_state_at(t), nt.node_id))
-                for t in points
-            ]
-            return (nt.node_id, series)
+            states = nt.history.states_at(points)
+            return (nt.node_id, [
+                (t, call(state, nt.node_id))
+                for t, state in zip(points, states)
+            ])
 
         return TemporalSeriesSet(dict(rdd.map(run).collect()))
 
@@ -420,11 +453,12 @@ class SON:
         value incrementally with ``f_delta(prev_state, prev_value, event)``
         instead of recomputing per version."""
         rdd = self._spark().parallelize(self.collect())
+        call = _metric_caller(f)
 
         def run(nt: NodeT):
             ts = nt.get_start_time()
             state = nt.get_state_at(ts)
-            value = _call_metric(f, state, nt.node_id)
+            value = call(state, nt.node_id)
             series: List[Tuple[TimePoint, Any]] = [(ts, value)]
             wanted = (
                 None
@@ -460,8 +494,8 @@ class SON:
                             | {a.get_start_time(), b.get_start_time()})
         else:
             points = sorted(set(timepoints(a, b)))
-        series_a = [scalar(a.GetGraph(t)) for t in points]
-        series_b = [scalar(b.GetGraph(t)) for t in points]
+        series_a = [scalar(g) for g in a._graphs_over(points)]
+        series_b = [scalar(g) for g in b._graphs_over(points)]
         return series_a, series_b
 
     @staticmethod
@@ -521,7 +555,7 @@ class SOTS:
         self.handler = handler
         self._subgraphs = _subgraphs
         self._interval = _interval
-        self._pre_id_predicates: List[Callable[[int, dict], bool]] = []
+        self._pre_id_predicates: List[IdPredicate] = []
         #: fetch accounting of the retrieval that materialized this set
         self.fetch_stats = None
 
@@ -554,10 +588,9 @@ class SOTS:
                         "pre-fetch SOTS Select supports id predicates only"
                     )
                 out = SOTS(self.k, self.handler, _interval=self._interval)
-                out._pre_id_predicates = (
-                    self._pre_id_predicates
-                    + [parse_entity_predicate(predicate)]
-                )
+                out._pre_id_predicates = self._pre_id_predicates + [
+                    (parse_entity_predicate(predicate), id_intervals(predicate))
+                ]
                 return out
             raise QueryError("pre-fetch SOTS Select needs a string predicate")
         if not callable(predicate):
@@ -575,11 +608,13 @@ class SOTS:
         if self.handler is None:
             raise QueryError("cannot fetch a SoTS without a TGIHandler")
         ts, te = self._effective_interval()
-        universe = list(centers) if centers is not None else (
-            self.handler.known_nodes(ts, te)
+        # explicit centers keep their order: only the sorted known-node
+        # universe can be sliced
+        universe = _prune_ids(
+            list(centers) if centers is not None
+            else self.handler.known_nodes(ts, te),
+            self._pre_id_predicates, ordered=centers is None,
         )
-        for pred in self._pre_id_predicates:
-            universe = [n for n in universe if pred(n, {})]
         subgraphs, stats = self.handler.retrieve_subgraphs(
             universe, self.k, ts, te
         )
@@ -622,11 +657,12 @@ class SOTS:
         """Apply ``f`` to each subgraph's state (``f(graph)`` or
         ``f(graph, center)``) as of ``at`` / the slice start."""
         rdd = self._spark().parallelize(self.collect())
+        call = _metric_caller(f)
 
         def run(sg: SubgraphT):
             t = at if at is not None else sg.get_start_time()
             g = sg.get_version_at(t)
-            return (sg.center, _call_metric(f, g, sg.center))
+            return (sg.center, call(g, sg.center))
 
         return ComputedValues(dict(rdd.map(run).collect()), key=key)
 
@@ -635,17 +671,21 @@ class SOTS:
         f: Callable,
         timepoints: TimepointsSpec = None,
     ) -> TemporalSeriesSet:
-        """Recompute ``f`` afresh on the subgraph at every change point
-        (cost O(N·T) — the contrast measured in Fig. 17)."""
+        """Recompute ``f`` afresh on the subgraph at every change point.
+
+        Each member's states over the whole grid come from one pass over
+        its events; what is O(N·T) — the contrast measured in Fig. 17 —
+        is building one graph of the N members per point and running
+        ``f`` on it."""
         rdd = self._spark().parallelize(self.collect())
+        call = _metric_caller(f)
 
         def run(sg: SubgraphT):
             points = _resolve_timepoints(timepoints, sg)
-            series = [
-                (t, _call_metric(f, sg.members_induced_at(t), sg.center))
-                for t in points
-            ]
-            return (sg.center, series)
+            graphs = sg.members_induced_over(points)
+            return (sg.center, [
+                (t, call(g, sg.center)) for t, g in zip(points, graphs)
+            ])
 
         return TemporalSeriesSet(dict(rdd.map(run).collect()))
 
@@ -659,11 +699,12 @@ class SOTS:
         subgraph state, then fold each event through
         ``f_delta(graph_before_event, prev_value, event)`` (cost O(N+T))."""
         rdd = self._spark().parallelize(self.collect())
+        call = _metric_caller(f)
 
         def run(sg: SubgraphT):
             ts = sg.get_start_time()
             g = sg.members_induced_at(ts)
-            value = _call_metric(f, g, sg.center)
+            value = call(g, sg.center)
             series: List[Tuple[TimePoint, Any]] = [(ts, value)]
             wanted = (
                 None

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
+from repro.errors import TimeRangeError
 from repro.graph.events import Event, EventBuilder
 from repro.graph.static import Graph
 from repro.index.interface import evolve_node_state
@@ -84,6 +86,33 @@ def random_history(
             n = rng.choice(sorted(alive))
             events.append(eb.node_attr_set(t, n, "x", rng.randint(0, 99)))
     return events
+
+
+def relabelled(events: List[Event]) -> List[Event]:
+    """The same stream with every node id ``n`` renamed ``f"n{n}"``:
+    string ids fall off the packed (columnar) eventlist layout and the
+    pure-id bisection prune."""
+    def name(n):
+        return None if n is None else f"n{n}"
+
+    return [replace(ev, node=name(ev.node), other=name(ev.other))
+            for ev in events]
+
+
+def replay_state_at(history, t: TimePoint):
+    """``NodeHistory.state_at`` as first written: replay from the initial
+    state up to ``t`` for every asked point.  The reference
+    ``NodeHistory.states_at``'s one forward pass is held to."""
+    if not (history.ts <= t <= history.te):
+        raise TimeRangeError(
+            f"time {t} outside history range [{history.ts}, {history.te}]"
+        )
+    state = history.initial
+    for ev in history.events:
+        if ev.time > t:
+            break
+        state = evolve_node_state(state, ev, history.node)
+    return state
 
 
 def ground_truth_history(

@@ -66,6 +66,11 @@ def test_timeslice_restricts(node_t):
 def test_timeslice_inverted_raises(node_t):
     with pytest.raises(TimeRangeError):
         node_t.timeslice(30, 10)
+    # a window disjoint from the range would clamp to an inverted one
+    late = NodeT(NodeHistory(1, 10, 20, StaticNode.make(1), ()))
+    for ts, te in ((0, 5), (25, 30)):
+        with pytest.raises(TimeRangeError):
+            late.timeslice(ts, te)
 
 
 def test_project_attrs_strips(node_t):
