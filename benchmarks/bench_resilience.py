@@ -13,8 +13,10 @@ finds it.
 
 Two measured runs against fault-free ground truth:
 
-- **baseline** (plain fetch path): a transient round error or a corrupt
-  row kills the whole query.  Availability is measurably below 1 — this
+- **baseline** (plain fetch path: the same loop at one attempt, with no
+  hedging and no breakers): keys on a transiently failing machine or
+  behind a corrupt row go unserved and the query fails with a typed
+  ``PartitionUnavailable``.  Availability is measurably below 1 — this
   run exists to prove the schedule has teeth;
 - **resilient** (retry/backoff + hedging + circuit breakers): >= 99% of
   queries complete member-identical to the fault-free run, and every
@@ -243,7 +245,7 @@ def test_baseline_measurably_fails(benchmark, baseline):
         assert baseline["availability"] < 0.99, baseline
         assert baseline["failures"] > 0
         # even unprotected, failures surface typed (checksums catch the
-        # bit-flips; transients raise TransientFetchError)
+        # bit-flips; unserved keys settle as PartitionUnavailable)
         assert baseline["untyped_failures"] == 0, baseline
 
     benchmark.pedantic(_check, rounds=1, iterations=1)

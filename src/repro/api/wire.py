@@ -171,9 +171,9 @@ def error_payload(exc: Exception) -> Tuple[int, Dict[str, Any]]:
         # covers TimeRangeError: the subject isn't in the indexed history
         return 404, NotFound(str(exc)).to_payload()
     if isinstance(exc, StorageError):
-        # covers PartitionUnavailable / TransientFetchError /
-        # CorruptPayload: the store could not serve the request right
-        # now — retryable, unlike a malformed spec or a missing subject
+        # covers PartitionUnavailable / CorruptPayload: the store could
+        # not serve the request right now — retryable, unlike a
+        # malformed spec or a missing subject
         return 503, Unavailable(str(exc)).to_payload()
     wrapped = ServiceError(f"{type(exc).__name__}: {exc}")
     return wrapped.http_status, wrapped.to_payload()

@@ -2,12 +2,11 @@
 
 The active cancellation check rides a :mod:`contextvars` variable rather
 than a parameter so it reaches any call depth (``TGI.get_*`` build and
-run their plans internally; ``Cluster``'s resilient retry loop sleeps in
+run their plans internally; ``Cluster.multiget``'s retry loop sleeps in
 simulated time between attempts) without threading an argument through
 every retrieval method.  It lives in its own leaf module because both
 ``repro.exec.executor`` and ``repro.kvstore.cluster`` need it and the
-executor already imports the cluster — ``repro.exec`` re-exports
-:func:`cancel_scope` / :func:`check_cancelled` for compatibility.
+executor already imports the cluster.
 """
 
 from __future__ import annotations

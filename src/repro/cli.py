@@ -83,8 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
     build.add_argument("--checksums", action="store_true",
                        help="wrap every stored row in a CRC32 envelope "
                        "so corrupted payloads surface as typed "
-                       "CorruptPayload errors (and the resilient fetch "
-                       "path can retry them) instead of garbage decodes")
+                       "CorruptPayload errors (and the fetch can retry "
+                       "or drop them) instead of garbage decodes")
     build.add_argument("--codec", choices=list(CODECS), default="columnar",
                        help="row storage codec: columnar packs "
                        "eventlists and micro-deltas as parallel integer "

@@ -31,26 +31,15 @@ class KeyNotFound(StorageError):
     """Requested key does not exist on any replica."""
 
 
-class TransientFetchError(StorageError):
-    """A retryable, transient multiget failure on specific machines.
-
-    Raised by the plain fetch path when the fault harness injects a
-    transient error; the resilient path retries/reroutes these instead.
-    """
-
-    def __init__(self, message: str, machines=()) -> None:
-        super().__init__(message)
-        self.machines = tuple(machines)
-
-
 class CorruptPayload(StorageError):
     """A stored payload failed its integrity checksum on decode."""
 
 
 class PartitionUnavailable(StorageError):
-    """Keys stayed unavailable after the resilience policy exhausted its
-    retries and reroutes (or a degraded-ineligible query needed rows that
-    a degraded fetch had dropped).
+    """Keys stayed unavailable after the fetch's last attempt (one without
+    a resilience policy, else the policy's retries and reroutes), or a
+    degraded-ineligible query needed rows that a degraded fetch had
+    dropped.
 
     ``partitions`` carries human-readable partition labels,
     ``keys`` the affected store keys (possibly empty when raised at

@@ -67,18 +67,10 @@ from repro.exec.cache import (
     shared_caches,
 )
 from repro.exec.coalesce import CoalesceReport, CoalesceScope
-from repro.exec.executor import (
-    PipelineResult,
-    PlanExecutor,
-    PlanResult,
-    cancel_scope,
-    check_cancelled,
-)
+from repro.exec.executor import PipelineResult, PlanExecutor, PlanResult
 from repro.exec.plan import FetchPlan, FetchStage, KeyGroup, StageFactory
 
 __all__ = [
-    "cancel_scope",
-    "check_cancelled",
     "CacheRegistry",
     "CacheSlot",
     "CacheStats",

@@ -38,9 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-# Re-exported for compatibility: the cancellation scope lives in a leaf
-# module so the cluster's resilient retry loop can use it too.
-from repro.cancellation import cancel_scope, check_cancelled
+from repro.cancellation import check_cancelled
 from repro.exec.cache import DeltaCache
 from repro.exec.coalesce import (
     CoalesceReport,

@@ -13,9 +13,10 @@ fault families:
   machine during a window, added to ``RequestRecord.service_ms`` at
   plan time so the spike lands on the timeline and in sim-ms honestly.
 - :class:`TransientFaults` — each round touching the machine during the
-  window fails with probability ``probability`` (typed
-  :class:`TransientFetchError` on the plain path; retried/rerouted by
-  the resilient path).
+  window fails with probability ``probability``: its key group goes
+  unserved that attempt (retried/rerouted under a resilience policy,
+  else settled as a typed :class:`PartitionUnavailable` or a degraded
+  drop).
 - :class:`CorruptionFaults` — each fetched row served by the machine is
   bit-flipped with probability ``probability``; requires
   ``ClusterConfig.checksums`` so the corruption is *detected* (typed

@@ -12,18 +12,22 @@ replica, sorts each server's requests in clustering order (contiguous scan
 discount), and returns both the decoded values and a
 :class:`~repro.kvstore.cost.FetchStats` with the simulated completion time.
 
-Two opt-in layers wrap the fetch path without changing default
-accounting:
+``multiget`` is one loop: route, plan, fetch, check for transient
+faults, decode, then retry or settle.  Keys the store could not serve
+settle one way in every configuration: dropped inside an authorized
+``partial_scope``, else a typed
+:class:`~repro.errors.PartitionUnavailable`.  Two opt-in layers act on
+that loop without changing fault-free accounting:
 
 - a **fault harness** (:mod:`repro.faults`) attached via ``inject_faults``
   schedules crashes, latency spikes, transient errors, and payload
   corruption on simulated time (``clock_ms`` + each round's release
   instant);
-- a **resilience policy** (:meth:`enable_resilience`) turns ``multiget``
-  into a retry loop with exponential backoff, hedged reads against a
-  second replica for straggler rounds, and per-machine circuit breakers
-  that reroute key groups to live replicas — degrading to partial
-  results only inside an authorized ``partial_scope``.
+- a **resilience policy** (:meth:`enable_resilience`) raises the loop
+  from one attempt to ``max_attempts`` with exponential backoff, and
+  adds hedged reads against a second replica for straggler rounds and
+  per-machine circuit breakers that reroute key groups to live
+  replicas.  Without it there is one attempt and no breaker exists.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from repro.errors import (
     KeyNotFound,
     PartitionUnavailable,
     StorageError,
-    TransientFetchError,
 )
 from repro.kvstore.codec import CODECS, EncodedValue, decode, encode
 from repro.kvstore.cost import (
@@ -113,7 +116,8 @@ class Cluster:
         self._down: set = set()
         #: Optional :class:`repro.faults.FaultInjector` (see repro.faults).
         self.faults = None
-        #: Optional :class:`ResiliencePolicy`; ``None`` = plain fetch path.
+        #: Optional :class:`ResiliencePolicy`; ``None`` = one attempt per
+        #: round, no hedging, no breakers.
         self.resilience: Optional[ResiliencePolicy] = None
         self._breakers: Dict[int, CircuitBreaker] = {}
         self._policy_rng: Optional[random.Random] = None
@@ -183,8 +187,8 @@ class Cluster:
     def enable_resilience(
         self, policy: Optional[ResiliencePolicy] = None
     ) -> ResiliencePolicy:
-        """Route ``multiget`` through the resilient retry/hedge/breaker
-        path.  Returns the active policy."""
+        """Give ``multiget`` retries, hedged reads and circuit breakers.
+        Returns the active policy."""
         self.resilience = policy or ResiliencePolicy()
         self._breakers = {}
         self._policy_rng = random.Random(self.resilience.seed)
@@ -330,59 +334,92 @@ class Cluster:
         return sorted(rows.items())
 
     def _route(
-        self, keys: Sequence[KeyTuple], now: float = 0.0
-    ) -> Dict[KeyTuple, int]:
+        self,
+        keys: Sequence[KeyTuple],
+        now: float = 0.0,
+        avoid: Optional[Dict[KeyTuple, Set[int]]] = None,
+        breakers: bool = False,
+    ) -> Tuple[Dict[KeyTuple, int], List[KeyTuple]]:
         """Route every key to its least-loaded live replica *holding the
         key* (greedy balancing -- this is where replication r > 1 buys
-        parallelism, Fig. 12c).  A live replica can be stale after
-        ``recover_machine``, so routing falls back to the other live
-        replicas before raising :class:`KeyNotFound`."""
+        parallelism, Fig. 12c).
+
+        Returns ``(assignment, blocked)``.  A ``blocked`` key has no usable
+        replica at ``now``: its holders are down (a live replica can be
+        stale after ``recover_machine``), or, with ``breakers``, behind an
+        open circuit breaker.  A key absent from every replica while all
+        of them are live raises :class:`KeyNotFound` -- an outage never
+        masks a genuinely missing key.  Keys in ``avoid`` prefer replicas
+        that have not already failed them this round."""
         plen = self._placement_len
-        down = self._down_at(now)  # once per round, not once per key
+        down = self._down_at(now)  # once per attempt, not once per key
         machines = self.machines
-        live_replicas = self._live_replicas
-        server_load = [0] * len(machines)
+        replicas_for = self.replicas_for
+        allows = self._breaker_allows if breakers and self._breakers else None
+        load = [0] * len(machines)
         assignment: Dict[KeyTuple, int] = {}
+        blocked: List[KeyTuple] = []
         for key in keys:
-            live = live_replicas(key[:plen], down)
-            if len(live) > 1:
-                live = [m for m in live if key in machines[m]]
-            elif key not in machines[live[0]]:
-                live = ()
-            if not live:
-                raise KeyNotFound(f"key {key!r} not on any live replica")
-            # one holder (always, at r=1): nothing to balance
+            replicas = replicas_for(key[:plen])
+            if len(replicas) == 1:
+                # one replica (always, at r=1): nothing to filter or balance
+                if replicas[0] in down:
+                    blocked.append(key)
+                    continue
+                if key not in machines[replicas[0]]:
+                    raise KeyNotFound(f"key {key!r} not on any live replica")
+                holding = replicas
+            else:
+                live = (
+                    [m for m in replicas if m not in down] if down
+                    else replicas
+                )
+                holding = [m for m in live if key in machines[m]]
+                if not holding:
+                    if len(live) == len(replicas):
+                        raise KeyNotFound(
+                            f"key {key!r} not on any live replica"
+                        )
+                    blocked.append(key)
+                    continue
+            if allows is not None:
+                holding = [m for m in holding if allows(m, now)]
+                if not holding:
+                    blocked.append(key)
+                    continue
+            if avoid:
+                failed_on = avoid.get(key)
+                if failed_on:
+                    holding = [
+                        m for m in holding if m not in failed_on
+                    ] or holding
             best = (
-                live[0] if len(live) == 1
-                else min(live, key=server_load.__getitem__)
+                holding[0] if len(holding) == 1
+                else min(holding, key=load.__getitem__)
             )
             assignment[key] = best
-            server_load[best] += 1
-        return assignment
+            load[best] += 1
+        return assignment, blocked
 
     def _plan_requests(
         self,
         keys: Sequence[KeyTuple],
+        assignment: Dict[KeyTuple, int],
         clients: int,
         client_offset: int = 0,
         now: float = 0.0,
-        assignment: Optional[Dict[KeyTuple, int]] = None,
     ) -> Tuple[List[RequestRecord], Dict[KeyTuple, EncodedValue]]:
-        """Route and cost ``keys`` into one multiget round: group per
-        server, sort in clustering order for scan contiguity, and price
-        each request with the cost model.  Returns the costed records and
-        the encoded rows (not yet decoded).
+        """Cost ``keys`` routed by ``assignment`` into one multiget round:
+        group per server, sort in clustering order for scan contiguity,
+        and price each request with the cost model.  Returns the costed
+        records and the encoded rows (not yet decoded).
 
-        ``assignment`` overrides routing (the resilient path routes
-        around open breakers and previously-failed replicas itself);
         ``now`` is the simulated instant used for fault evaluation —
         active latency spikes are added to each request's service time
         here, so they flow into ``simulate_plan`` and the timeline.
         """
         model = self.config.cost_model
         faults = self.faults
-        if assignment is None:
-            assignment = self._route(keys, now)
         per_server: Dict[int, List[KeyTuple]] = {}
         for key in keys:
             per_server.setdefault(assignment[key], []).append(key)
@@ -425,14 +462,25 @@ class Cluster:
     ) -> List[RequestRecord]:
         """Cost a prospective multiget round without decoding any value —
         the store-side half of an EXPLAIN.  Routing, contiguity and service
-        times are computed exactly as :meth:`multiget` would."""
+        times are computed as :meth:`multiget`'s first attempt would; a
+        key with no live holder raises :class:`StorageError`, so the
+        candidate reading it cannot be priced."""
         if clients < 1:
             raise StorageError("need at least one fetch client")
         if self._placement_len is None:
             if keys:
                 raise KeyNotFound(f"empty cluster has no key {keys[0]!r}")
             return []
-        records, _ = self._plan_requests(keys, clients, client_offset)
+        assignment, blocked = self._route(keys)
+        if blocked:
+            raise StorageError(
+                "all replicas down for placement "
+                f"{blocked[0][:self._placement_len]!r} "
+                f"({len(blocked)} keys unroutable)"
+            )
+        records, _ = self._plan_requests(
+            keys, assignment, clients, client_offset
+        )
         return records
 
     def multiget(
@@ -447,8 +495,8 @@ class Cluster:
         fetchers.
 
         Returns the decoded values and the fetch statistics, including the
-        simulated completion time of the plan.  Missing keys raise
-        :class:`KeyNotFound`.
+        simulated completion time of the plan.  Keys absent from every
+        (live) replica raise :class:`KeyNotFound`.
 
         When ``timeline`` is given the round is also issued against that
         shared :class:`ExecutionTimeline`, released at time ``at`` — the
@@ -460,9 +508,15 @@ class Cluster:
         queueing on one shared fetcher (a constant shift never changes the
         round's standalone cost).
 
-        With a resilience policy enabled (:meth:`enable_resilience`) the
-        round runs through the retry/hedge/breaker loop instead; see
-        :meth:`_resilient_round`.
+        Each attempt routes, plans, fetches, checks for transient faults
+        and decodes; keys that failed (transient error, corrupt payload)
+        or were blocked (no usable replica) are retried or settled.
+        Without a resilience policy there is exactly one attempt, with no
+        hedging and no circuit breakers.  :meth:`enable_resilience` adds
+        retries with backoff (charged in sim-ms), hedged reads and
+        per-machine breakers.  Keys still unserved after the last attempt
+        are dropped inside an active ``partial_scope`` and otherwise raise
+        a typed :class:`PartitionUnavailable` naming their partitions.
         """
         if clients < 1:
             raise StorageError("need at least one fetch client")
@@ -471,170 +525,43 @@ class Cluster:
                 raise KeyNotFound(f"empty cluster has no key {keys[0]!r}")
             return {}, FetchStats()
 
-        if self.resilience is not None:
-            return self._resilient_round(
-                keys, clients, timeline, at, client_offset
-            )
-
-        now = self.clock_ms + at
-        records, encoded_rows = self._plan_requests(
-            keys, clients, client_offset, now=now
-        )
-        self._raise_transients(records, now)
-        if self.faults is None:
-            values = {
-                key: decode(encoded.payload)
-                for key, encoded in encoded_rows.items()
-            }
-        else:
-            server_of = {r.key: r.server for r in records}
-            values = {
-                key: self._decode_row(encoded, server_of[key], now)
-                for key, encoded in encoded_rows.items()
-            }
-        stats = FetchStats(requests=records, rounds=1 if keys else 0)
-        stats.sim_time_ms = simulate_plan(records, self.config.cost_model)
-        timing = None
-        if timeline is not None and records:
-            timing = timeline.submit(records, at=at)
-        span = current_span()
-        if span is not None and records:
-            self._trace_round(span, records, stats.sim_time_ms, timing, at)
-        return values, stats
-
-    # ------------------------------------------------------------------
-    # tracing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _trace_round(
-        span, records, round_ms, timing, release, attempt=None,
-    ):
-        """Attach one store-round span to the active trace.
-
-        Only ever called with a live span (callers guard on
-        ``current_span()``), so the untraced path pays nothing beyond
-        that single contextvar read."""
-        rs = span.child(
-            "round",
-            requests=len(records),
-            bytes=sum(r.stored_bytes for r in records),
-            machines=sorted({r.server for r in records}),
-            sim_round_ms=round(round_ms, 6),
-        )
-        if attempt is not None:
-            rs.set(attempt=attempt)
-        if timing is not None:
-            rs.set_sim(timing.released_ms, timing.completed_ms)
-            if timing.server_windows:
-                rs.set(server_windows=dict(timing.server_windows))
-        else:
-            # No shared timeline: the round stands alone at its release
-            # instant for exactly its two-sided bound.
-            rs.set_sim(release, release + round_ms)
-        rs.end()
-        return rs
-
-    # ------------------------------------------------------------------
-    # fault plumbing (plain path)
-    # ------------------------------------------------------------------
-    def _raise_transients(self, records: Sequence[RequestRecord], now: float) -> None:
-        """Plain-path handling of injected transient errors: the whole
-        round fails with a typed, retryable error (the resilient path
-        retries these instead)."""
-        faults = self.faults
-        if faults is None or not records:
-            return
-        failed = faults.transient_failures({r.server for r in records}, now)
-        if failed:
-            raise TransientFetchError(
-                f"transient fetch failure on machines {sorted(failed)}",
-                machines=sorted(failed),
-            )
-
-    def _decode_row(self, encoded: EncodedValue, server: int, now: float) -> Any:
-        """Decode one fetched row, applying any scheduled corruption for
-        the serving machine first (detected via the checksum envelope and
-        raised as :class:`CorruptPayload`)."""
-        faults = self.faults
-        payload = encoded.payload
-        if faults is not None and faults.corrupts(server, now):
-            payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
-        return decode(payload)
-
-    # ------------------------------------------------------------------
-    # resilient fetch path
-    # ------------------------------------------------------------------
-    def _resilient_round(
-        self,
-        round_keys: Sequence[KeyTuple],
-        clients: int,
-        timeline: Optional[ExecutionTimeline],
-        at: float,
-        client_offset: int,
-    ) -> Tuple[Dict[KeyTuple, Any], FetchStats]:
-        """One logical round under the resilience policy.
-
-        Attempts are planned against breaker-admitted live replicas,
-        hedged when one server dominates, and retried with backoff
-        (charged in sim-ms) until every key decoded, the policy's
-        ``max_attempts`` ran out, or the request's cancel scope raised.
-        Keys that stay unavailable degrade (inside a ``partial_scope``)
-        or raise a typed :class:`PartitionUnavailable`.
-        """
         policy = self.resilience
-        faults = self.faults
+        attempts = 1 if policy is None else policy.max_attempts
         model = self.config.cost_model
-        rng = self._policy_rng
-        base = self.clock_ms
         span = current_span()
+        base = self.clock_ms
         release = at
         now = base + at
         values: Dict[KeyTuple, Any] = {}
         stats = FetchStats()
-        remaining: List[KeyTuple] = list(round_keys)
+        remaining: Sequence[KeyTuple] = keys
         #: machines that already failed each key this round (transient
         #: error or corrupt payload) — avoided on retry when possible.
         avoid: Dict[KeyTuple, Set[int]] = {}
-        for attempt in range(policy.max_attempts):
+        for attempt in range(attempts):
             check_cancelled()
-            assignment, blocked = self._route_resilient(remaining, now, avoid)
+            assignment, blocked = self._route(
+                remaining, now, avoid, breakers=policy is not None
+            )
             failed: List[KeyTuple] = []
             if assignment:
-                keys_now = list(assignment)
+                keys_now = (
+                    [k for k in remaining if k in assignment] if blocked
+                    else remaining
+                )
                 records, encoded_rows = self._plan_requests(
-                    keys_now, clients, client_offset,
-                    now=now, assignment=assignment,
+                    keys_now, assignment, clients, client_offset, now
                 )
-                records, hedged = self._maybe_hedge(
-                    records, assignment, keys_now, clients, client_offset, now
+                hedged = 0
+                if policy is not None:
+                    records, hedged = self._maybe_hedge(
+                        records, assignment, keys_now, clients,
+                        client_offset, now,
+                    )
+                    stats.hedges += hedged
+                ok_records = self._fetch(
+                    records, encoded_rows, now, values, failed, avoid, stats
                 )
-                stats.hedges += hedged
-                servers = sorted({r.server for r in records})
-                failed_machines = (
-                    faults.transient_failures(servers, now)
-                    if faults is not None else set()
-                )
-                for server in servers:
-                    breaker = self._breaker(server)
-                    if server in failed_machines:
-                        stats.breaker_trips += breaker.record_failure(now)
-                    else:
-                        breaker.record_success(now)
-                ok_records: List[RequestRecord] = []
-                for record in records:
-                    if record.server in failed_machines:
-                        failed.append(record.key)
-                        avoid.setdefault(record.key, set()).add(record.server)
-                        continue
-                    try:
-                        values[record.key] = self._decode_row(
-                            encoded_rows[record.key], record.server, now
-                        )
-                    except CorruptPayload:
-                        failed.append(record.key)
-                        avoid.setdefault(record.key, set()).add(record.server)
-                        continue
-                    ok_records.append(record)
                 # The whole attempt (including requests that failed) is
                 # charged on the clock/timeline — the work was issued —
                 # but only fetched keys enter ``stats.requests`` so the
@@ -645,12 +572,11 @@ class Cluster:
                 stats.rounds += 1
                 stats.sim_time_ms += round_ms
                 timing = None
-                if timeline is not None and records:
+                if timeline is not None:
                     timing = timeline.submit(records, at=release)
-                if span is not None and records:
+                if span is not None:
                     rs = self._trace_round(
-                        span, records, round_ms, timing, release,
-                        attempt=attempt,
+                        span, records, round_ms, timing, release, attempt
                     )
                     if hedged:
                         rs.add_event("hedge", moved=hedged, sim_at=release)
@@ -664,10 +590,10 @@ class Cluster:
             remaining = failed + blocked
             if not remaining:
                 return values, stats
-            if attempt + 1 >= policy.max_attempts:
+            if attempt + 1 >= attempts:
                 break
             stats.retries += len(remaining)
-            delay = policy.backoff_ms(attempt, rng)
+            delay = policy.backoff_ms(attempt, self._policy_rng)
             stats.backoff_ms += delay
             stats.sim_time_ms += delay
             if span is not None:
@@ -677,14 +603,13 @@ class Cluster:
                 )
             release += delay
             now = base + release
-        # Retries exhausted: degrade if authorized, else raise typed.
+        # Still unserved: drop into the active partial scope, else raise.
         labels = sorted({partition_label(key) for key in remaining})
         collector = active_partial()
         if collector is None:
             raise PartitionUnavailable(
-                f"{len(remaining)} keys unavailable after "
-                f"{policy.max_attempts} attempts "
-                f"(partitions: {', '.join(labels)})",
+                f"{len(remaining)} keys unavailable after {attempts} "
+                f"attempt(s) (partitions: {', '.join(labels)})",
                 partitions=labels,
                 keys=tuple(remaining),
             )
@@ -701,47 +626,52 @@ class Cluster:
             )
         return values, stats
 
-    def _route_resilient(
+    def _fetch(
         self,
-        keys: Sequence[KeyTuple],
+        records: List[RequestRecord],
+        encoded_rows: Dict[KeyTuple, EncodedValue],
         now: float,
+        values: Dict[KeyTuple, Any],
+        failed: List[KeyTuple],
         avoid: Dict[KeyTuple, Set[int]],
-    ) -> Tuple[Dict[KeyTuple, int], List[KeyTuple]]:
-        """Route ``keys`` to breaker-admitted live replicas.
-
-        Returns ``(assignment, blocked)`` where ``blocked`` keys have no
-        usable replica *right now* (crashed or breaker-open) and wait for
-        the next attempt.  A key that is simply absent from fully-live
-        replicas still raises :class:`KeyNotFound` — degradation must not
-        mask genuinely missing keys.
-        """
-        plen = self._placement_len
-        down = self._down_at(now)
-        load: Dict[int, int] = {}
-        assignment: Dict[KeyTuple, int] = {}
-        blocked: List[KeyTuple] = []
-        for key in keys:
-            all_replicas = self.replicas_for(key[:plen])
-            live = [m for m in all_replicas if m not in down]
-            holding = [m for m in live if key in self.machines[m]]
-            if not holding:
-                if live and len(live) == len(all_replicas):
-                    raise KeyNotFound(
-                        f"key {key!r} not on any live replica"
-                    )
-                blocked.append(key)
-                continue
-            usable = [m for m in holding if self._breaker_allows(m, now)]
-            if not usable:
-                blocked.append(key)
-                continue
-            preferred = [
-                m for m in usable if m not in avoid.get(key, ())
-            ] or usable
-            best = min(preferred, key=lambda mid: load.get(mid, 0))
-            assignment[key] = best
-            load[best] = load.get(best, 0) + 1
-        return assignment, blocked
+        stats: FetchStats,
+    ) -> List[RequestRecord]:
+        """Fetch and decode one planned attempt into ``values``; returns
+        the records that served a value.  A server the fault harness
+        fails transiently loses its whole key group and a corrupt row
+        fails its key: both land in ``failed`` and ``avoid``.  Under a
+        resilience policy each server's outcome feeds its breaker."""
+        faults = self.faults
+        servers = sorted({r.server for r in records})
+        failing = (
+            faults.transient_failures(servers, now)
+            if faults is not None else ()
+        )
+        if self.resilience is not None:
+            for server in servers:
+                breaker = self._breaker(server)
+                if server in failing:
+                    stats.breaker_trips += breaker.record_failure(now)
+                else:
+                    breaker.record_success(now)
+        ok_records: List[RequestRecord] = []
+        for record in records:
+            key, server = record.key, record.server
+            if server not in failing:
+                payload = encoded_rows[key].payload
+                if faults is not None and faults.corrupts(server, now):
+                    # the checksum envelope turns the flip into an error
+                    payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
+                try:
+                    values[key] = decode(payload)
+                except CorruptPayload:
+                    pass
+                else:
+                    ok_records.append(record)
+                    continue
+            failed.append(key)
+            avoid.setdefault(key, set()).add(server)
+        return ok_records
 
     def _maybe_hedge(
         self,
@@ -797,12 +727,41 @@ class Cluster:
         if not moved:
             return records, 0
         alt_records, _ = self._plan_requests(
-            keys_now, clients, client_offset, now=now, assignment=alt_assignment
+            keys_now, alt_assignment, clients, client_offset, now
         )
         model = self.config.cost_model
         if simulate_plan(alt_records, model) < simulate_plan(records, model):
             return alt_records, moved
         return records, moved
+
+    # ------------------------------------------------------------------
+    # tracing
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _trace_round(span, records, round_ms, timing, release, attempt):
+        """Attach one store-round span to the active trace.
+
+        Only ever called with a live span (callers guard on
+        ``current_span()``), so the untraced path pays nothing beyond
+        that single contextvar read."""
+        rs = span.child(
+            "round",
+            requests=len(records),
+            bytes=sum(r.stored_bytes for r in records),
+            machines=sorted({r.server for r in records}),
+            sim_round_ms=round(round_ms, 6),
+            attempt=attempt,
+        )
+        if timing is not None:
+            rs.set_sim(timing.released_ms, timing.completed_ms)
+            if timing.server_windows:
+                rs.set(server_windows=dict(timing.server_windows))
+        else:
+            # No shared timeline: the round stands alone at its release
+            # instant for exactly its two-sided bound.
+            rs.set_sim(release, release + round_ms)
+        rs.end()
+        return rs
 
     # ------------------------------------------------------------------
     # introspection

@@ -214,7 +214,7 @@ class Counters:
             partition in (the rows were still declared and fetched, or
             single-flighted, exactly as without sharing; always 0 for a
             query that compiles to one plan).
-        retries: key requests re-issued by the resilient fetch path after
+        retries: key requests re-issued by the fetch's retry loop after
             a transient failure, corrupt payload, or blocked routing
             (0 without a resilience policy).
         hedges: duplicated straggler requests issued to a second replica
@@ -224,7 +224,7 @@ class Counters:
             serving this fetch.
         backoff_ms: simulated delay the retry loop charged between
             attempts (already included in ``sim_time_ms``).
-        degraded_keys: keys the resilient path gave up on inside an
+        degraded_keys: keys the fetch gave up on inside an
             authorized partial scope (the values are absent from the
             result).
         degraded_partitions: human-readable labels of the partitions

@@ -1,9 +1,10 @@
 """Partial-results (degraded-mode) scope shared by store, index, session.
 
-When a :class:`PartialCollector` is active, the resilient fetch path is
-allowed to *drop* keys whose replicas stayed unavailable after retries
-instead of raising, and the TGI finalizers drop whole partitions whose
-rows went missing instead of crashing on absent keys.  Without an active
+When a :class:`PartialCollector` is active, ``Cluster.multiget`` is
+allowed to *drop* keys it could not serve by its last attempt (the only
+one without a resilience policy) instead of raising, and the TGI
+finalizers drop whole partitions whose rows went missing instead of
+crashing on absent keys.  Without an active
 collector the same situations raise a typed
 :class:`~repro.errors.PartitionUnavailable` — degradation is strictly
 opt-in (``QueryRequest.allow_partial`` / ``capture_errors`` batches).

@@ -1,8 +1,10 @@
 """Resilience policy and per-machine circuit breakers for the fetch path.
 
-The policy is opt-in (``Cluster.enable_resilience``) so the default
-fetch accounting stays bit-identical to the plain path.  With a policy
-active, ``Cluster.multiget`` routes each round through a retry loop:
+The policy is opt-in (``Cluster.enable_resilience``).  Without one,
+``Cluster.multiget`` runs its fetch loop exactly once per round, with no
+hedging and no breakers (none is created, so ``/healthz`` reports
+none); unserved keys still settle typed or degrade inside a
+``partial_scope``.  With a policy active the same loop gains:
 
 - per-machine **retry with exponential backoff + jitter**, the delay
   charged in simulated milliseconds so sim-ms stays honest (a retried
@@ -37,7 +39,7 @@ HALF_OPEN = "half-open"
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Knobs for the resilient multiget path.
+    """Knobs for the multiget loop beyond its single default attempt.
 
     ``max_attempts`` bounds the retry loop per round (the request's
     ``deadline_ms`` bounds it cooperatively from outside via the

@@ -80,12 +80,12 @@ from repro.api import (
     QueryResult,
     QueryStats,
 )
+from repro.cancellation import cancel_scope
 from repro.errors import IndexError_, QueryError, StorageError
 from repro.exec import (
     DeltaCache,
     PlanExecutor,
     StateCheckpointCache,
-    cancel_scope,
     shared_caches,
 )
 from repro.graph.static import Graph
@@ -498,8 +498,8 @@ class GraphSession:
         Pricing walks every replica set; with machines crashed (fault
         injection, real failover) a placement may have no live replica
         and :meth:`Cluster.plan_records` raises.  That must not kill the
-        query at plan time — the resilient fetch path decides at fetch
-        time whether the key recovers, reroutes, or degrades — so dead
+        query at plan time — the fetch decides at fetch time whether
+        the key recovers, reroutes, degrades, or fails typed — so dead
         placements simply make the candidate unpriceable."""
         try:
             return price_plan(
@@ -904,8 +904,7 @@ class GraphSession:
         Either way the k-hop plans of one call share what they replay:
         one :class:`~repro.index.tgi.query.ReplayShare`, created here,
         handed to every plan :meth:`_compile` builds and dropped on
-        return (a fault-isolated re-run of one request below is its own
-        call with its own).  It must not outlive the call — replayed
+        return.  It must not outlive the call — replayed
         state parked on the session would be garbage the next query's
         collector walks."""
         # absolute deadlines on the session clock: the given instants,
@@ -976,8 +975,8 @@ class GraphSession:
                 raise DeadlineExceeded("deadline exceeded during execution")
 
         # A shared-window collector keeps one request's dead partitions
-        # from killing its batchmates: the resilient fetch drops the
-        # unreachable keys instead of raising, and each request settles
+        # from killing its batchmates: the fetch drops the unreachable
+        # keys instead of raising, and each request settles
         # its own fate at finalize time — allow_partial requests fold
         # the drop into a degraded result, strict ones hit the missing
         # rows and fail (captured per-request when capture_errors).
@@ -997,22 +996,12 @@ class GraphSession:
                     clients=max(request.clients for request in requests),
                     pipelined=not standalone,
                 )
-        except DeadlineExceeded as exc:
+        except (DeadlineExceeded, StorageError) as exc:
+            # under a window collector the fetch drops unserved keys
+            # instead of raising, so what still escapes (no collector,
+            # a missing key) fails every live slot
             for i in live:
                 fail(i, exc)
-            return results
-        except StorageError as exc:
-            # the shared window died as a whole (e.g. a transient fault
-            # on the plain fetch path, which has no per-key drop form);
-            # fall back to fault-isolated batches of one so only the
-            # requests that actually depend on the dead machine fail
-            for i in live:
-                if standalone or not capture_errors:
-                    fail(i, exc)
-                else:
-                    results[i] = self._run(
-                        [requests[i]], [deadlines[i]], capture_errors
-                    )[0]
             return results
         for i in live:
             request, spec = requests[i], specs[i]

@@ -12,12 +12,13 @@ from repro import GraphSession
 from repro.api import QueryRequest
 from repro.deltas.base import Delta, StaticEdge, StaticNode
 from repro.deltas.columnar import pack_delta, unpack_delta
-from repro.errors import CorruptPayload
+from repro.errors import CorruptPayload, PartitionUnavailable
 from repro.faults import CrashWindow, FaultSchedule, inject_faults
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, TGIConfig
 from repro.kvstore.cluster import ClusterConfig
 from repro.kvstore.codec import decode, encode
+from repro.kvstore.degrade import partition_label
 from repro.kvstore.resilience import ResiliencePolicy
 from tests.helpers import per_edge_graph, random_history
 
@@ -400,7 +401,12 @@ def test_corrupted_stored_delta_row_surfaces_typed(history):
     machine.put(key, type(enc)(
         flipped, enc.raw_size, enc.stored_size, enc.compressed
     ))
+    # the codec catches the flip; the fetch settles the row's key like
+    # any other it could not serve, naming its partition
     with pytest.raises(CorruptPayload):
+        decode(flipped)
+    with pytest.raises(PartitionUnavailable) as err:
         tgi.get_snapshot(t)
+    assert partition_label(key) in err.value.partitions
     machine.put(key, enc)
     assert tgi.get_snapshot(t) == want

@@ -425,20 +425,26 @@ def loaded_cluster(n=48, m=4, r=2):
 
 def test_routing_follows_failures_and_crash_windows():
     cluster, keys = loaded_cluster()
-    assert cluster._route(keys) == reference_route(cluster, keys)
+
+    def route(now=0.0):
+        assignment, blocked = cluster._route(keys, now)
+        assert blocked == []  # r=2 with one machine down: all routable
+        return assignment
+
+    assert route() == reference_route(cluster, keys)
     cluster.fail_machine(2)
-    rerouted = cluster._route(keys)
+    rerouted = route()
     assert rerouted == reference_route(cluster, keys)
     assert 2 not in rerouted.values()
     cluster.recover_machine(2)
-    assert cluster._route(keys) == reference_route(cluster, keys)
-    assert 2 in cluster._route(keys).values()
+    assert route() == reference_route(cluster, keys)
+    assert 2 in route().values()
     # a crash window that opens and closes between queries
     inject_faults(cluster, FaultSchedule(
         crashes=(CrashWindow(1, 40.0, 80.0),)
     ))
     for now in (0.0, 50.0, 200.0):
-        routed = cluster._route(keys, now)
+        routed = route(now)
         assert routed == reference_route(cluster, keys, now)
         assert (1 in routed.values()) == (now != 50.0)
     # the clock moves the same window under plan_records / multiget

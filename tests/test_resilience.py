@@ -8,7 +8,9 @@ ground truth."""
 
 import asyncio
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro import GraphSession, TGI, TGIConfig
 from repro.api import (
@@ -26,7 +28,6 @@ from repro.errors import (
     KeyNotFound,
     PartitionUnavailable,
     StorageError,
-    TransientFetchError,
 )
 from repro.faults import (
     CorruptionFaults,
@@ -52,6 +53,7 @@ from repro.kvstore.resilience import (
     CircuitBreaker,
     ResiliencePolicy,
 )
+from repro.exec import PlanExecutor
 from repro.service import QueryService, ServiceMetrics
 from repro.workloads.citation import CitationConfig, generate_citation_events
 
@@ -138,12 +140,18 @@ def test_corruption_faults_require_checksums():
 def test_plain_path_raises_typed_errors():
     c, keys = seeded_cluster()
     victim = owner_of(c, keys)
+    served_by_victim = {
+        partition_label(rec.key) for rec in c.plan_records(keys)
+        if rec.server == victim
+    }
     inject_faults(c, FaultSchedule(
         transient=(TransientFaults(victim, probability=1.0),), seed=7,
     ))
-    with pytest.raises(TransientFetchError) as err:
+    # one attempt: the victim's key group goes unserved and settles as
+    # a typed outage naming exactly the partitions it was routed
+    with pytest.raises(PartitionUnavailable) as err:
         c.multiget(keys)
-    assert victim in err.value.machines
+    assert set(err.value.partitions) == served_by_victim
     clear_faults(c)
     values, _ = c.multiget(keys)
     assert len(values) == len(keys)
@@ -152,11 +160,19 @@ def test_plain_path_raises_typed_errors():
 def test_corruption_surfaces_as_corrupt_payload():
     c, keys = seeded_cluster(checksums=True)
     victim = owner_of(c, keys)
+    row = next(rec.key for rec in c.plan_records(keys)
+               if rec.server == victim)
     inject_faults(c, FaultSchedule(
         corruption=(CorruptionFaults(victim, probability=1.0),), seed=3,
     ))
-    with pytest.raises(CorruptPayload):
+    # the fetch settles the corrupt rows' keys like any unserved key ...
+    with pytest.raises(PartitionUnavailable) as err:
         c.multiget(keys)
+    assert partition_label(row) in err.value.partitions
+    # ... while the codec's own error stays CorruptPayload
+    payload = c.machines[victim].get(row).payload
+    with pytest.raises(CorruptPayload):
+        decode(payload[:-1] + bytes([payload[-1] ^ 0xFF]))
 
 
 # -- resilient retry / reroute ----------------------------------------------
@@ -238,6 +254,61 @@ def test_hedged_read_escapes_latency_spike():
     values, stats = c.multiget(keys)
     assert values == expected
     assert stats.hedges > 0
+
+
+# -- no policy is the one-attempt loop --------------------------------------
+
+machines = st.integers(0, 3)
+schedules = st.builds(
+    FaultSchedule,
+    crashes=st.lists(st.builds(
+        CrashWindow, machines, st.sampled_from([0.0, 5.0]),
+        st.sampled_from([None, 10.0]),
+    ), max_size=2).map(tuple),
+    transient=st.lists(st.builds(
+        TransientFaults, machines, st.sampled_from([0.3, 1.0]),
+    ), max_size=2).map(tuple),
+    corruption=st.lists(st.builds(
+        CorruptionFaults, machines, st.sampled_from([0.2, 1.0]),
+    ), max_size=2).map(tuple),
+    seed=st.integers(0, 2**16),
+)
+
+
+def one_round(c, keys, schedule, partial):
+    """Outcome of one multiget under a freshly seeded ``schedule``."""
+    inject_faults(c, schedule)
+    collector = PartialCollector() if partial else None
+    try:
+        with partial_scope(collector):
+            values, stats = c.multiget(keys, clients=2)
+    except StorageError as exc:
+        return type(exc), getattr(exc, "partitions", None)
+    finally:
+        clear_faults(c)
+    return values, (
+        stats.requests, stats.rounds, stats.sim_time_ms,
+        stats.degraded_keys, stats.degraded_partitions,
+        collector.keys if partial else None,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    schedule=schedules,
+    r=st.sampled_from([1, 2]),
+    partial=st.booleans(),
+    clock=st.sampled_from([0.0, 7.0]),
+)
+def test_no_policy_is_one_attempt(schedule, r, partial, clock):
+    c, keys = seeded_cluster(r=r, checksums=True)
+    c.set_clock(clock)
+    plain = one_round(c, keys, schedule, partial)
+    c.enable_resilience(ResiliencePolicy(max_attempts=1, hedge=False))
+    assert one_round(c, keys, schedule, partial) == plain
+    if partial:
+        # a collector absorbs every outage: the fetch never raises
+        assert isinstance(plain[0], dict)
 
 
 # -- circuit breaker ---------------------------------------------------------
@@ -402,9 +473,21 @@ def test_chaos_mid_batch_member_identity(tgi, tmax):
         clear_faults(cluster)
 
 
-def test_coalesced_batch_owner_death_fails_typed(events, tmax):
+#: "no policy" is one attempt with no breakers or hedging; both settle
+#: unserved keys the same way
+POLICIES = (None, ResiliencePolicy(max_attempts=2, hedge=False))
+
+
+def arm(cluster, policy):
+    cluster.disable_resilience()
+    if policy is not None:
+        cluster.enable_resilience(policy)
+
+
+def test_coalesced_batch_owner_death_fails_typed(events, tmax, monkeypatch):
     # r=1: a dead machine's partitions are gone for good — batchmates
-    # must survive and the affected requests must fail *typed*
+    # must survive and the affected requests must fail *typed*, from
+    # the one shared execution (no request is re-run on its own)
     tgi = build_tgi(events, r=1)
     session = fresh_session(tgi)
 
@@ -438,24 +521,33 @@ def test_coalesced_batch_owner_death_fails_typed(events, tmax):
     inject_faults(tgi.cluster, FaultSchedule(
         crashes=(CrashWindow(victim, 0.0),),
     ))
-    tgi.cluster.enable_resilience(
-        ResiliencePolicy(max_attempts=2, hedge=False)
-    )
-    results = session.execute_batch(requests, capture_errors=True)
-    for r, machines in zip(results, fault_free_machines):
-        if victim in machines:
-            assert not r.ok
-            # typed: PartitionUnavailable from the fetch loop, or the
-            # plan-time "all replicas down" StorageError — never a bare
-            # KeyError/IndexError out of the fetch internals
-            assert isinstance(r.error, StorageError)
-        else:
-            assert r.ok, r.error
-    # survivors stay member-identical to the fault-free run
-    for got, want in zip(results, baseline):
-        if got.ok:
-            assert got.value.initial == want.value.initial
-            assert got.value.events == want.value.events
+    executions = []
+    execute_many = PlanExecutor.execute_many
+
+    def counted(self, *args, **kwargs):
+        executions.append(len(args[0]))
+        return execute_many(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanExecutor, "execute_many", counted)
+    for policy in POLICIES:
+        arm(tgi.cluster, policy)
+        executions.clear()
+        results = session.execute_batch(requests, capture_errors=True)
+        assert len(executions) == 1, policy
+        for r, machines in zip(results, fault_free_machines):
+            if victim in machines:
+                assert not r.ok
+                # typed: PartitionUnavailable from the fetch loop, or the
+                # plan-time "all replicas down" StorageError — never a
+                # bare KeyError/IndexError out of the fetch internals
+                assert isinstance(r.error, StorageError)
+            else:
+                assert r.ok, r.error
+        # survivors stay member-identical to the fault-free run
+        for got, want in zip(results, baseline):
+            if got.ok:
+                assert got.value.initial == want.value.initial
+                assert got.value.events == want.value.events
 
 
 def test_allow_partial_returns_degraded_result(events, tmax):
@@ -463,30 +555,31 @@ def test_allow_partial_returns_degraded_result(events, tmax):
     session = fresh_session(tgi)
     full = session.execute(QueryRequest(kind="snapshot", t=tmax))
     victim = 1
-    inject_faults(tgi.cluster, FaultSchedule(
-        crashes=(CrashWindow(victim, 0.0),),
-    ))
-    tgi.cluster.enable_resilience(
-        ResiliencePolicy(max_attempts=2, hedge=False)
-    )
-    # strict request: typed failure
-    with pytest.raises(PartitionUnavailable):
-        session.execute(QueryRequest(kind="snapshot", t=tmax))
-    # allow_partial: partial graph + degraded block
-    result = session.execute(
-        QueryRequest(kind="snapshot", t=tmax, allow_partial=True)
-    )
-    assert result.degraded is not None
-    assert result.degraded["partitions"]
-    assert result.degraded["keys"] > 0
-    assert 0 < result.value.num_nodes < full.value.num_nodes
-    stats = result.stats.as_dict()
-    assert stats["degraded"]["partitions"] == result.degraded["partitions"]
-    # recovery: faults cleared, the same strict query is whole again —
-    # proving no degraded state poisoned any cache
-    clear_faults(tgi.cluster)
-    again = session.execute(QueryRequest(kind="snapshot", t=tmax))
-    assert again.value.num_nodes == full.value.num_nodes
+    for policy in POLICIES:
+        arm(tgi.cluster, policy)
+        inject_faults(tgi.cluster, FaultSchedule(
+            crashes=(CrashWindow(victim, 0.0),),
+        ))
+        # strict request: typed failure
+        with pytest.raises(PartitionUnavailable):
+            session.execute(QueryRequest(kind="snapshot", t=tmax))
+        # allow_partial: partial graph + degraded block
+        result = session.execute(
+            QueryRequest(kind="snapshot", t=tmax, allow_partial=True)
+        )
+        assert result.degraded is not None
+        assert result.degraded["partitions"]
+        assert result.degraded["keys"] > 0
+        assert 0 < result.value.num_nodes < full.value.num_nodes
+        stats = result.stats.as_dict()
+        assert stats["degraded"]["partitions"] == (
+            result.degraded["partitions"]
+        )
+        # recovery: faults cleared, the same strict query is whole
+        # again — proving no degraded state poisoned any cache
+        clear_faults(tgi.cluster)
+        again = session.execute(QueryRequest(kind="snapshot", t=tmax))
+        assert again.value.num_nodes == full.value.num_nodes
 
 
 def test_allow_partial_fault_free_is_not_degraded(tgi, tmax):
@@ -519,7 +612,7 @@ def test_storage_errors_map_to_503_unavailable():
     assert status == 503
     assert payload["error"]["code"] == "unavailable"
     assert payload["error"]["retryable"] is True
-    status, _ = error_payload(TransientFetchError("flaky", machines=(1,)))
+    status, _ = error_payload(CorruptPayload("checksum mismatch"))
     assert status == 503
     # the client-side inverse rebuilds the typed error
     from repro.api import error_from_payload
