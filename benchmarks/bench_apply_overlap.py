@@ -12,10 +12,12 @@ the fix:
    is >= 2x faster warm than cold; in practice it is far higher.
 
 2. **Apply/fetch overlap** (simulated): with the apply constants enabled,
-   the pipelined executor schedules each stage's apply on a per-plan lane
-   of the shared timeline, so part of the apply time hides behind the
-   next fetch round — the pipelined makespan grows by *less* than the
-   total apply time relative to the fetch-only timeline.
+   the executor schedules each stage's apply on a per-plan lane of the
+   timeline, so part of the apply time hides behind the next fetch round
+   — the makespan grows by *less* than the total apply time relative to
+   the fetch-only timeline.  The executor has one schedule, so the cold
+   pass of part 1 (each query alone) runs its apply on such a lane too;
+   part 2 measures a SoTS chunk, many plans on one timeline.
 
 Results are written to ``BENCH_apply_overlap.json`` so the perf
 trajectory has data points.

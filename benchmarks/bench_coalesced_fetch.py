@@ -1,4 +1,4 @@
-"""Cross-query fetch coalescing vs pipelined-only vs sequential k-hops.
+"""Cross-query fetch coalescing vs pipelined-only vs one-at-a-time k-hops.
 
 Overlapping independent plans *in time* alone never merges their store
 work: 16 overlapping k-hop neighborhoods still fetch every shared
@@ -10,7 +10,9 @@ one query.
 
 Three strategies over the same 16 centers (dataset 1, m=4, k=2):
 
-- **sequential**: one ``get_khop`` per center;
+- **sequential**: one ``get_khop`` per center, back to back — each plan
+  alone, i.e. a window sequence with only its own plan in it (the
+  executor's one schedule), so nothing is shared *between* centers;
 - **pipelined-only**: all 16 plans overlapped on one timeline without
   merging their work — a schedule the executor no longer has, so its
   row is :data:`PIPELINED_ONLY`, measured before it was removed (the

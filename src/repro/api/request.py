@@ -58,7 +58,7 @@ class QueryRequest:
             measured from when the execution path first sees it (for
             served requests: from HTTP admission, so time queued in a
             batching window counts).  An expired request stops between
-            executor stages and surfaces as a structured
+            executor windows and surfaces as a structured
             :class:`~repro.api.wire.DeadlineExceeded` instead of a
             partial result.  ``None`` (the default) means no deadline.
         allow_partial: opt in to degraded results.  When the store cannot

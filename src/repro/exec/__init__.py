@@ -22,17 +22,17 @@ leaving each index method to hand-assemble key lists and call
   into a single ``multiget`` round (the minimum possible: stages only
   exist where a true data dependency forces another round), runs the
   rounds through the cluster's existing cost simulation, and threads one
-  :class:`~repro.kvstore.cost.FetchStats` through the whole plan —
-  including round counts and cache counters.  Independent plans — one
-  or many — run *pipelined*
-  (:meth:`~repro.exec.executor.PlanExecutor.execute_many`) on a shared
-  :class:`~repro.kvstore.cost.ExecutionTimeline`; there is exactly one
-  pipelined schedule, the coalesced one below.
+  :class:`~repro.kvstore.cost.FetchStats` through each plan — including
+  round counts and cache counters.  It has one schedule:
+  :meth:`~repro.exec.executor.PlanExecutor.execute_many` runs its plans
+  on one :class:`~repro.kvstore.cost.ExecutionTimeline` in the coalesced
+  windows below, and ``execute(plan)`` is ``execute_many([plan])`` — a
+  lone query is a window sequence of one plan.
 
-- :mod:`repro.exec.coalesce` — **cross-query fetch coalescing**, the
-  pipelined schedule: per scheduling window every unfinished plan
-  resolves its next stage, a single-flight in-flight table dedups keys
-  several stages name (each fetched once, consumers counted as
+- :mod:`repro.exec.coalesce` — **fetch coalescing**, that schedule: per
+  scheduling window every unfinished plan resolves its next stage, a
+  single-flight in-flight table dedups keys several stages name — of
+  one plan or of several — (each fetched once, consumers counted as
   ``coalesced_hits``), the window's keys go out as one merged multiget
   released as soon as its owners' previous rounds completed — overlapping
   one plan's fetch with the others' rounds and apply work — and a

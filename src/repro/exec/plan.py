@@ -9,6 +9,7 @@ only states *what* is needed, in which stage, and *why* (the role).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 #: Composite row key as used by the kvstore (opaque to this layer).
@@ -46,14 +47,9 @@ class FetchStage:
 
     def keys(self) -> List[KeyTuple]:
         """All stage keys in group order, first occurrence wins."""
-        seen = set()
-        out: List[KeyTuple] = []
-        for group in self.groups:
-            for key in group.keys:
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
-        return out
+        return list(dict.fromkeys(
+            chain.from_iterable(group.keys for group in self.groups)
+        ))
 
     @property
     def num_keys(self) -> int:

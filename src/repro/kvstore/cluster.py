@@ -566,14 +566,16 @@ class Cluster:
                 # charged on the clock/timeline — the work was issued —
                 # but only fetched keys enter ``stats.requests`` so the
                 # executor's per-record apply/cache loops stay aligned
-                # with ``values``.
-                round_ms = simulate_plan(records, model)
+                # with ``values``.  A timeline prices the round's
+                # standalone cost (the same bound) as it schedules it.
+                if timeline is None:
+                    timing, round_ms = None, simulate_plan(records, model)
+                else:
+                    timing = timeline.submit(records, at=release)
+                    round_ms = timing.standalone_ms
                 stats.requests.extend(ok_records)
                 stats.rounds += 1
                 stats.sim_time_ms += round_ms
-                timing = None
-                if timeline is not None:
-                    timing = timeline.submit(records, at=release)
                 if span is not None:
                     rs = self._trace_round(
                         span, records, round_ms, timing, release, attempt
@@ -582,10 +584,10 @@ class Cluster:
                         rs.add_event("hedge", moved=hedged, sim_at=release)
                     if failed:
                         rs.set(failed_keys=len(failed))
-                if timing is not None:
-                    release = timing.completed_ms
-                else:
-                    release += round_ms
+                release = (
+                    release + round_ms if timing is None
+                    else timing.completed_ms
+                )
                 now = base + release
             remaining = failed + blocked
             if not remaining:

@@ -406,31 +406,41 @@ class ExecutionTimeline:
         self, records: List[RequestRecord], at: float = 0.0
     ) -> RoundTiming:
         """Schedule one multiget round, released at time ``at``."""
+        # every round of every query is priced here: locals and plain
+        # comparisons instead of attribute lookups and max() calls
+        rtt = self.model.rtt_ms
         client_demand: Dict[int, float] = {}
         server_demand: Dict[int, float] = {}
         for r in records:
-            client_demand[r.client] = (
-                client_demand.get(r.client, 0.0)
-                + self.model.rtt_ms + r.service_ms
+            client, server, service = r.client, r.server, r.service_ms
+            client_demand[client] = (
+                client_demand.get(client, 0.0) + rtt + service
             )
-            server_demand[r.server] = (
-                server_demand.get(r.server, 0.0) + r.service_ms
-            )
+            server_demand[server] = server_demand.get(server, 0.0) + service
         end = at
+        standalone = 0.0
+        client_free = self._client_free
         for client, demand in client_demand.items():
-            start = max(at, self._client_free.get(client, 0.0))
-            self._client_free[client] = start + demand
-            end = max(end, start + demand)
+            start = client_free.get(client, 0.0)
+            if start < at:
+                start = at
+            client_free[client] = done = start + demand
+            if done > end:
+                end = done
+            if demand > standalone:
+                standalone = demand
+        server_free = self._server_free
         server_windows: Dict[int, Tuple[float, float]] = {}
         for server, demand in server_demand.items():
-            start = max(at, self._server_free.get(server, 0.0))
-            self._server_free[server] = start + demand
-            end = max(end, start + demand)
-            server_windows[server] = (start, start + demand)
-        standalone = max(
-            max(client_demand.values(), default=0.0),
-            max(server_demand.values(), default=0.0),
-        )
+            start = server_free.get(server, 0.0)
+            if start < at:
+                start = at
+            server_free[server] = done = start + demand
+            if done > end:
+                end = done
+            if demand > standalone:
+                standalone = demand
+            server_windows[server] = (start, done)
         timing = RoundTiming(
             len(self.rounds), at, end, standalone,
             server_windows=server_windows,

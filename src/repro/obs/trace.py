@@ -2,8 +2,9 @@
 
 A :class:`Tracer` produces one span tree per traced query (or batch):
 the session opens a root span, and every layer underneath — candidate
-pricing, executor stages, coalesce windows, per-machine multiget
-rounds, apply lanes, resilience events — attaches children to whatever
+pricing, the executor's coalesce windows (the stages each ran, its
+cache outcomes, requests and bytes), per-machine multiget rounds,
+apply lanes, resilience events — attaches children to whatever
 span is *current*.  Currency is carried in a :mod:`contextvars`
 variable (the same pattern as :mod:`repro.cancellation`), so work that
 hops threads keeps attributing correctly as long as the context is

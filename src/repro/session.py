@@ -34,9 +34,9 @@ handler.
 (``_compile``) to fetch plan(s) plus a finalize closure, a call's plans
 run through one ``PlanExecutor.execute_many``, and each request is
 finalized off its plans' values (``_finalize``).  ``execute(r)`` is the
-batch of one — plans back to back, the sequential sim clock, the only
+batch of one — each plan alone, back to back, clocks summed, the only
 outcome the EWMA correction learns from; ``execute_batch`` runs many on
-one pipelined, coalesced timeline.  Stats travel with results (the index
+one coalesced timeline.  Stats travel with results (the index
 returns ``(value, FetchStats)``), so threads sharing a session each
 report their own work.
 
@@ -897,9 +897,9 @@ class GraphSession:
         """The one way a query runs: :meth:`_compile` every request to
         plans + finalizers, execute all plans in one ``execute_many``,
         :meth:`_finalize` each request off its plans' values.  One
-        distinct request asked once runs *standalone* — plans back to
-        back, the sequential sim clock, the outcome fed to the EWMA;
-        anything more shares one pipelined, coalesced timeline.
+        distinct request asked once runs *standalone* — each plan alone,
+        back to back, clocks summed, the outcome fed to the EWMA;
+        anything more shares one coalesced timeline.
 
         Either way the k-hop plans of one call share what they replay:
         one :class:`~repro.index.tgi.query.ReplayShare`, created here,
@@ -1354,9 +1354,11 @@ class TimeView:
         picks Algorithm 3 vs 4 (and per-center vs shared-frontier) —
         ``auto`` defers to plan pricing.
         """
-        # node ids are scalars (ints); anything iterable — list, tuple,
-        # set, range, generator — is a population of centers
-        single = not hasattr(center, "__iter__")
+        # node ids are scalars (ints, strings); anything else iterable —
+        # list, tuple, set, range, generator — is a population of centers
+        single = isinstance(center, (str, bytes)) or not hasattr(
+            center, "__iter__"
+        )
         nodes = (center,) if single else tuple(center)
         return self.session.execute(QueryRequest(
             kind="khop", t=self.t, nodes=nodes, k=k,

@@ -80,12 +80,19 @@ def test_snapshot_trace_shape(session, tmax):
     assert root.attrs["kind"] == "snapshot"
     # the root's sim window reconciles exactly with the terminal stats
     assert root.sim_ms == pytest.approx(result.stats.sim_time_ms)
-    # executor stages underneath, each with requests/bytes accounting
-    stages = root.find("stage")
-    assert stages
-    assert sum(s.attrs.get("requests", 0) for s in stages) == (
+    # the executor's windows underneath, each naming the stages it ran
+    # and carrying requests/bytes accounting
+    windows = root.find("coalesce.window")
+    assert windows
+    assert all(w.attrs["stages"] for w in windows)
+    assert sum(w.attrs.get("requests", 0) for w in windows) == (
         result.stats.requests
     )
+    assert sum(w.attrs.get("bytes", 0) for w in windows) == (
+        result.stats.bytes_read
+    )
+    # no delta cache configured: no cache outcomes to report
+    assert not any("cache_hits" in w.attrs for w in windows)
     # store rounds carry sim windows and per-machine occupancy
     rounds = root.find("round")
     assert rounds
@@ -97,6 +104,30 @@ def test_snapshot_trace_shape(session, tmax):
     for span in root.walk():
         if span.parent_id is not None:
             assert span.parent_id in ids
+
+
+def test_window_spans_carry_cache_outcomes(events, tmax):
+    tgi = TGI(TGIConfig(
+        events_per_timespan=1200, eventlist_size=150,
+        micro_partition_size=32, delta_cache_entries=4096,
+        cluster=ClusterConfig(num_machines=4),
+    ))
+    tgi.build(events)
+    session = GraphSession.from_index(tgi)
+    tracer = traced(session)
+    cold = session.execute(QueryRequest(kind="snapshot", t=tmax))
+    cold_windows = tracer.last().find("coalesce.window")
+    warm = session.execute(QueryRequest(kind="snapshot", t=tmax))
+    warm_windows = tracer.last().find("coalesce.window")
+    assert sum(w.attrs["cache_misses"] for w in cold_windows) == (
+        cold.stats.cache_misses
+    ) > 0
+    # a window the cache answered whole still shows up, with its hits
+    assert warm.stats.requests == 0
+    assert sum(w.attrs["cache_hits"] for w in warm_windows) == (
+        warm.stats.cache_hits
+    ) > 0
+    assert not any("requests" in w.attrs for w in warm_windows)
 
 
 def test_khop_trace_has_pricing(session, tmax, events):

@@ -3,7 +3,11 @@ PlanExecutor.execute_many, the shared-frontier batched k-hop, the TAF
 data paths on the shared timeline (against a log-replay oracle), and the
 replica-fallback read path."""
 
+from dataclasses import fields
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import IndexError_, KeyNotFound
 from repro.exec import DeltaCache, FetchPlan, FetchStage, KeyGroup, PlanExecutor
@@ -260,19 +264,79 @@ def test_lone_pipelined_plan_accounts_like_its_timeline():
 
 def test_lone_pipelined_plan_fetches_a_repeated_key_once():
     """A plan that names one key in two stages (a node-histories plan
-    does) single-flights it on the shared timeline, batchmates or not;
-    sequential ``execute`` asks the store again."""
+    does) single-flights it, batchmates or not: ``execute`` and
+    ``execute_many`` of one ask the store once per key."""
     cluster, keys = _loaded_cluster()
     seq = PlanExecutor(cluster).execute(_two_stage_plan(keys[:4], keys[2:6]))
     pipe = PlanExecutor(cluster).execute_many(
         [_two_stage_plan(keys[:4], keys[2:6])], pipelined=True
     )
     lone = pipe.results[0]
-    assert seq.stats.num_requests == 8
+    assert seq.stats.num_requests == 6
     assert lone.stats.num_requests == pipe.stats.num_requests == 6
+    assert seq.stats.coalesced_hits == 2
     assert lone.stats.coalesced_hits == pipe.coalesce.coalesced_hits == 2
     assert pipe.coalesce.fair_requests == [6.0]
     assert lone.values == seq.values
+    assert lone.stats == seq.stats
+
+
+def _plan_of(stages, keys):
+    """A plan whose first stage is static and whose later stages are
+    factories, each naming ``keys[i]`` for the drawn indices."""
+    plan = FetchPlan("drawn")
+    plan.add_stage("s0", KeyGroup("rows", tuple(keys[i] for i in stages[0])))
+    for n, stage in enumerate(stages[1:], 1):
+        plan.add_factory(
+            lambda values, n=n, picked=tuple(keys[i] for i in stage):
+            FetchStage(f"s{n}", (KeyGroup("derived", picked),))
+        )
+    return plan
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(0, 23), min_size=1, max_size=10, unique=True),
+        min_size=1, max_size=4,
+    ),
+    st.sampled_from([None, 4, 256]),  # delta cache entries
+    st.lists(st.integers(0, 23), max_size=8, unique=True),  # pre-warmed
+)
+def test_execute_is_execute_many_of_one(stages, cache_entries, warm):
+    """``execute(p)`` is ``execute_many([p]).results[0]``: the same values
+    and every ``FetchStats`` field equal, over random multi-stage plans
+    whose stages overlap, with the cache off, bounded or roomy."""
+    runs = []
+    for run in ("execute", "execute_many"):
+        cluster, keys = _loaded_cluster()
+        cache = None if cache_entries is None else DeltaCache(cache_entries)
+        executor = PlanExecutor(cluster, cache)
+        if cache is not None and warm:
+            executor.fetch([keys[i] for i in warm])
+        plan = _plan_of(stages, keys)
+        runs.append(
+            executor.execute(plan) if run == "execute"
+            else executor.execute_many([plan]).results[0]
+        )
+    lone, many = runs
+    assert lone.values == many.values
+    for spec in fields(FetchStats):
+        assert getattr(lone.stats, spec.name) == getattr(
+            many.stats, spec.name
+        ), spec.name
+    # every key asked is fetched once, or served by the cache or by the
+    # flight an earlier stage made
+    asked = sum(len(stage) for stage in stages)
+    distinct = {i for stage in stages for i in stage}
+    assert len(lone.values) == len(distinct)
+    assert (
+        lone.stats.num_requests + lone.stats.cache_hits
+        + lone.stats.coalesced_hits
+    ) == asked
+    if cache_entries is None:
+        assert lone.stats.num_requests == len(distinct)
+        assert lone.stats.overlap_saved_ms == pytest.approx(0.0)
 
 
 # -- replica fallback --------------------------------------------------------
@@ -541,7 +605,7 @@ def test_subgraph_merges_khop_probe_stats_for_late_center(tgi, events):
 
     def note(stats):
         nonlocal asked
-        asked += stats.num_requests
+        asked += stats.num_requests + stats.coalesced_hits
         keys.update(r.key for r in stats.requests)
 
     histories, fetch = tgi.retrieve_node_histories([late], TS, TE)
