@@ -38,6 +38,13 @@ from repro.api import (
 )
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, PartitioningStrategy, TGIConfig
+from repro.index.tgi.layout import (
+    TAG_AUX_EVENTLIST,
+    TAG_AUX_SNAPSHOT,
+    TAG_EVENTLIST,
+    TAG_SNAPSHOT,
+    TAG_VERSION_CHAIN,
+)
 from repro.io import read_events, write_events
 from repro.kvstore.cluster import CODECS, ClusterConfig
 from repro.kvstore.cost import CostModel
@@ -567,6 +574,32 @@ def _cmd_inspect_slow(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``hgs inspect`` row kind of each TGI delta-id tag
+_ROW_KINDS = {
+    TAG_SNAPSHOT: "micro_delta",
+    TAG_AUX_SNAPSHOT: "micro_delta",
+    TAG_EVENTLIST: "eventlist",
+    TAG_AUX_EVENTLIST: "eventlist",
+    TAG_VERSION_CHAIN: "version_chain",
+}
+
+
+def _storage_by_kind(cluster) -> dict:
+    """Distinct rows and stored KiB (replicas counted, like the index's
+    ``stored_kib``) per row kind."""
+    keys: dict = {kind: set() for kind in _ROW_KINDS.values()}
+    size = dict.fromkeys(keys, 0)
+    for machine in cluster.machines:
+        for key, value in machine.items():
+            kind = _ROW_KINDS[key[2][0]]
+            keys[kind].add(key)
+            size[kind] += value.stored_size
+    return {
+        kind: {"rows": len(keys[kind]), "stored_kib": round(size[kind] / 1024, 1)}
+        for kind in keys
+    }
+
+
 def _cmd_inspect(args: argparse.Namespace) -> int:
     if args.slow:
         return _cmd_inspect_slow(args)
@@ -600,6 +633,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 "checksums": index.config.cluster.checksums,
                 "delta_cache_entries": index.config.delta_cache_entries,
                 "checkpoint_entries": index.config.checkpoint_entries,
+                "storage": _storage_by_kind(index.cluster),
             })
             # planner state a fresh session would start from: learned
             # per-k frontier margin multipliers persist with the index;

@@ -132,19 +132,30 @@ class Delta:
     - ``a | b``:  all components from both; conflicting versions keep
       ``a``'s copy (union is only used between compatible deltas).
 
-    Static nodes are held as :class:`StaticNode` objects by id, or as
+    Static nodes are held as :class:`StaticNode` objects by id, as
     *columns* — an edge list and an attribute tuple per node id, which
-    is how the columnar codec decodes a stored row and what
-    :meth:`to_graph` consumes.  While a delta has columns they are the
-    whole truth and ``_nodes`` only memoises the nodes thawed out of
-    them so far; :meth:`static_nodes` thaws each node at most once.
+    is what :meth:`to_graph` consumes — or, for a row the columnar codec
+    decoded, as the row's *packed* node columns
+    (:class:`~repro.deltas.columnar.PackedNodes`).  While a delta has
+    packed or plain columns they are the whole truth and ``_nodes`` only
+    memoises the nodes thawed out of them so far; :meth:`static_nodes`
+    thaws each node at most once.  A packed row decodes whole — in one
+    bulk pass, into plain columns — the first time a read needs every
+    node; a scoped read that does not cover the row thaws only its
+    in-scope nodes, straight from the packed columns.
+
+    Reads look at ``_packed``, then ``_cols``, then ``_nodes``, and each
+    is retired only once the next one holds the whole truth, so a reader
+    racing a decode or a thaw of a shared cached row never takes a
+    part-thawed ``_nodes`` for the complete set.
     """
 
-    __slots__ = ("_nodes", "_cols", "_edges")
+    __slots__ = ("_nodes", "_cols", "_packed", "_edges")
 
     def __init__(self, components: Iterable[GraphComponent] = ()) -> None:
         self._nodes: Dict[NodeId, StaticNode] = {}
         self._cols: Optional[NodeColumns] = None
+        self._packed: Any = None
         self._edges: Dict[EdgeId, StaticEdge] = {}
         for c in components:
             self.put(c)
@@ -162,7 +173,22 @@ class Delta:
         out = cls.__new__(cls)
         out._nodes = {}
         out._cols = (adjacency, node_attrs)
+        out._packed = None
         out._edges = {} if edges is None else edges
+        return out
+
+    @classmethod
+    def from_packed(
+        cls, packed: Any, edges: Dict[EdgeId, StaticEdge]
+    ) -> "Delta":
+        """A delta over a packed row's node columns
+        (:class:`~repro.deltas.columnar.PackedNodes`) and its explicit
+        edges, decoded only as far as reads need."""
+        out = cls.__new__(cls)
+        out._nodes = {}
+        out._cols = None
+        out._packed = packed
+        out._edges = edges
         return out
 
     # -- representations --------------------------------------------------
@@ -174,9 +200,17 @@ class Delta:
 
         Columns thaw node by node, each node once: a scoped load of one
         node does not pay for its whole partition, and the next hit on
-        a cached row finds what earlier hits thawed.  When every node
-        has thawed the columns are dropped.
+        a cached row finds what earlier hits thawed.  A packed row that
+        ``within`` does not cover thaws its in-scope nodes by slot; one
+        it covers, or an unscoped read, decodes it whole first.  When
+        every node has thawed the columns are dropped.
         """
+        packed = self._packed
+        if packed is not None:
+            if within is not None and not within.issuperset(packed.ids):
+                return self._thaw_packed(packed, within)
+            self.columns()
+            within = None  # covers the row: no second check below
         nodes, cols = self._nodes, self._cols
         every = nodes if cols is None else cols[0]
         wanted = (
@@ -196,13 +230,32 @@ class Delta:
             return nodes  # complete: no later thaw writes to it
         return {n: nodes[n] for n in wanted}
 
+    def _thaw_packed(
+        self, packed: Any, within: AbstractSet[NodeId]
+    ) -> Dict[NodeId, StaticNode]:
+        """The in-scope nodes of a packed row, each thawed by slot once."""
+        nodes = self._nodes
+        wanted = packed.slots.keys() & within
+        packed.thaw(wanted, nodes)
+        if len(nodes) == len(packed.ids):
+            # retired only once ``nodes`` is complete (see the class
+            # docstring)
+            self._packed = None
+        return {n: nodes[n] for n in wanted}
+
     def static_edges(self) -> Dict[EdgeId, StaticEdge]:
         """The explicit static edges by stored endpoint pair."""
         return self._edges
 
     def columns(self) -> NodeColumns:
-        """``(adjacency, node_attrs)`` by node id — the stored columns,
-        or the same view derived from thawed static nodes."""
+        """``(adjacency, node_attrs)`` by node id — the stored columns
+        (a packed row decodes into them here, once), or the same view
+        derived from thawed static nodes."""
+        packed = self._packed
+        if packed is not None:
+            cols = self._cols = packed.columns()
+            self._packed = None
+            return cols
         cols = self._cols
         if cols is not None:
             return cols
@@ -214,6 +267,9 @@ class Delta:
 
     # -- basic protocol -------------------------------------------------
     def __len__(self) -> int:
+        packed = self._packed
+        if packed is not None:
+            return len(packed.ids) + len(self._edges)
         cols = self._cols
         nodes = cols[0] if cols is not None else self._nodes
         return len(nodes) + len(self._edges)

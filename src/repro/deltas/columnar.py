@@ -57,12 +57,22 @@ offset     section             contents
                                are empty
 ========== =================== =======================================
 
-Decode slices the neighbour column into one edge list per node and
-hands the columns to :meth:`Delta.from_columns` — no ``StaticNode`` is
-built until something asks for one (``Delta.to_graph`` and
-``Delta.sum`` never do).  The side-table carries only what few
+Decode is *by slot*: :func:`unpack_delta` lists only the id column,
+unpickles the side-table and keeps the offsets + neighbours as one
+``memoryview`` int column (:class:`PackedNodes`) under a
+:meth:`Delta.from_packed` delta.  What happens next depends on the
+read.  A read of every node — ``Delta.columns`` and so ``to_graph``,
+``Delta.sum`` and ``size``, or ``static_nodes`` over a scope covering
+the row — slices the neighbour column into one edge list per node in
+one bulk pass, after which the delta holds plain columns and drops the
+packed view; no ``StaticNode`` is built (``to_graph`` and ``sum`` never
+need one).  A scoped ``static_nodes(within)`` that does not cover the
+row — a history plan replaying only its asked nodes — thaws just the
+in-scope nodes, each from its own offsets, found through an id → slot
+map built on first use.  The side-table carries only what few
 components have: node attribute tuples and explicit ``StaticEdge``
-components (TGI stores one per *attributed* edge).  A delta with a
+components (TGI stores one per *attributed* edge); it stays one pickle
+per row, so rows keep pickle's memo sharing.  A delta with a
 non-``int`` or beyond-int64 node id makes :func:`pack_delta` return
 ``None`` and the codec falls back to pickle, exactly as for eventlists.
 """
@@ -78,9 +88,9 @@ from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from itertools import accumulate, chain
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.deltas.base import Delta
+from repro.deltas.base import Delta, StaticNode
 from repro.graph.events import Event, EventKind
 from repro.types import NodeId, TimePoint
 
@@ -530,9 +540,87 @@ def pack_delta(delta: Delta) -> Optional[bytes]:
     return b"".join(parts)
 
 
+class PackedNodes:
+    """The node columns of one packed micro-delta row, decoded on demand.
+
+    Holds the row's id column as a list, its offsets + neighbours as one
+    ``memoryview`` int column, and the side-table's node attributes.
+    :meth:`columns` decodes every edge list in one bulk pass;
+    :meth:`thaw` builds single :class:`StaticNode` objects, finding each
+    node's edge list through an id → slot map built on first use.
+    """
+
+    __slots__ = ("ids", "_csr", "_attrs", "_slots")
+
+    def __init__(
+        self,
+        ids: List[int],
+        csr: memoryview,
+        attrs: Dict[int, Tuple[Tuple[str, Any], ...]],
+    ) -> None:
+        self.ids = ids
+        self._csr = csr  # n + 1 offsets, then the neighbours
+        self._attrs = attrs  # only the nodes that have attributes
+        self._slots: Optional[Dict[int, int]] = None
+
+    # memoryview casts don't pickle; rebuild from the column's bytes
+    # (save_index pickles whole indexes, delta caches included)
+    def __reduce__(self):
+        csr = self._csr
+        return (
+            _rebuild_packed,
+            (self.ids, csr.format, csr.tobytes(), self._attrs),
+        )
+
+    @property
+    def slots(self) -> Dict[int, int]:
+        """``node id -> slot`` (its row in the id column)."""
+        slots = self._slots
+        if slots is None:
+            # benign race: identical result either way
+            slots = self._slots = dict(zip(self.ids, range(len(self.ids))))
+        return slots
+
+    def columns(self) -> Tuple[Dict[int, List[int]], Dict[int, Tuple]]:
+        """Every node's ``(edge list, attribute pairs)``, as
+        :meth:`Delta.columns` hands them out."""
+        ids, csr = self.ids, self._csr
+        n = len(ids)
+        offsets = csr[:n + 1].tolist()
+        nbrs = csr[n + 1:].tolist()
+        adjacency = dict(
+            zip(ids, map(nbrs.__getitem__, map(slice, offsets, offsets[1:])))
+        )
+        attrs = dict.fromkeys(adjacency, ())  # a dict source skips rehashing
+        attrs.update(self._attrs)
+        return adjacency, attrs
+
+    def thaw(self, ids: Iterable[int], into: Dict[int, StaticNode]) -> None:
+        """Build the static node of each of ``ids`` (row members) that
+        ``into`` does not hold yet, into it."""
+        slots, csr, attrs = self.slots, self._csr, self._attrs
+        base = len(self.ids) + 1
+        for n in ids:
+            if n not in into:
+                i = slots[n]
+                into[n] = StaticNode(
+                    n,
+                    frozenset(csr[base + csr[i]:base + csr[i + 1]]),
+                    attrs.get(n, ()),
+                )
+
+
+def _rebuild_packed(
+    ids: List[int], code: str, csr: bytes, attrs: Dict
+) -> PackedNodes:
+    return PackedNodes(ids, memoryview(csr).cast(code), attrs)
+
+
 def unpack_delta(data: Any) -> Delta:
-    """Decode a micro-delta payload into a columns-backed :class:`Delta`
-    (equal to the delta that was packed)."""
+    """Decode a micro-delta payload into a :class:`Delta` over the row's
+    :class:`PackedNodes` (equal to the delta that was packed).  Only the
+    id column is listed and the side-table unpickled here; edge lists
+    wait until a read asks for them."""
     mv = memoryview(data)
     if len(mv) < _DELTA_HEADER.size:
         raise ValueError("truncated micro-delta payload")
@@ -546,16 +634,12 @@ def unpack_delta(data: Any) -> Delta:
     end = _DELTA_HEADER.size + width * (2 * n + 1 + m)
     if len(mv) < end:
         raise ValueError("truncated micro-delta payload")
-    cols = mv[_DELTA_HEADER.size:end].cast(code).tolist()
-    offsets, nbrs = cols[n:2 * n + 1], cols[2 * n + 1:]
-    # zip stops after the n edge lists, i.e. at the end of the id column
-    adjacency = dict(
-        zip(cols, map(nbrs.__getitem__, map(slice, offsets, offsets[1:])))
-    )
-    attrs = dict.fromkeys(adjacency, ())
+    ints = mv[_DELTA_HEADER.size:end].cast(code)
+    node_attrs: Dict[int, Tuple] = {}
     edges = {}
     if end < len(mv):
         node_attrs, edge_components = pickle.loads(mv[end:])
-        attrs.update(node_attrs)
         edges = {(e.u, e.v): e for e in edge_components}
-    return Delta.from_columns(adjacency, attrs, edges)
+    return Delta.from_packed(
+        PackedNodes(ints[:n].tolist(), ints[n:], node_attrs), edges
+    )

@@ -10,7 +10,7 @@ from repro.index.tgi.planner import (
     price_plan,
 )
 from repro.index.tgi.layout import TimespanInfo, delta_key, version_chain_key
-from repro.index.tgi.version_chain import VersionChainStore, VersionPointer
+from repro.index.tgi.version_chain import VersionChainStore
 
 __all__ = [
     "TGI",
@@ -24,7 +24,6 @@ __all__ = [
     "delta_key",
     "version_chain_key",
     "VersionChainStore",
-    "VersionPointer",
     "WorkloadShape",
     "table1",
     "storage_sizes",

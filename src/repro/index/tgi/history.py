@@ -25,6 +25,7 @@ from repro.index.tgi.states import (
     _charge_dropped,
     _degraded_pids,
 )
+from repro.index.tgi.version_chain import pointers_in_range
 from repro.kvstore.cost import Counters
 from repro.kvstore.degrade import (
     PartialCollector,
@@ -98,7 +99,7 @@ class HistoryPlans:
                 if chain is None:
                     _missing_chain(n)
                     continue
-                for key in self._vc.pointers_in_range(chain, ts, te):
+                for key in pointers_in_range(chain, ts, te):
                     if key not in pseen:
                         pseen.add(key)
                         pointer_keys.append(key)
@@ -127,11 +128,15 @@ class HistoryPlans:
             # the asked nodes whose chains point at each eventlist row
             readers: Dict[DeltaKey, List[NodeId]] = {}
             for n, chain in chains.items():
-                keys = self._vc.pointers_in_range(chain, ts, te)
-                bad = _degraded_pids(keys, values)
+                keys = pointers_in_range(chain, ts, te)
+                if _degraded_pids(keys, values):
+                    # a chain spans timespans, and a partition is a
+                    # (tsid, pid): the same pid in another timespan is
+                    # another partition, whose rows still count
+                    bad = {(k[0], k[3]) for k in keys if k not in values}
+                    keys = [k for k in keys if (k[0], k[3]) not in bad]
                 for key in keys:
-                    if key[3] not in bad:
-                        readers.setdefault(key, []).append(n)
+                    readers.setdefault(key, []).append(n)
             # each row is windowed (a bisection) and scanned once for all
             # its readers; columnar rows materialize only matching rows
             changes: Dict[NodeId, List[Event]] = {}

@@ -20,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 from repro.errors import IndexError_
 from repro.index.tgi.layout import DeltaKey, version_chain_key
 from repro.index.tgi.states import _state_key, near_seed_candidate, triage
+from repro.index.tgi.version_chain import pointers_in_range
 from repro.kvstore.cost import simulate_plan
 from repro.types import NodeId, TimePoint
 
@@ -286,9 +287,7 @@ class TGIPlanner:
             "version-pointed eventlists",
             dict.fromkeys(
                 key for n in chained
-                for key in tgi._vc.pointers_in_range(
-                    tuple(tgi._vc._pending.get(n, ())), ts, te
-                )
+                for key in pointers_in_range(tgi._vc.chain(n), ts, te)
             ),
             chained=True,
         )

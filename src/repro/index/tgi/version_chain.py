@@ -6,26 +6,54 @@ A node's chain is one row in the cluster (the ``Versions`` table), keyed
 the node's events inside one eventlist partition plus that partition's
 delta key, so a version query fetches exactly the rows it needs — the
 ``∑1 = |V| + 1`` cost of Table 1 (the ``+1`` is the chain row itself).
+
+Row layout
+----------
+
+A chain only ever points at primary eventlist rows ``(tsid, sid, ("E",
+j), pid)``, so an entry is six ints and a chain is one flat ``tuple`` of
+them, sorted by ``(t_min, t_max)``::
+
+    (t_min, t_max, tsid, sid, j, pid,  t_min, t_max, tsid, ...)
+
+The same tuple is the in-memory chain (:meth:`VersionChainStore.chain`)
+and the stored row under either codec, so reading a chain unpickles one
+tuple of small ints: no per-entry object exists until
+:func:`pointers_in_range` assembles the delta keys a window needs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import chain as concat
+from typing import Dict, List, Tuple
 
 from repro.kvstore.cluster import Cluster
-from repro.index.tgi.layout import DeltaKey, version_chain_key
+from repro.index.tgi.layout import TAG_EVENTLIST, DeltaKey, version_chain_key
 from repro.types import NodeId, TimePoint
 
+#: Ints per chain entry: t_min, t_max, tsid, sid, j, pid.
+ENTRY_WIDTH = 6
 
-@dataclass(frozen=True)
-class VersionPointer:
-    """One chain entry: the node has events in ``[t_min, t_max]`` inside
-    the eventlist row at ``key``."""
+#: A chain row: ``ENTRY_WIDTH`` ints per entry, sorted by (t_min, t_max).
+Chain = Tuple[int, ...]
 
-    t_min: TimePoint
-    t_max: TimePoint
-    key: DeltaKey
+
+def pointers_in_range(chain: Chain, ts: TimePoint, te: TimePoint) -> List[DeltaKey]:
+    """Delta keys whose entries overlap the query interval ``(ts, te]``,
+    deduplicated, in chain order."""
+    seen = set()
+    keys: List[DeltaKey] = []
+    it = iter(chain)
+    for t_min, t_max, tsid, sid, j, pid in zip(it, it, it, it, it, it):
+        if t_min > te:
+            break  # sorted by t_min: no later entry starts in the window
+        if t_max <= ts:
+            continue
+        key = (tsid, sid, (TAG_EVENTLIST, j), pid)
+        if key not in seen:
+            seen.add(key)
+            keys.append(key)
+    return keys
 
 
 class VersionChainStore:
@@ -34,58 +62,53 @@ class VersionChainStore:
     def __init__(self, cluster: Cluster, placement_groups: int) -> None:
         self._cluster = cluster
         self._placement_groups = placement_groups
-        self._pending: Dict[NodeId, List[VersionPointer]] = {}
-        self._flushed: Dict[NodeId, int] = {}  # entries already persisted
+        #: entries recorded since the last flush, one 6-tuple each
+        self._pending: Dict[NodeId, List[Chain]] = {}
+        #: every stored chain, exactly as its row holds it
+        self._chains: Dict[NodeId, Chain] = {}
 
     # -- build side ------------------------------------------------------
     def record(
         self, node: NodeId, t_min: TimePoint, t_max: TimePoint, key: DeltaKey
     ) -> None:
-        """Append a pointer for ``node`` (build-time accumulation)."""
+        """Append a pointer for ``node`` to the primary eventlist row
+        ``key`` (build-time accumulation)."""
+        tsid, sid, (tag, j), pid = key
+        assert tag == TAG_EVENTLIST, key
         self._pending.setdefault(node, []).append(
-            VersionPointer(t_min, t_max, key)
+            (t_min, t_max, tsid, sid, j, pid)
         )
 
     def flush(self) -> List[DeltaKey]:
         """Write/rewrite the chain rows that gained pointers since the
         last flush (used both at initial build and on batch update).
 
-        Returns the keys whose stored content actually changed, so the
-        index can invalidate exactly those cached rows instead of
-        clearing the whole delta cache — a chain without new pointers is
-        skipped (its row is already stored with identical content)."""
+        Returns the keys whose stored content changed, so the index can
+        invalidate exactly those cached rows instead of clearing the
+        whole delta cache — a chain without new pointers is not
+        rewritten."""
         changed: List[DeltaKey] = []
-        for node, entries in self._pending.items():
-            if self._flushed.get(node) == len(entries):
-                continue
-            entries.sort(key=lambda p: (p.t_min, p.t_max))
+        for node, added in self._pending.items():
+            old = self._chains.get(node, ())
+            entries = [
+                old[i:i + ENTRY_WIDTH] for i in range(0, len(old), ENTRY_WIDTH)
+            ]
+            entries.extend(added)
+            entries.sort(key=lambda e: (e[0], e[1]))
+            row = tuple(concat.from_iterable(entries))
             key = version_chain_key(node, self._placement_groups)
-            self._cluster.put(key, tuple(entries))
-            self._flushed[node] = len(entries)
+            self._cluster.put(key, row)
+            self._chains[node] = row
             changed.append(key)
-        # pending doubles as the authoritative in-memory copy so updates
-        # can extend chains without re-reading rows
+        self._pending.clear()
         return changed
 
     # -- query side --------------------------------------------------------
     def has_chain(self, node: NodeId) -> bool:
         """Whether a chain row for ``node`` exists in the store."""
-        return node in self._flushed
+        return node in self._chains
 
-    def pointers_in_range(
-        self,
-        chain: Tuple[VersionPointer, ...],
-        ts: TimePoint,
-        te: TimePoint,
-    ) -> List[DeltaKey]:
-        """Delta keys whose entries overlap the query interval ``(ts, te]``,
-        deduplicated, in chain order."""
-        seen = set()
-        keys: List[DeltaKey] = []
-        for ptr in chain:
-            if ptr.t_max <= ts or ptr.t_min > te:
-                continue
-            if ptr.key not in seen:
-                seen.add(ptr.key)
-                keys.append(ptr.key)
-        return keys
+    def chain(self, node: NodeId) -> Chain:
+        """``node``'s chain exactly as its row stores it (empty when it
+        has none): what the planner reads pointers from, unfetched."""
+        return self._chains.get(node, ())

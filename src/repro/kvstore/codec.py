@@ -16,17 +16,20 @@ tags  value              decodes to
 R / Z anything           ``pickle.loads`` of the stream
 C / c eventlist          lazy zero-copy :class:`ColumnarEventList` view —
                          no ``Event`` object is unpickled
-D / d micro-delta        columns-backed :class:`Delta` (node ids, CSR
-                         offsets + neighbours at int32 or int64, pickled
-                         side-table for attributes and explicit edges) —
-                         no ``StaticNode`` is built until one is asked for
+D / d micro-delta        :class:`Delta` over the row's packed node
+                         columns (node ids, CSR offsets + neighbours at
+                         int32 or int64, pickled side-table for
+                         attributes and explicit edges) — edge lists are
+                         sliced out only when a read asks for them
 K     any of the above   CRC32 envelope around one tagged payload
 ===== ================== ===============================================
 
 Only values whose fields fit a packed layout use it; everything else
-(version chains, pointers, eventlists or deltas with non-``int`` or
-beyond-int64 ids) falls back to pickle, so a store freely holds a mix of
-tags.
+(eventlists or deltas with non-``int`` or beyond-int64 ids, and every
+other value) falls back to pickle, so a store freely holds a mix of
+tags.  Version chains always pickle: a chain row is already one flat
+tuple of ints (:mod:`repro.index.tgi.version_chain`), the same under
+either codec.
 """
 
 from __future__ import annotations
@@ -132,8 +135,8 @@ def decode(payload: bytes) -> Any:
 
     Columnar eventlist payloads decode to a lazy
     :class:`ColumnarEventList` wrapping the payload's buffer — zero-copy
-    for the uncompressed tag; packed micro-deltas to a columns-backed
-    :class:`Delta`.
+    for the uncompressed tag; packed micro-deltas to a :class:`Delta`
+    over the row's packed node columns.
     """
     if not payload:
         raise ValueError(

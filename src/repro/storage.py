@@ -48,7 +48,10 @@ _MAGIC = b"hgs-index"
 # 13: under ``replicate_boundary`` an auxiliary micro holds every
 #     attributed edge touching a boundary node, not only those inside
 #     the partition's scope (older replicated rows replay inexactly)
-_FORMAT_VERSION = 13
+# 14: version-chain rows are flat int tuples (six ints per pointer), not
+#     tuples of VersionPointer objects; decoded micro-delta rows carry
+#     their packed node columns until a read needs them
+_FORMAT_VERSION = 14
 #: magic, format version, CRC32 of everything after the header
 _HEADER = struct.Struct(">9sII")
 # formats <= 11 were one pickle stream of an envelope dict whose head

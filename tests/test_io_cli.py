@@ -108,6 +108,19 @@ def test_cli_inspect_index(tmp_path, capsys):
     assert main(["inspect", str(index), "--kind", "index"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["class"] == "TGI" and out["timespans"] >= 1
+    # stored rows and KiB per row kind add up to the index's totals
+    storage = out["storage"]
+    assert set(storage) == {"micro_delta", "eventlist", "version_chain"}
+    assert all(kind["rows"] > 0 for kind in storage.values())
+    assert sum(kind["rows"] for kind in storage.values()) == out["rows"]
+    assert abs(
+        sum(kind["stored_kib"] for kind in storage.values())
+        - out["stored_kib"]
+    ) <= 2
+    # a chain row is six ints per pointer, well under an eventlist row
+    chains, lists = storage["version_chain"], storage["eventlist"]
+    assert (chains["stored_kib"] / chains["rows"]
+            < lists["stored_kib"] / lists["rows"])
 
 
 def test_cli_build_mincut_options(tmp_path, capsys):

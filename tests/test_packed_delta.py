@@ -2,6 +2,9 @@
 layout's edge cases, the pickle fallback, the one-pass delta sum, and
 cross-codec member-identity of every query kind on one history."""
 
+import pickle
+import sys
+import threading
 from functools import reduce
 
 import hypothesis.strategies as st
@@ -11,15 +14,17 @@ from hypothesis import given, settings
 from repro import GraphSession
 from repro.api import QueryRequest
 from repro.deltas.base import Delta, StaticEdge, StaticNode
-from repro.deltas.columnar import pack_delta, unpack_delta
+from repro.deltas.columnar import PackedNodes, pack_delta, unpack_delta
 from repro.errors import CorruptPayload, PartitionUnavailable
 from repro.faults import CrashWindow, FaultSchedule, inject_faults
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, TGIConfig
+from repro.index.tgi.layout import sid_of_pid
 from repro.kvstore.cluster import ClusterConfig
 from repro.kvstore.codec import decode, encode
 from repro.kvstore.degrade import partition_label
 from repro.kvstore.resilience import ResiliencePolicy
+from repro.storage import load_index, save_index
 from tests.helpers import per_edge_graph, random_history
 
 #: Ids on both sides of the int32 limits, so some rows need the wide
@@ -232,9 +237,134 @@ def test_scoped_reads_thaw_each_node_once(delta, scopes):
         for n, node in got.items():
             assert seen.setdefault(n, node) is node
         assert len(row) == len(delta)  # part-thawed rows keep their size
+    # a part-thawed row pickles (save_index pickles cached rows), and its
+    # copy answers every full read
+    copy = pickle.loads(pickle.dumps(row))
+    assert len(copy) == len(delta) and copy.size == delta.size
+    assert copy.to_graph() == delta.to_graph()
+    assert Delta.sum([copy]).to_graph() == delta.to_graph()
+    assert copy == delta
+    # so does the row itself, keeping the nodes it already thawed
+    assert row.size == delta.size
+    assert row.to_graph() == delta.to_graph()
+    assert Delta.sum([row]).to_graph() == delta.to_graph()
     full = row.static_nodes()
     assert full == want and row == delta
     assert all(full[n] is node for n, node in seen.items())
+
+
+def test_full_reads_decode_the_row_in_one_bulk_pass(monkeypatch):
+    """Every full read decodes a packed row once, in one bulk pass over
+    its columns — never node by node — and drops the packed view."""
+    delta = Delta(
+        [StaticNode.make(n, [n + 1, n + 2], {"w": n}) for n in range(16)]
+        + [StaticEdge.make(1, 2, {"w": 3})]
+    )
+    payload = encode(delta, codec="columnar").payload
+    bulk = []
+    columns = PackedNodes.columns
+    monkeypatch.setattr(
+        PackedNodes, "columns", lambda self: bulk.append(1) or columns(self)
+    )
+
+    def by_slot(self, ids, into):
+        raise AssertionError("a full read thawed node by node")
+
+    monkeypatch.setattr(PackedNodes, "thaw", by_slot)
+    covering = set(range(-3, 40))
+    for read in (
+        lambda row: row.columns(),
+        lambda row: row.to_graph(),
+        lambda row: Delta.sum([row]).to_graph(),
+        lambda row: row.size,
+        lambda row: row.static_nodes(),
+        lambda row: row.static_nodes(covering),
+    ):
+        row = decode(payload)
+        bulk.clear()
+        read(row)
+        read(row)
+        assert len(bulk) == 1
+        assert row._packed is None
+        assert row == delta
+
+
+def test_threads_sharing_one_packed_row_read_it_whole():
+    """Scoped, full and bulk reads racing on one shared (cached) row —
+    more threads than cores, a tiny switch interval — all see the whole
+    row: no reader takes a part-thawed node map for the complete one."""
+    delta = Delta(
+        [StaticNode.make(n, [n + 1, (7 * n) % 40], {"w": n}) for n in range(40)]
+        + [StaticEdge.make(1, 2, {"w": 1})]
+    )
+    payload = encode(delta, codec="columnar").payload
+    want = {c.I: c for c in delta if isinstance(c, StaticNode)}
+    graph = delta.to_graph()
+    errors = []
+
+    def reader(row, barrier, i):
+        try:
+            barrier.wait(timeout=10)
+            for j in range(24):
+                kind = (i + j) % 4
+                if kind == 0:
+                    scope = {i, i + 9, j, 99}
+                    got = row.static_nodes(scope)
+                    assert got == {n: want[n] for n in scope if n in want}
+                elif kind == 1:
+                    assert len(row) == len(delta) and row.size == delta.size
+                elif kind == 2:
+                    assert row.to_graph() == graph
+                else:
+                    assert row.static_nodes() == want
+        except Exception as exc:  # reported below, with the others
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(15):
+            row = decode(payload)
+            barrier = threading.Barrier(6)
+            threads = [
+                threading.Thread(target=reader, args=(row, barrier, i))
+                for i in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors, errors[:3]
+
+
+def test_saved_index_keeps_part_thawed_cached_rows(tmp_path, history):
+    """An index whose delta cache holds rows a history plan part-thawed
+    saves, loads and answers as before."""
+    tgi = TGI(TGIConfig(
+        events_per_timespan=300,
+        eventlist_size=40,
+        micro_partition_size=8,
+        delta_cache_entries=4096,
+        cluster=ClusterConfig(num_machines=4, replication=1),
+    ))
+    tgi.build(history)
+    te = history[-1].time
+    nodes = alive_centers(history, te // 4, count=3)
+    want = tgi.get_node_histories(nodes, te // 4, te)
+    cached = [row.value for row in tgi.delta_cache._rows.values()]
+    assert any(
+        isinstance(v, Delta) and v._packed is not None and v._nodes
+        for v in cached
+    )
+    path = tmp_path / "index.hgs"
+    save_index(tgi, path)
+    loaded = load_index(path)
+    assert len(loaded.delta_cache) == len(tgi.delta_cache)
+    assert loaded.get_node_histories(nodes, te // 4, te) == want
+    assert loaded.get_snapshot(te) == Graph.replay(history, until=te)
 
 
 # -- the one-pass sum ---------------------------------------------------------
@@ -384,6 +514,32 @@ def test_degraded_snapshot_identical_across_codecs(history):
         partial.append(result)
     assert partial[0].value == partial[1].value
     assert partial[0].degraded == partial[1].degraded
+
+
+@pytest.mark.parametrize("codec", ["pickle", "columnar"])
+def test_degraded_history_keeps_other_timespans_rows(history, codec):
+    """A partition is a ``(tsid, pid)``: losing ``ts0:p2`` drops node 77's
+    events stored there, not those in ``ts1:p2`` on a live machine."""
+    tgi = build_tgi(history, codec)
+    spans = tgi._spans
+    assert spans[0].pid_of(77) == spans[1].pid_of(77) == 2
+    victim = tgi.cluster.replicas_for(
+        (0, sid_of_pid(2, tgi.config.placement_groups))
+    )[0]
+    ts, te = history[0].time, history[-1].time
+    session = GraphSession.from_index(tgi)
+    whole = session.between(ts, te).node_history(77).value
+    inject_faults(tgi.cluster, FaultSchedule(
+        crashes=(CrashWindow(victim, 0.0),),
+    ))
+    result = session.execute(QueryRequest(
+        kind="node_histories", nodes=(77,), ts=ts, te=te, single=True,
+        allow_partial=True,
+    ))
+    assert result.degraded["partitions"] == ["ts0:p2"]
+    kept = [ev for ev in whole.events if ev.time >= spans[1].t_start]
+    assert kept and len(kept) < len(whole.events)
+    assert list(result.value.events) == kept
 
 
 def test_corrupted_stored_delta_row_surfaces_typed(history):

@@ -100,7 +100,7 @@ def test_load_rejects_pre_exec_layer_format(tmp_path):
 
 def test_load_rejects_future_format(tmp_path):
     # any header format but this build's: a later one, and the one before
-    # (12, whose boundary-replicated rows replay inexactly)
+    # (13, whose version-chain rows are not flat int tuples)
     path = tmp_path / "other.hgs"
     for version in (99, _FORMAT_VERSION - 1):
         path.write_bytes(envelope(version, pickle.dumps(None)))
