@@ -46,7 +46,7 @@ from repro.index.tgi.layout import (
     TAG_VERSION_CHAIN,
 )
 from repro.io import read_events, write_events
-from repro.kvstore.cluster import CODECS, ClusterConfig
+from repro.kvstore.cluster import ClusterConfig
 from repro.kvstore.cost import CostModel
 from repro.session import GraphSession, index_id_for
 from repro.storage import load_index, save_index
@@ -92,13 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        "so corrupted payloads surface as typed "
                        "CorruptPayload errors (and the fetch can retry "
                        "or drop them) instead of garbage decodes")
-    build.add_argument("--codec", choices=list(CODECS), default="columnar",
-                       help="row storage codec: columnar packs "
-                       "eventlists and micro-deltas as parallel integer "
-                       "arrays decoded without per-item objects; pickle "
-                       "stores the EventList / Delta objects (rows a "
-                       "columnar pack cannot represent fall back to "
-                       "pickle either way)")
     build.add_argument("--mincut", action="store_true",
                        help="locality-aware micro partitioning")
     build.add_argument("--replicate-boundary", action="store_true",
@@ -315,7 +308,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
             num_machines=args.machines,
             replication=args.replication,
             compress=args.compress,
-            codec=args.codec,
             checksums=args.checksums,
             cost_model=CostModel(),
         ),
@@ -629,7 +621,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 "stored_kib": index.cluster.stored_bytes // 1024,
                 "machines": index.config.cluster.num_machines,
                 "replication": index.config.cluster.replication,
-                "codec": index.config.cluster.codec,
                 "checksums": index.config.cluster.checksums,
                 "delta_cache_entries": index.config.delta_cache_entries,
                 "checkpoint_entries": index.config.checkpoint_entries,

@@ -134,7 +134,7 @@ class Delta:
 
     Static nodes are held as :class:`StaticNode` objects by id, as
     *columns* — an edge list and an attribute tuple per node id, which
-    is what :meth:`to_graph` consumes — or, for a row the columnar codec
+    is what :meth:`to_graph` consumes — or, for an all-int row the codec
     decoded, as the row's *packed* node columns
     (:class:`~repro.deltas.columnar.PackedNodes`).  While a delta has
     packed or plain columns they are the whole truth and ``_nodes`` only

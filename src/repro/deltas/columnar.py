@@ -6,61 +6,73 @@ and micro-deltas as sets of frozen ``StaticNode`` objects; profiling
 (PR 5's apply calibration, PR 11's ledger) showed retrieval spends most
 of its simulated *and* wall-clock time in that object churn — unpickling
 thousands of small frozen dataclasses and walking them one attribute
-access at a time.
+access at a time.  These layouts are the only stored form of the two
+row kinds.
 
-**Eventlists** are stored as six packed sections:
+**Eventlists** are stored as packed sections:
 
 ====== ======================= =======================================
 offset section                 contents
 ====== ======================= =======================================
-0      version                 1 byte, currently ``1``
+0      version                 1 byte: ``1`` = int ids, ``2`` = id table
 1      header                  ``struct '=qqq'``: ts, te, n
 25     times                   ``n`` × int64
 25+8n  seqs                    ``n`` × int64
 25+16n kinds                   ``n`` × uint8 (:class:`EventKind` value)
 25+17n nodes                   ``n`` × int64
-25+25n others                  ``n`` × int64 (int64-min = no endpoint)
-25+33n side-table              pickle of {row: (key, value, old_value)}
+25+25n others                  ``n`` × int64 (version 1: int64-min = no
+                               endpoint; version 2: -1 = no endpoint)
+25+33n tail                    version 1: pickle of the side-table
+                               ``{row: (key, value, old_value)}``,
+                               absent when empty; version 2: pickle of
+                               ``(id table, side-table)``
 ====== ======================= =======================================
+
+A row of plain int64 ids is version 1.  Any other id (``str``,
+``bool``, ``float``, an int beyond int64) makes it version 2: the id
+columns index the row's distinct ids, keyed by type and value so
+``True`` never folds into ``1``.  An endpoint equal to the sentinel, or
+a time or seq that is no int64, raises :class:`~repro.errors.EventError`
+at pack time.
 
 Decode is *lazy and zero-copy*: :class:`ColumnarEventList` wraps
 ``memoryview`` casts over the payload and only materializes ``Event``
 objects on demand (counted, so ``FetchStats.decoded_events`` can report
 how much decoding a query actually forced).  Replay never needs the
 objects at all — the bulk kernels in ``graph.static`` and
-``index.tgi.query`` read the columns directly.
+``index.tgi.query`` read the columns directly, alike for both
+versions: a version-2 row maps its id columns back to the ids on open.
 
 The side-table covers the minority of events carrying an attribute key,
 value or old value; attribute keys are interned at pack time so pickle's
-memo shares one copy per distinct key.  Events whose ids or times don't
-fit the packed layout (non-``int`` node ids, values outside int64) make
-:func:`pack_eventlist` return ``None`` and the codec falls back to
-pickle — correctness never depends on the fast layout being applicable.
+memo shares one copy per distinct key.
 
 **Micro-deltas** (:func:`pack_delta` / :func:`unpack_delta`) store their
 static nodes as a CSR adjacency — ``n`` nodes, ``m`` edge-list entries,
 every integer ``w`` bytes wide, where ``w`` is the narrowest of 4 / 8
-that holds every id of *this row*:
+that holds every integer of *this row*:
 
 ========== =================== =======================================
 offset     section             contents
 ========== =================== =======================================
-0          header              ``struct '=BBII'``: version (currently
-                               ``1``), ``w`` (4 = int32 or 8 = int64),
-                               n, m
+0          header              ``struct '=BBII'``: version (``1`` = int
+                               ids, ``2`` = id table), ``w`` (4 = int32
+                               or 8 = int64), n, m
 10         node ids            ``n`` × int-``w``
 10+wn      offsets             ``n+1`` × int-``w``: node ``i``'s edge
                                list is neighbours ``[off[i], off[i+1])``
 10+w(2n+1) neighbours          ``m`` × int-``w``
-10+w(2n+1+m) side-table        pickle of ``({node id: attribute pairs},
-                               (StaticEdge, ...))``; absent when both
-                               are empty
+10+w(2n+1+m) tail              version 1: pickle of ``({node id:
+                               attribute pairs}, (StaticEdge, ...))``,
+                               absent when both are empty; version 2:
+                               pickle of ``(id table, attributes,
+                               edges)``
 ========== =================== =======================================
 
-Decode is *by slot*: :func:`unpack_delta` lists only the id column,
-unpickles the side-table and keeps the offsets + neighbours as one
-``memoryview`` int column (:class:`PackedNodes`) under a
-:meth:`Delta.from_packed` delta.  What happens next depends on the
+Decode of a version-1 row is *by slot*: :func:`unpack_delta` lists only
+the id column, unpickles the side-table and keeps the offsets +
+neighbours as one ``memoryview`` int column (:class:`PackedNodes`) under
+a :meth:`Delta.from_packed` delta.  What happens next depends on the
 read.  A read of every node — ``Delta.columns`` and so ``to_graph``,
 ``Delta.sum`` and ``size``, or ``static_nodes`` over a scope covering
 the row — slices the neighbour column into one edge list per node in
@@ -69,12 +81,11 @@ packed view; no ``StaticNode`` is built (``to_graph`` and ``sum`` never
 need one).  A scoped ``static_nodes(within)`` that does not cover the
 row — a history plan replaying only its asked nodes — thaws just the
 in-scope nodes, each from its own offsets, found through an id → slot
-map built on first use.  The side-table carries only what few
-components have: node attribute tuples and explicit ``StaticEdge``
-components (TGI stores one per *attributed* edge); it stays one pickle
-per row, so rows keep pickle's memo sharing.  A delta with a
-non-``int`` or beyond-int64 node id makes :func:`pack_delta` return
-``None`` and the codec falls back to pickle, exactly as for eventlists.
+map built on first use.  A version-2 row decodes eagerly into a
+:meth:`Delta.from_columns` delta over the real ids.  The side-table
+carries only what few components have: node attribute tuples and
+explicit ``StaticEdge`` components (TGI stores one per *attributed*
+edge); it stays one pickle per row, so rows keep pickle's memo sharing.
 """
 
 from __future__ import annotations
@@ -91,11 +102,15 @@ from itertools import accumulate, chain
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.deltas.base import Delta, StaticNode
+from repro.errors import EventError
 from repro.graph.events import Event, EventKind
 from repro.types import NodeId, TimePoint
 
-#: Layout version byte (bumped on any incompatible layout change).
+#: Layout version bytes: an all-int eventlist row (ids in the id
+#: columns), and a row of either kind whose id columns index its
+#: pickled id table.
 _COL_VERSION = 1
+_TABLE_VERSION = 2
 
 #: Header after the version byte: ts, te, n (native int64).
 _HEADER = struct.Struct("=qqq")
@@ -104,6 +119,7 @@ _HEADER_END = 1 + _HEADER.size
 #: Sentinel in the ``others`` column for node events (no second
 #: endpoint); int64 min, unreachable by real node ids (|id| <= 2**62
 #: would already exceed every ``TimePoint`` bound in :mod:`repro.types`).
+#: A version-2 row stores -1 instead and decodes it to this sentinel.
 _NO_OTHER = -(2 ** 63)
 
 _INT64_MIN = -(2 ** 63)
@@ -155,34 +171,49 @@ def _count_decoded(n: int) -> None:
 
 
 def _fits(x: Any) -> bool:
-    return type(x) is int and _INT64_MIN < x <= _INT64_MAX
+    return type(x) is int and _INT64_MIN <= x <= _INT64_MAX
 
 
-def pack_eventlist(ts: TimePoint, te: TimePoint, events: Sequence[Event]) -> Optional[bytes]:
-    """Pack a sorted event run into the columnar layout.
+class _IdTable(dict):
+    """A version-2 row's id table under construction: ``(type, id) ->
+    index``, keyed by type as well as value so ``True`` and ``1`` (or
+    ``1.0``) stay distinct entries."""
 
-    Returns ``None`` when any field falls outside the packed layout
-    (non-``int`` ids/times/seqs, values beyond int64, an ``other`` equal
-    to the sentinel) — the caller falls back to pickling.
+    def at(self, x: Any) -> int:
+        return self.setdefault((type(x), x), len(self))
+
+    def ids(self) -> List[Any]:
+        return [x for _t, x in self]
+
+
+def pack_eventlist(ts: TimePoint, te: TimePoint, events: Sequence[Event]) -> bytes:
+    """Pack a sorted event run into the columnar layout: version 1 when
+    every id is a plain int64, else version 2 with an id table.
+
+    Raises :class:`EventError` when ``ts``, ``te`` or an event's time or
+    seq is not an int64, or an endpoint id equals the no-endpoint
+    sentinel.
     """
     if not (_fits(ts) and _fits(te)):
-        return None
+        raise EventError(f"eventlist scope ({ts!r}, {te!r}] is not int64")
     n = len(events)
     times: List[int] = []
     seqs: List[int] = []
     kinds = bytearray(n)
-    nodes: List[int] = []
+    nodes: List[Any] = []
     others: List[int] = []
     side: Dict[int, Tuple[Optional[str], Any, Any]] = {}
+    ints = True
     for i, ev in enumerate(events):
         other = ev.other
-        if not (
-            _fits(ev.time)
-            and _fits(ev.seq)
-            and _fits(ev.node)
-            and (other is None or _fits(other))
-        ):
-            return None
+        if not (_fits(ev.time) and _fits(ev.seq)):
+            raise EventError(
+                f"event time {ev.time!r} / seq {ev.seq!r} is not int64"
+            )
+        if ints and not (_fits(ev.node) and (
+            other is None or (_fits(other) and other != _NO_OTHER)
+        )):
+            ints = False
         times.append(ev.time)
         seqs.append(ev.seq)
         kinds[i] = int(ev.kind)
@@ -191,18 +222,40 @@ def pack_eventlist(ts: TimePoint, te: TimePoint, events: Sequence[Event]) -> Opt
         if ev.key is not None or ev.value is not None or ev.old_value is not None:
             key = sys.intern(ev.key) if ev.key is not None else None
             side[i] = (key, ev.value, ev.old_value)
-    parts = [
-        bytes((_COL_VERSION,)),
+    if ints:
+        version = _COL_VERSION
+        tail = pickle.dumps(side, protocol=pickle.HIGHEST_PROTOCOL) if side else b""
+    else:
+        ends = [ev.other for ev in events]
+        if any(o is not None and o == _NO_OTHER for o in ends):
+            raise EventError(
+                f"endpoint id {_NO_OTHER} is the no-endpoint sentinel"
+            )
+        version = _TABLE_VERSION
+        table = _IdTable()
+        nodes = list(map(table.at, nodes))
+        others = [-1 if o is None else table.at(o) for o in ends]
+        tail = pickle.dumps((table.ids(), side), protocol=pickle.HIGHEST_PROTOCOL)
+    return b"".join([
+        bytes((version,)),
         _HEADER.pack(ts, te, n),
         struct.pack(f"={n}q", *times),
         struct.pack(f"={n}q", *seqs),
         bytes(kinds),
         struct.pack(f"={n}q", *nodes),
         struct.pack(f"={n}q", *others),
-    ]
-    if side:
-        parts.append(pickle.dumps(side, protocol=pickle.HIGHEST_PROTOCOL))
-    return b"".join(parts)
+        tail,
+    ])
+
+
+class _IdColumn(list):
+    """A version-2 row's id column mapped back to the real ids; reads
+    like the ``memoryview`` id column of a version-1 row (indexing,
+    ``tolist``), so the replay kernels take either."""
+
+    __slots__ = ()
+
+    tolist = list.copy
 
 
 class ColumnarEventList:
@@ -235,12 +288,20 @@ class ColumnarEventList:
         te: Optional[TimePoint] = None,
     ) -> None:
         mv = data if isinstance(data, memoryview) else memoryview(data)
-        if len(mv) < _HEADER_END or mv[0] != _COL_VERSION:
+        size = len(mv)
+        if size >= _HEADER_END:
+            version = mv[0]
+            hts, hte, n = _HEADER.unpack_from(mv, 1)
+        else:  # short: reported as truncated unless the version is bad
+            version, hts, hte, n = (mv[0] if size else _COL_VERSION), 0, 0, -1
+        table = version == _TABLE_VERSION
+        if version != _COL_VERSION and not table:
             raise ValueError(
-                f"unsupported columnar eventlist layout "
-                f"(version byte {mv[0] if len(mv) else None!r})"
+                f"unsupported columnar eventlist layout (version byte {version})"
             )
-        hts, hte, n = _HEADER.unpack_from(mv, 1)
+        # a version-2 row always carries its id table after the columns
+        if n < 0 or size < _HEADER_END + 33 * n + table:
+            raise ValueError("truncated columnar eventlist payload")
         o = _HEADER_END
         self._data = mv
         self._n = n
@@ -252,6 +313,11 @@ class ColumnarEventList:
         self._side_off = o
         self._side: Optional[Dict[int, Tuple]] = None
         self._events: Optional[Tuple[Event, ...]] = None
+        if table:
+            ids, self._side = pickle.loads(mv[o:])
+            ids.append(_NO_OTHER)  # index -1: no second endpoint
+            self._nodes = _IdColumn(map(ids.__getitem__, self._nodes))
+            self._others = _IdColumn(map(ids.__getitem__, self._others))
         self._lo = lo
         self._hi = n if hi is None else hi
         self.ts = hts if ts is None else ts
@@ -319,7 +385,7 @@ class ColumnarEventList:
         # reflected against the EventList dataclass too: its generated
         # __eq__ returns NotImplemented for a foreign class, so Python
         # falls through to this comparison for either operand order
-        if isinstance(other, ColumnarEventList) or hasattr(other, "events"):
+        if hasattr(other, "events"):
             return (
                 self.ts == getattr(other, "ts", None)
                 and self.te == getattr(other, "te", None)
@@ -375,8 +441,8 @@ class ColumnarEventList:
         made = 0
         for i, u, v in zip(
             range(lo, hi),
-            self._nodes[lo:hi].tolist(),
-            self._others[lo:hi].tolist(),
+            self._nodes.tolist()[lo:hi],
+            self._others.tolist()[lo:hi],
         ):
             hit_u = u in keep
             hit_v = v != u and v != _NO_OTHER and v in keep
@@ -392,7 +458,7 @@ class ColumnarEventList:
 
     def apply_to(self, g) -> Any:
         """Bulk-apply all events in order to ``g`` (mutates, returns it)."""
-        g.apply_columnar(self)
+        g.apply_columnar((self,))
         return g
 
     def change_points(self) -> List[TimePoint]:
@@ -413,9 +479,7 @@ class ColumnarEventList:
         else a repack of just the window (re-putting a filtered row)."""
         if self._lo == 0 and self._hi == self._n:
             return bytes(self._data)
-        body = pack_eventlist(self.ts, self.te, self.events)
-        assert body is not None  # decoded from a packed payload
-        return body
+        return pack_eventlist(self.ts, self.te, self.events)
 
 
 def _rebuild_columnar(
@@ -495,7 +559,8 @@ def merged_order(
 # micro-deltas
 # ----------------------------------------------------------------------
 
-#: Micro-delta layout version byte.
+#: Layout version byte of an all-int micro-delta row (an id-table row
+#: is ``_TABLE_VERSION``, as for eventlists).
 _DELTA_VERSION = 1
 
 #: Leading bytes: version, integer width, n nodes, m edge-list entries.
@@ -505,39 +570,60 @@ _DELTA_HEADER = struct.Struct("=BBII")
 _WIDTH_CODES = {4: "i", 8: "q"}
 
 
-def pack_delta(delta: Delta) -> Optional[bytes]:
-    """Pack a delta into the micro-delta layout, at the narrowest
-    integer width that holds its ids.
+def _narrowest(ints: List[int]) -> Optional[Tuple[int, array]]:
+    """``(width, column)`` at the narrowest width holding every one of
+    ``ints``, or ``None`` when one is beyond int64."""
+    for width, code in _WIDTH_CODES.items():
+        try:
+            return width, array(code, ints)
+        except OverflowError:
+            continue
+    return None
 
-    Returns ``None`` when a node id or edge-list entry is not a plain
-    ``int`` within int64 — the caller falls back to pickling.
-    """
+
+def pack_delta(delta: Delta) -> bytes:
+    """Pack a delta into the micro-delta layout, at the narrowest
+    integer width that holds its columns: version 1 when every node id
+    and edge-list entry is a plain int64, else version 2 with an id
+    table."""
     adjacency, attrs = delta.columns()
     ids = list(adjacency)
     lists = adjacency.values()
     offsets = list(accumulate(map(len, lists), initial=0))
     nbrs = list(chain.from_iterable(lists))
-    if (set(map(type, ids)) | set(map(type, nbrs))) - {int}:
-        return None
-    for width, code in _WIDTH_CODES.items():
-        try:
-            cols = array(code, ids + offsets + nbrs)
-        except OverflowError:
-            continue
-        break
-    else:
-        return None
-    parts = [
-        _DELTA_HEADER.pack(_DELTA_VERSION, width, len(ids), len(nbrs)),
-        cols.tobytes(),
-    ]
     node_attrs = {n: a for n, a in attrs.items() if a}
     edges = tuple(delta.static_edges().values())
-    if node_attrs or edges:
-        parts.append(
-            pickle.dumps((node_attrs, edges), protocol=pickle.HIGHEST_PROTOCOL)
-        )
+    version, tail = _DELTA_VERSION, (node_attrs, edges)
+    packed = None
+    if not (set(map(type, ids)) | set(map(type, nbrs))) - {int}:
+        packed = _narrowest(ids + offsets + nbrs)
+    if packed is None:
+        table = _IdTable()
+        ids = list(map(table.at, ids))
+        nbrs = list(map(table.at, nbrs))
+        packed = _narrowest(ids + offsets + nbrs)
+        version, tail = _TABLE_VERSION, (table.ids(), node_attrs, edges)
+    width, cols = packed
+    parts = [
+        _DELTA_HEADER.pack(version, width, len(ids), len(nbrs)),
+        cols.tobytes(),
+    ]
+    if version == _TABLE_VERSION or node_attrs or edges:
+        parts.append(pickle.dumps(tail, protocol=pickle.HIGHEST_PROTOCOL))
     return b"".join(parts)
+
+
+def _node_columns(
+    ids: List[Any], offsets: List[int], nbrs: List[Any], node_attrs: Dict
+) -> Tuple[Dict[Any, List[Any]], Dict[Any, Tuple]]:
+    """``(adjacency, attributes)`` of a CSR row, as
+    :meth:`Delta.columns` hands them out."""
+    adjacency = dict(
+        zip(ids, map(nbrs.__getitem__, map(slice, offsets, offsets[1:])))
+    )
+    attrs = dict.fromkeys(adjacency, ())  # a dict source skips rehashing
+    attrs.update(node_attrs)
+    return adjacency, attrs
 
 
 class PackedNodes:
@@ -586,14 +672,9 @@ class PackedNodes:
         :meth:`Delta.columns` hands them out."""
         ids, csr = self.ids, self._csr
         n = len(ids)
-        offsets = csr[:n + 1].tolist()
-        nbrs = csr[n + 1:].tolist()
-        adjacency = dict(
-            zip(ids, map(nbrs.__getitem__, map(slice, offsets, offsets[1:])))
+        return _node_columns(
+            ids, csr[:n + 1].tolist(), csr[n + 1:].tolist(), self._attrs
         )
-        attrs = dict.fromkeys(adjacency, ())  # a dict source skips rehashing
-        attrs.update(self._attrs)
-        return adjacency, attrs
 
     def thaw(self, ids: Iterable[int], into: Dict[int, StaticNode]) -> None:
         """Build the static node of each of ``ids`` (row members) that
@@ -617,29 +698,41 @@ def _rebuild_packed(
 
 
 def unpack_delta(data: Any) -> Delta:
-    """Decode a micro-delta payload into a :class:`Delta` over the row's
-    :class:`PackedNodes` (equal to the delta that was packed).  Only the
-    id column is listed and the side-table unpickled here; edge lists
-    wait until a read asks for them."""
+    """Decode a micro-delta payload into a :class:`Delta` equal to the
+    one that was packed.  A version-1 row decodes over its
+    :class:`PackedNodes`: only the id column is listed and the
+    side-table unpickled here, edge lists wait until a read asks for
+    them.  A version-2 row maps its columns through the id table at
+    once, into a :meth:`Delta.from_columns` delta."""
     mv = memoryview(data)
     if len(mv) < _DELTA_HEADER.size:
         raise ValueError("truncated micro-delta payload")
     version, width, n, m = _DELTA_HEADER.unpack_from(mv)
     code = _WIDTH_CODES.get(width)
-    if version != _DELTA_VERSION or code is None:
+    if version not in (_DELTA_VERSION, _TABLE_VERSION) or code is None:
         raise ValueError(
             f"unsupported micro-delta layout (version byte {version}, "
             f"width byte {width})"
         )
     end = _DELTA_HEADER.size + width * (2 * n + 1 + m)
-    if len(mv) < end:
+    # a version-2 row always carries its id table after the columns
+    if len(mv) < end + (version == _TABLE_VERSION):
         raise ValueError("truncated micro-delta payload")
     ints = mv[_DELTA_HEADER.size:end].cast(code)
-    node_attrs: Dict[int, Tuple] = {}
-    edges = {}
-    if end < len(mv):
-        node_attrs, edge_components = pickle.loads(mv[end:])
-        edges = {(e.u, e.v): e for e in edge_components}
-    return Delta.from_packed(
-        PackedNodes(ints[:n].tolist(), ints[n:], node_attrs), edges
+    *table, node_attrs, edge_components = (
+        pickle.loads(mv[end:]) if end < len(mv) else ({}, ())
     )
+    edges = {(e.u, e.v): e for e in edge_components}
+    if version == _DELTA_VERSION:
+        return Delta.from_packed(
+            PackedNodes(ints[:n].tolist(), ints[n:], node_attrs), edges
+        )
+    (ids,) = table
+    cols = ints.tolist()
+    adjacency, attrs = _node_columns(
+        [ids[i] for i in cols[:n]],
+        cols[n:2 * n + 1],
+        [ids[i] for i in cols[2 * n + 1:]],
+        node_attrs,
+    )
+    return Delta.from_columns(adjacency, attrs, edges)

@@ -5,6 +5,9 @@ interval ``(ts, te]``.  A *partitioned eventlist* additionally restricts the
 scope to a set of nodes (the TGI build writes those,
 ``repro.index.tgi.build``).  Eventlists are the "Log" half of every
 index: they capture fine-grained changes between materialized snapshots.
+
+:class:`EventList` is the build buffer; it is stored — and read back — as
+a :class:`~repro.deltas.columnar.ColumnarEventList`.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from repro.deltas.columnar import pack_eventlist
 from repro.errors import DeltaError
 from repro.graph.events import Event, check_sorted
 from repro.graph.static import Graph
@@ -121,6 +125,10 @@ class EventList:
                 out.append(ev.time)
                 last = ev.time
         return out
+
+    def packed_bytes(self) -> bytes:
+        """The list's stored form: the columnar eventlist layout."""
+        return pack_eventlist(self.ts, self.te, self.events)
 
 
 def split_events_into_lists(

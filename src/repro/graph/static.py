@@ -379,7 +379,7 @@ class Graph:
     ) -> None:
         """Bulk-apply columnar eventlists in global ``(time, seq)`` order.
 
-        ``eventlists`` is one ``ColumnarEventList`` or a sequence of them;
+        ``eventlists`` is a sequence of ``ColumnarEventList`` rows;
         replicated copies across lists (edge events are stored with both
         endpoints' partitions) are deduplicated by seq.  Replays straight
         off the packed columns with the same lenient semantics as
@@ -389,14 +389,8 @@ class Graph:
         earlier materialized state advances over just the gap.
         """
         # imported lazily: repro.deltas.__init__ imports this module
-        from repro.deltas.columnar import (
-            _NO_OTHER,
-            ColumnarEventList,
-            merged_order,
-        )
+        from repro.deltas.columnar import _NO_OTHER, merged_order
 
-        if isinstance(eventlists, ColumnarEventList):
-            eventlists = (eventlists,)
         cels = [el for el in eventlists if len(el)]
         if not cels:
             return

@@ -53,7 +53,7 @@ class TGIConfig:
             delta/event replay entirely (0 disables
             checkpoints, reproducing replay-from-root accounting exactly).
         cluster: shape of the backing key-value cluster (``m``, ``r``,
-            compression, codec, cost model, row checksums).
+            compression, cost model, row checksums).
     """
 
     events_per_timespan: int = 4000

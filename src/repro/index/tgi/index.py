@@ -55,7 +55,7 @@ from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.deltas.base import Delta
-from repro.deltas.columnar import ColumnarEventList, count_decoded
+from repro.deltas.columnar import count_decoded
 from repro.errors import IndexError_, TimeRangeError
 from repro.exec import (
     DeltaCache,
@@ -65,7 +65,7 @@ from repro.exec import (
     PlanExecutor,
     StateCheckpointCache,
 )
-from repro.graph.events import Event, dedup_sorted
+from repro.graph.events import Event
 from repro.graph.static import Graph
 from repro.index.interface import (
     HistoricalGraphIndex,
@@ -350,16 +350,12 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
             """Advance ``g`` over the fetched eventlists to ``t`` and
             checkpoint it — unless a degraded fetch dropped partitions: a
             degraded snapshot must never seed later fault-free queries."""
-            elists = [values[key] for key in ekeys if key[3] not in bad]
-            if all(isinstance(el, ColumnarEventList) for el in elists):
-                # bulk replay off the packed columns (dedups replicated
-                # copies by seq, bounds by time via bisection)
-                g.apply_columnar(elists, until=t, after=after)
-            else:
-                g.apply_events(dedup_sorted(
-                    ev for el in elists for ev in el
-                    if (after is None or after < ev.time) and ev.time <= t
-                ))
+            # bulk replay off the packed columns (dedups replicated
+            # copies by seq, bounds by time via bisection)
+            g.apply_columnar(
+                [values[key] for key in ekeys if key[3] not in bad],
+                until=t, after=after,
+            )
             if not bad:
                 self._admit_snapshot(span, t, g, move=read_only)
             return g

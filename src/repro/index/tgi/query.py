@@ -13,9 +13,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.deltas.base import Delta, StaticNode
 from repro.deltas.columnar import _NO_OTHER, ColumnarEventList, merged_order
-from repro.graph.events import Event, EventKind, dedup_sorted
+from repro.graph.events import EventKind
 from repro.graph.static import Graph
-from repro.index.interface import evolve_node_state
 from repro.obs.trace import current_span
 from repro.types import AttrMap, EdgeId, NodeId, TimePoint, canonical_edge
 
@@ -65,9 +64,6 @@ class PartialState:
         self._applier = None
         self._nodes = value
 
-    def _in_scope(self, node: NodeId) -> bool:
-        return self.scope is None or node in self.scope
-
     # -- loading checkpoint deltas ----------------------------------------
     def load_delta(self, delta: Delta) -> None:
         trace = current_span()
@@ -82,44 +78,9 @@ class PartialState:
                 self.edge_attrs[(u, v)] = edge.attrs
 
     # -- applying events ----------------------------------------------------
-    def apply_event(self, ev: Event) -> None:
-        for node in set(ev.entities):
-            if not self._in_scope(node):
-                continue
-            nxt = evolve_node_state(self.nodes.get(node), ev, node)
-            if nxt is None:
-                self.nodes.pop(node, None)
-            else:
-                self.nodes[node] = nxt
-        if ev.other is None:
-            return
-        eid = canonical_edge(ev.node, ev.other)
-        if not (self._in_scope(eid[0]) or self._in_scope(eid[1])):
-            return
-        if ev.kind == EventKind.EDGE_ADD:
-            if isinstance(ev.value, dict) and ev.value:
-                self.edge_attrs[eid] = dict(ev.value)
-            else:
-                self.edge_attrs.pop(eid, None)
-        elif ev.kind == EventKind.EDGE_DELETE:
-            self.edge_attrs.pop(eid, None)
-        elif ev.kind == EventKind.EDGE_ATTR_SET:
-            assert ev.key is not None
-            self.edge_attrs.setdefault(eid, {})[ev.key] = ev.value
-        elif ev.kind == EventKind.EDGE_ATTR_DEL:
-            attrs = self.edge_attrs.get(eid)
-            if attrs is not None:
-                attrs.pop(ev.key, None)
-                if not attrs:
-                    self.edge_attrs.pop(eid, None)
-
-    def apply_events(self, events: Iterable[Event]) -> None:
-        for ev in events:
-            self.apply_event(ev)
-
     def apply_eventlists(
         self,
-        lists: Sequence[Any],
+        lists: Sequence[Optional[ColumnarEventList]],
         until: Optional[TimePoint] = None,
         after: Optional[TimePoint] = None,
     ) -> None:
@@ -127,50 +88,36 @@ class PartialState:
         restricted to ``after < time <= until``, deduplicating replicated
         copies (edge events are stored with both endpoints' partitions).
 
-        All-columnar input replays straight off the packed columns —
-        per-kind dispatch on raw ints, mutable node accumulators, one
-        immutable :class:`StaticNode` per touched node — without
-        materializing a single :class:`Event`.  The accumulators persist
-        across calls (a partition's chain arrives as several small
-        lists) and freeze lazily on the first read of :attr:`nodes`, so
-        the per-node thaw/freeze cost is paid once per replayed state,
-        not once per list.  Any non-columnar list falls back to the
-        classic materialize + ``dedup_sorted`` + :meth:`apply_events`
-        path; both produce identical states.
+        The rows replay straight off their packed columns — per-kind
+        dispatch on raw ints, mutable node accumulators, one immutable
+        :class:`StaticNode` per touched node — without materializing a
+        single :class:`Event`.  The accumulators persist across calls (a
+        partition's chain arrives as several small lists) and freeze
+        lazily on the first read of :attr:`nodes`, so the per-node
+        thaw/freeze cost is paid once per replayed state, not once per
+        list.
         """
         lists = [el for el in lists if el is not None and len(el)]
         if not lists:
             return
+        windows, order = merged_order(lists, until=until, after=after)
+        applier = self._applier
+        if applier is None:
+            self._applier = applier = _ColumnarApplier(self)
+        if order is None:
+            for li, el in enumerate(lists):
+                lo, hi = windows[li]
+                if hi > lo:
+                    applier.apply_range(el, lo, hi)
+        else:
+            applier.apply_order(lists, order)
         trace = current_span()
-        if all(isinstance(el, ColumnarEventList) for el in lists):
-            windows, order = merged_order(lists, until=until, after=after)
-            applier = self._applier
-            if applier is None:
-                self._applier = applier = _ColumnarApplier(self)
-            if order is None:
-                for li, el in enumerate(lists):
-                    lo, hi = windows[li]
-                    if hi > lo:
-                        applier.apply_range(el, lo, hi)
-            else:
-                applier.apply_order(lists, order)
-            if trace is not None:
-                trace.inc(
-                    "events_applied",
-                    len(order) if order is not None
-                    else sum(hi - lo for lo, hi in windows),
-                )
-            return
-        evs: List[Event] = []
-        for el in lists:
-            for ev in el.events:
-                if (after is None or ev.time > after) and (
-                    until is None or ev.time <= until
-                ):
-                    evs.append(ev)
         if trace is not None:
-            trace.inc("events_applied", len(evs))
-        self.apply_events(dedup_sorted(evs))
+            trace.inc(
+                "events_applied",
+                len(order) if order is not None
+                else sum(hi - lo for lo, hi in windows),
+            )
 
     # -- reading out ---------------------------------------------------------
     def node_state(self, node: NodeId) -> Optional[StaticNode]:
@@ -234,8 +181,9 @@ class ReplayShare:
 class _ColumnarApplier:
     """Bulk replay kernel over columnar eventlist rows.
 
-    Folds the same transition function as :func:`evolve_node_state` /
-    :meth:`PartialState.apply_event`, but accumulates each touched node
+    Folds the same transition function as
+    :func:`~repro.index.interface.evolve_node_state` (plus the edge
+    attribute maps of the edges in scope), but accumulates each touched node
     mutably (``[attrs dict, neighbor set]``, ``None`` = not alive) and
     converts back to an immutable :class:`StaticNode` once in
     :meth:`finish` — the attrs are sorted and the neighbors frozen
@@ -300,7 +248,8 @@ class _ColumnarApplier:
                 st = work[node] if node in work else self._seed(node)
                 if st is not None:
                     st[0].pop(key, None)
-        # -- edge attributes (mirrors PartialState.apply_event) ----------
+        # -- edge attributes (an attributed add sets the map, a bare add
+        # or a delete drops it, attribute events edit it) ---------------
         if other is None:
             return
         eid = canonical_edge(node, other)

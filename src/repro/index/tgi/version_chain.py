@@ -17,7 +17,7 @@ them, sorted by ``(t_min, t_max)``::
     (t_min, t_max, tsid, sid, j, pid,  t_min, t_max, tsid, ...)
 
 The same tuple is the in-memory chain (:meth:`VersionChainStore.chain`)
-and the stored row under either codec, so reading a chain unpickles one
+and the stored (pickled) row, so reading a chain unpickles one
 tuple of small ints: no per-entry object exists until
 :func:`pointers_in_range` assembles the delta keys a window needs.
 """

@@ -44,7 +44,7 @@ from repro.errors import (
     PartitionUnavailable,
     StorageError,
 )
-from repro.kvstore.codec import CODECS, EncodedValue, decode, encode
+from repro.kvstore.codec import EncodedValue, decode, encode
 from repro.kvstore.cost import (
     CostModel,
     ExecutionTimeline,
@@ -70,11 +70,10 @@ def _stable_hash(value: Any) -> int:
 class ClusterConfig:
     """Cluster shape: ``m`` machines, replication factor ``r``.
 
-    ``codec`` picks the row serialization: ``"columnar"`` (the default)
-    stores eventlists and micro-deltas as packed parallel arrays decoded
-    without per-item objects (:mod:`repro.deltas.columnar`);
-    ``"pickle"`` reproduces the paper prototype's pickle-everything
-    behavior.  Other rows (version chains, pointers) always pickle.
+    Rows are serialized by :mod:`repro.kvstore.codec`: eventlists and
+    micro-deltas as packed parallel arrays decoded without per-item
+    objects (:mod:`repro.deltas.columnar`), other rows (version chains,
+    pointers) as pickles.  ``compress`` zlib-compresses every row.
 
     ``checksums`` wraps every stored payload in a CRC32 envelope (5
     bytes per row) verified on decode, so corrupted reads surface as a
@@ -85,7 +84,6 @@ class ClusterConfig:
     num_machines: int = 1
     replication: int = 1
     compress: bool = False
-    codec: str = "columnar"
     cost_model: CostModel = CostModel()
     checksums: bool = False
 
@@ -96,10 +94,6 @@ class ClusterConfig:
             raise StorageError(
                 f"replication {self.replication} must be in "
                 f"[1, {self.num_machines}]"
-            )
-        if self.codec not in CODECS:
-            raise StorageError(
-                f"unknown codec {self.codec!r} (expected one of {CODECS})"
             )
 
 
@@ -265,7 +259,6 @@ class Cluster:
         encoded = encode(
             value,
             compress=self.config.compress,
-            codec=self.config.codec,
             checksum=self.config.checksums,
         )
         for machine_id in self.replicas_for(key[:placement_len]):

@@ -1,19 +1,19 @@
-"""Serialization of deltas and eventlists to bytes.
+"""Serialization of stored rows to bytes.
 
 The paper's prototype serialized deltas with Python's Pickle before writing
-them to Cassandra; we do the same by default (the library controls both
-ends, so pickle's trust model is acceptable here) and optionally compress
-with zlib — Fig. 13a of the paper evaluates compressed vs. uncompressed
-delta storage.
-
-The ``columnar`` codec additionally stores the two bulky row kinds in
-the packed layouts of :mod:`repro.deltas.columnar`, each under its own
-self-describing tag pair (raw / zlib):
+them to Cassandra.  Here each row kind has one stored form: the two bulky
+kinds — eventlists and micro-deltas — are always stored in the packed
+layouts of :mod:`repro.deltas.columnar`, and every other value (version
+chains, node-centric rows, metadata) pickles (the library controls both
+ends, so pickle's trust model is acceptable here).  Any row may be
+zlib-compressed — Fig. 13a of the paper evaluates compressed vs.
+uncompressed delta storage — and each form has its own self-describing
+tag pair (raw / zlib):
 
 ===== ================== ===============================================
 tags  value              decodes to
 ===== ================== ===============================================
-R / Z anything           ``pickle.loads`` of the stream
+R / Z anything else      ``pickle.loads`` of the stream
 C / c eventlist          lazy zero-copy :class:`ColumnarEventList` view —
                          no ``Event`` object is unpickled
 D / d micro-delta        :class:`Delta` over the row's packed node
@@ -24,12 +24,11 @@ D / d micro-delta        :class:`Delta` over the row's packed node
 K     any of the above   CRC32 envelope around one tagged payload
 ===== ================== ===============================================
 
-Only values whose fields fit a packed layout use it; everything else
-(eventlists or deltas with non-``int`` or beyond-int64 ids, and every
-other value) falls back to pickle, so a store freely holds a mix of
-tags.  Version chains always pickle: a chain row is already one flat
-tuple of ints (:mod:`repro.index.tgi.version_chain`), the same under
-either codec.
+The packed layouts are total: a row with a non-``int`` or beyond-int64
+id carries a pickled id table under the same tag (its layout version
+byte says so), and decodes to the same types as an all-int row.  Version
+chains pickle: a chain row is already one flat tuple of ints
+(:mod:`repro.index.tgi.version_chain`).
 """
 
 from __future__ import annotations
@@ -40,19 +39,12 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.deltas.base import Delta
-from repro.deltas.columnar import (
-    ColumnarEventList,
-    pack_delta,
-    pack_eventlist,
-    unpack_delta,
-)
+from repro.deltas.columnar import ColumnarEventList, pack_delta, unpack_delta
 from repro.deltas.eventlist import EventList
 from repro.errors import CorruptPayload
 
-#: Magic prefixes distinguish the stored forms so a store can hold a mix
-#: (e.g. after changing the config between builds): raw / zlib pickle,
-#: raw / zlib columnar eventlist, raw / zlib packed micro-delta,
-#: checksummed wrapper.
+#: Tag bytes name the stored form: raw / zlib pickle, raw / zlib
+#: columnar eventlist, raw / zlib packed micro-delta, checksummed wrapper.
 _RAW = b"R"
 _ZIP = b"Z"
 _COL = b"C"
@@ -65,8 +57,8 @@ _DELZ = b"d"
 #: at a 5-byte-per-row cost, raised as :class:`CorruptPayload`.
 _CRC = b"K"
 
-#: Codec names accepted by :func:`encode` / ``ClusterConfig.codec``.
-CODECS = ("pickle", "columnar")
+#: The two eventlist kinds: the build buffer and a decoded row.
+_EVENTLISTS = (EventList, ColumnarEventList)
 
 
 @dataclass(frozen=True)
@@ -83,44 +75,28 @@ def encode(
     obj: Any,
     compress: bool = False,
     level: int = 6,
-    codec: str = "pickle",
     checksum: bool = False,
 ) -> EncodedValue:
-    """Serialize ``obj``; optionally zlib-compress the stream.
+    """Serialize ``obj`` in its row kind's stored form; optionally
+    zlib-compress the stream.
 
-    With ``codec="columnar"``, eventlists and deltas that fit their
-    packed layouts are stored as parallel arrays; all other values
-    pickle as before.  With
-    ``checksum=True`` the tagged payload is wrapped in a CRC32 envelope
-    (tag ``K``) that :func:`decode` verifies, raising
-    :class:`CorruptPayload` on mismatch.
+    Eventlists and deltas pack into their columnar layouts; all other
+    values pickle.  With ``checksum=True`` the tagged payload is wrapped
+    in a CRC32 envelope (tag ``K``) that :func:`decode` verifies,
+    raising :class:`CorruptPayload` on mismatch.
     """
-    if codec not in CODECS:
-        raise ValueError(f"unknown codec {codec!r} (expected one of {CODECS})")
-    encoded = None
-    if codec == "columnar":
-        body, tags = None, (_COL, _COLZ)
-        if isinstance(obj, ColumnarEventList):
-            body = obj.packed_bytes()  # re-store a decoded row verbatim
-        elif isinstance(obj, EventList):
-            body = pack_eventlist(obj.ts, obj.te, obj.events)
-        elif isinstance(obj, Delta):
-            body, tags = pack_delta(obj), (_DEL, _DELZ)
-        if body is not None:
-            if compress:
-                packed = tags[1] + zlib.compress(body, level)
-                encoded = EncodedValue(packed, len(body), len(packed), True)
-            else:
-                packed = tags[0] + body
-                encoded = EncodedValue(packed, len(body), len(packed), False)
-    if encoded is None:
-        raw = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        if compress:
-            packed = _ZIP + zlib.compress(raw, level)
-            encoded = EncodedValue(packed, len(raw), len(packed), True)
-        else:
-            packed = _RAW + raw
-            encoded = EncodedValue(packed, len(raw), len(packed), False)
+    if isinstance(obj, _EVENTLISTS):
+        body, tags = obj.packed_bytes(), (_COL, _COLZ)
+    elif isinstance(obj, Delta):
+        body, tags = pack_delta(obj), (_DEL, _DELZ)
+    else:
+        body = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        tags = (_RAW, _ZIP)
+    if compress:
+        payload = tags[1] + zlib.compress(body, level)
+    else:
+        payload = tags[0] + body
+    encoded = EncodedValue(payload, len(body), len(payload), compress)
     if not checksum:
         return encoded
     inner = encoded.payload

@@ -195,10 +195,10 @@ class Counters:
             and only the eventlist gap between the two times was fetched
             and applied (counted separately from exact hits).
         decoded_events: ``Event`` objects materialized from columnar
-            payloads while serving this fetch (0 on the pickle codec and
-            on columnar fast paths — the bulk kernels replay packed
-            columns without building events, so this counter is a direct
-            measure of how often a query fell off the zero-decode path).
+            payloads while serving this fetch (0 on the bulk replay
+            paths — the kernels replay packed columns without building
+            events, so this counter is a direct measure of how often a
+            query fell off the zero-decode path).
         coalesced_hits: rows this fetch received from another in-flight
             plan's request instead of issuing its own (single-flight
             dedup under coalesced execution; distinct from cache hits —

@@ -54,8 +54,6 @@ def calibrate_apply_costs(
     # build time, and the replay half needs the query machinery from the
     # same package — importing it lazily keeps the package import acyclic
     from repro.deltas.base import Delta
-    from repro.deltas.columnar import ColumnarEventList
-    from repro.deltas.eventlist import EventList
     from repro.index.tgi.layout import TAG_AUX_EVENTLIST, TAG_EVENTLIST
     from repro.index.tgi.query import PartialState
     from repro.kvstore.codec import decode
@@ -93,28 +91,23 @@ def calibrate_apply_costs(
     items = 0
     for (key, enc) in sampled:
         value = decode(enc.payload)
-        if isinstance(value, Delta):
+        tag, idx = key[2]
+        if tag in (TAG_EVENTLIST, TAG_AUX_EVENTLIST):
+            # a partition's eventlist rows replay as one chain through
+            # the bulk apply_eventlists kernel, as queries replay them
+            chains.setdefault((key[0], key[1], tag, key[3]), []).append(
+                (idx, value)
+            )
+        elif isinstance(value, Delta):
             # a packed row builds its StaticNodes on first use and keeps
             # them; thawed here, every timed repeat replays the same
             # thing (the thaw itself is priced by neither constant yet)
             value.static_nodes()
             deltas.append(value)
-            items += len(value)
-            replay_bytes += enc.raw_size
-        elif isinstance(value, (EventList, ColumnarEventList)):
-            # the active codec decides the measured replay path: pickled
-            # rows replay event-by-event, columnar rows go through the
-            # bulk apply_eventlists kernel — so replay_per_item_ms prices
-            # whichever path queries will actually take
-            tag, idx = key[2]
-            group = (
-                (key[0], key[1], tag, key[3])
-                if tag in (TAG_EVENTLIST, TAG_AUX_EVENTLIST)
-                else key
-            )
-            chains.setdefault(group, []).append((idx, value))
-            items += len(value)
-            replay_bytes += enc.raw_size
+        else:
+            continue  # version chains: neither constant prices them
+        items += len(value)
+        replay_bytes += enc.raw_size
     chain_lists = [
         [v for _i, v in sorted(rows, key=lambda r: r[0])]
         for _g, rows in sorted(chains.items(), key=lambda kv: repr(kv[0]))

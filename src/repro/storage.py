@@ -51,7 +51,10 @@ _MAGIC = b"hgs-index"
 # 14: version-chain rows are flat int tuples (six ints per pointer), not
 #     tuples of VersionPointer objects; decoded micro-delta rows carry
 #     their packed node columns until a read needs them
-_FORMAT_VERSION = 14
+# 15: eventlist and delta rows are always packed (tags C/c, D/d; rows
+#     with non-int ids carry an id table), never pickled EventList /
+#     Delta objects; ClusterConfig loses codec
+_FORMAT_VERSION = 15
 #: magic, format version, CRC32 of everything after the header
 _HEADER = struct.Struct(">9sII")
 # formats <= 11 were one pickle stream of an envelope dict whose head

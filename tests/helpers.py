@@ -6,6 +6,8 @@ import random
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
+import hypothesis.strategies as st
+
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, EventBuilder
 from repro.graph.static import Graph
@@ -88,10 +90,21 @@ def random_history(
     return events
 
 
+#: Node ids of every kind a packed row's id table holds, next to plain
+#: ints: beyond-int64 ints, strings, bools and floats.
+MIXED_IDS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([2**63, -(2**63) - 1, 2**70]),
+    st.text(max_size=3),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, width=16),
+)
+
+
 def relabelled(events: List[Event]) -> List[Event]:
     """The same stream with every node id ``n`` renamed ``f"n{n}"``:
-    string ids fall off the packed (columnar) eventlist layout and the
-    pure-id bisection prune."""
+    string ids are stored as id-table rows and fall off the pure-id
+    bisection prune."""
     def name(n):
         return None if n is None else f"n{n}"
 

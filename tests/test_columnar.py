@@ -1,10 +1,15 @@
-"""Tests for the columnar eventlist codec: packed-layout round-trips,
-lazy zero-copy decode, pickle fallback, cross-codec query parity, and
-the format gate."""
+"""Tests for the columnar eventlist layout, the one stored form of an
+eventlist: packed-layout round-trips (all-int rows and id-table rows),
+lazy zero-copy decode, truncation, query parity against the event log
+for int and string ids, byte-identity of all-int rows, and the format
+gate."""
 
+import hashlib
 import pickle
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.deltas.columnar import (
     ColumnarEventList,
@@ -12,14 +17,21 @@ from repro.deltas.columnar import (
     pack_eventlist,
 )
 from repro.deltas.eventlist import EventList
+from repro.errors import EventError
 from repro.graph.events import Event, EventBuilder, EventKind
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, TGIConfig
+from repro.index.tgi.layout import TAG_VERSION_CHAIN
 from repro.kvstore.cluster import ClusterConfig
 from repro.kvstore.codec import decode, encode
-from repro.storage import PersistenceError, load_index
+from repro.storage import PersistenceError, load_index, save_index
 from repro.workloads.citation import CitationConfig, generate_citation_events
-from tests.helpers import random_history
+from tests.helpers import (
+    MIXED_IDS,
+    assert_history_equivalent,
+    random_history,
+    relabelled,
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +57,13 @@ def all_kind_events():
     ]
 
 
-def build_tgi(events, codec="columnar", checkpoints=0,
-              m=4, ps=32, l=150, span=1200):
+def build_tgi(events, checkpoints=0, m=4, ps=32, l=150, span=1200):
     tgi = TGI(TGIConfig(
         events_per_timespan=span,
         eventlist_size=l,
         micro_partition_size=ps,
         checkpoint_entries=checkpoints,
-        cluster=ClusterConfig(num_machines=m, codec=codec),
+        cluster=ClusterConfig(num_machines=m),
     ))
     tgi.build(events)
     return tgi
@@ -138,15 +149,15 @@ def test_filter_by_id_matches_and_counts():
 def test_codec_tags_roundtrip():
     events = random_history(steps=120, seed=1)
     el = EventList(0, events[-1].time, tuple(events))
-    enc = encode(el, codec="columnar")
+    enc = encode(el)
     assert enc.payload[:1] == b"C"
     assert decode(enc.payload) == el
-    encz = encode(el, compress=True, codec="columnar")
+    encz = encode(el, compress=True)
     assert encz.payload[:1] == b"c"
     assert decode(encz.payload) == el
     # re-encoding a decoded row keeps the packed bytes verbatim
     cel = decode(enc.payload)
-    assert encode(cel, codec="columnar").payload == enc.payload
+    assert encode(cel).payload == enc.payload
 
 
 def test_codec_empty_payload_rejected():
@@ -155,38 +166,70 @@ def test_codec_empty_payload_rejected():
 
 
 def test_codec_unknown_name_rejected():
-    with pytest.raises(ValueError, match="unknown codec"):
-        encode(EventList(0, 1, ()), codec="parquet")
+    # one stored form per row kind: there is no codec to name
+    with pytest.raises(TypeError):
+        encode(EventList(0, 1, ()), codec="pickle")
 
 
 def test_unpackable_eventlist_falls_back_to_pickle():
+    """String ids — which used to fall back to pickle — pack as a
+    version-2 row with an id table and decode to the same events."""
     eb = EventBuilder()
     el = EventList(0, 2, (
         eb.node_add(1, "alice"),
         eb.edge_add(2, "alice", "bob"),
     ))
-    assert pack_eventlist(el.ts, el.te, el.events) is None
-    enc = encode(el, codec="columnar")
-    assert enc.payload[:1] == b"R"
+    body = pack_eventlist(el.ts, el.te, el.events)
+    assert body[0] == 2
+    enc = encode(el)
+    assert enc.payload[:1] == b"C"
     got = decode(enc.payload)
-    assert isinstance(got, EventList) and got == el
+    assert isinstance(got, ColumnarEventList) and got == el
 
 
 def test_bool_values_fall_back_to_pickle():
-    # bools are ints to isinstance but must not silently become 0/1 rows
+    """A ``bool`` id is not an int row (it would come back 0/1): it goes
+    to the id table and decodes as a ``bool``."""
     eb = EventBuilder()
-    el = EventList(0, 1, (eb.node_add(1, True),))
-    assert pack_eventlist(el.ts, el.te, el.events) is None
+    el = EventList(0, 2, (eb.node_add(1, True), eb.edge_add(2, True, 1)))
+    body = pack_eventlist(el.ts, el.te, el.events)
+    assert body[0] == 2
+    got = ColumnarEventList(body)
+    assert got == el
+    assert [type(ev.node) for ev in got.events] == [bool, bool]
+    assert type(got.events[1].other) is int
 
 
-def test_pickle_cluster_stores_raw_rows(dataset1_events):
-    tgi = build_tgi(dataset1_events[:400], codec="pickle", m=1)
+@pytest.mark.parametrize("field", ["time", "seq"])
+@pytest.mark.parametrize("bad", [2 ** 63, 1.5, True])
+def test_non_int64_times_and_seqs_raise(field, bad):
+    ev = Event(1, 1, EventKind.NODE_ADD, 1)
+    object.__setattr__(ev, field, bad)
+    with pytest.raises(EventError):
+        pack_eventlist(0, 3, (ev,))
+    with pytest.raises(EventError):
+        pack_eventlist(0, bad, ())
+
+
+def test_no_endpoint_sentinel_is_not_an_endpoint_id():
+    eb = EventBuilder()
+    for u, other in ((1, -(2 ** 63)), ("a", -(2 ** 63)), ("a", -2.0 ** 63)):
+        with pytest.raises(EventError, match="sentinel"):
+            pack_eventlist(0, 1, (eb.edge_add(1, u, other),))
+    # as a node id it is just an int
+    row = ColumnarEventList(pack_eventlist(0, 1, (eb.node_add(1, -(2 ** 63)),)))
+    assert row.events[0].node == -(2 ** 63)
+
+
+def test_string_id_cluster_packs_every_eventlist_and_delta(dataset1_events):
+    tgi = build_tgi(relabelled(dataset1_events[:400]), m=1)
     tags = {
-        v.payload[:1]
+        (k[2][0] == TAG_VERSION_CHAIN, v.payload[:1])
         for machine in tgi.cluster.machines
-        for _k, v in machine.items()
+        for k, v in machine.items()
     }
-    assert tags == {b"R"}
+    # only version chains pickle
+    assert tags == {(False, b"C"), (False, b"D"), (True, b"R")}
 
 
 def test_columnar_cluster_stores_columnar_eventlists(dataset1_events):
@@ -198,6 +241,122 @@ def test_columnar_cluster_stores_columnar_eventlists(dataset1_events):
     }
     # eventlists and micro-deltas packed; version chains stay pickled
     assert tags == {b"C", b"D", b"R"}
+
+
+# -- truncated rows -------------------------------------------------------------
+
+def three_event_list(ids=(1, 2)):
+    eb = EventBuilder()
+    u, v = ids
+    return EventList(0, 3, (
+        eb.node_add(1, u), eb.node_add(2, v), eb.edge_add(3, u, v),
+    ))
+
+
+@pytest.mark.parametrize("cut", [10, 116, 85])
+def test_truncated_eventlist_row_raises_value_error(cut):
+    # a 3-event row without a side-table: tag + 25-byte header + 33 * 3
+    payload = encode(three_event_list()).payload
+    assert len(payload) == 125
+    with pytest.raises(ValueError, match="truncated columnar eventlist"):
+        decode(payload[:cut])
+
+
+def test_truncated_id_table_row_raises_value_error():
+    payload = encode(three_event_list(("a", "b"))).payload
+    for cut in (1, 10, 25, 85, 116, 125):
+        with pytest.raises(ValueError, match="truncated columnar eventlist"):
+            decode(payload[:cut])
+
+
+def test_unknown_layout_version_rejected():
+    payload = encode(three_event_list()).payload
+    with pytest.raises(ValueError, match="version byte 9"):
+        decode(payload[:1] + bytes([9]) + payload[2:])
+
+
+# -- id-table rows ---------------------------------------------------------------
+
+@st.composite
+def mixed_lists(draw):
+    """A sorted run of node, edge and attribute events over mixed ids."""
+    eb = EventBuilder()
+    events = []
+    for t in range(1, draw(st.integers(0, 12)) + 1):
+        u, v = draw(MIXED_IDS), draw(MIXED_IDS)
+        kind = draw(st.integers(0, 4))
+        if kind == 0:
+            events.append(eb.node_add(t, u, draw(st.one_of(
+                st.none(), st.just({"w": t})))))
+        elif kind == 1:
+            events.append(eb.edge_add(t, u, v))
+        elif kind == 2:
+            events.append(eb.edge_delete(t, u, v))
+        elif kind == 3:
+            events.append(eb.node_attr_set(t, u, "color", v))
+        else:
+            events.append(eb.node_delete(t, u))
+    return EventList(0, len(events) + 1, tuple(events))
+
+
+def assert_same_events(got, want):
+    """Equal events whose ids keep their types (``True`` is no ``1``)."""
+    got, want = list(got), list(want)
+    assert got == want
+    for a, b in zip(got, want):
+        assert type(a.node) is type(b.node)
+        assert type(a.other) is type(b.other)
+
+
+@pytest.mark.parametrize("compress", [False, True])
+@pytest.mark.parametrize("checksum", [False, True])
+@given(el=mixed_lists(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_mixed_id_rows_round_trip(el, data, compress, checksum):
+    enc = encode(el, compress=compress, checksum=checksum)
+    row = decode(enc.payload)
+    assert isinstance(row, ColumnarEventList)
+    assert row == el
+    assert_same_events(row.events, el.events)
+    assert row.change_points() == el.change_points()
+    # windows, a pickled window and a repacked window
+    ts = data.draw(st.integers(0, el.te))
+    te = data.draw(st.integers(ts, el.te))
+    window = decode(enc.payload).filter_by_time(ts, te)
+    want = el.filter_by_time(ts, te)
+    assert_same_events(window.events, want.events)
+    copy = pickle.loads(pickle.dumps(window))
+    assert_same_events(copy.events, want.events)
+    assert (copy.ts, copy.te) == (window.ts, window.te)
+    assert_same_events(ColumnarEventList(window.packed_bytes()).events,
+                       want.events)
+    # the id scans
+    ids = [ev.node for ev in el.events][:3]
+    row = decode(enc.payload)
+    assert_same_events(row.filter_by_id(ids).events,
+                       el.filter_by_id(ids).events)
+    grouped = row.group_by_id(ids)
+    assert grouped.keys() == el.group_by_id(ids).keys()
+    for node, evs in el.group_by_id(ids).items():
+        assert_same_events(grouped[node], evs)
+
+
+def test_mixed_id_rows_replay_like_the_log():
+    eb = EventBuilder()
+    # (edge endpoints compare: a graph orders an undirected edge's ids)
+    events = [
+        eb.node_add(1, "a", {"w": 1}), eb.node_add(2, True),
+        eb.node_add(3, 2 ** 64), eb.node_add(4, 1.5), eb.node_add(4, "b"),
+        eb.edge_add(5, "a", "b", {"since": 5}), eb.edge_add(6, 2 ** 64, 1.5),
+        eb.edge_add(6, True, 1.5),
+        eb.node_attr_set(7, True, "color", "red"),
+        eb.edge_delete(8, 2 ** 64, 1.5), eb.node_delete(9, 2 ** 64),
+    ]
+    row = decode(encode(EventList(0, 9, tuple(events))).payload)
+    for t in range(10):
+        got = Graph()
+        got.apply_columnar([row], until=t)
+        assert got == Graph.replay(events, until=t)
 
 
 # -- pickling the lazy view ---------------------------------------------------
@@ -221,45 +380,83 @@ def test_packed_bytes_repacks_window():
     assert repacked == window
 
 
-# -- cross-codec query parity -------------------------------------------------
+# -- query parity: int ids and id-table rows against the event log -----------
+# (the ``*_across_codecs`` tests hold both row layouts to the log)
 
 @pytest.fixture(scope="module")
-def tgi_pickle(dataset1_events):
-    return build_tgi(dataset1_events, codec="pickle")
+def parity(dataset1_events):
+    """``(events, index, name)`` for the history with int ids and renamed
+    to strings (id-table rows); ``name`` spells an int id in its ids."""
+    strings = relabelled(dataset1_events)
+    return [
+        (dataset1_events, build_tgi(dataset1_events), lambda n: n),
+        (strings, build_tgi(strings), lambda n: f"n{n}"),
+    ]
 
 
 @pytest.fixture(scope="module")
 def tgi_columnar(dataset1_events):
-    return build_tgi(dataset1_events, codec="columnar")
+    return build_tgi(dataset1_events)
 
 
-def test_snapshot_parity_across_codecs(dataset1_events, tgi_pickle,
-                                       tgi_columnar):
-    te = dataset1_events[-1].time
-    for t in (te // 4, te // 2, te):
-        want = Graph.replay(dataset1_events, until=t)
-        assert tgi_pickle.get_snapshot(t) == want
-        assert tgi_columnar.get_snapshot(t) == want
+def test_snapshot_parity_across_codecs(parity):
+    for events, tgi, _name in parity:
+        te = events[-1].time
+        for t in (te // 4, te // 2, te):
+            assert tgi.get_snapshot(t) == Graph.replay(events, until=t)
 
 
-def test_khop_parity_across_codecs(tgi_pickle, tgi_columnar, dataset1_events):
-    t = dataset1_events[-1].time
-    for center in (5, 42, 117):
-        a = tgi_pickle.get_khop(center, t, k=2)
-        b = tgi_columnar.get_khop(center, t, k=2)
-        assert sorted(a.nodes()) == sorted(b.nodes())
-        assert a == b
+def test_khop_parity_across_codecs(parity):
+    for events, tgi, name in parity:
+        t = events[-1].time
+        final = Graph.replay(events)
+        for center in map(name, (5, 42, 117)):
+            assert tgi.get_khop(center, t, k=2) == final.khop_subgraph(
+                center, 2
+            )
 
 
-def test_node_history_parity_across_codecs(tgi_pickle, tgi_columnar,
-                                           dataset1_events):
-    te = dataset1_events[-1].time
-    for node in (3, 50, 250):
-        a = tgi_pickle.get_node_history(node, 1, te)
-        b = tgi_columnar.get_node_history(node, 1, te)
-        assert a.initial == b.initial
-        assert list(a.events) == list(b.events)
-        assert list(a.versions()) == list(b.versions())
+def test_node_history_parity_across_codecs(parity):
+    for events, tgi, name in parity:
+        te = events[-1].time
+        for node in map(name, (3, 50, 250)):
+            assert_history_equivalent(tgi, events, node, 1, te)
+
+
+def test_string_id_index_saves_and_loads(tmp_path, parity):
+    events, tgi, _name = parity[1]
+    te = events[-1].time
+    want = tgi.get_node_history("n50", 1, te)
+    path = tmp_path / "strings.hgs"
+    save_index(tgi, path)
+    loaded = load_index(path)
+    assert loaded.get_snapshot(te) == Graph.replay(events)
+    assert loaded.get_node_history("n50", 1, te) == want
+
+
+def test_int_id_rows_are_byte_identical_to_format_14():
+    """All-int rows kept their layout when id tables came in: the
+    payloads of one fixed build hash to what storage format 14 wrote."""
+    history = random_history(
+        steps=900, seed=33, edge_attr_churn=True, bare_edges=True
+    )
+    tgi = TGI(TGIConfig(
+        events_per_timespan=300, eventlist_size=40, micro_partition_size=8,
+        cluster=ClusterConfig(num_machines=4, replication=1),
+    ))
+    tgi.build(history)
+    payloads = sorted(
+        v.payload for machine in tgi.cluster.machines
+        for _k, v in machine.items()
+    )
+    digest = hashlib.sha256()
+    for payload in payloads:
+        digest.update(len(payload).to_bytes(8, "big"))
+        digest.update(payload)
+    assert len(payloads) == 1590
+    assert digest.hexdigest() == (
+        "3d2c17276e97a757186a5d30ebf65d7aa3e34daddcb7d1c6a06469acc973e627"
+    )
 
 
 def test_node_history_reports_decoded_events(tgi_columnar, dataset1_events):

@@ -43,7 +43,6 @@ def test_cluster_config_fields():
         "num_machines",
         "replication",
         "compress",
-        "codec",
         "cost_model",
         "checksums",
     ]
@@ -101,7 +100,6 @@ def test_hgs_build_flags():
         "--cache-entries",
         "--checkpoints",
         "--checksums",
-        "--codec",
         "--compress",
         "--eventlist",
         "--help",
@@ -118,6 +116,7 @@ def test_hgs_build_flags():
 @pytest.mark.parametrize("flag", [
     ["--cache-bytes", "1024"],
     ["--checkpoint-admission", "always"],
+    ["--codec", "columnar"],
 ])
 def test_removed_build_flags_exit_2(flag, capsys):
     with pytest.raises(SystemExit) as exit_info:

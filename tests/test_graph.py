@@ -341,9 +341,9 @@ def test_every_construction_agrees_with_the_per_edge_reference(source, keep):
         replayed = Graph(directed)
         replayed.apply_events(events, strict=True)
         columnar = Graph(directed)
-        columnar.apply_columnar(ColumnarEventList(
+        columnar.apply_columnar([ColumnarEventList(
             pack_eventlist(0, events[-1].time, tuple(events))
-        ))
+        )])
         built += [
             replayed, columnar,
             snapshot_delta_of_graph(want).to_graph(directed),
@@ -392,9 +392,9 @@ def test_an_edge_stripped_of_its_only_attribute_equals_a_bare_one(columnar):
     bare, stripped = Graph(), Graph()
     for g, events in zip((bare, stripped), histories):
         if columnar:
-            g.apply_columnar(ColumnarEventList(
+            g.apply_columnar([ColumnarEventList(
                 pack_eventlist(0, 3, tuple(events))
-            ))
+            )])
         else:
             g.apply_events(events, strict=True)
     assert bare == stripped and stripped == bare

@@ -1,6 +1,7 @@
-"""Tests for packed micro-deltas (codec tags D/d): round trips over the
-layout's edge cases, the pickle fallback, the one-pass delta sum, and
-cross-codec member-identity of every query kind on one history."""
+"""Tests for packed micro-deltas (codec tags D/d), the one stored form of
+a delta: round trips over the layout's edge cases, id-table rows for ids
+the int columns cannot hold, the one-pass delta sum, and member-identity
+of every query kind with the event log, on int and string ids."""
 
 import pickle
 import sys
@@ -15,6 +16,7 @@ from repro import GraphSession
 from repro.api import QueryRequest
 from repro.deltas.base import Delta, StaticEdge, StaticNode
 from repro.deltas.columnar import PackedNodes, pack_delta, unpack_delta
+from repro.deltas.eventlist import EventList
 from repro.errors import CorruptPayload, PartitionUnavailable
 from repro.faults import CrashWindow, FaultSchedule, inject_faults
 from repro.graph.static import Graph
@@ -25,7 +27,13 @@ from repro.kvstore.codec import decode, encode
 from repro.kvstore.degrade import partition_label
 from repro.kvstore.resilience import ResiliencePolicy
 from repro.storage import load_index, save_index
-from tests.helpers import per_edge_graph, random_history
+from tests.helpers import (
+    MIXED_IDS,
+    ground_truth_history,
+    per_edge_graph,
+    random_history,
+    relabelled,
+)
 
 #: Ids on both sides of the int32 limits, so some rows need the wide
 #: column and some do not.
@@ -70,8 +78,7 @@ def packed_body(payload: bytes) -> bytes:
 @given(delta=deltas())
 @settings(max_examples=60, deadline=None)
 def test_roundtrip_equals_original(delta, compress, checksum):
-    enc = encode(delta, compress=compress, codec="columnar",
-                 checksum=checksum)
+    enc = encode(delta, compress=compress, checksum=checksum)
     assert packed_body(enc.payload)[:1] == (b"d" if compress else b"D")
     assert enc.stored_size == len(enc.payload)
     got = decode(enc.payload)
@@ -80,13 +87,12 @@ def test_roundtrip_equals_original(delta, compress, checksum):
     assert got.to_graph() == delta.to_graph()
     assert got == delta
     # a decoded (still packed) row stores again as an equal row
-    again = encode(got, compress=compress, codec="columnar",
-                   checksum=checksum)
+    again = encode(got, compress=compress, checksum=checksum)
     assert decode(again.payload) == delta
 
 
 def test_empty_delta_roundtrip():
-    enc = encode(Delta(), codec="columnar")
+    enc = encode(Delta())
     assert enc.payload[:1] == b"D"
     got = decode(enc.payload)
     assert got == Delta() and len(got) == 0
@@ -120,9 +126,9 @@ def test_wide_rows_are_wider_narrow_rows_no_larger_than_pickle():
         StaticNode.make(n + 2**40, range(n + 1, n + 9)) for n in range(64)
     ])
     assert len(pack_delta(narrow)) < len(pack_delta(wide))
-    packed = encode(narrow, codec="columnar")
-    pickled = encode(narrow, codec="pickle")
-    assert packed.stored_size < pickled.stored_size
+    packed = encode(narrow)
+    pickled = pickle.dumps(narrow, protocol=pickle.HIGHEST_PROTOCOL)
+    assert packed.stored_size < len(pickled)
 
 
 @pytest.mark.parametrize("delta", [
@@ -136,18 +142,62 @@ def test_wide_rows_are_wider_narrow_rows_no_larger_than_pickle():
 @pytest.mark.parametrize("compress", [False, True])
 @pytest.mark.parametrize("checksum", [False, True])
 def test_unpackable_deltas_fall_back_to_pickle(delta, compress, checksum):
-    assert pack_delta(delta) is None
-    enc = encode(delta, compress=compress, codec="columnar",
-                 checksum=checksum)
-    assert packed_body(enc.payload)[:1] == (b"Z" if compress else b"R")
+    """Deltas the int columns cannot hold — they fell back to pickle
+    before rows carried id tables — pack as version-2 rows and decode
+    with their ids' types."""
+    assert pack_delta(delta)[0] == 2
+    enc = encode(delta, compress=compress, checksum=checksum)
+    assert packed_body(enc.payload)[:1] == (b"d" if compress else b"D")
     got = decode(enc.payload)
     assert got == delta
-    assert [type(c.I) for c in got] == [type(c.I) for c in delta]
+    assert typed(got) == typed(delta)
 
 
-def test_pickle_codec_never_packs():
-    delta = Delta([StaticNode.make(1, [2]), StaticNode.make(2, [1])])
-    assert encode(delta, codec="pickle").payload[:1] == b"R"
+def typed(delta):
+    """A delta's nodes and edges with every id paired with its type:
+    equal only if the ids kept their types (``True`` is no ``1``)."""
+    def t(x):
+        return (type(x), x)
+
+    return (
+        {t(n): ({t(x) for x in c.E}, c.A)
+         for n, c in delta.static_nodes().items()},
+        {(t(e.u), t(e.v)): (e.directed, e.A)
+         for e in delta.static_edges().values()},
+    )
+
+
+@st.composite
+def mixed_deltas(draw):
+    """:func:`deltas` over mixed ids; explicit edges are directed (an
+    undirected edge orders its endpoints, and mixed ids do not order)."""
+    comps = [
+        StaticNode.make(n, draw(st.lists(MIXED_IDS, max_size=4)), draw(ATTRS))
+        for n in draw(st.lists(MIXED_IDS, max_size=6, unique_by=repr))
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        comps.append(StaticEdge.make(
+            draw(MIXED_IDS), draw(MIXED_IDS), draw(ATTRS), True
+        ))
+    return Delta(comps)
+
+
+@pytest.mark.parametrize("compress", [False, True])
+@pytest.mark.parametrize("checksum", [False, True])
+@given(delta=mixed_deltas(), scope=st.sets(MIXED_IDS, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_mixed_id_rows_round_trip(delta, scope, compress, checksum):
+    enc = encode(delta, compress=compress, checksum=checksum)
+    got = decode(enc.payload)
+    assert got == delta and typed(got) == typed(delta)
+    assert len(got) == len(delta) and got.size == delta.size
+    assert got.static_nodes(scope) == delta.static_nodes(scope)
+    assert got.to_graph(True) == delta.to_graph(True)
+    copy = pickle.loads(pickle.dumps(got))
+    assert copy == delta and typed(copy) == typed(delta)
+    # a decoded row stores again as an equal row
+    again = decode(encode(got, compress=compress, checksum=checksum).payload)
+    assert typed(again) == typed(delta)
 
 
 def test_malformed_packed_rows_rejected():
@@ -163,8 +213,7 @@ def test_malformed_packed_rows_rejected():
 def test_corrupted_packed_row_raises_corrupt_payload():
     delta = Delta([StaticNode.make(n, [n + 1], {"w": n}) for n in range(8)])
     for compress in (False, True):
-        enc = encode(delta, compress=compress, codec="columnar",
-                     checksum=True)
+        enc = encode(delta, compress=compress, checksum=True)
         assert packed_body(enc.payload)[:1] in (b"D", b"d")
         middle = len(enc.payload) // 2
         flipped = (
@@ -197,7 +246,7 @@ def per_edge_delta_graph(delta, directed):
 @settings(max_examples=150, deadline=None)
 def test_to_graph_matches_per_edge_materialization(delta, directed):
     want = per_edge_delta_graph(delta, directed)
-    packed = decode(encode(delta, codec="columnar").payload)
+    packed = decode(encode(delta).payload)
     for got in (delta.to_graph(directed), packed.to_graph(directed)):
         assert got == want
         assert all(got.neighbors(n) == want.neighbors(n) for n in want.nodes())
@@ -211,7 +260,7 @@ def test_decoded_row_thaws_once():
         StaticNode.make(2, [1]),
         StaticEdge.make(1, 2, {"w": 4}),
     ])
-    row = decode(encode(delta, codec="columnar").payload)
+    row = decode(encode(delta).payload)
     # none of these needs a StaticNode
     assert len(row) == 3 and row.size == 6
     assert sorted(row.node_ids()) == [1, 2]
@@ -229,7 +278,7 @@ def test_scoped_reads_thaw_each_node_once(delta, scopes):
     """A scoped read returns exactly the in-scope nodes, and the node
     objects it built are the ones every later read returns."""
     want = {c.I: c for c in delta if isinstance(c, StaticNode)}
-    row = decode(encode(delta, codec="columnar").payload)
+    row = decode(encode(delta).payload)
     seen = {}
     for scope in scopes:
         got = row.static_nodes(scope)
@@ -260,7 +309,7 @@ def test_full_reads_decode_the_row_in_one_bulk_pass(monkeypatch):
         [StaticNode.make(n, [n + 1, n + 2], {"w": n}) for n in range(16)]
         + [StaticEdge.make(1, 2, {"w": 3})]
     )
-    payload = encode(delta, codec="columnar").payload
+    payload = encode(delta).payload
     bulk = []
     columns = PackedNodes.columns
     monkeypatch.setattr(
@@ -297,7 +346,7 @@ def test_threads_sharing_one_packed_row_read_it_whole():
         [StaticNode.make(n, [n + 1, (7 * n) % 40], {"w": n}) for n in range(40)]
         + [StaticEdge.make(1, 2, {"w": 1})]
     )
-    payload = encode(delta, codec="columnar").payload
+    payload = encode(delta).payload
     want = {c.I: c for c in delta if isinstance(c, StaticNode)}
     graph = delta.to_graph()
     errors = []
@@ -375,7 +424,7 @@ def test_sum_equals_left_fold_of_plus(parts, data):
     want = reduce(lambda a, b: a + b, parts, Delta())
     # any mix of thawed operands and still-packed decoded rows
     operands = [
-        decode(encode(d, codec="columnar").payload)
+        decode(encode(d).payload)
         if data.draw(st.booleans()) else d
         for d in parts
     ]
@@ -387,15 +436,18 @@ def test_sum_equals_left_fold_of_plus(parts, data):
     assert all(a == b for a, b in zip(operands, parts))
 
 
-# -- cross-codec member identity on one generated history ---------------------
+# -- member identity with the event log, for int and string ids ---------------
+# (the ``*_across_codecs`` tests hold both row layouts — int columns and
+# id tables — to the log)
 
-def build_tgi(events, codec, checksums=False):
+def build_tgi(events, checksums=False, compress=False):
     tgi = TGI(TGIConfig(
         events_per_timespan=300,
         eventlist_size=40,
         micro_partition_size=8,
         cluster=ClusterConfig(
-            num_machines=4, replication=1, codec=codec, checksums=checksums,
+            num_machines=4, replication=1, checksums=checksums,
+            compress=compress,
         ),
     ))
     tgi.build(events)
@@ -409,7 +461,13 @@ def history():
 
 @pytest.fixture(scope="module")
 def pair(history):
-    return build_tgi(history, "pickle"), build_tgi(history, "columnar")
+    """``(events, index, name)`` for the history with int ids and renamed
+    to strings (id-table rows); ``name`` spells an int id in its ids."""
+    strings = relabelled(history)
+    return [
+        (history, build_tgi(history), lambda n: n),
+        (strings, build_tgi(strings), lambda n: f"n{n}"),
+    ]
 
 
 def stored_tags(tgi):
@@ -420,10 +478,24 @@ def stored_tags(tgi):
 
 
 def test_columnar_build_packs_its_micro_deltas(pair):
-    pickled, packed = pair
-    assert stored_tags(pickled) == {b"R"}
-    assert {b"C", b"D"} <= stored_tags(packed)
-    assert packed.cluster.stored_bytes < pickled.cluster.stored_bytes
+    for _events, tgi, _name in pair:
+        assert stored_tags(tgi) == {b"C", b"D", b"R"}
+        # packed rows are smaller than the objects they hold, pickled
+        packed = pickled = 0
+        for machine in tgi.cluster.machines:
+            for _k, enc in machine.items():
+                row = decode(enc.payload)
+                if isinstance(row, Delta):
+                    value = Delta(list(row))
+                elif enc.payload[:1] == b"C":
+                    value = EventList(row.ts, row.te, row.events)
+                else:
+                    continue
+                packed += enc.stored_size
+                pickled += len(
+                    pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+                )
+        assert packed < pickled
 
 
 def probe_times(history):
@@ -440,10 +512,10 @@ def alive_centers(history, t, count=4):
 
 
 def test_snapshots_identical_across_codecs(history, pair):
-    sessions = [GraphSession.from_index(tgi) for tgi in pair]
-    for t in probe_times(history):
-        want = Graph.replay(history, until=t)
-        for session in sessions:
+    for events, tgi, _name in pair:
+        session = GraphSession.from_index(tgi)
+        for t in probe_times(history):
+            want = Graph.replay(events, until=t)
             assert session.at(t).snapshot().value == want
 
 
@@ -451,36 +523,36 @@ def test_snapshots_identical_across_codecs(history, pair):
     "algorithm", ["khop", "khop-per-center", "snapshot-first"]
 )
 def test_khops_identical_across_codecs(history, pair, algorithm):
-    sessions = [GraphSession.from_index(tgi) for tgi in pair]
-    for t in probe_times(history)[1:]:
-        whole = Graph.replay(history, until=t)
-        for center in alive_centers(history, t):
-            want = whole.khop_subgraph(center, 2)
-            for session in sessions:
+    for events, tgi, name in pair:
+        session = GraphSession.from_index(tgi)
+        for t in probe_times(history)[1:]:
+            whole = Graph.replay(events, until=t)
+            for center in map(name, alive_centers(history, t)):
+                want = whole.khop_subgraph(center, 2)
                 got = session.at(t).khop(center, k=2, algorithm=algorithm)
                 assert got.value == want
 
 
 def test_node_histories_identical_across_codecs(history, pair):
     te = history[-1].time
-    pickled, packed = (GraphSession.from_index(tgi) for tgi in pair)
-    for node in alive_centers(history, te, count=6):
-        a = pickled.between(te // 4, te).node_history(node).value
-        b = packed.between(te // 4, te).node_history(node).value
-        assert a.initial == b.initial
-        assert list(a.events) == list(b.events)
-        assert list(a.versions()) == list(b.versions())
+    for events, tgi, name in pair:
+        session = GraphSession.from_index(tgi)
+        for node in map(name, alive_centers(history, te, count=6)):
+            got = session.between(te // 4, te).node_history(node).value
+            initial, changes = ground_truth_history(events, node, te // 4, te)
+            assert got.initial == initial
+            assert list(got.events) == changes
 
 
 def test_batched_khops_identical_across_codecs(history, pair):
     t = probe_times(history)[2]
-    whole = Graph.replay(history, until=t)
-    centers = alive_centers(history, t, count=5)
-    requests = [
-        QueryRequest(kind="khop", t=t, nodes=(c,), k=2, single=True)
-        for c in centers + centers[:2]  # overlapping members
-    ]
-    for tgi in pair:
+    for events, tgi, name in pair:
+        whole = Graph.replay(events, until=t)
+        centers = [name(c) for c in alive_centers(history, t, count=5)]
+        requests = [
+            QueryRequest(kind="khop", t=t, nodes=(c,), k=2, single=True)
+            for c in centers + centers[:2]  # overlapping members
+        ]
         results = GraphSession.from_index(tgi).execute_batch(requests)
         for request, result in zip(requests, results):
             assert result.value == whole.khop_subgraph(request.nodes[0], 2)
@@ -488,16 +560,17 @@ def test_batched_khops_identical_across_codecs(history, pair):
 
 def test_degraded_snapshot_identical_across_codecs(history):
     """With one machine gone for good, ``allow_partial`` returns the
-    same partial graph from packed rows as from pickled ones."""
+    same partial graph whatever bytes the rows are stored as: raw, or
+    zlib-compressed inside a CRC32 envelope."""
     t = history[-1].time
     partial = []
-    for codec in ("pickle", "columnar"):
-        tgi = build_tgi(history, codec)
+    for encoding in ({}, {"compress": True, "checksums": True}):
+        tgi = build_tgi(history, **encoding)
         session = GraphSession.from_index(tgi)
         whole = session.at(t).snapshot().value
-        # placement does not depend on the codec: the same victim serves
-        # part of this snapshot in both builds (a direct index call
-        # returns the request records the session does not report)
+        # placement does not depend on the row bytes: the same victim
+        # serves part of this snapshot in both builds (a direct index
+        # call returns the request records the session does not report)
         _, direct = tgi.retrieve_snapshot(t)
         victim = min(rec.server for rec in direct.requests)
         inject_faults(tgi.cluster, FaultSchedule(
@@ -516,11 +589,10 @@ def test_degraded_snapshot_identical_across_codecs(history):
     assert partial[0].degraded == partial[1].degraded
 
 
-@pytest.mark.parametrize("codec", ["pickle", "columnar"])
-def test_degraded_history_keeps_other_timespans_rows(history, codec):
+def test_degraded_history_keeps_other_timespans_rows(history):
     """A partition is a ``(tsid, pid)``: losing ``ts0:p2`` drops node 77's
     events stored there, not those in ``ts1:p2`` on a live machine."""
-    tgi = build_tgi(history, codec)
+    tgi = build_tgi(history)
     spans = tgi._spans
     assert spans[0].pid_of(77) == spans[1].pid_of(77) == 2
     victim = tgi.cluster.replicas_for(
@@ -543,7 +615,7 @@ def test_degraded_history_keeps_other_timespans_rows(history, codec):
 
 
 def test_corrupted_stored_delta_row_surfaces_typed(history):
-    tgi = build_tgi(history, "columnar", checksums=True)
+    tgi = build_tgi(history, checksums=True)
     t = history[-1].time
     want, stats = tgi.retrieve_snapshot(t)
     # a packed delta row this snapshot reads, on the machine serving it

@@ -100,7 +100,8 @@ def test_load_rejects_pre_exec_layer_format(tmp_path):
 
 def test_load_rejects_future_format(tmp_path):
     # any header format but this build's: a later one, and the one before
-    # (13, whose version-chain rows are not flat int tuples)
+    # (14, which may hold pickled EventList / Delta rows that the one
+    # packed read path does not replay)
     path = tmp_path / "other.hgs"
     for version in (99, _FORMAT_VERSION - 1):
         path.write_bytes(envelope(version, pickle.dumps(None)))

@@ -1,7 +1,7 @@
 """One walk per temporal history, held to the per-point reads it replaced.
 
 Generated ``random_history`` streams — integer ids, and the same streams
-relabelled to string ids (which fall off the packed eventlist layout and
+relabelled to string ids (which pack as id-table rows and fall off
 the bisection prune) — drive every temporal read that now walks a
 history once, each against a reference kept beside it:
 
@@ -13,7 +13,7 @@ history once, each against a reference kept beside it:
   ``NodeComputeTemporal`` and ``get_version_at``) against graphs built
   from those per-point states with ``helpers.per_edge_graph``;
 - the fetch finalizer's one scan per eventlist row, ``group_by_id``, on
-  both codecs against ``filter_by_time(ts, te).filter_by_id((node,))``
+  the build buffer and the packed row against ``filter_by_time(ts, te).filter_by_id((node,))``
   per node — self-loops included, and an edge event between two asked
   nodes one object, materialized once;
 - the pure-id ``Select`` prune by bisection against its closure.
@@ -222,10 +222,9 @@ def test_group_by_id_equals_filter_by_id_per_node(data):
     stream = sorted(events + loops, key=Event.sort_key)
     el = EventList.build(stream)
     packed = pack_eventlist(el.ts, el.te, el.events)
-    # string ids do not pack: their rows stay on the pickle codec
-    assert (packed is None) == isinstance(stream[0].node, str)
-    codecs = [el] + ([ColumnarEventList(packed)] if packed else [])
-    for rows in codecs:
+    # string ids pack too, as an id-table row (layout version 2)
+    assert (packed[0] == 2) == isinstance(stream[0].node, str)
+    for rows in (el, ColumnarEventList(packed)):
         window = rows.filter_by_time(ts, te)
         with count_decoded() as decoded:
             grouped = window.group_by_id(asked)

@@ -142,11 +142,7 @@ def test_unknown_node_history_is_empty(tgi):
 def test_node_history_fetches_far_less_than_snapshot(tgi, events):
     final = Graph.replay(events)
     node = sorted(final.nodes())[0]
-    # the snapshot side is read under codec="pickle": the bar is about
-    # how much of the index each query touches, and packed micro-deltas
-    # shrink a snapshot's rows far more than a history's eventlists
-    pickled = make_tgi(events, cluster=ClusterConfig(codec="pickle"))
-    snap_bytes = pickled.retrieve_snapshot(350)[1].bytes_read
+    snap_bytes = tgi.retrieve_snapshot(350)[1].bytes_read
     hist_bytes = tgi.retrieve_node_history(node, 80, 350)[1].bytes_read
     assert hist_bytes < snap_bytes / 3
 

@@ -1,6 +1,6 @@
 """Tests for the version-chain row layout: flat int tuples, six ints per
 pointer, sorted by ``(t_min, t_max)`` — the same tuple in memory and in
-the store under either codec."""
+the store (a pickled row)."""
 
 import hypothesis.strategies as st
 import pytest
@@ -77,13 +77,12 @@ def test_window_boundaries():
     assert pointers_in_range((), 0, 100) == []
 
 
-@pytest.mark.parametrize("codec", ["pickle", "columnar"])
 @pytest.mark.parametrize("checksums", [False, True])
 @pytest.mark.parametrize("compress", [False, True])
-def test_chain_rows_round_trip_under_both_codecs(codec, checksums, compress):
+def test_chain_rows_round_trip(checksums, compress):
     entries = [(3, 9, KEYS[2]), (1, 4, KEYS[0]), (1, 2, KEYS[3])]
     store, row = stored_chain(
-        entries, codec=codec, checksums=checksums, compress=compress
+        entries, checksums=checksums, compress=compress
     )
     assert row == (
         1, 2, 1, 3, 4, 1,
