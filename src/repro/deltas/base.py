@@ -132,6 +132,14 @@ class Delta:
     - ``a | b``:  all components from both; conflicting versions keep
       ``a``'s copy (union is only used between compatible deltas).
 
+    ``-`` and ``&`` test for a shared component object (``is``) before
+    comparing fields: consecutive checkpoint snapshots share every
+    static node their eventlist did not touch, so the delta tree over
+    them compares mostly by identity.  The results are those of the
+    plain ``==`` definitions, because a component already equals itself
+    (the dataclass compares its fields as a tuple, which tests each
+    field for identity first — a NaN attribute value included).
+
     Static nodes are held as :class:`StaticNode` objects by id, as
     *columns* — an edge list and an attribute tuple per node id, which
     is what :meth:`to_graph` consumes — or, for an all-int row the codec
@@ -175,6 +183,21 @@ class Delta:
         out._cols = (adjacency, node_attrs)
         out._packed = None
         out._edges = {} if edges is None else edges
+        return out
+
+    @classmethod
+    def from_static(
+        cls,
+        nodes: Dict[NodeId, StaticNode],
+        edges: Dict[EdgeId, StaticEdge],
+    ) -> "Delta":
+        """A delta over static nodes by id and explicit static edges by
+        stored endpoint pair.  The delta takes ownership of both dicts."""
+        out = cls.__new__(cls)
+        out._nodes = nodes
+        out._cols = None
+        out._packed = None
+        out._edges = edges
         return out
 
     @classmethod
@@ -346,15 +369,27 @@ class Delta:
         return self._binary(other, "add", lambda a, b: {**a, **b})
 
     def __sub__(self, other: "Delta") -> "Delta":
-        return self._binary(
-            other, "subtract",
-            lambda a, b: {k: c for k, c in a.items() if b.get(k) != c},
-        )
+        """The components of ``self`` not in ``other``; a component
+        object both share is dropped without comparing fields."""
+        def minus(a: Dict, b: Dict) -> Dict:
+            get = b.get
+            return {
+                k: c for k, c in a.items()
+                if (o := get(k)) is not c and o != c
+            }
+
+        return self._binary(other, "subtract", minus)
 
     def __and__(self, other: "Delta") -> "Delta":
+        """The components in both operands; a component object both
+        share is kept without comparing fields."""
         def common(a: Dict, b: Dict) -> Dict:
             small, large = (a, b) if len(a) <= len(b) else (b, a)
-            return {k: c for k, c in small.items() if large.get(k) == c}
+            get = large.get
+            return {
+                k: c for k, c in small.items()
+                if (o := get(k)) is c or o == c
+            }
 
         return self._binary(other, "intersect", common)
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.deltas.base import Delta, StaticEdge, StaticNode
 from repro.graph.events import Event, EventKind
 from repro.graph.static import Graph
-from repro.types import NodeId, TimePoint
+from repro.types import EdgeId, NodeId, TimePoint
 
 
 def static_node_from_graph(g: Graph, node: NodeId) -> Optional[StaticNode]:
@@ -19,12 +19,73 @@ def static_node_from_graph(g: Graph, node: NodeId) -> Optional[StaticNode]:
 
 def snapshot_delta_of_graph(g: Graph) -> Delta:
     """Snapshot delta in TGI's storage encoding: node-centric static nodes
-    (edge lists inline) plus explicit :class:`StaticEdge` components for
-    edges that carry attributes (so attribute data survives partitioning)."""
-    delta = Delta.from_graph(g, node_centric=True)
-    for (u, v), attrs in g.attributed_edges().items():
-        delta.put(StaticEdge.make(u, v, attrs, g.directed))
-    return delta
+    (edge lists inline), in ``g``'s node order, plus explicit
+    :class:`StaticEdge` components for edges that carry attributes (so
+    attribute data survives partitioning).
+
+    This builds every static node afresh.  A build that snapshots the
+    graph once per eventlist calls it for the first checkpoint only and
+    derives the later ones with :func:`advance_snapshot_delta`."""
+    return Delta.from_static(
+        {
+            n: StaticNode.make(n, g.neighbors(n), g.node_attrs(n))
+            for n in g.nodes()
+        },
+        _attributed_static_edges(g),
+    )
+
+
+def advance_snapshot_delta(
+    g: Graph, prev: Delta, events: Sequence[Event]
+) -> Delta:
+    """Apply ``events`` to ``g`` and return the snapshot delta of the
+    result, derived from ``prev``: the snapshot delta of ``g`` before the
+    events (from :func:`snapshot_delta_of_graph` or an earlier call).
+
+    Only the static nodes the events touched are rebuilt; every other
+    node keeps ``prev``'s very :class:`StaticNode` object, so the delta
+    algebra over consecutive checkpoints compares them by identity.
+    Touched are the entities of every event plus the neighbours a
+    ``NODE_DELETE`` drops along with its node: lenient replay removes
+    live edges that no event names, so those neighbours are read off the
+    adjacency before the events apply (a neighbour gained among the
+    events is an entity already).  Nodes follow ``g``'s own order and
+    attributed edges are re-derived, so the result equals
+    ``snapshot_delta_of_graph(g)`` in value, in order and in packed
+    bytes.
+    """
+    touched: Set[NodeId] = set()
+    for ev in events:
+        touched.update(ev.entities)
+        node = ev.node
+        if ev.kind == EventKind.NODE_DELETE and g.has_node(node):
+            touched.update(g.neighbors(node))
+            if g.directed:  # in-neighbours lose an out-edge as well
+                touched.update(u for u in g.nodes() if node in g.neighbors(u))
+    g.apply_events(events)
+    old = prev.static_nodes()
+    neighbors, attrs = g.neighbors, g.node_attrs
+    return Delta.from_static(
+        {
+            n: StaticNode.make(n, neighbors(n), attrs(n))
+            if n in touched else old[n]
+            for n in g.nodes()
+        },
+        _attributed_static_edges(g),
+    )
+
+
+def _attributed_static_edges(g: Graph) -> Dict[EdgeId, StaticEdge]:
+    """The :class:`StaticEdge` of every edge of ``g`` that carries
+    attributes, by stored endpoint pair."""
+    directed = g.directed
+    return {
+        (e.u, e.v): e
+        for e in (
+            StaticEdge.make(u, v, attrs, directed)
+            for (u, v), attrs in g.attributed_edges().items()
+        )
+    }
 
 
 def diff_states_to_events(

@@ -15,8 +15,8 @@ from repro.errors import TimeRangeError
 from repro.graph.events import Event
 from repro.graph.static import Graph
 from repro.index.common import (
+    advance_snapshot_delta,
     diff_states_to_events,
-    snapshot_delta_of_graph,
     static_node_from_graph,
 )
 from repro.index.interface import HistoricalGraphIndex, NodeHistory
@@ -40,16 +40,19 @@ class CopyIndex(HistoricalGraphIndex):
 
     def build(self, events: Sequence[Event]) -> None:
         g = Graph()
+        snap = Delta()  # the empty graph's
         idx = 0
         i = 0
         n = len(events)
         while i < n:
             t = events[i].time
-            while i < n and events[i].time == t:
-                g.apply_event(events[i])
-                i += 1
+            j = i
+            while j < n and events[j].time == t:
+                j += 1
+            snap = advance_snapshot_delta(g, snap, events[i:j])
+            i = j
             key = (0, idx % self.placement_groups, ("S", idx), 0)
-            self.cluster.put(key, snapshot_delta_of_graph(g))
+            self.cluster.put(key, snap)
             self._times.append(t)
             self._keys.append(key)
             idx += 1

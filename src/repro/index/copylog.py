@@ -15,7 +15,7 @@ from repro.deltas.eventlist import EventList, split_events_into_lists
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, dedup_sorted
 from repro.graph.static import Graph
-from repro.index.common import snapshot_delta_of_graph, static_node_from_graph
+from repro.index.common import advance_snapshot_delta, static_node_from_graph
 from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.cost import FetchStats
@@ -51,19 +51,23 @@ class CopyLogIndex(HistoricalGraphIndex):
     def build(self, events: Sequence[Event]) -> None:
         lists = split_events_into_lists(list(events), self.eventlist_size)
         g = Graph()
+        snap = Delta()  # the empty graph's
+        since: List[Event] = []  # events after the last checkpoint
         t0 = events[0].time - 1 if events else 0
         for i, el in enumerate(lists):
             if i % self.lists_per_checkpoint == 0:
                 cp_idx = len(self._checkpoint_times)
                 cp_time = el.ts if i else t0
                 key = (0, cp_idx % self.placement_groups, ("S", cp_idx), 0)
-                self.cluster.put(key, snapshot_delta_of_graph(g))
+                snap = advance_snapshot_delta(g, snap, since)
+                since = []
+                self.cluster.put(key, snap)
                 self._checkpoint_times.append(cp_time)
                 self._checkpoint_keys.append(key)
             ekey = (0, i % self.placement_groups, ("E", i), 0)
             self.cluster.put(ekey, el)
             self._list_meta.append((el.ts, el.te, ekey))
-            el.apply_to(g)
+            since.extend(el.events)
         if events:
             self._t_max = events[-1].time
 

@@ -17,7 +17,7 @@ from repro.deltas.eventlist import EventList, split_events_into_lists
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, dedup_sorted
 from repro.graph.static import Graph
-from repro.index.common import snapshot_delta_of_graph, static_node_from_graph
+from repro.index.common import advance_snapshot_delta, static_node_from_graph
 from repro.index.delta_tree import DeltaTree, build_delta_tree
 from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
 from repro.kvstore.cluster import Cluster, ClusterConfig
@@ -62,17 +62,17 @@ class DeltaGraphIndex(HistoricalGraphIndex):
             raise TimeRangeError("cannot build an index over an empty history")
         lists = split_events_into_lists(list(events), self.eventlist_size)
         g = Graph()
-        leaf_deltas: List[Delta] = []
         # checkpoint 0 is the (empty) state before the first eventlist
         self._checkpoint_times.append(events[0].time - 1)
-        leaf_deltas.append(snapshot_delta_of_graph(g))
+        leaf_deltas: List[Delta] = [Delta()]  # the empty graph's
         for i, el in enumerate(lists):
             ekey = self._list_key(i)
             self.cluster.put(ekey, el)
             self._list_meta.append((el.ts, el.te, ekey))
-            el.apply_to(g)
             self._checkpoint_times.append(el.te)
-            leaf_deltas.append(snapshot_delta_of_graph(g))
+            leaf_deltas.append(
+                advance_snapshot_delta(g, leaf_deltas[-1], el.events)
+            )
         tree, stored = build_delta_tree(leaf_deltas, self.arity)
         self._tree = tree
         for did, delta in stored.items():

@@ -21,7 +21,7 @@ from repro.deltas.base import Delta, StaticEdge, StaticNode
 from repro.deltas.eventlist import EventList, split_events_into_lists
 from repro.graph.events import Event
 from repro.graph.static import Graph
-from repro.index.common import snapshot_delta_of_graph
+from repro.index.common import advance_snapshot_delta, snapshot_delta_of_graph
 from repro.index.delta_tree import build_delta_tree
 from repro.index.tgi.config import PartitioningStrategy, TGIConfig
 from repro.index.tgi.layout import (
@@ -107,7 +107,17 @@ def build_timespan(
     stats: Optional[GraphStatistics] = None,
 ) -> TimespanInfo:
     """Construct and persist one timespan; mutates ``initial`` to the state
-    at the end of the span (so spans chain during a full build).
+    at the end of the span (so spans chain during a full build and an
+    update).
+
+    The leaves of the span's delta tree are its checkpoint snapshots, one
+    eventlist apart.  Only the first is built from the whole graph; each
+    later one is derived from the one before it
+    (:func:`~repro.index.common.advance_snapshot_delta`): the static nodes
+    its eventlist touched are rebuilt and every other node is the same
+    object as in the previous leaf, so building the tree compares those
+    by identity.  The stored rows are byte-for-byte what whole-graph
+    snapshots give.
 
     When a :class:`~repro.stats.model.GraphStatistics` artifact is
     passed, the span's statistics (partition summaries, boundary-cut
@@ -163,11 +173,11 @@ def build_timespan(
     eventlist_ranges: List[Tuple[TimePoint, TimePoint]] = []
     leaf_deltas: List[Delta] = [snapshot_delta_of_graph(initial)]
     for el in lists:
-        el = EventList(checkpoints[-1], el.te, el.events)  # align scopes
-        eventlist_ranges.append((el.ts, el.te))
-        el.apply_to(initial)
+        eventlist_ranges.append((checkpoints[-1], el.te))  # align scopes
         checkpoints.append(el.te)
-        leaf_deltas.append(snapshot_delta_of_graph(initial))
+        leaf_deltas.append(
+            advance_snapshot_delta(initial, leaf_deltas[-1], el.events)
+        )
 
     tree, stored = build_delta_tree(leaf_deltas, config.arity)
 

@@ -65,7 +65,7 @@ from repro.exec import (
     PlanExecutor,
     StateCheckpointCache,
 )
-from repro.graph.events import Event
+from repro.graph.events import Event, check_sorted
 from repro.graph.static import Graph
 from repro.index.interface import (
     HistoricalGraphIndex,
@@ -165,7 +165,12 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
 
     def update(self, events: Sequence[Event]) -> None:
         """Append a batch of new events (paper: updates are accepted in
-        batches of timespan length and merged as new timespans)."""
+        batches of timespan length and merged as new timespans).
+
+        The whole batch is checked before anything is written: a batch
+        out of ``(time, seq)`` order raises :class:`EventError`, one that
+        does not start after the indexed history :class:`IndexError_`,
+        and either leaves the index as it was."""
         if not events:
             return
         if self._t_max is not None and events[0].time <= self._t_max:
@@ -177,6 +182,8 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
             self._t_min = events[0].time
 
     def _append_spans(self, events: Sequence[Event]) -> None:
+        # refuse a disordered batch before its first span is written
+        check_sorted(events)
         spans = timespan_boundaries(events, self.config.events_per_timespan)
         cursor = 0
         for (t_start, t_end) in spans:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import IndexError_, TimeRangeError
+from repro.errors import EventError, IndexError_, TimeRangeError
+from repro.graph.events import Event, EventBuilder, EventKind
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, PartitioningStrategy, TGIConfig
 from repro.kvstore.cluster import ClusterConfig
@@ -225,6 +226,61 @@ def test_update_rejects_overlapping_times(events):
     idx = make_tgi(events)
     with pytest.raises(IndexError_):
         idx.update(events[:10])
+
+
+def _four_nodes():
+    eb = EventBuilder()
+    events = [eb.node_add(t, n) for t, n in ((1, 1), (1, 2), (2, 3), (2, 4))]
+    return eb, events
+
+
+def test_failed_update_changes_nothing():
+    """A batch whose second timespan is out of seq order is refused
+    before its first timespan is written, so a correct retry answers as
+    if the bad batch had never been offered."""
+    eb, events = _four_nodes()
+    idx = make_tgi(events, events_per_timespan=4, eventlist_size=2)
+    bad = [
+        eb.node_add(3, 5), eb.node_add(3, 6),
+        eb.edge_add(4, 5, 6), eb.edge_add(4, 1, 5),
+        Event(5, 11, EventKind.EDGE_ADD, 2, other=5),
+        Event(5, 10, EventKind.EDGE_ADD, 3, other=6),
+    ]
+    with pytest.raises(EventError, match="out of order"):
+        idx.update(bad)
+    assert idx.num_timespans == 1
+    assert idx.get_snapshot(2) == Graph.replay(events)
+    with pytest.raises(TimeRangeError):
+        idx.get_snapshot(3)
+
+    retry = [Event(6, 12, EventKind.NODE_ATTR_SET, 1, key="x", value=1)]
+    idx.update(retry)
+    want = Graph.replay([*events, *retry])
+    assert sorted(want.nodes()) == [1, 2, 3, 4]
+    assert idx.get_snapshot(6) == want
+    assert idx.get_node_history(1, 2, 6).events == tuple(retry)
+
+
+@pytest.mark.parametrize("phase", ["build", "update"])
+def test_times_going_backwards_raise_event_error(phase):
+    """Times that go backwards are the same typed error as seq disorder,
+    whether they come to build() or to update(), and nothing is
+    written."""
+    eb, events = _four_nodes()
+    later = [eb.node_add(4, 5), eb.node_add(5, 6), eb.node_add(3, 7)]
+    if phase == "build":
+        idx = TGI(TGIConfig(events_per_timespan=2, eventlist_size=1))
+        with pytest.raises(EventError, match="out of order"):
+            idx.build([*events, *later])
+        assert idx.num_timespans == 0
+        assert not any(len(m) for m in idx.cluster.machines)
+    else:
+        idx = make_tgi(events, events_per_timespan=2, eventlist_size=1)
+        spans = idx.num_timespans
+        with pytest.raises(EventError, match="out of order"):
+            idx.update(later)
+        assert idx.num_timespans == spans
+        assert idx.get_snapshot(2) == Graph.replay(events)
 
 
 def test_update_empty_is_noop(tgi):
