@@ -190,12 +190,12 @@ def pack_eventlist(ts: TimePoint, te: TimePoint, events: Sequence[Event]) -> byt
     """Pack a sorted event run into the columnar layout: version 1 when
     every id is a plain int64, else version 2 with an id table.
 
-    Raises :class:`EventError` when ``ts``, ``te`` or an event's time or
-    seq is not an int64, or an endpoint id equals the no-endpoint
-    sentinel.
+    Raises :class:`EventError` when ``ts`` or ``te`` is not an int64, or
+    for an event :func:`check_packable` refuses.
     """
     if not (_fits(ts) and _fits(te)):
         raise EventError(f"eventlist scope ({ts!r}, {te!r}] is not int64")
+    check_packable(events)
     n = len(events)
     times: List[int] = []
     seqs: List[int] = []
@@ -206,13 +206,7 @@ def pack_eventlist(ts: TimePoint, te: TimePoint, events: Sequence[Event]) -> byt
     ints = True
     for i, ev in enumerate(events):
         other = ev.other
-        if not (_fits(ev.time) and _fits(ev.seq)):
-            raise EventError(
-                f"event time {ev.time!r} / seq {ev.seq!r} is not int64"
-            )
-        if ints and not (_fits(ev.node) and (
-            other is None or (_fits(other) and other != _NO_OTHER)
-        )):
+        if ints and not (_fits(ev.node) and (other is None or _fits(other))):
             ints = False
         times.append(ev.time)
         seqs.append(ev.seq)
@@ -226,15 +220,10 @@ def pack_eventlist(ts: TimePoint, te: TimePoint, events: Sequence[Event]) -> byt
         version = _COL_VERSION
         tail = pickle.dumps(side, protocol=pickle.HIGHEST_PROTOCOL) if side else b""
     else:
-        ends = [ev.other for ev in events]
-        if any(o is not None and o == _NO_OTHER for o in ends):
-            raise EventError(
-                f"endpoint id {_NO_OTHER} is the no-endpoint sentinel"
-            )
         version = _TABLE_VERSION
         table = _IdTable()
         nodes = list(map(table.at, nodes))
-        others = [-1 if o is None else table.at(o) for o in ends]
+        others = [-1 if ev.other is None else table.at(ev.other) for ev in events]
         tail = pickle.dumps((table.ids(), side), protocol=pickle.HIGHEST_PROTOCOL)
     return b"".join([
         bytes((version,)),
@@ -246,6 +235,34 @@ def pack_eventlist(ts: TimePoint, te: TimePoint, events: Sequence[Event]) -> byt
         struct.pack(f"={n}q", *others),
         tail,
     ])
+
+
+def check_packable(events: Sequence[Event]) -> None:
+    """Raise :class:`EventError` unless every event fits a packed
+    eventlist: its time and seq are int64s, the time above int64's
+    minimum (no int64 scope ``(ts, te]`` holds that), and no endpoint
+    equals the no-endpoint sentinel.  :func:`pack_eventlist` checks each
+    row with it; a writer checks a whole batch, before storing any row."""
+    times = [ev.time for ev in events]
+    if not (_all_fit(times) and _all_fit([ev.seq for ev in events])):
+        ev = next(e for e in events if not (_fits(e.time) and _fits(e.seq)))
+        raise EventError(
+            f"event time {ev.time!r} / seq {ev.seq!r} is not int64"
+        )
+    if times and min(times) == _INT64_MIN:
+        raise EventError(f"event time {_INT64_MIN} is below every int64 scope")
+    if _NO_OTHER in [ev.other for ev in events]:
+        raise EventError(
+            f"endpoint id {_NO_OTHER} is the no-endpoint sentinel"
+        )
+
+
+def _all_fit(xs: List[Any]) -> bool:
+    """:func:`_fits` over a whole column, in a few C-level passes."""
+    return not xs or (
+        set(map(type, xs)) == {int}
+        and _INT64_MIN <= min(xs) and max(xs) <= _INT64_MAX
+    )
 
 
 class _IdColumn(list):

@@ -40,33 +40,31 @@ from repro.partitioning.random_part import hash_partition
 from repro.partitioning.temporal import collapse, partition_timespan
 from repro.stats.collect import collect_timespan_stats
 from repro.stats.model import GraphStatistics
-from repro.types import NodeId, TimePoint
+from repro.types import EdgeId, NodeId, TimePoint
 
 
 def _split_delta_by_pid(
-    delta: Delta, pid_of: Dict[NodeId, int], num_pids: int
+    delta: Delta, pid_of: Dict[NodeId, int]
 ) -> Dict[int, Delta]:
     """Primary micro-partitioning: static nodes go to their pid; attributed
-    static edges go to both endpoints' pids (paper Example 5)."""
-    out: Dict[int, Delta] = {}
-
-    def bucket(pid: int) -> Delta:
-        d = out.get(pid)
-        if d is None:
-            d = Delta()
-            out[pid] = d
-        return d
-
-    for comp in delta:
-        if isinstance(comp, StaticNode):
-            pid = pid_of.get(comp.I)
-            if pid is not None:
-                bucket(pid).put(comp)
-        else:
-            pids = {pid_of.get(comp.u), pid_of.get(comp.v)} - {None}
-            for pid in pids:
-                bucket(pid).put(comp)  # type: ignore[arg-type]
-    return out
+    static edges go to both endpoints' pids (paper Example 5).  Each
+    micro keeps ``delta``'s component order."""
+    nodes: Dict[int, Dict[NodeId, StaticNode]] = {}
+    for n, comp in delta.static_nodes().items():
+        pid = pid_of.get(n)
+        if pid is not None:
+            bucket = nodes.get(pid)
+            if bucket is None:
+                bucket = nodes[pid] = {}
+            bucket[n] = comp
+    edges: Dict[int, Dict[EdgeId, StaticEdge]] = {}
+    for comp in delta.static_edges().values():
+        for pid in {pid_of.get(comp.u), pid_of.get(comp.v)} - {None}:
+            edges.setdefault(pid, {})[(comp.u, comp.v)] = comp
+    return {
+        pid: Delta.from_static(nodes.get(pid, {}), edges.get(pid, {}))
+        for pid in nodes.keys() | edges.keys()
+    }
 
 
 def _split_aux_by_pid(
@@ -105,14 +103,18 @@ def build_timespan(
     cluster: Cluster,
     vc_store: VersionChainStore,
     stats: Optional[GraphStatistics] = None,
-) -> TimespanInfo:
+    first_leaf: Optional[Delta] = None,
+) -> Tuple[TimespanInfo, Delta]:
     """Construct and persist one timespan; mutates ``initial`` to the state
     at the end of the span (so spans chain during a full build and an
-    update).
+    update).  Returns the span's metadata and its last leaf: the
+    snapshot delta of ``initial`` at the end of the span.
 
     The leaves of the span's delta tree are its checkpoint snapshots, one
-    eventlist apart.  Only the first is built from the whole graph; each
-    later one is derived from the one before it
+    eventlist apart.  The first is ``first_leaf`` — the previous span's
+    last leaf, which must equal ``snapshot_delta_of_graph(initial)`` —
+    or, when none is passed, built from the whole graph; each later one
+    is derived from the one before it
     (:func:`~repro.index.common.advance_snapshot_delta`): the static nodes
     its eventlist touched are rebuilt and every other node is the same
     object as in the previous leaf, so building the tree compares those
@@ -121,8 +123,9 @@ def build_timespan(
 
     When a :class:`~repro.stats.model.GraphStatistics` artifact is
     passed, the span's statistics (partition summaries, boundary-cut
-    weights, event-rate histogram) are collected into it in the same
-    pass — no extra store reads."""
+    weights, event-rate histogram) are collected into it from what the
+    build already has — the collapsed graph and the per-partition event
+    times the eventlist routing produced — with no extra store reads."""
     # ---- dynamic partitioning (Sec. 4.5) -----------------------------
     collapsed = collapse(
         initial, span_events, t_start, t_end,
@@ -143,18 +146,8 @@ def build_timespan(
         node_pid = {
             n: hash_partition(n, num_pids, salt=1000 + tsid) for n in alive
         }
-
-    if stats is not None:
-        stats.spans[tsid] = collect_timespan_stats(
-            tsid,
-            t_start,
-            t_end,
-            collapsed.nodes,
-            collapsed.edges,
-            node_pid,
-            num_pids,
-            span_events,
-        )
+    ns = config.placement_groups
+    sids = [sid_of_pid(pid, ns) for pid in range(num_pids)]
 
     boundary: Dict[int, FrozenSet[NodeId]] = {}
     if config.replicate_boundary:
@@ -171,7 +164,9 @@ def build_timespan(
     lists = split_events_into_lists(list(span_events), config.eventlist_size)
     checkpoints: List[TimePoint] = [t_start - 1]
     eventlist_ranges: List[Tuple[TimePoint, TimePoint]] = []
-    leaf_deltas: List[Delta] = [snapshot_delta_of_graph(initial)]
+    leaf_deltas: List[Delta] = [
+        snapshot_delta_of_graph(initial) if first_leaf is None else first_leaf
+    ]
     for el in lists:
         eventlist_ranges.append((checkpoints[-1], el.te))  # align scopes
         checkpoints.append(el.te)
@@ -194,14 +189,13 @@ def build_timespan(
     )
 
     # ---- persist tree deltas as micros ---------------------------------
-    ns = config.placement_groups
     for did, delta in stored.items():
-        micros = _split_delta_by_pid(delta, node_pid, num_pids)
-        pids = sorted(pid for pid, d in micros.items() if len(d))
+        micros = _split_delta_by_pid(delta, node_pid)
+        pids = sorted(micros)
         info.snapshot_pids[did] = pids
         for pid in pids:
             cluster.put(
-                delta_key(tsid, sid_of_pid(pid, ns), TAG_SNAPSHOT, did, pid),
+                delta_key(tsid, sids[pid], TAG_SNAPSHOT, did, pid),
                 micros[pid],
             )
         if config.replicate_boundary:
@@ -210,29 +204,33 @@ def build_timespan(
             info.aux_snapshot_pids[did] = apids
             for pid in apids:
                 cluster.put(
-                    delta_key(
-                        tsid, sid_of_pid(pid, ns), TAG_AUX_SNAPSHOT, did, pid
-                    ),
+                    delta_key(tsid, sids[pid], TAG_AUX_SNAPSHOT, did, pid),
                     aux[pid],
                 )
 
     # ---- persist partitioned eventlists + version chains ----------------
+    # an event goes to every partition it touches; the times it lands at,
+    # per partition, are what the statistics count
+    pid_times: Dict[int, List[TimePoint]] = {}
     for j, (ts, te) in enumerate(eventlist_ranges):
         el = lists[j]
         primary: Dict[int, List[Event]] = {}
         auxiliary: Dict[int, List[Event]] = {}
         node_span: Dict[Tuple[int, NodeId], Tuple[TimePoint, TimePoint]] = {}
         for ev in el:
+            t = ev.time
             touched_pids: Set[int] = set()
             for entity in set(ev.entities):
                 pid = node_pid.get(entity)
                 if pid is None:
                     continue
                 touched_pids.add(pid)
-                lo, hi = node_span.get((pid, entity), (ev.time, ev.time))
-                node_span[(pid, entity)] = (min(lo, ev.time), max(hi, ev.time))
+                # events run in time order: the first sets lo, the last hi
+                lo = node_span.get((pid, entity), (t,))[0]
+                node_span[(pid, entity)] = (lo, t)
             for pid in touched_pids:
                 primary.setdefault(pid, []).append(ev)
+                pid_times.setdefault(pid, []).append(t)
             if config.replicate_boundary:
                 for pid, bnd in boundary.items():
                     if pid in touched_pids:
@@ -242,16 +240,28 @@ def build_timespan(
 
         info.eventlist_pids[j] = sorted(primary)
         for pid, evs in primary.items():
-            key = delta_key(tsid, sid_of_pid(pid, ns), TAG_EVENTLIST, j, pid)
+            key = delta_key(tsid, sids[pid], TAG_EVENTLIST, j, pid)
             cluster.put(key, EventList(ts, te, tuple(evs)))
         info.aux_eventlist_pids[j] = sorted(auxiliary)
         for pid, evs in auxiliary.items():
             cluster.put(
-                delta_key(tsid, sid_of_pid(pid, ns), TAG_AUX_EVENTLIST, j, pid),
+                delta_key(tsid, sids[pid], TAG_AUX_EVENTLIST, j, pid),
                 EventList(ts, te, tuple(evs)),
             )
         for (pid, node), (lo, hi) in node_span.items():
-            key = delta_key(tsid, sid_of_pid(pid, ns), TAG_EVENTLIST, j, pid)
+            key = delta_key(tsid, sids[pid], TAG_EVENTLIST, j, pid)
             vc_store.record(node, lo, hi, key)
 
-    return info
+    if stats is not None:
+        stats.spans[tsid] = collect_timespan_stats(
+            tsid,
+            t_start,
+            t_end,
+            collapsed.nodes,
+            collapsed.edges,
+            node_pid,
+            num_pids,
+            pid_times,
+            len(span_events),
+        )
+    return info, leaf_deltas[-1]

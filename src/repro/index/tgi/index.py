@@ -55,7 +55,7 @@ from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.deltas.base import Delta
-from repro.deltas.columnar import count_decoded
+from repro.deltas.columnar import check_packable, count_decoded
 from repro.errors import IndexError_, TimeRangeError
 from repro.exec import (
     DeltaCache,
@@ -123,6 +123,9 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
         self._spans: List[TimespanInfo] = []
         self._span_starts: List[TimePoint] = []  # t_start per span
         self._running = Graph()  # state at the end of indexed history
+        #: snapshot delta of ``_running``: the last span's last leaf, the
+        #: next span's first (``None`` after a load or a failed span)
+        self._running_leaf: Optional[Delta] = None
         self._t_min: Optional[TimePoint] = None
         self._t_max: Optional[TimePoint] = None
         # guards what concurrent queries over one served index share and
@@ -137,16 +140,19 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
     def __getstate__(self):
         # locks don't pickle (save_index serializes whole indexes).
         # ``_span_starts`` is derived from ``_spans`` and rebuilt on
-        # load, so files do not carry it
+        # load, so files do not carry it; nor ``_running_leaf``, which
+        # the next update rebuilds once from ``_running``
         state = dict(self.__dict__)
         state["_lock"] = None
         state.pop("_span_starts", None)
+        state.pop("_running_leaf", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._lock = threading.Lock()
         self._span_starts = [span.t_start for span in self._spans]
+        self._running_leaf = None
 
     # ------------------------------------------------------------------
     # construction + batch update
@@ -168,9 +174,18 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
         batches of timespan length and merged as new timespans).
 
         The whole batch is checked before anything is written: a batch
-        out of ``(time, seq)`` order raises :class:`EventError`, one that
-        does not start after the indexed history :class:`IndexError_`,
-        and either leaves the index as it was."""
+        out of ``(time, seq)`` order, or one a stored row could not hold
+        (a time or seq that is not an int64, an endpoint equal to the
+        no-endpoint sentinel), raises :class:`EventError`, one that does
+        not start after the indexed history :class:`IndexError_`, and
+        each leaves the index as it was.
+
+        A batch costs what it changes, not what the graph holds: its
+        first checkpoint snapshot is the last one the previous batch
+        built (kept beside the running graph, rebuilt once after a
+        load), the nodes no event touched keep their objects from leaf
+        to leaf, and each touched version chain gets its new pointers
+        appended."""
         if not events:
             return
         if self._t_max is not None and events[0].time <= self._t_max:
@@ -182,8 +197,10 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
             self._t_min = events[0].time
 
     def _append_spans(self, events: Sequence[Event]) -> None:
-        # refuse a disordered batch before its first span is written
+        # refuse a disordered batch, or one a row could not store,
+        # before its first span is written
         check_sorted(events)
+        check_packable(events)
         spans = timespan_boundaries(events, self.config.events_per_timespan)
         cursor = 0
         for (t_start, t_end) in spans:
@@ -191,7 +208,10 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
             while cursor < len(events) and events[cursor].time < t_end:
                 span_events.append(events[cursor])
                 cursor += 1
-            info = build_timespan(
+            # cleared while the span builds: one that raises must not
+            # leave a leaf that no longer matches ``_running``
+            leaf, self._running_leaf = self._running_leaf, None
+            info, leaf = build_timespan(
                 len(self._spans),
                 self._running,
                 span_events,
@@ -201,7 +221,9 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
                 self.cluster,
                 self._vc,
                 stats=self.stats,
+                first_leaf=leaf,
             )
+            self._running_leaf = leaf
             self._spans.append(info)
             self._span_starts.append(info.t_start)
         changed_chains = self._vc.flush()

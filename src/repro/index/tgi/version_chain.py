@@ -25,6 +25,7 @@ tuple of small ints: no per-entry object exists until
 from __future__ import annotations
 
 from itertools import chain as concat
+from operator import itemgetter
 from typing import Dict, List, Tuple
 
 from repro.kvstore.cluster import Cluster
@@ -36,6 +37,9 @@ ENTRY_WIDTH = 6
 
 #: A chain row: ``ENTRY_WIDTH`` ints per entry, sorted by (t_min, t_max).
 Chain = Tuple[int, ...]
+
+#: The sort key of one entry (of a row's last one: ``row[-ENTRY_WIDTH:]``).
+_by_time = itemgetter(0, 1)
 
 
 def pointers_in_range(chain: Chain, ts: TimePoint, te: TimePoint) -> List[DeltaKey]:
@@ -83,19 +87,29 @@ class VersionChainStore:
         """Write/rewrite the chain rows that gained pointers since the
         last flush (used both at initial build and on batch update).
 
+        A chain's new entries are sorted among themselves (stably, by
+        ``(t_min, t_max)``); when the first starts at or after the
+        chain's last stored entry they are appended to its row as they
+        are — always the case for :meth:`TGI.update`, which only adds
+        later spans.  Otherwise the chain is re-sorted whole.  Either
+        way the row is the stable sort of every entry recorded so far.
+
         Returns the keys whose stored content changed, so the index can
         invalidate exactly those cached rows instead of clearing the
         whole delta cache — a chain without new pointers is not
         rewritten."""
         changed: List[DeltaKey] = []
         for node, added in self._pending.items():
+            added.sort(key=_by_time)
             old = self._chains.get(node, ())
-            entries = [
-                old[i:i + ENTRY_WIDTH] for i in range(0, len(old), ENTRY_WIDTH)
-            ]
-            entries.extend(added)
-            entries.sort(key=lambda e: (e[0], e[1]))
-            row = tuple(concat.from_iterable(entries))
+            if old and _by_time(added[0]) < _by_time(old[-ENTRY_WIDTH:]):
+                # an entry before the chain's last: re-sort it whole
+                it = iter(old)
+                added = sorted(
+                    [*zip(*[it] * ENTRY_WIDTH), *added], key=_by_time
+                )
+                old = ()
+            row = old + tuple(concat.from_iterable(added))
             key = version_chain_key(node, self._placement_groups)
             self._cluster.put(key, row)
             self._chains[node] = row

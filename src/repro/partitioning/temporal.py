@@ -61,6 +61,13 @@ class CollapsedGraph:
     node_weights: Mapping[NodeId, float]
 
 
+_K_NODE_ADD = int(EventKind.NODE_ADD)
+_K_NODE_DELETE = int(EventKind.NODE_DELETE)
+_K_EDGE_ADD = int(EventKind.EDGE_ADD)
+_K_EDGE_DELETE = int(EventKind.EDGE_DELETE)
+_K_EDGE_ATTR_SET = int(EventKind.EDGE_ATTR_SET)
+
+
 def _edge_intervals(
     initial: Graph,
     events: Sequence[Event],
@@ -72,11 +79,26 @@ def _edge_intervals(
 
     Edge weight is taken from the edge attribute ``"weight"`` (1.0 when
     absent), matching the paper's weighted-graph formulation.
+
+    Each edge's intervals are in time order; the order in which edges
+    first close (the key order of the result) is unspecified, since
+    every consumer reads the weights by key.  A ``NODE_DELETE`` closes
+    its node's open edges through an endpoint index, built on a span's
+    first delete, so spans without deletes do not pay for it.
     """
-    node_alive_since: Dict[NodeId, TimePoint] = {}
+    node_alive_since: Dict[NodeId, TimePoint] = dict.fromkeys(
+        initial.nodes(), ts
+    )
     node_lifetime: Dict[NodeId, float] = {}
-    edge_open: Dict[EdgeId, Tuple[TimePoint, float]] = {}
+    edge_open: Dict[EdgeId, Tuple[TimePoint, float]] = dict.fromkeys(
+        initial.edges(), (ts, 1.0)
+    )
+    for e, attrs in initial.attributed_edges().items():
+        if "weight" in attrs and e in edge_open:
+            edge_open[e] = (ts, float(attrs["weight"]))
     intervals: Dict[EdgeId, List[Tuple[TimePoint, TimePoint, float]]] = {}
+    # open edges by endpoint (stale entries allowed), from the first delete
+    incident: Optional[Dict[NodeId, Dict[EdgeId, None]]] = None
 
     def close_node(n: NodeId, t: TimePoint) -> None:
         since = node_alive_since.pop(n, None)
@@ -89,21 +111,21 @@ def _edge_intervals(
             start, w = opened
             intervals.setdefault(e, []).append((start, t, w))
 
-    for n in initial.nodes():
-        node_alive_since[n] = ts
-    attributed = initial.attributed_edges()
-    for e in initial.edges():
-        edge_open[e] = (ts, float(attributed.get(e, {}).get("weight", 1.0)))
-
     for ev in events:
         t = min(max(ev.time, ts), te)
-        if ev.kind == EventKind.NODE_ADD:
+        kind = ev.kind
+        if kind == _K_NODE_ADD:
             node_alive_since.setdefault(ev.node, t)
-        elif ev.kind == EventKind.NODE_DELETE:
+        elif kind == _K_NODE_DELETE:
             close_node(ev.node, t)
-            for e in [e for e in edge_open if ev.node in e]:
+            if incident is None:
+                incident = {}
+                for e in edge_open:
+                    incident.setdefault(e[0], {})[e] = None
+                    incident.setdefault(e[1], {})[e] = None
+            for e in incident.pop(ev.node, ()):
                 close_edge(e, t)
-        elif ev.kind == EventKind.EDGE_ADD:
+        elif kind == _K_EDGE_ADD:
             assert ev.other is not None
             node_alive_since.setdefault(ev.node, t)
             node_alive_since.setdefault(ev.other, t)
@@ -111,21 +133,25 @@ def _edge_intervals(
             w = 1.0
             if isinstance(ev.value, dict):
                 w = float(ev.value.get("weight", 1.0))
-            edge_open.setdefault(e, (t, w))
-        elif ev.kind == EventKind.EDGE_DELETE:
+            if e not in edge_open:
+                edge_open[e] = (t, w)
+                if incident is not None:
+                    incident.setdefault(e[0], {})[e] = None
+                    incident.setdefault(e[1], {})[e] = None
+        elif kind == _K_EDGE_DELETE:
             assert ev.other is not None
             close_edge(canonical_edge(ev.node, ev.other), t)
-        elif ev.kind == EventKind.EDGE_ATTR_SET and ev.key == "weight":
+        elif kind == _K_EDGE_ATTR_SET and ev.key == "weight":
             assert ev.other is not None
             e = canonical_edge(ev.node, ev.other)
             if e in edge_open:
                 close_edge(e, t)
                 edge_open[e] = (t, float(ev.value))
 
-    for n in list(node_alive_since):
-        close_node(n, te)
-    for e in list(edge_open):
-        close_edge(e, te)
+    for n, since in node_alive_since.items():
+        node_lifetime[n] = node_lifetime.get(n, 0.0) + max(0, te - since)
+    for e, (start, w) in edge_open.items():
+        intervals.setdefault(e, []).append((start, te, w))
     return node_lifetime, intervals
 
 
@@ -141,7 +167,10 @@ def collapse(
     graph using time-collapse function ``omega``.
 
     ``initial`` is the graph state as of ``ts``; ``events`` are the changes
-    within the span, sorted by time.
+    within the span, sorted by time.  Nodes and edges come out sorted;
+    ``edge_weights`` is keyed in no particular order (see
+    :func:`_edge_intervals`), so read it by key.  Degrees are counted
+    only for the node weightings that use them.
     """
     if te <= ts:
         raise PartitioningError(f"empty timespan [{ts}, {te})")
@@ -160,7 +189,9 @@ def collapse(
                     break
     elif omega is CollapseFunction.UNION_MAX:
         for e, ivals in intervals.items():
-            edge_weights[e] = max(w for (_, _, w) in ivals)
+            edge_weights[e] = (
+                ivals[0][2] if len(ivals) == 1 else max(w for (_, _, w) in ivals)
+            )
     elif omega is CollapseFunction.UNION_MEAN:
         for e, ivals in intervals.items():
             weighted = sum(w * (end - start) for (start, end, w) in ivals)
@@ -168,21 +199,22 @@ def collapse(
     else:  # pragma: no cover - exhaustive over enum
         raise PartitioningError(f"unknown collapse function {omega!r}")
 
-    degree: Dict[NodeId, float] = {n: 0.0 for n in all_nodes}
-    for (u, v), w in edge_weights.items():
-        if u in degree:
-            degree[u] += 1.0
-        if v in degree:
-            degree[v] += 1.0
-
     if node_weighting is NodeWeighting.UNIFORM:
-        node_weights = {n: 1.0 for n in all_nodes}
-    elif node_weighting is NodeWeighting.DEGREE:
-        node_weights = dict(degree)
-    else:  # AVERAGE_DEGREE: degree scaled by the node's lifetime fraction
-        node_weights = {
-            n: degree[n] * (node_lifetime.get(n, 0.0) / span) for n in all_nodes
-        }
+        node_weights: Dict[NodeId, float] = dict.fromkeys(all_nodes, 1.0)
+    else:
+        degree: Dict[NodeId, float] = dict.fromkeys(all_nodes, 0.0)
+        for (u, v) in edge_weights:
+            if u in degree:
+                degree[u] += 1.0
+            if v in degree:
+                degree[v] += 1.0
+        if node_weighting is NodeWeighting.DEGREE:
+            node_weights = degree
+        else:  # AVERAGE_DEGREE: degree scaled by the node's lifetime fraction
+            node_weights = {
+                n: degree[n] * (node_lifetime.get(n, 0.0) / span)
+                for n in all_nodes
+            }
 
     return CollapsedGraph(
         nodes=all_nodes,

@@ -1,17 +1,19 @@
 """Build-time collection of :class:`~repro.stats.model.TimespanStats`.
 
 Runs inside ``build_timespan`` with the inputs the builder already has —
-the span's collapsed graph, the micro-partition assignment, and the raw
-event stream — so statistics collection adds one linear pass and no
+the span's collapsed graph, the micro-partition assignment, and the
+per-partition event times its eventlist routing produced — so
+statistics collection adds one pass over the collapsed edges and no
 extra store reads.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import Dict, List, Sequence, Tuple
+from bisect import bisect_right
+from collections import Counter
+from itertools import chain as concat
+from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.graph.events import Event
 from repro.stats.model import (
     DEFAULT_STATS_BUCKETS,
     PartitionStats,
@@ -47,63 +49,55 @@ def collect_timespan_stats(
     collapsed_edges: Sequence[EdgeId],
     node_pid: Dict[NodeId, int],
     num_pids: int,
-    span_events: Sequence[Event],
+    pid_times: Mapping[int, Sequence[TimePoint]],
+    events: int,
     buckets: int = DEFAULT_STATS_BUCKETS,
 ) -> TimespanStats:
-    """Summarize one timespan for the statistics artifact.
+    """Summarize one timespan of ``events`` events for the statistics
+    artifact.
 
     Degrees, internal/cut edge counts and pairwise cut weights are over
     the collapsed graph (what partitioning and any in-span traversal
-    see); event counts are attributed to every partition an event
-    touches — the same replication rule the builder uses when writing
-    partitioned eventlists, so the histogram predicts eventlist replay
-    volume exactly.
+    see).  Event counts come from ``pid_times``: per partition, the
+    times (in order) of the events the builder routed into its
+    partitioned eventlists — every partition an event touches — so the
+    histogram predicts eventlist replay volume exactly, by construction.
     """
-    degree: Dict[NodeId, int] = {}
+    degree = Counter(concat.from_iterable(collapsed_edges))
+    get = node_pid.get
+    pairs = Counter([(get(u), get(v)) for (u, v) in collapsed_edges])
     internal: Dict[int, int] = {}
     cut: Dict[int, int] = {}
     cut_weights: Dict[int, Dict[int, int]] = {}
-    for (u, v) in collapsed_edges:
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-        pu, pv = node_pid.get(u), node_pid.get(v)
+    # pairs in first-occurrence order: the maps fill in edge order
+    for (pu, pv), count in pairs.items():
         if pu is None or pv is None:
             continue
         if pu == pv:
-            internal[pu] = internal.get(pu, 0) + 1
+            internal[pu] = internal.get(pu, 0) + count
         else:
-            cut[pu] = cut.get(pu, 0) + 1
-            cut[pv] = cut.get(pv, 0) + 1
-            cut_weights.setdefault(pu, {})[pv] = (
-                cut_weights.setdefault(pu, {}).get(pv, 0) + 1
-            )
-            cut_weights.setdefault(pv, {})[pu] = (
-                cut_weights.setdefault(pv, {}).get(pu, 0) + 1
-            )
+            cut[pu] = cut.get(pu, 0) + count
+            cut[pv] = cut.get(pv, 0) + count
+            row = cut_weights.setdefault(pu, {})
+            row[pv] = row.get(pv, 0) + count
+            row = cut_weights.setdefault(pv, {})
+            row[pu] = row.get(pu, 0) + count
 
     members: Dict[int, List[NodeId]] = {}
     for node, pid in node_pid.items():
         members.setdefault(pid, []).append(node)
 
     bounds = _bucket_bounds(t_start, t_end, buckets)
-    nbuckets = len(bounds) - 1
-    events_per_bucket: Dict[int, List[int]] = {}
-    events_per_pid: Dict[int, int] = {}
-    for ev in span_events:
-        touched = {node_pid.get(n) for n in set(ev.entities)} - {None}
-        if not touched:
-            continue
-        # rightmost bucket whose lower bound is < ev.time (scopes are
-        # half-open on the left, like eventlists)
-        b = min(nbuckets - 1, max(0, bisect_left(bounds, ev.time) - 1))
-        for pid in touched:
-            events_per_pid[pid] = events_per_pid.get(pid, 0) + 1
-            events_per_bucket.setdefault(pid, [0] * nbuckets)[b] += 1
-
+    inner = bounds[1:-1]
     partitions: Dict[int, PartitionStats] = {}
     for pid in range(num_pids):
         nodes = members.get(pid, [])
         degrees = [degree.get(n, 0) for n in nodes]
+        times = pid_times.get(pid, ())
+        # an event at t lands in the rightmost bucket whose lower bound
+        # is < t (scopes are half-open on the left, like eventlists);
+        # the end buckets take the times beyond the bounds
+        upto = [bisect_right(times, b) for b in inner] + [len(times)]
         partitions[pid] = PartitionStats(
             pid=pid,
             nodes=len(nodes),
@@ -111,9 +105,9 @@ def collect_timespan_stats(
             cut_edges=cut.get(pid, 0),
             degree_sum=sum(degrees),
             degree_max=max(degrees, default=0),
-            events=events_per_pid.get(pid, 0),
+            events=len(times),
             events_per_bucket=tuple(
-                events_per_bucket.get(pid, [0] * nbuckets)
+                hi - lo for lo, hi in zip([0] + upto, upto)
             ),
         )
 
@@ -124,7 +118,7 @@ def collect_timespan_stats(
         nodes=len(collapsed_nodes),
         edges=len(collapsed_edges),
         num_pids=num_pids,
-        events=len(span_events),
+        events=events,
         bucket_bounds=bounds,
         partitions=partitions,
         cut_weights=cut_weights,
