@@ -127,7 +127,7 @@ def coalesced(setup):
         finalizes.append(finalize)
         extras.append(extra)
     start = time.perf_counter()
-    pipe = tgi.executor.execute_many(plans, clients=1, pipelined=True)
+    pipe = tgi.executor.execute_many(plans, clients=1)
     values = [
         finalize(result.values)[0]
         for finalize, result in zip(finalizes, pipe.results)

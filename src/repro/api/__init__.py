@@ -21,16 +21,15 @@ that API:
 
 Algorithm names (:data:`~repro.api.request.ALGORITHMS`) follow the paper:
 ``snapshot-first`` is Algorithm 3 (fetch the snapshot, filter),
-``khop`` is Algorithm 4 (targeted micro-delta expansion; shared-frontier
-when a query has several centers), ``khop-per-center`` forces the
-per-center Algorithm-4 loop, and ``auto`` lets the session pick whichever
-``Cluster.plan_records`` prices cheapest.
+``khop`` is Algorithm 4 (targeted micro-delta expansion; one shared
+frontier when a query has several centers), and ``auto`` lets the session
+pick whichever of the two ``Cluster.plan_records`` prices cheapest.
+Every request compiles to exactly one fetch plan.
 """
 
 from repro.api.request import (
     ALGO_AUTO,
     ALGO_KHOP,
-    ALGO_PER_CENTER,
     ALGO_SNAPSHOT_FIRST,
     ALGORITHMS,
     QueryRequest,
@@ -58,7 +57,6 @@ from repro.api.wire import (
 __all__ = [
     "ALGO_AUTO",
     "ALGO_KHOP",
-    "ALGO_PER_CENTER",
     "ALGO_SNAPSHOT_FIRST",
     "ALGORITHMS",
     "QueryRequest",

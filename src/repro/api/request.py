@@ -23,10 +23,8 @@ ALGO_SNAPSHOT_FIRST = "snapshot-first"
 #: Algorithm 4 — targeted micro-delta expansion (shared-frontier
 #: :meth:`~repro.index.tgi.index.TGI.get_khops` for multi-center requests).
 ALGO_KHOP = "khop"
-#: Algorithm 4 run as a strictly per-center loop (no frontier sharing).
-ALGO_PER_CENTER = "khop-per-center"
 
-ALGORITHMS = (ALGO_AUTO, ALGO_SNAPSHOT_FIRST, ALGO_KHOP, ALGO_PER_CENTER)
+ALGORITHMS = (ALGO_AUTO, ALGO_SNAPSHOT_FIRST, ALGO_KHOP)
 
 #: Request kinds the session knows how to price and execute.
 KINDS = (
@@ -36,6 +34,11 @@ KINDS = (
     "node_histories",
     "khop_history",
 )
+
+#: Kinds anchored at one time point ``t``; the others read ``[ts, te]``.
+_POINT_KINDS = ("snapshot", "khop", "node_state")
+#: Kinds whose subject is exactly one node, whatever ``single`` says.
+_ONE_NODE_KINDS = ("node_state", "khop_history")
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,30 @@ class QueryRequest:
 
     def __post_init__(self) -> None:
         if not isinstance(self.nodes, tuple):
-            # requests are hashed (batches plan each distinct one once)
             object.__setattr__(self, "nodes", tuple(self.nodes))
+        try:
+            # requests are hashed (batches plan each distinct one once):
+            # an unhashable id fails here, typed, not inside a batch
+            hash(self.nodes)
+        except TypeError as exc:
+            raise QueryError(f"node ids must be hashable: {exc}") from None
         if self.kind not in KINDS:
             raise QueryError(f"unknown query kind {self.kind!r}")
+        fields = ("t",) if self.kind in _POINT_KINDS else ("ts", "te")
+        for name in fields:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise QueryError(
+                    f"{self.kind} query needs an int {name}, got {value!r}"
+                )
+        if self.kind not in _POINT_KINDS and self.ts > self.te:
+            raise QueryError(f"empty interval [{self.ts}, {self.te}]")
+        if (
+            self.single or self.kind in _ONE_NODE_KINDS
+        ) and len(self.nodes) != 1:
+            raise QueryError(
+                f"{self.kind} query names one node, got {len(self.nodes)}"
+            )
         if self.algorithm not in ALGORITHMS:
             raise QueryError(
                 f"unknown algorithm {self.algorithm!r} "

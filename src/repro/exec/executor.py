@@ -16,7 +16,6 @@ completed — so one plan's fetch overlaps the others' rounds and apply
 work, the simulated analogue of Cassandra's async client drivers.
 :meth:`PlanExecutor.execute` is that loop over a plan of its own; with
 nothing to overlap, its ``sim_time_ms`` is the sum of its rounds.
-``execute_many(pipelined=False)`` runs each plan that way, back to back.
 
 When the cost model carries nonzero apply constants
 (:attr:`~repro.kvstore.cost.CostModel.costs_apply`), each stage is charged
@@ -64,29 +63,22 @@ class PipelineResult:
     that plan's standalone cost minus its completion time, and its
     ``rounds`` the rounds it owned keys in.
 
-    ``timeline`` and ``scope`` are the one shared schedule; both are
-    ``None`` under ``pipelined=False``, where each plan ran alone.  The
+    ``timeline`` and ``scope`` are the one shared schedule.  The
     aggregates are derived on first read, so a caller that wants one
     plan's result (:meth:`PlanExecutor.execute`) never pays for them:
-    ``stats`` sums every plan — under a shared schedule its
-    ``sim_time_ms`` is the makespan and its ``rounds`` counts rounds
-    actually *issued* (a merged round once); ``coalesce`` is the
-    :class:`~repro.exec.coalesce.CoalesceReport` (merged-round counts and
-    fair per-plan request/byte attribution), ``None`` when plans ran
-    alone.
+    ``stats`` sums every plan — its ``sim_time_ms`` is the makespan and
+    its ``rounds`` counts rounds actually *issued* (a merged round once);
+    ``coalesce`` is the :class:`~repro.exec.coalesce.CoalesceReport`
+    (merged-round counts and fair per-plan request/byte attribution).
     """
 
     results: List[PlanResult]
-    timeline: Optional[ExecutionTimeline] = None
-    scope: Optional[CoalesceScope] = field(default=None, repr=False)
+    timeline: ExecutionTimeline
+    scope: CoalesceScope = field(repr=False)
 
     @cached_property
     def stats(self) -> FetchStats:
         total = FetchStats()
-        if self.timeline is None:
-            for result in self.results:
-                total.merge(result.stats)
-            return total
         makespan = self.timeline.makespan_ms
         for result in self.results:
             total.merge_concurrent(result.stats, makespan)
@@ -100,9 +92,7 @@ class PipelineResult:
         return total
 
     @cached_property
-    def coalesce(self) -> Optional[CoalesceReport]:
-        if self.scope is None:
-            return None
+    def coalesce(self) -> CoalesceReport:
         return self.scope.report(len(self.results))
 
 
@@ -146,27 +136,23 @@ class PlanExecutor:
         self,
         plans: Sequence[FetchPlan],
         clients: int = 1,
-        pipelined: bool = True,
     ) -> PipelineResult:
-        """Execute independent plans together, or each alone.
+        """Execute independent plans together on one timeline.
 
-        Together, the plans advance in scheduling windows, one stage each
-        per window: keys several stages name — across plans, or in two
-        stages of one — are fetched once (single-flight dedup,
+        The plans advance in scheduling windows, one stage each per
+        window: keys several stages name — across plans, or in two stages
+        of one — are fetched once (single-flight dedup,
         ``coalesced_hits``), and the window's keys are issued as one
         merged multiget, released on the shared timeline at the instant
         its owning plans' previous rounds completed, so it overlaps the
         other plans' in-flight rounds and apply work (factory resolution
-        costs no simulated time).  Values are identical either way; run
-        together, the fetched key set is the *union* of the plans' key
-        sets instead of their concatenation.  With a *bounded* cache the
-        interleaved schedule changes the LRU lookup/eviction order, so
-        hit counts — and, past capacity, which keys reach the store — can
-        differ between the two modes.
+        costs no simulated time).  Values are those of running each plan
+        through :meth:`execute`, back to back; the fetched key set is the
+        *union* of the plans' key sets instead of their concatenation.
+        With a *bounded* cache the interleaved schedule changes the LRU
+        lookup/eviction order, so hit counts — and, past capacity, which
+        keys reach the store — can differ from that serial loop.
         """
-        if not pipelined:
-            return PipelineResult([self.execute(p, clients) for p in plans])
-
         timeline = ExecutionTimeline(self.cluster.config.cost_model)
         cursors = [_PlanCursor(plan, i) for i, plan in enumerate(plans)]
         scope = CoalesceScope(self.cluster, self.cache, len(plans))

@@ -24,17 +24,17 @@ and exposes one fluent, lazily-planned query builder::
 Builder terminals compile to a :class:`~repro.api.QueryRequest`, price the
 candidate plans via :class:`~repro.index.tgi.planner.TGIPlanner` +
 ``Cluster.plan_records`` (Algorithm 3 snapshot-first vs Algorithm 4
-micro-delta k-hop; per-center vs shared-frontier batching), execute the
+micro-delta k-hop, one shared frontier for several centers), execute the
 cheapest, and return a :class:`~repro.api.QueryResult` whose
 :class:`~repro.api.QueryStats` carries the chosen plan and its predicted
 vs. actual cost.  ``SON``/``SOTS`` come back pre-bound to the session's
 handler.
 
 **There is one way to run a query.**  Every terminal kind compiles
-(``_compile``) to fetch plan(s) plus a finalize closure, a call's plans
-run through one ``PlanExecutor.execute_many``, and each request is
-finalized off its plans' values (``_finalize``).  ``execute(r)`` is the
-batch of one — each plan alone, back to back, clocks summed, the only
+(``_compile``) to exactly one fetch plan plus a finalize closure, a
+call's plans run through one ``PlanExecutor.execute_many``, and each
+request is finalized off its plan's values (``_finalize``).
+``execute(r)`` is the batch of one — its plan run alone, the only
 outcome the EWMA correction learns from; ``execute_batch`` runs many on
 one coalesced timeline.  Stats travel with results (the index
 returns ``(value, FetchStats)``), so threads sharing a session each
@@ -72,7 +72,6 @@ from typing import (
 from repro.api import (
     ALGO_AUTO,
     ALGO_KHOP,
-    ALGO_PER_CENTER,
     ALGO_SNAPSHOT_FIRST,
     ALGORITHMS,
     DeadlineExceeded,
@@ -84,6 +83,7 @@ from repro.cancellation import cancel_scope
 from repro.errors import IndexError_, QueryError, StorageError
 from repro.exec import (
     DeltaCache,
+    PipelineResult,
     PlanExecutor,
     StateCheckpointCache,
     shared_caches,
@@ -114,25 +114,25 @@ EWMA_ALPHA = 0.3
 #: bounds are conservative (the fetch loads partitions lazily and may
 #: touch fewer), while snapshot-first's estimate is exact — so a tie goes
 #: to the targeted plan.
-_TIE_ORDER = {ALGO_KHOP: 0, ALGO_PER_CENTER: 1, ALGO_SNAPSHOT_FIRST: 2}
+_TIE_ORDER = {ALGO_KHOP: 0, ALGO_SNAPSHOT_FIRST: 1}
 
 
 @dataclass
 class _Spec:
     """One request compiled for execution: its ``(plan, finalize,
-    extra)`` triples (see :meth:`TGI._retrieve`), the recipe reassembling
-    the finalized outputs into the request's value shape, and what
-    pricing decided."""
+    extra)`` triple (see :meth:`TGI._retrieve`), the recipe turning the
+    finalized output into the request's value shape, and what pricing
+    decided."""
 
-    compiled: List[Tuple]
-    assemble: Callable[[List[Any]], Any]
+    compiled: Tuple
+    assemble: Callable[[Any], Any]
     algorithm: str
     predicted: Optional[float]
     #: the uncorrected model price the EWMA compares actuals against
     raw: Optional[float]
     candidates: Dict[str, float]
-    #: index of this spec's first plan in the run's shared plan list
-    first: int = 0
+    #: position of this spec's plan in the run's shared plan list
+    index: int = 0
     #: request slots answered by this spec (equal requests share one)
     members: int = 1
     #: the finalized first result (or the exception finalizing raised),
@@ -509,53 +509,48 @@ class GraphSession:
         except StorageError:
             return None
 
-    def _khop_candidates(
+    def _choose_khop(
         self, request: QueryRequest,
         shared_keys: Optional[Set] = None,
     ) -> Tuple[
-        Dict[str, float], bool, Dict[str, List[str]], Dict[str, QueryPlan]
+        str, Dict[str, float], Dict[str, float], Dict[str, List[str]],
+        Optional[QueryPlan],
     ]:
-        """Predicted sim-ms per candidate k-hop plan, whether the
-        targeted bound could be planned at all (a single dead center
-        can't — the caller then lets Algorithm 4 raise cleanly), each
-        candidate's planner notes (why a plan prices the way it does:
-        stats bounds, checkpoint seedings, warm snapshots), and each
-        candidate's plan (what it was priced on, whether or not a price
-        came back — the batch's shared-context discount, and what
-        EXPLAIN prints).
+        """Price the two k-hop candidates and resolve the algorithm.
 
+        ``snapshot-first`` is priced on the snapshot plan, ``khop`` on the
+        targeted bound: a lone center's plan, or for several centers the
+        union of every alive one's (the shared frontier fetches it once;
+        of no alive center, an empty plan, as ``get_khops`` answers).
         ``shared_keys`` is the batched-execution shared-context discount
         (see :func:`~repro.index.tgi.planner.price_plan`): keys an
-        already-chosen concurrent plan will fetch anyway price at zero."""
-        assert request.t is not None
-        clients = request.clients
-        candidates: Dict[str, float] = {}
-        notes: Dict[str, List[str]] = {}
+        already-chosen concurrent plan will fetch anyway price at zero.
+
+        Forced choices pass through; ``auto`` takes the cheapest priced
+        candidate (ties break toward the targeted bound, see
+        :data:`_TIE_ORDER`), after the per-algorithm EWMA corrections
+        learned from earlier queries.  With no alive center to bound, or
+        no priceable candidate (dead placements under fault injection),
+        it runs Algorithm 4, which raises (or degrades) without fetching
+        a full snapshot.  Returns the choice, the corrected candidate
+        prices (what callers report), the raw model prices (what the
+        feedback loop compares actuals against), each candidate's planner
+        notes (why a plan prices the way it does: stats bounds,
+        checkpoint seedings, warm snapshots), and the chosen candidate's
+        plan — what it was priced on, what the batch discounts for later
+        members and what EXPLAIN prints (``None`` for a lone center
+        unknown at ``t``)."""
         snap_plan = self.planner.plan_snapshot(request.t)
         plans = {ALGO_SNAPSHOT_FIRST: snap_plan}
-        snap_price = self._safe_price(
-            snap_plan, clients, shared_keys=shared_keys
-        )
-        if snap_price is not None:
-            candidates[ALGO_SNAPSHOT_FIRST] = snap_price
-            notes[ALGO_SNAPSHOT_FIRST] = list(snap_plan.notes)
-        per_center = 0.0
+        notes = {ALGO_SNAPSHOT_FIRST: list(snap_plan.notes)}
         subs: List[QueryPlan] = []
         khop_notes: List[str] = []
-        priceable = True
         for center in dict.fromkeys(request.nodes):
             try:
                 sub = self.planner.plan_khop(center, request.t, k=request.k)
             except IndexError_:
                 continue
             subs.append(sub)
-            sub_price = self._safe_price(
-                sub, clients, shared_keys=shared_keys
-            )
-            if sub_price is None:
-                priceable = False
-            else:
-                per_center += sub_price
             if sub.expected_keys is not None:
                 khop_notes.append(
                     f"center {center}: expected "
@@ -565,56 +560,24 @@ class GraphSession:
                 if note not in khop_notes:
                     khop_notes.append(note)
         if not request.single:
-            # the shared frontier fetches the per-center union once (of
-            # no alive center: an empty plan, as ``get_khops`` answers)
-            plans[ALGO_KHOP] = plans[ALGO_PER_CENTER] = (
-                self.planner.union_khops(
-                    request.nodes, request.t, request.k, subs
-                )
+            plans[ALGO_KHOP] = self.planner.union_khops(
+                request.nodes, request.t, request.k, subs
             )
         elif subs:
             plans[ALGO_KHOP] = subs[0]
         if subs:
             notes[ALGO_KHOP] = khop_notes
-            if priceable and request.single:
-                candidates[ALGO_KHOP] = per_center
-            elif priceable:
-                union_price = self._safe_price(
-                    plans[ALGO_KHOP], clients, shared_keys=shared_keys
-                )
-                if union_price is not None:
-                    candidates[ALGO_KHOP] = union_price
-                candidates[ALGO_PER_CENTER] = per_center
-                notes[ALGO_PER_CENTER] = list(khop_notes)
-        return candidates, bool(subs), notes, plans
-
-    def _choose_khop(
-        self, request: QueryRequest,
-        shared_keys: Optional[Set] = None,
-    ) -> Tuple[
-        str, Dict[str, float], Dict[str, float], Dict[str, List[str]],
-        Optional[QueryPlan],
-    ]:
-        """Resolve the algorithm for a k-hop request: forced choices pass
-        through; ``auto`` takes the cheapest priced candidate (ties break
-        toward the targeted bound, see :data:`_TIE_ORDER`), after the
-        per-algorithm EWMA corrections learned from earlier queries.
-        Returns the choice, the corrected candidate prices (what callers
-        report), the raw model prices (what the feedback loop compares
-        actuals against), each candidate's planner notes, and the chosen
-        candidate's plan (``None`` for a lone center unknown at ``t``)."""
-        raw, plannable, notes, plans = self._khop_candidates(
-            request, shared_keys=shared_keys
-        )
+        raw: Dict[str, float] = {}
+        for name in notes:
+            price = self._safe_price(
+                plans[name], request.clients, shared_keys=shared_keys
+            )
+            if price is not None:
+                raw[name] = price
         candidates = self._corrected(raw)
         if request.algorithm != ALGO_AUTO:
             chosen = request.algorithm
-            if chosen == ALGO_PER_CENTER and request.single:
-                chosen = ALGO_KHOP  # one center: the loop *is* Algorithm 4
-        elif not plannable or not candidates:
-            # no alive center to bound (or no priceable candidate — dead
-            # placements under fault injection): run Algorithm 4, which
-            # raises (or degrades) without fetching a full snapshot
+        elif not subs or not candidates:
             chosen = ALGO_KHOP
         else:
             chosen = min(
@@ -645,23 +608,20 @@ class GraphSession:
                 },
             ).end()
 
-    def _plan_for(self, request: QueryRequest, merged: bool) -> QueryPlan:
-        """The :class:`QueryPlan` of a non-k-hop request.  Pricing asks
-        for the ``merged`` form — the deduplicated batched plan the fetch
-        runs, for a population of one too; EXPLAIN prints a lone subject
-        as its own Algorithm 2 plan (a ``khop_history`` as its
-        center's)."""
+    def _plan_for(self, request: QueryRequest) -> QueryPlan:
+        """The :class:`QueryPlan` a non-k-hop request is priced and
+        explained on: a lone subject's Algorithm 2 plan (a
+        ``khop_history`` is its center's), else the deduplicated batched
+        plan of the population — the same keys either way."""
         if request.kind == "snapshot":
             return self.planner.plan_snapshot(request.t)
         ts, te = (
             (request.t, request.t) if request.kind == "node_state"
             else (request.ts, request.te)
         )
-        if merged or (
-            request.kind == "node_histories" and not request.single
-        ):
-            return self.planner.plan_node_histories(request.nodes, ts, te)
-        return self.planner.plan_node_history(request.nodes[0], ts, te)
+        if request.single or request.kind != "node_histories":
+            return self.planner.plan_node_history(request.nodes[0], ts, te)
+        return self.planner.plan_node_histories(request.nodes, ts, te)
 
     def _predict(
         self, request: QueryRequest,
@@ -673,7 +633,7 @@ class GraphSession:
         if request.kind == "khop_history":
             return None, []  # no metadata-only bound yet
         try:
-            plan = self._plan_for(request, merged=True)
+            plan = self._plan_for(request)
         except IndexError_:
             # unknown node / time out of range — execution raises the
             # real error
@@ -697,8 +657,7 @@ class GraphSession:
     ) -> QueryResult:
         """Price, select, and run one compiled request — the batch of
         one: the same compile → run → finalize code as
-        :meth:`execute_batch`, with the request's plans executed back to
-        back instead of on a shared coalesced timeline.
+        :meth:`execute_batch`, the request's one plan run alone.
 
         ``deadline_at`` is an absolute instant on :attr:`clock`
         (monotonic seconds); when omitted it is derived from the
@@ -813,12 +772,12 @@ class GraphSession:
         :meth:`execute` would — except later requests see the
         **shared-context discount**: keys an already-chosen concurrent
         plan will fetch anyway price at zero, because coalesced execution
-        fetches them once.  All chosen plans then run through a single
-        pipelined ``execute_many``: keys needed by several requests are
-        fetched once (single-flight dedup) and same-window fetches to the
-        store merge into one multiget round.  The batch's k-hop plans
-        also share one replayed state per ``(timespan, t)`` for the
-        length of this call (see :meth:`_run`): a partition several
+        fetches them once.  The chosen plans — one per distinct request —
+        then run through a single ``execute_many``: keys needed by several
+        requests are fetched once (single-flight dedup) and same-window
+        fetches to the store merge into one multiget round.  The batch's
+        k-hop plans also share one replayed state per ``(timespan, t)``
+        for the length of this call (see :meth:`_run`): a partition several
         neighborhoods touch is replayed once and read by the rest,
         reported per plan as ``coalesced_replays``; which keys each plan
         declares and fetches — and so every traffic and clock figure
@@ -894,12 +853,12 @@ class GraphSession:
         deadline_ats: Sequence[Optional[float]],
         capture_errors: bool = False,
     ) -> List[QueryResult]:
-        """The one way a query runs: :meth:`_compile` every request to
-        plans + finalizers, execute all plans in one ``execute_many``,
-        :meth:`_finalize` each request off its plans' values.  One
-        distinct request asked once runs *standalone* — each plan alone,
-        back to back, clocks summed, the outcome fed to the EWMA;
-        anything more shares one coalesced timeline.
+        """The one way a query runs: :meth:`_compile` every distinct
+        request to one plan + finalizer, execute all plans in one
+        ``execute_many``, :meth:`_finalize` each request off its plan's
+        values.  One distinct request asked once runs *standalone* — its
+        plan alone, the outcome fed to the EWMA; anything more shares one
+        coalesced timeline and is attributed fair shares of it.
 
         Either way the k-hop plans of one call share what they replay:
         one :class:`~repro.index.tgi.query.ReplayShare`, created here,
@@ -954,8 +913,8 @@ class GraphSession:
                 except Exception as exc:
                     fail(i, exc)
                 else:
-                    spec.first = len(plans)
-                    plans.extend(one[0] for one in spec.compiled)
+                    spec.index = len(plans)
+                    plans.append(spec.compiled[0])
             specs.append(spec)
         live = [i for i, spec in enumerate(specs) if spec is not None]
         if not live:
@@ -994,7 +953,6 @@ class GraphSession:
                 pipe = self.tgi.executor.execute_many(
                     plans,
                     clients=max(request.clients for request in requests),
-                    pipelined=not standalone,
                 )
         except (DeadlineExceeded, StorageError) as exc:
             # under a window collector the fetch drops unserved keys
@@ -1013,7 +971,7 @@ class GraphSession:
             settled = spec.outcome is not None
             if not settled:
                 spec.outcome = self._finalize(
-                    request, spec, pipe, capture_errors
+                    request, spec, pipe, standalone, capture_errors
                 )
             if isinstance(spec.outcome, Exception):
                 fail(i, spec.outcome)
@@ -1029,17 +987,16 @@ class GraphSession:
         self,
         request: QueryRequest,
         spec: "_Spec",
-        pipe: Any,
+        pipe: PipelineResult,
+        standalone: bool,
         capture_errors: bool,
     ) -> Union[QueryResult, Exception]:
         """Finalize one compiled spec off the execution's values into its
         first member's result — or, under ``capture_errors``, the
         exception that felled it (which every member then reports)."""
-        span = range(spec.first, spec.first + len(spec.compiled))
-        executed = [pipe.results[j] for j in span]
+        executed = pipe.results[spec.index]
         fetch = FetchStats()
-        for result in executed:
-            fetch.merge(result.stats)
+        fetch.merge(executed.stats)
         # finalize under the request's own collector: allow_partial
         # requests absorb missing rows as a degraded result; strict
         # requests run scope-less so a dropped partition raises a
@@ -1047,10 +1004,9 @@ class GraphSession:
         req_collector = PartialCollector() if request.allow_partial else None
         try:
             with partial_scope(req_collector):
-                value = spec.assemble([
-                    self.tgi._finish(one, result.values, fetch)
-                    for one, result in zip(spec.compiled, executed)
-                ])
+                value = spec.assemble(
+                    self.tgi._finish(spec.compiled, executed.values, fetch)
+                )
         except Exception as exc:
             if not capture_errors:
                 raise
@@ -1061,22 +1017,17 @@ class GraphSession:
             predicted_ms=spec.predicted,
             candidates=spec.candidates,
         )
-        if pipe.timeline is None:
-            # ran alone, plans back to back: merge() summed the query's
-            # clock, and only such an outcome may train the EWMA
+        if standalone:
+            # only a plan run alone may train the EWMA
             self._observe(spec.algorithm, spec.raw, stats.sim_time_ms)
         else:
-            # the request completes when its last plan does on the
-            # shared timeline; shared fetches are attributed fairly and
-            # the spec's share split evenly over its members, so the
-            # batch's shares still sum to the deduplicated totals
-            stats.sim_time_ms = max(r.stats.sim_time_ms for r in executed)
+            # the request completes when its plan does on the shared
+            # timeline; shared fetches are attributed fairly and the
+            # spec's share split evenly over its members, so the batch's
+            # shares still sum to the deduplicated totals
             report = pipe.coalesce
-            stats.requests = sum(report.fair_requests[j] for j in span)
-            stats.bytes_read = sum(report.fair_bytes[j] for j in span)
-            if spec.members > 1:
-                stats.requests /= spec.members
-                stats.bytes_read /= spec.members
+            stats.requests = report.fair_requests[spec.index] / spec.members
+            stats.bytes_read = report.fair_bytes[spec.index] / spec.members
         result = QueryResult(request, value, stats)
         if req_collector is not None:
             self._fold_degraded(result, req_collector)
@@ -1117,7 +1068,7 @@ class GraphSession:
         shared: Set,
         replay_share: Optional[ReplayShare] = None,
     ) -> "_Spec":
-        """Compile one request of any kind into exec plan(s) plus a
+        """Compile one request of any kind into one exec plan plus a
         reassembly recipe, pricing candidates with the shared-context
         discount and folding the chosen plan's pricing keys into
         ``shared`` for the requests compiled after it.  ``replay_share``
@@ -1132,10 +1083,9 @@ class GraphSession:
             nodes = list(request.nodes)
             if chosen == ALGO_SNAPSHOT_FIRST:
                 # read-only: assemble only filters the snapshot
-                compiled = [tgi._snapshot_exec_plan(t, read_only=True)]
+                compiled = tgi._snapshot_exec_plan(t, read_only=True)
 
-                def assemble(outs, nodes=nodes, single=request.single):
-                    g = outs[0]
+                def assemble(g, nodes=nodes, single=request.single):
                     if single:
                         if not g.has_node(nodes[0]):
                             raise IndexError_(
@@ -1146,31 +1096,16 @@ class GraphSession:
                         g.khop_subgraph(c, k) if g.has_node(c) else None
                         for c in nodes
                     ]
-            elif chosen == ALGO_PER_CENTER and not request.single:
-                # fetch each *distinct* center as its own plan (matching
-                # how the candidate was priced); coalescing dedups the
-                # partitions the neighborhoods share
-                order = list(dict.fromkeys(nodes))
-                compiled = [
-                    tgi._khops_plan([c], t, k, share=replay_share)
-                    for c in order
-                ]
-
-                def assemble(outs, order=order, nodes=nodes):
-                    graphs = {c: outs[i][0] for i, c in enumerate(order)}
-                    return [graphs[c] for c in nodes]
             else:
-                # shared-frontier Algorithm 4 (a forced per-center on a
-                # single center is the same loop)
-                chosen = ALGO_KHOP
-                compiled = [tgi._khops_plan(nodes, t, k, share=replay_share)]
+                # shared-frontier Algorithm 4
+                compiled = tgi._khops_plan(nodes, t, k, share=replay_share)
 
-                def assemble(outs, nodes=nodes, single=request.single):
+                def assemble(graphs, nodes=nodes, single=request.single):
                     if not single:
-                        return outs[0]
-                    if outs[0][0] is None:
+                        return graphs
+                    if graphs[0] is None:
                         raise tgi._dead_center(nodes[0], t)
-                    return outs[0][0]
+                    return graphs[0]
 
             if plan is not None:
                 shared.update(plan.pricing_keys())
@@ -1181,8 +1116,8 @@ class GraphSession:
             )
         raw, pricing_keys = self._predict(request, shared_keys=shared)
 
-        def assemble(outs):
-            return outs[0]
+        def assemble(value):
+            return value
 
         if request.kind == "snapshot":
             algorithm = "snapshot"
@@ -1198,16 +1133,16 @@ class GraphSession:
                 list(request.nodes), request.ts, request.te
             )
             if request.single:
-                def assemble(outs):
-                    return outs[0][0]
+                def assemble(histories):
+                    return histories[0]
         else:  # node_state
             algorithm = "micro-delta"
             compiled = tgi._node_histories_plan(
                 list(request.nodes), request.t, request.t
             )
 
-            def assemble(outs):
-                return outs[0][0].initial
+            def assemble(histories):
+                return histories[0].initial
         predicted = (
             raw * self._correction.get(algorithm, 1.0)
             if raw is not None
@@ -1215,7 +1150,7 @@ class GraphSession:
         )
         shared.update(pricing_keys)
         return _Spec(
-            compiled=[compiled], assemble=assemble, algorithm=algorithm,
+            compiled=compiled, assemble=assemble, algorithm=algorithm,
             predicted=predicted, raw=raw,
             candidates=(
                 {algorithm: predicted} if predicted is not None else {}
@@ -1246,7 +1181,7 @@ class GraphSession:
                     request.nodes[0], request.t, k=request.k
                 )
         else:
-            plan = self._plan_for(request, merged=False)
+            plan = self._plan_for(request)
 
         lines = [plan.explain()]
         keys = plan.pricing_keys()
@@ -1350,9 +1285,10 @@ class TimeView:
 
         A scalar ``center`` yields one :class:`~repro.graph.static.Graph`
         (raising if the node is dead, matching ``TGI.get_khop``); a
-        sequence yields one graph-or-``None`` per center.  ``algorithm``
-        picks Algorithm 3 vs 4 (and per-center vs shared-frontier) —
-        ``auto`` defers to plan pricing.
+        sequence yields one graph-or-``None`` per center, all fetched by
+        one shared-frontier plan.  ``algorithm`` picks Algorithm 3
+        (``snapshot-first``) vs 4 (``khop``) — ``auto`` defers to plan
+        pricing.
         """
         # node ids are scalars (ints, strings); anything else iterable —
         # list, tuple, set, range, generator — is a population of centers

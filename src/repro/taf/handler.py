@@ -165,7 +165,7 @@ class TGIHandler:
         ]
         pipelined = tgi.executor.execute_many(
             [plan for plan, _finalize, _extra in compiled],
-            clients=self.clients_per_partition, pipelined=True,
+            clients=self.clients_per_partition,
         )
         out: List[NodeT] = []
         for one, result in zip(compiled, pipelined.results):
@@ -296,8 +296,7 @@ class TGIHandler:
         add_level(list(order), 0)
         khops = tgi._khops_plan(order, ts, k)
         pipelined = tgi.executor.execute_many(
-            [plan_a, khops[0]], clients=self.clients_per_partition,
-            pipelined=True,
+            [plan_a, khops[0]], clients=self.clients_per_partition
         )
         pipelined.stats.add(extra)
         khop_graphs = dict(zip(order, tgi._finish(

@@ -15,7 +15,7 @@ from repro.index.interface import evolve_node_state
 from repro.index.tgi import TGI, TGIConfig
 from repro.index.tgi.states import PartitionStates
 from repro.kvstore.cluster import ClusterConfig
-from repro.kvstore.cost import Counters
+from repro.kvstore.cost import Counters, FetchStats
 from repro.types import NodeId, TimePoint, canonical_edge
 
 
@@ -198,6 +198,17 @@ def assert_history_equivalent(index, events, node, ts, te, compare_events=True):
         assert [s for _, s in got.versions()] == [
             s for _, s in want.versions()
         ], f"version-state mismatch for node {node}"
+
+
+def run_each_alone(executor, plans, clients: int = 1):
+    """The serial reference for ``execute_many``: each plan through
+    ``executor.execute``, back to back.  Returns the per-plan results and
+    their stats summed (clocks added, every round counted)."""
+    results = [executor.execute(plan, clients) for plan in plans]
+    total = FetchStats()
+    for result in results:
+        total.merge(result.stats)
+    return results, total
 
 
 def counted(monkeypatch, owner, name):

@@ -24,7 +24,7 @@ from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.cost import CostModel
 from repro.session import GraphSession
 from repro.workloads.citation import CitationConfig, generate_citation_events
-from tests.helpers import random_history
+from tests.helpers import random_history, run_each_alone
 
 APPLY = CostModel(apply_per_kb_ms=0.2, replay_per_item_ms=0.02)
 
@@ -102,12 +102,10 @@ def test_pipelined_apply_overlaps_next_fetch_round():
     plan runs through ``execute`` or as ``execute_many`` of one."""
     cluster, keys = _loaded_cluster(APPLY)
     lone = PlanExecutor(cluster).execute(_two_stage_plan(keys))
-    pipe = PlanExecutor(cluster).execute_many(
-        [_two_stage_plan(keys)], pipelined=True
-    )
+    pipe = PlanExecutor(cluster).execute_many([_two_stage_plan(keys)])
     fetch_only = PlanExecutor(
         _loaded_cluster(CostModel())[0]
-    ).execute_many([_two_stage_plan(keys)], pipelined=True)
+    ).execute_many([_two_stage_plan(keys)])
     assert lone.stats == pipe.results[0].stats
     assert pipe.stats.apply_ms == pytest.approx(lone.stats.apply_ms)
     serial = fetch_only.stats.sim_time_ms + pipe.stats.apply_ms
@@ -124,22 +122,23 @@ def test_zero_apply_model_is_bit_identical_across_pipeline_matrix():
     """Satellite: with apply cost 0 and checkpoints off, accounting is
     bit-identical to the fetch-only model, pipelined or not."""
     explicit_zero = CostModel(apply_per_kb_ms=0.0, replay_per_item_ms=0.0)
-    for pipelined in (False, True):
-        a_cluster, keys = _loaded_cluster(CostModel())
-        b_cluster, _ = _loaded_cluster(explicit_zero)
-        a = PlanExecutor(a_cluster).execute_many(
-            [_two_stage_plan(keys, "x"), _two_stage_plan(keys, "y")],
-            pipelined=pipelined,
-        )
-        b = PlanExecutor(b_cluster).execute_many(
-            [_two_stage_plan(keys, "x"), _two_stage_plan(keys, "y")],
-            pipelined=pipelined,
-        )
-        assert a.stats.sim_time_ms == b.stats.sim_time_ms
-        assert a.stats.rounds == b.stats.rounds
-        assert a.stats.bytes_read == b.stats.bytes_read
-        assert a.stats.apply_ms == b.stats.apply_ms == 0.0
-        assert a.stats.overlap_saved_ms == b.stats.overlap_saved_ms
+
+    def stats(model, together):
+        cluster, keys = _loaded_cluster(model)
+        executor = PlanExecutor(cluster)
+        plans = [_two_stage_plan(keys, "x"), _two_stage_plan(keys, "y")]
+        if together:
+            return executor.execute_many(plans).stats
+        return run_each_alone(executor, plans)[1]
+
+    for together in (False, True):
+        a = stats(CostModel(), together)
+        b = stats(explicit_zero, together)
+        assert a.sim_time_ms == b.sim_time_ms
+        assert a.rounds == b.rounds
+        assert a.bytes_read == b.bytes_read
+        assert a.apply_ms == b.apply_ms == 0.0
+        assert a.overlap_saved_ms == b.overlap_saved_ms
 
 
 def test_cache_hits_still_pay_replay_but_not_decode():

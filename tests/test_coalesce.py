@@ -18,6 +18,7 @@ from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.cost import ExecutionTimeline
 from repro.kvstore.resilience import ResiliencePolicy
 from repro.workloads.citation import CitationConfig, generate_citation_events
+from tests.helpers import run_each_alone
 
 
 # -- executor-level: the coalescing protocol ---------------------------------
@@ -41,9 +42,7 @@ def test_single_flight_dedup_counter_exact():
     shared, only_a, only_b = keys[:10], keys[10:15], keys[15:]
     plan_a = _one_stage_plan("a", shared + only_a)
     plan_b = _one_stage_plan("b", shared + only_b)
-    pipe = PlanExecutor(cluster).execute_many(
-        [plan_a, plan_b], pipelined=True
-    )
+    pipe = PlanExecutor(cluster).execute_many([plan_a, plan_b])
     # every unique key fetched exactly once; plan b's overlap served from
     # plan a's flights and counted as coalesced hits, not store requests
     assert pipe.stats.num_requests == len(keys)
@@ -62,9 +61,7 @@ def test_fair_attribution_sums_to_dedup_totals():
     shared, only_a, only_b = keys[:10], keys[10:15], keys[15:]
     plan_a = _one_stage_plan("a", shared + only_a)
     plan_b = _one_stage_plan("b", shared + only_b)
-    pipe = PlanExecutor(cluster).execute_many(
-        [plan_a, plan_b], pipelined=True
-    )
+    pipe = PlanExecutor(cluster).execute_many([plan_a, plan_b])
     report = pipe.coalesce
     assert report is not None
     assert report.unique_keys == len(keys)
@@ -84,11 +81,11 @@ def test_same_window_fetches_merge_into_one_round():
     plan_a = _one_stage_plan("a", keys[:8])
     plan_b = _one_stage_plan("b", keys[8:16])
     executor = PlanExecutor(cluster)
-    sequential = executor.execute_many([plan_a, plan_b], pipelined=False)
-    merged = executor.execute_many([plan_a, plan_b], pipelined=True)
+    _, sequential = run_each_alone(executor, [plan_a, plan_b])
+    merged = executor.execute_many([plan_a, plan_b])
     # disjoint key sets: no dedup, but the two single-stage plans land in
     # one scheduling window and issue one merged multiget round
-    assert sequential.stats.rounds == 2
+    assert sequential.rounds == 2
     assert merged.stats.rounds == 1
     assert merged.stats.coalesced_hits == 0
     assert merged.stats.merged_rounds == 1

@@ -120,7 +120,7 @@ def every_kind(t):
     ] + [
         QueryRequest(kind="khop", t=t, nodes=nodes, k=2, single=single,
                      algorithm=algorithm)
-        for algorithm in ("auto", "khop", "khop-per-center", "snapshot-first")
+        for algorithm in ("auto", "khop", "snapshot-first")
         for nodes, single in (((3,), True), ((3, 5, 10**6), False))
     ]
 

@@ -519,9 +519,7 @@ def test_snapshots_identical_across_codecs(history, pair):
             assert session.at(t).snapshot().value == want
 
 
-@pytest.mark.parametrize(
-    "algorithm", ["khop", "khop-per-center", "snapshot-first"]
-)
+@pytest.mark.parametrize("algorithm", ["khop", "snapshot-first"])
 def test_khops_identical_across_codecs(history, pair, algorithm):
     for events, tgi, name in pair:
         session = GraphSession.from_index(tgi)

@@ -26,6 +26,7 @@ from tests.helpers import (
     ground_truth_history,
     ground_truth_subgraph,
     random_history,
+    run_each_alone,
 )
 
 
@@ -137,36 +138,32 @@ def _two_plans(keys):
 
 def test_execute_many_fetches_same_keys_as_sequential():
     cluster, keys = _loaded_cluster()
-    seq = PlanExecutor(cluster).execute_many(
-        _two_plans(keys), pipelined=False
+    seq_results, seq_stats = run_each_alone(
+        PlanExecutor(cluster), _two_plans(keys)
     )
-    pipe = PlanExecutor(cluster).execute_many(
-        _two_plans(keys), pipelined=True
-    )
-    for s, p in zip(seq.results, pipe.results):
+    pipe = PlanExecutor(cluster).execute_many(_two_plans(keys))
+    for s, p in zip(seq_results, pipe.results):
         assert set(s.values) == set(p.values)
         assert s.values == p.values
         assert {r.key for r in s.stats.requests} == (
             {r.key for r in p.stats.requests}
         )
         assert s.stats.rounds == p.stats.rounds
-    assert {r.key for r in seq.stats.requests} == (
+    assert {r.key for r in seq_stats.requests} == (
         {r.key for r in pipe.stats.requests}
     )
 
 
 def test_execute_many_sim_bounds():
     cluster, keys = _loaded_cluster()
-    seq = PlanExecutor(cluster).execute_many(
-        _two_plans(keys), pipelined=False
+    seq_results, seq_stats = run_each_alone(
+        PlanExecutor(cluster), _two_plans(keys)
     )
-    pipe = PlanExecutor(cluster).execute_many(
-        _two_plans(keys), pipelined=True
-    )
+    pipe = PlanExecutor(cluster).execute_many(_two_plans(keys))
     # overlapped completion: never worse than sequential, never better
     # than the slowest dependency chain
-    assert pipe.stats.sim_time_ms <= seq.stats.sim_time_ms + 1e-9
-    slowest_chain = max(r.stats.sim_time_ms for r in seq.results)
+    assert pipe.stats.sim_time_ms <= seq_stats.sim_time_ms + 1e-9
+    slowest_chain = max(r.stats.sim_time_ms for r in seq_results)
     assert pipe.stats.sim_time_ms >= slowest_chain - 1e-9
     assert pipe.stats.overlap_saved_ms >= 0.0
     assert pipe.timeline is not None
@@ -177,9 +174,7 @@ def test_execute_many_sim_bounds():
 
 def test_execute_many_per_plan_attribution():
     cluster, keys = _loaded_cluster()
-    pipe = PlanExecutor(cluster).execute_many(
-        _two_plans(keys), pipelined=True
-    )
+    pipe = PlanExecutor(cluster).execute_many(_two_plans(keys))
     for result in pipe.results:
         assert result.stats.rounds == 2
         # a plan completes no later than the whole schedule
@@ -190,26 +185,26 @@ def test_execute_many_per_plan_attribution():
 
 def test_execute_many_cache_behavior_identical():
     cluster, keys = _loaded_cluster()
-    cold_seq = PlanExecutor(cluster, DeltaCache(256)).execute_many(
-        _two_plans(keys), pipelined=False
+    _, cold_seq = run_each_alone(
+        PlanExecutor(cluster, DeltaCache(256)), _two_plans(keys)
     )
     cold_pipe = PlanExecutor(cluster, DeltaCache(256)).execute_many(
-        _two_plans(keys), pipelined=True
+        _two_plans(keys)
     )
-    assert cold_seq.stats.cache_hits == cold_pipe.stats.cache_hits
-    assert cold_seq.stats.cache_misses == cold_pipe.stats.cache_misses
+    assert cold_seq.cache_hits == cold_pipe.stats.cache_hits
+    assert cold_seq.cache_misses == cold_pipe.stats.cache_misses
 
-    # warm caches: both modes serve everything locally
+    # warm caches: both schedules serve everything locally
     cache_a, cache_b = DeltaCache(256), DeltaCache(256)
     ex_a = PlanExecutor(cluster, cache_a)
     ex_b = PlanExecutor(cluster, cache_b)
-    ex_a.execute_many(_two_plans(keys), pipelined=False)
-    ex_b.execute_many(_two_plans(keys), pipelined=True)
-    warm_seq = ex_a.execute_many(_two_plans(keys), pipelined=False)
-    warm_pipe = ex_b.execute_many(_two_plans(keys), pipelined=True)
-    assert warm_seq.stats.num_requests == 0
+    run_each_alone(ex_a, _two_plans(keys))
+    ex_b.execute_many(_two_plans(keys))
+    _, warm_seq = run_each_alone(ex_a, _two_plans(keys))
+    warm_pipe = ex_b.execute_many(_two_plans(keys))
+    assert warm_seq.num_requests == 0
     assert warm_pipe.stats.num_requests == 0
-    assert warm_seq.stats.cache_hits == warm_pipe.stats.cache_hits
+    assert warm_seq.cache_hits == warm_pipe.stats.cache_hits
     assert warm_pipe.stats.sim_time_ms == 0.0
 
 
@@ -227,9 +222,7 @@ def test_execute_many_dynamic_plan_growth():
     result = PlanExecutor(cluster).execute(plan)
     assert keys[1] in result.values
     assert result.stats.rounds == 2
-    pipe = PlanExecutor(cluster).execute_many(
-        [plan], pipelined=True
-    )
+    pipe = PlanExecutor(cluster).execute_many([plan])
     assert keys[1] in pipe.results[0].values
 
 
@@ -248,7 +241,7 @@ def test_lone_pipelined_plan_accounts_like_its_timeline():
     cluster, keys = _loaded_cluster()
     seq = PlanExecutor(cluster).execute(_two_stage_plan(keys[:20], keys[20:]))
     pipe = PlanExecutor(cluster).execute_many(
-        [_two_stage_plan(keys[:20], keys[20:])], pipelined=True
+        [_two_stage_plan(keys[:20], keys[20:])]
     )
     lone = pipe.results[0]
     assert pipe.stats.overlap_saved_ms == pytest.approx(0.0)
@@ -269,7 +262,7 @@ def test_lone_pipelined_plan_fetches_a_repeated_key_once():
     cluster, keys = _loaded_cluster()
     seq = PlanExecutor(cluster).execute(_two_stage_plan(keys[:4], keys[2:6]))
     pipe = PlanExecutor(cluster).execute_many(
-        [_two_stage_plan(keys[:4], keys[2:6])], pipelined=True
+        [_two_stage_plan(keys[:4], keys[2:6])]
     )
     lone = pipe.results[0]
     assert seq.stats.num_requests == 6

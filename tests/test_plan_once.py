@@ -201,7 +201,8 @@ def test_explain_plans_each_distinct_center_once(
 ):
     """EXPLAIN prints the plans its pricing pass made: one ``plan_khop``
     per distinct center, one ``plan_snapshot``, and one store costing
-    per priced plan plus the estimate and the timeline."""
+    per candidate plus the estimate and the timeline — one k-hop plan
+    for one center or many."""
     session = GraphSession.from_index(build_tgi(dataset1_events))
     request = QueryRequest(
         kind="khop", t=900, nodes=centers, k=2, single=single
@@ -213,9 +214,9 @@ def test_explain_plans_each_distinct_center_once(
     distinct = len(set(centers))
     assert khops[0] == distinct
     assert snapshots[0] == 1
-    # snapshot-first, each center, (the shared frontier,) the printed
-    # plan's estimate and its timeline
-    assert costings[0] == 1 + distinct + (0 if single else 1) + 2
+    # snapshot-first, the one k-hop plan, the printed plan's estimate
+    # and its timeline
+    assert costings[0] == 4
     assert "candidates:" in text and "ExecutionTimeline[" in text
 
 

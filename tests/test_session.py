@@ -171,18 +171,11 @@ def test_auto_prefers_snapshot_first_when_cheaper():
 def test_multi_center_khop_candidates(session, dataset1_events):
     te = dataset1_events[-1].time
     result = session.at(te).khop([1, 5, 17], k=2)
-    assert set(result.stats.candidates) == {
-        "khop", "khop-per-center", "snapshot-first"
-    }
+    assert set(result.stats.candidates) == {"khop", "snapshot-first"}
     assert len(result.value) == 3
     singles = [session.at(te).khop(c, k=2, algorithm="khop").value
                for c in (1, 5, 17)]
     for got, want in zip(result.value, singles):
-        assert sorted(got.nodes()) == sorted(want.nodes())
-    # forced per-center loop returns the same graphs
-    looped = session.at(te).khop([1, 5, 17], k=2,
-                                 algorithm="khop-per-center")
-    for got, want in zip(looped.value, singles):
         assert sorted(got.nodes()) == sorted(want.nodes())
 
 
@@ -206,18 +199,6 @@ def test_khop_accepts_any_center_iterable(session, dataset1_events):
     assert sorted(one.value.nodes()) == sorted(
         named.get_khop("n5", te, k=1).nodes()
     ) == sorted(f"n{n}" for n in from_list.value[1].nodes())
-
-
-def test_per_center_loop_fetches_duplicates_once(session, dataset1_events):
-    te = dataset1_events[-1].time
-    once = session.at(te).khop([5], k=1, algorithm="khop-per-center")
-    four = session.at(te).khop([5, 5, 5, 5], k=1,
-                               algorithm="khop-per-center")
-    # duplicate centers share one fetch (matching how the plan is priced)
-    assert four.stats.requests == once.stats.requests
-    assert len(four.value) == 4
-    assert all(sorted(g.nodes()) == sorted(four.value[0].nodes())
-               for g in four.value)
 
 
 def test_explain_batched_histories_covers_all_nodes(session, dataset1_events):

@@ -55,8 +55,8 @@ CONFIGS = {
 def overlapping_batches(draw):
     """A churning history and one batch of k-hops crowded onto two time
     points and a handful of centers: duplicates, a dead center, a
-    multi-center request (forced per-center or shared-frontier) beside
-    single ones."""
+    multi-center request (auto or shared-frontier) beside single
+    ones."""
     steps = draw(st.integers(min_value=160, max_value=320))
     seed = draw(st.integers(min_value=0, max_value=50))
     events = random_history(steps=steps, seed=seed, edge_attr_churn=True)
@@ -81,7 +81,7 @@ def overlapping_batches(draw):
         st.builds(
             QueryRequest, kind=st.just("khop"), t=times, k=k,
             nodes=st.lists(centers, min_size=2, max_size=4).map(tuple),
-            algorithm=st.sampled_from(["khop-per-center", "khop"]),
+            algorithm=st.sampled_from(["auto", "khop"]),
         ),
     )
     batch = draw(st.lists(request, min_size=4, max_size=10))
@@ -296,14 +296,17 @@ def test_a_single_plan_reads_nothing_from_the_share(events, tmax):
         kind="khop", t=tmax, nodes=CENTERS, k=2, algorithm="khop"
     )
     assert session.execute(many).stats.coalesced_replays == 0
-    # forced per-center it is eight, run back to back: later plans read
-    # what earlier ones replayed, and duplicates did no work
-    per_center = QueryRequest(
-        kind="khop", t=tmax, nodes=CENTERS, k=2, algorithm="khop-per-center"
+    # two different ones in one batch are two plans: each may read what
+    # the other replayed first, and a duplicate does no work
+    head = QueryRequest(
+        kind="khop", t=tmax, nodes=CENTERS[:5], k=2, algorithm="khop"
     )
-    both = session.execute_batch([per_center, per_center])
-    assert both[0].stats.coalesced_replays > 0
-    assert both[1].stats.coalesced_replays == 0
+    tail = QueryRequest(
+        kind="khop", t=tmax, nodes=CENTERS[3:], k=2, algorithm="khop"
+    )
+    out = session.execute_batch([head, tail, tail])
+    assert out[0].stats.coalesced_replays + out[1].stats.coalesced_replays > 0
+    assert out[2].stats.coalesced_replays == 0
 
 
 # -- (c) stats unmoved ---------------------------------------------------------
