@@ -73,7 +73,7 @@ def bounds(dataset1_events):
             ratios.append(len(plan.expected_keys) / whole_span_keys)
             _, stats = tgi.retrieve_khop(center, t, k=k)
             touched = {r.key[3] for r in stats.requests}
-            if touched <= {key[3] for key in plan.all_keys()}:
+            if touched <= {key[3] for key in plan.keys()}:
                 sound += 1
         rows[k] = {
             "mean_ratio": sum(ratios) / len(ratios),

@@ -3,12 +3,7 @@
 from repro.index.tgi.config import PartitioningStrategy, TGIConfig
 from repro.index.tgi.costs import WorkloadShape, storage_sizes, table1, tree_height
 from repro.index.tgi.index import TGI
-from repro.index.tgi.planner import (
-    PlanStep,
-    QueryPlan,
-    TGIPlanner,
-    price_plan,
-)
+from repro.index.tgi.planner import TGIPlanner, price_plan
 from repro.index.tgi.layout import TimespanInfo, delta_key, version_chain_key
 from repro.index.tgi.version_chain import VersionChainStore
 
@@ -16,8 +11,6 @@ __all__ = [
     "TGI",
     "TGIConfig",
     "TGIPlanner",
-    "QueryPlan",
-    "PlanStep",
     "price_plan",
     "PartitioningStrategy",
     "TimespanInfo",

@@ -102,7 +102,7 @@ def build_timespan(
     config: TGIConfig,
     cluster: Cluster,
     vc_store: VersionChainStore,
-    stats: Optional[GraphStatistics] = None,
+    stats: GraphStatistics,
     first_leaf: Optional[Delta] = None,
 ) -> Tuple[TimespanInfo, Delta]:
     """Construct and persist one timespan; mutates ``initial`` to the state
@@ -121,9 +121,8 @@ def build_timespan(
     by identity.  The stored rows are byte-for-byte what whole-graph
     snapshots give.
 
-    When a :class:`~repro.stats.model.GraphStatistics` artifact is
-    passed, the span's statistics (partition summaries, boundary-cut
-    weights, event-rate histogram) are collected into it from what the
+    The span's statistics (partition summaries, boundary-cut weights,
+    event-rate histogram) are collected into ``stats`` from what the
     build already has — the collapsed graph and the per-partition event
     times the eventlist routing produced — with no extra store reads."""
     # ---- dynamic partitioning (Sec. 4.5) -----------------------------
@@ -252,16 +251,15 @@ def build_timespan(
             key = delta_key(tsid, sids[pid], TAG_EVENTLIST, j, pid)
             vc_store.record(node, lo, hi, key)
 
-    if stats is not None:
-        stats.spans[tsid] = collect_timespan_stats(
-            tsid,
-            t_start,
-            t_end,
-            collapsed.nodes,
-            collapsed.edges,
-            node_pid,
-            num_pids,
-            pid_times,
-            len(span_events),
-        )
+    stats.spans[tsid] = collect_timespan_stats(
+        tsid,
+        t_start,
+        t_end,
+        collapsed.nodes,
+        collapsed.edges,
+        node_pid,
+        num_pids,
+        pid_times,
+        len(span_events),
+    )
     return info, leaf_deltas[-1]

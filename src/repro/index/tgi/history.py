@@ -4,11 +4,15 @@
 :class:`~repro.index.tgi.index.TGI` holding the batched node-history
 plan builder and the neighborhood-history plan chained out of it.  It
 reads the index's ``config``, ``_vc``, ``_span_at`` and ``_finish``.
+The planner prices a node-history plan built from the same pieces:
+:func:`history_head` for its first stage and :func:`pointer_stage` for
+the version-pointer round, fed the chains' metadata instead of the
+fetched chain rows.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import PartitionUnavailable
 from repro.exec import FetchPlan, FetchStage, KeyGroup
@@ -25,7 +29,7 @@ from repro.index.tgi.states import (
     _charge_dropped,
     _degraded_pids,
 )
-from repro.index.tgi.version_chain import pointers_in_range
+from repro.index.tgi.version_chain import Chain, pointers_in_range
 from repro.kvstore.cost import Counters
 from repro.kvstore.degrade import (
     PartialCollector,
@@ -48,8 +52,45 @@ def _missing_chain(node) -> None:
     collector.add_partition(label)
 
 
+def history_head(
+    state: Optional[FetchStage], chain_keys: Iterable[DeltaKey]
+) -> FetchStage:
+    """A node-history plan's first stage: what the nodes' partition
+    states need (``state``, a partition stage; ``None`` when every
+    partition is warm) and the nodes' version-chain rows."""
+    return FetchStage("micros+chains", (
+        *(state.groups if state is not None else ()),
+        KeyGroup("version-chain", tuple(chain_keys)),
+    ))
+
+
+def pointer_stage(
+    chains: Iterable[Chain], ts: TimePoint, te: TimePoint
+) -> Optional[FetchStage]:
+    """The version-pointer round: the distinct eventlist rows the
+    ``chains``' pointers select in ``[ts, te]``, in chain order —
+    ``None`` when they select none.  An executing plan feeds it the
+    fetched chain rows; the planner, the chains' metadata."""
+    keys = dict.fromkeys(
+        key for chain in chains for key in pointers_in_range(chain, ts, te)
+    )
+    if not keys:
+        return None
+    return FetchStage("version-pointers", (KeyGroup("pointer", tuple(keys)),))
+
+
 class HistoryPlans:
     """Mixin base of ``TGI``: Algorithm-2 and Algorithm-5 plans."""
+
+    def _chain_keys(
+        self, nodes: Iterable[NodeId]
+    ) -> Dict[NodeId, DeltaKey]:
+        """The version-chain row key of each of ``nodes`` that has one."""
+        ns = self.config.placement_groups
+        return {
+            n: version_chain_key(n, ns)
+            for n in nodes if self._vc.has_chain(n)
+        }
 
     def _node_histories_plan(
         self, nodes: Sequence[NodeId], ts: TimePoint, te: TimePoint
@@ -64,14 +105,10 @@ class HistoryPlans:
         fetch keys — their initial states come from the memoized replay);
         callers fold it into their fetch stats."""
         span = self._span_at(ts)
-        ns = self.config.placement_groups
         extra = Counters()
 
         node_pid = {node: span.pid_of(node) for node in dict.fromkeys(nodes)}
-        chain_keys = {
-            n: version_chain_key(n, ns)
-            for n in node_pid if self._vc.has_chain(n)
-        }
+        chain_keys = self._chain_keys(node_pid)
         # metadata-only planning: the initial states are read out of the
         # nodes' partitions' states at ``ts`` (warm partitions contribute
         # no keys); without checkpoints only these nodes are replayed
@@ -83,41 +120,13 @@ class HistoryPlans:
             "micros+chains",
         )
         plan = FetchPlan(
-            f"node_histories({len(node_pid)} nodes, ts={ts}, te={te})"
-        )
-        plan.add_stage(
-            "micros+chains",
-            *(stage.groups if stage is not None else ()),
-            KeyGroup("version-chain", tuple(chain_keys.values())),
+            f"node_histories({len(node_pid)} nodes, ts={ts}, te={te})",
+            [history_head(stage, chain_keys.values())],
         )
 
-        def pointer_stage(values: Dict[DeltaKey, object]) -> Optional[FetchStage]:
-            pointer_keys: List[DeltaKey] = []
-            pseen: Set[DeltaKey] = set()
-            for n, chain_key in chain_keys.items():
-                chain = values.get(chain_key)
-                if chain is None:
-                    _missing_chain(n)
-                    continue
-                for key in pointers_in_range(chain, ts, te):
-                    if key not in pseen:
-                        pseen.add(key)
-                        pointer_keys.append(key)
-            if not pointer_keys:
-                return None
-            return FetchStage(
-                "version-pointers",
-                (KeyGroup("pointer", tuple(pointer_keys)),),
-            )
-
-        plan.add_factory(pointer_stage)
-
-        def finalize(values: Dict[DeltaKey, object]) -> List[NodeHistory]:
-            # a node whose partition a degraded fetch dropped gets no
-            # initial state this window
-            states.settle(values)
-            initial = states.merged.nodes
-
+        def fetched_chains(
+            values: Dict[DeltaKey, object],
+        ) -> Dict[NodeId, Chain]:
             chains = {}
             for n, chain_key in chain_keys.items():
                 chain = values.get(chain_key)
@@ -125,6 +134,18 @@ class HistoryPlans:
                     _missing_chain(n)
                     continue
                 chains[n] = chain
+            return chains
+
+        plan.add_factory(lambda values: pointer_stage(
+            fetched_chains(values).values(), ts, te
+        ))
+
+        def finalize(values: Dict[DeltaKey, object]) -> List[NodeHistory]:
+            # a node whose partition a degraded fetch dropped gets no
+            # initial state this window
+            states.settle(values)
+            initial = states.merged.nodes
+            chains = fetched_chains(values)
             # the asked nodes whose chains point at each eventlist row
             readers: Dict[DeltaKey, List[NodeId]] = {}
             for n, chain in chains.items():

@@ -327,18 +327,36 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
         label: str,
         pids: Optional[Set[int]] = None,
         include_aux: bool = False,
-    ) -> Tuple[FetchStage, List[List[DeltaKey]], List[DeltaKey]]:
+    ) -> Tuple[FetchStage, List[DeltaKey], List[DeltaKey]]:
         """One plan stage holding a snapshot fetch (Algorithm 1's keys are
-        all independent, so they form a single round).  Also returns the
-        raw key structure for the apply side (path order matters)."""
+        all independent, so they form a single round), with its root→leaf
+        path keys in path order and its trailing eventlist keys."""
         path_groups, ekeys = self._snapshot_plan(
             span, t, pids=pids, include_aux=include_aux
         )
-        groups = [
-            KeyGroup("micro-path", tuple(k for g in path_groups for k in g)),
+        path_keys = [key for group in path_groups for key in group]
+        return FetchStage(label, (
+            KeyGroup("micro-path", tuple(path_keys)),
             KeyGroup("eventlist", tuple(ekeys)),
-        ]
-        return FetchStage(label, tuple(groups)), path_groups, ekeys
+        )), path_keys, ekeys
+
+    def _snapshot_fetch(
+        self, span: TimespanInfo, t: TimePoint, seed: Optional[tuple]
+    ) -> Tuple[FetchPlan, List[DeltaKey], List[DeltaKey]]:
+        """A snapshot's fetch plan when no checkpoint holds ``t`` exactly:
+        the global eventlist gap ``(t0, t]`` after a near ``seed``
+        (``(t0, gap_keys, ...)``), else Algorithm 1 cold, with the cold
+        stage's path and eventlist keys.  The planner's probe
+        (:func:`near_seed_candidate`) or an executing plan's
+        (:func:`capture_near_seed`) decides the seed."""
+        if seed is not None:
+            plan = FetchPlan(f"snapshot(t={t})~seed(t0={seed[0]})")
+            plan.add_stage(
+                "snapshot-gap", KeyGroup("near-gap", tuple(seed[1]))
+            )
+            return plan, [], []
+        stage, path_keys, ekeys = self._snapshot_stage(span, t, "snapshot")
+        return FetchPlan(f"snapshot(t={t})", [stage]), path_keys, ekeys
 
     def retrieve_snapshot(
         self, t: TimePoint, clients: int = 1
@@ -404,10 +422,7 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
             if seed is not None:
                 t0, gap_keys, g0 = seed
                 extra.checkpoint_near_hits += 1
-                plan = FetchPlan(f"snapshot(t={t})~seed(t0={t0})")
-                plan.add_stage(
-                    "snapshot-gap", KeyGroup("near-gap", tuple(gap_keys))
-                )
+                plan = self._snapshot_fetch(span, t, seed)[0]
 
                 def finalize_near(values: Dict[DeltaKey, object]) -> Graph:
                     bad = _degraded_pids(gap_keys, values)
@@ -415,12 +430,9 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
 
                 return plan, finalize_near, extra
             extra.checkpoint_misses += 1
-        plan = FetchPlan(f"snapshot(t={t})")
-        stage, path_groups, ekeys = self._snapshot_stage(span, t, "snapshot")
-        plan.stages.append(stage)
+        plan, path_keys, ekeys = self._snapshot_fetch(span, t, None)
 
         def finalize_cold(values: Dict[DeltaKey, object]) -> Graph:
-            path_keys = [key for group in path_groups for key in group]
             bad = _degraded_pids(path_keys + ekeys, values)
             # one overlay of the path's rows in root->leaf order (later
             # row wins per node id), materialized once

@@ -81,13 +81,13 @@ class KHopPlans:
         """The statistics' bound on a ``k``-hop starting in ``pid0``: the
         sound partition set (within ``k`` levels of ``pid0`` in the
         boundary-cut adjacency) and the frontier model's expected subset
-        of it under the learned margin.  ``None`` when the model does
-        not apply — no statistics, or boundary replication changes the
-        fetch shape.  What the planner prices is what the frontier
-        feedback calls "predicted": both read this."""
-        span_stats = self.stats.span(span.tsid)
-        if self.config.replicate_boundary or span_stats is None:
+        of it under the learned margin.  ``None`` under boundary
+        replication, which changes the fetch shape.  What the planner
+        prices is what the frontier feedback calls "predicted": both
+        read this."""
+        if self.config.replicate_boundary:
             return None
+        span_stats = self.stats.spans[span.tsid]
         bound = {
             pid for pid in span_stats.reachable_pids(pid0, k)
             if pid < span.num_pids

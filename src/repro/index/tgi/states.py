@@ -12,14 +12,15 @@ goes through one :class:`PartitionStates` loader:
   statistics price under a cold fetch is *near-seeded* (payload captured
   now, only the gap eventlists fetched); the rest are fetched cold, root
   to leaf.  It returns the one :class:`~repro.exec.plan.FetchStage` the
-  plan declares.
+  plan declares, built by :func:`partition_stage`.
 - :meth:`PartitionStates.settle` takes the executed values, drops
   partitions a degraded fetch lost — whole, never patched — replays what
   the execution's :class:`~repro.index.tgi.query.ReplayShare` does not
   hold yet, and folds it in.
 
-The planner runs the same :func:`triage` without counters or captures,
-so the keys a plan is priced on are the keys it fetches.
+The planner runs the same :func:`triage` without counters or captures
+and hands its outcome to the same :func:`partition_stage`, so the stage
+a plan is priced on is the stage it fetches — label, roles and keys.
 
 **The self-containment invariant.**  A partition's rows — primary, or
 primary plus auxiliary under ``replicate_boundary`` — replay to the
@@ -308,6 +309,35 @@ def triage(
     return warm, near, cold
 
 
+def partition_stage(
+    tgi,
+    span: TimespanInfo,
+    t: TimePoint,
+    include_aux: bool,
+    label: str,
+    near: Dict[int, tuple],
+    cold: List[int],
+) -> Tuple[
+    Optional[FetchStage], List[DeltaKey], List[DeltaKey], List[DeltaKey]
+]:
+    """The stage fetching what :func:`triage` left — the cold
+    partitions' root→leaf paths and trailing eventlists, the near-seeded
+    ones' gap eventlists — with those three key lists; ``None`` for the
+    stage when every partition is warm.  :meth:`PartitionStates.stage`
+    declares it; the planner prices it."""
+    if not near and not cold:
+        return None, [], [], []
+    stage, path_keys, ekeys = tgi._snapshot_stage(
+        span, t, label, pids=set(cold), include_aux=include_aux
+    )
+    gap_keys = [key for seed in near.values() for key in seed[1]]
+    if near:
+        stage = FetchStage(
+            label, stage.groups + (KeyGroup("near-gap", tuple(gap_keys)),)
+        )
+    return stage, path_keys, ekeys, gap_keys
+
+
 @contextmanager
 def _partition_span(pid: int, seeded: bool) -> Iterator[None]:
     """When traced, one child span per replayed partition, current while
@@ -390,21 +420,12 @@ class PartitionStates:
                 self._held.add(pid)
                 self._fold(*payload)
         self.covered.update(span.scope_of(warm, include_aux))
-        if not near and not cold:
-            return None
-        path_groups, ekeys = self.tgi._snapshot_plan(
-            span, t, pids=set(cold), include_aux=include_aux
+        stage, path_keys, ekeys, gap_keys = partition_stage(
+            self.tgi, span, t, include_aux, label, near, cold
         )
-        path_keys = [key for group in path_groups for key in group]
-        gap_keys = [key for seed in near.values() for key in seed[1]]
-        self._pending.append((cold, path_keys, ekeys, near, gap_keys))
-        groups = [
-            KeyGroup("micro-path", tuple(path_keys)),
-            KeyGroup("eventlist", tuple(ekeys)),
-        ]
-        if near:
-            groups.append(KeyGroup("near-gap", tuple(gap_keys)))
-        return FetchStage(label, tuple(groups))
+        if stage is not None:
+            self._pending.append((cold, path_keys, ekeys, near, gap_keys))
+        return stage
 
     def settle(self, values: Dict[DeltaKey, object]) -> None:
         """Fold every declared stage's partitions into ``merged`` from the

@@ -54,7 +54,11 @@ from repro.kvstore.cost import (
 )
 from repro.kvstore.degrade import active_partial, partition_label
 from repro.kvstore.node import StorageNode
-from repro.kvstore.resilience import CircuitBreaker, ResiliencePolicy
+from repro.kvstore.resilience import (
+    HEDGE_FACTOR,
+    CircuitBreaker,
+    ResiliencePolicy,
+)
 from repro.obs.trace import current_span
 
 KeyTuple = Tuple
@@ -679,7 +683,7 @@ class Cluster:
     ) -> Tuple[List[RequestRecord], int]:
         """Hedge a straggler server's key group against a second replica.
 
-        When one server's planned busy time is >= ``hedge_factor`` times
+        When one server's planned busy time is >= ``HEDGE_FACTOR`` times
         every other server's (and >= ``hedge_min_ms``), the round is
         re-planned with that group moved to alternate live replicas and
         the cheaper variant wins.  Returns the records to issue and the
@@ -699,7 +703,7 @@ class Cluster:
         rest = max(v for s, v in busy.items() if s != straggler)
         if busy[straggler] < policy.hedge_min_ms:
             return records, 0
-        if busy[straggler] < policy.hedge_factor * max(rest, 1e-9):
+        if busy[straggler] < HEDGE_FACTOR * max(rest, 1e-9):
             return records, 0
         down = self._down_at(now)
         plen = self._placement_len

@@ -36,6 +36,16 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half-open"
 
+#: Backoff before retry ``n`` (0-based) is ``BACKOFF_BASE_MS *
+#: BACKOFF_MULTIPLIER**n``, scaled by a uniform jitter in
+#: ``[1-BACKOFF_JITTER, 1+BACKOFF_JITTER]``.
+BACKOFF_BASE_MS = 4.0
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_JITTER = 0.25
+#: Hedging fires only for a server whose planned busy time is at least
+#: this many times every other server's.
+HEDGE_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
@@ -43,22 +53,17 @@ class ResiliencePolicy:
 
     ``max_attempts`` bounds the retry loop per round (the request's
     ``deadline_ms`` bounds it cooperatively from outside via the
-    cancellation scope).  Backoff before attempt ``n`` (1-based retry)
-    is ``backoff_base_ms * backoff_multiplier**(n-1)``, scaled by a
-    uniform jitter in ``[1-backoff_jitter, 1+backoff_jitter]``.
+    cancellation scope); retries back off as the module's ``BACKOFF_*``
+    constants state.
 
     Hedging fires when one server's planned busy time is at least
-    ``hedge_factor`` times every other server's and at least
+    :data:`HEDGE_FACTOR` times every other server's and at least
     ``hedge_min_ms``; the losing variant is abandoned (its issue is
     still counted in ``FetchStats.hedges``).
     """
 
     max_attempts: int = 4
-    backoff_base_ms: float = 4.0
-    backoff_multiplier: float = 2.0
-    backoff_jitter: float = 0.25
     hedge: bool = True
-    hedge_factor: float = 2.0
     hedge_min_ms: float = 2.0
     breaker_threshold: int = 3
     breaker_cooldown_ms: float = 200.0
@@ -67,20 +72,16 @@ class ResiliencePolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise StorageError("max_attempts must be >= 1")
-        if self.backoff_base_ms < 0 or self.backoff_multiplier < 1:
-            raise StorageError("invalid backoff configuration")
-        if not 0 <= self.backoff_jitter < 1:
-            raise StorageError("backoff_jitter must be in [0, 1)")
-        if self.hedge_factor < 1 or self.hedge_min_ms < 0:
+        if self.hedge_min_ms < 0:
             raise StorageError("invalid hedge configuration")
         if self.breaker_threshold < 1 or self.breaker_cooldown_ms < 0:
             raise StorageError("invalid breaker configuration")
 
     def backoff_ms(self, attempt: int, rng) -> float:
         """Delay charged before retry number ``attempt`` (0-based)."""
-        delay = self.backoff_base_ms * (self.backoff_multiplier ** attempt)
-        if self.backoff_jitter:
-            delay *= 1.0 + self.backoff_jitter * (2.0 * rng.random() - 1.0)
+        delay = BACKOFF_BASE_MS * (BACKOFF_MULTIPLIER ** attempt)
+        if BACKOFF_JITTER:
+            delay *= 1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0)
         return delay
 
 

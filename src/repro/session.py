@@ -22,9 +22,10 @@ and exposes one fluent, lazily-planned query builder::
     son     = session.nodes("id < 100").timeslice(100, 900).fetch()
 
 Builder terminals compile to a :class:`~repro.api.QueryRequest`, price the
-candidate plans via :class:`~repro.index.tgi.planner.TGIPlanner` +
-``Cluster.plan_records`` (Algorithm 3 snapshot-first vs Algorithm 4
-micro-delta k-hop, one shared frontier for several centers), execute the
+candidate plans via ``Cluster.plan_records`` (Algorithm 3 snapshot-first
+vs Algorithm 4 micro-delta k-hop, one shared frontier for several
+centers) — fetch plans the :class:`~repro.index.tgi.planner.TGIPlanner`
+builds with the executable builders' own stage helpers — execute the
 cheapest, and return a :class:`~repro.api.QueryResult` whose
 :class:`~repro.api.QueryStats` carries the chosen plan and its predicted
 vs. actual cost.  ``SON``/``SOTS`` come back pre-bound to the session's
@@ -83,13 +84,14 @@ from repro.cancellation import cancel_scope
 from repro.errors import IndexError_, QueryError, StorageError
 from repro.exec import (
     DeltaCache,
+    FetchPlan,
     PipelineResult,
     PlanExecutor,
     StateCheckpointCache,
     shared_caches,
 )
 from repro.graph.static import Graph
-from repro.index.tgi import QueryPlan, TGI, TGIPlanner, price_plan
+from repro.index.tgi import TGI, TGIPlanner, price_plan
 from repro.index.tgi.query import ReplayShare
 from repro.kvstore.cost import COUNTER_NAMES, ExecutionTimeline, FetchStats
 from repro.kvstore.degrade import PartialCollector, partial_scope
@@ -514,7 +516,7 @@ class GraphSession:
         shared_keys: Optional[Set] = None,
     ) -> Tuple[
         str, Dict[str, float], Dict[str, float], Dict[str, List[str]],
-        Optional[QueryPlan],
+        Optional[FetchPlan],
     ]:
         """Price the two k-hop candidates and resolve the algorithm.
 
@@ -543,7 +545,7 @@ class GraphSession:
         snap_plan = self.planner.plan_snapshot(request.t)
         plans = {ALGO_SNAPSHOT_FIRST: snap_plan}
         notes = {ALGO_SNAPSHOT_FIRST: list(snap_plan.notes)}
-        subs: List[QueryPlan] = []
+        subs: List[FetchPlan] = []
         khop_notes: List[str] = []
         for center in dict.fromkeys(request.nodes):
             try:
@@ -608,11 +610,12 @@ class GraphSession:
                 },
             ).end()
 
-    def _plan_for(self, request: QueryRequest) -> QueryPlan:
-        """The :class:`QueryPlan` a non-k-hop request is priced and
-        explained on: a lone subject's Algorithm 2 plan (a
-        ``khop_history`` is its center's), else the deduplicated batched
-        plan of the population — the same keys either way."""
+    def _plan_for(self, request: QueryRequest) -> FetchPlan:
+        """The plan a non-k-hop request is priced and explained on: its
+        executed plan's stages as the planner lists them from metadata —
+        a lone subject's Algorithm 2 plan (a ``khop_history`` is its
+        center's), else the deduplicated batched plan of the
+        population."""
         if request.kind == "snapshot":
             return self.planner.plan_snapshot(request.t)
         ts, te = (
@@ -1163,9 +1166,12 @@ class GraphSession:
     def explain(self, request: QueryRequest) -> str:
         """The retrieval plan and its cost estimate, without fetching.
 
-        For k-hop requests the output also lists every candidate's
-        predicted cost and which one ``auto`` would pick; the executor's
-        round timeline closes the report.
+        The plan printed (``FetchPlan.describe``) is the one pricing
+        used: the planner's :class:`~repro.exec.plan.FetchPlan`, whose
+        stages are those the executed plan resolves to.  For k-hop
+        requests the output also lists every candidate's predicted cost
+        and which one ``auto`` would pick; the executor's round timeline,
+        one round per stage, closes the report.
         """
         chosen: Optional[str] = None
         candidates: Dict[str, float] = {}
@@ -1183,7 +1189,7 @@ class GraphSession:
         else:
             plan = self._plan_for(request)
 
-        lines = [plan.explain()]
+        lines = [plan.describe()]
         keys = plan.pricing_keys()
         timeline: List[str] = []
         try:
@@ -1220,33 +1226,24 @@ class GraphSession:
                     lines.append(f"      note: {note}")
         return "\n".join(lines + timeline)
 
-    def _timeline_estimate(self, plan, clients: int) -> str:
-        """Group the plan's steps into the multiget rounds the executor
-        would issue (chained steps depend on round-1 data, so they form a
-        second round) and lay them on an :class:`ExecutionTimeline` —
-        overlap accrues only across concurrent plans, never within one
-        query's dependency chain.  Plans carrying a statistics-backed
-        expected key set are laid out over that set, so the timeline
-        agrees with the printed estimate rather than the worst-case
-        sound bound."""
-        pricing = (
-            set(plan.expected_keys)
-            if getattr(plan, "expected_keys", None) is not None
-            else None
-        )
-        first_round: List = []
-        chained_round: List = []
-        for step in plan.steps:
-            target = chained_round if step.chained else first_round
-            target.extend(
-                key for key in step.keys
-                if pricing is None or key in pricing
-            )
+    def _timeline_estimate(self, plan: FetchPlan, clients: int) -> str:
+        """Lay the plan's stages on an :class:`ExecutionTimeline`, one
+        multiget round per stage (a later stage depends on the earlier
+        ones' data) — overlap accrues only across concurrent plans, never
+        within one query's dependency chain.  A round holds the stage's
+        priced keys that no earlier round fetched, so the timeline agrees
+        with the printed estimate: over a statistics-backed expected key
+        set rather than the worst-case sound bound, and with a key two
+        stages name fetched once, as the executor does."""
+        unfetched = dict.fromkeys(plan.pricing_keys())
         timeline = ExecutionTimeline(self.tgi.cluster.config.cost_model)
         at = 0.0
-        for keys in (first_round, chained_round):
+        for stage in plan.stages:
+            keys = [key for key in stage.keys() if key in unfetched]
             if not keys:
                 continue
+            for key in keys:
+                del unfetched[key]
             timing = timeline.submit(
                 self.tgi.cluster.plan_records(keys, clients=clients), at=at
             )

@@ -17,7 +17,8 @@ three consumers:
 - :class:`~repro.index.tgi.planner.TGIPlanner` turns per-partition
   degree summaries and boundary-cut weights into an *expected-frontier*
   k-hop bound (:func:`expected_khop_pids`) — a real expected-cost
-  estimate instead of the whole-span fallback;
+  estimate within the sound cut-adjacency bound (every span has
+  statistics: the build records them);
 - :class:`~repro.kvstore.cost.CostModel` apply constants default to the
   build-time :class:`ApplyCalibration` measurements (actual decode
   ms/KiB and replay ms/item on this machine);

@@ -51,11 +51,7 @@ def test_cluster_config_fields():
 def test_resilience_policy_fields():
     assert _fields(ResiliencePolicy) == [
         "max_attempts",
-        "backoff_base_ms",
-        "backoff_multiplier",
-        "backoff_jitter",
         "hedge",
-        "hedge_factor",
         "hedge_min_ms",
         "breaker_threshold",
         "breaker_cooldown_ms",

@@ -145,19 +145,19 @@ def test_cli_explain_prints_plan_without_fetching(tmp_path, capsys):
 
     assert main(["query", str(index), "--explain", "snapshot", "200"]) == 0
     out = capsys.readouterr().out
-    assert "QueryPlan[snapshot(t=200)]" in out
+    assert "FetchPlan[snapshot(t=200)]" in out
     assert "estimate:" in out
     assert "snapshot" in out and "{" not in out  # no executed-query JSON
 
     assert main(["query", str(index), "--explain", "node", "5", "50",
                  "300"]) == 0
     out = capsys.readouterr().out
-    assert "QueryPlan[node_history" in out
+    assert "FetchPlan[node_history" in out
 
     assert main(["query", str(index), "--explain", "khop", "5", "300",
                  "-k", "2"]) == 0
     out = capsys.readouterr().out
-    assert "QueryPlan[khop" in out
+    assert "FetchPlan[khop" in out
 
 
 def test_cli_explain_pipelined_shows_timeline(tmp_path, capsys):

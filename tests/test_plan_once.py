@@ -238,7 +238,7 @@ def test_explain_survives_a_dead_placement(dataset1_events):
     text = session.explain(request)
     assert result.degraded is not None
     assert result.stats.predicted_ms is None
-    assert text.startswith("QueryPlan[khop(node=5, t=900, k=2)]")
+    assert text.startswith("FetchPlan[khop(node=5, t=900, k=2)]")
     assert "estimate: unpriceable (all replicas down for placement" in text
     assert "ExecutionTimeline[" not in text
 

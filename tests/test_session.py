@@ -208,7 +208,7 @@ def test_explain_batched_histories_covers_all_nodes(session, dataset1_events):
                           nodes=(0,), single=True)
     batched = QueryRequest(kind="node_histories", ts=1, te=te, nodes=nodes)
     out = session.explain(batched)
-    assert "QueryPlan[node_histories(30 nodes" in out
+    assert "FetchPlan[node_histories(30 nodes" in out
     # the batched estimate prices the union, not just the first node
     def estimated_requests(text):
         line = next(l for l in text.splitlines() if l.startswith("estimate:"))
@@ -400,5 +400,5 @@ def test_cli_explain_khop_lists_candidates(built_index, capsys):
     assert main(["query", str(built_index), "--explain", "khop", "5",
                  "400", "-k", "2"]) == 0
     out = capsys.readouterr().out
-    assert "QueryPlan[khop" in out
+    assert "FetchPlan[khop" in out
     assert "candidates:" in out and "snapshot-first=" in out

@@ -187,14 +187,14 @@ def test_khop_stats_bound_sound_and_tighter(citation_tgi, citation_events):
         plan = planner.plan_khop(center, t, k=1)
         assert plan.expected_keys is not None
         # expected ⊆ sound bound ⊆ whole-span
-        assert set(plan.expected_keys) <= set(plan.all_keys())
+        assert set(plan.expected_keys) <= set(plan.keys())
         assert plan.num_keys <= whole_span_keys
         if len(plan.expected_keys) < whole_span_keys:
             tightened += 1
         # sound bound covers the partitions actually touched
         _, stats = tgi.retrieve_khop(center, t, k=1)
         touched = {r.key[3] for r in stats.requests}
-        bound_pids = {key[3] for key in plan.all_keys()}
+        bound_pids = {key[3] for key in plan.keys()}
         assert touched <= bound_pids
     assert tightened > 0  # the stats bound is not the whole-span fallback
 
