@@ -138,15 +138,25 @@ class KHopPlans:
         it declares and fetches exactly the keys it would alone and
         reads the shared state only inside its *own* covered scope.
         Without a ``share`` the plan makes its own (same code, nothing to
-        skip)."""
+        skip).
+
+        The loader's ``only`` is what the plan reads: the alive centers,
+        then every center's candidates at each hop, covered or not.  A
+        loader nobody checkpoints or shares — this plan alone on its
+        ``share``'s state, checkpoints off — replays only those nodes,
+        growing stage by stage; a shared or checkpointing loader replays
+        whole partitions."""
         span = self._span_at(t)
         order = list(dict.fromkeys(centers))
         alive0 = [c for c in order if span.pid_of(c) is not None]
         plan = FetchPlan(f"khops({len(order)} centers, t={t}, k={k})")
         extra = Counters()
 
+        # the loader's ``only``; ``advance`` widens it in place
+        reads = set(alive0)
         states = PartitionStates(
-            self, span, t, self.config.replicate_boundary, extra, share
+            self, span, t, self.config.replicate_boundary, extra, share,
+            only=reads,
         )
         merged, covered = states.merged, states.covered
         members: Dict[NodeId, Set[NodeId]] = {}
@@ -188,6 +198,7 @@ class KHopPlans:
                     cand |= nodes[n].E
                 cand -= members[c]
                 candidates[c] = cand
+                reads.update(cand)
                 needed |= cand - covered
             pids = {span.pid_of(n) for n in needed}
             pids.discard(None)

@@ -159,23 +159,37 @@ class ReplayShare:
     node only inside its own covered scope, so sharing moves no plan's
     members, declared keys or degraded bookkeeping.  Not thread-safe and
     not meant to be: it lives on one execution's stack.
+
+    It also counts the plans attached to each state (:meth:`sole`): a
+    state with one plan and no checkpoints behind it is nobody else's,
+    so that plan's loader replays only the nodes it reads, growing stage
+    by stage; a state several plans share replays whole partitions.
     """
 
-    __slots__ = ("_states",)
+    __slots__ = ("_states", "_users")
 
     def __init__(self) -> None:
         self._states: Dict[Tuple, Tuple[PartialState, Set[int]]] = {}
+        self._users: Dict[Tuple, int] = {}
 
     def at(
         self, tsid: int, t: TimePoint, include_aux: bool
     ) -> Tuple[PartialState, Set[int]]:
-        """The merged state at ``t`` of timespan ``tsid`` and the pids
-        folded into it so far (both shared: callers fold in place)."""
+        """Attach one plan to the merged state at ``t`` of timespan
+        ``tsid``: that state and the pids folded into it so far (both
+        shared: callers fold in place)."""
         key = (tsid, t, include_aux)
         found = self._states.get(key)
         if found is None:
             found = self._states[key] = (PartialState(), set())
+        self._users[key] = self._users.get(key, 0) + 1
         return found
+
+    def sole(self, tsid: int, t: TimePoint, include_aux: bool) -> bool:
+        """Whether exactly one plan is attached to that state.  Final once
+        execution starts: every plan of an execution is built — and
+        attached — before the first one settles."""
+        return self._users.get((tsid, t, include_aux)) == 1
 
 
 class _ColumnarApplier:

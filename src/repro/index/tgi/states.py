@@ -16,7 +16,9 @@ goes through one :class:`PartitionStates` loader:
 - :meth:`PartitionStates.settle` takes the executed values, drops
   partitions a degraded fetch lost — whole, never patched — replays what
   the execution's :class:`~repro.index.tgi.query.ReplayShare` does not
-  hold yet, and folds it in.
+  hold yet, and folds it in: whole partitions for a shared or
+  checkpointing loader, only the nodes its plan reads for one nobody
+  checkpoints or shares.
 
 The planner runs the same :func:`triage` without counters or captures
 and hands its outcome to the same :func:`partition_stage`, so the stage
@@ -370,8 +372,16 @@ class PartitionStates:
     its fetch lost stays lost for it even when a batchmate folded it in
     — and declares exactly the keys it would alone.
 
-    ``only`` narrows what a loader *without* checkpoints replays to the
-    nodes its plan will read (a state nobody checkpoints or shares).
+    **One replay rule.**  A loader nobody checkpoints or shares replays
+    only the nodes its plan reads, growing stage by stage; a shared or
+    checkpointing loader replays whole partitions.  ``only`` is what the
+    plan reads — a history plan's fixed node set, or a k-hop's alive
+    centers, a set the plan widens by every hop's candidates — and is
+    ignored with checkpoints on or a second plan attached to the share
+    (:meth:`ReplayShare.sole`; every plan attaches before the first
+    settles).  A narrowed settle replays the covered nodes of ``only``
+    it has not replayed yet, from the fetched rows of every settled
+    partition whose scope holds them, in level-major root→leaf order.
     """
 
     def __init__(
@@ -390,9 +400,8 @@ class PartitionStates:
         self.include_aux = include_aux
         self.extra = extra
         self.only = only
-        self.merged, self._held = (
-            ReplayShare() if share is None else share
-        ).at(span.tsid, t, include_aux)
+        self._share = ReplayShare() if share is None else share
+        self.merged, self._held = self._share.at(span.tsid, t, include_aux)
         self.loaded: Set[int] = set()
         self.covered: Set[NodeId] = set()
         self.dropped: Set[str] = set()
@@ -403,6 +412,11 @@ class PartitionStates:
             List[int], List[DeltaKey], List[DeltaKey],
             Dict[int, NearSeed], List[DeltaKey],
         ]] = []
+        # narrowed replay: the settled partitions' path and eventlist
+        # keys in stage order, and the nodes replayed so far
+        self._path_keys: List[DeltaKey] = []
+        self._list_keys: List[DeltaKey] = []
+        self._replayed: Set[NodeId] = set()
 
     def stage(self, pids: Iterable[int], label: str) -> Optional[FetchStage]:
         """Triage the not-yet-loaded partitions among ``pids`` and return
@@ -435,16 +449,26 @@ class PartitionStates:
         replayed on its own — a near-seeded one forward from its captured
         payload over just the gap — and its state admitted, so it serves
         any later query over that partition; with checkpoints off, one
-        replay over the merged scope of what is left."""
+        replay over the merged scope of what is left — or, for a loader
+        nobody checkpoints or shares, over just the covered nodes of
+        ``only`` not replayed yet (:meth:`_replay_reads`)."""
         span, t, include_aux = self.span, self.t, self.include_aux
         held = self._held
+        narrowed = (
+            self.only is not None and self.tgi.checkpoints is None
+            and self._share.sole(span.tsid, t, include_aux)
+        )
         for cold, path_keys, ekeys, near, gap_keys in self._pending:
             bad = _degraded_pids(path_keys + ekeys + gap_keys, values)
             self.dropped.update(f"ts{span.tsid}:p{pid}" for pid in bad)
             good = (set(cold) | near.keys()) - bad
             todo = good - held
             self.extra.coalesced_replays += len(good) - len(todo)
-            if self.tgi.checkpoints is not None:
+            if narrowed:
+                # checkpoints are off: every partition is cold
+                self._path_keys += [k for k in path_keys if k[3] in good]
+                self._list_keys += [k for k in ekeys if k[3] in good]
+            elif self.tgi.checkpoints is not None:
                 rows: Dict[int, Tuple[list, list]] = {
                     pid: ([], []) for pid in cold
                 }
@@ -473,11 +497,8 @@ class PartitionStates:
                     )
                     self._fold(state.nodes, state.edge_attrs)
             elif todo:
-                scope = span.scope_of(todo, include_aux)
-                if self.only is not None:
-                    scope &= self.only
                 state = self._replay(
-                    scope,
+                    span.scope_of(todo, include_aux),
                     [key for key in path_keys if key[3] in todo],
                     [key for key in ekeys if key[3] in todo],
                     values,
@@ -486,6 +507,40 @@ class PartitionStates:
             held.update(todo)
             self.covered.update(span.scope_of(good, include_aux))
         self._pending.clear()
+        if narrowed:
+            self._replay_reads(values)
+
+    def _replay_reads(self, values: Dict[DeltaKey, object]) -> None:
+        """Replay and fold the covered nodes of ``only`` not replayed yet,
+        from the rows of every settled partition whose *scope* holds one
+        of them — under ``replicate_boundary`` a partition's auxiliary
+        rows hold its boundary nodes too — with the path rows put back in
+        level-major root→leaf order across the stages that fetched
+        them."""
+        want = (self.covered & self.only) - self._replayed
+        if not want:
+            return
+        span, include_aux = self.span, self.include_aux
+        level = {
+            did: i for i, did in enumerate(
+                span.tree.path_to_leaf(span.leaf_at(self.t))
+            )
+        }
+        pids = {
+            pid for pid in self._held
+            if not want.isdisjoint(span.scope_of((pid,), include_aux))
+        }
+        state = self._replay(
+            want,
+            sorted(
+                (key for key in self._path_keys if key[3] in pids),
+                key=lambda key: level[key[2][1]],
+            ),
+            [key for key in self._list_keys if key[3] in pids],
+            values,
+        )
+        self._fold(state.nodes, state.edge_attrs)
+        self._replayed |= want
 
     def _replay(
         self,
@@ -498,7 +553,11 @@ class PartitionStates:
     ) -> PartialState:
         """The state of ``scope`` at ``t``: the path's rows loaded in
         root→leaf order — or ``seed``, a private payload at ``after`` —
-        then the eventlists' events in ``(after, t]``."""
+        then the eventlists' events in ``(after, t]``.  Counts the scope
+        as ``states_replayed`` on the current span, when traced."""
+        trace = current_span()
+        if trace is not None:
+            trace.inc("states_replayed", len(scope))
         state = PartialState(scope=scope)
         if seed is not None:
             state.nodes, state.edge_attrs = seed

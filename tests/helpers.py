@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List
 
 import hypothesis.strategies as st
 
-from repro.errors import TimeRangeError
 from repro.graph.events import Event, EventBuilder
 from repro.graph.static import Graph
-from repro.index.interface import evolve_node_state
 from repro.index.tgi import TGI, TGIConfig
 from repro.index.tgi.states import PartitionStates
 from repro.kvstore.cluster import ClusterConfig
 from repro.kvstore.cost import Counters, FetchStats
-from repro.types import NodeId, TimePoint, canonical_edge
+from repro.types import canonical_edge
+from tests.oracle import ground_truth_history
 
 
 def random_history(
@@ -110,74 +109,6 @@ def relabelled(events: List[Event]) -> List[Event]:
 
     return [replace(ev, node=name(ev.node), other=name(ev.other))
             for ev in events]
-
-
-def replay_state_at(history, t: TimePoint):
-    """``NodeHistory.state_at`` as first written: replay from the initial
-    state up to ``t`` for every asked point.  The reference
-    ``NodeHistory.states_at``'s one forward pass is held to."""
-    if not (history.ts <= t <= history.te):
-        raise TimeRangeError(
-            f"time {t} outside history range [{history.ts}, {history.te}]"
-        )
-    state = history.initial
-    for ev in history.events:
-        if ev.time > t:
-            break
-        state = evolve_node_state(state, ev, history.node)
-    return state
-
-
-def ground_truth_history(
-    events: List[Event], node: NodeId, ts: TimePoint, te: TimePoint
-) -> Tuple[Optional[object], List[Event]]:
-    """Reference node history: (state at ts, events in (ts, te])."""
-    state = None
-    changes: List[Event] = []
-    for ev in events:
-        if ev.time <= ts:
-            state = evolve_node_state(state, ev, node)
-        elif ev.time <= te and ev.touches(node):
-            changes.append(ev)
-    return state, changes
-
-
-def ground_truth_subgraph(
-    events: List[Event], center: NodeId, k: int, ts: TimePoint, te: TimePoint
-):
-    """Reference temporal k-hop subgraph over ``[ts, te]``, from the raw
-    log alone: ``(members, edge_attrs)``.  ``members`` maps every member
-    to its :func:`ground_truth_history`, discovered level by level — each
-    hop adds every node that neighbors a frontier node at *any* point of
-    the interval; ``edge_attrs`` holds the attributed edges of the
-    center's k-hop neighborhood in the snapshot at ``ts`` (empty when the
-    center is not alive then).  ``None`` for a center that exists at no
-    point of the interval."""
-    root = ground_truth_history(events, center, ts, te)
-    if root[0] is None and not root[1]:
-        return None
-    members = {center: root}
-    frontier = [center]
-    for _ in range(k):
-        nbrs = set()
-        for nid in frontier:
-            state, changes = members[nid]
-            if state is not None:
-                nbrs |= state.E
-            for ev in changes:
-                state = evolve_node_state(state, ev, nid)
-                if state is not None:
-                    nbrs |= state.E
-        frontier = sorted(nbrs - set(members))
-        for nid in frontier:
-            members[nid] = ground_truth_history(events, nid, ts, te)
-    edge_attrs = {}
-    snapshot = Graph.replay(events, until=ts)
-    if snapshot.has_node(center):
-        hood = snapshot.khop_subgraph(center, k)
-        for (u, v), attrs in hood.attributed_edges().items():
-            edge_attrs[canonical_edge(u, v)] = dict(attrs)
-    return members, edge_attrs
 
 
 def assert_history_equivalent(index, events, node, ts, te, compare_events=True):

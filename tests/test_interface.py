@@ -24,12 +24,8 @@ from repro.index.log import LogIndex
 from repro.index.nodecentric import NodeCentricIndex
 from repro.index.tgi import TGI
 from repro.taf.handler import TGIHandler
-from tests.helpers import (
-    graph_parts,
-    ground_truth_history,
-    random_history,
-    small_tgi,
-)
+from tests.helpers import graph_parts, random_history, small_tgi
+from tests.oracle import ground_truth_history, oracle_history
 
 
 @pytest.fixture
@@ -139,11 +135,6 @@ def events():
 @pytest.fixture(scope="module", params=sorted(FAMILIES))
 def family(request, events):
     return request.param, FAMILIES[request.param](events)
-
-
-def oracle_history(events, node, ts, te):
-    state, changes = ground_truth_history(events, node, ts, te)
-    return NodeHistory(node, ts, te, state, tuple(changes))
 
 
 def same_history(got, want, exact):

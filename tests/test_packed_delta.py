@@ -29,11 +29,11 @@ from repro.kvstore.resilience import ResiliencePolicy
 from repro.storage import load_index, save_index
 from tests.helpers import (
     MIXED_IDS,
-    ground_truth_history,
     per_edge_graph,
     random_history,
     relabelled,
 )
+from tests.oracle import ground_truth_history
 
 #: Ids on both sides of the int32 limits, so some rows need the wide
 #: column and some do not.

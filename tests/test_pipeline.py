@@ -22,12 +22,8 @@ from repro.kvstore.cost import (
 )
 from repro.spark.rdd import SparkContext
 from repro.taf.handler import TGIHandler
-from tests.helpers import (
-    ground_truth_history,
-    ground_truth_subgraph,
-    random_history,
-    run_each_alone,
-)
+from tests.helpers import random_history, run_each_alone
+from tests.oracle import ground_truth_history, ground_truth_subgraph
 
 
 # -- ExecutionTimeline -------------------------------------------------------

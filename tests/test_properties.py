@@ -11,7 +11,8 @@ from repro.index.deltagraph import DeltaGraphIndex
 from repro.index.log import LogIndex
 from repro.index.nodecentric import NodeCentricIndex
 from repro.index.tgi import TGI, PartitioningStrategy, TGIConfig
-from tests.helpers import ground_truth_history, random_history
+from tests.helpers import random_history
+from tests.oracle import ground_truth_history
 
 
 # ---------------------------------------------------------------------------

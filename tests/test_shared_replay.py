@@ -26,13 +26,8 @@ from repro.kvstore.cluster import ClusterConfig
 from repro.kvstore.cost import COUNTER_NAMES, Counters
 from repro.kvstore.resilience import ResiliencePolicy
 from repro.workloads.citation import CitationConfig, generate_citation_events
-from tests.helpers import (
-    counted,
-    graph_parts,
-    ground_truth_subgraph,
-    random_history,
-    small_tgi,
-)
+from tests.helpers import counted, graph_parts, random_history, small_tgi
+from tests.oracle import oracle_parts
 
 
 def khop(node, t, k=2, algorithm="khop", **kwargs):
@@ -86,22 +81,6 @@ def overlapping_batches(draw):
     )
     batch = draw(st.lists(request, min_size=4, max_size=10))
     return events, batch
-
-
-def oracle_parts(events, center, k, t):
-    """``graph_parts`` of the k-hop neighborhood, from the log alone."""
-    truth = ground_truth_subgraph(events, center, k, t, t)
-    if truth is None or truth[0][center][0] is None:
-        return None
-    members, edge_attrs = truth
-    states = {n: state for n, (state, _changes) in members.items()}
-    nodes = {n: dict(state.A) for n, state in states.items()}
-    adjacency = {n: set(state.E) & set(states) for n, state in states.items()}
-    edges = {
-        (u, v): edge_attrs.get((u, v), {})
-        for u, nbrs in adjacency.items() for v in nbrs if u <= v
-    }
-    return False, nodes, adjacency, edges
 
 
 def comparable(value):

@@ -6,7 +6,7 @@ the bisection prune) — drive every temporal read that now walks a
 history once, each against a reference kept beside it:
 
 - ``NodeHistory.states_at`` on unsorted, repeated and endpoint grids
-  against ``helpers.replay_state_at`` (replay from the initial state per
+  against ``oracle.replay_state_at`` (replay from the initial state per
   point);
 - the TAF operators built on it (SoN ``NodeComputeTemporal``,
   ``Evolution``, ``Compare``, ``GetGraph(t)``; SoTS
@@ -35,13 +35,15 @@ from repro.taf.node_t import NodeT, SubgraphT
 from repro.taf.son import SON, SOTS, _prune_ids
 from tests.helpers import (
     graph_parts,
-    ground_truth_history,
-    ground_truth_subgraph,
     per_edge_graph,
     random_history,
     relabelled,
-    replay_state_at,
     small_tgi,
+)
+from tests.oracle import (
+    ground_truth_history,
+    ground_truth_subgraph,
+    replay_state_at,
 )
 
 STEPS = 120
