@@ -626,19 +626,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
                 "checkpoint_entries": index.config.checkpoint_entries,
                 "storage": _storage_by_kind(index.cluster),
             })
-            # planner state a fresh session would start from: learned
-            # per-k frontier margin multipliers persist with the index;
-            # per-algorithm corrections are session-lifetime EWMA state
-            # (live values come from GET /metrics on a running service)
-            info["planner"] = {
-                "frontier_margin_scale": {
-                    str(k): round(v, 6)
-                    for k, v in sorted(
-                        index.frontier_corrections.items()
-                    )
-                },
-                "corrections": {},
-            }
             if index.stats:
                 cal = index.stats.calibration
                 info["stats"] = {

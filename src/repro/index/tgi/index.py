@@ -42,7 +42,7 @@ complete state of everything in its scope.
 The class is assembled from three modules: this one (construction and
 update, span navigation, running a compiled query, the snapshot plan and
 the ``retrieve_*`` entry points), :mod:`repro.index.tgi.khop` (k-hop
-plans and the learned frontier corrections) and
+plans and their statistics' frontier bound) and
 :mod:`repro.index.tgi.history` (node- and neighborhood-history plans),
 the latter two as mixin bases.
 """
@@ -50,7 +50,6 @@ the latter two as mixin bases.
 from __future__ import annotations
 
 import bisect
-import threading
 from dataclasses import replace as _dc_replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -128,29 +127,18 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
         self._running_leaf: Optional[Delta] = None
         self._t_min: Optional[TimePoint] = None
         self._t_max: Optional[TimePoint] = None
-        # guards what concurrent queries over one served index share and
-        # mutate: the frontier-margin EWMA
-        self._lock = threading.Lock()
-        #: Learned occupancy corrections for the k-hop frontier model,
-        #: keyed by k: EWMA of observed/predicted touched-partition
-        #: ratios, folded into ``expected_khop_pids``' margin (fixes the
-        #: static margin's over-prediction on min-cut builds).
-        self._frontier_corrections: Dict[int, float] = {}
 
     def __getstate__(self):
-        # locks don't pickle (save_index serializes whole indexes).
         # ``_span_starts`` is derived from ``_spans`` and rebuilt on
         # load, so files do not carry it; nor ``_running_leaf``, which
         # the next update rebuilds once from ``_running``
         state = dict(self.__dict__)
-        state["_lock"] = None
         state.pop("_span_starts", None)
         state.pop("_running_leaf", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
-        self._lock = threading.Lock()
         self._span_starts = [span.t_start for span in self._spans]
         self._running_leaf = None
 

@@ -1,10 +1,11 @@
 """K-hop plans of the Temporal Graph Index (Algorithm 4).
 
 :class:`KHopPlans` is a mixin base of :class:`~repro.index.tgi.index.TGI`
-holding the shared-frontier k-hop plan builder, the error for a dead
-center, and the learned frontier-occupancy corrections the planner's
-stats bound is scaled by.  It reads the index's ``config``, ``stats``,
-``_span_at`` and ``_lock`` and keeps the corrections on the index.
+holding the shared-frontier k-hop plan builder, the statistics' frontier
+bound the planner prices it with, and the error for a dead center.  It
+reads the index's ``config``, ``stats`` and ``_span_at``.  The frontier
+bound is a function of the build's statistics alone, so it does not
+depend on which queries ran before it.
 """
 
 from __future__ import annotations
@@ -23,57 +24,12 @@ from repro.index.tgi.states import (
 )
 from repro.kvstore.cost import Counters
 from repro.kvstore.degrade import active_partial
-from repro.stats.model import (
-    FRONTIER_MARGIN,
-    KhopEstimate,
-    expected_khop_pids,
-)
+from repro.stats.model import KhopEstimate, expected_khop_pids
 from repro.types import NodeId, TimePoint
 
 
 class KHopPlans:
-    """Mixin base of ``TGI``: Algorithm-4 plans and their frontier model."""
-
-    # ------------------------------------------------------------------
-    # learned frontier-occupancy corrections
-    # ------------------------------------------------------------------
-    #: EWMA smoothing for the frontier corrections (same constant the
-    #: session uses for its per-algorithm cost corrections).
-    FRONTIER_EWMA_ALPHA = 0.3
-    #: Clip band for a correction: a few wild observations (tiny
-    #: neighborhoods, dead centers) must not zero out or explode the
-    #: margin for everyone.
-    FRONTIER_SCALE_MIN = 0.25
-    FRONTIER_SCALE_MAX = 4.0
-
-    def frontier_margin_scale(self, k: int) -> float:
-        """Learned multiplier on ``expected_khop_pids``' occupancy
-        margin for hop count ``k`` (1.0 until observations arrive)."""
-        return self._frontier_corrections.get(k, 1.0)
-
-    @property
-    def frontier_corrections(self) -> Dict[int, float]:
-        """Copy of the learned per-k frontier margin scales (planner
-        drift surface: ``/metrics`` and ``hgs inspect`` report these)."""
-        with self._lock:
-            return dict(self._frontier_corrections)
-
-    def _observe_frontier(self, k: int, predicted: int, actual: int) -> None:
-        """Fold one executed k-hop's touched-partition count back into
-        the learned margin: the correction moves toward the ratio of
-        actual to (already-corrected) predicted partitions, so repeated
-        over-prediction — the static margin's documented behavior on
-        min-cut builds — shrinks the margin toward what traversals
-        really touch."""
-        if predicted <= 0 or actual <= 0:
-            return
-        alpha = self.FRONTIER_EWMA_ALPHA
-        with self._lock:  # read-modify-write from concurrent queries
-            current = self._frontier_corrections.get(k, 1.0)
-            updated = current * ((1.0 - alpha) + alpha * (actual / predicted))
-            self._frontier_corrections[k] = min(
-                self.FRONTIER_SCALE_MAX, max(self.FRONTIER_SCALE_MIN, updated)
-            )
+    """Mixin base of ``TGI``: Algorithm-4 plans and their frontier bound."""
 
     def _stats_frontier(
         self, span: TimespanInfo, pid0: int, k: int
@@ -81,10 +37,8 @@ class KHopPlans:
         """The statistics' bound on a ``k``-hop starting in ``pid0``: the
         sound partition set (within ``k`` levels of ``pid0`` in the
         boundary-cut adjacency) and the frontier model's expected subset
-        of it under the learned margin.  ``None`` under boundary
-        replication, which changes the fetch shape.  What the planner
-        prices is what the frontier feedback calls "predicted": both
-        read this."""
+        of it.  ``None`` under boundary replication, which changes the
+        fetch shape."""
         if self.config.replicate_boundary:
             return None
         span_stats = self.stats.spans[span.tsid]
@@ -92,10 +46,7 @@ class KHopPlans:
             pid for pid in span_stats.reachable_pids(pid0, k)
             if pid < span.num_pids
         }
-        return bound, expected_khop_pids(
-            span_stats, pid0, k, bound,
-            margin=FRONTIER_MARGIN * self.frontier_margin_scale(k),
-        )
+        return bound, expected_khop_pids(span_stats, pid0, k, bound)
 
     def _dead_center(self, node: NodeId, t: TimePoint) -> Exception:
         """The error for a k-hop center without a state at ``t``: the
@@ -212,19 +163,10 @@ class KHopPlans:
         for _ in range(k):
             plan.add_factory(advance)
 
-        # the reference for the frontier feedback: what the (corrected)
-        # model predicts these centers touch, 0 where it does not apply
-        predicted: Set[int] = set()
-        for c in alive0:
-            bound = self._stats_frontier(span, span.pid_of(c), k)
-            if bound is not None:
-                predicted |= set(bound[1].pids)
-
         def finalize(
             values: Dict[DeltaKey, object],
         ) -> List[Optional[Graph]]:
             settle(values)
-            self._observe_frontier(k, len(predicted), len(states.loaded))
             # factory stages settle mid-execution — under a *batch*
             # window scope when coalesced — so a degraded fetch's drop
             # already happened silently: fail a strict request typed

@@ -205,15 +205,11 @@ class TGIPlanner:
             # frontier-growth model then selects the expected subset
             pids, est = stats_bound
             expected_pids = set(est.pids)
-            note = (
+            plan.notes.append(
                 f"stats bound: expected {len(est.pids)}/{len(pids)} "
                 f"partitions (frontier model reaches "
                 f"~{est.reached_nodes:.0f} nodes)"
             )
-            scale = tgi.frontier_margin_scale(k)
-            if scale != 1.0:
-                note += f"; learned margin x{scale:.2f}"
-            plan.notes.append(note)
         stage = self._state_stage(plan, span, pids, t, include_aux, KHOP_BOUND)
         if stage is not None:
             plan.stages.append(stage)

@@ -12,8 +12,8 @@ Three routes:
   time queued for a free worker, execution wall time).
 - ``GET /healthz`` — liveness plus drain state.
 - ``GET /metrics`` — the :class:`~repro.service.metrics.ServiceMetrics`
-  snapshot (JSON), plus the session's planner state (correction factors
-  and learned frontier margins); ``?format=prometheus`` renders the
+  snapshot (JSON), plus the session's planner state (its per-algorithm
+  correction factors); ``?format=prometheus`` renders the
   same counters in Prometheus text exposition 0.0.4.
 - ``GET /debug/slow`` — the tracer's slow-query ring buffer
   (``?traces=1`` includes full span trees).
@@ -361,12 +361,7 @@ class QueryService:
         snap = self.metrics.snapshot()
         if session_export is not None:
             planner = session_export("json")
-            snap["planner"] = {
-                "corrections": planner.get("corrections", {}),
-                "frontier_margin_scale": planner.get(
-                    "frontier_margin_scale", {}
-                ),
-            }
+            snap["planner"] = {"corrections": planner.get("corrections", {})}
             snap["session_totals"] = planner.get("totals", {})
         return snap
 

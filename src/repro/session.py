@@ -381,12 +381,10 @@ class GraphSession:
         """Session-level telemetry for non-service users.
 
         ``fmt="json"`` returns a plain dict: the per-algorithm EWMA
-        :attr:`corrections`, the index's learned per-k frontier margin
-        scales, and session-lifetime per-kind query totals.
+        :attr:`corrections` and session-lifetime per-kind query totals.
         ``fmt="prometheus"`` renders the same values through a
         :class:`~repro.obs.MetricsRegistry` in text exposition format.
         """
-        frontier = self.tgi.frontier_corrections
         corrections = self.corrections
         with self._lock:  # a snapshot: queries may be folding in
             totals = {
@@ -395,9 +393,6 @@ class GraphSession:
         if fmt == "json":
             return {
                 "corrections": corrections,
-                "frontier_margin_scale": {
-                    str(k): v for k, v in sorted(frontier.items())
-                },
                 "totals": totals,
             }
         if fmt != "prometheus":
@@ -408,12 +403,6 @@ class GraphSession:
                 "hgs_planner_correction",
                 "per-algorithm EWMA predicted-to-actual scale",
                 labels={"algorithm": algo},
-            ).set(scale)
-        for k, scale in sorted(frontier.items()):
-            registry.gauge(
-                "hgs_frontier_margin_scale",
-                "learned k-hop frontier occupancy margin multiplier",
-                labels={"k": k},
             ).set(scale)
         for kind, row in totals.items():
             labels = {"kind": kind}

@@ -236,7 +236,6 @@ def expected_khop_pids(
     pid0: int,
     k: int,
     candidates: Optional[Iterable[int]] = None,
-    margin: float = FRONTIER_MARGIN,
 ) -> KhopEstimate:
     """Expected partitions an Algorithm-4 ``k``-hop from a node of
     ``pid0`` touches.
@@ -246,28 +245,25 @@ def expected_khop_pids(
     (the edge walked in arrives from a counted node), with a logistic
     saturation term — a frontier that already covers much of the span
     stops finding new nodes.  Reached nodes are then inflated by
-    ``margin`` and converted into an expected partition count via the
-    occupancy bound ``E = Σ_pid 1 - (1 - |pid| / n) ^ reached`` over the
-    candidate partitions.  The concrete pid set is grown greedily from
-    ``pid0`` by boundary-cut weight to the already-selected set, so the
-    expectation lands on the partitions a traversal is actually likely
-    to enter.
+    :data:`FRONTIER_MARGIN` and converted into an expected partition
+    count via the occupancy bound ``E = Σ_pid 1 - (1 - |pid| / n) ^
+    reached`` over the candidate partitions.  The concrete pid set is
+    grown greedily from ``pid0`` by boundary-cut weight to the
+    already-selected set, so the expectation lands on the partitions a
+    traversal is actually likely to enter.
 
     The estimate is a pure function of the (immutable) statistics, so it
-    is memoised on ``span`` per ``(pid0, k, candidates)``, holding the
-    latest ``margin`` only: pricing, the shared-context discount and the
-    frontier feedback of one request all ask with the same margin, and
-    the learned margin moves between requests — so the memo stays
+    is memoised on ``span`` per ``(pid0, k, candidates)``: the memo stays
     bounded by ``num_pids x distinct k`` however long the index serves.
     """
     cand_set = None if candidates is None else frozenset(candidates)
     memo = span.__dict__.setdefault("_khop_memo", {})
     slot = (pid0, k, cand_set)
-    hit = memo.get(slot)
-    if hit is not None and hit[0] == margin:
-        return hit[1]
-    estimate = _evaluate_khop_pids(span, pid0, k, cand_set, margin)
-    memo[slot] = (margin, estimate)
+    estimate = memo.get(slot)
+    if estimate is None:
+        estimate = memo[slot] = _evaluate_khop_pids(
+            span, pid0, k, cand_set, FRONTIER_MARGIN
+        )
     return estimate
 
 
@@ -278,7 +274,8 @@ def _evaluate_khop_pids(
     candidates: Optional[FrozenSet[int]],
     margin: float,
 ) -> KhopEstimate:
-    """One uncached evaluation of :func:`expected_khop_pids`."""
+    """One uncached evaluation of :func:`expected_khop_pids`, at any
+    occupancy ``margin``."""
     cand: List[int] = sorted(
         candidates if candidates is not None
         else span.reachable_pids(pid0, k)

@@ -54,7 +54,9 @@ _MAGIC = b"hgs-index"
 # 15: eventlist and delta rows are always packed (tags C/c, D/d; rows
 #     with non-int ids carry an id table), never pickled EventList /
 #     Delta objects; ClusterConfig loses codec
-_FORMAT_VERSION = 15
+# 16: TGI loses its learned k-hop frontier margins and the lock that
+#     guarded them; reading an index no longer changes its saved file
+_FORMAT_VERSION = 16
 #: magic, format version, CRC32 of everything after the header
 _HEADER = struct.Struct(">9sII")
 # formats <= 11 were one pickle stream of an envelope dict whose head

@@ -428,8 +428,6 @@ def test_checkpoints_are_never_persisted(tmp_path, citation_events):
     fifty_warm_queries(session, t_max)
     assert len(tgi.checkpoints) > 10
     assert tgi.checkpoints.stats().hits > 0
-    # the frontier margins queries teach the index are not the subject
-    tgi._frontier_corrections.clear()
     save_index(tgi, tmp_path / "after.hgs")
     before = (tmp_path / "before.hgs").stat().st_size
     after = (tmp_path / "after.hgs").stat().st_size

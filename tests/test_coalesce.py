@@ -1,8 +1,7 @@
 """Tests for cross-query fetch coalescing: single-flight key dedup,
 machine-level round merging, batched session execution with fair
 attribution, and the satellites that ride along (failover
-deregistration, snapshot near-seeding, frontier-margin learning,
-shared-context pricing)."""
+deregistration, snapshot near-seeding, shared-context pricing)."""
 
 import pytest
 
@@ -325,32 +324,6 @@ def test_snapshot_exact_checkpoint_hit_skips_fetch(dataset1_events):
     _, stats = warm.retrieve_snapshot(900)
     assert stats.checkpoint_hits == 1
     assert stats.num_requests == 0
-
-
-# -- satellite: frontier-model occupancy learning ----------------------------
-
-def test_frontier_margin_learning_updates_scale(dataset1_events):
-    tgi = build_tgi(dataset1_events)
-    assert tgi.frontier_margin_scale(2) == 1.0
-    for node in (3, 5, 7, 11, 13):
-        tgi.get_khop(node, 900, k=2)
-    # observations folded the actual/predicted ratios into the EWMA
-    assert 2 in tgi._frontier_corrections
-    scale = tgi.frontier_margin_scale(2)
-    assert TGI.FRONTIER_SCALE_MIN <= scale <= TGI.FRONTIER_SCALE_MAX
-
-
-def test_frontier_scale_clipped():
-    tgi = TGI(TGIConfig(
-        events_per_timespan=1200, eventlist_size=150,
-        micro_partition_size=32, cluster=ClusterConfig(num_machines=2),
-    ))
-    for _ in range(50):
-        tgi._observe_frontier(2, predicted=100.0, actual=1.0)
-    assert tgi.frontier_margin_scale(2) == TGI.FRONTIER_SCALE_MIN
-    for _ in range(200):
-        tgi._observe_frontier(2, predicted=1.0, actual=100.0)
-    assert tgi.frontier_margin_scale(2) == TGI.FRONTIER_SCALE_MAX
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -481,7 +481,7 @@ def test_session_export_metrics(session, tmax, events):
         kind="khop", t=tmax, nodes=(center,), k=2, single=True,
     ))
     out = session.export_metrics()
-    assert set(out) == {"corrections", "frontier_margin_scale", "totals"}
+    assert set(out) == {"corrections", "totals"}
     assert "khop" in out["corrections"]
     assert out["totals"]["khop"]["queries"] == 1
     text = session.export_metrics("prometheus")

@@ -17,7 +17,7 @@ from repro import GraphSession, TGI, TGIConfig
 from repro.api import DeadlineExceeded, QueryRequest
 from repro.errors import IndexError_
 from repro.faults import CrashWindow, FaultSchedule, clear_faults, inject_faults
-from repro.index.tgi import PartitioningStrategy, TGIPlanner
+from repro.index.tgi import PartitioningStrategy, TGIPlanner, price_plan
 from repro.index.tgi.states import gap_eventlist_keys
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.resilience import ResiliencePolicy
@@ -141,8 +141,8 @@ def test_expected_khop_pids_matches_resorting_reference(
         for pid0 in span_stats.partitions:
             for k in (1, 2, 3):
                 for margin in (0.4, FRONTIER_MARGIN, 3.0):
-                    assert expected_khop_pids(
-                        span_stats, pid0, k, margin=margin
+                    assert stats_model._evaluate_khop_pids(
+                        span_stats, pid0, k, None, margin
                     ) == reference_expected_khop_pids(
                         span_stats, pid0, k, margin=margin
                     )
@@ -515,9 +515,6 @@ def test_tables_are_never_persisted(tmp_path, dataset1_events):
     answers = [answer(session.execute(r)) for r in requests]
     assert tgi._spans[-1]._keys is not None  # the tables did fill
     assert any(node._ranks for node in tgi.cluster.machines)
-    # what queries leave on the index object (the learned frontier
-    # margins) is not this test's subject
-    tgi._frontier_corrections.clear()
     save_index(tgi, tmp_path / "after.hgs")
     assert (tmp_path / "after.hgs").stat().st_size == (
         (tmp_path / "before.hgs").stat().st_size
@@ -527,6 +524,29 @@ def test_tables_are_never_persisted(tmp_path, dataset1_events):
     assert loaded._span_starts == tgi._span_starts
     reloaded = GraphSession.from_index(loaded)
     assert [answer(reloaded.execute(r)) for r in requests] == answers
+
+
+def test_khop_price_does_not_depend_on_earlier_khops(dataset1_events):
+    # min-cut partitions: the statistics' frontier bound over-predicts
+    # here, so a price corrected by earlier traversals would move
+    tgi = build_tgi(
+        dataset1_events, micro_partition_size=16,
+        partitioning=PartitioningStrategy.MINCUT,
+    )
+    planner = TGIPlanner(tgi)
+
+    def priced():
+        return [
+            (plan.pricing_keys(), price_plan(tgi.cluster, plan))
+            for plan in (
+                planner.plan_khop(c, 900, k) for c in CENTERS for k in (1, 2)
+            )
+        ]
+
+    fresh = priced()
+    for i in range(50):
+        tgi.get_khop(CENTERS[i % len(CENTERS)], 900, k=1 + i % 2)
+    assert priced() == fresh
 
 
 # -- (f) threads sharing one cold layout --------------------------------------
