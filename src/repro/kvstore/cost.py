@@ -268,7 +268,7 @@ class Counters:
 
 
 #: Every additive counter, by name — what ``add``, the span annotation
-#: and the service's ``/metrics`` families iterate, so none hand-lists them.
+#: and the session's ``/metrics`` families iterate, so none hand-lists them.
 COUNTER_NAMES = tuple(spec.name for spec in fields(Counters))
 
 #: The counters a resilient multiget reports for a *merged* round, which
@@ -371,10 +371,6 @@ class RoundTiming:
     standalone_ms: float
     lane: Optional[str] = None
     server_windows: Optional[Dict[int, Tuple[float, float]]] = None
-
-    @property
-    def elapsed_ms(self) -> float:
-        return self.completed_ms - self.released_ms
 
 
 class ExecutionTimeline:

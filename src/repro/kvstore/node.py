@@ -10,19 +10,12 @@ request contiguous with the previous one?" for the cost model.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import KeyNotFound
 from repro.kvstore.codec import EncodedValue
 
 KeyTuple = Tuple
-
-
-@dataclass
-class StoredRow:
-    key: KeyTuple
-    value: EncodedValue
 
 
 class StorageNode:

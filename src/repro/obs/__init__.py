@@ -3,8 +3,9 @@
 - :mod:`repro.obs.trace` — span trees over the query path, propagated
   via contextvars; off-mode overhead is one ``ContextVar.get`` per
   instrumentation site.
-- :mod:`repro.obs.metrics` — process-wide counters / gauges /
-  histograms with Prometheus text exposition.
+- :mod:`repro.obs.metrics` — counters / gauges / histograms with
+  Prometheus text exposition, and the one per-session registry every
+  executed query is recorded into.
 - :mod:`repro.obs.export` — structured-JSON and Chrome trace-event
   (Perfetto) export.
 - :mod:`repro.obs.slowlog` — threshold + ring-buffer slow-query log
@@ -17,7 +18,7 @@ from .metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    REGISTRY,
+    SessionMetrics,
 )
 from .trace import SamplingPolicy, Span, Tracer, current_span, use_span
 from .export import chrome_trace, sim_summary, trace_to_json, write_trace
@@ -29,7 +30,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "REGISTRY",
+    "SessionMetrics",
     "SamplingPolicy",
     "Span",
     "Tracer",

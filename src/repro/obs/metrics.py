@@ -1,11 +1,17 @@
-"""Process-wide metrics registry with Prometheus text exposition.
+"""Metrics registries with Prometheus text exposition.
 
 Counters, gauges and histograms are registered by (name, labels) in a
-:class:`MetricsRegistry`; the service's ``ServiceMetrics`` rebases its
-bookkeeping onto these primitives (keeping its JSON ``snapshot()``
-shape), and any registry renders to the Prometheus text format
-(exposition 0.0.4) for ``GET /metrics?format=prometheus`` or offline
-inspection.
+:class:`MetricsRegistry`, and any registry renders to the Prometheus
+text format (exposition 0.0.4) for ``GET /metrics?format=prometheus``
+or offline inspection.
+
+Each session owns one :class:`SessionMetrics` — the registry every
+query it executes is recorded into, once: the per-kind totals, the
+additive :class:`~repro.kvstore.cost.Counters` families and the
+planner's correction gauges.  A service over the session builds its
+``ServiceMetrics`` on that same object and adds only what it alone
+sees (HTTP status, per-caller billing, batches, latencies), so
+``/metrics`` renders one registry.
 
 Histogram bucket boundaries live here — :data:`DEFAULT_LATENCY_BOUNDS_MS`
 is the single source the service histograms and the Prometheus ``le``
@@ -24,7 +30,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "REGISTRY",
+    "SessionMetrics",
 ]
 
 #: Shared latency bucket upper bounds, in milliseconds.  The service's
@@ -214,13 +220,12 @@ class MetricsRegistry:
 
         return self._get_or_create(name, "histogram", help, labels, make)
 
-    def series(self, name: str) -> List[Tuple[Dict[str, str], Any]]:
-        """Every (labels, metric) pair registered under ``name``."""
+    def by_label(self, name: str, key: str) -> Dict[str, float]:
+        """``{label value: metric value}`` over ``name``'s series."""
         with self._lock:
             family = self._families.get(name)
-            if family is None:
-                return []
-            return [(dict(pairs), m) for pairs, m in family[2].items()]
+            series = list(family[2].items()) if family is not None else []
+        return {dict(pairs).get(key, ""): m.value for pairs, m in series}
 
     def render(self) -> str:
         """Prometheus text exposition (format version 0.0.4)."""
@@ -240,33 +245,140 @@ class MetricsRegistry:
                     )
         return "\n".join(lines) + "\n"
 
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-friendly dump: ``{name: [{labels, value|histogram}]}``."""
-        out: Dict[str, Any] = {}
+
+#: ``counter -> (registry kind, family, help)``: the ``/metrics`` family
+#: each :data:`~repro.kvstore.cost.COUNTER_NAMES` entry feeds.  The signed
+#: ``overlap_saved_ms`` (a plan that queued behind its batchmates reports a
+#: negative share) sums into a gauge; the partition labels count queries.
+QUERY_FAMILIES: Dict[str, Tuple[str, str, str]] = {
+    "rounds": (
+        "counter", "hgs_store_rounds_total", "Multiget rounds issued"),
+    "overlap_saved_ms": (
+        "gauge", "hgs_overlap_saved_ms_total",
+        "Simulated ms won (lost, when negative) by overlapped execution"),
+    "apply_ms": (
+        "counter", "hgs_apply_ms_total",
+        "Simulated client-side decode + replay ms"),
+    "cache_hits": ("counter", "hgs_cache_hits_total", "Executor cache hits"),
+    "cache_misses": (
+        "counter", "hgs_cache_misses_total", "Executor cache misses"),
+    "cache_bytes_saved": (
+        "counter", "hgs_cache_bytes_saved_total",
+        "Stored bytes the delta cache kept off the wire"),
+    "checkpoint_hits": (
+        "counter", "hgs_checkpoint_hits_total", "Exact checkpoint hits"),
+    "checkpoint_misses": (
+        "counter", "hgs_checkpoint_misses_total", "Checkpoint misses"),
+    "checkpoint_near_hits": (
+        "counter", "hgs_checkpoint_near_hits_total", "Near-checkpoint hits"),
+    "decoded_events": (
+        "counter", "hgs_decoded_events_total",
+        "Event objects materialized off the zero-decode path"),
+    "coalesced_hits": (
+        "counter", "hgs_coalesced_hits_total",
+        "Rows served from coalesced fetches"),
+    "coalesced_bytes_saved": (
+        "counter", "hgs_coalesced_bytes_saved_total",
+        "Bytes not re-fetched thanks to coalescing"),
+    "merged_rounds": (
+        "counter", "hgs_merged_rounds_total", "Multiget rounds merged away"),
+    "coalesced_replays": (
+        "counter", "hgs_coalesced_replays_total",
+        "Partition states read from a batchmate's replay"),
+    "retries": ("counter", "hgs_store_retries_total", "Store round retries"),
+    "hedges": (
+        "counter", "hgs_store_hedges_total", "Hedged store sub-rounds"),
+    "breaker_trips": (
+        "counter", "hgs_breaker_trips_total", "Circuit-breaker trips"),
+    "backoff_ms": (
+        "counter", "hgs_store_backoff_ms_total",
+        "Simulated ms slept between retry attempts"),
+    "degraded_keys": (
+        "counter", "hgs_degraded_keys_total",
+        "Keys missing from degraded answers"),
+    "degraded_partitions": (
+        "counter", "hgs_degraded_queries_total",
+        "Queries answered with degraded coverage"),
+}
+
+#: ``column -> (family, help)``: the per-kind query totals, each a
+#: counter family labeled ``kind``.
+KIND_FAMILIES: Dict[str, Tuple[str, str]] = {
+    "queries": ("hgs_session_queries_total", "Queries executed, by kind"),
+    "requests": (
+        "hgs_session_store_requests_total",
+        "Store requests issued (fair shares), by query kind"),
+    "bytes": (
+        "hgs_session_store_bytes_total",
+        "Stored bytes read (fair shares), by query kind"),
+    "sim_ms": (
+        "hgs_session_sim_ms_total", "Simulated query ms, by query kind"),
+}
+
+CORRECTION_FAMILY = "hgs_planner_correction"
+
+
+class SessionMetrics(MetricsRegistry):
+    """The registry one session records every executed query into.
+
+    :meth:`record` folds a successful query's stats in once — its kind's
+    row of :data:`KIND_FAMILIES` and every :data:`QUERY_FAMILIES`
+    counter — through handles cached here, so recording never looks a
+    family up.  :meth:`totals` and :meth:`corrections` read the JSON
+    views back off the same series the Prometheus rendering prints.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.per_query = {
+            counter: getattr(self, kind)(family, help)
+            for counter, (kind, family, help) in QUERY_FAMILIES.items()
+        }
+        self._kinds: Dict[str, Tuple[Counter, ...]] = {}
+
+    def record(self, kind: str, stats: Any) -> None:
+        """Fold one executed query's :class:`~repro.api.QueryStats` in."""
+        row = self._kinds.get(kind)
+        if row is None:
+            row = self._kinds[kind] = tuple(
+                self.counter(family, help, labels={"kind": kind})
+                for family, help in KIND_FAMILIES.values()
+            )
+        queries, requests, read, sim_ms = row
+        counts = vars(stats)
         with self._lock:
-            families = {
-                n: (k, dict(s)) for n, (k, _h, s) in self._families.items()
+            queries.inc()
+            requests.inc(stats.requests)
+            read.inc(stats.bytes_read)
+            sim_ms.inc(stats.sim_time_ms)
+            for counter, metric in self.per_query.items():
+                value = counts[counter]
+                if value:  # most counters of most queries are zero
+                    # a list of partition labels counts once: one more
+                    # query answered with degraded coverage
+                    metric.inc(1.0 if type(value) is list else value)
+
+    def correction(self, algorithm: str) -> Gauge:
+        """The gauge holding ``algorithm``'s predicted→actual factor."""
+        return self.gauge(
+            CORRECTION_FAMILY,
+            "per-algorithm EWMA predicted-to-actual scale",
+            labels={"algorithm": algorithm},
+        )
+
+    def corrections(self) -> Dict[str, float]:
+        return self.by_label(CORRECTION_FAMILY, "algorithm")
+
+    def totals(self) -> Dict[str, Dict[str, float]]:
+        """``{kind: {queries, requests, bytes, sim_ms}}``, by kind."""
+        columns = {
+            column: self.by_label(family, "kind")
+            for column, (family, _help) in KIND_FAMILIES.items()
+        }
+        return {
+            kind: {
+                column: values.get(kind, 0.0)
+                for column, values in columns.items()
             }
-        for name, (kind, series) in families.items():
-            rows = []
-            for pairs, metric in series.items():
-                row: Dict[str, Any] = {"labels": dict(pairs)}
-                if kind == "histogram":
-                    row["count"] = metric.count
-                    row["sum"] = metric.total
-                    row["buckets"] = {
-                        _format_value(b): c
-                        for b, c in zip(metric.bounds, metric.counts)
-                    }
-                    row["buckets"]["inf"] = metric.counts[-1]
-                else:
-                    row["value"] = metric.value
-                rows.append(row)
-            out[name] = rows
-        return out
-
-
-#: Process-wide default registry for non-service users (the service
-#: builds its own registry per ``ServiceMetrics`` instance so separate
-#: services never share counters).
-REGISTRY = MetricsRegistry()
+            for kind in sorted(columns["queries"])
+        }

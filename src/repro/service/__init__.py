@@ -21,9 +21,10 @@ the missing piece — a serving layer that batches the overlap there is:
   (429 + ``Retry-After``) and bounded-queue load shedding (503).
 - :mod:`repro.service.middleware` — request-id propagation, caller
   identity, and an auth stub.
-- :mod:`repro.service.metrics` — counters and latency histograms for
-  ``GET /metrics``, including *fair* per-caller store accounting that
-  sums exactly to the deduplicated fetch totals.
+- :mod:`repro.service.metrics` — the service's counters and latency
+  histograms, kept in the served session's one registry and rendered
+  with it at ``GET /metrics``, including *fair* per-caller store
+  accounting that sums exactly to the deduplicated fetch totals.
 - :mod:`repro.service.client` — a blocking stdlib client returning the
   same typed errors as in-process execution.
 

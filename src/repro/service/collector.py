@@ -230,9 +230,7 @@ class MicroBatchCollector:
             batch.members, results, batch.queue_mss
         ):
             if self.metrics is not None and result.ok:
-                self.metrics.record_query(
-                    p.caller, p.request.kind, result.stats
-                )
+                self.metrics.bill(p.caller, result.stats)
             if not p.future.done():
                 p.future.set_result(
                     CollectedResult(

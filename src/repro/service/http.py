@@ -12,9 +12,10 @@ Three routes:
   time queued for a free worker, execution wall time).
 - ``GET /healthz`` — liveness plus drain state.
 - ``GET /metrics`` — the :class:`~repro.service.metrics.ServiceMetrics`
-  snapshot (JSON), plus the session's planner state (its per-algorithm
-  correction factors); ``?format=prometheus`` renders the
-  same counters in Prometheus text exposition 0.0.4.
+  snapshot (JSON) of the session's one registry: the service's
+  families, the session's per-query record and its planner corrections;
+  ``?format=prometheus`` renders the same registry in Prometheus text
+  exposition 0.0.4 (any other format is a 400).
 - ``GET /debug/slow`` — the tracer's slow-query ring buffer
   (``?traces=1`` includes full span trees).
 
@@ -109,7 +110,6 @@ class QueryService:
         auth_token: Optional[str] = None,
         access_log: Optional[AccessLogger] = None,
         middlewares: Optional[List[Middleware]] = None,
-        metrics: Optional[ServiceMetrics] = None,
         tracer: Optional[Any] = None,
         clock=time.monotonic,
     ) -> None:
@@ -117,7 +117,8 @@ class QueryService:
         self.clock = clock
         #: explicit tracer wins; otherwise whatever the session carries
         self.tracer = tracer
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        # on the session's own registry, so each query is counted once
+        self.metrics = ServiceMetrics(getattr(session, "metrics", None))
         self.collector = MicroBatchCollector(
             session,
             window_ms=window_ms,
@@ -346,24 +347,14 @@ class QueryService:
     def _render_metrics(
         self, params: Dict[str, List[str]]
     ) -> Union[Dict[str, Any], str]:
-        """The metrics endpoint body: JSON snapshot (plus the session's
-        planner state) by default, Prometheus text on request."""
+        """The metrics endpoint body: the one registry's JSON snapshot by
+        default, its Prometheus text on ``format=prometheus``."""
         fmt = (params.get("format") or ["json"])[0]
-        session_export = getattr(self.session, "export_metrics", None)
         if fmt == "prometheus":
-            text = self.metrics.render_prometheus()
-            if session_export is not None:
-                # session families (hgs_planner_*, hgs_session_*) are
-                # disjoint from the service's, so concatenation is a
-                # valid single exposition
-                text += session_export("prometheus")
-            return text
-        snap = self.metrics.snapshot()
-        if session_export is not None:
-            planner = session_export("json")
-            snap["planner"] = {"corrections": planner.get("corrections", {})}
-            snap["session_totals"] = planner.get("totals", {})
-        return snap
+            return self.metrics.render_prometheus()
+        if fmt != "json":
+            raise BadRequest(f"unknown metrics format {fmt!r}")
+        return self.metrics.snapshot()
 
     def _render_slow(
         self, params: Dict[str, List[str]]

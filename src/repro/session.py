@@ -95,17 +95,13 @@ from repro.index.tgi import TGI, TGIPlanner, price_plan
 from repro.index.tgi.query import ReplayShare
 from repro.kvstore.cost import COUNTER_NAMES, ExecutionTimeline, FetchStats
 from repro.kvstore.degrade import PartialCollector, partial_scope
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Gauge, SessionMetrics
 from repro.obs.trace import Span, Tracer, current_span
 from repro.spark.rdd import SparkContext
 from repro.storage import load_index
 from repro.taf.handler import TGIHandler
 from repro.taf.son import SON, SOTS
 from repro.types import NodeId, TimePoint
-
-#: Shared-cache capacity used when a session enables caching but neither
-#: the call site nor the index config names one.
-DEFAULT_CACHE_ENTRIES = 8192
 
 #: Smoothing factor of the per-algorithm predicted→actual correction
 #: EWMA: each executed query nudges its algorithm's factor 30% of the way
@@ -314,19 +310,19 @@ class GraphSession:
         #: Wall clock for deadline enforcement (monotonic seconds);
         #: injectable so tests can drive expiry deterministically.
         self.clock: Callable[[], float] = _time.monotonic
-        # per-algorithm EWMA of observed actual/predicted sim-ms ratios;
-        # applied multiplicatively to subsequent candidate pricing
-        self._correction: Dict[str, float] = {}
-        # guards the session state queries fold into from collector
-        # worker threads: the EWMA above and the totals below
+        #: The one registry this session's queries are recorded into
+        #: (a service over the session renders it as ``/metrics``).
+        self.metrics = SessionMetrics()
+        # per-algorithm EWMA of observed actual/predicted sim-ms ratios,
+        # as cached handles on ``metrics``' gauges; applied
+        # multiplicatively to subsequent candidate pricing
+        self._correction: Dict[str, Gauge] = {}
+        # guards the EWMA's read-modify-write from collector worker threads
         self._lock = threading.Lock()
         #: Optional :class:`repro.obs.Tracer`.  ``None`` (the default)
         #: leaves every instrumentation site on its no-op path, so
         #: untraced accounting is bit-identical to pre-tracing builds.
         self.tracer: Optional[Tracer] = None
-        # session-lifetime query totals for export_metrics(): kind ->
-        # {queries, requests, bytes, sim_ms}.  Plain counters, no RNG.
-        self._totals: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -355,74 +351,34 @@ class GraphSession:
     def corrections(self) -> Dict[str, float]:
         """The current per-algorithm predicted→actual correction factors
         (selection feedback loop; 1.0 = trust the cost model as-is)."""
-        with self._lock:
-            return dict(self._correction)
+        return self.metrics.corrections()
+
+    def _factor(self, algorithm: str) -> float:
+        gauge = self._correction.get(algorithm)
+        return gauge.value if gauge is not None else 1.0
 
     def _corrected(self, candidates: Dict[str, float]) -> Dict[str, float]:
         return {
-            name: ms * self._correction.get(name, 1.0)
-            for name, ms in candidates.items()
+            name: ms * self._factor(name) for name, ms in candidates.items()
         }
 
-    def _record_totals(self, kind: str, stats: QueryStats) -> None:
-        with self._lock:
-            row = self._totals.get(kind)
-            if row is None:
-                row = self._totals[kind] = {
-                    "queries": 0.0, "requests": 0.0, "bytes": 0.0,
-                    "sim_ms": 0.0,
-                }
-            row["queries"] += 1.0
-            row["requests"] += float(stats.requests or 0)
-            row["bytes"] += float(stats.bytes_read or 0)
-            row["sim_ms"] += float(stats.sim_time_ms or 0.0)
-
     def export_metrics(self, fmt: str = "json"):
-        """Session-level telemetry for non-service users.
+        """This session's :attr:`metrics`, read off the registry.
 
         ``fmt="json"`` returns a plain dict: the per-algorithm EWMA
-        :attr:`corrections` and session-lifetime per-kind query totals.
-        ``fmt="prometheus"`` renders the same values through a
-        :class:`~repro.obs.MetricsRegistry` in text exposition format.
+        :attr:`corrections` and the session-lifetime per-kind query
+        totals.  ``fmt="prometheus"`` renders the whole registry in text
+        exposition format — the same body a service over this session
+        serves at ``/metrics?format=prometheus``.
         """
-        corrections = self.corrections
-        with self._lock:  # a snapshot: queries may be folding in
-            totals = {
-                kind: dict(row) for kind, row in sorted(self._totals.items())
-            }
         if fmt == "json":
             return {
-                "corrections": corrections,
-                "totals": totals,
+                "corrections": self.corrections,
+                "totals": self.metrics.totals(),
             }
         if fmt != "prometheus":
             raise QueryError(f"unknown metrics format {fmt!r}")
-        registry = MetricsRegistry()
-        for algo, scale in sorted(corrections.items()):
-            registry.gauge(
-                "hgs_planner_correction",
-                "per-algorithm EWMA predicted-to-actual scale",
-                labels={"algorithm": algo},
-            ).set(scale)
-        for kind, row in totals.items():
-            labels = {"kind": kind}
-            registry.counter(
-                "hgs_session_queries_total",
-                "queries executed by this session", labels=labels,
-            ).inc(row["queries"])
-            registry.counter(
-                "hgs_session_store_requests_total",
-                "store requests issued (fair shares)", labels=labels,
-            ).inc(row["requests"])
-            registry.counter(
-                "hgs_session_store_bytes_total",
-                "stored bytes read (fair shares)", labels=labels,
-            ).inc(row["bytes"])
-            registry.counter(
-                "hgs_session_sim_ms_total",
-                "simulated query milliseconds", labels=labels,
-            ).inc(row["sim_ms"])
-        return registry.render()
+        return self.metrics.render()
 
     def _observe(
         self, algorithm: str, predicted_raw: Optional[float],
@@ -434,10 +390,12 @@ class GraphSession:
             return
         ratio = actual / predicted_raw
         with self._lock:  # read-modify-write from concurrent queries
-            prev = self._correction.get(algorithm, 1.0)
-            self._correction[algorithm] = (
-                (1.0 - EWMA_ALPHA) * prev + EWMA_ALPHA * ratio
-            )
+            gauge = self._correction.get(algorithm)
+            if gauge is None:
+                gauge = self.metrics.correction(algorithm)
+                gauge.set(1.0)
+                self._correction[algorithm] = gauge
+            gauge.set((1.0 - EWMA_ALPHA) * gauge.value + EWMA_ALPHA * ratio)
 
     # ------------------------------------------------------------------
     # construction shims
@@ -594,8 +552,7 @@ class GraphSession:
                 candidates={k: round(v, 6) for k, v in candidates.items()},
                 raw={k: round(v, 6) for k, v in raw.items()},
                 corrections={
-                    k: round(self._correction.get(k, 1.0), 6)
-                    for k in candidates
+                    k: round(self._factor(k), 6) for k in candidates
                 },
             ).end()
 
@@ -972,7 +929,7 @@ class GraphSession:
                 self._duplicate_result(request, spec.outcome) if settled
                 else spec.outcome
             )
-            self._record_totals(request.kind, results[i].stats)
+            self.metrics.record(request.kind, results[i].stats)
         return results
 
     def _finalize(
@@ -1136,7 +1093,7 @@ class GraphSession:
             def assemble(histories):
                 return histories[0].initial
         predicted = (
-            raw * self._correction.get(algorithm, 1.0)
+            raw * self._factor(algorithm)
             if raw is not None
             else None
         )

@@ -622,7 +622,8 @@ def test_storage_errors_map_to_503_unavailable():
 
 def test_metrics_fold_resilience_counters():
     metrics = ServiceMetrics()
-    metrics.record_query("c", "khop", QueryStats(
+    # the session's record of the query, which the snapshot reads
+    metrics.registry.record("khop", QueryStats(
         requests=4, bytes_read=100, retries=3, hedges=1, breaker_trips=2,
         degraded_keys=5, degraded_partitions=["ts0:p1"],
     ))

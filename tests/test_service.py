@@ -245,7 +245,7 @@ def test_collector_rejects_after_drain(tgi, tmax):
 
 def test_collector_records_metrics(tgi, tmax):
     session = fresh_session(tgi)
-    metrics = ServiceMetrics()
+    metrics = ServiceMetrics(session.metrics)
     collector = MicroBatchCollector(
         session, window_ms=20.0, metrics=metrics
     )

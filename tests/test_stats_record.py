@@ -4,7 +4,8 @@ The additive counters a retrieval reports are declared once
 (``repro.kvstore.cost.Counters``); ``FetchStats``, ``QueryStats`` and
 ``ParallelFetchStats`` extend it, every hop between them is
 ``Counters.add``, and every counter reaches the wire twice: in
-``QueryStats.as_dict()`` and as a ``/metrics`` family.  These tests hold
+``QueryStats.as_dict()`` and as a ``/metrics`` family of the session's
+registry.  These tests hold
 the three ends together, so a counter added to the record and forgotten
 at one of them fails here by name."""
 
@@ -16,6 +17,7 @@ from hypothesis import given, strategies as st
 from repro.api import QueryStats
 from repro.kvstore import cost
 from repro.kvstore.cost import COUNTER_NAMES, FetchStats, RequestRecord
+from repro.obs import SessionMetrics
 from repro.service.metrics import ServiceMetrics
 from repro.taf.handler import ParallelFetchStats
 
@@ -42,8 +44,11 @@ def flattened(block, prefix=""):
 
 
 def prometheus_samples(stats):
-    metrics = ServiceMetrics()
-    metrics.record_query("caller", "khop", stats)
+    # what a served query leaves: the session's record, the caller's bill
+    registry = SessionMetrics()
+    registry.record("khop", stats)
+    metrics = ServiceMetrics(registry)
+    metrics.bill("caller", stats)
     samples = {}
     for line in metrics.render_prometheus().splitlines():
         if not line.startswith("#"):
@@ -95,10 +100,10 @@ def test_a_plan_that_queued_reports_its_negative_overlap_share():
     """Per-plan ``overlap_saved_ms`` is signed (a plan that waited behind
     its batchmates lost more than it overlapped); the family sums what
     the queries reported instead of refusing the sample."""
-    metrics = ServiceMetrics()
-    metrics.record_query("c", "khop", QueryStats(overlap_saved_ms=-19.5))
-    metrics.record_query("c", "khop", QueryStats(overlap_saved_ms=4.25))
-    assert "hgs_overlap_saved_ms_total -15.25" in metrics.render_prometheus()
+    metrics = SessionMetrics()
+    metrics.record("khop", QueryStats(overlap_saved_ms=-19.5))
+    metrics.record("khop", QueryStats(overlap_saved_ms=4.25))
+    assert "hgs_overlap_saved_ms_total -15.25" in metrics.render()
 
 
 # -- (b) declared once -------------------------------------------------------
