@@ -6,7 +6,11 @@ nothing next to fetching.  This smoke pins that down on dataset 1
 (m=4, ps=64):
 
 - **plan + price wall-µs per key** for a snapshot plan and a k=2 k-hop
-  plan (``TGIPlanner.plan_*`` + ``price_plan``, warm layout);
+  plan (``TGIPlanner.plan_*`` + ``price_plan``, warm layout), and
+  **price wall-µs per key** for ``price_plan`` alone on the same plan;
+- the **pricing counts** of those two warm plans: ``RequestRecord``
+  constructions and ``StorageNode.rank`` / ``StorageNode.get`` calls
+  (pricing reads the card tables only);
 - **planning ms per batch** of 16 k=2 requests over 8 distinct centers
   (``GraphSession._compile`` for every member, no execution);
 - the **derivation counts** of one warm batch: ``hash_partition`` and
@@ -14,8 +18,9 @@ nothing next to fetching.  This smoke pins that down on dataset 1
   ``expected_khop_pids`` evaluations.
 
 Timings are recorded, never asserted (they are the machine's); the
-counts repeat exactly and are the bar: a warm batch hashes nothing and
-plans each *distinct* request once.  Emits ``BENCH_plan_overhead.json``.
+counts repeat exactly and are the bar: warm pricing builds no request
+record and reads no row, and a warm batch hashes nothing and plans each
+*distinct* request once.  Emits ``BENCH_plan_overhead.json``.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ import repro.kvstore.cluster as cluster_module
 import repro.stats.model as stats_model
 from repro import GraphSession, QueryRequest
 from repro.index.tgi import TGIPlanner, price_plan
+from repro.kvstore.cost import RequestRecord
+from repro.kvstore.node import StorageNode
 
 from benchmarks.conftest import (
     build_tgi,
@@ -46,18 +53,34 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / (
     "BENCH_plan_overhead.json"
 )
 
-def _us_per_key(plan_fn, cluster) -> dict:
+def _us_per_key(plan_fn, cluster, monkeypatch) -> dict:
     plan = plan_fn()
-    price_plan(cluster, plan)  # warm: tables, rank index, placements
+    price_plan(cluster, plan)  # warm: tables, card tables, placements
     start = time.perf_counter()
     for _ in range(REPEATS):
         price_plan(cluster, plan_fn())
     wall = time.perf_counter() - start
+    start = time.perf_counter()
+    for _ in range(REPEATS):
+        price_plan(cluster, plan)
+    price_wall = time.perf_counter() - start
+    calls = dict.fromkeys(("__init__", "rank", "get"), 0)
+    counting(monkeypatch, RequestRecord, "__init__", calls)
+    counting(monkeypatch, StorageNode, "rank", calls)
+    counting(monkeypatch, StorageNode, "get", calls)
+    price_plan(cluster, plan)
+    monkeypatch.undo()
     keys = len(plan.pricing_keys())
     return {
         "planned_keys": plan.num_keys,
         "priced_keys": keys,
         "plan_price_us_per_key": round(wall / REPEATS / keys * 1e6, 3),
+        "price_us_per_key": round(price_wall / REPEATS / keys * 1e6, 3),
+        "pricing_calls": {
+            "RequestRecord": calls["__init__"],
+            "StorageNode.rank": calls["rank"],
+            "StorageNode.get": calls["get"],
+        },
     }
 
 def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
@@ -72,9 +95,12 @@ def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
     ]
 
     def _emit():
-        snapshot = _us_per_key(lambda: planner.plan_snapshot(t), tgi.cluster)
+        snapshot = _us_per_key(
+            lambda: planner.plan_snapshot(t), tgi.cluster, monkeypatch
+        )
         khop = _us_per_key(
-            lambda: planner.plan_khop(centers[0], t, k=K), tgi.cluster
+            lambda: planner.plan_khop(centers[0], t, k=K), tgi.cluster,
+            monkeypatch,
         )
         session.execute_batch(requests)  # warm-up batch
 
@@ -117,10 +143,11 @@ def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
     payload = benchmark.pedantic(_emit, rounds=1, iterations=1)
     print_series(
         "plan + price, warm layout",
-        "plan           keys   wall us/key",
+        "plan           keys   wall us/key   price us/key",
         [
             f"{name:12s} {row['priced_keys']:6d} "
-            f"{row['plan_price_us_per_key']:13.3f}"
+            f"{row['plan_price_us_per_key']:13.3f} "
+            f"{row['price_us_per_key']:14.3f}"
             for name, row in (
                 ("snapshot", payload["snapshot_plan"]),
                 ("khop k=2", payload["khop_plan"]),
@@ -128,6 +155,11 @@ def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
         ],
     )
     assert RESULT_PATH.exists()
+    # warm pricing reads cards only: no record built, no row read
+    for plan in ("snapshot_plan", "khop_plan"):
+        assert payload[plan]["pricing_calls"] == {
+            "RequestRecord": 0, "StorageNode.rank": 0, "StorageNode.get": 0,
+        }, plan
     calls = payload["warm_batch_calls"]
     # the counts are the bar: a warm batch derives nothing from hashes
     # and plans each distinct request exactly once

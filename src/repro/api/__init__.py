@@ -23,7 +23,7 @@ Algorithm names (:data:`~repro.api.request.ALGORITHMS`) follow the paper:
 ``snapshot-first`` is Algorithm 3 (fetch the snapshot, filter),
 ``khop`` is Algorithm 4 (targeted micro-delta expansion; one shared
 frontier when a query has several centers), and ``auto`` lets the session
-pick whichever of the two ``Cluster.plan_records`` prices cheapest.
+pick whichever of the two ``Cluster.price`` prices cheapest.
 Every request compiles to exactly one fetch plan.
 """
 

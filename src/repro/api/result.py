@@ -31,7 +31,7 @@ class QueryStats(Counters):
             client-side apply time when the cost model prices it).
         algorithm: the plan the session executed (e.g. ``snapshot-first``).
         predicted_ms: the cost model's estimate for the chosen plan,
-            priced via ``Cluster.plan_records`` before fetching.
+            priced via ``Cluster.price`` before fetching.
         candidates: every candidate plan's predicted cost, so callers can
             see the margin the choice was made on.
     """

@@ -29,7 +29,6 @@ from repro.index.tgi.states import (
     partition_stage,
     triage,
 )
-from repro.kvstore.cost import simulate_plan
 from repro.types import NodeId, TimePoint
 
 #: Label of a k-hop plan's one stage: the bound on what its frontier
@@ -43,9 +42,10 @@ def price_plan(cluster, plan: Union[FetchPlan, Sequence[DeltaKey]],
     """Cost-model estimate (sim-ms) of fetching a plan's keys in one
     sequential round, without reading any data.
 
-    ``Cluster.plan_records`` routes and prices every key exactly as
-    ``multiget`` would, and :func:`~repro.kvstore.cost.simulate_plan`
-    applies the two-sided client/server bound.  A plan is priced on its
+    ``Cluster.price`` routes every key as ``multiget`` would at the
+    cluster's clock and applies the two-sided client/server bound of
+    :func:`~repro.kvstore.cost.simulate_plan` to the routed rows' cards,
+    building no request record.  A plan is priced on its
     :meth:`~FetchPlan.pricing_keys`: each distinct key once, as the
     executor fetches it, or the statistics-backed expected set.  Later
     stages' extra rounds only add latency, not service time, so such
@@ -63,14 +63,7 @@ def price_plan(cluster, plan: Union[FetchPlan, Sequence[DeltaKey]],
     keys = plan.pricing_keys() if isinstance(plan, FetchPlan) else list(plan)
     if shared_keys:
         keys = [key for key in keys if key not in shared_keys]
-    records = cluster.plan_records(keys, clients=clients)
-    model = cluster.config.cost_model
-    estimate = simulate_plan(records, model)
-    if model.costs_apply:
-        estimate += sum(
-            model.estimated_apply_time(r.raw_bytes) for r in records
-        )
-    return estimate
+    return cluster.price(keys, clients=clients)
 
 
 class TGIPlanner:

@@ -44,7 +44,7 @@ from repro.errors import (
     PartitionUnavailable,
     StorageError,
 )
-from repro.kvstore.codec import EncodedValue, decode, encode
+from repro.kvstore.codec import decode, encode
 from repro.kvstore.cost import (
     CostModel,
     ExecutionTimeline,
@@ -53,7 +53,7 @@ from repro.kvstore.cost import (
     simulate_plan,
 )
 from repro.kvstore.degrade import active_partial, partition_label
-from repro.kvstore.node import StorageNode
+from repro.kvstore.node import Card, StorageNode
 from repro.kvstore.resilience import (
     HEDGE_FACTOR,
     CircuitBreaker,
@@ -62,6 +62,8 @@ from repro.kvstore.resilience import (
 from repro.obs.trace import current_span
 
 KeyTuple = Tuple
+#: One routing pass: per server id, the ``(card, key)`` pairs it serves.
+Groups = List[List[Tuple[Card, KeyTuple]]]
 
 
 def _stable_hash(value: Any) -> int:
@@ -333,45 +335,56 @@ class Cluster:
     def _route(
         self,
         keys: Sequence[KeyTuple],
-        now: float = 0.0,
+        now: float,
         avoid: Optional[Dict[KeyTuple, Set[int]]] = None,
         breakers: bool = False,
-    ) -> Tuple[Dict[KeyTuple, int], List[KeyTuple]]:
+    ) -> Tuple[Groups, List[KeyTuple]]:
         """Route every key to its least-loaded live replica *holding the
         key* (greedy balancing -- this is where replication r > 1 buys
-        parallelism, Fig. 12c).
+        parallelism, Fig. 12c), grouping the holder's card per server.
 
-        Returns ``(assignment, blocked)``.  A ``blocked`` key has no usable
+        Returns ``(groups, blocked)``: ``groups[server]`` lists the
+        ``(card, key)`` pairs that server serves, which :meth:`_ordered`
+        puts in clustering order.  A ``blocked`` key has no usable
         replica at ``now``: its holders are down (a live replica can be
-        stale after ``recover_machine``), or, with ``breakers``, behind an
-        open circuit breaker.  A key absent from every replica while all
-        of them are live raises :class:`KeyNotFound` -- an outage never
-        masks a genuinely missing key.  Keys in ``avoid`` prefer replicas
-        that have not already failed them this round."""
+        stale after ``recover_machine``), or, with ``breakers``, behind
+        an open circuit breaker.  A key absent from every replica while
+        all of them are live raises :class:`KeyNotFound` -- an outage
+        never masks a genuinely missing key.  Keys in ``avoid`` prefer
+        replicas that have not already failed them this round.  Pricing
+        and fetching both route here, and read only cards."""
         plen = self._placement_len
         down = self._down_at(now)  # once per attempt, not once per key
-        machines = self.machines
+        tables = [machine.cards() for machine in self.machines]
         replicas_for = self.replicas_for
         allows = self._breaker_allows if breakers and self._breakers else None
-        load = [0] * len(machines)
-        assignment: Dict[KeyTuple, int] = {}
+        groups: Groups = [[] for _ in tables]
+
+        def load(machine: int) -> int:
+            return len(groups[machine])
+
         blocked: List[KeyTuple] = []
         for key in keys:
             replicas = replicas_for(key[:plen])
             if len(replicas) == 1:
-                # one replica (always, at r=1): nothing to filter or balance
-                if replicas[0] in down:
+                # one replica (always, at r=1): nothing to filter, balance
+                # or avoid
+                best = replicas[0]
+                if best in down:
                     blocked.append(key)
                     continue
-                if key not in machines[replicas[0]]:
+                card = tables[best].get(key)
+                if card is None:
                     raise KeyNotFound(f"key {key!r} not on any live replica")
-                holding = replicas
+                if allows is not None and not allows(best, now):
+                    blocked.append(key)
+                    continue
             else:
                 live = (
                     [m for m in replicas if m not in down] if down
                     else replicas
                 )
-                holding = [m for m in live if key in machines[m]]
+                holding = [m for m in live if key in tables[m]]
                 if not holding:
                     if len(live) == len(replicas):
                         raise KeyNotFound(
@@ -379,106 +392,142 @@ class Cluster:
                         )
                     blocked.append(key)
                     continue
-            if allows is not None:
-                holding = [m for m in holding if allows(m, now)]
-                if not holding:
-                    blocked.append(key)
-                    continue
-            if avoid:
-                failed_on = avoid.get(key)
-                if failed_on:
-                    holding = [
-                        m for m in holding if m not in failed_on
-                    ] or holding
-            best = (
-                holding[0] if len(holding) == 1
-                else min(holding, key=load.__getitem__)
-            )
-            assignment[key] = best
-            load[best] += 1
-        return assignment, blocked
+                if allows is not None:
+                    holding = [m for m in holding if allows(m, now)]
+                    if not holding:
+                        blocked.append(key)
+                        continue
+                if avoid:
+                    failed_on = avoid.get(key)
+                    if failed_on:
+                        holding = [
+                            m for m in holding if m not in failed_on
+                        ] or holding
+                best = (
+                    holding[0] if len(holding) == 1
+                    else min(holding, key=load)
+                )
+                card = tables[best][key]
+            groups[best].append((card, key))
+        return groups, blocked
 
-    def _plan_requests(
-        self,
-        keys: Sequence[KeyTuple],
-        assignment: Dict[KeyTuple, int],
-        clients: int,
-        client_offset: int = 0,
-        now: float = 0.0,
-    ) -> Tuple[List[RequestRecord], Dict[KeyTuple, EncodedValue]]:
-        """Cost ``keys`` routed by ``assignment`` into one multiget round:
-        group per server, sort in clustering order for scan contiguity,
-        and price each request with the cost model.  Returns the costed
-        records and the encoded rows (not yet decoded).
-
-        ``now`` is the simulated instant used for fault evaluation —
-        active latency spikes are added to each request's service time
-        here, so they flow into ``simulate_plan`` and the timeline.
-        """
-        model = self.config.cost_model
+    def _ordered(self, groups: Groups, now: float):
+        """Yield ``(server, spike_ms, group)`` for each routed server in
+        ascending id, its ``(card, key)`` pairs sorted into clustering
+        order (ranks are unique per node, so the sort never compares
+        keys) -- the order of a round's request records -- with the
+        fault harness's latency spike on that server at ``now``."""
         faults = self.faults
-        per_server: Dict[int, List[KeyTuple]] = {}
-        for key in keys:
-            per_server.setdefault(assignment[key], []).append(key)
-
-        encoded_rows: Dict[KeyTuple, EncodedValue] = {}
-        records: List[RequestRecord] = []
-        service_time = model.service_time
-        rr_client = 0
-        for server_id, server_keys in sorted(per_server.items()):
-            node = self.machines[server_id]
-            get, rank_of = node.get, node.rank
-            spike_ms = (
-                faults.extra_latency_ms(server_id, now)
+        for server, group in enumerate(groups):
+            if not group:
+                continue
+            group.sort()
+            yield server, (
+                faults.extra_latency_ms(server, now)
                 if faults is not None else 0.0
-            )
+            ), group
+
+    def _records(
+        self,
+        groups: Groups,
+        clients: int,
+        client_offset: int,
+        now: float,
+    ) -> List[RequestRecord]:
+        """One multiget round's costed request records: each server's
+        keys in clustering order (scan contiguity), clients dealt round-
+        robin, each service time from the cost model plus any latency
+        spike active at ``now`` (so spikes flow into ``simulate_plan``
+        and the timeline)."""
+        service_time = self.config.cost_model.service_time
+        records: List[RequestRecord] = []
+        rr_client = 0
+        for server, spike_ms, group in self._ordered(groups, now):
             prev_rank = -2
-            # clustering order is rank order (ranks are unique per node,
-            # so the sort never falls through to comparing key tuples)
-            for rank, key in sorted([(rank_of(k), k) for k in server_keys]):
-                encoded = get(key)
+            for (rank, stored, raw, compressed), key in group:
                 contiguous = rank == prev_rank + 1
                 prev_rank = rank
-                stored, raw = encoded.stored_size, encoded.raw_size
-                compressed = encoded.compressed
                 records.append(
                     RequestRecord(
-                        key, server_id, client_offset + rr_client % clients,
+                        key, server, client_offset + rr_client % clients,
                         stored, raw, contiguous, compressed,
                         service_time(stored, raw, contiguous, compressed)
                         + spike_ms,
                     )
                 )
                 rr_client += 1
-                encoded_rows[key] = encoded
-        return records, encoded_rows
+        return records
 
-    def plan_records(
-        self, keys: Sequence[KeyTuple], clients: int = 1,
-        client_offset: int = 0,
-    ) -> List[RequestRecord]:
-        """Cost a prospective multiget round without decoding any value —
-        the store-side half of an EXPLAIN.  Routing, contiguity and service
-        times are computed as :meth:`multiget`'s first attempt would; a
-        key with no live holder raises :class:`StorageError`, so the
-        candidate reading it cannot be priced."""
+    def _priceable(self, keys: Sequence[KeyTuple], clients: int) -> Groups:
+        """Route ``keys`` as :meth:`multiget`'s first attempt would at
+        ``clock_ms``; a key with no live holder raises
+        :class:`StorageError`, so the candidate reading it cannot be
+        priced."""
         if clients < 1:
             raise StorageError("need at least one fetch client")
         if self._placement_len is None:
             if keys:
                 raise KeyNotFound(f"empty cluster has no key {keys[0]!r}")
             return []
-        assignment, blocked = self._route(keys)
+        groups, blocked = self._route(keys, self.clock_ms)
         if blocked:
             raise StorageError(
                 "all replicas down for placement "
                 f"{blocked[0][:self._placement_len]!r} "
                 f"({len(blocked)} keys unroutable)"
             )
-        records, _ = self._plan_requests(
-            keys, assignment, clients, client_offset
-        )
-        return records
+        return groups
+
+    def price(self, keys: Sequence[KeyTuple], clients: int = 1) -> float:
+        """Simulated cost (sim-ms) of a prospective multiget round, read
+        off the routed cards with no request record built and no value
+        touched -- what the planner prices every candidate with.
+
+        The fetch is bit for bit ``simulate_plan(plan_records(keys,
+        clients), model)``.  When the cost model prices client-side apply
+        work, each key's metadata-only apply estimate
+        (:meth:`CostModel.estimated_apply_time`) is added too, summed in
+        record order, as execution will report it."""
+        groups = self._priceable(keys, clients)
+        if not keys:
+            return 0.0
+        model = self.config.cost_model
+        service_time, rtt = model.service_time, model.rtt_ms
+        apply, estimated_apply = model.costs_apply, model.estimated_apply_time
+        client_busy = [0.0] * min(clients, len(keys))
+        worst_server = applied = 0.0
+        rr_client = 0
+        for _, spike_ms, group in self._ordered(groups, self.clock_ms):
+            busy = 0.0
+            prev_rank = -2
+            for (rank, stored, raw, compressed), _ in group:
+                service = service_time(
+                    stored, raw, rank == prev_rank + 1, compressed
+                ) + spike_ms
+                prev_rank = rank
+                client = rr_client % clients
+                client_busy[client] = client_busy[client] + rtt + service
+                busy += service
+                rr_client += 1
+                if apply:
+                    applied += estimated_apply(raw)
+            if busy > worst_server:
+                worst_server = busy
+        estimate = max(max(client_busy), worst_server)
+        return estimate + applied if apply else estimate
+
+    def plan_records(
+        self, keys: Sequence[KeyTuple], clients: int = 1,
+        client_offset: int = 0,
+    ) -> List[RequestRecord]:
+        """Cost a prospective multiget round without decoding any value —
+        the store-side half of an EXPLAIN timeline.  Routing, contiguity
+        and service times are computed as :meth:`multiget`'s first
+        attempt would at ``clock_ms`` (breakers aside); a key with no live
+        holder raises :class:`StorageError`.  :meth:`price` is the same
+        round's cost without the records."""
+        groups = self._priceable(keys, clients)
+        return self._records(groups, clients, client_offset, self.clock_ms)
 
     def multiget(
         self,
@@ -537,27 +586,20 @@ class Cluster:
         avoid: Dict[KeyTuple, Set[int]] = {}
         for attempt in range(attempts):
             check_cancelled()
-            assignment, blocked = self._route(
+            groups, blocked = self._route(
                 remaining, now, avoid, breakers=policy is not None
             )
             failed: List[KeyTuple] = []
-            if assignment:
-                keys_now = (
-                    [k for k in remaining if k in assignment] if blocked
-                    else remaining
-                )
-                records, encoded_rows = self._plan_requests(
-                    keys_now, assignment, clients, client_offset, now
-                )
+            if len(blocked) < len(remaining):
+                records = self._records(groups, clients, client_offset, now)
                 hedged = 0
                 if policy is not None:
                     records, hedged = self._maybe_hedge(
-                        records, assignment, keys_now, clients,
-                        client_offset, now,
+                        records, groups, clients, client_offset, now
                     )
                     stats.hedges += hedged
                 ok_records = self._fetch(
-                    records, encoded_rows, now, values, failed, avoid, stats
+                    records, now, values, failed, avoid, stats
                 )
                 # The whole attempt (including requests that failed) is
                 # charged on the clock/timeline — the work was issued —
@@ -628,7 +670,6 @@ class Cluster:
     def _fetch(
         self,
         records: List[RequestRecord],
-        encoded_rows: Dict[KeyTuple, EncodedValue],
         now: float,
         values: Dict[KeyTuple, Any],
         failed: List[KeyTuple],
@@ -641,6 +682,7 @@ class Cluster:
         fails its key: both land in ``failed`` and ``avoid``.  Under a
         resilience policy each server's outcome feeds its breaker."""
         faults = self.faults
+        machines = self.machines
         servers = sorted({r.server for r in records})
         failing = (
             faults.transient_failures(servers, now)
@@ -657,7 +699,7 @@ class Cluster:
         for record in records:
             key, server = record.key, record.server
             if server not in failing:
-                payload = encoded_rows[key].payload
+                payload = machines[server].get(key).payload
                 if faults is not None and faults.corrupts(server, now):
                     # the checksum envelope turns the flip into an error
                     payload = payload[:-1] + bytes([payload[-1] ^ 0xFF])
@@ -675,8 +717,7 @@ class Cluster:
     def _maybe_hedge(
         self,
         records: List[RequestRecord],
-        assignment: Dict[KeyTuple, int],
-        keys_now: List[KeyTuple],
+        groups: Groups,
         clients: int,
         client_offset: int,
         now: float,
@@ -707,11 +748,12 @@ class Cluster:
             return records, 0
         down = self._down_at(now)
         plen = self._placement_len
-        alt_assignment = dict(assignment)
+        alt_groups = [
+            [] if server == straggler else list(group)
+            for server, group in enumerate(groups)
+        ]
         moved = 0
-        for key, server in assignment.items():
-            if server != straggler:
-                continue
+        for _, key in groups[straggler]:
             alternates = [
                 m
                 for m in self.replicas_for(key[:plen])
@@ -721,13 +763,12 @@ class Cluster:
             ]
             if not alternates:
                 return records, 0  # can't cover the whole straggler group
-            alt_assignment[key] = alternates[0]
+            alternate = alternates[0]
+            alt_groups[alternate].append(
+                (self.machines[alternate].cards()[key], key)
+            )
             moved += 1
-        if not moved:
-            return records, 0
-        alt_records, _ = self._plan_requests(
-            keys_now, alt_assignment, clients, client_offset, now
-        )
+        alt_records = self._records(alt_groups, clients, client_offset, now)
         model = self.config.cost_model
         if simulate_plan(alt_records, model) < simulate_plan(records, model):
             return alt_records, moved

@@ -22,7 +22,7 @@ and exposes one fluent, lazily-planned query builder::
     son     = session.nodes("id < 100").timeslice(100, 900).fetch()
 
 Builder terminals compile to a :class:`~repro.api.QueryRequest`, price the
-candidate plans via ``Cluster.plan_records`` (Algorithm 3 snapshot-first
+candidate plans via ``Cluster.price`` (Algorithm 3 snapshot-first
 vs Algorithm 4 micro-delta k-hop, one shared frontier for several
 centers) — fetch plans the :class:`~repro.index.tgi.planner.TGIPlanner`
 builds with the executable builders' own stage helpers — execute the
@@ -444,12 +444,13 @@ class GraphSession:
     ) -> Optional[float]:
         """Price a plan, or ``None`` when the cluster cannot route it.
 
-        Pricing walks every replica set; with machines crashed (fault
-        injection, real failover) a placement may have no live replica
-        and :meth:`Cluster.plan_records` raises.  That must not kill the
-        query at plan time — the fetch decides at fetch time whether
-        the key recovers, reroutes, degrades, or fails typed — so dead
-        placements simply make the candidate unpriceable."""
+        Pricing walks every replica set at the cluster clock; with
+        machines crashed then (fault injection, real failover) a
+        placement may have no live replica and :meth:`Cluster.price`
+        raises.  That must not kill the query at plan time — the fetch
+        decides at fetch time whether the key recovers, reroutes,
+        degrades, or fails typed — so dead placements simply make the
+        candidate unpriceable."""
         try:
             return price_plan(
                 self.tgi.cluster, plan_or_keys, clients=clients,

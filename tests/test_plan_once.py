@@ -15,8 +15,14 @@ import repro.kvstore.cluster as cluster_module
 import repro.stats.model as stats_model
 from repro import GraphSession, TGI, TGIConfig
 from repro.api import DeadlineExceeded, QueryRequest
-from repro.errors import IndexError_
-from repro.faults import CrashWindow, FaultSchedule, clear_faults, inject_faults
+from repro.errors import IndexError_, PartitionUnavailable, StorageError
+from repro.faults import (
+    CrashWindow,
+    FaultSchedule,
+    LatencySpike,
+    clear_faults,
+    inject_faults,
+)
 from repro.index.tgi import PartitioningStrategy, TGIPlanner, price_plan
 from repro.index.tgi.states import gap_eventlist_keys
 from repro.kvstore.cluster import Cluster, ClusterConfig
@@ -209,14 +215,15 @@ def test_explain_plans_each_distinct_center_once(
     )
     khops = _counted(monkeypatch, TGIPlanner, "plan_khop")
     snapshots = _counted(monkeypatch, TGIPlanner, "plan_snapshot")
-    costings = _counted(monkeypatch, Cluster, "plan_records")
+    prices = _counted(monkeypatch, Cluster, "price")
+    records = _counted(monkeypatch, Cluster, "plan_records")
     text = session.explain(request)
     distinct = len(set(centers))
     assert khops[0] == distinct
     assert snapshots[0] == 1
-    # snapshot-first, the one k-hop plan, the printed plan's estimate
-    # and its timeline
-    assert costings[0] == 4
+    # four costings: snapshot-first, the one k-hop plan and the printed
+    # plan's estimate are priced; the timeline lays out records
+    assert (prices[0], records[0]) == (3, 1)
     assert "candidates:" in text and "ExecutionTimeline[" in text
 
 
@@ -428,9 +435,12 @@ def test_routing_follows_failures_and_crash_windows():
     cluster, keys = loaded_cluster()
 
     def route(now=0.0):
-        assignment, blocked = cluster._route(keys, now)
+        groups, blocked = cluster._route(keys, now)
         assert blocked == []  # r=2 with one machine down: all routable
-        return assignment
+        return {
+            key: server for server, group in enumerate(groups)
+            for _, key in group
+        }
 
     assert route() == reference_route(cluster, keys)
     cluster.fail_machine(2)
@@ -455,9 +465,45 @@ def test_routing_follows_failures_and_crash_windows():
     assert 1 in {rec.server for rec in cluster.multiget(keys)[1].requests}
 
 
+def test_pricing_reads_the_cluster_clock():
+    """A crash window open at ``clock_ms`` makes the keys it strands
+    unpriceable, exactly when ``multiget`` cannot fetch them; a latency
+    spike active at ``clock_ms`` is priced as ``multiget`` charges it."""
+    cluster, keys = loaded_cluster(r=1)
+    inject_faults(cluster, FaultSchedule(
+        crashes=(CrashWindow(1, 40.0, 80.0),)
+    ))
+    cluster.set_clock(50.0)
+    with pytest.raises(PartitionUnavailable) as unavailable:
+        cluster.multiget(keys)
+    assert len(unavailable.value.keys) == 10
+    for pricing in (cluster.plan_records, cluster.price):
+        with pytest.raises(StorageError, match=(
+            r"all replicas down for placement .* \(10 keys unroutable\)"
+        )):
+            pricing(keys)
+    cluster.set_clock(80.0)
+    assert cluster.price(keys) == cluster.multiget(keys)[1].sim_time_ms
+
+    inject_faults(cluster, FaultSchedule(
+        latency=(LatencySpike(2, 5.0, 40.0, 80.0),)
+    ))
+    quiet = cluster.price(keys)
+    cluster.set_clock(50.0)
+    spiked = cluster.price(keys)
+    assert spiked > quiet
+    assert spiked == cluster.multiget(keys)[1].sim_time_ms
+    assert [rec.service_ms for rec in cluster.plan_records(keys)] == [
+        rec.service_ms for rec in cluster.multiget(keys)[1].requests
+    ]
+
+
 def test_put_and_delete_refresh_the_rank_index():
     cluster, keys = loaded_cluster(r=1)
-    cluster.plan_records(keys)  # builds every node's rank index
+    cluster.plan_records(keys)  # builds every node's card table
+    # overwrites keep a row's rank but change its sizes
+    cluster.put(keys[0], {"row": keys[0], "pad": "x" * 4000})
+    cluster.put(keys[1], None)
     extra = [(0, 1, ("S", 0), 9), (2, 7, ("A", 3), 1), (1, 4, ("E", 0), 0)]
     for key in extra:
         cluster.put(key, {"row": key})
@@ -466,6 +512,8 @@ def test_put_and_delete_refresh_the_rank_index():
     fresh = Cluster(ClusterConfig(num_machines=4, replication=1))
     for key in kept:
         fresh.put(key, {"row": key})
+    fresh.put(keys[0], {"row": keys[0], "pad": "x" * 4000})
+    fresh.put(keys[1], None)
 
     def flags(c):
         return [
@@ -474,7 +522,9 @@ def test_put_and_delete_refresh_the_rank_index():
         ]
 
     assert flags(cluster) == flags(fresh)
+    assert cluster.price(kept) == fresh.price(kept)
     for node, fresh_node in zip(cluster.machines, fresh.machines):
+        assert node.cards() == fresh_node.cards()
         assert [node.rank(key) for key, _ in node.items()] == (
             list(range(len(fresh_node)))
         )
@@ -514,7 +564,7 @@ def test_tables_are_never_persisted(tmp_path, dataset1_events):
     requests = fifty_requests(dataset1_events[-1].time)
     answers = [answer(session.execute(r)) for r in requests]
     assert tgi._spans[-1]._keys is not None  # the tables did fill
-    assert any(node._ranks for node in tgi.cluster.machines)
+    assert any(node._cards for node in tgi.cluster.machines)
     save_index(tgi, tmp_path / "after.hgs")
     assert (tmp_path / "after.hgs").stat().st_size == (
         (tmp_path / "before.hgs").stat().st_size
