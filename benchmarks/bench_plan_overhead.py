@@ -7,7 +7,8 @@ nothing next to fetching.  This smoke pins that down on dataset 1
 
 - **plan + price wall-µs per key** for a snapshot plan and a k=2 k-hop
   plan (``TGIPlanner.plan_*`` + ``price_plan``, warm layout), and
-  **price wall-µs per key** for ``price_plan`` alone on the same plan;
+  **price wall-µs per key** for ``price_plan`` alone on the same plan,
+  also at replication r=2 (where routing picks among holders);
 - the **pricing counts** of those two warm plans: ``RequestRecord``
   constructions and ``StorageNode.rank`` / ``StorageNode.get`` calls
   (pricing reads the card tables only);
@@ -87,6 +88,8 @@ def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
     tgi = build_tgi(dataset1_events)
     session = GraphSession.from_index(tgi)
     planner = session.planner
+    replicated = build_tgi(dataset1_events, r=2)
+    planner_r2 = GraphSession.from_index(replicated).planner
     t = dataset1_events[-1].time
     centers = probe_nodes(dataset1_events, DISTINCT, seed=31, alive_at=t)
     requests = [
@@ -102,6 +105,15 @@ def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
             lambda: planner.plan_khop(centers[0], t, k=K), tgi.cluster,
             monkeypatch,
         )
+        r2 = {
+            name: _us_per_key(
+                plan_fn, replicated.cluster, monkeypatch
+            )["price_us_per_key"]
+            for name, plan_fn in (
+                ("snapshot", lambda: planner_r2.plan_snapshot(t)),
+                ("khop", lambda: planner_r2.plan_khop(centers[0], t, k=K)),
+            )
+        }
         session.execute_batch(requests)  # warm-up batch
 
         counts = dict.fromkeys(
@@ -129,6 +141,7 @@ def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
             "dataset": "dataset1 (2500-node citation), m=4, ps=64",
             "snapshot_plan": snapshot,
             "khop_plan": khop,
+            "price_us_per_key_r2": r2,
             "batch": {
                 "requests": BATCH,
                 "distinct": DISTINCT,
@@ -143,14 +156,15 @@ def test_plan_overhead(benchmark, monkeypatch, dataset1_events):
     payload = benchmark.pedantic(_emit, rounds=1, iterations=1)
     print_series(
         "plan + price, warm layout",
-        "plan           keys   wall us/key   price us/key",
+        "plan           keys   wall us/key   price us/key   r=2 price",
         [
             f"{name:12s} {row['priced_keys']:6d} "
             f"{row['plan_price_us_per_key']:13.3f} "
-            f"{row['price_us_per_key']:14.3f}"
-            for name, row in (
-                ("snapshot", payload["snapshot_plan"]),
-                ("khop k=2", payload["khop_plan"]),
+            f"{row['price_us_per_key']:14.3f} "
+            f"{payload['price_us_per_key_r2'][key]:11.3f}"
+            for name, key, row in (
+                ("snapshot", "snapshot", payload["snapshot_plan"]),
+                ("khop k=2", "khop", payload["khop_plan"]),
             )
         ],
     )

@@ -13,13 +13,17 @@ down what that leaves of a warm read on dataset 1 (m=4, ps=64,
   snapshot before it), an Algorithm-4 k=2 k-hop and a ``node_state``
   over warm partitions, and a warm ``snapshot()``;
 - the **copy counts** of one pass of each: ``Graph.copy`` and partition
-  state clones.
+  state clones;
+- the **nodes privatized** in that pass: ``Graph.copy`` shares every
+  node's containers and a graph copies a node's own only on its first
+  write to it (``Graph._privatize``).
 
 Timings are recorded, never asserted (they are the machine's); the
 counts repeat exactly and are the bar: a reader of a warm state copies
-nothing, a near-warm k-hop copies its seed once, and only a *snapshot*
-result — the caller's own graph — costs one copy per query.  Emits
-``BENCH_warm_reads.json``.
+nothing, a near-warm k-hop copies its seed once and privatizes at most
+the nodes its gap's events touch, and only a *snapshot* result — the
+caller's own graph — costs one copy per query, which privatizes
+nothing until the caller writes.  Emits ``BENCH_warm_reads.json``.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from pathlib import Path
 import repro.index.tgi.states as states_module
 from repro import GraphSession, QueryRequest
 from repro.graph.static import Graph
+from repro.index.tgi.states import near_seed_candidate
 
 from benchmarks.conftest import (
     build_tgi,
@@ -55,6 +60,13 @@ def _khop(center, t, algorithm):
         kind="khop", t=t, nodes=(center,), k=K, single=True,
         algorithm=algorithm,
     )
+
+
+def _gap_nodes(events, t0, t):
+    """Nodes the events in ``(t0, t]`` name: what replaying a seed at
+    ``t0`` forward to ``t`` may write to (dataset 1 only grows, so no
+    deletion reaches a neighbour that no event names)."""
+    return {n for ev in events if t0 < ev.time <= t for n in ev.entities}
 
 
 def test_warm_reads(benchmark, monkeypatch, dataset1_events):
@@ -106,11 +118,27 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
                 ),
             }
         for name, run in scenarios.items():
-            counts = {"copy": 0, "_clone_state": 0}
+            counts = {"copy": 0, "_clone_state": 0, "_privatize": 0}
             counting(monkeypatch, Graph, "copy", counts)
             counting(monkeypatch, states_module, "_clone_state", counts)
-            results = run(counted_near)
+            counting(monkeypatch, Graph, "_privatize", counts)
+            if name == "snapshot_first_near_warm":
+                # one op at a time, each against the nodes its gap touches
+                results, rows[name]["privatized_vs_gap_nodes"] = [], []
+                for t2 in counted_near:
+                    t0 = near_seed_candidate(
+                        tgi, tgi._span_at(t2), None, t2, False
+                    )[0]
+                    before = counts["_privatize"]
+                    results += run([t2])
+                    rows[name]["privatized_vs_gap_nodes"].append((
+                        counts["_privatize"] - before,
+                        len(_gap_nodes(dataset1_events, t0, t2)),
+                    ))
+            else:
+                results = run(counted_near)
             monkeypatch.undo()
+            rows[name]["nodes_privatized"] = counts["_privatize"]
             rows[name]["graph_copies"] = counts["copy"]
             rows[name]["state_clones"] = counts["_clone_state"]
             rows[name]["store_requests"] = sum(
@@ -132,10 +160,12 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
     rows = payload["scenarios"]
     print_series(
         "warm reads, 64 checkpoint entries",
-        "scenario                       ops  wall us/op  copies  clones",
+        "scenario                       ops  wall us/op  copies  clones"
+        "  privatized",
         [
             f"{name:28s} {row['ops']:5d} {row['wall_us_per_op']:11.1f} "
-            f"{row['graph_copies']:7d} {row['state_clones']:7d}"
+            f"{row['graph_copies']:7d} {row['state_clones']:7d} "
+            f"{row['nodes_privatized']:11d}"
             for name, row in rows.items()
         ],
     )
@@ -153,6 +183,12 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
     assert near["checkpoint_near_hits"] == NEAR_TIMES
     assert near["graph_copies"] == NEAR_TIMES
     assert near["state_clones"] == 0
+    # ... and then writes only to the nodes its gap's events name ...
+    for privatized, gap_nodes in near["privatized_vs_gap_nodes"]:
+        assert privatized <= gap_nodes
+    # ... while an exact-warm read's copy is never written
+    for name in ("snapshot_first_exact_warm", "snapshot_exact_warm"):
+        assert rows[name]["nodes_privatized"] == 0, name
     # ... and a snapshot result is the caller's own graph: one copy each
     assert rows["snapshot_exact_warm"]["graph_copies"] == CENTERS
     assert rows["snapshot_exact_warm"]["state_clones"] == 0

@@ -463,9 +463,10 @@ class Delta:
         :class:`StaticEdge` components (more convenient for partitioning).
         """
         out = Delta()
+        adj, attrs = g.adjacency(), g.node_attr_maps()
         for n in g.nodes():
-            nbrs = g.neighbors(n) if node_centric else ()
-            out.put(StaticNode.make(n, nbrs, g.node_attrs(n)))
+            nbrs = adj[n] if node_centric else ()
+            out.put(StaticNode.make(n, nbrs, attrs[n]))
         if not node_centric:
             attributed = g.attributed_edges()
             for e in g.edges():

@@ -62,17 +62,23 @@ def _relax_full_collections() -> None:
     """Make CPython's full garbage collections rare in a process that
     holds a checkpoint cache.
 
-    Cached payloads are long-lived, immutable and acyclic, but every
-    snapshot graph is one tracked ``set`` per node, and each full
-    collection re-traverses all of them: about 0.7 ms per cached D1
-    snapshot, an 11-27 ms pause with a few dozen warm, landing on
-    whichever read crosses the allocation threshold.  At the default
-    cadence that is 4 such pauses in 240 warm reads (a seventh of their
-    wall time), and which reads they hit moved a run's throughput by a
-    tenth.  Young collections, which reclaim the cyclic garbage queries
-    actually make, are untouched; a cadence the application already set
-    higher is kept, and so is a disabled collector.  Process-wide and
-    never undone: the cost being avoided lasts as long as any cache.
+    Cached payloads are long-lived, immutable and acyclic, but a
+    snapshot graph replayed from the root is one tracked ``set`` per
+    node, and each full collection re-traverses all of them, landing on
+    whichever read crosses the allocation threshold.  A near-seeded
+    snapshot shares the sets of every node its gap did not touch with
+    its seed (copy-on-write ``Graph.copy``), so it adds only its
+    top-level maps and the touched nodes: with 40 warm D1 snapshots of
+    one timespan, 39 of them near-seeded, they added 3-8 ms to a full
+    collection (2-vCPU container), where eager copies added 71-80 ms,
+    about 1.9 ms per cached snapshot.  Snapshots replayed from the root
+    still cost the full walk, and at the default cadence such pauses
+    were 4 in 240 warm reads (a seventh of their wall time) and moved a
+    run's throughput by a tenth, so the cadence stays relaxed.  Young
+    collections, which reclaim the cyclic garbage queries actually
+    make, are untouched; a cadence the application already set higher
+    is kept, and so is a disabled collector.  Process-wide and never
+    undone: the cost being avoided lasts as long as any cache.
     """
     young, middle, old = gc.get_threshold()
     if 0 < old < FULL_COLLECTION_EVERY:
@@ -299,7 +305,12 @@ class StateCheckpointCache:
     graph) and the two payload shapes of
     ``repro.index.tgi.states.capture_near_seed`` (a seed
     snapshot graph and a seed partition state are each replayed forward
-    in place).  Every other consumer only reads.  ``peek`` answers
+    in place).  Every other consumer only reads.  A graph copy is
+    copy-on-write (``Graph.copy``): it shares every node's containers
+    with the payload and takes its own only for the nodes it writes, so
+    a snapshot result costs its top-level maps until the caller writes,
+    and a near-seeded snapshot admitted here shares every node its gap
+    did not touch with the seed it was advanced from.  ``peek`` answers
     warmness without counters or promotion — the planner uses it to
     price checkpoint-aware plans without perturbing the cache.  Building
     or unpickling a cache also makes CPython's *full* garbage

@@ -33,7 +33,9 @@ def density(g: Graph) -> float:
 def local_clustering_coefficient(g: Graph, node: NodeId) -> float:
     """Fraction of pairs of neighbors of ``node`` that are themselves
     connected.  Zero for degree < 2.  (Undirected semantics.)"""
-    nbrs = list(g.neighbors(node))
+    if not g.has_node(node):
+        raise GraphError(f"node {node} not in graph")
+    nbrs = list(g.adjacency()[node])
     k = len(nbrs)
     if k < 2:
         return 0.0
@@ -72,6 +74,7 @@ def connected_components(g: Graph) -> List[List[NodeId]]:
     """Connected components (weak components for directed graphs),
     each sorted by node id, largest first."""
     seen: set = set()
+    adj = g.adjacency()
     # undirected view of adjacency for weak connectivity
     comps: List[List[NodeId]] = []
     for start in g.nodes():
@@ -83,7 +86,7 @@ def connected_components(g: Graph) -> List[List[NodeId]]:
         while dq:
             v = dq.popleft()
             comp.append(v)
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if w not in seen:
                     seen.add(w)
                     dq.append(w)
@@ -102,11 +105,12 @@ def shortest_path_lengths(g: Graph, source: NodeId) -> Dict[NodeId, int]:
     """Unweighted BFS distances from ``source`` to every reachable node."""
     if not g.has_node(source):
         raise GraphError(f"node {source} not in graph")
+    adj = g.adjacency()
     dist = {source: 0}
     dq = deque([source])
     while dq:
         v = dq.popleft()
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if w not in dist:
                 dist[w] = dist[v] + 1
                 dq.append(w)
@@ -150,6 +154,7 @@ def pagerank(
     n = len(nodes)
     if n == 0:
         return {}
+    adj = g.adjacency()
     rank = {v: 1.0 / n for v in nodes}
     out_deg = {v: g.degree(v) for v in nodes}
     for _ in range(max_iter):
@@ -161,7 +166,7 @@ def pagerank(
             if out_deg[v] == 0:
                 continue
             contribution = damping * rank[v] / out_deg[v]
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 nxt[w] += contribution
         delta = sum(abs(nxt[v] - rank[v]) for v in nodes)
         rank = nxt
@@ -181,8 +186,8 @@ def degree_centrality(g: Graph) -> Dict[NodeId, float]:
 def triangle_count(g: Graph) -> int:
     """Total number of triangles (undirected semantics)."""
     count = 0
-    for v in g.nodes():
-        nbrs = sorted(n for n in g.neighbors(v) if n > v)
+    for v, adjacent in g.adjacency().items():
+        nbrs = sorted(n for n in adjacent if n > v)
         for i in range(len(nbrs)):
             for j in range(i + 1, len(nbrs)):
                 if g.has_edge(nbrs[i], nbrs[j]):
@@ -220,8 +225,11 @@ class NodeMetrics:
     @staticmethod
     def neighbor_count_with(g: Graph, node: NodeId, key: str, value) -> int:
         """Number of neighbors whose attribute ``key`` equals ``value``."""
+        if not g.has_node(node):
+            raise GraphError(f"node {node} not in graph")
+        attrs = g.node_attr_maps()
         return sum(
-            1 for nbr in g.neighbors(node) if g.node_attrs(nbr).get(key) == value
+            1 for nbr in g.adjacency()[node] if attrs[nbr].get(key) == value
         )
 
 
@@ -234,6 +242,7 @@ def betweenness_centrality(
     undirected graphs pair contributions are halved as usual.
     """
     nodes = list(g.nodes())
+    adj = g.adjacency()
     centrality = {v: 0.0 for v in nodes}
     for s in nodes:
         # single-source shortest paths with path counting
@@ -246,7 +255,7 @@ def betweenness_centrality(
         while dq:
             v = dq.popleft()
             stack.append(v)
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     dq.append(w)
@@ -297,6 +306,7 @@ def k_core_decomposition(g: Graph) -> Dict[NodeId, int]:
     seen: set = set()
     import heapq
 
+    adj = g.adjacency()
     heap = [(d, v) for v, d in degrees.items()]
     heapq.heapify(heap)
     current = 0
@@ -307,7 +317,7 @@ def k_core_decomposition(g: Graph) -> Dict[NodeId, int]:
         seen.add(v)
         current = max(current, core[v])
         core[v] = current
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if w not in seen and core[w] > core[v]:
                 core[w] -= 1
                 heapq.heappush(heap, (core[w], w))

@@ -41,9 +41,24 @@ class Graph:
     — a subset of the edges keyed by canonical id, with a map only for
     an edge that has attributes or whose map :meth:`edge_attrs` handed
     out for writing; an absent entry and an empty one mean the same.
+
+    Ownership rule (copy-on-write per node).  :meth:`copy` copies the
+    three top-level maps and each edge attribute map, and shares every
+    node's neighbor set and attribute map with its source.  ``_owned``
+    records the nodes whose two containers this graph alone holds:
+    ``None`` means all of them (a graph no copy was ever taken of or
+    from), and after a copy both graphs own nothing.  Before it writes
+    to a node's containers a graph takes its own copies of them unless
+    it owns the node already (:meth:`_own`), so a write never shows in
+    another graph; a node a graph creates is its own from the start.
+    The writable accessors :meth:`neighbors` and :meth:`node_attrs` own
+    the node before they hand its container out; readers that must not
+    pay that go through :meth:`adjacency` and :meth:`node_attr_maps`.
     """
 
-    __slots__ = ("directed", "_nodes", "_adj", "_num_edges", "_edge_attrs")
+    __slots__ = (
+        "directed", "_nodes", "_adj", "_num_edges", "_edge_attrs", "_owned",
+    )
 
     def __init__(self, directed: bool = False) -> None:
         self.directed = directed
@@ -51,14 +66,53 @@ class Graph:
         self._adj: Dict[NodeId, Set[NodeId]] = {}
         self._num_edges = 0
         self._edge_attrs: Dict[EdgeId, AttrMap] = {}
+        self._owned: Optional[Set[NodeId]] = None
+
+    def __getstate__(self) -> Any:
+        # a graph that owns every node pickles as it did before
+        # ownership was recorded, so a saved index keeps its bytes
+        state = {name: getattr(self, name) for name in self.__slots__}
+        if self._owned is None:
+            del state["_owned"]
+        return None, state
+
+    def __setstate__(self, state: Any) -> None:
+        # a graph pickled without ownership shares nothing
+        self._owned = None
+        for name, value in state[1].items():
+            setattr(self, name, value)
+
+    def _own(self, node: NodeId) -> None:
+        """Make ``node``'s containers this graph's own before a write
+        (nothing to do when it owns them already)."""
+        owned = self._owned
+        if owned is not None and node not in owned:
+            self._privatize(node)
+
+    def _privatize(self, node: NodeId) -> None:
+        """Copy a shared node's neighbor set and attribute map."""
+        self._owned.add(node)
+        self._adj[node] = set(self._adj[node])
+        self._nodes[node] = dict(self._nodes[node])
+
+    def _create(self, node: NodeId, attrs: AttrMap) -> None:
+        """Add a node that is not in the graph, with fresh containers."""
+        self._nodes[node] = attrs
+        self._adj[node] = set()
+        if self._owned is not None:
+            self._owned.add(node)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_node(self, node: NodeId, attrs: Optional[AttrMap] = None) -> None:
-        """Add ``node``; re-adding an existing node resets its attributes."""
-        self._nodes[node] = dict(attrs) if attrs else {}
-        self._adj.setdefault(node, set())
+        """Add ``node``; re-adding an existing node resets its attributes
+        (to a new map: the shared one is left alone)."""
+        fresh = dict(attrs) if attrs else {}
+        if node in self._nodes:
+            self._nodes[node] = fresh
+        else:
+            self._create(node, fresh)
 
     @classmethod
     def from_parts(
@@ -128,14 +182,23 @@ class Graph:
         """Remove ``node`` and all incident edges."""
         if node not in self._nodes:
             raise GraphError(f"node {node} not in graph")
-        for nbr in list(self._adj[node]):
-            self.remove_edge(node, nbr)
-        if self.directed:
-            for u, nbrs in self._adj.items():
-                if node in nbrs:
-                    self.remove_edge(u, node)
+        adj, directed, edge_attrs = self._adj, self.directed, self._edge_attrs
         del self._nodes[node]
-        del self._adj[node]
+        out = adj.pop(node)  # its own containers are dropped, not written
+        if directed:
+            ins = [u for u, nbrs in adj.items() if node in nbrs]
+            self._num_edges -= len(out) + len(ins)
+        else:
+            ins = [v for v in out if v != node]
+            self._num_edges -= len(out)
+        for u in ins:
+            self._own(u)
+            adj[u].discard(node)
+        if edge_attrs:
+            for v in out:
+                edge_attrs.pop(canonical_edge(node, v, directed), None)
+            for u in ins:
+                edge_attrs.pop(canonical_edge(u, node, directed), None)
 
     def add_edge(
         self, u: NodeId, v: NodeId, attrs: Optional[AttrMap] = None
@@ -144,10 +207,11 @@ class Graph:
         Re-adding an existing edge resets its attributes."""
         if u not in self._nodes or v not in self._nodes:
             raise GraphError(f"edge ({u}, {v}) references a missing node")
-        nbrs = self._adj[u]
-        if v not in nbrs:
-            nbrs.add(v)
+        if v not in self._adj[u]:
+            self._own(u)
+            self._adj[u].add(v)
             if not self.directed:
+                self._own(v)
                 self._adj[v].add(u)
             self._num_edges += 1
         if attrs:
@@ -170,10 +234,11 @@ class Graph:
         return v in self._adj.get(u, ())
 
     def node_attrs(self, node: NodeId) -> AttrMap:
-        try:
-            return self._nodes[node]
-        except KeyError:
-            raise GraphError(f"node {node} not in graph") from None
+        """The node's attribute map, writable (so owned first)."""
+        if node not in self._nodes:
+            raise GraphError(f"node {node} not in graph")
+        self._own(node)
+        return self._nodes[node]
 
     def edge_attrs(self, u: NodeId, v: NodeId) -> AttrMap:
         """The edge's attribute map, writable: an attribute-less edge
@@ -205,14 +270,28 @@ class Graph:
                     yield (u, v)
 
     def neighbors(self, node: NodeId) -> Set[NodeId]:
-        """Neighbor ids of ``node`` (out-neighbors when directed)."""
-        try:
-            return self._adj[node]
-        except KeyError:
-            raise GraphError(f"node {node} not in graph") from None
+        """Neighbor ids of ``node`` (out-neighbors when directed), as the
+        graph's writable set (so owned first)."""
+        if node not in self._adj:
+            raise GraphError(f"node {node} not in graph")
+        self._own(node)
+        return self._adj[node]
+
+    def adjacency(self) -> Mapping[NodeId, Set[NodeId]]:
+        """Every node's live neighbor set, read-only: a set may be
+        shared with copies of this graph."""
+        return self._adj
+
+    def node_attr_maps(self) -> Mapping[NodeId, AttrMap]:
+        """Every node's live attribute map, read-only: a map may be
+        shared with copies of this graph."""
+        return self._nodes
 
     def degree(self, node: NodeId) -> int:
-        return len(self.neighbors(node))
+        try:
+            return len(self._adj[node])
+        except KeyError:
+            raise GraphError(f"node {node} not in graph") from None
 
     @property
     def num_nodes(self) -> int:
@@ -243,17 +322,24 @@ class Graph:
         return f"<Graph {kind} n={self.num_nodes} m={self.num_edges}>"
 
     def copy(self) -> "Graph":
-        """Structural copy: independent node/adjacency containers and
-        attribute maps.  Attribute *values* are shared — the event replay
-        treats them as immutable (replaced, never mutated in place), so a
-        copy can never observe changes through them."""
+        """Copy-on-write copy: new top-level maps and edge attribute
+        maps, every node's neighbor set and attribute map shared until
+        either graph first writes to that node (see the class's
+        ownership rule).  The one write to ``self`` is the reset of its
+        ownership to nothing, made after the maps are copied and the
+        same however often it is made, so concurrent copies of a graph
+        no one writes are safe.  Attribute *values* are shared — the
+        event replay treats them as immutable (replaced, never mutated
+        in place), so a copy can never observe changes through them."""
         g = Graph(directed=self.directed)
-        g._nodes = {n: dict(a) for n, a in self._nodes.items()}
-        g._adj = {n: set(s) for n, s in self._adj.items()}
+        g._nodes = self._nodes.copy()
+        g._adj = self._adj.copy()
         g._num_edges = self._num_edges
         g._edge_attrs = {
             e: dict(a) for e, a in self._edge_attrs.items() if a
         }
+        g._owned = set()
+        self._owned = set()
         return g
 
     # ------------------------------------------------------------------
@@ -305,22 +391,26 @@ class Graph:
     ) -> None:
         """Lenient application of one event given as its columns (``entry``
         is its ``(key, value, old)``): the kernel under ``apply_event``
-        and ``apply_columnar``."""
+        and ``apply_columnar``.  It owns a node before it writes to the
+        node's containers (the ownership test inlined: this is the
+        replay loop)."""
         nodes, adj, edge_attrs = self._nodes, self._adj, self._edge_attrs
-        directed = self.directed
+        directed, owned = self.directed, self._owned
         key, value, _old = entry if entry is not None else (None, None, None)
         if kind == _K_EDGE_ADD:
             # auto-create endpoints: real traces (e.g. raw citation dumps)
             # reference nodes before their explicit creation records
             if node not in nodes:
-                nodes[node] = {}
-                adj.setdefault(node, set())
+                self._create(node, {})
             if other not in nodes:
-                nodes[other] = {}
-                adj.setdefault(other, set())
-            nbrs = adj[node]
-            if other not in nbrs:
-                nbrs.add(other)
+                self._create(other, {})
+            if other not in adj[node]:
+                if owned is not None:
+                    if node not in owned:
+                        self._privatize(node)
+                    if not directed and other not in owned:
+                        self._privatize(other)
+                adj[node].add(other)
                 if not directed:
                     adj[other].add(node)
                 self._num_edges += 1
@@ -330,7 +420,12 @@ class Graph:
         elif kind == _K_EDGE_DELETE:
             nbrs = adj.get(node)
             if nbrs is not None and other in nbrs:
-                nbrs.discard(other)
+                if owned is not None:
+                    if node not in owned:
+                        self._privatize(node)
+                    if not directed and other not in owned:
+                        self._privatize(other)
+                adj[node].discard(other)
                 if not directed:
                     adj[other].discard(node)
                 self._num_edges -= 1
@@ -340,22 +435,22 @@ class Graph:
                     )
         elif kind == _K_NODE_ADD:
             if node not in nodes:
-                nodes[node] = dict(value) if value else {}
-                adj.setdefault(node, set())
+                self._create(node, dict(value) if value else {})
         elif kind == _K_NODE_DELETE:
             if node in nodes:
                 self.remove_node(node)
         elif kind == _K_NODE_ATTR_SET:
-            attrs = nodes.get(node)
-            if attrs is None:
-                attrs = {}
-                nodes[node] = attrs
-                adj.setdefault(node, set())
-            attrs[key] = value
+            if node not in nodes:
+                self._create(node, {})
+            elif owned is not None and node not in owned:
+                self._privatize(node)
+            nodes[node][key] = value
         elif kind == _K_NODE_ATTR_DEL:
             attrs = nodes.get(node)
             if attrs is not None and key in attrs:
-                del attrs[key]
+                if owned is not None and node not in owned:
+                    self._privatize(node)
+                del nodes[node][key]
         elif kind == _K_EDGE_ATTR_SET:
             if other in adj.get(node, ()):
                 eid = canonical_edge(node, other, directed)

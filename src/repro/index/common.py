@@ -14,7 +14,9 @@ def static_node_from_graph(g: Graph, node: NodeId) -> Optional[StaticNode]:
     """Extract one node's static state from a materialized snapshot."""
     if not g.has_node(node):
         return None
-    return StaticNode.make(node, g.neighbors(node), g.node_attrs(node))
+    return StaticNode.make(
+        node, g.adjacency()[node], g.node_attr_maps()[node]
+    )
 
 
 def snapshot_delta_of_graph(g: Graph) -> Delta:
@@ -26,11 +28,9 @@ def snapshot_delta_of_graph(g: Graph) -> Delta:
     This builds every static node afresh.  A build that snapshots the
     graph once per eventlist calls it for the first checkpoint only and
     derives the later ones with :func:`advance_snapshot_delta`."""
+    adj, attrs = g.adjacency(), g.node_attr_maps()
     return Delta.from_static(
-        {
-            n: StaticNode.make(n, g.neighbors(n), g.node_attrs(n))
-            for n in g.nodes()
-        },
+        {n: StaticNode.make(n, adj[n], attrs[n]) for n in g.nodes()},
         _attributed_static_edges(g),
     )
 
@@ -55,19 +55,20 @@ def advance_snapshot_delta(
     bytes.
     """
     touched: Set[NodeId] = set()
+    adj = g.adjacency()
     for ev in events:
         touched.update(ev.entities)
         node = ev.node
-        if ev.kind == EventKind.NODE_DELETE and g.has_node(node):
-            touched.update(g.neighbors(node))
+        if ev.kind == EventKind.NODE_DELETE and node in adj:
+            touched.update(adj[node])
             if g.directed:  # in-neighbours lose an out-edge as well
-                touched.update(u for u in g.nodes() if node in g.neighbors(u))
+                touched.update(u for u, nbrs in adj.items() if node in nbrs)
     g.apply_events(events)
     old = prev.static_nodes()
-    neighbors, attrs = g.neighbors, g.node_attrs
+    attrs = g.node_attr_maps()
     return Delta.from_static(
         {
-            n: StaticNode.make(n, neighbors(n), attrs(n))
+            n: StaticNode.make(n, adj[n], attrs[n])
             if n in touched else old[n]
             for n in g.nodes()
         },

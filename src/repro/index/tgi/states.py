@@ -249,8 +249,9 @@ def capture_near_seed(
     cannot strand the plan after the cold keys were left out of it, and
     copied, because the plan replays it forward in place (a partition
     state in :meth:`PartitionStates.settle`, a graph in the snapshot
-    finalizer).  ``None`` when seeding loses the pricing or the entry
-    vanished."""
+    finalizer — a copy-on-write copy, so only the nodes the gap's events
+    touch get containers of their own).  ``None`` when seeding loses the
+    pricing or the entry vanished."""
     seed = near_seed_candidate(tgi, span, pid, t, include_aux)
     if seed is None:
         return None

@@ -360,8 +360,8 @@ class Cluster:
         allows = self._breaker_allows if breakers and self._breakers else None
         groups: Groups = [[] for _ in tables]
 
-        def load(machine: int) -> int:
-            return len(groups[machine])
+        def load(holder: Tuple[int, Any]) -> int:
+            return len(groups[holder[0]])
 
         blocked: List[KeyTuple] = []
         for key in keys:
@@ -384,7 +384,11 @@ class Cluster:
                     [m for m in replicas if m not in down] if down
                     else replicas
                 )
-                holding = [m for m in live if key in tables[m]]
+                # (machine, card) per holder: one hash of the key each
+                holding = [
+                    (m, card) for m in live
+                    for card in (tables[m].get(key),) if card is not None
+                ]
                 if not holding:
                     if len(live) == len(replicas):
                         raise KeyNotFound(
@@ -393,7 +397,7 @@ class Cluster:
                     blocked.append(key)
                     continue
                 if allows is not None:
-                    holding = [m for m in holding if allows(m, now)]
+                    holding = [h for h in holding if allows(h[0], now)]
                     if not holding:
                         blocked.append(key)
                         continue
@@ -401,13 +405,12 @@ class Cluster:
                     failed_on = avoid.get(key)
                     if failed_on:
                         holding = [
-                            m for m in holding if m not in failed_on
+                            h for h in holding if h[0] not in failed_on
                         ] or holding
-                best = (
+                best, card = (
                     holding[0] if len(holding) == 1
                     else min(holding, key=load)
                 )
-                card = tables[best][key]
             groups[best].append((card, key))
         return groups, blocked
 

@@ -131,10 +131,11 @@ class TriangleCounter(IncrementalCounter):
         self._count = 0
 
     def initial(self, g: Graph) -> float:
-        self._adj = {v: set(g.neighbors(v)) for v in g.nodes()}
+        adj = g.adjacency()
+        self._adj = {v: set(adj[v]) for v in g.nodes()}
         count = 0
         for v in g.nodes():
-            for u in g.neighbors(v):
+            for u in self._adj[v]:
                 if u > v:
                     count += len(self._adj[v] & self._adj[u] )
         # each triangle counted once per edge with u > v -> 3 times total
@@ -187,8 +188,9 @@ class LabeledEdgeCounter(IncrementalCounter):
         )
 
     def initial(self, g: Graph) -> float:
-        self._labels = {v: g.node_attrs(v).get(self.key) for v in g.nodes()}
-        self._adj = {v: set(g.neighbors(v)) for v in g.nodes()}
+        attrs, adj = g.node_attr_maps(), g.adjacency()
+        self._labels = {v: attrs[v].get(self.key) for v in g.nodes()}
+        self._adj = {v: set(adj[v]) for v in g.nodes()}
         self._count = sum(
             1 for (u, v) in g.edges() if self._edge_matches(u, v)
         )

@@ -158,13 +158,14 @@ def counted(monkeypatch, owner, name):
 
 def graph_parts(g):
     """Everything a :class:`Graph` holds, as plain comparable containers,
-    read without asking ``g`` for a writable edge map (audits run this
-    over cached payloads)."""
+    read without asking ``g`` for a writable map or set (audits run this
+    over cached payloads, which must not take containers of their own)."""
     attributed = g.attributed_edges()
+    attrs, adj = g.node_attr_maps(), g.adjacency()
     return (
         g.directed,
-        {n: dict(g.node_attrs(n)) for n in g.nodes()},
-        {n: set(g.neighbors(n)) for n in g.nodes()},
+        {n: dict(attrs[n]) for n in g.nodes()},
+        {n: set(adj[n]) for n in g.nodes()},
         {e: dict(attributed.get(e, ())) for e in g.edges()},
     )
 

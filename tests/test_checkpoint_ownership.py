@@ -34,6 +34,7 @@ from tests.helpers import (
     random_history,
     small_tgi,
 )
+from tests.oracle import oracle_parts
 
 ROGUE = 10**6
 
@@ -350,6 +351,46 @@ def test_near_seeded_partition_clones_its_seed_only(warm):
     assert clones[0] == result.stats.checkpoint_near_hits > 0
     assert copies[0] == 0
     assert result.value == twin.get_khop(5, T_WARM + 3, k=1)
+
+
+def test_a_near_seeded_snapshot_shares_untouched_nodes_with_its_seed(
+    warm, citation_events
+):
+    """A near-seeded snapshot is a copy of its seed advanced over the
+    gap: the nodes no gap event names keep the seed's very containers
+    in the cache (an eager copy fails this), and no caller's writes —
+    to either time's results — reach either cached graph."""
+    session, _twin, copies, _clones = warm
+    tgi = session.tgi
+    t2 = near_time(tgi, T_WARM)
+    first = session.execute(khop(5, t2, "snapshot-first"))
+    assert first.stats.checkpoint_near_hits == 1 and copies[0] == 1
+    seed, advanced = cached_snapshot(tgi, T_WARM), cached_snapshot(tgi, t2)
+    touched = {  # citations only grow: no deletion reaches a neighbour
+        n for ev in citation_events if T_WARM < ev.time <= t2
+        for n in ev.entities
+    }
+    untouched = seed._nodes.keys() - touched
+    assert touched and untouched
+    for n in untouched:
+        assert advanced._adj[n] is seed._adj[n]
+        assert advanced._nodes[n] is seed._nodes[n]
+    reads = [
+        QueryRequest(kind="snapshot", t=T_WARM),
+        QueryRequest(kind="snapshot", t=t2),
+        khop(5, T_WARM, "snapshot-first"),
+        khop(5, t2, "snapshot-first"),
+    ]
+    vandalize(first.value)
+    for request in reads:
+        vandalize(session.execute(request).value)
+    for t in (T_WARM, t2):
+        assert graph_parts(session.at(t).snapshot().value) == graph_parts(
+            Graph.replay(citation_events, until=t)
+        )
+        assert graph_parts(
+            session.execute(khop(5, t, "snapshot-first")).value
+        ) == oracle_parts(citation_events, 5, 2, t)
 
 
 # -- (d) threads -----------------------------------------------------------------
