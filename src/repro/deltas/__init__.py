@@ -6,7 +6,7 @@ from repro.deltas.columnar import (
     decoded_events_total,
     pack_eventlist,
 )
-from repro.deltas.eventlist import EventList, split_events_into_lists
+from repro.deltas.eventlist import split_events_into_lists
 
 __all__ = [
     "Delta",
@@ -16,6 +16,5 @@ __all__ = [
     "ColumnarEventList",
     "decoded_events_total",
     "pack_eventlist",
-    "EventList",
     "split_events_into_lists",
 ]

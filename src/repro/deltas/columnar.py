@@ -276,18 +276,18 @@ class _IdColumn(list):
 
 
 class ColumnarEventList:
-    """Lazy, zero-copy view of a columnar eventlist payload.
+    """Lazy, zero-copy view of a columnar eventlist payload — the one
+    eventlist type, written and read alike.
 
-    Quacks like :class:`~repro.deltas.eventlist.EventList` (``ts``,
-    ``te``, ``events``, ``len``, iteration, ``filter_by_time`` /
-    ``filter_by_id`` / ``group_by_id`` / ``apply_to`` /
-    ``change_points``), but holds only
-    ``memoryview`` casts over the payload plus a ``(lo, hi)`` row window.
-    ``filter_by_time`` narrows the window by bisection on the times
-    column — no event is materialized; ``events`` materializes (and
-    caches) the window's ``Event`` tuple on first access, via a trusted
-    constructor that skips ``__post_init__`` validation (the build
-    validated the events before packing).
+    A writer wraps what :func:`pack_eventlist` packed; a read wraps a
+    stored payload.  It holds only ``memoryview`` casts over the payload
+    plus a ``(lo, hi)`` row window, and offers ``ts``, ``te``,
+    ``events``, ``len``, iteration, ``filter_by_time``,
+    ``filter_by_id`` and ``group_by_id``.  ``filter_by_time`` narrows
+    the window by bisection on the times column — no event is
+    materialized; ``events`` materializes (and caches) the window's
+    ``Event`` tuple on first access, via a trusted constructor (the
+    writer validated the events before packing).
     """
 
     __slots__ = (
@@ -361,7 +361,10 @@ class ColumnarEventList:
     # -- materialization --------------------------------------------------
     def _event_at(self, i: int) -> Event:
         """Trusted fast construction: bit-equivalent to the packed Event
-        without re-running ``__post_init__`` (the write path validated)."""
+        without re-running ``Event.__post_init__``.  Each event was
+        validated once, when it was written: its order by
+        ``TGI._append_spans`` (or :func:`split_events_into_lists` for a
+        baseline index) and its fit by :func:`check_packable`."""
         ev = Event.__new__(Event)
         oset = object.__setattr__
         oset(ev, "time", self._times[i])
@@ -387,26 +390,19 @@ class ColumnarEventList:
             _count_decoded(len(evs))
         return evs
 
-    # -- EventList protocol ----------------------------------------------
+    # -- eventlist protocol ----------------------------------------------
     def __len__(self) -> int:
-        return self._hi - self._lo
-
-    @property
-    def size(self) -> int:
         return self._hi - self._lo
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
 
     def __eq__(self, other: object) -> bool:
-        # reflected against the EventList dataclass too: its generated
-        # __eq__ returns NotImplemented for a foreign class, so Python
-        # falls through to this comparison for either operand order
-        if hasattr(other, "events"):
+        if isinstance(other, ColumnarEventList):
             return (
-                self.ts == getattr(other, "ts", None)
-                and self.te == getattr(other, "te", None)
-                and self.events == tuple(other.events)
+                self.ts == other.ts
+                and self.te == other.te
+                and self.events == other.events
             )
         return NotImplemented
 
@@ -429,9 +425,11 @@ class ColumnarEventList:
             self._data, lo, hi, max(ts, self.ts), min(te, self.te)
         )
 
-    def filter_by_id(self, node_ids) -> Any:
-        """Restrict to events touching any of ``node_ids``; materializes
-        only the matching rows (kept rows are rarely contiguous)."""
+    def filter_by_id(self, node_ids) -> "ColumnarEventList":
+        """Restrict to events touching any of ``node_ids`` (paper's
+        ``FilterById``): materializes only the matching rows (kept rows
+        are rarely contiguous) and packs them into a row of their own,
+        whose ``events`` are those very objects."""
         keep = set(node_ids)
         nodes, others = self._nodes, self._others
         hits = [
@@ -441,9 +439,9 @@ class ColumnarEventList:
         ]
         sub = tuple(self._event_at(i) for i in hits)
         _count_decoded(len(sub))
-        from repro.deltas.eventlist import EventList
-
-        return EventList(self.ts, self.te, sub)
+        out = ColumnarEventList(pack_eventlist(self.ts, self.te, sub))
+        out._events = sub
+        return out
 
     def group_by_id(self, node_ids) -> Dict[NodeId, List[Event]]:
         """:meth:`filter_by_id` for each of ``node_ids`` in one scan of
@@ -471,23 +469,6 @@ class ColumnarEventList:
                 if hit_v:
                     out.setdefault(v, []).append(ev)
         _count_decoded(made)
-        return out
-
-    def apply_to(self, g) -> Any:
-        """Bulk-apply all events in order to ``g`` (mutates, returns it)."""
-        g.apply_columnar((self,))
-        return g
-
-    def change_points(self) -> List[TimePoint]:
-        """Distinct event times, straight off the times column."""
-        out: List[TimePoint] = []
-        times = self._times
-        last: Optional[int] = None
-        for i in range(self._lo, self._hi):
-            t = times[i]
-            if t != last:
-                out.append(t)
-                last = t
         return out
 
     # -- re-encoding ------------------------------------------------------

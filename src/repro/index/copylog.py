@@ -11,7 +11,8 @@ import bisect
 from typing import List, Optional, Sequence, Tuple
 
 from repro.deltas.base import Delta
-from repro.deltas.eventlist import EventList, split_events_into_lists
+from repro.deltas.columnar import ColumnarEventList, pack_eventlist
+from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, dedup_sorted
 from repro.graph.static import Graph
@@ -54,10 +55,10 @@ class CopyLogIndex(HistoricalGraphIndex):
         snap = Delta()  # the empty graph's
         since: List[Event] = []  # events after the last checkpoint
         t0 = events[0].time - 1 if events else 0
-        for i, el in enumerate(lists):
+        for i, (ts, te, evs) in enumerate(lists):
             if i % self.lists_per_checkpoint == 0:
                 cp_idx = len(self._checkpoint_times)
-                cp_time = el.ts if i else t0
+                cp_time = ts if i else t0
                 key = (0, cp_idx % self.placement_groups, ("S", cp_idx), 0)
                 snap = advance_snapshot_delta(g, snap, since)
                 since = []
@@ -65,9 +66,9 @@ class CopyLogIndex(HistoricalGraphIndex):
                 self._checkpoint_times.append(cp_time)
                 self._checkpoint_keys.append(key)
             ekey = (0, i % self.placement_groups, ("E", i), 0)
-            self.cluster.put(ekey, el)
-            self._list_meta.append((el.ts, el.te, ekey))
-            since.extend(el.events)
+            self.cluster.put(ekey, ColumnarEventList(pack_eventlist(ts, te, evs)))
+            self._list_meta.append((ts, te, ekey))
+            since.extend(evs)
         if events:
             self._t_max = events[-1].time
 
@@ -99,7 +100,7 @@ class CopyLogIndex(HistoricalGraphIndex):
         delta: Delta = values[skey]
         g = delta.to_graph()
         for key in ekeys:
-            el: EventList = values[key]
+            el: ColumnarEventList = values[key]
             for ev in el:
                 if ev.time > t:
                     break
@@ -124,7 +125,7 @@ class CopyLogIndex(HistoricalGraphIndex):
         state = static_node_from_graph(g_cp, node)
         changes: List[Event] = []
         for key in [*ekeys_init, *ekeys_range]:
-            el: EventList = values[key]
+            el: ColumnarEventList = values[key]
             for ev in el:
                 if ev.time <= ts:
                     if ev.time > cp_time:

@@ -13,7 +13,8 @@ import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.deltas.base import Delta
-from repro.deltas.eventlist import EventList, split_events_into_lists
+from repro.deltas.columnar import ColumnarEventList, pack_eventlist
+from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, dedup_sorted
 from repro.graph.static import Graph
@@ -65,14 +66,12 @@ class DeltaGraphIndex(HistoricalGraphIndex):
         # checkpoint 0 is the (empty) state before the first eventlist
         self._checkpoint_times.append(events[0].time - 1)
         leaf_deltas: List[Delta] = [Delta()]  # the empty graph's
-        for i, el in enumerate(lists):
+        for i, (ts, te, evs) in enumerate(lists):
             ekey = self._list_key(i)
-            self.cluster.put(ekey, el)
-            self._list_meta.append((el.ts, el.te, ekey))
-            self._checkpoint_times.append(el.te)
-            leaf_deltas.append(
-                advance_snapshot_delta(g, leaf_deltas[-1], el.events)
-            )
+            self.cluster.put(ekey, ColumnarEventList(pack_eventlist(ts, te, evs)))
+            self._list_meta.append((ts, te, ekey))
+            self._checkpoint_times.append(te)
+            leaf_deltas.append(advance_snapshot_delta(g, leaf_deltas[-1], evs))
         tree, stored = build_delta_tree(leaf_deltas, self.arity)
         self._tree = tree
         for did, delta in stored.items():
@@ -111,7 +110,7 @@ class DeltaGraphIndex(HistoricalGraphIndex):
         values, stats = self.cluster.multiget([*path_keys, *ekeys], clients=clients)
         g = self._reconstruct(values, path_keys).to_graph()
         for key in ekeys:
-            el: EventList = values[key]  # type: ignore[assignment]
+            el: ColumnarEventList = values[key]  # type: ignore[assignment]
             for ev in el:
                 if ev.time > t:
                     break
@@ -135,7 +134,7 @@ class DeltaGraphIndex(HistoricalGraphIndex):
         state = static_node_from_graph(base, node)
         changes: List[Event] = []
         for key in [*ekeys_init, *ekeys_range]:
-            el: EventList = values[key]  # type: ignore[assignment]
+            el: ColumnarEventList = values[key]  # type: ignore[assignment]
             for ev in el:
                 if ev.time <= ts:
                     if ev.time > cp_time:

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.deltas.eventlist import EventList, split_events_into_lists
+from repro.deltas.columnar import ColumnarEventList, pack_eventlist
+from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
 from repro.graph.events import Event
 from repro.graph.static import Graph
@@ -45,10 +46,10 @@ class LogIndex(HistoricalGraphIndex):
 
     def build(self, events: Sequence[Event]) -> None:
         lists = split_events_into_lists(list(events), self.eventlist_size)
-        for i, el in enumerate(lists):
+        for i, (ts, te, evs) in enumerate(lists):
             key = (0, i % self.placement_groups, ("E", i), 0)
-            self.cluster.put(key, el)
-            self._lists.append((el.ts, el.te, key))
+            self.cluster.put(key, ColumnarEventList(pack_eventlist(ts, te, evs)))
+            self._lists.append((ts, te, key))
         if events:
             self._t_min = events[0].time
             self._t_max = events[-1].time
@@ -61,7 +62,7 @@ class LogIndex(HistoricalGraphIndex):
 
     def _fetch_lists_until(
         self, t: TimePoint, clients: int
-    ) -> Tuple[List[EventList], FetchStats]:
+    ) -> Tuple[List[ColumnarEventList], FetchStats]:
         keys = [key for (ts, _te, key) in self._lists if ts < t]
         values, stats = self.cluster.multiget(keys, clients=clients)
         return [values[k] for k in keys], stats

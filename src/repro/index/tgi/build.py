@@ -18,7 +18,8 @@ import math
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.deltas.base import Delta, StaticEdge, StaticNode
-from repro.deltas.eventlist import EventList, split_events_into_lists
+from repro.deltas.columnar import ColumnarEventList, pack_eventlist
+from repro.deltas.eventlist import split_events_into_lists
 from repro.graph.events import Event
 from repro.graph.static import Graph
 from repro.index.common import advance_snapshot_delta, snapshot_delta_of_graph
@@ -166,11 +167,11 @@ def build_timespan(
     leaf_deltas: List[Delta] = [
         snapshot_delta_of_graph(initial) if first_leaf is None else first_leaf
     ]
-    for el in lists:
-        eventlist_ranges.append((checkpoints[-1], el.te))  # align scopes
-        checkpoints.append(el.te)
+    for _ts, te, evs in lists:
+        eventlist_ranges.append((checkpoints[-1], te))  # align scopes
+        checkpoints.append(te)
         leaf_deltas.append(
-            advance_snapshot_delta(initial, leaf_deltas[-1], el.events)
+            advance_snapshot_delta(initial, leaf_deltas[-1], evs)
         )
 
     tree, stored = build_delta_tree(leaf_deltas, config.arity)
@@ -211,12 +212,13 @@ def build_timespan(
     # an event goes to every partition it touches; the times it lands at,
     # per partition, are what the statistics count
     pid_times: Dict[int, List[TimePoint]] = {}
-    for j, (ts, te) in enumerate(eventlist_ranges):
-        el = lists[j]
+    for j, ((ts, te), (_ts, _te, run)) in enumerate(
+        zip(eventlist_ranges, lists)
+    ):
         primary: Dict[int, List[Event]] = {}
         auxiliary: Dict[int, List[Event]] = {}
         node_span: Dict[Tuple[int, NodeId], Tuple[TimePoint, TimePoint]] = {}
-        for ev in el:
+        for ev in run:
             t = ev.time
             touched_pids: Set[int] = set()
             for entity in set(ev.entities):
@@ -240,12 +242,12 @@ def build_timespan(
         info.eventlist_pids[j] = sorted(primary)
         for pid, evs in primary.items():
             key = delta_key(tsid, sids[pid], TAG_EVENTLIST, j, pid)
-            cluster.put(key, EventList(ts, te, tuple(evs)))
+            cluster.put(key, ColumnarEventList(pack_eventlist(ts, te, evs)))
         info.aux_eventlist_pids[j] = sorted(auxiliary)
         for pid, evs in auxiliary.items():
             cluster.put(
                 delta_key(tsid, sids[pid], TAG_AUX_EVENTLIST, j, pid),
-                EventList(ts, te, tuple(evs)),
+                ColumnarEventList(pack_eventlist(ts, te, evs)),
             )
         for (pid, node), (lo, hi) in node_span.items():
             key = delta_key(tsid, sids[pid], TAG_EVENTLIST, j, pid)

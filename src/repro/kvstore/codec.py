@@ -40,7 +40,6 @@ from typing import Any
 
 from repro.deltas.base import Delta
 from repro.deltas.columnar import ColumnarEventList, pack_delta, unpack_delta
-from repro.deltas.eventlist import EventList
 from repro.errors import CorruptPayload
 
 #: Tag bytes name the stored form: raw / zlib pickle, raw / zlib
@@ -56,9 +55,6 @@ _DELZ = b"d"
 #: store detect bit-rot / corrupted reads (``ClusterConfig.checksums``)
 #: at a 5-byte-per-row cost, raised as :class:`CorruptPayload`.
 _CRC = b"K"
-
-#: The two eventlist kinds: the build buffer and a decoded row.
-_EVENTLISTS = (EventList, ColumnarEventList)
 
 
 @dataclass(frozen=True)
@@ -80,12 +76,13 @@ def encode(
     """Serialize ``obj`` in its row kind's stored form; optionally
     zlib-compress the stream.
 
-    Eventlists and deltas pack into their columnar layouts; all other
-    values pickle.  With ``checksum=True`` the tagged payload is wrapped
-    in a CRC32 envelope (tag ``K``) that :func:`decode` verifies,
-    raising :class:`CorruptPayload` on mismatch.
+    An eventlist (a :class:`ColumnarEventList`, the one eventlist type)
+    is stored as its packed payload, a delta packs into its layout, and
+    all other values pickle.  With ``checksum=True`` the tagged payload
+    is wrapped in a CRC32 envelope (tag ``K``) that :func:`decode`
+    verifies, raising :class:`CorruptPayload` on mismatch.
     """
-    if isinstance(obj, _EVENTLISTS):
+    if isinstance(obj, ColumnarEventList):
         body, tags = obj.packed_bytes(), (_COL, _COLZ)
     elif isinstance(obj, Delta):
         body, tags = pack_delta(obj), (_DEL, _DELZ)

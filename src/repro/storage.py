@@ -52,7 +52,7 @@ _MAGIC = b"hgs-index"
 #     tuples of VersionPointer objects; decoded micro-delta rows carry
 #     their packed node columns until a read needs them
 # 15: eventlist and delta rows are always packed (tags C/c, D/d; rows
-#     with non-int ids carry an id table), never pickled EventList /
+#     with non-int ids carry an id table), never pickled eventlist /
 #     Delta objects; ClusterConfig loses codec
 # 16: TGI loses its learned k-hop frontier margins and the lock that
 #     guarded them; reading an index no longer changes its saved file

@@ -113,11 +113,14 @@ class ComputedValues:
         return self.values.items()
 
     def Max(self, key: Optional[str] = None) -> Tuple[NodeId, Any]:
-        """(node, value) with the maximum value; ``key`` accepted for API
-        compatibility with the paper's listings."""
+        """(node, value) with the maximum value, the smallest node id
+        among tied maxima; ``key`` accepted for API compatibility with
+        the paper's listings."""
         if not self.values:
             raise AnalyticsError("Max over empty computed set")
-        return max(self.values.items(), key=lambda kv: (kv[1], -kv[0]))
+        top = max(self.values.values())
+        node = min(n for n, v in self.values.items() if v == top)
+        return node, self.values[node]
 
     def Min(self, key: Optional[str] = None) -> Tuple[NodeId, Any]:
         if not self.values:

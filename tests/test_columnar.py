@@ -16,7 +16,6 @@ from repro.deltas.columnar import (
     decoded_events_total,
     pack_eventlist,
 )
-from repro.deltas.eventlist import EventList
 from repro.errors import EventError
 from repro.graph.events import Event, EventBuilder, EventKind
 from repro.graph.static import Graph
@@ -87,26 +86,29 @@ def test_pack_roundtrip_all_kinds_bit_equivalent():
         assert got.other is None or type(got.other) is int
 
 
+def packed(ts, te, events):
+    """The row a writer stores for the run ``(ts, te, events)``."""
+    return ColumnarEventList(pack_eventlist(ts, te, events))
+
+
 def test_columnar_equals_eventlist_both_directions():
     events = random_history(steps=200, seed=7)
-    el = EventList(0, events[-1].time, tuple(events))
-    cel = ColumnarEventList(pack_eventlist(el.ts, el.te, el.events))
-    assert cel == el
-    assert el == cel  # reflected through EventList's NotImplemented
+    te = events[-1].time
+    cel = packed(0, te, events)
+    assert cel.events == tuple(events) and (cel.ts, cel.te) == (0, te)
+    # a second row over the same run (here: a repacked whole window)
+    other = ColumnarEventList(cel.filter_by_time(0, te).packed_bytes())
+    assert cel == other
+    assert other == cel
+    assert cel != packed(1, te, events[1:])
+    assert cel != tuple(events)  # a row equals rows only
 
 
-def test_change_points_and_iteration_match():
+def test_iteration_matches_the_packed_events():
     events = random_history(steps=150, seed=3)
-    el = EventList(0, events[-1].time, tuple(events))
-    cel = ColumnarEventList(pack_eventlist(el.ts, el.te, el.events))
-    assert cel.change_points() == el.change_points()
-    assert list(cel) == list(el.events)
-
-
-def test_apply_to_matches_replay():
-    events = random_history(steps=200, seed=11)
-    cel = ColumnarEventList(pack_eventlist(0, events[-1].time, tuple(events)))
-    assert cel.apply_to(Graph()) == Graph.replay(events)
+    cel = packed(0, events[-1].time, events)
+    assert list(cel) == events
+    assert len(cel) == len(events)
 
 
 # -- laziness ----------------------------------------------------------------
@@ -114,47 +116,55 @@ def test_apply_to_matches_replay():
 def test_filter_by_time_is_lazy_and_matches():
     events = random_history(steps=250, seed=5)
     te = events[-1].time
-    el = EventList(0, te, tuple(events))
     before = decoded_events_total()
-    cel = ColumnarEventList(pack_eventlist(0, te, el.events))
+    cel = packed(0, te, events)
     for ts_, te_ in [(0, te), (te // 3, 2 * te // 3), (te, te), (-5, 0),
                      (te // 2, te)]:
         sub = cel.filter_by_time(ts_, te_)
         assert decoded_events_total() == before  # nothing materialized
-        want = el.filter_by_time(ts_, te_)
-        assert len(sub) == len(want.events)
-        assert (sub.ts, sub.te) == (want.ts, want.te)
+        want = [ev for ev in events if ts_ < ev.time <= te_]
+        assert len(sub) == len(want)
+        # a non-empty window clips the scope to the row's, an empty one
+        # keeps the asked scope
+        scope = (max(ts_, 0), min(te_, te)) if want else (ts_, te_)
+        assert (sub.ts, sub.te) == scope
     assert decoded_events_total() == before
     # materializing a narrowed window decodes only that window
     mid = cel.filter_by_time(te // 3, 2 * te // 3)
-    assert mid.events == el.filter_by_time(te // 3, 2 * te // 3).events
+    assert mid.events == tuple(
+        ev for ev in events if te // 3 < ev.time <= 2 * te // 3
+    )
     assert decoded_events_total() == before + len(mid)
 
 
 def test_filter_by_id_matches_and_counts():
     events = random_history(steps=200, seed=9)
     te = events[-1].time
-    el = EventList(0, te, tuple(events))
-    cel = ColumnarEventList(pack_eventlist(0, te, el.events))
+    cel = packed(0, te, events)
     before = decoded_events_total()
     got = cel.filter_by_id((2, 5))
-    want = el.filter_by_id((2, 5))
-    assert isinstance(got, EventList)
-    assert got == want
-    assert decoded_events_total() == before + len(got.events)
+    want = tuple(
+        ev for ev in events if ev.node in (2, 5) or ev.other in (2, 5)
+    )
+    assert isinstance(got, ColumnarEventList)
+    assert (got.ts, got.te) == (0, te)
+    assert got.events == want
+    # the matching rows materialize once: the filtered row hands out
+    # the very objects it was packed from
+    assert decoded_events_total() == before + len(want)
 
 
 # -- codec tags and fallback --------------------------------------------------
 
 def test_codec_tags_roundtrip():
     events = random_history(steps=120, seed=1)
-    el = EventList(0, events[-1].time, tuple(events))
+    el = packed(0, events[-1].time, events)
     enc = encode(el)
     assert enc.payload[:1] == b"C"
-    assert decode(enc.payload) == el
+    assert decode(enc.payload).events == tuple(events)
     encz = encode(el, compress=True)
     assert encz.payload[:1] == b"c"
-    assert decode(encz.payload) == el
+    assert decode(encz.payload).events == tuple(events)
     # re-encoding a decoded row keeps the packed bytes verbatim
     cel = decode(enc.payload)
     assert encode(cel).payload == enc.payload
@@ -168,34 +178,31 @@ def test_codec_empty_payload_rejected():
 def test_codec_unknown_name_rejected():
     # one stored form per row kind: there is no codec to name
     with pytest.raises(TypeError):
-        encode(EventList(0, 1, ()), codec="pickle")
+        encode(packed(0, 1, ()), codec="pickle")
 
 
 def test_unpackable_eventlist_falls_back_to_pickle():
     """String ids — which used to fall back to pickle — pack as a
     version-2 row with an id table and decode to the same events."""
     eb = EventBuilder()
-    el = EventList(0, 2, (
-        eb.node_add(1, "alice"),
-        eb.edge_add(2, "alice", "bob"),
-    ))
-    body = pack_eventlist(el.ts, el.te, el.events)
+    events = (eb.node_add(1, "alice"), eb.edge_add(2, "alice", "bob"))
+    body = pack_eventlist(0, 2, events)
     assert body[0] == 2
-    enc = encode(el)
+    enc = encode(ColumnarEventList(body))
     assert enc.payload[:1] == b"C"
     got = decode(enc.payload)
-    assert isinstance(got, ColumnarEventList) and got == el
+    assert isinstance(got, ColumnarEventList) and got.events == events
 
 
 def test_bool_values_fall_back_to_pickle():
     """A ``bool`` id is not an int row (it would come back 0/1): it goes
     to the id table and decodes as a ``bool``."""
     eb = EventBuilder()
-    el = EventList(0, 2, (eb.node_add(1, True), eb.edge_add(2, True, 1)))
-    body = pack_eventlist(el.ts, el.te, el.events)
+    events = (eb.node_add(1, True), eb.edge_add(2, True, 1))
+    body = pack_eventlist(0, 2, events)
     assert body[0] == 2
     got = ColumnarEventList(body)
-    assert got == el
+    assert got.events == events
     assert [type(ev.node) for ev in got.events] == [bool, bool]
     assert type(got.events[1].other) is int
 
@@ -248,7 +255,7 @@ def test_columnar_cluster_stores_columnar_eventlists(dataset1_events):
 def three_event_list(ids=(1, 2)):
     eb = EventBuilder()
     u, v = ids
-    return EventList(0, 3, (
+    return packed(0, 3, (
         eb.node_add(1, u), eb.node_add(2, v), eb.edge_add(3, u, v),
     ))
 
@@ -279,7 +286,8 @@ def test_unknown_layout_version_rejected():
 
 @st.composite
 def mixed_lists(draw):
-    """A sorted run of node, edge and attribute events over mixed ids."""
+    """A sorted run of node, edge and attribute events over mixed ids,
+    as ``(te, events)`` for a row scoped ``(0, te]``."""
     eb = EventBuilder()
     events = []
     for t in range(1, draw(st.integers(0, 12)) + 1):
@@ -296,7 +304,7 @@ def mixed_lists(draw):
             events.append(eb.node_attr_set(t, u, "color", v))
         else:
             events.append(eb.node_delete(t, u))
-    return EventList(0, len(events) + 1, tuple(events))
+    return len(events) + 1, tuple(events)
 
 
 def assert_same_events(got, want):
@@ -310,34 +318,44 @@ def assert_same_events(got, want):
 
 @pytest.mark.parametrize("compress", [False, True])
 @pytest.mark.parametrize("checksum", [False, True])
-@given(el=mixed_lists(), data=st.data())
+@given(drawn=mixed_lists(), data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_mixed_id_rows_round_trip(el, data, compress, checksum):
-    enc = encode(el, compress=compress, checksum=checksum)
+def test_mixed_id_rows_round_trip(drawn, data, compress, checksum):
+    last, events = drawn
+    enc = encode(packed(0, last, events), compress=compress, checksum=checksum)
     row = decode(enc.payload)
     assert isinstance(row, ColumnarEventList)
-    assert row == el
-    assert_same_events(row.events, el.events)
-    assert row.change_points() == el.change_points()
+    assert (row.ts, row.te) == (0, last)
+    assert_same_events(row.events, events)
     # windows, a pickled window and a repacked window
-    ts = data.draw(st.integers(0, el.te))
-    te = data.draw(st.integers(ts, el.te))
+    ts = data.draw(st.integers(0, last))
+    te = data.draw(st.integers(ts, last))
     window = decode(enc.payload).filter_by_time(ts, te)
-    want = el.filter_by_time(ts, te)
-    assert_same_events(window.events, want.events)
+    want = [ev for ev in events if ts < ev.time <= te]
+    assert_same_events(window.events, want)
     copy = pickle.loads(pickle.dumps(window))
-    assert_same_events(copy.events, want.events)
+    assert_same_events(copy.events, want)
     assert (copy.ts, copy.te) == (window.ts, window.te)
-    assert_same_events(ColumnarEventList(window.packed_bytes()).events,
-                       want.events)
-    # the id scans
-    ids = [ev.node for ev in el.events][:3]
+    assert_same_events(ColumnarEventList(window.packed_bytes()).events, want)
+    # the id scans, against the events touching each id (set membership,
+    # as the paper's FilterById; a self-loop is listed once)
+    ids = [ev.node for ev in events][:3]
+    keep = set(ids)
     row = decode(enc.payload)
-    assert_same_events(row.filter_by_id(ids).events,
-                       el.filter_by_id(ids).events)
+    assert_same_events(
+        row.filter_by_id(ids).events,
+        [ev for ev in events if ev.node in keep or ev.other in keep],
+    )
     grouped = row.group_by_id(ids)
-    assert grouped.keys() == el.group_by_id(ids).keys()
-    for node, evs in el.group_by_id(ids).items():
+    want_groups = {}
+    for ev in events:
+        u, v = ev.node, ev.other
+        if u in keep:
+            want_groups.setdefault(u, []).append(ev)
+        if v is not None and v != u and v in keep:
+            want_groups.setdefault(v, []).append(ev)
+    assert grouped.keys() == want_groups.keys()
+    for node, evs in want_groups.items():
         assert_same_events(grouped[node], evs)
 
 
@@ -352,7 +370,7 @@ def test_mixed_id_rows_replay_like_the_log():
         eb.node_attr_set(7, True, "color", "red"),
         eb.edge_delete(8, 2 ** 64, 1.5), eb.node_delete(9, 2 ** 64),
     ]
-    row = decode(encode(EventList(0, 9, tuple(events))).payload)
+    row = decode(encode(packed(0, 9, events)).payload)
     for t in range(10):
         got = Graph()
         got.apply_columnar([row], until=t)

@@ -1,11 +1,13 @@
-"""Unit tests for eventlist deltas."""
+"""Unit tests for eventlists: chopping a stream into ``(ts, te,
+events)`` runs, and the paper's FilterByTime / FilterById on the packed
+row a run becomes, each held to the events it was packed from."""
 
 import pytest
 
-from repro.deltas.eventlist import EventList, split_events_into_lists
-from repro.errors import DeltaError
+from repro.deltas.columnar import ColumnarEventList, pack_eventlist
+from repro.deltas.eventlist import split_events_into_lists
+from repro.errors import DeltaError, EventError
 from repro.graph.events import EventBuilder
-from repro.graph.static import Graph
 
 
 @pytest.fixture
@@ -20,46 +22,33 @@ def make_events(eb, n=10):
     return events
 
 
-def test_build_infers_scope(eb):
-    evs = make_events(eb, 5)
-    el = EventList.build(evs)
-    assert el.ts == 0 and el.te == 5 and len(el) == 5
-
-
-def test_scope_validation(eb):
-    evs = make_events(eb, 3)
-    with pytest.raises(DeltaError):
-        EventList(1, 3, tuple(evs))  # first event at t=1 not in (1, 3]
+def row(events):
+    """The packed row of one run, scoped as a split scopes it."""
+    return ColumnarEventList(
+        pack_eventlist(events[0].time - 1, events[-1].time, events)
+    )
 
 
 def test_filter_by_time(eb):
-    el = EventList.build(make_events(eb, 10))
-    sub = el.filter_by_time(3, 7)
+    events = make_events(eb, 10)
+    sub = row(events).filter_by_time(3, 7)
     assert [e.time for e in sub] == [4, 5, 6, 7]
+    assert sub.events == tuple(ev for ev in events if 3 < ev.time <= 7)
+    assert (sub.ts, sub.te) == (3, 7)
 
 
 def test_filter_by_id(eb):
     events = [eb.node_add(1, 0), eb.node_add(2, 1), eb.edge_add(3, 0, 1)]
-    el = EventList.build(events)
-    sub = el.filter_by_id([0])
+    sub = row(events).filter_by_id([0])
+    assert isinstance(sub, ColumnarEventList)
     assert len(sub) == 2  # node add of 0 plus the edge touching 0
-
-
-def test_apply_to(eb):
-    el = EventList.build(make_events(eb, 4))
-    g = el.apply_to(Graph())
-    assert g.num_nodes == 4
-
-
-def test_change_points(eb):
-    events = [eb.node_add(1, 0), eb.node_add(1, 1), eb.node_add(5, 2)]
-    el = EventList.build(events)
-    assert el.change_points() == [1, 5]
+    assert sub.events == (events[0], events[2])
+    assert (sub.ts, sub.te) == (0, 3)
 
 
 def test_split_respects_max_size(eb):
     lists = split_events_into_lists(make_events(eb, 10), 3)
-    assert [len(el) for el in lists] == [3, 3, 3, 1]
+    assert [len(evs) for _ts, _te, evs in lists] == [3, 3, 3, 1]
 
 
 def test_split_does_not_split_time_points():
@@ -67,8 +56,25 @@ def test_split_does_not_split_time_points():
     events = [eb2.node_add(1, i) for i in range(5)]  # all at t=1
     events += [eb2.node_add(2, 10 + i) for i in range(2)]
     lists = split_events_into_lists(events, 2)
-    assert len(lists[0]) == 5  # t=1 events stay together
-    assert len(lists[1]) == 2
+    assert len(lists[0][2]) == 5  # t=1 events stay together
+    assert len(lists[1][2]) == 2
+
+
+def test_build_infers_scope(eb):
+    """A split builds each run's scope from its events: ``(first time -
+    1, last time]``, over the stream's own events in order (concatenated,
+    the runs are the stream)."""
+    events = make_events(eb, 7)
+    runs = split_events_into_lists(events, 3)
+    assert [(ts, te) for ts, te, _evs in runs] == [(0, 3), (3, 6), (6, 7)]
+    assert [ev for _ts, _te, evs in runs for ev in evs] == events
+    assert split_events_into_lists([], 3) == []
+
+
+def test_split_rejects_an_unsorted_stream(eb):
+    events = make_events(eb, 3)
+    with pytest.raises(EventError, match="out of order"):
+        split_events_into_lists(events[::-1], 2)
 
 
 def test_split_rejects_nonpositive(eb):

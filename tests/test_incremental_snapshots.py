@@ -101,8 +101,8 @@ ops_strategy = st.lists(
 def test_derived_checkpoints_equal_whole_graph_snapshots(ops, size, directed):
     g = Graph(directed=directed)
     prev = snapshot_delta_of_graph(g)
-    for el in split_events_into_lists(lenient_events(ops), size):
-        prev = advance_snapshot_delta(g, prev, el.events)
+    for _ts, _te, evs in split_events_into_lists(lenient_events(ops), size):
+        prev = advance_snapshot_delta(g, prev, evs)
         fresh = snapshot_delta_of_graph(g)
         assert prev == fresh
         assert _node_order(prev) == _node_order(fresh)

@@ -16,7 +16,6 @@ from repro import GraphSession
 from repro.api import QueryRequest
 from repro.deltas.base import Delta, StaticEdge, StaticNode
 from repro.deltas.columnar import PackedNodes, pack_delta, unpack_delta
-from repro.deltas.eventlist import EventList
 from repro.errors import CorruptPayload, PartitionUnavailable
 from repro.faults import CrashWindow, FaultSchedule, inject_faults
 from repro.graph.static import Graph
@@ -488,7 +487,7 @@ def test_columnar_build_packs_its_micro_deltas(pair):
                 if isinstance(row, Delta):
                     value = Delta(list(row))
                 elif enc.payload[:1] == b"C":
-                    value = EventList(row.ts, row.te, row.events)
+                    value = (row.ts, row.te, row.events)
                 else:
                     continue
                 packed += enc.stored_size

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import GraphSession
+from repro.errors import AnalyticsError
 from repro.graph.events import EventKind
 from repro.graph.metrics import GraphMetrics, NodeMetrics
 from repro.graph.static import Graph
@@ -9,9 +11,10 @@ from repro.index.tgi import TGI, TGIConfig
 from repro.spark.rdd import SparkContext
 from repro.taf.handler import TGIHandler
 from repro.taf.node_t import NodeT
-from repro.taf.son import SON, SOTS
+from repro.taf.son import SON, SOTS, ComputedValues
 from repro.taf import timepoints as tp
 from repro.workloads.social import SocialConfig, generate_social_events
+from tests.helpers import relabelled
 
 
 @pytest.fixture(scope="module")
@@ -283,3 +286,51 @@ def test_series_set_peaks(handler, t_end):
         values = dict(series[nid])
         for t, v in pks:
             assert values[t] == v
+
+
+# -- ComputedValues reductions and CompareNodes -------------------------
+
+@pytest.mark.parametrize("name", [lambda n: n, lambda n: f"n{n}"],
+                         ids=["int", "str"])
+def test_computed_values_reductions_break_ties_by_smallest_id(name):
+    values = ComputedValues({name(3): 5, name(1): 5, name(2): 1, name(4): 1})
+    assert values.Max() == (name(1), 5)
+    assert values.Min() == (name(2), 1)
+    assert values.Mean() == 3.0
+    assert ComputedValues({name(7): 2}).Max() == (name(7), 2)
+    empty = ComputedValues({})
+    for reduce in (empty.Max, empty.Min, empty.Mean):
+        with pytest.raises(AnalyticsError, match="empty computed set"):
+            reduce()
+
+
+def degree(state):
+    return len(state.E) if state else 0
+
+
+@pytest.mark.parametrize("strings", [False, True], ids=["int", "str"])
+def test_node_compute_max_on_a_built_index(events, strings):
+    stream = relabelled(events) if strings else events
+    tgi = TGI(TGIConfig(events_per_timespan=250, eventlist_size=40,
+                        micro_partition_size=12))
+    tgi.build(stream)
+    t = stream[-1].time
+    values = GraphSession.from_index(tgi).nodes().Timeslice(1, t).fetch() \
+        .NodeCompute(degree, at=t)
+    final = Graph.replay(stream, until=t)
+    top = max(final.degree(n) for n in final.nodes())
+    want = min(n for n in final.nodes() if final.degree(n) == top)
+    assert values.Max() == (want, top)
+
+
+def test_compare_nodes_pairs_each_shared_node(handler, events, t_end):
+    son = SON(handler).Timeslice(1, t_end).fetch()
+    community = son.Select('community = "A"')
+    got = SON.CompareNodes(son, community, degree, t=t_end)
+    final = Graph.replay(events, until=t_end)
+    shared = set(son.NodeCompute(degree).values) & set(
+        community.NodeCompute(degree).values
+    )
+    assert got.keys() == shared and shared
+    for node, (a, b) in got.items():
+        assert a == b == (final.degree(node) if final.has_node(node) else 0)

@@ -13,9 +13,10 @@ history once, each against a reference kept beside it:
   ``NodeComputeTemporal`` and ``get_version_at``) against graphs built
   from those per-point states with ``helpers.per_edge_graph``;
 - the fetch finalizer's one scan per eventlist row, ``group_by_id``, on
-  the build buffer and the packed row against ``filter_by_time(ts, te).filter_by_id((node,))``
-  per node — self-loops included, and an edge event between two asked
-  nodes one object, materialized once;
+  the packed row against ``filter_by_time(ts, te).filter_by_id((node,))``
+  per node and against the window's events touching each node —
+  self-loops included, and an edge event between two asked nodes one
+  object, materialized once;
 - the pure-id ``Select`` prune by bisection against its closure.
 """
 
@@ -25,7 +26,6 @@ from hypothesis import HealthCheck, given, settings
 import pytest
 
 from repro.deltas.columnar import ColumnarEventList, count_decoded, pack_eventlist
-from repro.deltas.eventlist import EventList
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, EventKind
 from repro.index.interface import NodeHistory
@@ -222,25 +222,23 @@ def test_group_by_id_equals_filter_by_id_per_node(data):
         for i, node in enumerate(asked[:2]) if ts < te
     ]
     stream = sorted(events + loops, key=Event.sort_key)
-    el = EventList.build(stream)
-    packed = pack_eventlist(el.ts, el.te, el.events)
+    packed = pack_eventlist(stream[0].time - 1, stream[-1].time, stream)
     # string ids pack too, as an id-table row (layout version 2)
     assert (packed[0] == 2) == isinstance(stream[0].node, str)
-    for rows in (el, ColumnarEventList(packed)):
-        window = rows.filter_by_time(ts, te)
-        with count_decoded() as decoded:
-            grouped = window.group_by_id(asked)
-        assert set(grouped) <= set(asked)
-        for node in asked:
-            want = list(window.filter_by_id((node,)).events)
-            assert grouped.get(node, []) == want
-        # one object per row, whichever asked nodes it touches
-        by_seq = {}
-        for evs in grouped.values():
-            for ev in evs:
-                assert by_seq.setdefault(ev.seq, ev) is ev
-        if rows is not el:
-            assert decoded[0] == len(by_seq)
+    window = ColumnarEventList(packed).filter_by_time(ts, te)
+    with count_decoded() as decoded:
+        grouped = window.group_by_id(asked)
+    assert set(grouped) <= set(asked)
+    for node in asked:
+        want = [ev for ev in stream if ts < ev.time <= te and ev.touches(node)]
+        assert grouped.get(node, []) == want
+        assert want == list(window.filter_by_id((node,)).events)
+    # one object per row, whichever asked nodes it touches
+    by_seq = {}
+    for evs in grouped.values():
+        for ev in evs:
+            assert by_seq.setdefault(ev.seq, ev) is ev
+    assert decoded[0] == len(by_seq)
 
 
 @settings(max_examples=8, deadline=None,
