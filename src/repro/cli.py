@@ -446,7 +446,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Trace one query (or a batch) and export the span tree."""
-    from repro.obs import SamplingPolicy, Tracer, chrome_trace, trace_to_json
+    from repro.obs import SamplingPolicy, Tracer, write_trace
 
     if args.batch is None and args.query_kind is None:
         print("hgs trace: a query subcommand (snapshot/node/khop) or "
@@ -472,12 +472,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if root is None:
         print("hgs trace: no trace captured", file=sys.stderr)
         return 1
-    payload = (
-        chrome_trace(root) if args.format == "chrome"
-        else trace_to_json(root)
-    )
     out = Path(args.out).expanduser()
-    out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_trace(root, str(out), format=args.format)
     spans = sum(1 for _ in root.walk())
     trace_sim = root.sim_ms
     drift_pct = (

@@ -327,16 +327,6 @@ class Delta:
         else:
             self._edges[(component.u, component.v)] = component
 
-    def discard(self, key: ComponentKey) -> None:
-        kind, ident = key
-        if kind == "n":
-            self.static_nodes().pop(ident, None)  # type: ignore[arg-type]
-        else:
-            self._edges.pop(ident, None)  # type: ignore[arg-type]
-
-    def keys(self) -> Iterator[ComponentKey]:
-        return (c.key for c in self)
-
     def node_ids(self) -> List[NodeId]:
         return list(self.columns()[0])
 
@@ -410,20 +400,6 @@ class Delta:
             attrs.update(node_attrs)
             edges.update(d._edges)
         return Delta.from_columns(adjacency, attrs, edges)
-
-    def restricted_to(self, node_ids: Iterable[NodeId]) -> "Delta":
-        """Sub-delta containing only the given nodes and edges with at least
-        one endpoint among them (paper Example 5, partitioned snapshot)."""
-        keep = set(node_ids)
-        out = Delta()
-        out._nodes = {
-            n: c for n, c in self.static_nodes().items() if n in keep
-        }
-        out._edges = {
-            eid: e for eid, e in self._edges.items()
-            if e.u in keep or e.v in keep
-        }
-        return out
 
     # -- conversion -------------------------------------------------------
     def to_graph(self, directed: bool = False) -> Graph:

@@ -9,9 +9,9 @@ via ``Graph.to_networkx``.
 
 from __future__ import annotations
 
-import math
+import heapq
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict
 
 from repro.errors import GraphError
 from repro.graph.static import Graph
@@ -55,50 +55,10 @@ def average_clustering(g: Graph) -> float:
     return sum(local_clustering_coefficient(g, v) for v in g.nodes()) / n
 
 
-def degree_histogram(g: Graph) -> Dict[int, int]:
-    """Map degree -> number of nodes with that degree."""
-    hist: Dict[int, int] = {}
-    for v in g.nodes():
-        d = g.degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
-
-
 def average_degree(g: Graph) -> float:
     if g.num_nodes == 0:
         return 0.0
     return sum(g.degree(v) for v in g.nodes()) / g.num_nodes
-
-
-def connected_components(g: Graph) -> List[List[NodeId]]:
-    """Connected components (weak components for directed graphs),
-    each sorted by node id, largest first."""
-    seen: set = set()
-    adj = g.adjacency()
-    # undirected view of adjacency for weak connectivity
-    comps: List[List[NodeId]] = []
-    for start in g.nodes():
-        if start in seen:
-            continue
-        comp = []
-        dq = deque([start])
-        seen.add(start)
-        while dq:
-            v = dq.popleft()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    dq.append(w)
-            if g.directed:
-                # include in-neighbors for weak connectivity
-                for (a, b) in g.edges():
-                    if b == v and a not in seen:
-                        seen.add(a)
-                        dq.append(a)
-        comps.append(sorted(comp))
-    comps.sort(key=len, reverse=True)
-    return comps
 
 
 def shortest_path_lengths(g: Graph, source: NodeId) -> Dict[NodeId, int]:
@@ -136,51 +96,6 @@ def diameter_estimate(g: Graph, samples: int = 16, seed: int = 0) -> int:
         if dist:
             best = max(best, max(dist.values()))
     return best
-
-
-def pagerank(
-    g: Graph,
-    damping: float = 0.85,
-    max_iter: int = 50,
-    tol: float = 1e-9,
-) -> Dict[NodeId, float]:
-    """Power-iteration PageRank.
-
-    For undirected graphs every edge is treated as bidirectional.  Dangling
-    mass is redistributed uniformly.  Converges when the L1 change drops
-    below ``tol``.
-    """
-    nodes = list(g.nodes())
-    n = len(nodes)
-    if n == 0:
-        return {}
-    adj = g.adjacency()
-    rank = {v: 1.0 / n for v in nodes}
-    out_deg = {v: g.degree(v) for v in nodes}
-    for _ in range(max_iter):
-        nxt = {v: (1.0 - damping) / n for v in nodes}
-        dangling = sum(rank[v] for v in nodes if out_deg[v] == 0)
-        share = damping * dangling / n
-        for v in nodes:
-            nxt[v] += share
-            if out_deg[v] == 0:
-                continue
-            contribution = damping * rank[v] / out_deg[v]
-            for w in adj[v]:
-                nxt[w] += contribution
-        delta = sum(abs(nxt[v] - rank[v]) for v in nodes)
-        rank = nxt
-        if delta < tol:
-            break
-    return rank
-
-
-def degree_centrality(g: Graph) -> Dict[NodeId, float]:
-    """Degree divided by (n-1); the standard normalized degree centrality."""
-    n = g.num_nodes
-    if n <= 1:
-        return {v: 0.0 for v in g.nodes()}
-    return {v: g.degree(v) / (n - 1) for v in g.nodes()}
 
 
 def triangle_count(g: Graph) -> int:
@@ -233,79 +148,11 @@ class NodeMetrics:
         )
 
 
-def betweenness_centrality(
-    g: Graph, normalized: bool = True
-) -> Dict[NodeId, float]:
-    """Exact betweenness centrality (Brandes' algorithm, unweighted).
-
-    O(n·m); intended for the snapshot sizes TAF hands to user code.  For
-    undirected graphs pair contributions are halved as usual.
-    """
-    nodes = list(g.nodes())
-    adj = g.adjacency()
-    centrality = {v: 0.0 for v in nodes}
-    for s in nodes:
-        # single-source shortest paths with path counting
-        stack: List[NodeId] = []
-        preds: Dict[NodeId, List[NodeId]] = {v: [] for v in nodes}
-        sigma = {v: 0.0 for v in nodes}
-        sigma[s] = 1.0
-        dist = {s: 0}
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            stack.append(v)
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    dq.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    preds[w].append(v)
-        delta = {v: 0.0 for v in nodes}
-        while stack:
-            w = stack.pop()
-            for v in preds[w]:
-                delta[v] += (sigma[v] / sigma[w]) * (1.0 + delta[w])
-            if w != s:
-                centrality[w] += delta[w]
-    n = len(nodes)
-    if not g.directed:
-        for v in centrality:
-            centrality[v] /= 2.0
-    if normalized and n > 2:
-        scale = 1.0 / ((n - 1) * (n - 2))
-        if not g.directed:
-            scale *= 2.0
-        for v in centrality:
-            centrality[v] *= scale
-    return centrality
-
-
-def closeness_centrality(g: Graph) -> Dict[NodeId, float]:
-    """Harmonic-free classic closeness, scaled by reachable-component size
-    (the Wasserman-Faust correction), 0 for isolated nodes."""
-    n = g.num_nodes
-    out: Dict[NodeId, float] = {}
-    for v in g.nodes():
-        dist = shortest_path_lengths(g, v)
-        total = sum(dist.values())
-        reachable = len(dist)
-        if total > 0 and n > 1:
-            out[v] = ((reachable - 1) / total) * ((reachable - 1) / (n - 1))
-        else:
-            out[v] = 0.0
-    return out
-
-
 def k_core_decomposition(g: Graph) -> Dict[NodeId, int]:
     """Core number of every node (Batagelj-Zaversnik peeling)."""
     degrees = {v: g.degree(v) for v in g.nodes()}
-    order = sorted(degrees, key=degrees.get)
     core = dict(degrees)
     seen: set = set()
-    import heapq
-
     adj = g.adjacency()
     heap = [(d, v) for v, d in degrees.items()]
     heapq.heapify(heap)
@@ -322,47 +169,3 @@ def k_core_decomposition(g: Graph) -> Dict[NodeId, int]:
                 core[w] -= 1
                 heapq.heappush(heap, (core[w], w))
     return core
-
-
-def conductance(g: Graph, node_set) -> float:
-    """Conductance of a cut: cut edges over the smaller side's volume.
-
-    Returns 0.0 for empty or full sets (no cut).
-    """
-    inside = {n for n in node_set if g.has_node(n)}
-    if not inside or len(inside) == g.num_nodes:
-        return 0.0
-    cut = 0
-    vol_in = 0
-    vol_out = 0
-    for v in g.nodes():
-        deg = g.degree(v)
-        if v in inside:
-            vol_in += deg
-        else:
-            vol_out += deg
-    for (u, v) in g.edges():
-        if (u in inside) != (v in inside):
-            cut += 1
-    denom = min(vol_in, vol_out)
-    return cut / denom if denom else 0.0
-
-
-def degree_assortativity(g: Graph) -> float:
-    """Pearson correlation of degrees at edge endpoints (undirected);
-    0.0 when undefined (no edges or zero variance)."""
-    xs: List[float] = []
-    ys: List[float] = []
-    for (u, v) in g.edges():
-        du, dv = g.degree(u), g.degree(v)
-        xs.extend((du, dv))
-        ys.extend((dv, du))
-    n = len(xs)
-    if n == 0:
-        return 0.0
-    mean_x = sum(xs) / n
-    var = sum((x - mean_x) ** 2 for x in xs)
-    if var == 0:
-        return 0.0
-    cov = sum((x - mean_x) * (y - mean_x) for x, y in zip(xs, ys))
-    return cov / var

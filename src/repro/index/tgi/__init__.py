@@ -1,7 +1,7 @@
 """The Temporal Graph Index (paper Sec. 4)."""
 
 from repro.index.tgi.config import PartitioningStrategy, TGIConfig
-from repro.index.tgi.costs import WorkloadShape, storage_sizes, table1, tree_height
+from repro.index.tgi.costs import WorkloadShape, table1, tree_height
 from repro.index.tgi.index import TGI
 from repro.index.tgi.planner import TGIPlanner, price_plan
 from repro.index.tgi.layout import TimespanInfo, delta_key, version_chain_key
@@ -19,6 +19,5 @@ __all__ = [
     "VersionChainStore",
     "WorkloadShape",
     "table1",
-    "storage_sizes",
     "tree_height",
 ]

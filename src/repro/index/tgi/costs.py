@@ -53,8 +53,7 @@ INDEXES = ("log", "copy", "copy+log", "node-centric", "deltagraph", "tgi")
 def table1(shape: WorkloadShape) -> Dict[str, Dict[str, Cost]]:
     """Return the full analytic Table 1 for the given workload shape.
 
-    Each entry maps primitive → (Σ|∆|, Σ1).  Storage size estimates are in
-    :func:`storage_sizes`.
+    Each entry maps primitive → (Σ|∆|, Σ1).
     """
     G, S, E, V, R, p, h = (
         shape.G, shape.S, shape.E, shape.V, shape.R, shape.p, shape.h,
@@ -104,19 +103,6 @@ def table1(shape: WorkloadShape) -> Dict[str, Dict[str, Cost]]:
             "one_hop": (h * (S + E) / p, 2 * h),
             "one_hop_versions": (V * (1 + S / p), V + 1),
         },
-    }
-
-
-def storage_sizes(shape: WorkloadShape) -> Dict[str, float]:
-    """First column of Table 1: total storage footprint per index."""
-    G, S, E, h = shape.G, shape.S, shape.E, shape.h
-    return {
-        "log": G,
-        "copy": G * G,
-        "copy+log": G * G / max(E, 1),
-        "node-centric": 2 * G,
-        "deltagraph": G * (h + 1),
-        "tgi": G * (2 * h + 3),
     }
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Iterator, List, Union
+from typing import Iterable, List, Union
 
 from repro.errors import EventError
 from repro.graph.events import Event, EventKind, check_sorted
@@ -87,12 +87,3 @@ def read_events(path: PathLike, validate: bool = True) -> List[Event]:
     if validate:
         check_sorted(events)
     return events
-
-
-def iter_events(path: PathLike) -> Iterator[Event]:
-    """Stream events from a JSON-lines file without loading all of them."""
-    with Path(path).open("r", encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                yield record_to_event(json.loads(line))

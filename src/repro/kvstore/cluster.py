@@ -157,9 +157,6 @@ class Cluster:
         """Set the simulated epoch for fault windows / breaker cooldowns."""
         self.clock_ms = float(ms)
 
-    def advance_clock(self, ms: float) -> None:
-        self.clock_ms += float(ms)
-
     def _down_at(self, now: float) -> Set[int]:
         """Machines unavailable at sim-time ``now``: explicit ``_down``
         plus any scheduled crash window of the fault harness."""
@@ -167,19 +164,6 @@ class Cluster:
         if self.faults is not None:
             down |= self.faults.down_machines(now)
         return down
-
-    def _live_replicas(
-        self, placement_key: KeyTuple, down: Set[int]
-    ) -> Sequence[int]:
-        """Replicas of ``placement_key`` outside ``down`` (what
-        :meth:`_down_at` returned for the instant being routed)."""
-        replicas = self.replicas_for(placement_key)
-        live = [m for m in replicas if m not in down] if down else replicas
-        if not live:
-            raise StorageError(
-                f"all replicas down for placement {placement_key!r}"
-            )
-        return live
 
     # ------------------------------------------------------------------
     # resilience policy
@@ -288,50 +272,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def get(self, key: KeyTuple) -> Any:
-        """Un-costed single read (used by metadata lookups and tests).
-
-        A live replica can be *stale* (it missed a write while down and was
-        then recovered), so the read falls back to the other live replicas
-        before giving up — the same way reads already route around ``_down``
-        machines.  The fallback treats key *presence* as freshness: a
-        replica that missed a ``delete`` while down still serves the old
-        row after recovery (no tombstones — the same simplification
-        :meth:`delete` documents).
-        """
-        if self._placement_len is None:
-            raise KeyNotFound(f"empty cluster has no key {key!r}")
-        down = self._down_at(self.clock_ms)
-        for machine_id in self._live_replicas(key[: self._placement_len], down):
-            node = self.machines[machine_id]
-            if key in node:
-                return decode(node.get(key).payload)
-        raise KeyNotFound(f"key {key!r} not on any live replica")
-
-    def scan_prefix(self, prefix: KeyTuple) -> List[Tuple[KeyTuple, Any]]:
-        """Un-costed prefix scan across the *live* replicas of ``prefix``.
-
-        ``prefix`` must be at least as long as the placement key.  Like
-        :meth:`get`, the scan falls back across live replicas instead of
-        trusting the first one: a recovered-but-stale primary would
-        silently return an incomplete scan, so rows from every live
-        replica are unioned (first replica wins per key, in ring order —
-        presence-as-freshness, same as ``get``'s fallback).
-        """
-        if self._placement_len is None:
-            return []
-        if len(prefix) < self._placement_len:
-            raise StorageError(
-                "scan prefix must include the full placement key"
-            )
-        down = self._down_at(self.clock_ms)
-        rows: Dict[KeyTuple, Any] = {}
-        for machine_id in self._live_replicas(prefix[: self._placement_len], down):
-            for key, value in self.machines[machine_id].scan_prefix(prefix):
-                if key not in rows:
-                    rows[key] = decode(value.payload)
-        return sorted(rows.items())
-
     def _route(
         self,
         keys: Sequence[KeyTuple],

@@ -78,16 +78,6 @@ class StorageNode:
                 del self._keys[idx]
             self._cards = None
 
-    def scan_prefix(self, prefix: KeyTuple) -> Iterator[Tuple[KeyTuple, EncodedValue]]:
-        """Yield rows whose key starts with ``prefix``, in key order."""
-        lo = bisect.bisect_left(self._keys, prefix)
-        n = len(prefix)
-        for i in range(lo, len(self._keys)):
-            key = self._keys[i]
-            if key[:n] != prefix:
-                break
-            yield key, self._rows[key]
-
     def items(self) -> Iterator[Tuple[KeyTuple, EncodedValue]]:
         """All rows in clustering-key order (used by introspection and
         the build-time apply-cost calibration)."""
@@ -119,7 +109,3 @@ class StorageNode:
     @property
     def stored_bytes(self) -> int:
         return sum(v.stored_size for v in self._rows.values())
-
-    @property
-    def raw_bytes(self) -> int:
-        return sum(v.raw_size for v in self._rows.values())

@@ -21,7 +21,7 @@ from .metrics import (
     SessionMetrics,
 )
 from .trace import SamplingPolicy, Span, Tracer, current_span, use_span
-from .export import chrome_trace, sim_summary, trace_to_json, write_trace
+from .export import chrome_trace, trace_to_json, write_trace
 from .slowlog import SlowQueryLog, summarize_queries
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "current_span",
     "use_span",
     "chrome_trace",
-    "sim_summary",
     "trace_to_json",
     "write_trace",
     "SlowQueryLog",

@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Optional
 
 from .trace import Span, _jsonable
 
-__all__ = ["trace_to_json", "chrome_trace", "write_trace", "sim_summary"]
+__all__ = ["trace_to_json", "chrome_trace", "write_trace"]
 
 SIM_PID = 1
 WALL_PID = 2
@@ -128,17 +128,6 @@ def chrome_trace(root: Span, include_wall: bool = True) -> Dict[str, Any]:
                 "args": args,
             })
     return {"displayTimeUnit": "ms", "traceEvents": events}
-
-
-def sim_summary(root: Span) -> Dict[str, float]:
-    """Aggregate sim-ms by span kind, for reconciliation checks."""
-    out: Dict[str, float] = {"root_sim_ms": root.sim_ms}
-    for span in root.walk():
-        if span is root or span.sim_start_ms is None:
-            continue
-        key = f"{span.name}_sim_ms"
-        out[key] = out.get(key, 0.0) + span.sim_ms
-    return out
 
 
 def write_trace(root: Span, path: str, format: str = "chrome") -> None:

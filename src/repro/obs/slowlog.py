@@ -92,10 +92,6 @@ class SlowQueryLog:
         with self._lock:
             return list(self._entries)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def as_dict(self, include_traces: bool = True) -> Dict[str, Any]:
         entries = self.entries()
         if not include_traces:

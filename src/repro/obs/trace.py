@@ -299,10 +299,6 @@ class Tracer:
         self._seq = 0
         self._lock = threading.Lock()
 
-    @property
-    def enabled(self) -> bool:
-        return self.sampling.mode != "off"
-
     def should_sample(self) -> bool:
         """Decide (and count) whether the next query gets traced."""
         mode = self.sampling.mode

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from repro.errors import PartitioningError
 from repro.types import NodeId
@@ -23,30 +23,6 @@ class Partitioning:
                 raise PartitioningError(
                     f"node {node} assigned to invalid partition {pid}"
                 )
-
-    def partition_of(self, node: NodeId) -> int:
-        try:
-            return self.assignment[node]
-        except KeyError:
-            raise PartitioningError(f"node {node} has no partition") from None
-
-    def members(self, pid: int) -> List[NodeId]:
-        return sorted(n for n, p in self.assignment.items() if p == pid)
-
-    def sizes(self) -> List[int]:
-        counts = [0] * self.num_partitions
-        for pid in self.assignment.values():
-            counts[pid] += 1
-        return counts
-
-    def imbalance(self) -> float:
-        """Max partition size over the ideal size; 1.0 is perfectly even."""
-        sizes = self.sizes()
-        total = sum(sizes)
-        if total == 0:
-            return 1.0
-        ideal = total / self.num_partitions
-        return max(sizes) / ideal if ideal else 1.0
 
 
 def edge_cut(

@@ -85,11 +85,6 @@ class AdmissionController:
         self._buckets: Dict[str, TokenBucket] = {}
         self._pending = 0
 
-    @property
-    def pending(self) -> int:
-        with self._lock:
-            return self._pending
-
     def admit(self, caller: str) -> None:
         """Admit one request for ``caller`` or raise.
 

@@ -248,10 +248,6 @@ class MicroBatchCollector:
         """Refuse new submissions (sync; safe from a signal handler)."""
         self._accepting = False
 
-    @property
-    def accepting(self) -> bool:
-        return self._accepting
-
     async def drain(self) -> None:
         """Stop accepting, cut any linger short, and wait until every
         admitted request — pending or in flight — has resolved.

@@ -347,12 +347,6 @@ class GraphSession:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    @property
-    def corrections(self) -> Dict[str, float]:
-        """The current per-algorithm predicted→actual correction factors
-        (selection feedback loop; 1.0 = trust the cost model as-is)."""
-        return self.metrics.corrections()
-
     def _factor(self, algorithm: str) -> float:
         gauge = self._correction.get(algorithm)
         return gauge.value if gauge is not None else 1.0
@@ -361,24 +355,6 @@ class GraphSession:
         return {
             name: ms * self._factor(name) for name, ms in candidates.items()
         }
-
-    def export_metrics(self, fmt: str = "json"):
-        """This session's :attr:`metrics`, read off the registry.
-
-        ``fmt="json"`` returns a plain dict: the per-algorithm EWMA
-        :attr:`corrections` and the session-lifetime per-kind query
-        totals.  ``fmt="prometheus"`` renders the whole registry in text
-        exposition format — the same body a service over this session
-        serves at ``/metrics?format=prometheus``.
-        """
-        if fmt == "json":
-            return {
-                "corrections": self.corrections,
-                "totals": self.metrics.totals(),
-            }
-        if fmt != "prometheus":
-            raise QueryError(f"unknown metrics format {fmt!r}")
-        return self.metrics.render()
 
     def _observe(
         self, algorithm: str, predicted_raw: Optional[float],
@@ -701,13 +677,6 @@ class GraphSession:
         result.stats.degraded_partitions = partitions
         result.stats.degraded_keys = keys
         result.degraded = {"keys": keys, "partitions": partitions}
-
-    def batch(self) -> "Batch":
-        """A deferred multi-query builder: the same fluent ``at`` /
-        ``between`` views queue requests instead of running them, and
-        :meth:`Batch.run` executes the whole set through one shared,
-        coalesced timeline (see :meth:`execute_batch`)."""
-        return Batch(self)
 
     def execute_batch(
         self,
@@ -1202,11 +1171,9 @@ class GraphSession:
 class TimeView:
     """Queries anchored at one time point (``session.at(t)``); terminal
     methods compile a :class:`QueryRequest` and execute it — nothing is
-    planned or fetched until then.  Bound to a :class:`Batch` instead of
-    a session, the terminals queue the request and return its position
-    in the batch."""
+    planned or fetched until then."""
 
-    session: Union[GraphSession, "Batch"]
+    session: GraphSession
     t: TimePoint
 
     def _clients(self, clients: Optional[int]) -> int:
@@ -1258,10 +1225,9 @@ class TimeView:
 
 @dataclass(frozen=True)
 class RangeView:
-    """Interval queries (``session.between(ts, te)``); bound to a
-    :class:`Batch`, the terminals queue instead of executing."""
+    """Interval queries (``session.between(ts, te)``)."""
 
-    session: Union[GraphSession, "Batch"]
+    session: GraphSession
     ts: TimePoint
     te: TimePoint
 
@@ -1304,64 +1270,3 @@ class RangeView:
         return self.session.subgraphs(k, predicate).Timeslice(
             self.ts, self.te
         )
-
-
-class Batch:
-    """Deferred multi-query builder (``session.batch()``).
-
-    Duck-types the slice of the session interface the fluent views use
-    (``execute`` and ``clients``), so the same :class:`TimeView` /
-    :class:`RangeView` terminals *queue* compiled requests instead of
-    running them — each terminal returns the request's position in the
-    batch, which indexes the :meth:`run` result list::
-
-        batch = open_graph("wiki.hgs").batch()
-        i = batch.at(900).khop(17, k=2)       # queued, returns 0
-        j = batch.at(900).snapshot()          # queued, returns 1
-        results = batch.run()                 # one shared coalesced
-        hood = results[i].value               # execution for all of them
-
-    ``run`` hands the queue to :meth:`GraphSession.execute_batch`; the
-    batch stays reusable afterwards (``requests`` keeps the queue —
-    ``clear`` resets it).
-    """
-
-    def __init__(self, session: GraphSession) -> None:
-        self.session = session
-        self.clients = session.clients
-        self.requests: List[QueryRequest] = []
-
-    def at(self, t: TimePoint) -> TimeView:
-        """Queue point-in-time queries (terminals return queue positions)."""
-        return TimeView(self, t)
-
-    def between(self, ts: TimePoint, te: TimePoint) -> RangeView:
-        """Queue interval queries (terminals return queue positions)."""
-        if te < ts:
-            raise QueryError(f"empty interval [{ts}, {te}]")
-        return RangeView(self, ts, te)
-
-    def add(self, request: QueryRequest) -> "Batch":
-        """Queue an already-compiled request; chains."""
-        self.requests.append(request)
-        return self
-
-    def execute(self, request: QueryRequest) -> int:
-        """View-terminal hook: queue the compiled request and return its
-        position in the batch (not a result — ``run`` produces those)."""
-        self.requests.append(request)
-        return len(self.requests) - 1
-
-    def clear(self) -> "Batch":
-        """Drop the queued requests; chains."""
-        self.requests = []
-        return self
-
-    def __len__(self) -> int:
-        return len(self.requests)
-
-    def run(self) -> List[QueryResult]:
-        """Execute every queued request through one shared, coalesced
-        timeline; returns one :class:`QueryResult` per request, in queue
-        order."""
-        return self.session.execute_batch(self.requests)

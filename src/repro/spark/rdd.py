@@ -32,11 +32,6 @@ class JobStats:
     num_workers: int = 1
 
     @property
-    def total_seconds(self) -> float:
-        """Aggregate work, i.e. single-worker wall time."""
-        return sum(self.partition_seconds)
-
-    @property
     def makespan_seconds(self) -> float:
         """Simulated parallel completion time over ``num_workers`` (LPT)."""
         return lpt_makespan(self.partition_seconds, self.num_workers)
@@ -55,9 +50,9 @@ def lpt_makespan(tasks: Sequence[float], workers: int) -> float:
 class RDD(Generic[T]):
     """A partitioned collection with lazy transformations.
 
-    Transformations (map/filter/flatMap/mapPartitions) compose a pipeline
-    applied per partition; actions (collect/count/reduce/...) execute the
-    pipeline, timing each partition for the simulated scheduler.
+    The transformation (``map``) composes a pipeline applied per
+    partition; the action (``collect``) executes the pipeline, timing each
+    partition for the simulated scheduler.
     """
 
     def __init__(
@@ -78,17 +73,6 @@ class RDD(Generic[T]):
     def map(self, f: Callable[[T], U]) -> "RDD[U]":
         return self._chain(lambda items: [f(x) for x in items])
 
-    def filter(self, pred: Callable[[T], bool]) -> "RDD[T]":
-        return self._chain(lambda items: [x for x in items if pred(x)])
-
-    def flat_map(self, f: Callable[[T], Iterable[U]]) -> "RDD[U]":
-        return self._chain(lambda items: [y for x in items for y in f(x)])
-
-    def map_partitions(
-        self, f: Callable[[List[T]], List[U]]
-    ) -> "RDD[U]":
-        return self._chain(lambda items: list(f(items)))
-
     # -- actions (eager) ------------------------------------------------------
     def _run(self) -> List[List[Any]]:
         stats = JobStats(num_workers=self.context.num_workers)
@@ -102,24 +86,6 @@ class RDD(Generic[T]):
 
     def collect(self) -> List[T]:
         return [x for part in self._run() for x in part]
-
-    def count(self) -> int:
-        return sum(len(part) for part in self._run())
-
-    def reduce(self, f: Callable[[T, T], T]) -> T:
-        items = self.collect()
-        if not items:
-            raise AnalyticsError("reduce of empty RDD")
-        acc = items[0]
-        for x in items[1:]:
-            acc = f(acc, x)
-        return acc
-
-    def first(self) -> T:
-        for part in self._run():
-            if part:
-                return part[0]
-        raise AnalyticsError("first() of empty RDD")
 
     @property
     def num_partitions(self) -> int:

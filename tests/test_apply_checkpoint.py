@@ -465,8 +465,7 @@ def test_ewma_correction_learns_from_mispredictions(citation_events):
     r1 = s.between(te // 3, te).node_histories(list(range(30)))
     # batched histories are priced as one round, so the chained
     # version-pointer round makes the prediction an underestimate
-    assert s.corrections == {} or True  # populated after first observe
-    factor = s.corrections.get("batched-histories")
+    factor = s.metrics.corrections().get("batched-histories")
     assert factor is not None and factor != 1.0
     r2 = s.between(te // 3, te).node_histories(list(range(30)))
     # the second prediction is the raw price scaled by the learned factor
@@ -483,7 +482,7 @@ def test_ewma_correction_scales_khop_candidates(citation_events):
     s = _session(citation_events)
     te = citation_events[-1].time
     first = s.at(te).khop(5, k=2, algorithm="khop")
-    factor = s.corrections["khop"]
+    factor = s.metrics.corrections()["khop"]
     assert factor != 1.0
     second = s.at(te).khop(5, k=2, algorithm="khop")
     assert second.stats.candidates["khop"] == pytest.approx(
@@ -501,4 +500,4 @@ def test_exact_predictions_leave_correction_at_one(citation_events):
     s.at(t).snapshot()
     s.at(t).snapshot()
     # snapshot plans are exact on an uncached session: ratio 1.0
-    assert s.corrections["snapshot"] == pytest.approx(1.0)
+    assert s.metrics.corrections()["snapshot"] == pytest.approx(1.0)

@@ -258,19 +258,22 @@ def test_batch_results_isolated_copy_on_read(dataset1_events):
     assert set(snap.nodes()) == snap_nodes
 
 
-def test_batch_builder_queues_and_runs(dataset1_events):
+def test_batch_of_mixed_kinds_answers_in_request_order(dataset1_events):
     session = GraphSession.from_index(build_tgi(dataset1_events))
-    batch = session.batch()
-    i = batch.at(900).khop(3, k=2)
-    j = batch.at(900).snapshot()
-    h = batch.between(100, 900).node_histories([3, 5])
-    assert (i, j, h) == (0, 1, 2)
-    assert len(batch) == 3
-    results = batch.run()
-    assert len(results) == 3
-    assert results[j].value.has_node(3)
+    requests = [
+        QueryRequest(kind="khop", t=900, nodes=(3,), k=2, single=True),
+        QueryRequest(kind="snapshot", t=900),
+        QueryRequest(kind="node_histories", ts=100, te=900, nodes=(3, 5)),
+    ]
+    results = session.execute_batch(requests)
+    assert [r.request for r in results] == requests
+    assert results[1].value.has_node(3)
     serial = session.at(900).khop(3, k=2)
-    _assert_same_value(results[i].request, results[i].value, serial.value)
+    _assert_same_value(results[0].request, results[0].value, serial.value)
+    histories = session.between(100, 900).node_histories([3, 5])
+    _assert_same_value(
+        results[2].request, results[2].value, histories.value
+    )
 
 
 def test_batch_shared_context_discounts_pricing(dataset1_events):

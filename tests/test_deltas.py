@@ -106,13 +106,6 @@ def test_cardinality_and_size():
     assert d.size == 5
 
 
-def test_restricted_to():
-    d = Delta([sn(1), sn(2), StaticEdge.make(1, 5), StaticEdge.make(5, 6)])
-    r = d.restricted_to([1])
-    assert ("n", 1) in r and ("n", 2) not in r
-    assert ("e", (1, 5)) in r and ("e", (5, 6)) not in r
-
-
 def test_type_errors():
     with pytest.raises(DeltaError):
         Delta() + 3

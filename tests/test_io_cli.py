@@ -53,15 +53,6 @@ def test_read_validates_order(tmp_path):
     assert len(read_events(path, validate=False)) == 2
 
 
-def test_iter_events_streams(tmp_path):
-    from repro.io import iter_events
-
-    events = random_history(steps=40, seed=6)
-    path = tmp_path / "h.jsonl"
-    write_events(events, path)
-    assert list(iter_events(path)) == events
-
-
 # -- cli ----------------------------------------------------------------------
 
 def test_cli_generate_build_query(tmp_path, capsys):

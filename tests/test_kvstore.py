@@ -42,15 +42,6 @@ def test_node_put_get_delete():
         node.get(key)
 
 
-def test_node_scan_prefix_in_order():
-    node = StorageNode(0)
-    for pid in (3, 1, 2):
-        node.put((0, 0, ("S", 5), pid), encode(pid))
-    node.put((0, 0, ("S", 6), 0), encode("other"))
-    got = [k[3] for k, _ in node.scan_prefix((0, 0, ("S", 5)))]
-    assert got == [1, 2, 3]
-
-
 def test_node_rank_reflects_sorted_position():
     node = StorageNode(0)
     keys = [(0, 0, ("E", i), 0) for i in range(5)]
@@ -90,6 +81,12 @@ def test_fetch_stats_merge():
 
 # -- cluster --------------------------------------------------------------------
 
+def read(cluster, key):
+    """One costed read of ``key`` (a multiget of one)."""
+    values, _ = cluster.multiget([key])
+    return values[key]
+
+
 def test_cluster_config_validation():
     with pytest.raises(StorageError):
         ClusterConfig(num_machines=0)
@@ -100,7 +97,7 @@ def test_cluster_config_validation():
 def test_cluster_put_get_roundtrip():
     c = Cluster(ClusterConfig(num_machines=3))
     c.put((0, 1, ("S", 0), 0), {"x": 1})
-    assert c.get((0, 1, ("S", 0), 0)) == {"x": 1}
+    assert read(c, (0, 1, ("S", 0), 0)) == {"x": 1}
 
 
 def test_cluster_replication_writes_r_copies():
@@ -182,16 +179,7 @@ def test_compression_stores_fewer_bytes():
     plain.put((0, 0, ("S", 0), 0), value)
     comp.put((0, 0, ("S", 0), 0), value)
     assert comp.stored_bytes < plain.stored_bytes
-    assert comp.get((0, 0, ("S", 0), 0)) == value
-
-
-def test_scan_prefix_requires_placement():
-    c = Cluster()
-    c.put((0, 0, ("S", 0), 0), 1)
-    with pytest.raises(StorageError):
-        c.scan_prefix((0,))
-    rows = c.scan_prefix((0, 0))
-    assert len(rows) == 1
+    assert read(comp, (0, 0, ("S", 0), 0)) == value
 
 
 def test_inconsistent_placement_len_rejected():
@@ -209,9 +197,7 @@ def test_failover_to_surviving_replica():
     c.put(key, "v")
     primary = c.replicas_for((0, 1))[0]
     c.fail_machine(primary)
-    assert c.get(key) == "v"
-    values, _ = c.multiget([key])
-    assert values[key] == "v"
+    assert read(c, key) == "v"
 
 
 def test_all_replicas_down_raises():
@@ -221,7 +207,7 @@ def test_all_replicas_down_raises():
     for mid in c.replicas_for((0, 1)):
         c.fail_machine(mid)
     with pytest.raises(StorageError):
-        c.get(key)
+        read(c, key)
 
 
 def test_recover_machine_restores_reads():
@@ -231,7 +217,7 @@ def test_recover_machine_restores_reads():
     mid = c.replicas_for((0, 1))[0]
     c.fail_machine(mid)
     c.recover_machine(mid)
-    assert c.get(key) == "v"
+    assert read(c, key) == "v"
 
 
 def test_fail_invalid_machine_rejected():

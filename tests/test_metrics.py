@@ -3,18 +3,18 @@
 import pytest
 
 from repro.graph.metrics import (
+    GraphMetrics,
+    NodeMetrics,
     average_clustering,
     average_degree,
-    connected_components,
-    degree_centrality,
-    degree_histogram,
     density,
     diameter_estimate,
+    k_core_decomposition,
     local_clustering_coefficient,
-    pagerank,
     shortest_path_lengths,
     triangle_count,
 )
+from repro.errors import GraphError
 from repro.graph.static import Graph
 
 
@@ -71,20 +71,10 @@ def test_average_clustering_triangle_with_tail():
     assert average_clustering(g) == pytest.approx((1 + 1 + 1 / 3 + 0) / 4)
 
 
-def test_degree_histogram_and_average():
+def test_average_degree():
     g = make_path(4)
-    assert degree_histogram(g) == {1: 2, 2: 2}
     assert average_degree(g) == pytest.approx(1.5)
-
-
-def test_connected_components_sizes():
-    g = make_path(3)
-    g.add_node(10)
-    g.add_node(11)
-    g.add_edge(10, 11)
-    comps = connected_components(g)
-    assert [len(c) for c in comps] == [3, 2]
-    assert comps[0] == [0, 1, 2]
+    assert average_degree(Graph()) == 0.0
 
 
 def test_shortest_path_lengths_path_graph():
@@ -97,90 +87,10 @@ def test_diameter_estimate_path():
     assert diameter_estimate(make_path(6)) == 5
 
 
-def test_pagerank_uniform_on_symmetric():
-    ranks = pagerank(make_complete(4))
-    values = list(ranks.values())
-    assert all(v == pytest.approx(values[0], rel=1e-6) for v in values)
-    assert sum(values) == pytest.approx(1.0, rel=1e-3)
-
-
-def test_pagerank_star_center_highest():
-    g = Graph()
-    for i in range(5):
-        g.add_node(i)
-    for i in range(1, 5):
-        g.add_edge(0, i)
-    ranks = pagerank(g)
-    assert ranks[0] == max(ranks.values())
-
-
-def test_degree_centrality():
-    g = make_path(3)
-    c = degree_centrality(g)
-    assert c[1] == pytest.approx(1.0)
-    assert c[0] == pytest.approx(0.5)
-
-
 def test_triangle_count():
     g = make_complete(4)
     assert triangle_count(g) == 4
     assert triangle_count(make_path(5)) == 0
-
-
-# -- extended metrics ---------------------------------------------------------
-
-from repro.graph.metrics import (
-    betweenness_centrality,
-    closeness_centrality,
-    conductance,
-    degree_assortativity,
-    k_core_decomposition,
-)
-
-
-def test_betweenness_path_graph_center_highest():
-    g = make_path(5)
-    bc = betweenness_centrality(g, normalized=False)
-    assert bc[2] > bc[1] > bc[0]
-    assert bc[0] == 0.0
-    # center of a 5-path lies on 2*2=4 shortest pairs
-    assert bc[2] == pytest.approx(4.0)
-
-
-def test_betweenness_matches_networkx():
-    import networkx as nx
-    import random
-
-    rng = random.Random(4)
-    g = Graph()
-    for n in range(20):
-        g.add_node(n)
-    for _ in range(40):
-        u, v = rng.sample(range(20), 2)
-        if not g.has_edge(u, v):
-            g.add_edge(u, v)
-    ours = betweenness_centrality(g)
-    theirs = nx.betweenness_centrality(g.to_networkx())
-    for n in g.nodes():
-        assert ours[n] == pytest.approx(theirs[n], abs=1e-9)
-
-
-def test_closeness_star_center():
-    g = Graph()
-    for i in range(5):
-        g.add_node(i)
-    for i in range(1, 5):
-        g.add_edge(0, i)
-    cc = closeness_centrality(g)
-    assert cc[0] == max(cc.values())
-    assert cc[0] == pytest.approx(1.0)
-
-
-def test_closeness_isolated_zero():
-    g = Graph()
-    g.add_node(1)
-    g.add_node(2)
-    assert closeness_centrality(g)[1] == 0.0
 
 
 def test_k_core_complete_graph():
@@ -206,37 +116,40 @@ def test_k_core_matches_networkx():
     assert ours == theirs
 
 
-def test_conductance_clean_cut():
-    g = make_complete(4)
-    h = make_complete(4)
-    merged = Graph()
-    for n in range(4):
-        merged.add_node(n)
-        merged.add_node(n + 10)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            merged.add_edge(i, j)
-            merged.add_edge(i + 10, j + 10)
-    merged.add_edge(0, 10)  # single bridge
-    phi = conductance(merged, {0, 1, 2, 3})
-    assert phi == pytest.approx(1 / 13)
+# -- the paper's GraphMetrics / NodeMetrics namespaces (Fig. 7) ---------------
 
-
-def test_conductance_degenerate_sets():
+def five_node_graph():
+    """A triangle 0-1-2 with a tail 2-3-4: core numbers 2, 2, 2, 1, 1."""
     g = make_complete(3)
-    assert conductance(g, set()) == 0.0
-    assert conductance(g, {0, 1, 2}) == 0.0
+    for n in (3, 4):
+        g.add_node(n)
+    g.add_edge(2, 3)
+    g.add_edge(3, 4)
+    return g
 
 
-def test_assortativity_star_negative():
-    g = Graph()
-    for i in range(6):
-        g.add_node(i)
-    for i in range(1, 6):
-        g.add_edge(0, i)
-    assert degree_assortativity(g) < 0
+def test_max_core_matches_networkx():
+    import networkx as nx
+
+    g = five_node_graph()
+    assert GraphMetrics.max_core(g) == 2
+    assert GraphMetrics.max_core(g) == max(nx.core_number(g.to_networkx()).values())
+    assert GraphMetrics.max_core(make_complete(5)) == 4
+    assert GraphMetrics.max_core(Graph()) == 0
 
 
-def test_assortativity_regular_zero_variance():
-    g = make_complete(4)
-    assert degree_assortativity(g) == 0.0
+def test_node_metrics_degree():
+    g = five_node_graph()
+    assert [NodeMetrics.degree(g, n) for n in range(5)] == [2, 2, 3, 2, 1]
+
+
+def test_node_metrics_neighbor_count_with():
+    g = five_node_graph()
+    g.node_attrs(0)["color"] = "red"
+    g.node_attrs(3)["color"] = "red"
+    g.node_attrs(1)["color"] = "blue"
+    assert NodeMetrics.neighbor_count_with(g, 2, "color", "red") == 2
+    assert NodeMetrics.neighbor_count_with(g, 2, "color", "blue") == 1
+    assert NodeMetrics.neighbor_count_with(g, 4, "color", "blue") == 0
+    with pytest.raises(GraphError):
+        NodeMetrics.neighbor_count_with(g, 99, "color", "red")

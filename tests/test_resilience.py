@@ -107,26 +107,6 @@ def owner_of(c, keys):
     raise AssertionError("no records planned")
 
 
-# -- satellite: scan_prefix across stale replicas ---------------------------
-
-def test_scan_prefix_unions_live_replicas():
-    c = Cluster(ClusterConfig(num_machines=3, replication=2))
-    k1 = (0, 0, ("S", 1), 0)
-    c.put(k1, "v1")
-    primary = c.replicas_for((0, 0))[0]
-    # write while the primary is down: only the other replica gets it
-    c.fail_machine(primary)
-    k2 = (0, 0, ("S", 2), 0)
-    c.put(k2, "v2")
-    c.recover_machine(primary)
-    # the recovered primary is stale; a first-live-replica scan would
-    # miss k2 — the union across live replicas must not
-    rows = dict(c.scan_prefix((0, 0)))
-    assert rows == {k1: "v1", k2: "v2"}
-    # and the scan stays in key order
-    assert [k for k, _ in c.scan_prefix((0, 0))] == sorted([k1, k2])
-
-
 # -- fault injector ----------------------------------------------------------
 
 def test_corruption_faults_require_checksums():

@@ -29,6 +29,7 @@ from repro.api import (
     spec_from_request,
 )
 from repro.kvstore.cluster import ClusterConfig
+from repro.obs import SamplingPolicy, SlowQueryLog, Tracer
 from repro.service import (
     AccessLogger,
     AdmissionController,
@@ -379,6 +380,34 @@ def test_metrics_endpoint(client, tmax):
     assert snap["requests"]["by_caller"]["tests"] >= 1
     assert snap["batches"]["count"] >= 1
     assert snap["latency"]["service_ms"]["count"] >= 1
+
+
+def test_debug_slow_route(tgi, tmax):
+    # as `hgs serve --trace all --slow-ms 0` wires it: every query is
+    # traced and every trace is slow enough to keep
+    session = fresh_session(tgi)
+    tracer = Tracer(SamplingPolicy.all(), slow_log=SlowQueryLog(threshold_ms=0))
+    session.tracer = tracer
+    with BackgroundService(session, tracer=tracer) as svc:
+        client = ServiceClient(port=svc.port)
+        client.query({"kind": "khop", "node": 3, "time": tmax, "k": 2})
+        summary = client._request("GET", "/debug/slow")
+        full = client._request("GET", "/debug/slow?traces=1")
+    assert summary["enabled"] is True
+    assert summary["threshold_ms"] == 0.0
+    assert summary["count"] == 1 and len(summary["entries"]) == 1
+    assert "trace" not in summary["entries"][0]
+    assert full["count"] == 1
+    assert full["entries"][0]["trace"]
+    assert {k: v for k, v in full["entries"][0].items() if k != "trace"} == (
+        summary["entries"][0]
+    )
+
+
+def test_debug_slow_route_without_a_tracer(client):
+    assert client._request("GET", "/debug/slow") == {
+        "enabled": False, "threshold_ms": None, "count": 0, "entries": [],
+    }
 
 
 def test_deadline_expired_in_window_http_504(tgi, tmax):

@@ -103,6 +103,21 @@ def test_between_view_builds_timesliced_operands(session, dataset1_events):
         session.between(te, te // 2)
 
 
+def test_between_view_subgraphs_and_nodes_fetch(session, dataset1_events):
+    # the SoN / SoTS terminals of an interval view are the session's
+    # own operands, timesliced to the view's interval
+    te = dataset1_events[-1].time
+    sots = session.between(te // 2, te).subgraphs(1, "id < 6").fetch()
+    direct = session.subgraphs(1, "id < 6").Timeslice(te // 2, te).fetch()
+    assert all(sg.get_start_time() >= te // 2 for sg in sots)
+    assert {sg.center: sg.member_ids() for sg in sots} == {
+        sg.center: sg.member_ids() for sg in direct
+    }
+    assert {sg.center for sg in sots}
+    son = session.between(te // 2, te).nodes().fetch()
+    assert son.get_start_time() >= te // 2 and son.node_ids()
+
+
 def test_request_validation():
     with pytest.raises(QueryError):
         QueryRequest(kind="nonsense")

@@ -113,6 +113,19 @@ def _strip_edge_attrs(g):
     return out
 
 
+def test_tgraph_graph_at_and_change_points(handler, events, t_end):
+    son = SON(handler).Timeslice(1, t_end).fetch()
+    tgraph = son.GetGraph()
+    points = tgraph.change_points()
+    assert points == son.change_points()
+    assert points == sorted(set(points)) and 1 < points[0] <= points[-1] <= t_end
+    for t in (points[0], points[len(points) // 2], t_end):
+        assert tgraph.graph_at(t) == son.GetGraph(t)
+        assert tgraph.graph_at(t) == _strip_edge_attrs(
+            Graph.replay(events, until=t)
+        )
+
+
 def test_evolution_density(handler, events, t_end):
     son = SON(handler).Timeslice(1, t_end).fetch()
     evol = son.GetGraph().Evolution(GraphMetrics.density, 8)
@@ -266,11 +279,17 @@ def test_series_set_aggregations(handler, t_end):
         lambda state: len(state.E) if state else 0
     )
     maxima = series.Max()
+    minima = series.Min()
     means = series.Mean()
     finals = series.final_values()
     for nid in series.series:
         times_values = series[nid]
         assert maxima[nid][1] == max(v for _, v in times_values)
+        # the minimum, at its earliest time on ties
+        low = min(v for _, v in times_values)
+        assert minima[nid] == (
+            min(t for t, v in times_values if v == low), low
+        )
         assert means[nid] == pytest.approx(
             sum(v for _, v in times_values) / len(times_values)
         )

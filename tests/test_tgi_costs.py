@@ -6,7 +6,6 @@ from repro.index.tgi.costs import (
     INDEXES,
     PRIMITIVES,
     WorkloadShape,
-    storage_sizes,
     table1,
     tree_height,
 )
@@ -48,15 +47,6 @@ def test_tgi_one_hop_beats_deltagraph(shape):
 def test_tgi_snapshot_matches_deltagraph_cardinality(shape):
     table = table1(shape)
     assert table["tgi"]["snapshot"][0] == table["deltagraph"]["snapshot"][0]
-
-
-def test_storage_ordering(shape):
-    sizes = storage_sizes(shape)
-    assert sizes["log"] < sizes["node-centric"]
-    assert sizes["node-centric"] < sizes["deltagraph"]
-    assert sizes["deltagraph"] < sizes["tgi"]
-    assert sizes["tgi"] < sizes["copy+log"]
-    assert sizes["copy+log"] < sizes["copy"]
 
 
 def test_tree_height():

@@ -50,7 +50,8 @@ def stored_chain(entries, **cluster):
     for t_min, t_max, key in entries:
         store.record(5, t_min, t_max, key)
     store.flush()
-    return store, store._cluster.get(version_chain_key(5, 4))
+    key = version_chain_key(5, 4)
+    return store, store._cluster.multiget([key])[0][key]
 
 
 @given(entries=pointers(), data=st.data())
@@ -103,4 +104,5 @@ def test_flush_merges_new_pointers_and_reports_changed_rows():
     store.record(1, 2, 3, KEYS[3])
     assert store.flush() == [version_chain_key(1, 4)]
     assert store.chain(1) == (2, 3, 1, 3, 4, 1, 5, 6, 0, 0, 0, 1)
-    assert store._cluster.get(version_chain_key(1, 4)) == store.chain(1)
+    key = version_chain_key(1, 4)
+    assert store._cluster.multiget([key])[0][key] == store.chain(1)
