@@ -95,7 +95,7 @@ def selection(bounds):
     margins = []
     per_center = []
     for center in centers:
-        auto_s = GraphSession.from_index(tgi)  # fresh EWMA per probe
+        auto_s = GraphSession.from_index(tgi)  # one session per probe
         auto = auto_s.at(t).khop(center, k=1)
         cands = auto.stats.candidates
         margin = abs(cands["khop"] - cands["snapshot-first"])

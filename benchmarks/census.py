@@ -432,9 +432,6 @@ KEEP: List[Tuple[str, str]] = [
      "paper model: component and delta accessors (Sec. 4)"),
     ("repro/graph/events.py::events_in_range",
      "paper model: the (ts, te] scope of an eventlist (Sec. 4)"),
-    # left for the next census round (ROADMAP direction 7)
-    ("repro/types.py::validate_interval",
-     "next census round: not on this round's delete list"),
 ]
 
 

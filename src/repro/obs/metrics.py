@@ -6,12 +6,11 @@ text format (exposition 0.0.4) for ``GET /metrics?format=prometheus``
 or offline inspection.
 
 Each session owns one :class:`SessionMetrics` — the registry every
-query it executes is recorded into, once: the per-kind totals, the
-additive :class:`~repro.kvstore.cost.Counters` families and the
-planner's correction gauges.  A service over the session builds its
-``ServiceMetrics`` on that same object and adds only what it alone
-sees (HTTP status, per-caller billing, batches, latencies), so
-``/metrics`` renders one registry.
+query it executes is recorded into, once: the per-kind totals and the
+additive :class:`~repro.kvstore.cost.Counters` families.  A service
+over the session builds its ``ServiceMetrics`` on that same object and
+adds only what it alone sees (HTTP status, per-caller billing, batches,
+latencies), so ``/metrics`` renders one registry.
 
 Histogram bucket boundaries live here — :data:`DEFAULT_LATENCY_BOUNDS_MS`
 is the single source the service histograms and the Prometheus ``le``
@@ -315,8 +314,6 @@ KIND_FAMILIES: Dict[str, Tuple[str, str]] = {
         "hgs_session_sim_ms_total", "Simulated query ms, by query kind"),
 }
 
-CORRECTION_FAMILY = "hgs_planner_correction"
-
 
 class SessionMetrics(MetricsRegistry):
     """The registry one session records every executed query into.
@@ -324,8 +321,8 @@ class SessionMetrics(MetricsRegistry):
     :meth:`record` folds a successful query's stats in once — its kind's
     row of :data:`KIND_FAMILIES` and every :data:`QUERY_FAMILIES`
     counter — through handles cached here, so recording never looks a
-    family up.  :meth:`totals` and :meth:`corrections` read the JSON
-    views back off the same series the Prometheus rendering prints.
+    family up.  :meth:`totals` reads the JSON view back off the same
+    series the Prometheus rendering prints.
     """
 
     def __init__(self) -> None:
@@ -357,17 +354,6 @@ class SessionMetrics(MetricsRegistry):
                     # a list of partition labels counts once: one more
                     # query answered with degraded coverage
                     metric.inc(1.0 if type(value) is list else value)
-
-    def correction(self, algorithm: str) -> Gauge:
-        """The gauge holding ``algorithm``'s predicted→actual factor."""
-        return self.gauge(
-            CORRECTION_FAMILY,
-            "per-algorithm EWMA predicted-to-actual scale",
-            labels={"algorithm": algorithm},
-        )
-
-    def corrections(self) -> Dict[str, float]:
-        return self.by_label(CORRECTION_FAMILY, "algorithm")
 
     def totals(self) -> Dict[str, Dict[str, float]]:
         """``{kind: {queries, requests, bytes, sim_ms}}``, by kind."""

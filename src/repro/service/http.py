@@ -13,7 +13,7 @@ Three routes:
 - ``GET /healthz`` — liveness plus drain state.
 - ``GET /metrics`` — the :class:`~repro.service.metrics.ServiceMetrics`
   snapshot (JSON) of the session's one registry: the service's
-  families, the session's per-query record and its planner corrections;
+  families and the session's per-query record;
   ``?format=prometheus`` renders the same registry in Prometheus text
   exposition 0.0.4 (any other format is a 400).
 - ``GET /debug/slow`` — the tracer's slow-query ring buffer

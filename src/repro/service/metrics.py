@@ -14,10 +14,10 @@ accounting stays honest under cross-caller coalescing.
 
 Every counter lives in the served session's one
 :class:`~repro.obs.metrics.SessionMetrics` registry.  The session
-records each executed query into it once — per-kind totals, the
-additive counter families, the planner's corrections — and the
-service adds only what it alone sees: HTTP responses by status and
-caller, rejections, batches, latencies and the per-caller billing.  So
+records each executed query into it once — per-kind totals and the
+additive counter families — and the service adds only what it alone
+sees: HTTP responses by status and caller, rejections, batches,
+latencies and the per-caller billing.  So
 the same state renders two ways: the JSON ``snapshot()`` the dashboard
 reads, and the Prometheus text exposition (``render_prometheus()``) a
 scraper reads, each over the whole registry.  Bucket boundaries come
@@ -305,7 +305,6 @@ class ServiceMetrics:
                     "exec_ms": self.exec_latency.as_dict(),
                     "queue_ms": self.queue_latency.as_dict(),
                 },
-                "planner": {"corrections": reg.corrections()},
                 "session_totals": totals,
             }
 

@@ -35,11 +35,10 @@ handler.
 (``_compile``) to exactly one fetch plan plus a finalize closure, a
 call's plans run through one ``PlanExecutor.execute_many``, and each
 request is finalized off its plan's values (``_finalize``).
-``execute(r)`` is the batch of one — its plan run alone, the only
-outcome the EWMA correction learns from; ``execute_batch`` runs many on
-one coalesced timeline.  Stats travel with results (the index
-returns ``(value, FetchStats)``), so threads sharing a session each
-report their own work.
+``execute(r)`` is the batch of one — its plan run alone;
+``execute_batch`` runs many on one coalesced timeline.  Stats travel
+with results (the index returns ``(value, FetchStats)``), so threads
+sharing a session each report their own work.
 
 Retrieval-as-planning over priced alternatives, and single- and
 multi-point queries answered from one shared plan, follow "Efficient
@@ -53,7 +52,6 @@ classes keep working for direct callers.
 
 from __future__ import annotations
 
-import threading
 import time as _time
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -95,18 +93,13 @@ from repro.index.tgi import TGI, TGIPlanner, price_plan
 from repro.index.tgi.query import ReplayShare
 from repro.kvstore.cost import COUNTER_NAMES, ExecutionTimeline, FetchStats
 from repro.kvstore.degrade import PartialCollector, partial_scope
-from repro.obs.metrics import Gauge, SessionMetrics
+from repro.obs.metrics import SessionMetrics
 from repro.obs.trace import Span, Tracer, current_span
 from repro.spark.rdd import SparkContext
 from repro.storage import load_index
 from repro.taf.handler import TGIHandler
 from repro.taf.son import SON, SOTS
 from repro.types import NodeId, TimePoint
-
-#: Smoothing factor of the per-algorithm predicted→actual correction
-#: EWMA: each executed query nudges its algorithm's factor 30% of the way
-#: toward the observed actual/predicted ratio.
-EWMA_ALPHA = 0.3
 
 #: Candidate preference on predicted-cost ties: the targeted algorithms'
 #: bounds are conservative (the fetch loads partitions lazily and may
@@ -126,8 +119,6 @@ class _Spec:
     assemble: Callable[[Any], Any]
     algorithm: str
     predicted: Optional[float]
-    #: the uncorrected model price the EWMA compares actuals against
-    raw: Optional[float]
     candidates: Dict[str, float]
     #: position of this spec's plan in the run's shared plan list
     index: int = 0
@@ -313,12 +304,6 @@ class GraphSession:
         #: The one registry this session's queries are recorded into
         #: (a service over the session renders it as ``/metrics``).
         self.metrics = SessionMetrics()
-        # per-algorithm EWMA of observed actual/predicted sim-ms ratios,
-        # as cached handles on ``metrics``' gauges; applied
-        # multiplicatively to subsequent candidate pricing
-        self._correction: Dict[str, Gauge] = {}
-        # guards the EWMA's read-modify-write from collector worker threads
-        self._lock = threading.Lock()
         #: Optional :class:`repro.obs.Tracer`.  ``None`` (the default)
         #: leaves every instrumentation site on its no-op path, so
         #: untraced accounting is bit-identical to pre-tracing builds.
@@ -346,32 +331,6 @@ class GraphSession:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-    def _factor(self, algorithm: str) -> float:
-        gauge = self._correction.get(algorithm)
-        return gauge.value if gauge is not None else 1.0
-
-    def _corrected(self, candidates: Dict[str, float]) -> Dict[str, float]:
-        return {
-            name: ms * self._factor(name) for name, ms in candidates.items()
-        }
-
-    def _observe(
-        self, algorithm: str, predicted_raw: Optional[float],
-        actual: float,
-    ) -> None:
-        """Fold one query's predicted-vs-actual outcome into the
-        algorithm's correction factor."""
-        if predicted_raw is None or predicted_raw <= 0.0:
-            return
-        ratio = actual / predicted_raw
-        with self._lock:  # read-modify-write from concurrent queries
-            gauge = self._correction.get(algorithm)
-            if gauge is None:
-                gauge = self.metrics.correction(algorithm)
-                gauge.set(1.0)
-                self._correction[algorithm] = gauge
-            gauge.set((1.0 - EWMA_ALPHA) * gauge.value + EWMA_ALPHA * ratio)
 
     # ------------------------------------------------------------------
     # construction shims
@@ -439,8 +398,7 @@ class GraphSession:
         self, request: QueryRequest,
         shared_keys: Optional[Set] = None,
     ) -> Tuple[
-        str, Dict[str, float], Dict[str, float], Dict[str, List[str]],
-        Optional[FetchPlan],
+        str, Dict[str, float], Dict[str, List[str]], Optional[FetchPlan],
     ]:
         """Price the two k-hop candidates and resolve the algorithm.
 
@@ -454,18 +412,17 @@ class GraphSession:
 
         Forced choices pass through; ``auto`` takes the cheapest priced
         candidate (ties break toward the targeted bound, see
-        :data:`_TIE_ORDER`), after the per-algorithm EWMA corrections
-        learned from earlier queries.  With no alive center to bound, or
-        no priceable candidate (dead placements under fault injection),
-        it runs Algorithm 4, which raises (or degrades) without fetching
-        a full snapshot.  Returns the choice, the corrected candidate
-        prices (what callers report), the raw model prices (what the
-        feedback loop compares actuals against), each candidate's planner
-        notes (why a plan prices the way it does: stats bounds,
-        checkpoint seedings, warm snapshots), and the chosen candidate's
-        plan — what it was priced on, what the batch discounts for later
-        members and what EXPLAIN prints (``None`` for a lone center
-        unknown at ``t``)."""
+        :data:`_TIE_ORDER`) on the model prices alone, so the choice
+        depends on the index, the cache state and the request, not on
+        what ran before.  With no alive center to bound, or no priceable
+        candidate (dead placements under fault injection), it runs
+        Algorithm 4, which raises (or degrades) without fetching a full
+        snapshot.  Returns the choice, the candidate prices (what callers
+        report), each candidate's planner notes (why a plan prices the
+        way it does: stats bounds, checkpoint seedings, warm snapshots),
+        and the chosen candidate's plan — what it was priced on, what the
+        batch discounts for later members and what EXPLAIN prints
+        (``None`` for a lone center unknown at ``t``)."""
         snap_plan = self.planner.plan_snapshot(request.t)
         plans = {ALGO_SNAPSHOT_FIRST: snap_plan}
         notes = {ALGO_SNAPSHOT_FIRST: list(snap_plan.notes)}
@@ -493,14 +450,13 @@ class GraphSession:
             plans[ALGO_KHOP] = subs[0]
         if subs:
             notes[ALGO_KHOP] = khop_notes
-        raw: Dict[str, float] = {}
+        candidates: Dict[str, float] = {}
         for name in notes:
             price = self._safe_price(
                 plans[name], request.clients, shared_keys=shared_keys
             )
             if price is not None:
-                raw[name] = price
-        candidates = self._corrected(raw)
+                candidates[name] = price
         if request.algorithm != ALGO_AUTO:
             chosen = request.algorithm
         elif not subs or not candidates:
@@ -510,14 +466,11 @@ class GraphSession:
                 candidates,
                 key=lambda name: (candidates[name], _TIE_ORDER[name]),
             )
-        self._trace_pricing(chosen, candidates, raw)
-        return chosen, candidates, raw, notes, plans.get(chosen)
+        self._trace_pricing(chosen, candidates)
+        return chosen, candidates, notes, plans.get(chosen)
 
     def _trace_pricing(
-        self,
-        chosen: str,
-        candidates: Dict[str, float],
-        raw: Dict[str, float],
+        self, chosen: str, candidates: Dict[str, float]
     ) -> None:
         """Attach a ``pricing`` span recording the candidate table and
         the choice (no-op unless this query is being traced)."""
@@ -527,10 +480,6 @@ class GraphSession:
                 "pricing",
                 chosen=chosen,
                 candidates={k: round(v, 6) for k, v in candidates.items()},
-                raw={k: round(v, 6) for k, v in raw.items()},
-                corrections={
-                    k: round(self._factor(k), 6) for k in candidates
-                },
             ).end()
 
     def _plan_for(self, request: QueryRequest) -> FetchPlan:
@@ -726,10 +675,7 @@ class GraphSession:
 
         The serial baseline is a plain :meth:`execute` loop.  Every kind
         has a plan form — ``khop_history`` chains its neighbors' history
-        stages behind the center's — so every kind coalesces.  The
-        per-algorithm EWMA correction is *not* updated from batched
-        runs — coalesced actuals reflect shared work and would mistrain
-        the standalone predictions.
+        stages behind the center's — so every kind coalesces.
 
         ``capture_errors=True`` turns per-request failures (bad plans,
         dead nodes at assembly, expired deadlines) into
@@ -776,7 +722,7 @@ class GraphSession:
         request to one plan + finalizer, execute all plans in one
         ``execute_many``, :meth:`_finalize` each request off its plan's
         values.  One distinct request asked once runs *standalone* — its
-        plan alone, the outcome fed to the EWMA; anything more shares one
+        plan alone, charged all of its fetch; anything more shares one
         coalesced timeline and is attributed fair shares of it.
 
         Either way the k-hop plans of one call share what they replay:
@@ -936,10 +882,7 @@ class GraphSession:
             predicted_ms=spec.predicted,
             candidates=spec.candidates,
         )
-        if standalone:
-            # only a plan run alone may train the EWMA
-            self._observe(spec.algorithm, spec.raw, stats.sim_time_ms)
-        else:
+        if not standalone:
             # the request completes when its plan does on the shared
             # timeline; shared fetches are attributed fairly and the
             # spec's share split evenly over its members, so the batch's
@@ -995,7 +938,7 @@ class GraphSession:
         built (a plan compiled without one makes its own)."""
         tgi = self.tgi
         if request.kind == "khop":
-            chosen, candidates, raw, _notes, plan = (
+            chosen, candidates, _notes, plan = (
                 self._choose_khop(request, shared_keys=shared)
             )
             t, k = request.t, request.k
@@ -1030,10 +973,9 @@ class GraphSession:
                 shared.update(plan.pricing_keys())
             return _Spec(
                 compiled=compiled, assemble=assemble, algorithm=chosen,
-                predicted=candidates.get(chosen), raw=raw.get(chosen),
-                candidates=candidates,
+                predicted=candidates.get(chosen), candidates=candidates,
             )
-        raw, pricing_keys = self._predict(request, shared_keys=shared)
+        predicted, pricing_keys = self._predict(request, shared_keys=shared)
 
         def assemble(value):
             return value
@@ -1062,15 +1004,10 @@ class GraphSession:
 
             def assemble(histories):
                 return histories[0].initial
-        predicted = (
-            raw * self._factor(algorithm)
-            if raw is not None
-            else None
-        )
         shared.update(pricing_keys)
         return _Spec(
             compiled=compiled, assemble=assemble, algorithm=algorithm,
-            predicted=predicted, raw=raw,
+            predicted=predicted,
             candidates=(
                 {algorithm: predicted} if predicted is not None else {}
             ),
@@ -1094,7 +1031,7 @@ class GraphSession:
         candidate_notes: Dict[str, List[str]] = {}
         if request.kind == "khop":
             # the pricing pass planned every candidate: print its choice
-            chosen, candidates, _raw, candidate_notes, plan = (
+            chosen, candidates, candidate_notes, plan = (
                 self._choose_khop(request)
             )
             if plan is None:

@@ -33,9 +33,3 @@ def canonical_edge(u: NodeId, v: NodeId, directed: bool = False) -> EdgeId:
     if directed or u <= v:
         return (u, v)
     return (v, u)
-
-
-def validate_interval(ts: TimePoint, te: TimePoint) -> None:
-    """Raise ``ValueError`` unless ``[ts, te)`` is a well-formed interval."""
-    if te <= ts:
-        raise ValueError(f"empty or inverted time interval [{ts}, {te})")

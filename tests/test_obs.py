@@ -141,6 +141,10 @@ def test_khop_trace_has_pricing(session, tmax, events):
     attrs = pricing[0].attrs
     assert attrs["chosen"] == result.stats.algorithm
     assert set(attrs["candidates"]) >= {attrs["chosen"]}
+    # the span records the very prices the caller sees
+    assert attrs["candidates"] == {
+        name: round(ms, 6) for name, ms in result.stats.candidates.items()
+    }
     assert root.attrs["algorithm"] == result.stats.algorithm
     assert root.attrs["predicted_ms"] == result.stats.predicted_ms
 
@@ -498,9 +502,10 @@ def test_session_metrics_registry(session, tmax, events):
     session.execute(QueryRequest(
         kind="khop", t=tmax, nodes=(center,), k=2, single=True,
     ))
-    assert "khop" in session.metrics.corrections()
     assert session.metrics.totals()["khop"]["queries"] == 1
     text = session.metrics.render()
     assert_prometheus_grammar(text)
-    assert 'hgs_planner_correction{algorithm="khop"}' in text
+    # the session learns nothing from a query: no correction family
+    assert not hasattr(session.metrics, "corrections")
+    assert "hgs_planner_correction" not in text
     assert 'hgs_session_queries_total{kind="khop"} 1' in text

@@ -163,7 +163,9 @@ def test_in_process_and_served_queries_share_one_record(tgi, tmax):
         kind: int(row["queries"])
         for kind, row in snap["session_totals"].items()
     }
-    assert snap["planner"]["corrections"]
+    # the session keeps no learned planner state to report
+    assert "planner" not in snap
+    assert "hgs_planner_correction" not in text
     types = [line for line in text.splitlines() if line.startswith("# TYPE")]
     assert types and len(types) == len(set(types))
     assert 'hgs_session_queries_total{kind="snapshot"} 2' in text

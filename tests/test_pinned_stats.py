@@ -74,7 +74,10 @@ def row(result):
 #: Recorded before the per-center k-hop algorithm was removed: taking it
 #: away moved none of them.  When the index stopped learning a frontier
 #: margin from earlier k-hops, only the ``predicted_ms`` of the k-hops
-#: that run after others moved (five rows alone, none batched).
+#: that run after others moved (five rows alone, none batched); so did
+#: six of them when the session stopped scaling prices by what earlier
+#: queries cost.  Every k-hop row alone now reports the model's price of
+#: its own plan, whatever ran before it.
 PINNED = {
     ('int', False): [
         ('snapshot', 39, 14283, 1, 12.798408, 12.798408),
@@ -83,9 +86,9 @@ PINNED = {
         ('batched-histories', 36, 6890, 2, 14.498984, 14.498984),
         ('khop-history', 70, 12202, 16, 28.157754, None),
         ('khop', 19, 8466, 3, 10.211006, 5.857715),
-        ('khop', 35, 13705, 3, 16.176768, 11.164784),
-        ('khop', 19, 8466, 3, 10.211006, 8.128459),
-        ('khop', 35, 13705, 3, 16.176768, 13.642087),
+        ('khop', 35, 13705, 3, 16.176768, 9.129375),
+        ('khop', 19, 8466, 3, 10.211006, 5.857715),
+        ('khop', 35, 13705, 3, 16.176768, 9.129375),
         ('snapshot-first', 39, 14283, 1, 12.798408, 12.798408),
         ('snapshot-first', 39, 14283, 1, 12.798408, 12.798408),
     ],
@@ -109,9 +112,9 @@ PINNED = {
         ('batched-histories', 37, 8499, 2, 14.654482, 14.654482),
         ('khop-history', 69, 16229, 16, 29.994209, None),
         ('khop', 22, 10923, 3, 11.610273, 8.880723),
-        ('khop', 33, 16643, 3, 17.161631, 10.517613),
-        ('khop', 22, 10923, 3, 11.610273, 11.537769),
-        ('khop', 33, 16643, 3, 17.161631, 12.534404),
+        ('khop', 33, 16643, 3, 17.161631, 9.629687),
+        ('khop', 22, 10923, 3, 11.610273, 8.880723),
+        ('khop', 33, 16643, 3, 17.161631, 9.629687),
         ('snapshot-first', 37, 18026, 1, 14.366338, 14.366338),
         ('snapshot-first', 37, 18026, 1, 14.366338, 14.366338),
     ],

@@ -1,8 +1,6 @@
 """Unit tests for shared primitive types."""
 
-import pytest
-
-from repro.types import TIME_MAX, TIME_MIN, canonical_edge, validate_interval
+from repro.types import TIME_MAX, TIME_MIN, canonical_edge
 
 
 def test_canonical_edge_orders_undirected():
@@ -16,18 +14,6 @@ def test_canonical_edge_preserves_directed():
 
 def test_canonical_edge_self_loop():
     assert canonical_edge(4, 4) == (4, 4)
-
-
-def test_validate_interval_accepts_proper():
-    validate_interval(0, 1)
-    validate_interval(-5, 100)
-
-
-def test_validate_interval_rejects_empty_and_inverted():
-    with pytest.raises(ValueError):
-        validate_interval(3, 3)
-    with pytest.raises(ValueError):
-        validate_interval(4, 2)
 
 
 def test_time_sentinels_order():
