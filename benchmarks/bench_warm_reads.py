@@ -16,14 +16,19 @@ down what that leaves of a warm read on dataset 1 (m=4, ps=64,
   state clones;
 - the **nodes privatized** in that pass: ``Graph.copy`` shares every
   node's containers and a graph copies a node's own only on its first
-  write to it (``Graph._privatize``).
+  write to it (``Graph._privatize``);
+- the **containers shared** by an exact-warm snapshot-first k-hop with
+  the cached snapshot it filtered: ``Graph.khop_subgraph`` shares every
+  member's attribute map, and the neighbor set of every member within
+  ``k - 1`` hops of the center (only the outermost ring's are fresh).
 
 Timings are recorded, never asserted (they are the machine's); the
 counts repeat exactly and are the bar: a reader of a warm state copies
 nothing, a near-warm k-hop copies its seed once and privatizes at most
 the nodes its gap's events touch, and only a *snapshot* result — the
 caller's own graph — costs one copy per query, which privatizes
-nothing until the caller writes.  Emits ``BENCH_warm_reads.json``.
+nothing until the caller writes; an exact-warm k-hop shares every
+container it can with the snapshot.  Emits ``BENCH_warm_reads.json``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from pathlib import Path
 import repro.index.tgi.states as states_module
 from repro import GraphSession, QueryRequest
 from repro.graph.static import Graph
-from repro.index.tgi.states import near_seed_candidate
+from repro.index.tgi.states import _state_key, near_seed_candidate
 
 from benchmarks.conftest import (
     build_tgi,
@@ -60,6 +65,29 @@ def _khop(center, t, algorithm):
         kind="khop", t=t, nodes=(center,), k=K, single=True,
         algorithm=algorithm,
     )
+
+
+def _sharing(snapshot, results, centers):
+    """How many containers the k-hop results share with ``snapshot``,
+    beside how many they could: every member's attribute map, and the
+    neighbor set of every member within ``K - 1`` hops of its center."""
+    counts = dict.fromkeys(
+        ("members", "attr_maps_shared", "inner_members", "inner_sets_shared"),
+        0,
+    )
+    attrs, adj = snapshot.node_attr_maps(), snapshot.adjacency()
+    for result, center in zip(results, centers):
+        g = result.value
+        inner = snapshot.khop_nodes(center, K - 1)
+        counts["members"] += len(g)
+        counts["attr_maps_shared"] += sum(
+            a is attrs[n] for n, a in g.node_attr_maps().items()
+        )
+        counts["inner_members"] += len(inner)
+        counts["inner_sets_shared"] += sum(
+            g.adjacency()[n] is adj[n] for n in inner
+        )
+    return counts
 
 
 def _gap_nodes(events, t0, t):
@@ -147,6 +175,11 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
             rows[name]["checkpoint_near_hits"] = sum(
                 r.stats.checkpoint_near_hits for r in results
             )
+            if name == "snapshot_first_exact_warm":
+                snapshot = tgi.checkpoints.lookup(
+                    _state_key(tgi._span_at(t).tsid, None, t, False)
+                )
+                rows[name].update(_sharing(snapshot, results, centers))
         payload = {
             "dataset": "dataset1 (2500-node citation), m=4, ps=64, "
                        "64 checkpoint entries",
@@ -189,6 +222,11 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
     # ... while an exact-warm read's copy is never written
     for name in ("snapshot_first_exact_warm", "snapshot_exact_warm"):
         assert rows[name]["nodes_privatized"] == 0, name
+    # ... and an exact-warm k-hop shares every member's attribute map
+    # and every inner member's neighbor set with the cached snapshot
+    exact = rows["snapshot_first_exact_warm"]
+    assert exact["attr_maps_shared"] == exact["members"] > 0
+    assert exact["inner_sets_shared"] == exact["inner_members"] > 0
     # ... and a snapshot result is the caller's own graph: one copy each
     assert rows["snapshot_exact_warm"]["graph_copies"] == CENTERS
     assert rows["snapshot_exact_warm"]["state_clones"] == 0

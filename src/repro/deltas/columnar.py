@@ -473,10 +473,15 @@ class ColumnarEventList:
 
     # -- re-encoding ------------------------------------------------------
     def packed_bytes(self) -> bytes:
-        """The full columnar payload when this view covers every row,
-        else a repack of just the window (re-putting a filtered row)."""
+        """The full columnar payload when this view covers every row —
+        the ``bytes`` it was built over when it holds one, else a copy —
+        or a repack of just the window (re-putting a filtered row)."""
         if self._lo == 0 and self._hi == self._n:
-            return bytes(self._data)
+            data = self._data
+            whole = data.obj
+            if type(whole) is bytes and len(whole) == data.nbytes:
+                return whole
+            return bytes(data)
         return pack_eventlist(self.ts, self.te, self.events)
 
 

@@ -9,7 +9,9 @@ neighborhoods).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Set
+from typing import (
+    Any, Dict, Iterable, Iterator, Mapping, Optional, Set, Tuple,
+)
 
 from repro.errors import EventError, GraphError
 from repro.graph.events import Event, EventKind
@@ -44,13 +46,19 @@ class Graph:
 
     Ownership rule (copy-on-write per node).  :meth:`copy` copies the
     three top-level maps and each edge attribute map, and shares every
-    node's neighbor set and attribute map with its source.  ``_owned``
+    node's neighbor set and attribute map with its source.  An induced
+    subgraph (:meth:`subgraph`, :meth:`khop_subgraph`) shares each
+    member's attribute map the same way, and each member's neighbor set
+    too unless the member may have a neighbor outside the result: that
+    one gets a fresh set, intersected with the members.  ``_owned``
     records the nodes whose two containers this graph alone holds:
-    ``None`` means all of them (a graph no copy was ever taken of or
-    from), and after a copy both graphs own nothing.  Before it writes
-    to a node's containers a graph takes its own copies of them unless
-    it owns the node already (:meth:`_own`), so a write never shows in
-    another graph; a node a graph creates is its own from the start.
+    ``None`` means all of them (a graph no copy or subgraph was ever
+    taken of or from), and after either both graphs own nothing — the
+    source's ownership is reset once the new graph's maps are built.
+    Before it writes to a node's containers a graph takes its own
+    copies of them unless it owns the node already (:meth:`_own`), so
+    a write never shows in another graph; a node a graph creates is
+    its own from the start.
     The writable accessors :meth:`neighbors` and :meth:`node_attrs` own
     the node before they hand its container out; readers that must not
     pay that go through :meth:`adjacency` and :meth:`node_attr_maps`.
@@ -536,38 +544,69 @@ class Graph:
     # structural queries
     # ------------------------------------------------------------------
     def subgraph(self, nodes: Iterable[NodeId]) -> "Graph":
-        """Induced subgraph on ``nodes`` (missing ids are ignored), as a
-        private copy.  Induced from the kept nodes' adjacency sets —
-        symmetric by the class invariant, so nothing is re-validated —
-        and the cost follows the subgraph, not the whole graph."""
-        own, adj = self._nodes, self._adj
-        keep = own.keys() & nodes
-        g = Graph(directed=self.directed)
-        g._nodes = {n: dict(own[n]) for n in keep}
-        g._adj = {n: adj[n] & keep for n in keep}
-        g._settle_edges(self._edge_attrs)
-        return g
+        """Induced subgraph on ``nodes`` (missing ids are ignored),
+        copy-on-write like :meth:`copy`: every member's attribute map
+        is shared with this graph, and every member gets a fresh
+        neighbor set, its own intersected with the members (symmetric by
+        the class invariant, so nothing is re-validated).  The cost
+        follows the subgraph, not the whole graph."""
+        keep = self._nodes.keys() & nodes
+        return self._induced(keep, keep)
 
-    def khop_nodes(self, root: NodeId, k: int) -> Set[NodeId]:
-        """Ids of all nodes within ``k`` hops of ``root`` (including it)."""
+    def _rings(
+        self, root: NodeId, k: int
+    ) -> Tuple[Set[NodeId], Set[NodeId]]:
+        """Breadth-first walk of ``k`` hops from ``root``: the members
+        within ``k`` hops, and the outermost ring — the members at
+        exactly ``k`` hops, empty when the walk ran out of nodes first.
+        Every other member's neighbors all lie within ``k`` hops."""
         if root not in self._nodes:
             raise GraphError(f"node {root} not in graph")
+        adj = self._adj
         seen = {root}
         frontier = {root}
         for _ in range(k):
             nxt: Set[NodeId] = set()
             for n in frontier:
-                nxt |= self._adj[n]
+                nxt |= adj[n]
             nxt -= seen
             if not nxt:
-                break
+                return seen, nxt
             seen |= nxt
             frontier = nxt
-        return seen
+        return seen, frontier
+
+    def khop_nodes(self, root: NodeId, k: int) -> Set[NodeId]:
+        """Ids of all nodes within ``k`` hops of ``root`` (including it)."""
+        return self._rings(root, k)[0]
 
     def khop_subgraph(self, root: NodeId, k: int) -> "Graph":
-        """Induced subgraph on the k-hop neighborhood of ``root``."""
-        return self.subgraph(self.khop_nodes(root, k))
+        """Induced subgraph on the k-hop neighborhood of ``root``,
+        copy-on-write like :meth:`copy`: every member's attribute map is
+        shared with this graph, and so is the neighbor set of every
+        member closer than ``k`` hops to ``root`` (its neighbors are all
+        members); only the outermost ring gets a fresh, intersected
+        set."""
+        keep, outer = self._rings(root, k)
+        return self._induced(keep, outer)
+
+    def _induced(self, keep: Set[NodeId], outer: Set[NodeId]) -> "Graph":
+        """The subgraph induced on ``keep``, sharing every member's
+        containers except the neighbor sets of ``outer``, which are
+        intersected with ``keep`` (a member not in ``outer`` must have
+        no neighbor outside ``keep``).  The result owns nothing, and
+        the one write to ``self`` is :meth:`copy`'s: its ownership is
+        reset to nothing after the maps are built."""
+        nodes, adj = self._nodes, self._adj
+        g = Graph(directed=self.directed)
+        g._nodes = {n: nodes[n] for n in keep}
+        g._adj = {
+            n: adj[n] & keep if n in outer else adj[n] for n in keep
+        }
+        g._settle_edges(self._edge_attrs)
+        g._owned = set()
+        self._owned = set()
+        return g
 
     def to_networkx(self):  # pragma: no cover - thin convenience shim
         """Export to a ``networkx`` graph for interoperability."""

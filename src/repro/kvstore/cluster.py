@@ -299,10 +299,9 @@ class Cluster:
         replicas_for = self.replicas_for
         allows = self._breaker_allows if breakers and self._breakers else None
         groups: Groups = [[] for _ in tables]
-
-        def load(holder: Tuple[int, Any]) -> int:
-            return len(groups[holder[0]])
-
+        # added to the load of a holder that already failed the key this
+        # round: more than any load, so it wins only when nothing else can
+        failed_penalty = len(keys) + 1
         blocked: List[KeyTuple] = []
         for key in keys:
             replicas = replicas_for(key[:plen])
@@ -320,37 +319,33 @@ class Cluster:
                     blocked.append(key)
                     continue
             else:
-                live = (
-                    [m for m in replicas if m not in down] if down
-                    else replicas
-                )
-                # (machine, card) per holder: one hash of the key each
-                holding = [
-                    (m, card) for m in live
-                    for card in (tables[m].get(key),) if card is not None
-                ]
-                if not holding:
-                    if len(live) == len(replicas):
+                # one pass over the live holders in replica order (one
+                # hash of the key each; every holder's breaker asked, as
+                # asking may admit a probe): the first least-loaded one
+                failed_on = avoid.get(key) if avoid else None
+                best = card = None
+                held = False
+                for m in replicas:
+                    if m in down:
+                        continue
+                    found = tables[m].get(key)
+                    if found is None:
+                        continue
+                    held = True
+                    if allows is not None and not allows(m, now):
+                        continue
+                    load = len(groups[m])
+                    if failed_on and m in failed_on:
+                        load += failed_penalty
+                    if best is None or load < low:
+                        best, card, low = m, found, load
+                if best is None:
+                    if not held and down.isdisjoint(replicas):
                         raise KeyNotFound(
                             f"key {key!r} not on any live replica"
                         )
                     blocked.append(key)
                     continue
-                if allows is not None:
-                    holding = [h for h in holding if allows(h[0], now)]
-                    if not holding:
-                        blocked.append(key)
-                        continue
-                if avoid:
-                    failed_on = avoid.get(key)
-                    if failed_on:
-                        holding = [
-                            h for h in holding if h[0] not in failed_on
-                        ] or holding
-                best, card = (
-                    holding[0] if len(holding) == 1
-                    else min(holding, key=load)
-                )
             groups[best].append((card, key))
         return groups, blocked
 

@@ -398,6 +398,19 @@ def test_packed_bytes_repacks_window():
     assert repacked == window
 
 
+def test_packed_bytes_hands_back_a_whole_bytes_row_uncopied():
+    events = random_history(steps=60, seed=5)
+    payload = pack_eventlist(0, events[-1].time, tuple(events))
+    assert type(payload) is bytes
+    assert ColumnarEventList(payload).packed_bytes() is payload
+    # a view of part of a larger buffer, or of a mutable one, is copied
+    for data in (memoryview(payload + b"tail")[:len(payload)],
+                 bytearray(payload)):
+        row = ColumnarEventList(data).packed_bytes()
+        assert type(row) is bytes and row == payload
+        assert row is not payload
+
+
 # -- query parity: int ids and id-table rows against the event log -----------
 # (the ``*_across_codecs`` tests hold both row layouts to the log)
 

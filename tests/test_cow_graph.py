@@ -6,19 +6,26 @@ to that node.  Here every graph of a chain of copies is shadowed by a
 reference that was copied eagerly (every container fresh, as ``copy``
 did before it shared them) and receives the same writes; after each
 write, every graph of the chain must still equal its own reference —
-the one written to, and every graph that shares containers with it."""
+the one written to, and every graph that shares containers with it.
+Induced subgraphs share their members' containers too, and are held to
+the same rule against an induced subgraph built edge by edge."""
 
 import pickle
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro import GraphSession, QueryRequest
 from repro.deltas.columnar import ColumnarEventList, pack_eventlist
 from repro.errors import GraphError
 from repro.graph.events import Event, EventKind
 from repro.graph.static import Graph
+from repro.index.tgi import TGI, TGIConfig
+from repro.storage import save_index
+from tests.helpers import random_history
 
 _IDS = st.integers(0, 7)
+_STR_IDS = st.sampled_from([f"n{i}" for i in range(8)])
 _KEYS = st.sampled_from(["w", "label"])
 _ATTRS = st.dictionaries(_KEYS, st.integers(0, 3), max_size=2)
 
@@ -57,10 +64,10 @@ def assert_owned_containers_are_private(chain):
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, ids=_IDS):
     """Directed or not, with self-loops and node and edge attributes."""
     g = Graph(directed=draw(st.booleans()))
-    for n in draw(st.lists(_IDS, max_size=8, unique=True)):
+    for n in draw(st.lists(ids, max_size=8, unique=True)):
         g.add_node(n, draw(_ATTRS))
     alive = sorted(g.nodes())
     if alive:
@@ -73,7 +80,7 @@ def graphs(draw):
 
 
 @st.composite
-def events(draw, time):
+def events(draw, time, ids=_IDS):
     """One event of any kind, on ids that may or may not be nodes."""
     kind = draw(st.sampled_from(list(EventKind)))
     edge = kind in (EventKind.EDGE_ADD, EventKind.EDGE_DELETE,
@@ -87,15 +94,15 @@ def events(draw, time):
     else:
         value = None
     return Event(
-        time, time, kind, draw(_IDS),
-        other=draw(_IDS) if edge else None,
+        time, time, kind, draw(ids),
+        other=draw(ids) if edge else None,
         key=draw(_KEYS) if attr else None,
         value=value,
     )
 
 
 @st.composite
-def writes(draw):
+def writes(draw, ids=_IDS):
     """One write: ``(op, args)``, applied alike to a graph and its
     reference."""
     op = draw(st.sampled_from([
@@ -106,21 +113,22 @@ def writes(draw):
     if op == "copy":
         return op, ()
     if op == "add_node":
-        return op, (draw(_IDS), draw(_ATTRS))
+        return op, (draw(ids), draw(_ATTRS))
     if op == "add_edge":
-        return op, (draw(_IDS), draw(_IDS), draw(_ATTRS))
+        return op, (draw(ids), draw(ids), draw(_ATTRS))
     if op in ("remove_node", "neighbors"):
-        return op, (draw(_IDS),)
+        return op, (draw(ids),)
     if op == "remove_edge":
-        return op, (draw(_IDS), draw(_IDS))
+        return op, (draw(ids), draw(ids))
     if op == "apply_event":
-        return op, (draw(events(1)),)
+        return op, (draw(events(1, ids)),)
     if op == "apply_columnar":
         count = draw(st.integers(1, 6))
-        return op, (tuple(draw(events(t)) for t in range(1, count + 1)),)
+        evs = tuple(draw(events(t, ids)) for t in range(1, count + 1))
+        return op, (evs,)
     if op == "node_attrs":
-        return op, (draw(_IDS), draw(_KEYS), draw(st.integers(0, 3)))
-    return op, (draw(_IDS), draw(_IDS), draw(_KEYS), draw(st.integers(0, 3)))
+        return op, (draw(ids), draw(_KEYS), draw(st.integers(0, 3)))
+    return op, (draw(ids), draw(ids), draw(_KEYS), draw(st.integers(0, 3)))
 
 
 def write(g, op, args):
@@ -270,3 +278,151 @@ def test_a_graph_pickled_without_ownership_owns_every_node():
     nbrs = loaded._adj[0]
     loaded.neighbors(0).add(0)
     assert loaded._adj[0] is nbrs  # owned: written in place, not copied
+
+
+# -- induced subgraphs ---------------------------------------------------------
+# ``subgraph`` and ``khop_subgraph`` share every member's attribute map
+# with the source, and the neighbor set of every member whose neighbors
+# are all members; they are held to an induced subgraph built edge by
+# edge, and then to the same copy-on-write rule as a copy chain.
+
+def hops_from(g, root, k):
+    """The nodes within ``k`` hops of ``root``, by ``k`` scans of the
+    edge list (out-edges when directed)."""
+    reached = {root}
+    for _ in range(k):
+        reached |= {v for u, v in g.edges() if u in reached} | (
+            set() if g.directed
+            else {u for u, v in g.edges() if v in reached}
+        )
+    return reached
+
+
+def induced_reference(g, keep):
+    """The subgraph of ``g`` induced on ``keep``, built node by node and
+    edge by edge, every container fresh."""
+    want = Graph(directed=g.directed)
+    for n in keep:
+        want.add_node(n, g.node_attr_maps()[n])
+    attrs = g.attributed_edges()
+    for u, v in g.edges():
+        if u in keep and v in keep:
+            want.add_edge(u, v, attrs.get((u, v)))
+    return want
+
+
+@st.composite
+def induced_cases(draw):
+    """``(ids, source, how, arg)``: int or str ids; a k-hop of a member
+    root (isolated or not; ``arg`` is ``(root, k)``) or a plain subgraph
+    on drawn ids (``arg`` is the id list, missing ids included)."""
+    ids = draw(st.sampled_from((_IDS, _STR_IDS)))
+    g = draw(graphs(ids))
+    lone = 8 if ids is _IDS else "n8"
+    if draw(st.booleans()):
+        g.add_node(lone, draw(_ATTRS))  # a node no edge touches
+    if draw(st.booleans()):
+        return ids, g, "subgraph", draw(st.lists(ids, max_size=8))
+    root = draw(st.sampled_from(sorted(g.nodes()))) if len(g) else lone
+    if root not in g:
+        g.add_node(root)
+    return ids, g, "khop", (root, draw(st.sampled_from((0, 1, 2, 3))))
+
+
+@given(
+    case=induced_cases(),
+    picks=st.lists(st.integers(0, 7), max_size=12),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_induced_subgraphs_share_and_stay_apart(case, picks, data):
+    ids, source, how, arg = case
+    before = eager_copy(source)
+    if how == "khop":
+        root, k = arg
+        keep = hops_from(source, root, k)
+        assert source.khop_nodes(root, k) == keep
+        sub = source.khop_subgraph(root, k)
+        # every member closer than k hops shares its neighbor set
+        inner = hops_from(source, root, k - 1) if k else set()
+        assert all(sub._adj[n] is source._adj[n] for n in inner)
+    else:
+        keep = source._nodes.keys() & set(arg)
+        sub = source.subgraph(arg)
+    assert all(sub._nodes[n] is source._nodes[n] for n in keep)
+    assert sub._owned == set() and source._owned == set()
+    assert_same(sub, induced_reference(source, keep))
+    assert_same(source, before)
+    # every write, to the source or to the result (or to a copy of
+    # either), shows in the graph written alone
+    chain, refs = [source, sub], [before, eager_copy(sub)]
+    for pick in picks:
+        op, args = data.draw(writes(ids))
+        i = pick % len(chain)
+        if op == "copy":
+            chain.append(chain[i].copy())
+            refs.append(eager_copy(refs[i]))
+        else:
+            assert write(chain[i], op, args) == write(refs[i], op, args)
+        for got, want in zip(chain, refs):
+            assert_same(got, want)
+        assert_owned_containers_are_private(chain)
+
+
+def test_a_khop_subgraph_copies_only_its_outer_ring():
+    g = Graph()
+    for n in range(6):
+        g.add_node(n, {"n": n})
+    for u, v in ((0, 1), (1, 2), (2, 3), (3, 4)):
+        g.add_edge(u, v)  # node 5 is isolated
+    sub = g.khop_subgraph(1, 2)
+    assert set(sub.nodes()) == {0, 1, 2, 3} and sub.num_edges == 3
+    assert all(sub._nodes[n] is g._nodes[n] for n in sub.nodes())
+    assert all(sub._adj[n] is g._adj[n] for n in (0, 1, 2))
+    assert sub._adj[3] == {2} and sub._adj[3] is not g._adj[3]
+    # a walk that runs out of nodes first has no outer ring
+    whole = g.khop_subgraph(0, 9)
+    assert all(whole._adj[n] is g._adj[n] for n in range(5))
+    # k = 0: the root alone, its set intersected
+    assert g.khop_subgraph(1, 0)._adj == {1: set()}
+    assert g.khop_subgraph(5, 2)._adj[5] is g._adj[5]
+    # writes on either side privatize, and show on that side only
+    sub.node_attrs(1)["n"] = "sub"
+    sub.add_edge(0, 2)
+    g.add_edge(1, 5)
+    assert g._nodes[1] == {"n": 1} and not g.has_edge(0, 2)
+    assert not sub.has_node(5) and sub.degree(1) == 2
+
+
+def test_a_warm_snapshot_first_khop_leaves_a_saved_index_unchanged(tmp_path):
+    """The k-hop shares the cached snapshot's containers and resets the
+    snapshot's ownership; nothing of that reaches a saved file, which
+    differs only by the checkpoint cache's counters (put back here)."""
+    events = random_history(steps=300, seed=3)
+    tgi = TGI(TGIConfig(
+        events_per_timespan=150, eventlist_size=25, micro_partition_size=8,
+        checkpoint_entries=16,
+    ))
+    tgi.build(events)
+    session = GraphSession.from_index(tgi)
+    t = events[-1].time
+    truth = Graph.replay(events, until=t)
+    center = max(sorted(truth.nodes()), key=truth.degree)
+    request = QueryRequest(
+        kind="khop", t=t, nodes=(center,), k=2, single=True,
+        algorithm="snapshot-first",
+    )
+    session.execute(request)  # replays the snapshot and caches it
+    (cached,) = (e.payload for e in tgi.checkpoints._entries.values())
+    save_index(tgi, tmp_path / "before.hgs")
+    counters = tgi.checkpoints.__getstate__()
+    warm = session.execute(request)
+    assert warm.stats.checkpoint_hits == 1 and warm.stats.requests == 0
+    assert warm.value._nodes[center] is cached._nodes[center]
+    assert warm.value._adj[center] is cached._adj[center]
+    assert warm.value == truth.khop_subgraph(center, 2)
+    vars(tgi.checkpoints).update(counters)
+    save_index(tgi, tmp_path / "after.hgs")
+    assert (tmp_path / "after.hgs").read_bytes() == (
+        tmp_path / "before.hgs"
+    ).read_bytes()

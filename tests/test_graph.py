@@ -245,7 +245,7 @@ def test_subgraph_matches_edge_scan(g, keep):
             want.add_edge(u, v, g.edge_attrs(u, v))
     got = g.subgraph(keep)
     _agree(got, want)
-    # a private copy: attribute maps are not shared with the source
+    # edge attribute maps are the result's own, not the source's
     for eid in got.edges():
         got.edge_attrs(*eid)["touched"] = True
     assert all("touched" not in g.edge_attrs(*e) for e in g.edges())

@@ -8,18 +8,20 @@ crash window with the clock inside or outside it, a latency spike) and
 writes that move cards (overwrites with larger and smaller values,
 inserts between existing keys, deletes), the two agree exactly: the same
 float, or the same typed error; and every card table equals one rebuilt
-from its node's rows.
+from its node's rows.  At r > 1 the routing itself is held to a
+reference copy of the holder-list branch it replaced.
 """
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.errors import StorageError
+from repro.errors import KeyNotFound, StorageError
 from repro.faults import CrashWindow, FaultSchedule, LatencySpike, inject_faults
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.cost import CostModel, RequestRecord, simulate_plan
 from repro.kvstore.node import StorageNode
+from repro.kvstore.resilience import OPEN, ResiliencePolicy
 from tests.helpers import counted
 
 #: The cluster clock: inside the drawn crash window, before it, after it.
@@ -153,3 +155,111 @@ def test_warm_price_builds_no_record_and_reads_no_row(sc):
         ranks = counted(mp, StorageNode, "rank")
         assert outcome(cluster.price, asked, sc["clients"]) == first
     assert (built[0], gets[0], ranks[0]) == (0, 0, 0)
+
+
+def reference_route(cluster, keys, now, avoid=None, breakers=False):
+    """``Cluster._route`` as it chose among several replicas with a
+    holder list and a ``min`` by load: the routing the one-pass branch
+    must reproduce, key for key."""
+    plen = cluster._placement_len
+    down = cluster._down_at(now)
+    tables = [machine.cards() for machine in cluster.machines]
+    allows = (
+        cluster._breaker_allows if breakers and cluster._breakers else None
+    )
+    groups = [[] for _ in tables]
+
+    def load(holder):
+        return len(groups[holder[0]])
+
+    blocked = []
+    for k in keys:
+        replicas = cluster.replicas_for(k[:plen])
+        live = [m for m in replicas if m not in down] if down else replicas
+        holding = [
+            (m, card) for m in live
+            for card in (tables[m].get(k),) if card is not None
+        ]
+        if not holding:
+            if len(live) == len(replicas):
+                raise KeyNotFound(f"key {k!r} not on any live replica")
+            blocked.append(k)
+            continue
+        if allows is not None:
+            holding = [h for h in holding if allows(h[0], now)]
+            if not holding:
+                blocked.append(k)
+                continue
+        if avoid:
+            failed_on = avoid.get(k)
+            if failed_on:
+                holding = [
+                    h for h in holding if h[0] not in failed_on
+                ] or holding
+        best, card = (
+            holding[0] if len(holding) == 1 else min(holding, key=load)
+        )
+        groups[best].append((card, k))
+    return groups, blocked
+
+
+@st.composite
+def routings(draw):
+    r = draw(st.sampled_from((2, 3)))
+    m = draw(st.integers(r, 5))
+    n = draw(st.integers(1, 30))
+    machines = st.integers(0, m - 1)
+    return dict(
+        m=m, r=r, n=n,
+        # down while some keys are written (a stale replica after
+        # recovery), and down while routing
+        stale=draw(st.sets(machines, max_size=m - 1)),
+        stale_from=draw(st.integers(0, n)),
+        down=draw(st.sets(machines, max_size=m)),
+        # open breakers, each opened at a drawn instant: before the
+        # cooldown (refuses) or past it (admits one probe)
+        breakers=draw(st.dictionaries(
+            machines, st.sampled_from((0.0, 90.0)), max_size=m,
+        )),
+        avoid=draw(st.dictionaries(
+            st.integers(0, n), st.sets(machines, max_size=3), max_size=n,
+        )),
+        asked=draw(st.lists(st.integers(0, n), max_size=2 * n)),
+    )
+
+
+def build_routing(sc):
+    cluster = Cluster(ClusterConfig(num_machines=sc["m"], replication=sc["r"]))
+    for i in range(sc["n"]):  # key n is never written
+        if i == sc["stale_from"]:
+            for machine in sc["stale"]:
+                cluster.fail_machine(machine)
+        cluster.put(key(i, i), "x" * (i % 7))
+    for machine in sc["stale"]:
+        cluster.recover_machine(machine)
+    for machine in sc["down"]:
+        cluster.fail_machine(machine)
+    cluster.enable_resilience(ResiliencePolicy(breaker_cooldown_ms=50.0))
+    for machine, opened_at in sc["breakers"].items():
+        breaker = cluster._breaker(machine)
+        breaker.state, breaker.opened_at = OPEN, opened_at
+    keys = [key(i, i) for i in sc["asked"]]
+    avoid = {key(i, i): failed for i, failed in sc["avoid"].items()}
+    return cluster, keys, avoid
+
+
+@settings(max_examples=300, deadline=None)
+@given(routings(), st.booleans())
+def test_multi_replica_routing_is_the_reference_routing(sc, breakers):
+    # one cluster each: asking a breaker past its cooldown changes it
+    got_cluster, keys, avoid = build_routing(sc)
+    want_cluster, _, _ = build_routing(sc)
+    now = 100.0
+    got = outcome(got_cluster._route, keys, now, avoid, breakers)
+    want = outcome(reference_route, want_cluster, keys, now, avoid, breakers)
+    assert got == want
+    assert {
+        m: (b.state, b.opened_at) for m, b in got_cluster._breakers.items()
+    } == {
+        m: (b.state, b.opened_at) for m, b in want_cluster._breakers.items()
+    }
