@@ -22,8 +22,14 @@ down what that leaves of a warm read on dataset 1 (m=4, ps=64,
   member's attribute map, and the neighbor set of every member within
   ``k - 1`` hops of the center (only the outermost ring's are fresh).
 
-Timings are recorded, never asserted (they are the machine's); the
-counts repeat exactly and are the bar: a reader of a warm state copies
+Timings are recorded, never asserted (they are the machine's): each
+scenario runs ``PASSES`` timed passes and records the median of their
+per-op wall times and the distance between their quartiles, so one
+slow pass (a collection, a scheduler stall) moves nothing and a run
+whose spread is under a tenth of its median resolves a 10 % change; a
+near-warm time is warm once it has been read, so that scenario times
+each of its single-use ops on its own.  The counts repeat exactly and
+are the bar: a reader of a warm state copies
 nothing, a near-warm k-hop copies its seed once and privatizes at most
 the nodes its gap's events touch, and only a *snapshot* result — the
 caller's own graph — costs one copy per query, which privatizes
@@ -34,6 +40,7 @@ container it can with the snapshot.  Emits ``BENCH_warm_reads.json``.
 from __future__ import annotations
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -51,7 +58,7 @@ from benchmarks.conftest import (
 
 CENTERS = 8
 NEAR_TIMES = 12
-REPEATS = 5
+PASSES = 25
 K = 2
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / (
@@ -104,7 +111,8 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
     t = t_max - 4 * NEAR_TIMES
     centers = probe_nodes(dataset1_events, CENTERS, seed=37, alive_at=t)
     # near-warm times are single-use (a k-hop leaves its time warm):
-    # the first run of them is timed, the second counted
+    # the first run of them is timed, one op at a time, the second
+    # counted
     timed_near = [t + 1 + i for i in range(NEAR_TIMES)]
     counted_near = [t + 1 + NEAR_TIMES + i for i in range(NEAR_TIMES)]
 
@@ -133,16 +141,22 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
             session.execute(_khop(c, t, "khop"))
         rows = {}
         for name, run in scenarios.items():
-            single_use = name == "snapshot_first_near_warm"
-            repeats = 1 if single_use else REPEATS
-            start = time.perf_counter()
-            for _ in range(repeats):
-                results = run(timed_near)
-            wall = time.perf_counter() - start
+            if name == "snapshot_first_near_warm":
+                passes = [[t2] for t2 in timed_near]
+            else:
+                passes = [timed_near] * PASSES
+            per_op = []
+            for times in passes:
+                start = time.perf_counter()
+                results = run(times)
+                per_op.append((time.perf_counter() - start) / len(results))
+            quartiles = statistics.quantiles(per_op, n=4)
             rows[name] = {
                 "ops": len(results),
-                "wall_us_per_op": round(
-                    wall / repeats / len(results) * 1e6, 1
+                "passes": len(passes),
+                "wall_us_per_op": round(statistics.median(per_op) * 1e6, 1),
+                "wall_us_per_op_iqr": round(
+                    (quartiles[2] - quartiles[0]) * 1e6, 1
                 ),
             }
         for name, run in scenarios.items():

@@ -410,7 +410,7 @@ KEEP: List[Tuple[str, str]] = [
     ("repro/taf/timepoints.py::*", "paper operator: TAF timepoints"),
     ("repro/taf/handler.py::TGIHandler.fetch_subgraph",
      "paper operator: one SubgraphT fetch (README: fetch_subgraphs([c]))"),
-    ("repro/session.py::RangeView.*",
+    ("repro/session/__init__.py::RangeView.*",
      "paper operator: SoN / SoTS over an interval view"),
     ("repro/graph/metrics.py::GraphMetrics.*",
      "paper operator: GraphMetrics namespace (Fig. 7)"),

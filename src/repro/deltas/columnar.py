@@ -342,7 +342,7 @@ class ColumnarEventList:
 
     # -- pickling ---------------------------------------------------------
     # memoryview casts don't pickle; rebuild from the payload bytes and
-    # the window (save_index pickles whole indexes, delta caches included)
+    # the window
     def __reduce__(self):
         return (
             _rebuild_columnar,
@@ -362,9 +362,9 @@ class ColumnarEventList:
     def _event_at(self, i: int) -> Event:
         """Trusted fast construction: bit-equivalent to the packed Event
         without re-running ``Event.__post_init__``.  Each event was
-        validated once, when it was written: its order by
-        ``TGI._append_spans`` (or :func:`split_events_into_lists` for a
-        baseline index) and its fit by :func:`check_packable`."""
+        validated once, when it was written: its order by the writer
+        (``TGI._append_spans``, or a baseline index's ``build``) and its
+        fit by :func:`check_packable`."""
         ev = Event.__new__(Event)
         oset = object.__setattr__
         oset(ev, "time", self._times[i])
@@ -653,7 +653,6 @@ class PackedNodes:
         self._slots: Optional[Dict[int, int]] = None
 
     # memoryview casts don't pickle; rebuild from the column's bytes
-    # (save_index pickles whole indexes, delta caches included)
     def __reduce__(self):
         csr = self._csr
         return (

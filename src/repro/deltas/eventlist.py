@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.errors import DeltaError
-from repro.graph.events import Event, check_sorted
+from repro.graph.events import Event
 from repro.types import TimePoint
 
 
@@ -31,12 +31,12 @@ def split_events_into_lists(
     Events sharing a time point are kept in one run so that every run
     boundary is a consistent time point; this can make a run exceed
     ``max_size`` when a single time point has more events than the
-    budget.  Raises :class:`~repro.errors.EventError` unless ``events``
-    is sorted by ``(time, seq)`` — the one order check of the stream.
+    budget.  The order is the writer's to check, once per write
+    (``check_sorted``) before its first row: a TGI checks the whole
+    batch, not each span it splits.
     """
     if max_size <= 0:
         raise DeltaError("eventlist size must be positive")
-    check_sorted(events)
     runs: List[Tuple[TimePoint, TimePoint, Sequence[Event]]] = []
     start = 0
     for i in range(1, len(events) + 1):

@@ -32,12 +32,10 @@ admissions, LRU promotion/eviction, and refcount updates all mutate
 under a per-object re-entrant lock.  (OrderedDict promotion and the
 ``refs`` counter are not atomic under concurrent writers; without the
 locks two windows can corrupt the LRU linkage or leak/over-free a
-slot.)  The locks never pickle — ``save_index`` serializes whole
-indexes including bound caches, so ``__getstate__`` drops them and
-``__setstate__`` rebuilds fresh ones.  A :class:`StateCheckpointCache`
-additionally saves no entries: they are a memo of replays the loaded
-index can redo, and would otherwise grow every file saved after a warm
-query by whole snapshot graphs.
+slot.)  No cache is ever saved: ``TGI.__getstate__`` leaves both out
+of an index file and a loaded index builds empty ones from its config,
+so a warm read never changes a saved file and a loaded index serves
+nothing another process cached.
 """
 
 from __future__ import annotations
@@ -226,17 +224,6 @@ class DeltaCache:
                 generation=self.generation,
             )
 
-    def __getstate__(self) -> Dict[str, Any]:
-        # locks don't pickle (save_index serializes indexes with bound
-        # caches); the deserialized cache gets a fresh one
-        state = dict(self.__dict__)
-        state["_lock"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     def __repr__(self) -> str:
         s = self.stats()
         return (
@@ -284,12 +271,6 @@ class _CheckpointEntry:
         self.series = series
         self.t = t
 
-    def __setstate__(self, state: Any) -> None:
-        # entries are never saved; index files written before that rule
-        # still carry some (with a slot this class no longer has), and
-        # the cache that owns them drops them on load — nothing to restore
-        pass
-
 
 class StateCheckpointCache:
     """LRU memo of fully-replayed states, shared between readers.
@@ -313,9 +294,9 @@ class StateCheckpointCache:
     did not touch with the seed it was advanced from.  ``peek`` answers
     warmness without counters or promotion — the planner uses it to
     price checkpoint-aware plans without perturbing the cache.  Building
-    or unpickling a cache also makes CPython's *full* garbage
-    collections rare for the whole process (they would re-walk every
-    cached graph): see :func:`_relax_full_collections`.
+    a cache (a loaded index builds its own) also makes CPython's *full*
+    garbage collections rare for the whole process (they would re-walk
+    every cached graph): see :func:`_relax_full_collections`.
 
     **Time series** — ``admit`` may name a ``series`` (e.g.
     ``(timespan, partition, aux)``) and an orderable ``t``; the cache
@@ -434,22 +415,6 @@ class StateCheckpointCache:
                 entries=len(self._entries),
                 max_entries=self.max_entries,
             )
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # capacity and counters only: the lock does not pickle, and
-        # entries are a memo the loaded index rebuilds
-        state = dict(self.__dict__)
-        for name in ("_lock", "_entries", "_series"):
-            del state[name]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        _relax_full_collections()
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-        # always empty after a load, whatever the file carried
-        self._entries = OrderedDict()
-        self._series = {}
 
     def __repr__(self) -> str:
         s = self.stats()

@@ -76,7 +76,7 @@ class FetchPlan:
     e.g. version-chain rows resolving into the eventlist rows their
     pointers select.
 
-    A plan the planner built for pricing lists every stage statically
+    A plan the planner builds from metadata lists every stage statically
     and may carry ``notes`` — remarks that are not key groups (how many
     partitions a warm checkpoint seeds, a statistics bound) — and
     ``expected_keys``: the *expected-cost* key set from the build-time

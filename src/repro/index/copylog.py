@@ -14,7 +14,7 @@ from repro.deltas.base import Delta
 from repro.deltas.columnar import ColumnarEventList, pack_eventlist
 from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
-from repro.graph.events import Event, dedup_sorted
+from repro.graph.events import Event, check_sorted, dedup_sorted
 from repro.graph.static import Graph
 from repro.index.common import advance_snapshot_delta, static_node_from_graph
 from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
@@ -50,6 +50,7 @@ class CopyLogIndex(HistoricalGraphIndex):
         self._t_max: Optional[TimePoint] = None
 
     def build(self, events: Sequence[Event]) -> None:
+        check_sorted(events)
         lists = split_events_into_lists(list(events), self.eventlist_size)
         g = Graph()
         snap = Delta()  # the empty graph's

@@ -16,7 +16,7 @@ from repro.deltas.base import Delta
 from repro.deltas.columnar import ColumnarEventList, pack_eventlist
 from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
-from repro.graph.events import Event, dedup_sorted
+from repro.graph.events import Event, check_sorted, dedup_sorted
 from repro.graph.static import Graph
 from repro.index.common import advance_snapshot_delta, static_node_from_graph
 from repro.index.delta_tree import DeltaTree, build_delta_tree
@@ -61,6 +61,7 @@ class DeltaGraphIndex(HistoricalGraphIndex):
     def build(self, events: Sequence[Event]) -> None:
         if not events:
             raise TimeRangeError("cannot build an index over an empty history")
+        check_sorted(events)
         lists = split_events_into_lists(list(events), self.eventlist_size)
         g = Graph()
         # checkpoint 0 is the (empty) state before the first eventlist

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.deltas.columnar import ColumnarEventList, pack_eventlist
 from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
-from repro.graph.events import Event
+from repro.graph.events import Event, check_sorted
 from repro.graph.static import Graph
 from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
 from repro.kvstore.cluster import Cluster, ClusterConfig
@@ -45,6 +45,7 @@ class LogIndex(HistoricalGraphIndex):
         self._t_max: Optional[TimePoint] = None
 
     def build(self, events: Sequence[Event]) -> None:
+        check_sorted(events)
         lists = split_events_into_lists(list(events), self.eventlist_size)
         for i, (ts, te, evs) in enumerate(lists):
             key = (0, i % self.placement_groups, ("E", i), 0)

@@ -4,10 +4,11 @@
 :class:`~repro.index.tgi.index.TGI` holding the batched node-history
 plan builder and the neighborhood-history plan chained out of it.  It
 reads the index's ``config``, ``_vc``, ``_span_at`` and ``_finish``.
-The planner prices a node-history plan built from the same pieces:
+The planner lists a node-history plan from the same pieces:
 :func:`history_head` for its first stage and :func:`pointer_stage` for
 the version-pointer round, fed the chains' metadata instead of the
-fetched chain rows.
+fetched chain rows (a session pricing a plan built here asks it for
+that round; TAF fetches, which price nothing, never read it).
 """
 
 from __future__ import annotations

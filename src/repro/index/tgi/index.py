@@ -106,17 +106,7 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
     def __init__(self, config: Optional[TGIConfig] = None) -> None:
         self.config = config or TGIConfig()
         self.cluster = Cluster(self.config.cluster)
-        self.delta_cache = (
-            DeltaCache(self.config.delta_cache_entries)
-            if self.config.delta_cache_entries > 0
-            else None
-        )
-        self.checkpoints = (
-            StateCheckpointCache(self.config.checkpoint_entries)
-            if self.config.checkpoint_entries > 0
-            else None
-        )
-        self.executor = PlanExecutor(self.cluster, self.delta_cache)
+        self._open_readers()
         self.stats = GraphStatistics()
         self._vc = VersionChainStore(self.cluster, self.config.placement_groups)
         self._spans: List[TimespanInfo] = []
@@ -131,16 +121,35 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
     def __getstate__(self):
         # ``_span_starts`` is derived from ``_spans`` and rebuilt on
         # load, so files do not carry it; nor ``_running_leaf``, which
-        # the next update rebuilds once from ``_running``
+        # the next update rebuilds once from ``_running``; nor the
+        # reader state, so reading an index never changes its file
         state = dict(self.__dict__)
-        state.pop("_span_starts", None)
-        state.pop("_running_leaf", None)
+        for name in (
+            "_span_starts", "_running_leaf",
+            "delta_cache", "checkpoints", "executor",
+        ):
+            state.pop(name, None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self._span_starts = [span.t_start for span in self._spans]
         self._running_leaf = None
+        self._open_readers()
+
+    def _open_readers(self) -> None:
+        """Empty caches sized by ``config`` and an executor over them."""
+        self.delta_cache = (
+            DeltaCache(self.config.delta_cache_entries)
+            if self.config.delta_cache_entries > 0
+            else None
+        )
+        self.checkpoints = (
+            StateCheckpointCache(self.config.checkpoint_entries)
+            if self.config.checkpoint_entries > 0
+            else None
+        )
+        self.executor = PlanExecutor(self.cluster, self.delta_cache)
 
     # ------------------------------------------------------------------
     # construction + batch update

@@ -8,10 +8,11 @@ the executable builders call:
 :func:`~repro.index.tgi.states.partition_stage` over the same
 :func:`~repro.index.tgi.states.triage`, ``TGI._snapshot_fetch`` and
 :func:`~repro.index.tgi.history.pointer_stage`.
-A priced plan has the stage labels, group roles and keys its executed
-plan resolves to; only what execution learns from data is listed from
+A dry plan has the stage labels, group roles and keys its executed plan
+resolves to; only what execution learns from data is listed from
 metadata here — the version-pointer round (from the stored chains) and a
-k-hop's bound with the statistics' expected subset.  :func:`price_plan`
+k-hop's bound with the statistics' expected subset.  A session prices a
+k-hop's candidates on them; EXPLAIN prints them.  :func:`price_plan`
 prices a plan; ``FetchPlan.describe`` renders it for EXPLAIN.
 """
 
@@ -146,14 +147,22 @@ class TGIPlanner:
             plan, span, {span.pid_of(n) for n in distinct} - {None}, ts,
             False, "micros+chains",
         )
-        chain_keys = tgi._chain_keys(distinct)
-        plan.stages.append(history_head(state, chain_keys.values()))
-        pointers = pointer_stage(
-            (tgi._vc.chain(n) for n in chain_keys), ts, te
+        plan.stages.append(
+            history_head(state, tgi._chain_keys(distinct).values())
         )
+        pointers = self.pointer_round(distinct, ts, te)
         if pointers is not None:
             plan.stages.append(pointers)
         return plan
+
+    def pointer_round(
+        self, nodes: Sequence[NodeId], ts: TimePoint, te: TimePoint
+    ) -> Optional[FetchStage]:
+        """The version-pointer round of ``nodes``' histories over
+        ``[ts, te]``, read off the chains' metadata — the stage an
+        executing history plan's factory resolves from the fetched chain
+        rows (``None`` when their pointers select no row)."""
+        return pointer_stage(map(self.tgi._vc.chain, nodes), ts, te)
 
     def plan_khop(self, node: NodeId, t: TimePoint, k: int = 1) -> FetchPlan:
         """Plan Algorithm 4 (targeted k-hop): one stage, the partition

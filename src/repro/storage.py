@@ -56,7 +56,10 @@ _MAGIC = b"hgs-index"
 #     Delta objects; ClusterConfig loses codec
 # 16: TGI loses its learned k-hop frontier margins and the lock that
 #     guarded them; reading an index no longer changes its saved file
-_FORMAT_VERSION = 16
+# 17: TGI carries no reader state: no delta cache (its rows and
+#     counters), no checkpoint cache (its counters) and no executor; a
+#     loaded index builds empty ones from its config
+_FORMAT_VERSION = 17
 #: magic, format version, CRC32 of everything after the header
 _HEADER = struct.Struct(">9sII")
 # formats <= 11 were one pickle stream of an envelope dict whose head

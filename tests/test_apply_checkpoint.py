@@ -374,16 +374,17 @@ def gc_thresholds():
     gc.get_threshold()[2] == 0, reason="this collector has no full cadence"
 )
 def test_checkpoint_cache_makes_full_collections_rare(gc_thresholds):
-    """A live cache (built or unpickled) raises the full-collection
-    cadence only: never the young thresholds, never a cadence the
-    application already set higher, never a disabled collector."""
+    """A live cache (built, or built by a loaded index) raises the
+    full-collection cadence only: never the young thresholds, never a
+    cadence the application already set higher, never a disabled
+    collector."""
     from repro.exec.cache import FULL_COLLECTION_EVERY
 
     gc.set_threshold(700, 10, 10)
     cache = StateCheckpointCache(2)
     assert gc.get_threshold() == (700, 10, FULL_COLLECTION_EVERY)
     gc.set_threshold(500, 7, 10)
-    pickle.loads(pickle.dumps(cache))
+    pickle.loads(pickle.dumps(TGI(TGIConfig(checkpoint_entries=2))))
     assert gc.get_threshold() == (500, 7, FULL_COLLECTION_EVERY)
     gc.set_threshold(700, 10, 10 * FULL_COLLECTION_EVERY)
     StateCheckpointCache(2)

@@ -12,18 +12,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-import repro.exec.cache as cache_module
 import repro.index.tgi.states as states_module
 from repro import GraphSession, TGI, TGIConfig, open_graph
 from repro.api import QueryRequest
 from repro.errors import IndexError_
-from repro.exec import StateCheckpointCache, shared_caches
+from repro.exec import shared_caches
 from repro.graph.static import Graph
-from repro.index.tgi.states import (
-    _clone_state,
-    _state_key,
-    near_seed_candidate,
-)
+from repro.index.tgi.states import _state_key, near_seed_candidate
 from repro.kvstore.cluster import ClusterConfig
 from repro.storage import load_index, save_index
 from repro.workloads.citation import CitationConfig, generate_citation_events
@@ -462,6 +457,9 @@ def fifty_warm_queries(session, t_max):
 
 
 def test_checkpoints_are_never_persisted(tmp_path, citation_events):
+    """Warm reads leave a saved file as it was, and a loaded index
+    starts from an empty checkpoint cache sized by its config, counters
+    at zero, and serves every read as its twin does."""
     tgi = build_tgi(citation_events, checkpoint_entries=64)
     save_index(tgi, tmp_path / "before.hgs")
     session = GraphSession.from_index(tgi)
@@ -470,76 +468,19 @@ def test_checkpoints_are_never_persisted(tmp_path, citation_events):
     assert len(tgi.checkpoints) > 10
     assert tgi.checkpoints.stats().hits > 0
     save_index(tgi, tmp_path / "after.hgs")
-    before = (tmp_path / "before.hgs").stat().st_size
-    after = (tmp_path / "after.hgs").stat().st_size
-    assert abs(after - before) <= 1024
+    assert (tmp_path / "after.hgs").read_bytes() == (
+        tmp_path / "before.hgs"
+    ).read_bytes()
     loaded = load_index(tmp_path / "after.hgs")
     assert len(loaded.checkpoints) == 0
     assert loaded.checkpoints.nearest(("snapshot", 0), t_max) is None
-    kept, live = loaded.checkpoints.stats(), tgi.checkpoints.stats()
-    assert (kept.hits, kept.misses, kept.max_entries) == (
-        live.hits, live.misses, live.max_entries
+    kept = loaded.checkpoints.stats()
+    assert (kept.hits, kept.misses, kept.evictions, kept.max_entries) == (
+        0, 0, 0, 64
     )
-    assert loaded.get_snapshot(t_max) == tgi.get_snapshot(t_max)
-
-
-class _ParentCommitEntry:
-    """``repro.exec.cache._CheckpointEntry`` as the parent commit pickled
-    it: one more slot, holding the payload's clone function."""
-
-    __slots__ = ("key", "payload", "clone", "series", "t")
-
-    def __init__(self, entry):
-        self.key, self.payload = entry.key, entry.payload
-        self.series, self.t = entry.series, entry.t
-        self.clone = (
-            Graph.copy if isinstance(entry.payload, Graph) else _clone_state
-        )
-
-
-_ParentCommitEntry.__qualname__ = _ParentCommitEntry.__name__ = (
-    "_CheckpointEntry"
-)
-_ParentCommitEntry.__module__ = cache_module.__name__
-
-
-def test_file_with_warm_entries_from_the_parent_commit_loads(
-    tmp_path, monkeypatch, citation_events
-):
-    tgi = build_tgi(citation_events, checkpoint_entries=64)
-    session = GraphSession.from_index(tgi)
-    t_max = citation_events[-1].time
-    fifty_warm_queries(session, t_max)
-
-    def parent_getstate(cache):
-        state = dict(cache.__dict__)
-        state["_lock"] = None
-        state["_entries"] = type(cache._entries)(
-            (key, _ParentCommitEntry(entry))
-            for key, entry in cache._entries.items()
-        )
-        return state
-
-    # write the file the way the parent commit did: entries and all
-    monkeypatch.setattr(
-        cache_module, "_CheckpointEntry", _ParentCommitEntry
-    )
-    monkeypatch.setattr(
-        StateCheckpointCache, "__getstate__", parent_getstate
-    )
-    path = tmp_path / "parent.hgs"
-    save_index(tgi, path)
-    monkeypatch.undo()
-    assert b"clone" in path.read_bytes()
-    save_index(tgi, tmp_path / "now.hgs")
-    assert path.stat().st_size > 1.2 * (tmp_path / "now.hgs").stat().st_size
-
-    loaded = load_index(path)
-    assert len(loaded.checkpoints) == 0
-    assert loaded.checkpoints.max_entries == 64
     twin = build_tgi(citation_events)
     reloaded = GraphSession.from_index(loaded)
     for t in (t_max, t_max - 7, t_max - 7):
         assert reloaded.at(t).snapshot().value == twin.get_snapshot(t)
         assert reloaded.at(t).khop(5, k=2).value == twin.get_khop(5, t, k=2)
-    assert loaded.checkpoints.stats().hits > tgi.checkpoints.stats().hits
+    assert loaded.checkpoints.stats().hits > 0

@@ -21,7 +21,7 @@ from repro.errors import GraphError
 from repro.graph.events import Event, EventKind
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, TGIConfig
-from repro.storage import save_index
+from repro.storage import load_index, save_index
 from tests.helpers import random_history
 
 _IDS = st.integers(0, 7)
@@ -397,7 +397,7 @@ def test_a_khop_subgraph_copies_only_its_outer_ring():
 def test_a_warm_snapshot_first_khop_leaves_a_saved_index_unchanged(tmp_path):
     """The k-hop shares the cached snapshot's containers and resets the
     snapshot's ownership; nothing of that reaches a saved file, which
-    differs only by the checkpoint cache's counters (put back here)."""
+    holds no reader state at all."""
     events = random_history(steps=300, seed=3)
     tgi = TGI(TGIConfig(
         events_per_timespan=150, eventlist_size=25, micro_partition_size=8,
@@ -415,14 +415,47 @@ def test_a_warm_snapshot_first_khop_leaves_a_saved_index_unchanged(tmp_path):
     session.execute(request)  # replays the snapshot and caches it
     (cached,) = (e.payload for e in tgi.checkpoints._entries.values())
     save_index(tgi, tmp_path / "before.hgs")
-    counters = tgi.checkpoints.__getstate__()
     warm = session.execute(request)
     assert warm.stats.checkpoint_hits == 1 and warm.stats.requests == 0
     assert warm.value._nodes[center] is cached._nodes[center]
     assert warm.value._adj[center] is cached._adj[center]
     assert warm.value == truth.khop_subgraph(center, 2)
-    vars(tgi.checkpoints).update(counters)
     save_index(tgi, tmp_path / "after.hgs")
     assert (tmp_path / "after.hgs").read_bytes() == (
         tmp_path / "before.hgs"
     ).read_bytes()
+
+
+def test_warm_delta_cache_reads_leave_a_saved_index_unchanged(tmp_path):
+    """Rows a read decoded and cached (part-thawed micro-delta rows
+    among them) and the delta cache's counters stay out of a saved
+    file; the loaded index's delta cache is empty, counters at zero."""
+    events = random_history(steps=300, seed=3)
+    tgi = TGI(TGIConfig(
+        events_per_timespan=150, eventlist_size=25, micro_partition_size=8,
+        delta_cache_entries=256,
+    ))
+    tgi.build(events)
+    save_index(tgi, tmp_path / "before.hgs")
+    session = GraphSession.from_index(tgi)
+    t = events[-1].time
+    truth = Graph.replay(events, until=t)
+    center = max(sorted(truth.nodes()), key=truth.degree)
+    for _ in range(2):
+        session.execute(QueryRequest(
+            kind="khop", t=t, nodes=(center,), k=2, single=True,
+            algorithm="khop",
+        ))
+        session.execute(QueryRequest(
+            kind="node_histories", ts=t // 2, te=t, nodes=(center,),
+        ))
+    assert tgi.delta_cache.stats().hits > 0 and len(tgi.delta_cache) > 0
+    save_index(tgi, tmp_path / "after.hgs")
+    assert (tmp_path / "after.hgs").read_bytes() == (
+        tmp_path / "before.hgs"
+    ).read_bytes()
+    loaded = load_index(tmp_path / "after.hgs")
+    kept = loaded.delta_cache.stats()
+    assert (kept.entries, kept.hits, kept.misses, kept.max_entries) == (
+        0, 0, 0, 256
+    )

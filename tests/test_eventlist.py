@@ -8,6 +8,9 @@ from repro.deltas.columnar import ColumnarEventList, pack_eventlist
 from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import DeltaError, EventError
 from repro.graph.events import EventBuilder
+from repro.index.copylog import CopyLogIndex
+from repro.index.deltagraph import DeltaGraphIndex
+from repro.index.log import LogIndex
 
 
 @pytest.fixture
@@ -71,10 +74,15 @@ def test_build_infers_scope(eb):
     assert split_events_into_lists([], 3) == []
 
 
-def test_split_rejects_an_unsorted_stream(eb):
+@pytest.mark.parametrize("writer", [LogIndex, CopyLogIndex, DeltaGraphIndex])
+def test_writer_refuses_an_unsorted_stream(eb, writer):
+    """Each baseline writer checks its stream's order once, before its
+    first row: an unsorted one is refused and nothing is stored."""
     events = make_events(eb, 3)
+    index = writer(eventlist_size=2)
     with pytest.raises(EventError, match="out of order"):
-        split_events_into_lists(events[::-1], 2)
+        index.build(events[::-1])
+    assert index.cluster.unique_rows == 0
 
 
 def test_split_rejects_nonpositive(eb):

@@ -189,6 +189,54 @@ def test_warm_batch_plans_each_distinct_request_once(
     assert estimates[0] <= 8
 
 
+NON_KHOP = [
+    QueryRequest(kind="snapshot", t=900),
+    QueryRequest(kind="node_state", t=900, nodes=(5,), single=True),
+    QueryRequest(kind="node_histories", ts=300, te=900, nodes=(5,),
+                 single=True),
+    QueryRequest(kind="node_histories", ts=300, te=900, nodes=(1, 3, 5)),
+    QueryRequest(kind="khop_history", ts=300, te=900, nodes=(5,),
+                 single=True),
+]
+#: the executable plan builder each request of :data:`NON_KHOP` compiles
+#: through, by position
+BUILDERS = [
+    "_snapshot_exec_plan", "_node_histories_plan", "_node_histories_plan",
+    "_node_histories_plan", "_khop_history_plan",
+]
+
+
+@pytest.mark.parametrize("together", [False, True], ids=["alone", "batch"])
+def test_non_khop_kinds_compile_once_and_ask_no_planner(
+    monkeypatch, dataset1_events, together
+):
+    """A snapshot, node state, node history or neighborhood history is
+    priced on the plan it runs: executing one builds its executable plan
+    once (a duplicate in a batch joins it) and asks the planner for
+    nothing."""
+    session = GraphSession.from_index(build_tgi(dataset1_events))
+    planned = {
+        name: _counted(monkeypatch, TGIPlanner, name)
+        for name in vars(TGIPlanner) if name.startswith("plan_")
+    }
+    built = {
+        name: _counted(monkeypatch, TGI, name) for name in set(BUILDERS)
+    }
+    for request, builder in zip(NON_KHOP, BUILDERS):
+        before = {name: calls[0] for name, calls in built.items()}
+        if together:
+            results = session.execute_batch([request, request])
+        else:
+            results = [session.execute(request)]
+        assert all(r.ok for r in results), request.describe()
+        # the neighborhood history chains one history plan per member
+        # behind its center's, each built as the one before settles
+        assert built[builder][0] - before[builder] == 1, request.describe()
+    assert {name: calls[0] for name, calls in planned.items()} == {
+        name: 0 for name in planned
+    }
+
+
 def test_warm_snapshot_routes_without_hashing(monkeypatch, dataset1_events):
     session = GraphSession.from_index(build_tgi(dataset1_events))
     session.at(900).snapshot()
