@@ -402,13 +402,52 @@ class Delta:
         return Delta.from_columns(adjacency, attrs, edges)
 
     # -- conversion -------------------------------------------------------
+    @staticmethod
+    def load_snapshot(rows: Iterable["Delta"]) -> Graph:
+        """``Delta.sum(rows).to_graph()`` without the mirror walk, for
+        the rows of one stored snapshot path (TGI's ``TAG_SNAPSHOT``
+        micro-deltas, in root→leaf order, over any subset of
+        partitions) — the cold Algorithm-1 load.
+
+        The rows are overlaid by :meth:`sum` (a later row wins per node
+        id); the overlay's attribute maps and edge lists go to the
+        shared core (:meth:`Graph._assemble`), which intersects each
+        edge list with the loaded ids, so an entry naming a node of a
+        partition that was not fetched is dropped.  No mirror walk: the
+        rows must be symmetric on the nodes they hold.  Stored snapshot
+        rows are, because every one is written once by
+        ``build_timespan`` from the snapshot delta of one :class:`Graph`
+        (symmetric adjacency), each node's edge list is its full
+        adjacency, an attributed edge is in both endpoints' lists, and
+        timespan rows are never rewritten.  Anything else — an in-memory
+        delta, a partial state — loads through :meth:`to_graph` /
+        :meth:`Graph.from_parts`.
+        """
+        overlay = Delta.sum(rows)
+        adjacency, attrs = overlay.columns()
+        g = Graph._assemble(
+            {n: dict(a) if a else {} for n, a in attrs.items()},
+            adjacency,
+            directed=False,
+        )
+        g._settle_edges({
+            canonical_edge(u, v, False): e.A
+            for (u, v), e in overlay._edges.items()
+        })
+        return g
+
     def to_graph(self, directed: bool = False) -> Graph:
         """Materialize this delta as an in-memory :class:`Graph`.
 
         Only edges whose both endpoints are present as static nodes are
         materialized; dangling edge-list entries (caused by partitioned
         fetches) are dropped, matching how the paper's query processors
-        assemble snapshots from micro-partitions.
+        assemble snapshots from micro-partitions.  An edge one endpoint
+        lists, or only an explicit :class:`StaticEdge` names, is still
+        an edge (:meth:`Graph.from_parts` adds the mirror entries), so
+        any delta loads — the ones built in memory, and the baseline
+        indexes' reconstructions (DeltaGraph, Copy, Copy+Log).  A
+        stored TGI snapshot path loads through :meth:`load_snapshot`.
         """
         adjacency, attrs = self.columns()
         edges = self._edges

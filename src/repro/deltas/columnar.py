@@ -74,14 +74,15 @@ the id column, unpickles the side-table and keeps the offsets +
 neighbours as one ``memoryview`` int column (:class:`PackedNodes`) under
 a :meth:`Delta.from_packed` delta.  What happens next depends on the
 read.  A read of every node — ``Delta.columns`` and so ``to_graph``,
-``Delta.sum`` and ``size``, or ``static_nodes`` over a scope covering
-the row — slices the neighbour column into one edge list per node in
-one bulk pass, after which the delta holds plain columns and drops the
-packed view; no ``StaticNode`` is built (``to_graph`` and ``sum`` never
-need one).  A scoped ``static_nodes(within)`` that does not cover the
-row — a history plan replaying only its asked nodes — thaws just the
-in-scope nodes, each from its own offsets, found through an id → slot
-map built on first use.  A version-2 row decodes eagerly into a
+``Delta.sum``, ``Delta.load_snapshot`` and ``size``, or
+``static_nodes`` over a scope covering the row — slices the neighbour
+column into one edge list per node in one bulk pass, after which the
+delta holds plain columns and drops the packed view; no ``StaticNode``
+is built (those four never need one).  A scoped
+``static_nodes(within)`` that does not cover the row — a history plan
+replaying only its asked nodes — thaws just the in-scope nodes, each
+from its own offsets, found through an id → slot map built on first
+use.  A version-2 row decodes eagerly into a
 :meth:`Delta.from_columns` delta over the real ids.  The side-table
 carries only what few components have: node attribute tuples and
 explicit ``StaticEdge`` components (TGI stores one per *attributed*
@@ -296,14 +297,7 @@ class ColumnarEventList:
         "_side_off", "_side", "_events",
     )
 
-    def __init__(
-        self,
-        data: Any,
-        lo: int = 0,
-        hi: Optional[int] = None,
-        ts: Optional[TimePoint] = None,
-        te: Optional[TimePoint] = None,
-    ) -> None:
+    def __init__(self, data: Any) -> None:
         mv = data if isinstance(data, memoryview) else memoryview(data)
         size = len(mv)
         if size >= _HEADER_END:
@@ -335,19 +329,10 @@ class ColumnarEventList:
             ids.append(_NO_OTHER)  # index -1: no second endpoint
             self._nodes = _IdColumn(map(ids.__getitem__, self._nodes))
             self._others = _IdColumn(map(ids.__getitem__, self._others))
-        self._lo = lo
-        self._hi = n if hi is None else hi
-        self.ts = hts if ts is None else ts
-        self.te = hte if te is None else te
-
-    # -- pickling ---------------------------------------------------------
-    # memoryview casts don't pickle; rebuild from the payload bytes and
-    # the window
-    def __reduce__(self):
-        return (
-            _rebuild_columnar,
-            (bytes(self._data), self._lo, self._hi, self.ts, self.te),
-        )
+        self._lo = 0
+        self._hi = n
+        self.ts = hts
+        self.te = hte
 
     # -- side-table -------------------------------------------------------
     def _side_entries(self) -> Dict[int, Tuple]:
@@ -416,14 +401,22 @@ class ColumnarEventList:
 
     def filter_by_time(self, ts: TimePoint, te: TimePoint) -> "ColumnarEventList":
         """Narrow to ``ts < time <= te`` by bisecting the times column —
-        a windowed view sharing this payload; nothing materializes."""
+        a windowed view sharing this row's parsed columns (and its id
+        table and side-table, once read); nothing is parsed again and
+        nothing materializes."""
         lo = bisect_right(self._times, ts, self._lo, self._hi)
         hi = bisect_right(self._times, te, lo, self._hi)
-        if lo >= hi:
-            return ColumnarEventList(self._data, lo, lo, ts, te)
-        return ColumnarEventList(
-            self._data, lo, hi, max(ts, self.ts), min(te, self.te)
-        )
+        # ``__init__`` sets every slot; ``copy.copy`` would take 3x as long
+        out = ColumnarEventList.__new__(ColumnarEventList)
+        for name in ColumnarEventList.__slots__:
+            setattr(out, name, getattr(self, name))
+        out._events = None
+        out._lo, out._hi = lo, hi
+        if lo == hi:  # an empty window keeps the asked scope
+            out.ts, out.te = ts, te
+        else:
+            out.ts, out.te = max(ts, self.ts), min(te, self.te)
+        return out
 
     def filter_by_id(self, node_ids) -> "ColumnarEventList":
         """Restrict to events touching any of ``node_ids`` (paper's
@@ -455,9 +448,7 @@ class ColumnarEventList:
         out: Dict[NodeId, List[Event]] = {}
         made = 0
         for i, u, v in zip(
-            range(lo, hi),
-            self._nodes.tolist()[lo:hi],
-            self._others.tolist()[lo:hi],
+            range(lo, hi), self._nodes[lo:hi], self._others[lo:hi]
         ):
             hit_u = u in keep
             hit_v = v != u and v != _NO_OTHER and v in keep
@@ -483,12 +474,6 @@ class ColumnarEventList:
                 return whole
             return bytes(data)
         return pack_eventlist(self.ts, self.te, self.events)
-
-
-def _rebuild_columnar(
-    data: bytes, lo: int, hi: int, ts: TimePoint, te: TimePoint
-) -> ColumnarEventList:
-    return ColumnarEventList(data, lo, hi, ts, te)
 
 
 def merged_order(
@@ -652,14 +637,6 @@ class PackedNodes:
         self._attrs = attrs  # only the nodes that have attributes
         self._slots: Optional[Dict[int, int]] = None
 
-    # memoryview casts don't pickle; rebuild from the column's bytes
-    def __reduce__(self):
-        csr = self._csr
-        return (
-            _rebuild_packed,
-            (self.ids, csr.format, csr.tobytes(), self._attrs),
-        )
-
     @property
     def slots(self) -> Dict[int, int]:
         """``node id -> slot`` (its row in the id column)."""
@@ -691,12 +668,6 @@ class PackedNodes:
                     frozenset(csr[base + csr[i]:base + csr[i + 1]]),
                     attrs.get(n, ()),
                 )
-
-
-def _rebuild_packed(
-    ids: List[int], code: str, csr: bytes, attrs: Dict
-) -> PackedNodes:
-    return PackedNodes(ids, memoryview(csr).cast(code), attrs)
 
 
 def unpack_delta(data: Any) -> Delta:

@@ -143,11 +143,47 @@ class Graph:
         canonical edge id (non-empty maps copied); it may cover more
         edges than the graph ends up with.  Equivalent to ``add_node``
         per node, then ``add_edge`` per not-yet-present edge-list entry.
+
+        This is the loader for parts nobody proved symmetric: in-memory
+        deltas (:meth:`Delta.to_graph
+        <repro.deltas.base.Delta.to_graph>`, and so the baseline
+        indexes), k-hop partial states (``PartialState.to_graph``) and
+        TAF's induced graphs (``taf.node_t.induced_graph``).  A stored
+        snapshot path loads through :meth:`Delta.load_snapshot
+        <repro.deltas.base.Delta.load_snapshot>`, which shares
+        :meth:`_assemble` and :meth:`_settle_edges` with this one and
+        skips the mirror walk.
         """
+        g = cls._assemble(
+            {n: dict(a) if a else {} for n, a in node_attrs.items()},
+            adjacency,
+            directed,
+        )
+        if not directed:
+            adj = g._adj
+            for u, nbrs in adj.items():
+                for v in nbrs:
+                    if u not in adj[v]:
+                        adj[v].add(u)  # v != u: not the set being walked
+        g._settle_edges(edge_attrs)
+        return g
+
+    @classmethod
+    def _assemble(
+        cls,
+        nodes: Dict[NodeId, AttrMap],
+        adjacency: Mapping[NodeId, Iterable[NodeId]],
+        directed: bool,
+    ) -> "Graph":
+        """The bulk loaders' shared core: a graph over ``nodes`` (node
+        id -> a fresh attribute map; the dict is taken over) whose
+        neighbor sets are ``adjacency``'s edge lists less the entries
+        naming no node of ``nodes`` — one set intersection per node; a
+        node without an edge list gets an empty set.  Its edges are not
+        settled yet: the caller runs :meth:`_settle_edges` once the
+        adjacency is final."""
         g = cls(directed=directed)
-        nodes = g._nodes = {
-            n: dict(a) if a else {} for n, a in node_attrs.items()
-        }
+        g._nodes = nodes
         alive = set(nodes)
         adj = g._adj = {
             n: alive.intersection(nbrs)
@@ -156,12 +192,6 @@ class Graph:
         if len(adj) != len(nodes):
             for n in nodes:
                 adj.setdefault(n, set())
-        if not directed:
-            for u, nbrs in adj.items():
-                for v in nbrs:
-                    if u not in adj[v]:
-                        adj[v].add(u)  # v != u: not the set being walked
-        g._settle_edges(edge_attrs)
         return g
 
     def _settle_edges(self, source: Optional[Mapping[EdgeId, Any]]) -> None:

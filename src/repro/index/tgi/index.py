@@ -431,11 +431,11 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
 
         def finalize_cold(values: Dict[DeltaKey, object]) -> Graph:
             bad = _degraded_pids(path_keys + ekeys, values)
-            # one overlay of the path's rows in root->leaf order (later
-            # row wins per node id), materialized once
-            g = Delta.sum(
+            # the path's rows in root->leaf order (later row wins per
+            # node id), loaded with no mirror walk
+            g = Delta.load_snapshot(
                 values[key] for key in path_keys if key[3] not in bad
-            ).to_graph()
+            )
             return replay_and_admit(g, bad, ekeys, values)
 
         return plan, finalize_cold, extra

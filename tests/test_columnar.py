@@ -327,15 +327,12 @@ def test_mixed_id_rows_round_trip(drawn, data, compress, checksum):
     assert isinstance(row, ColumnarEventList)
     assert (row.ts, row.te) == (0, last)
     assert_same_events(row.events, events)
-    # windows, a pickled window and a repacked window
+    # windows and a repacked window
     ts = data.draw(st.integers(0, last))
     te = data.draw(st.integers(ts, last))
     window = decode(enc.payload).filter_by_time(ts, te)
     want = [ev for ev in events if ts < ev.time <= te]
     assert_same_events(window.events, want)
-    copy = pickle.loads(pickle.dumps(window))
-    assert_same_events(copy.events, want)
-    assert (copy.ts, copy.te) == (window.ts, window.te)
     assert_same_events(ColumnarEventList(window.packed_bytes()).events, want)
     # the id scans, against the events touching each id (set membership,
     # as the paper's FilterById; a self-loop is listed once)
@@ -347,13 +344,7 @@ def test_mixed_id_rows_round_trip(drawn, data, compress, checksum):
         [ev for ev in events if ev.node in keep or ev.other in keep],
     )
     grouped = row.group_by_id(ids)
-    want_groups = {}
-    for ev in events:
-        u, v = ev.node, ev.other
-        if u in keep:
-            want_groups.setdefault(u, []).append(ev)
-        if v is not None and v != u and v in keep:
-            want_groups.setdefault(v, []).append(ev)
+    want_groups = grouped_by_id(events, ids)
     assert grouped.keys() == want_groups.keys()
     for node, evs in want_groups.items():
         assert_same_events(grouped[node], evs)
@@ -377,16 +368,81 @@ def test_mixed_id_rows_replay_like_the_log():
         assert got == Graph.replay(events, until=t)
 
 
-# -- pickling the lazy view ---------------------------------------------------
+# -- windows ---------------------------------------------------------------------
 
-def test_windowed_view_pickle_roundtrip():
-    events = random_history(steps=180, seed=13)
+def grouped_by_id(events, ids):
+    """``group_by_id``'s answer from the events alone."""
+    keep = set(ids)
+    out = {}
+    for ev in events:
+        u, v = ev.node, ev.other
+        if u in keep:
+            out.setdefault(u, []).append(ev)
+        if v is not None and v != u and v in keep:
+            out.setdefault(v, []).append(ev)
+    return out
+
+
+@given(
+    events=st.builds(
+        lambda steps, seed, strings: (
+            relabelled if strings else list
+        )(random_history(steps=steps, seed=seed, edge_attr_churn=True)),
+        st.integers(0, 80), st.integers(0, 10**6), st.booleans(),
+    ),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_windows_equal_rows_parsed_from_their_own_events(events, data):
+    """A window (and a window of a window) equals a row parsed afresh
+    from the events it covers — scope, events, id scans — on int and
+    string ids alike, though it parsed nothing itself."""
+    last = events[-1].time + 1 if events else 1
+    times = st.integers(-1, last + 1)
+    row = decode(encode(packed(0, last, events)).payload)
+    scope, view = (0, last), row
+    for _ in range(2):
+        ts = data.draw(times)
+        te = data.draw(st.integers(ts, last + 1))
+        view = view.filter_by_time(ts, te)
+        want = [
+            ev for ev in events
+            if scope[0] < ev.time <= scope[1] and ts < ev.time <= te
+        ]
+        # an empty window keeps the asked scope, a non-empty one clamps
+        scope = (max(ts, scope[0]), min(te, scope[1])) if want else (ts, te)
+        fresh = packed(*scope, want)
+        assert (view.ts, view.te) == scope and view == fresh
+        assert_same_events(view.events, want)
+        ids = data.draw(st.lists(
+            st.sampled_from([ev.node for ev in events] or [0]), max_size=4
+        ))
+        for got in (view.group_by_id(ids), fresh.group_by_id(ids)):
+            want_groups = grouped_by_id(want, ids)
+            assert got.keys() == want_groups.keys()
+            for node, evs in want_groups.items():
+                assert_same_events(got[node], evs)
+
+
+def test_a_string_id_window_unpickles_nothing(monkeypatch):
+    """The id table and side-table a string-id row unpickled on open are
+    the window's too: narrowing, materializing and grouping a window
+    unpickle nothing again."""
+    events = relabelled(random_history(steps=120, seed=5))
     te = events[-1].time
-    cel = ColumnarEventList(pack_eventlist(0, te, tuple(events)))
-    window = cel.filter_by_time(te // 4, 3 * te // 4)
-    copy = pickle.loads(pickle.dumps(window))
-    assert copy == window
-    assert (copy.ts, copy.te) == (window.ts, window.te)
+    row = decode(encode(packed(0, te, events)).payload)
+    loads = []
+    real = pickle.loads
+    monkeypatch.setattr(
+        "repro.deltas.columnar.pickle.loads",
+        lambda *args: loads.append(1) or real(*args),
+    )
+    window = row.filter_by_time(te // 4, 3 * te // 4).filter_by_time(0, te)
+    want = [ev for ev in events if te // 4 < ev.time <= 3 * te // 4]
+    assert window.events == tuple(want) and len(want) > 10
+    ids = [want[0].node, want[-1].node]
+    assert window.group_by_id(ids) == grouped_by_id(want, ids)
+    assert loads == []
 
 
 def test_packed_bytes_repacks_window():

@@ -3,17 +3,23 @@
 Hypothesis draws a history (churn, re-adds, attribute edits, string ids
 through ``relabelled``), a cache configuration (delta cache of 0, 2 or
 1024 rows; checkpoints off or 64), a warm, near or cold cache state, and
-a mix of snapshot, node-state and node-history requests — single and
-batched, with duplicates, unknown nodes beside valid ones and two time
-points in one batch.  Every value is checked against ``tests.oracle``,
-and the session's accounting against what the store saw:
+a mix of snapshot, node-state, node-history and k-hop requests — single
+and batched, with duplicates, unknown nodes beside valid ones and two
+time points in one batch.  A k-hop draws ``k`` of 1 or 2 and any
+algorithm (``auto``, ``snapshot-first``, ``khop``); its centers may be
+dead at ``t`` (a lone one raises, a batched one reads ``None``), and a
+snapshot-first one loads its snapshot cold, near-seeded or warm.  Every
+value is checked against ``tests.oracle``, and the session's accounting
+against what the store saw:
 
-- a request run alone is priced on exactly the keys it fetches (with
-  the delta cache off, every key it needs reaches ``Cluster.multiget``);
+- a request run alone that is not a k-hop is priced on exactly the keys
+  it fetches (with the delta cache off, every key it needs reaches
+  ``Cluster.multiget``); a k-hop is priced on its planner's bound;
 - a batch's fair shares sum to what the store served it;
 - ``execute(r)`` is ``execute_batch([r])[0]``, value and stats;
-- running these kinds asks the planner for nothing: each compiles one
-  executable plan per distinct request and prices that.
+- every distinct request compiles one executable plan; running a
+  request asks the planner for nothing, except a k-hop pricing its two
+  candidates while it chooses its algorithm.
 """
 
 from __future__ import annotations
@@ -26,11 +32,13 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import GraphSession
 from repro.api import QueryRequest
+from repro.errors import IndexError_
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, TGIConfig, TGIPlanner
 from repro.kvstore.cluster import Cluster, ClusterConfig
-from tests.helpers import random_history, relabelled
-from tests.oracle import ground_truth_history, oracle_history
+from repro.session.pricing import SessionPricing
+from tests.helpers import graph_parts, random_history, relabelled
+from tests.oracle import ground_truth_history, oracle_history, oracle_parts
 
 #: Every planner entry point that builds a plan.
 PLANNER_BUILDS = sorted(
@@ -68,11 +76,25 @@ def scenarios(draw):
     at = st.sampled_from(times)
 
     def request():
-        kind = draw(st.sampled_from(
-            ["snapshot", "node_state", "node_history", "node_histories"]
-        ))
+        kind = draw(st.sampled_from([
+            "snapshot", "node_state", "node_history", "node_histories",
+            "khop",
+        ]))
         if kind == "snapshot":
             return QueryRequest(kind="snapshot", t=draw(at))
+        if kind == "khop":
+            single = draw(st.booleans())
+            centers = (draw(nodes),) if single else tuple(
+                draw(st.lists(nodes, min_size=1, max_size=4))
+            )
+            return QueryRequest(
+                kind="khop", t=draw(at), nodes=centers,
+                k=draw(st.sampled_from([1, 2])),
+                algorithm=draw(st.sampled_from(
+                    ["auto", "snapshot-first", "khop"]
+                )),
+                single=single,
+            )
         if kind == "node_state":
             return QueryRequest(
                 kind="node_state", t=draw(at), nodes=(draw(nodes),),
@@ -113,9 +135,16 @@ def scenarios(draw):
 
 
 def oracle(events, request):
-    """The request's value from the event log alone."""
+    """The request's value from the event log alone; a k-hop's graphs
+    as ``graph_parts`` (``None`` for a center dead at ``t``)."""
     if request.kind == "snapshot":
         return Graph.replay(events, until=request.t)
+    if request.kind == "khop":
+        hoods = [
+            oracle_parts(events, c, request.k, request.t)
+            for c in request.nodes
+        ]
+        return hoods[0] if request.single else hoods
     if request.kind == "node_state":
         return ground_truth_history(
             events, request.nodes[0], request.t, request.t
@@ -127,13 +156,33 @@ def oracle(events, request):
     return histories[0] if request.single else histories
 
 
+def observed(request, value):
+    """``value`` as :func:`oracle` states it."""
+    if request.kind != "khop":
+        return value
+    if request.single:
+        return graph_parts(value)
+    return [None if g is None else graph_parts(g) for g in value]
+
+
+def raises(events, request):
+    """Whether the request fails: a lone k-hop center dead at ``t``."""
+    return (
+        request.kind == "khop" and request.single
+        and oracle(events, request) is None
+    )
+
+
 class StoreLog:
     """What the session priced and what the store served, per call."""
 
     def __init__(self, mp):
         self.priced, self.fetched = [], []
         self.requests = self.bytes = 0
+        # planner builds outside a k-hop's choice of algorithm, which
+        # prices its candidates on the planner's plans
         self.plans = 0
+        self.choosing = 0
         self.built = 0
         price, multiget = Cluster.price, Cluster.multiget
 
@@ -151,16 +200,39 @@ class StoreLog:
         mp.setattr(Cluster, "price", logged_price)
         mp.setattr(Cluster, "multiget", logged_multiget)
         for name in PLANNER_BUILDS:
-            mp.setattr(TGIPlanner, name, self._counting(
-                getattr(TGIPlanner, name), "plans"
+            mp.setattr(TGIPlanner, name, self._planning(
+                getattr(TGIPlanner, name)
             ))
-        for name in ("_snapshot_exec_plan", "_node_histories_plan"):
+        mp.setattr(SessionPricing, "_choose_khop", self._choosing(
+            SessionPricing._choose_khop
+        ))
+        for name in (
+            "_snapshot_exec_plan", "_node_histories_plan", "_khops_plan",
+        ):
             mp.setattr(TGI, name, self._counting(getattr(TGI, name), "built"))
 
     def _counting(self, fn, counter):
         def wrapper(*args, **kwargs):
             setattr(self, counter, getattr(self, counter) + 1)
             return fn(*args, **kwargs)
+
+        return wrapper
+
+    def _planning(self, fn):
+        def wrapper(*args, **kwargs):
+            if not self.choosing:
+                self.plans += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def _choosing(self, fn):
+        def wrapper(*args, **kwargs):
+            self.choosing += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.choosing -= 1
 
         return wrapper
 
@@ -182,28 +254,46 @@ def test_generated_requests_match_the_oracle(scenario):
     with pytest.MonkeyPatch.context() as mp:
         log = StoreLog(mp)
         for session in (alone, batched_alone):
-            session.execute_batch(prelude)
+            session.execute_batch(
+                [r for r in prelude if not raises(events, r)]
+            )
+        assert log.plans == 0
 
         for request in mix:
             log.reset()
+            if raises(events, request):
+                with pytest.raises(IndexError_):
+                    alone.execute(request)
+                with pytest.raises(IndexError_):
+                    batched_alone.execute_batch([request])
+                assert log.plans == 0
+                continue
             got = alone.execute(request)
-            assert got.value == oracle(events, request), request.describe()
+            assert observed(request, got.value) == oracle(events, request), (
+                request.describe()
+            )
             assert log.built == 1
-            if tgi.delta_cache is None:
+            if tgi.delta_cache is None and request.kind != "khop":
                 (priced,) = log.priced
                 fetched = {key for keys in log.fetched for key in keys}
                 assert set(priced) == fetched, request.describe()
             assert got.stats.requests == log.requests
             (one,) = batched_alone.execute_batch([request])
-            assert one.value == got.value and one.stats == got.stats
-
-        log.reset()
-        results = alone.execute_batch(mix)
-        for request, result in zip(mix, results):
-            assert result.value == oracle(events, request), (
-                request.describe()
+            assert observed(request, one.value) == observed(
+                request, got.value
             )
-        assert log.built == len(set(mix))
+            assert one.stats == got.stats
+            assert log.plans == 0
+
+        # a failing member would fail the whole batch
+        batch = [r for r in mix if not raises(events, r)]
+        log.reset()
+        results = alone.execute_batch(batch)
+        for request, result in zip(batch, results):
+            assert observed(request, result.value) == oracle(
+                events, request
+            ), request.describe()
+        assert log.built == len(set(batch))
         assert sum(r.stats.requests for r in results) == pytest.approx(
             log.requests
         )
