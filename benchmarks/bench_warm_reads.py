@@ -28,9 +28,13 @@ per-op wall times and the distance between their quartiles, so one
 slow pass (a collection, a scheduler stall) moves nothing and a run
 whose spread is under a tenth of its median resolves a 10 % change; a
 near-warm time is warm once it has been read, so that scenario times
-each of its single-use ops on its own.  The counts repeat exactly and
-are the bar: a reader of a warm state copies
-nothing, a near-warm k-hop copies its seed once and privatizes at most
+each of its single-use ops on its own.  Beside the raw median,
+``wall_us_per_op_ref`` is the median at the ledger's reference speed:
+each pass scaled by the speed probe (``benchmarks.ledger.speed``) timed
+right before and after it, so two trees timed in separate processes on
+a machine whose speed drifts can be compared.  The counts repeat
+exactly and are the bar: a reader of a warm state copies nothing, a
+near-warm k-hop copies its seed once and privatizes at most
 the nodes its gap's events touch, and only a *snapshot* result — the
 caller's own graph — costs one copy per query, which privatizes
 nothing until the caller writes; an exact-warm k-hop shares every
@@ -55,6 +59,7 @@ from benchmarks.conftest import (
     print_series,
     probe_nodes,
 )
+from benchmarks.ledger.speed import at_reference_speed, probe_ns
 
 CENTERS = 8
 NEAR_TIMES = 12
@@ -145,11 +150,15 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
                 passes = [[t2] for t2 in timed_near]
             else:
                 passes = [timed_near] * PASSES
-            per_op = []
+            per_op, per_op_ref = [], []
             for times in passes:
+                before = probe_ns()
                 start = time.perf_counter()
                 results = run(times)
                 per_op.append((time.perf_counter() - start) / len(results))
+                per_op_ref.append(
+                    at_reference_speed(per_op[-1], [before, probe_ns()])
+                )
             quartiles = statistics.quantiles(per_op, n=4)
             rows[name] = {
                 "ops": len(results),
@@ -157,6 +166,9 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
                 "wall_us_per_op": round(statistics.median(per_op) * 1e6, 1),
                 "wall_us_per_op_iqr": round(
                     (quartiles[2] - quartiles[0]) * 1e6, 1
+                ),
+                "wall_us_per_op_ref": round(
+                    statistics.median(per_op_ref) * 1e6, 1
                 ),
             }
         for name, run in scenarios.items():
@@ -207,10 +219,11 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
     rows = payload["scenarios"]
     print_series(
         "warm reads, 64 checkpoint entries",
-        "scenario                       ops  wall us/op  copies  clones"
-        "  privatized",
+        "scenario                       ops  wall us/op  at ref  copies"
+        "  clones  privatized",
         [
             f"{name:28s} {row['ops']:5d} {row['wall_us_per_op']:11.1f} "
+            f"{row['wall_us_per_op_ref']:7.1f} "
             f"{row['graph_copies']:7d} {row['state_clones']:7d} "
             f"{row['nodes_privatized']:11d}"
             for name, row in rows.items()

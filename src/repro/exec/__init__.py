@@ -64,6 +64,7 @@ from repro.exec.cache import (
     CheckpointStats,
     DeltaCache,
     StateCheckpointCache,
+    collector_paused,
     shared_caches,
 )
 from repro.exec.coalesce import CoalesceReport, CoalesceScope
@@ -79,6 +80,7 @@ __all__ = [
     "CoalesceScope",
     "DeltaCache",
     "StateCheckpointCache",
+    "collector_paused",
     "shared_caches",
     "FetchPlan",
     "FetchStage",

@@ -41,6 +41,7 @@ nothing another process cached.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import gc
 import threading
 from collections import OrderedDict
@@ -73,14 +74,72 @@ def _relax_full_collections() -> None:
     still cost the full walk, and at the default cadence such pauses
     were 4 in 240 warm reads (a seventh of their wall time) and moved a
     run's throughput by a tenth, so the cadence stays relaxed.  Young
-    collections, which reclaim the cyclic garbage queries actually
-    make, are untouched; a cadence the application already set higher
-    is kept, and so is a disabled collector.  Process-wide and never
-    undone: the cost being avoided lasts as long as any cache.
+    thresholds are untouched (a query defers its young collections to
+    its end instead: :data:`collector_paused`); a cadence the
+    application already set higher is kept, and so is a disabled
+    collector.  Process-wide and never undone: the cost being avoided
+    lasts as long as any cache.
     """
     young, middle, old = gc.get_threshold()
     if 0 < old < FULL_COLLECTION_EVERY:
         gc.set_threshold(young, middle, FULL_COLLECTION_EVERY)
+
+
+class _CollectorPause(contextlib.ContextDecorator):
+    """Keep CPython's cyclic collector off while a query builds its
+    result; see :data:`collector_paused`."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._holders = 0
+        # whether the first holder found the collector on (and so the
+        # pause is the one to turn it back on)
+        self._owned = False
+
+    def __enter__(self) -> "_CollectorPause":
+        with self._lock:
+            if self._holders == 0:
+                self._owned = gc.isenabled()
+                if self._owned:
+                    gc.disable()
+            self._holders += 1
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        with self._lock:
+            self._holders -= 1
+            owned = self._owned
+            if owned and self._holders == 0:
+                gc.enable()
+        young, middle, _old = gc.get_threshold()
+        count = gc.get_count()
+        if owned and young and count[0] > young:
+            # what CPython's thresholds call for: young, or young and
+            # middle; full collections stay CPython's own (and rare)
+            gc.collect(1 if count[1] > middle else 0)
+        return False
+
+
+#: Held around every read that builds a result: ``GraphSession._run``
+#: (``execute``, ``execute_batch``, ``hgs serve``), ``TGI._retrieve``,
+#: ``TGIHandler.retrieve_node_histories`` / ``retrieve_subgraphs`` and
+#: the TAF compute loops (``RDD._run``, ``TGraph.Evolution``); as a
+#: ``with`` block or a decorator.  A result is thousands of small
+#: tracked containers (a ``set`` per neighbour list, attribute tuples,
+#: decoded columns) and none forms a cycle, yet the collector rescans
+#: them while they are still being built: at the default thresholds
+#: that was about 19 % of ``snapshot_cold``'s wall, 12.5 % of
+#: ``khop_batch``'s and 10 % of ``khop_cold``'s in the ledger.
+#:
+#: Reentrant and thread-safe: the first holder turns the collector off
+#: and the last one turns it back on.  Overlapping holders in several
+#: threads could keep it off indefinitely, so *every* release that finds
+#: the young count past its threshold runs the collection CPython would
+#: have run before it returns: garbage is bounded by one query's worth,
+#: whoever else is still running.  A collector the application turned
+#: off stays off, and the pause then never collects.  Writes
+#: (``TGI.update``) are not paused: it measured flat there.
+collector_paused = _CollectorPause()
 
 
 @dataclass(frozen=True)

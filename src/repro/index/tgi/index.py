@@ -63,6 +63,7 @@ from repro.exec import (
     KeyGroup,
     PlanExecutor,
     StateCheckpointCache,
+    collector_paused,
 )
 from repro.graph.events import Event, check_sorted
 from repro.graph.static import Graph
@@ -271,6 +272,7 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
     # ------------------------------------------------------------------
     # running a compiled query
     # ------------------------------------------------------------------
+    @collector_paused
     def _retrieve(
         self, compiled: Compiled, clients: int
     ) -> Tuple[object, FetchStats]:

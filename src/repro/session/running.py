@@ -27,7 +27,7 @@ from repro.api import (
 )
 from repro.cancellation import cancel_scope
 from repro.errors import IndexError_, StorageError
-from repro.exec import PipelineResult
+from repro.exec import PipelineResult, collector_paused
 from repro.graph.static import Graph
 from repro.index.tgi.query import ReplayShare
 from repro.kvstore.cost import COUNTER_NAMES, FetchStats
@@ -258,6 +258,7 @@ class SessionExecution:
             annotate,
         )
 
+    @collector_paused
     def _run(
         self,
         requests: List[QueryRequest],

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generic, Iterable, List, Optional, Sequence, TypeVar
 
 from repro.errors import AnalyticsError
+from repro.exec import collector_paused
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -74,6 +75,7 @@ class RDD(Generic[T]):
         return self._chain(lambda items: [f(x) for x in items])
 
     # -- actions (eager) ------------------------------------------------------
+    @collector_paused
     def _run(self) -> List[List[Any]]:
         stats = JobStats(num_workers=self.context.num_workers)
         results: List[List[Any]] = []

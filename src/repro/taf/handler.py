@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.exec import FetchPlan
+from repro.exec import FetchPlan, collector_paused
 from repro.graph.events import Event
 from repro.index.interface import NodeHistory, evolve_node_state
 from repro.index.tgi.index import TGI
@@ -145,6 +145,7 @@ class TGIHandler:
     ) -> List[NodeT]:
         return self.retrieve_node_histories(node_ids, ts, te)[0]
 
+    @collector_paused
     def retrieve_node_histories(
         self, node_ids: Sequence[NodeId], ts: TimePoint, te: TimePoint
     ) -> Tuple[List[NodeT], ParallelFetchStats]:
@@ -199,6 +200,7 @@ class TGIHandler:
     ) -> List[SubgraphT]:
         return self.retrieve_subgraphs(centers, k, ts, te)[0]
 
+    @collector_paused
     def retrieve_subgraphs(
         self,
         centers: Sequence[NodeId],

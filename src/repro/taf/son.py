@@ -20,7 +20,8 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.errors import AnalyticsError, QueryError
+from repro.errors import AnalyticsError, QueryError, TimeRangeError
+from repro.exec import collector_paused
 from repro.graph.events import Event
 from repro.graph.static import Graph
 from repro.index.interface import evolve_node_state
@@ -58,6 +59,30 @@ def _prune_ids(
         else:
             universe = [n for n in universe if compiled(n, {})]
     return universe
+
+
+def _clip_window(
+    handler: Optional[TGIHandler],
+    window: Optional[Tuple[TimePoint, TimePoint]],
+) -> Optional[Tuple[TimePoint, TimePoint]]:
+    """``window`` (``None``: all of it) clipped to the handler's indexed
+    history.  Raises :class:`TimeRangeError` for an inverted window or
+    one disjoint from that history, as ``NodeT.timeslice`` does for a
+    node's range."""
+    if window is not None and window[0] > window[1]:
+        raise TimeRangeError(f"inverted timeslice [{window[0]}, {window[1]}]")
+    if handler is None:
+        return window
+    lo, hi = handler.history_range()
+    if window is None:
+        return lo, hi
+    ts, te = window
+    if te < lo or ts > hi:
+        raise TimeRangeError(
+            f"timeslice [{ts}, {te}] does not overlap the indexed "
+            f"history [{lo}, {hi}]"
+        )
+    return max(ts, lo), min(te, hi)
 
 
 def _metric_caller(f: Callable) -> Callable[[Any, Optional[NodeId]], Any]:
@@ -200,6 +225,7 @@ class TGraph:
     def graph_at(self, t: TimePoint) -> Graph:
         return self._son.GetGraph(t)
 
+    @collector_paused
     def Evolution(
         self, metric: Callable[[Graph], Any], timepoints: TimepointsSpec = None
     ) -> List[Tuple[TimePoint, Any]]:
@@ -285,6 +311,7 @@ class SON:
             ts, tend = int(arg), int(te)
         else:
             ts = tend = int(arg)
+        _clip_window(self.handler, (ts, tend))
         if self._nodes is None:
             out = self._clone(interval=(ts, tend))
             return out
@@ -336,7 +363,7 @@ class SON:
             return self
         if self.handler is None:
             raise QueryError("cannot fetch a SoN without a TGIHandler")
-        ts, te = self._effective_interval()
+        ts, te = _clip_window(self.handler, self._interval)
         universe = _prune_ids(
             self.handler.known_nodes(ts, te), self._pre_id_predicates,
             ordered=True,
@@ -354,14 +381,6 @@ class SON:
         out = SON(self.handler, _nodes=nodes, _interval=(ts, te))
         out.fetch_stats = stats
         return out
-
-    def _effective_interval(self) -> Tuple[TimePoint, TimePoint]:
-        if self._interval is not None:
-            assert self.handler is not None
-            lo, hi = self.handler.history_range()
-            return max(self._interval[0], lo), min(self._interval[1], hi)
-        assert self.handler is not None
-        return self.handler.history_range()
 
     # lowercase aliases so paper-style operators read naturally from the
     # fluent session API (``session.nodes(...).timeslice(...).fetch()``)
@@ -570,6 +589,7 @@ class SOTS:
             ts, tend = int(arg), int(te)
         else:
             ts = tend = int(arg)
+        _clip_window(self.handler, (ts, tend))
         if self._subgraphs is None:
             out = SOTS(self.k, self.handler, _interval=(ts, tend))
             out._pre_id_predicates = list(self._pre_id_predicates)
@@ -610,7 +630,7 @@ class SOTS:
             return self
         if self.handler is None:
             raise QueryError("cannot fetch a SoTS without a TGIHandler")
-        ts, te = self._effective_interval()
+        ts, te = _clip_window(self.handler, self._interval)
         # explicit centers keep their order: only the sorted known-node
         # universe can be sliced
         universe = _prune_ids(
@@ -625,13 +645,6 @@ class SOTS:
                    _interval=(ts, te))
         out.fetch_stats = stats
         return out
-
-    def _effective_interval(self) -> Tuple[TimePoint, TimePoint]:
-        assert self.handler is not None
-        lo, hi = self.handler.history_range()
-        if self._interval is None:
-            return lo, hi
-        return max(self._interval[0], lo), min(self._interval[1], hi)
 
     # lowercase aliases matching the fluent session API
     timeslice = Timeslice

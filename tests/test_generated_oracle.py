@@ -5,12 +5,13 @@ through ``relabelled``), a cache configuration (delta cache of 0, 2 or
 1024 rows; checkpoints off or 64), a warm, near or cold cache state, and
 a mix of snapshot, node-state, node-history and k-hop requests — single
 and batched, with duplicates, unknown nodes beside valid ones and two
-time points in one batch.  A k-hop draws ``k`` of 1 or 2 and any
-algorithm (``auto``, ``snapshot-first``, ``khop``); its centers may be
-dead at ``t`` (a lone one raises, a batched one reads ``None``), and a
-snapshot-first one loads its snapshot cold, near-seeded or warm.  Every
-value is checked against ``tests.oracle``, and the session's accounting
-against what the store saw:
+time points in one batch, with the cyclic collector on or off (the
+query pause must leave it as it found it).  A k-hop draws ``k`` of 1 or
+2 and any algorithm (``auto``, ``snapshot-first``, ``khop``); its
+centers may be dead at ``t`` (a lone one raises, a batched one reads
+``None``), and a snapshot-first one loads its snapshot cold,
+near-seeded or warm.  Every value is checked against ``tests.oracle``,
+and the session's accounting against what the store saw:
 
 - a request run alone that is not a k-hop is priced on exactly the keys
   it fetches (with the delta cache off, every key it needs reaches
@@ -24,6 +25,7 @@ against what the store saw:
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import hypothesis.strategies as st
@@ -131,7 +133,7 @@ def scenarios(draw):
             )
             for t in times
         ]
-    return events, tgi, mix, prelude
+    return events, tgi, mix, prelude, draw(st.booleans())
 
 
 def oracle(events, request):
@@ -247,10 +249,22 @@ class StoreLog:
                                  HealthCheck.data_too_large])
 @given(scenarios())
 def test_generated_requests_match_the_oracle(scenario):
-    events, tgi, mix, prelude = scenario
+    events, tgi, mix, prelude, collector = scenario
     # a twin with the same rows and the same (empty) reader state
     twin = pickle.loads(pickle.dumps(tgi))
     alone, batched_alone = GraphSession(tgi), GraphSession(twin)
+    was = gc.isenabled()
+    (gc.enable if collector else gc.disable)()
+    try:
+        check_against_the_oracle(events, tgi, mix, prelude, alone,
+                                 batched_alone)
+        assert gc.isenabled() is collector
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def check_against_the_oracle(events, tgi, mix, prelude, alone,
+                             batched_alone):
     with pytest.MonkeyPatch.context() as mp:
         log = StoreLog(mp)
         for session in (alone, batched_alone):

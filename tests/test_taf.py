@@ -3,7 +3,7 @@
 import pytest
 
 from repro import GraphSession
-from repro.errors import AnalyticsError
+from repro.errors import AnalyticsError, TimeRangeError
 from repro.graph.events import EventKind
 from repro.graph.metrics import GraphMetrics, NodeMetrics
 from repro.graph.static import Graph
@@ -305,6 +305,54 @@ def test_series_set_peaks(handler, t_end):
         values = dict(series[nid])
         for t, v in pks:
             assert values[t] == v
+
+
+# -- windows: a Timeslice is checked against the indexed history ---------
+
+SETS = {
+    "son": (lambda h, **kw: SON(h, **kw), lambda s: s.fetch()),
+    "sots": (lambda h, **kw: SOTS(1, h, **kw),
+             lambda s: s.fetch(centers=[1, 5])),
+}
+
+
+def _window(case, lo, hi):
+    mid = (lo + hi) // 2
+    return {
+        "inverted": (mid, lo),
+        "before": (lo - 20, lo - 1),
+        "after": (hi + 1, hi + 20),
+        "point": (mid, mid),
+        "overlapping": (lo - 20, mid),
+    }[case]
+
+
+@pytest.mark.parametrize("case", [
+    "inverted", "before", "after", "point", "overlapping",
+])
+@pytest.mark.parametrize("kind", sorted(SETS))
+def test_timeslice_rejects_a_window_outside_the_history(handler, kind, case):
+    make, fetch = SETS[kind]
+    lo, hi = handler.history_range()
+    ts, te = _window(case, lo, hi)
+    whole = fetch(make(handler).Timeslice(lo, hi))
+    if case in ("inverted", "before", "after"):
+        with pytest.raises(TimeRangeError):
+            make(handler).Timeslice(ts, te)
+        with pytest.raises(TimeRangeError):  # fetch checks it too
+            fetch(make(handler, _interval=(ts, te)))
+        with pytest.raises(TimeRangeError):  # and so does a fetched set
+            whole.Timeslice(ts, te)
+        return
+    got = fetch(make(handler).Timeslice(ts, te))
+    clipped = (max(ts, lo), min(te, hi))
+    assert got._interval == clipped
+    want = fetch(make(handler).Timeslice(*clipped))
+    members = (
+        (lambda s: s.node_ids()) if kind == "son"
+        else (lambda s: [sg.member_ids() for sg in s.collect()])
+    )
+    assert members(got) == members(want) and members(got)
 
 
 # -- ComputedValues reductions and CompareNodes -------------------------
