@@ -9,11 +9,13 @@ down what that leaves of a warm read on dataset 1 (m=4, ps=64,
 64 checkpoint entries):
 
 - **wall-µs per op** for a snapshot-first k=2 k-hop on an exact-warm
-  snapshot, the same k-hop at a near-warm time (advanced from the
-  snapshot before it), an Algorithm-4 k=2 k-hop and a ``node_state``
-  over warm partitions, and a warm ``snapshot()``;
+  snapshot, the same k-hop under ``auto`` (``auto_khop_exact_warm``,
+  which takes the snapshot without planning Algorithm 4), the forced
+  snapshot-first k-hop at a near-warm time (advanced from the snapshot
+  before it), an Algorithm-4 k=2 k-hop and a ``node_state`` over warm
+  partitions, and a warm ``snapshot()``;
 - the **copy counts** of one pass of each: ``Graph.copy`` and partition
-  state clones;
+  state clones, beside its ``TGIPlanner.plan_khop`` calls;
 - the **nodes privatized** in that pass: ``Graph.copy`` shares every
   node's containers and a graph copies a node's own only on its first
   write to it (``Graph._privatize``);
@@ -38,7 +40,10 @@ near-warm k-hop copies its seed once and privatizes at most
 the nodes its gap's events touch, and only a *snapshot* result — the
 caller's own graph — costs one copy per query, which privatizes
 nothing until the caller writes; an exact-warm k-hop shares every
-container it can with the snapshot.  Emits ``BENCH_warm_reads.json``.
+container it can with the snapshot.  An ``auto`` k-hop there chooses
+snapshot-first as the one candidate at 0.0 and plans no Algorithm 4 —
+its partition states are warm too, so this holds on the 0.0 / 0.0 tie.
+Emits ``BENCH_warm_reads.json``.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from pathlib import Path
 import repro.index.tgi.states as states_module
 from repro import GraphSession, QueryRequest
 from repro.graph.static import Graph
+from repro.index.tgi import TGIPlanner
 from repro.index.tgi.states import _state_key, near_seed_candidate
 
 from benchmarks.conftest import (
@@ -125,6 +131,9 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
         "snapshot_first_exact_warm": lambda times: [
             session.execute(_khop(c, t, "snapshot-first")) for c in centers
         ],
+        "auto_khop_exact_warm": lambda times: [
+            session.execute(_khop(c, t, "auto")) for c in centers
+        ],
         "snapshot_first_near_warm": lambda times: [
             session.execute(_khop(centers[0], t2, "snapshot-first"))
             for t2 in times
@@ -172,10 +181,13 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
                 ),
             }
         for name, run in scenarios.items():
-            counts = {"copy": 0, "_clone_state": 0, "_privatize": 0}
+            counts = dict.fromkeys(
+                ("copy", "_clone_state", "_privatize", "plan_khop"), 0
+            )
             counting(monkeypatch, Graph, "copy", counts)
             counting(monkeypatch, states_module, "_clone_state", counts)
             counting(monkeypatch, Graph, "_privatize", counts)
+            counting(monkeypatch, TGIPlanner, "plan_khop", counts)
             if name == "snapshot_first_near_warm":
                 # one op at a time, each against the nodes its gap touches
                 results, rows[name]["privatized_vs_gap_nodes"] = [], []
@@ -195,6 +207,12 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
             rows[name]["nodes_privatized"] = counts["_privatize"]
             rows[name]["graph_copies"] = counts["copy"]
             rows[name]["state_clones"] = counts["_clone_state"]
+            rows[name]["plan_khop_calls"] = counts["plan_khop"]
+            rows[name]["free_snapshot_first"] = sum(
+                r.stats.algorithm == "snapshot-first"
+                and r.stats.candidates == {"snapshot-first": 0.0}
+                for r in results
+            )
             rows[name]["store_requests"] = sum(
                 r.stats.requests for r in results
             )
@@ -254,6 +272,13 @@ def test_warm_reads(benchmark, monkeypatch, dataset1_events):
     exact = rows["snapshot_first_exact_warm"]
     assert exact["attr_maps_shared"] == exact["members"] > 0
     assert exact["inner_sets_shared"] == exact["inner_members"] > 0
+    # ... and under auto, an exact-warm snapshot is chosen unpriced
+    # against Algorithm 4, which is never planned
+    free = rows["auto_khop_exact_warm"]
+    assert free["free_snapshot_first"] == CENTERS
+    assert free["plan_khop_calls"] == 0
+    assert free["store_requests"] == 0
+    assert free["graph_copies"] == 0
     # ... and a snapshot result is the caller's own graph: one copy each
     assert rows["snapshot_exact_warm"]["graph_copies"] == CENTERS
     assert rows["snapshot_exact_warm"]["state_clones"] == 0

@@ -41,6 +41,7 @@ from repro.api.wire import (
     Draining,
     NotFound,
     Overloaded,
+    PayloadTooLarge,
     RateLimited,
     ServiceError,
     Unauthorized,
@@ -67,6 +68,7 @@ __all__ = [
     "Draining",
     "NotFound",
     "Overloaded",
+    "PayloadTooLarge",
     "RateLimited",
     "ServiceError",
     "Unauthorized",

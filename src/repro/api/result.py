@@ -32,8 +32,11 @@ class QueryStats(Counters):
         algorithm: the plan the session executed (e.g. ``snapshot-first``).
         predicted_ms: the cost model's estimate for the chosen plan,
             priced via ``Cluster.price`` before fetching.
-        candidates: every candidate plan's predicted cost, so callers can
-            see the margin the choice was made on.
+        candidates: the predicted cost of every candidate plan ``auto``
+            priced, so callers can see the margin the choice was made
+            on — except that Algorithm 4 is not priced when
+            snapshot-first reads no store row (an exact-warm snapshot):
+            then snapshot-first is the one candidate, at 0.0.
     """
 
     # requests / bytes_read are floats because batched coalesced

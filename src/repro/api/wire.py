@@ -81,6 +81,14 @@ class BadRequest(ServiceError):
     http_status = 400
 
 
+class PayloadTooLarge(ServiceError):
+    """The request's ``Content-Length`` exceeds the body size the
+    service reads."""
+
+    code = "payload_too_large"
+    http_status = 413
+
+
 class Unauthorized(ServiceError):
     """Auth middleware rejected the request."""
 
@@ -144,6 +152,7 @@ ERROR_CLASSES: Dict[str, type] = {
     cls.code: cls
     for cls in (
         BadRequest,
+        PayloadTooLarge,
         Unauthorized,
         NotFound,
         RateLimited,

@@ -99,8 +99,10 @@ class TGIPlanner:
         """Plan Algorithm 1 (GetSnapshot).
 
         A warm materialized-snapshot checkpoint answers the query without
-        any fetch, so the plan is empty and prices zero — which is
-        exactly what cost-based selection should see for the warm path."""
+        any fetch, so the plan is empty and prices zero.  No Algorithm-4
+        plan can beat or tie that, so under ``auto`` a k-hop takes an
+        empty snapshot plan without planning Algorithm 4
+        (``SessionPricing._choose_khop``)."""
         tgi = self.tgi
         span = tgi._span_at(t)
         cp = tgi.checkpoints

@@ -48,6 +48,7 @@ from repro.api import (
     BadRequest,
     Draining,
     NotFound,
+    PayloadTooLarge,
     ServiceError,
     error_payload,
     request_from_spec,
@@ -180,7 +181,16 @@ class QueryService:
         self._writers.add(writer)
         try:
             while True:
-                parsed = await self._read_request(reader)
+                try:
+                    parsed = await self._read_request(reader)
+                except ServiceError as exc:
+                    # a body that cannot be read leaves the stream
+                    # unframed: answer, then hang up
+                    status, payload = error_payload(exc)
+                    self.metrics.record_rejection(exc.code)
+                    self._write_response(writer, status, payload, {}, False)
+                    await writer.drain()
+                    break
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
@@ -222,6 +232,10 @@ class QueryService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """The connection's next request, ``None`` at end of stream or on
+        a malformed request line.  A ``Content-Length`` that is not a
+        non-negative integer raises :class:`BadRequest`, one over
+        ``_MAX_BODY_BYTES`` :class:`PayloadTooLarge`."""
         line = await reader.readline()
         if not line:
             return None
@@ -236,9 +250,17 @@ class QueryService:
                 break
             name, _sep, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        text = headers.get("content-length", "0") or "0"
+        if not (text.isascii() and text.isdigit()):
+            raise BadRequest(
+                f"Content-Length {text!r} is not a non-negative integer"
+            )
+        length = int(text)
         if length > _MAX_BODY_BYTES:
-            return None
+            raise PayloadTooLarge(
+                f"a {length}-byte body exceeds the {_MAX_BODY_BYTES}-byte "
+                f"limit"
+            )
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
 

@@ -36,9 +36,11 @@ class SessionExplain:
         The plan printed (``FetchPlan.describe``) is the one pricing
         used: the planner's :class:`~repro.exec.plan.FetchPlan`, whose
         stages are those the executed plan resolves to.  For k-hop
-        requests the output also lists every candidate's predicted cost
-        and which one ``auto`` would pick; the executor's round timeline,
-        one round per stage, closes the report.
+        requests the output also lists every priced candidate's
+        predicted cost and which one ``auto`` would pick (snapshot-first
+        alone, with a note saying why, when it reads no store row); the
+        executor's round timeline, one round per stage, closes the
+        report.
         """
         chosen: Optional[str] = None
         candidates: Dict[str, float] = {}

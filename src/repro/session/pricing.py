@@ -16,8 +16,16 @@ from repro.types import TimePoint
 #: Candidate preference on predicted-cost ties: the targeted algorithms'
 #: bounds are conservative (the fetch loads partitions lazily and may
 #: touch fewer), while snapshot-first's estimate is exact — so a tie goes
-#: to the targeted plan.
+#: to the targeted plan.  A snapshot-first plan that names no key never
+#: reaches this order: it touches no row, so nothing can touch fewer, and
+#: ``auto`` takes it unpriced against Algorithm 4 (see ``_choose_khop``).
 _TIE_ORDER = {ALGO_KHOP: 0, ALGO_SNAPSHOT_FIRST: 1}
+
+#: EXPLAIN's note on a snapshot-first plan ``auto`` took without pricing
+#: Algorithm 4.
+FREE_SNAPSHOT_NOTE = (
+    "Algorithm 4 not priced: snapshot-first reads no store row"
+)
 
 
 def history_window(request: QueryRequest) -> Tuple[TimePoint, TimePoint]:
@@ -89,18 +97,28 @@ class SessionPricing:
         candidate (ties break toward the targeted bound, see
         :data:`_TIE_ORDER`) on the model prices alone, so the choice
         depends on the index, the cache state and the request, not on
-        what ran before.  With no alive center to bound, or no priceable
-        candidate (dead placements under fault injection), it runs
-        Algorithm 4, which raises (or degrades) without fetching a full
-        snapshot.  Returns the choice, the candidate prices (what callers
-        report), each candidate's planner notes (why a plan prices the
-        way it does: stats bounds, checkpoint seedings, warm snapshots),
-        and the chosen candidate's plan — what it was priced on, what the
-        batch discounts for later members and what EXPLAIN prints
-        (``None`` for a lone center unknown at ``t``)."""
+        what ran before.  The snapshot is planned first: under ``auto``, a
+        snapshot plan that names no key (an exact materialized-snapshot
+        checkpoint) reads no store row, so no Algorithm-4 plan can beat
+        or tie it, and it is chosen at 0.0 with Algorithm 4 neither
+        planned nor priced — the one candidate reported.  With no alive
+        center to bound, or no priceable candidate (dead placements under
+        fault injection), it runs Algorithm 4, which raises (or degrades)
+        without fetching a full snapshot.  Returns the choice, the
+        candidate prices (what callers report), each candidate's planner
+        notes (why a plan prices the way it does: stats bounds,
+        checkpoint seedings, warm snapshots), and the chosen candidate's
+        plan — what it was priced on, what the batch discounts for later
+        members and what EXPLAIN prints (``None`` for a lone center
+        unknown at ``t``)."""
         snap_plan = self.planner.plan_snapshot(request.t)
-        plans = {ALGO_SNAPSHOT_FIRST: snap_plan}
         notes = {ALGO_SNAPSHOT_FIRST: list(snap_plan.notes)}
+        if request.algorithm == ALGO_AUTO and snap_plan.num_keys == 0:
+            notes[ALGO_SNAPSHOT_FIRST].append(FREE_SNAPSHOT_NOTE)
+            candidates = {ALGO_SNAPSHOT_FIRST: 0.0}
+            self._trace_pricing(ALGO_SNAPSHOT_FIRST, candidates)
+            return ALGO_SNAPSHOT_FIRST, candidates, notes, snap_plan
+        plans = {ALGO_SNAPSHOT_FIRST: snap_plan}
         subs: List[FetchPlan] = []
         khop_notes: List[str] = []
         for center in dict.fromkeys(request.nodes):

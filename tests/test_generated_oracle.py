@@ -2,7 +2,8 @@
 
 Hypothesis draws a history (churn, re-adds, attribute edits, string ids
 through ``relabelled``), a cache configuration (delta cache of 0, 2 or
-1024 rows; checkpoints off or 64), a warm, near or cold cache state, and
+1024 rows; checkpoints off or 64), a warm, near or cold cache state (or
+one where only the snapshots at the mix's two times were read), and
 a mix of snapshot, node-state, node-history and k-hop requests — single
 and batched, with duplicates, unknown nodes beside valid ones and two
 time points in one batch, with the cyclic collector on or off (the
@@ -20,7 +21,10 @@ and the session's accounting against what the store saw:
 - ``execute(r)`` is ``execute_batch([r])[0]``, value and stats;
 - every distinct request compiles one executable plan; running a
   request asks the planner for nothing, except a k-hop pricing its two
-  candidates while it chooses its algorithm.
+  candidates while it chooses its algorithm;
+- an ``auto`` k-hop reports both candidates (snapshot-first alone while
+  no center is known at ``t``), unless the snapshot at ``t`` was an
+  exact checkpoint: then snapshot-first alone, at 0.0.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from repro.api import QueryRequest
 from repro.errors import IndexError_
 from repro.graph.static import Graph
 from repro.index.tgi import TGI, TGIConfig, TGIPlanner
+from repro.index.tgi.states import _state_key
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.session.pricing import SessionPricing
 from tests.helpers import graph_parts, random_history, relabelled
@@ -117,11 +122,13 @@ def scenarios(draw):
     mix = [request() for _ in range(draw(st.integers(1, 4)))]
     if draw(st.booleans()):
         mix.append(draw(st.sampled_from(mix)))  # an equal request
-    state = draw(st.sampled_from(["cold", "warm", "near"]))
+    state = draw(st.sampled_from(["cold", "warm", "snapshots", "near"]))
     if state == "cold":
         prelude = []
     elif state == "warm":
         prelude = list(mix)
+    elif state == "snapshots":  # exact checkpoints when they are on
+        prelude = [QueryRequest(kind="snapshot", t=t) for t in times]
     else:  # states at an earlier time of the same spans seed these
         prelude = [
             QueryRequest(kind="snapshot", t=max(t_min, t - 1))
@@ -165,6 +172,14 @@ def observed(request, value):
     if request.single:
         return graph_parts(value)
     return [None if g is None else graph_parts(g) for g in value]
+
+
+def exact_snapshot(tgi, t):
+    """Whether the snapshot at ``t`` is an exact checkpoint, read
+    without perturbing the cache."""
+    cp = tgi.checkpoints
+    key = _state_key(tgi._span_at(t).tsid, None, t, False)
+    return cp is not None and cp.peek(key)
 
 
 def raises(events, request):
@@ -282,10 +297,21 @@ def check_against_the_oracle(events, tgi, mix, prelude, alone,
                     batched_alone.execute_batch([request])
                 assert log.plans == 0
                 continue
+            auto = request.kind == "khop" and request.algorithm == "auto"
+            exact = auto and exact_snapshot(tgi, request.t)
             got = alone.execute(request)
             assert observed(request, got.value) == oracle(events, request), (
                 request.describe()
             )
+            if exact:  # Algorithm 4 is not priced
+                assert got.stats.candidates == {"snapshot-first": 0.0}
+            elif auto:  # both, unless no center is known to bound
+                span = tgi._span_at(request.t)
+                known = any(span.pid_of(c) is not None for c in request.nodes)
+                assert set(got.stats.candidates) == (
+                    {"snapshot-first", "khop"} if known
+                    else {"snapshot-first"}
+                ), request.describe()
             assert log.built == 1
             if tgi.delta_cache is None and request.kind != "khop":
                 (priced,) = log.priced

@@ -534,6 +534,36 @@ def test_client_errors_are_typed(client):
         pytest.fail("expected a ServiceError")
 
 
+@pytest.mark.parametrize("length, status, code", [
+    ("abc", 400, "bad_request"),
+    ("-5", 400, "bad_request"),
+    (str(4 * 1024 * 1024 + 1), 413, "payload_too_large"),
+])
+def test_unreadable_content_length_is_answered_then_closed(
+    service, client, caplog, length, status, code
+):
+    rejected = client.metrics()["requests"]["rejected"].get(code, 0)
+    with socket.create_connection(
+        ("127.0.0.1", service.port), timeout=10.0
+    ) as sock:
+        sock.sendall(
+            f"POST /query HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Length: {length}\r\n\r\n".encode("latin-1")
+        )
+        reply = b""
+        while chunk := sock.recv(65536):  # until the server hangs up
+            reply += chunk
+    head, _sep, body = reply.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0].startswith(f"HTTP/1.1 {status} ")
+    assert "Connection: close" in lines
+    assert json.loads(body)["error"]["code"] == code
+    # the server keeps serving, and counts the refusal
+    assert client.healthz() == {"status": "ok"}
+    assert client.metrics()["requests"]["rejected"][code] == rejected + 1
+    assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
 # -- dispatch on a free worker, batch from backpressure ----------------------
 
 class GatedSession:
