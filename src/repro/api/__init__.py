@@ -39,6 +39,7 @@ from repro.api.wire import (
     BadRequest,
     DeadlineExceeded,
     Draining,
+    HeadersTooLarge,
     NotFound,
     Overloaded,
     PayloadTooLarge,
@@ -66,6 +67,7 @@ __all__ = [
     "BadRequest",
     "DeadlineExceeded",
     "Draining",
+    "HeadersTooLarge",
     "NotFound",
     "Overloaded",
     "PayloadTooLarge",

@@ -89,6 +89,13 @@ class PayloadTooLarge(ServiceError):
     http_status = 413
 
 
+class HeadersTooLarge(ServiceError):
+    """The request carries more header lines than the service reads."""
+
+    code = "headers_too_large"
+    http_status = 431
+
+
 class Unauthorized(ServiceError):
     """Auth middleware rejected the request."""
 
@@ -153,6 +160,7 @@ ERROR_CLASSES: Dict[str, type] = {
     for cls in (
         BadRequest,
         PayloadTooLarge,
+        HeadersTooLarge,
         Unauthorized,
         NotFound,
         RateLimited,

@@ -403,7 +403,7 @@ class Delta:
 
     # -- conversion -------------------------------------------------------
     @staticmethod
-    def load_snapshot(rows: Iterable["Delta"]) -> Graph:
+    def load_snapshot(rows: Iterable["Delta"], whole: bool = False) -> Graph:
         """``Delta.sum(rows).to_graph()`` without the mirror walk, for
         the rows of one stored snapshot path (TGI's ``TAG_SNAPSHOT``
         micro-deltas, in root→leaf order, over any subset of
@@ -411,17 +411,20 @@ class Delta:
 
         The rows are overlaid by :meth:`sum` (a later row wins per node
         id); the overlay's attribute maps and edge lists go to the
-        shared core (:meth:`Graph._assemble`), which intersects each
-        edge list with the loaded ids, so an entry naming a node of a
-        partition that was not fetched is dropped.  No mirror walk: the
-        rows must be symmetric on the nodes they hold.  Stored snapshot
-        rows are, because every one is written once by
-        ``build_timespan`` from the snapshot delta of one :class:`Graph`
-        (symmetric adjacency), each node's edge list is its full
-        adjacency, an attributed edge is in both endpoints' lists, and
-        timespan rows are never rewritten.  Anything else — an in-memory
-        delta, a partial state — loads through :meth:`to_graph` /
-        :meth:`Graph.from_parts`.
+        shared core (:meth:`Graph._assemble`).  By default it intersects
+        each edge list with the loaded ids, so an entry naming a node of
+        a partition that was not fetched (a degraded fetch) is dropped.
+        ``whole`` says the rows cover every partition of the path: the
+        overlay is then the leaf checkpoint itself, every entry names a
+        loaded node, and each list becomes its neighbor set with no
+        membership probe.  No mirror walk either way: the rows must be
+        symmetric on the nodes they hold.  Stored snapshot rows are,
+        because every one is written once by ``build_timespan`` from the
+        snapshot delta of one :class:`Graph` (symmetric adjacency), each
+        node's edge list is its full adjacency, an attributed edge is in
+        both endpoints' lists, and timespan rows are never rewritten.
+        Anything else — an in-memory delta, a partial state — loads
+        through :meth:`to_graph` / :meth:`Graph.from_parts`.
         """
         overlay = Delta.sum(rows)
         adjacency, attrs = overlay.columns()
@@ -429,6 +432,7 @@ class Delta:
             {n: dict(a) if a else {} for n, a in attrs.items()},
             adjacency,
             directed=False,
+            closed=whole,
         )
         g._settle_edges({
             canonical_edge(u, v, False): e.A

@@ -191,12 +191,12 @@ def pack_eventlist(ts: TimePoint, te: TimePoint, events: Sequence[Event]) -> byt
     """Pack a sorted event run into the columnar layout: version 1 when
     every id is a plain int64, else version 2 with an id table.
 
-    Raises :class:`EventError` when ``ts`` or ``te`` is not an int64, or
-    for an event :func:`check_packable` refuses.
+    Raises :class:`EventError` when ``ts`` or ``te`` is not an int64.
+    The events themselves are the writer's to check, once per write
+    (:func:`check_packable`) before its first row, as their order is.
     """
     if not (_fits(ts) and _fits(te)):
         raise EventError(f"eventlist scope ({ts!r}, {te!r}] is not int64")
-    check_packable(events)
     n = len(events)
     times: List[int] = []
     seqs: List[int] = []
@@ -242,8 +242,10 @@ def check_packable(events: Sequence[Event]) -> None:
     """Raise :class:`EventError` unless every event fits a packed
     eventlist: its time and seq are int64s, the time above int64's
     minimum (no int64 scope ``(ts, te]`` holds that), and no endpoint
-    equals the no-endpoint sentinel.  :func:`pack_eventlist` checks each
-    row with it; a writer checks a whole batch, before storing any row."""
+    equals the no-endpoint sentinel.  A writer checks its whole stream
+    with it once, before storing any row: :func:`pack_eventlist` packs
+    what it is given unchecked (a row re-packed from a decoded row is
+    packable by construction)."""
     times = [ev.time for ev in events]
     if not (_all_fit(times) and _all_fit([ev.seq for ev in events])):
         ev = next(e for e in events if not (_fits(e.time) and _fits(e.seq)))

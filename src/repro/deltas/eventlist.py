@@ -31,9 +31,9 @@ def split_events_into_lists(
     Events sharing a time point are kept in one run so that every run
     boundary is a consistent time point; this can make a run exceed
     ``max_size`` when a single time point has more events than the
-    budget.  The order is the writer's to check, once per write
-    (``check_sorted``) before its first row: a TGI checks the whole
-    batch, not each span it splits.
+    budget.  The order and the packability are the writer's to check,
+    once per write (``check_sorted``, ``check_packable``) before its
+    first row: a TGI checks the whole batch, not each span it splits.
     """
     if max_size <= 0:
         raise DeltaError("eventlist size must be positive")

@@ -152,7 +152,7 @@ class Graph:
         snapshot path loads through :meth:`Delta.load_snapshot
         <repro.deltas.base.Delta.load_snapshot>`, which shares
         :meth:`_assemble` and :meth:`_settle_edges` with this one and
-        skips the mirror walk.
+        skips the mirror walk (and, on a whole path, the dangling drop).
         """
         g = cls._assemble(
             {n: dict(a) if a else {} for n, a in node_attrs.items()},
@@ -174,21 +174,29 @@ class Graph:
         nodes: Dict[NodeId, AttrMap],
         adjacency: Mapping[NodeId, Iterable[NodeId]],
         directed: bool,
+        closed: bool = False,
     ) -> "Graph":
         """The bulk loaders' shared core: a graph over ``nodes`` (node
         id -> a fresh attribute map; the dict is taken over) whose
         neighbor sets are ``adjacency``'s edge lists less the entries
         naming no node of ``nodes`` — one set intersection per node; a
-        node without an edge list gets an empty set.  Its edges are not
-        settled yet: the caller runs :meth:`_settle_edges` once the
-        adjacency is final."""
+        node without an edge list gets an empty set.  A ``closed``
+        adjacency is the caller's promise that every key and every
+        entry already names a node of ``nodes`` (a whole stored snapshot
+        path): each list becomes its set as it is, inserted in list
+        order like the intersection, so the sets iterate alike.  Its
+        edges are not settled yet: the caller runs :meth:`_settle_edges`
+        once the adjacency is final."""
         g = cls(directed=directed)
         g._nodes = nodes
-        alive = set(nodes)
-        adj = g._adj = {
-            n: alive.intersection(nbrs)
-            for n, nbrs in adjacency.items() if n in alive
-        }
+        if closed:
+            adj = g._adj = dict(zip(adjacency, map(set, adjacency.values())))
+        else:
+            alive = set(nodes)
+            adj = g._adj = {
+                n: alive.intersection(nbrs)
+                for n, nbrs in adjacency.items() if n in alive
+            }
         if len(adj) != len(nodes):
             for n in nodes:
                 adj.setdefault(n, set())

@@ -11,7 +11,11 @@ import bisect
 from typing import List, Optional, Sequence, Tuple
 
 from repro.deltas.base import Delta
-from repro.deltas.columnar import ColumnarEventList, pack_eventlist
+from repro.deltas.columnar import (
+    ColumnarEventList,
+    check_packable,
+    pack_eventlist,
+)
 from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, check_sorted, dedup_sorted
@@ -51,6 +55,7 @@ class CopyLogIndex(HistoricalGraphIndex):
 
     def build(self, events: Sequence[Event]) -> None:
         check_sorted(events)
+        check_packable(events)
         lists = split_events_into_lists(list(events), self.eventlist_size)
         g = Graph()
         snap = Delta()  # the empty graph's

@@ -13,7 +13,11 @@ import bisect
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.deltas.base import Delta
-from repro.deltas.columnar import ColumnarEventList, pack_eventlist
+from repro.deltas.columnar import (
+    ColumnarEventList,
+    check_packable,
+    pack_eventlist,
+)
 from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, check_sorted, dedup_sorted
@@ -62,6 +66,7 @@ class DeltaGraphIndex(HistoricalGraphIndex):
         if not events:
             raise TimeRangeError("cannot build an index over an empty history")
         check_sorted(events)
+        check_packable(events)
         lists = split_events_into_lists(list(events), self.eventlist_size)
         g = Graph()
         # checkpoint 0 is the (empty) state before the first eventlist

@@ -9,7 +9,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.deltas.columnar import ColumnarEventList, pack_eventlist
+from repro.deltas.columnar import (
+    ColumnarEventList,
+    check_packable,
+    pack_eventlist,
+)
 from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, check_sorted
@@ -46,6 +50,7 @@ class LogIndex(HistoricalGraphIndex):
 
     def build(self, events: Sequence[Event]) -> None:
         check_sorted(events)
+        check_packable(events)
         lists = split_events_into_lists(list(events), self.eventlist_size)
         for i, (ts, te, evs) in enumerate(lists):
             key = (0, i % self.placement_groups, ("E", i), 0)

@@ -434,9 +434,11 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
         def finalize_cold(values: Dict[DeltaKey, object]) -> Graph:
             bad = _degraded_pids(path_keys + ekeys, values)
             # the path's rows in root->leaf order (later row wins per
-            # node id), loaded with no mirror walk
+            # node id), loaded with no mirror walk; only a degraded
+            # fetch can leave edge-list entries naming no loaded node
             g = Delta.load_snapshot(
-                values[key] for key in path_keys if key[3] not in bad
+                (values[key] for key in path_keys if key[3] not in bad),
+                whole=not bad,
             )
             return replay_and_admit(g, bad, ekeys, values)
 

@@ -422,15 +422,23 @@ class Cluster:
         touched -- what the planner prices every candidate with.
 
         The fetch is bit for bit ``simulate_plan(plan_records(keys,
-        clients), model)``.  When the cost model prices client-side apply
-        work, each key's metadata-only apply estimate
-        (:meth:`CostModel.estimated_apply_time`) is added too, summed in
-        record order, as execution will report it."""
+        clients), model)``: each key's service time is
+        :meth:`CostModel.service_time` computed inline, term by term in
+        its order, so pricing a key makes no method call.  When the cost
+        model prices client-side apply work, each key's metadata-only
+        apply estimate (:meth:`CostModel.estimated_apply_time`) is added
+        too, summed in record order, as execution will report it."""
         groups = self._priceable(keys, clients)
         if not keys:
             return 0.0
         model = self.config.cost_model
-        service_time, rtt = model.service_time, model.rtt_ms
+        rtt, seek_ms, scan_ms = (
+            model.rtt_ms, model.seek_ms, model.scan_continuation_ms
+        )
+        read_kb, decompress_kb, deserialize_kb = (
+            model.per_kb_read_ms, model.decompress_per_kb_ms,
+            model.deserialize_per_kb_ms,
+        )
         apply, estimated_apply = model.costs_apply, model.estimated_apply_time
         client_busy = [0.0] * min(clients, len(keys))
         worst_server = applied = 0.0
@@ -439,9 +447,13 @@ class Cluster:
             busy = 0.0
             prev_rank = -2
             for (rank, stored, raw, compressed), _ in group:
-                service = service_time(
-                    stored, raw, rank == prev_rank + 1, compressed
-                ) + spike_ms
+                service = (
+                    scan_ms if rank == prev_rank + 1 else seek_ms
+                ) + stored / 1024.0 * read_kb
+                if compressed:
+                    service += raw / 1024.0 * decompress_kb
+                service += raw / 1024.0 * deserialize_kb
+                service += spike_ms
                 prev_rank = rank
                 client = rr_client % clients
                 client_busy[client] = client_busy[client] + rtt + service

@@ -140,7 +140,9 @@ class CostModel:
         self, stored_bytes: int, raw_bytes: int, contiguous: bool,
         compressed: bool,
     ) -> float:
-        """Storage-node time to serve one request."""
+        """Storage-node time to serve one request.  ``Cluster.price``
+        computes it inline, term by term in this order: change both
+        (``tests/test_price_kernel.py`` holds them equal)."""
         seek = self.scan_continuation_ms if contiguous else self.seek_ms
         kb = stored_bytes / 1024.0
         time = seek + kb * self.per_kb_read_ms

@@ -47,6 +47,7 @@ from typing import Any, Dict, List, Optional, TextIO, Tuple, Union
 from repro.api import (
     BadRequest,
     Draining,
+    HeadersTooLarge,
     NotFound,
     PayloadTooLarge,
     ServiceError,
@@ -184,8 +185,8 @@ class QueryService:
                 try:
                     parsed = await self._read_request(reader)
                 except ServiceError as exc:
-                    # a body that cannot be read leaves the stream
-                    # unframed: answer, then hang up
+                    # a request that cannot be framed leaves the
+                    # stream unframed: answer, then hang up
                     status, payload = error_payload(exc)
                     self.metrics.record_rejection(exc.code)
                     self._write_response(writer, status, payload, {}, False)
@@ -232,22 +233,28 @@ class QueryService:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """The connection's next request, ``None`` at end of stream or on
-        a malformed request line.  A ``Content-Length`` that is not a
-        non-negative integer raises :class:`BadRequest`, one over
-        ``_MAX_BODY_BYTES`` :class:`PayloadTooLarge`."""
+        """The connection's next request, ``None`` at end of stream.
+        Input the stream cannot be framed past raises a typed error:
+        :class:`BadRequest` for a request line with fewer than two
+        fields or a ``Content-Length`` that is not a non-negative
+        integer, :class:`HeadersTooLarge` for more than
+        ``_MAX_HEADER_LINES`` header lines, :class:`PayloadTooLarge` for
+        a body over ``_MAX_BODY_BYTES``."""
         line = await reader.readline()
         if not line:
             return None
         parts = line.decode("latin-1").strip().split()
         if len(parts) < 2:
-            return None
+            raise BadRequest(f"malformed request line {line[:80]!r}")
         method, path = parts[0].upper(), parts[1]
         headers: Dict[str, str] = {}
-        for _ in range(_MAX_HEADER_LINES):
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
+        lines = 0
+        while (raw := await reader.readline()) not in (b"\r\n", b"\n", b""):
+            lines += 1
+            if lines > _MAX_HEADER_LINES:
+                raise HeadersTooLarge(
+                    f"more than {_MAX_HEADER_LINES} header lines"
+                )
             name, _sep, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         text = headers.get("content-length", "0") or "0"

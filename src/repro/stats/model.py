@@ -32,7 +32,6 @@ three consumers:
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -307,31 +306,26 @@ def _evaluate_khop_pids(
     count = min(len(cand), max(1, math.ceil(expected)))
 
     chosen: List[int] = [pid0]
-    # connectivity of every unchosen candidate to the growing selection;
-    # each pick takes the best (weight, then size, then lowest pid) off a
-    # heap whose entries go stale — and are skipped — when a later pick
-    # raises a candidate's weight
-    weight: Dict[int, int] = {pid: 0 for pid in cand if pid != pid0}
+    # one integer score per unchosen candidate, ordered as the greedy
+    # growth picks — cut weight to the growing selection, then size,
+    # then lowest pid — so each pick is one max over the scores
+    num = max(cand) + 1  # partition ids are 0 .. num_pids - 1
+    unit = (max(sizes.values()) + 1) * num  # one cut edge's worth
+    score: Dict[int, int] = {
+        pid: sizes[pid] * num - pid for pid in cand if pid != pid0
+    }
 
-    def connect(pick: int) -> List[int]:
-        grown = []
+    def connect(pick: int) -> None:
         for other, w in span.adjacent(pick).items():
-            if other in weight:
-                weight[other] += w
-                grown.append(other)
-        return grown
+            if other in score:
+                score[other] += w * unit
 
     connect(pid0)
-    heap = [(-w, -sizes[pid], pid) for pid, w in weight.items()]
-    heapq.heapify(heap)
-    while len(chosen) < count and heap:
-        neg_w, _neg_size, pick = heapq.heappop(heap)
-        if weight.get(pick) != -neg_w:
-            continue  # already chosen, or a stale (lighter) entry
+    while len(chosen) < count and score:
+        pick = max(score, key=score.__getitem__)
         chosen.append(pick)
-        del weight[pick]
-        for other in connect(pick):
-            heapq.heappush(heap, (-weight[other], -sizes[other], other))
+        del score[pick]
+        connect(pick)
     return KhopEstimate(tuple(chosen), reached, len(cand))
 
 

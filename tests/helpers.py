@@ -340,7 +340,7 @@ def reference_pid_scope(span, pids, include_aux):
 def reference_expected_khop_pids(span, pid0, k, candidates=None, margin=1.5):
     """``repro.stats.model.expected_khop_pids`` as first written: the
     greedy growth re-sorts the remaining candidates for every pick.
-    The oracle the heap-based selection is held to."""
+    The oracle the scored selection is held to."""
     import math
 
     from repro.stats.model import KhopEstimate

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 from repro.deltas.columnar import (
     ColumnarEventList,
+    check_packable,
     decoded_events_total,
     pack_eventlist,
 )
@@ -210,10 +211,11 @@ def test_bool_values_fall_back_to_pickle():
 @pytest.mark.parametrize("field", ["time", "seq"])
 @pytest.mark.parametrize("bad", [2 ** 63, 1.5, True])
 def test_non_int64_times_and_seqs_raise(field, bad):
+    # the events are the writer's check, the scope the packer's
     ev = Event(1, 1, EventKind.NODE_ADD, 1)
     object.__setattr__(ev, field, bad)
     with pytest.raises(EventError):
-        pack_eventlist(0, 3, (ev,))
+        check_packable((ev,))
     with pytest.raises(EventError):
         pack_eventlist(0, bad, ())
 
@@ -222,7 +224,7 @@ def test_no_endpoint_sentinel_is_not_an_endpoint_id():
     eb = EventBuilder()
     for u, other in ((1, -(2 ** 63)), ("a", -(2 ** 63)), ("a", -2.0 ** 63)):
         with pytest.raises(EventError, match="sentinel"):
-            pack_eventlist(0, 1, (eb.edge_add(1, u, other),))
+            check_packable((eb.edge_add(1, u, other),))
     # as a node id it is just an int
     row = ColumnarEventList(pack_eventlist(0, 1, (eb.node_add(1, -(2 ** 63)),)))
     assert row.events[0].node == -(2 ** 63)

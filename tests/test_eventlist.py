@@ -7,10 +7,11 @@ import pytest
 from repro.deltas.columnar import ColumnarEventList, pack_eventlist
 from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import DeltaError, EventError
-from repro.graph.events import EventBuilder
+from repro.graph.events import Event, EventBuilder, EventKind
 from repro.index.copylog import CopyLogIndex
 from repro.index.deltagraph import DeltaGraphIndex
 from repro.index.log import LogIndex
+from repro.index.tgi import TGI, TGIConfig
 
 
 @pytest.fixture
@@ -82,6 +83,32 @@ def test_writer_refuses_an_unsorted_stream(eb, writer):
     index = writer(eventlist_size=2)
     with pytest.raises(EventError, match="out of order"):
         index.build(events[::-1])
+    assert index.cluster.unique_rows == 0
+
+
+def tgi_writer(eventlist_size):
+    return TGI(TGIConfig(
+        events_per_timespan=4, eventlist_size=eventlist_size,
+        micro_partition_size=2,
+    ))
+
+
+@pytest.mark.parametrize("bad", [
+    Event(2 ** 63, 100, EventKind.NODE_ADD, 50),
+    Event(9, 2 ** 63, EventKind.NODE_ADD, 50),
+    Event(9, 100, EventKind.EDGE_ADD, 1, other=-(2 ** 63)),
+], ids=["time", "seq", "sentinel-endpoint"])
+@pytest.mark.parametrize("writer", [
+    LogIndex, CopyLogIndex, DeltaGraphIndex, tgi_writer,
+], ids=["log", "copylog", "deltagraph", "tgi"])
+def test_writer_refuses_an_unpackable_stream(eb, writer, bad):
+    """Each writer checks its stream's packability once, before its
+    first row: a stream whose last event no row could hold is refused
+    and nothing is stored, not even the rows before that event."""
+    events = make_events(eb, 6) + [bad]
+    index = writer(eventlist_size=2)
+    with pytest.raises(EventError):
+        index.build(events)
     assert index.cluster.unique_rows == 0
 
 

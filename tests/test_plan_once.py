@@ -27,7 +27,12 @@ from repro.index.tgi import PartitioningStrategy, TGIPlanner, price_plan
 from repro.index.tgi.states import gap_eventlist_keys
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.resilience import ResiliencePolicy
-from repro.stats.model import FRONTIER_MARGIN, expected_khop_pids
+from repro.stats.model import (
+    FRONTIER_MARGIN,
+    PartitionStats,
+    TimespanStats,
+    expected_khop_pids,
+)
 from repro.storage import load_index, save_index
 from repro.workloads.citation import CitationConfig, generate_citation_events
 from tests.helpers import (
@@ -158,6 +163,47 @@ def test_expected_khop_pids_matches_resorting_reference(
                 ) == reference_expected_khop_pids(span_stats, pid0, k, cand)
                 checked += 1
     assert checked > 30
+
+
+@st.composite
+def cut_weight_tables(draw):
+    """Span statistics over a drawn cut-weight table: few distinct sizes
+    and weights, so the greedy growth meets ties on weight, on size and
+    on both; some partitions are empty and some are missing."""
+    n = draw(st.integers(1, 9))
+    sizes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    partitions = {
+        pid: PartitionStats(pid, size, 0, 0, size * 2, 2, 0, (0,))
+        for pid, size in enumerate(sizes)
+        if draw(st.integers(0, 5), label="kept")
+    }
+    cut_weights = {}
+    for u in range(n):
+        for v in range(u + 1, n):
+            w = draw(st.integers(0, 3), label="weight")
+            if w:
+                cut_weights.setdefault(u, {})[v] = w
+                cut_weights.setdefault(v, {})[u] = w
+    return TimespanStats(
+        tsid=0, t_start=0, t_end=1, nodes=sum(sizes), edges=0,
+        num_pids=n, events=0, bucket_bounds=(0.0, 1.0),
+        partitions=partitions, cut_weights=cut_weights,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_stats=cut_weight_tables(), data=st.data())
+def test_scored_selection_matches_resorting_reference(span_stats, data):
+    pid0 = data.draw(st.integers(0, span_stats.num_pids - 1), label="pid0")
+    k = data.draw(st.integers(0, 3), label="k")
+    margin = data.draw(st.sampled_from((0.4, FRONTIER_MARGIN, 3.0, 50.0)))
+    cand = data.draw(st.none() | st.sets(
+        st.integers(0, span_stats.num_pids - 1)
+    ), label="candidates")
+    assert stats_model._evaluate_khop_pids(
+        span_stats, pid0, k, None if cand is None else frozenset(cand),
+        margin,
+    ) == reference_expected_khop_pids(span_stats, pid0, k, cand, margin)
 
 
 # -- (b) count guards ---------------------------------------------------------

@@ -534,6 +534,38 @@ def test_client_errors_are_typed(client):
         pytest.fail("expected a ServiceError")
 
 
+def raw_exchange(port, data):
+    """Send ``data`` on a fresh connection and read until the server
+    hangs up; return the one response it sent as ``(status line,
+    header lines, decoded JSON body)``, asserting nothing follows it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(data)
+        reply = b""
+        while chunk := sock.recv(65536):  # until the server hangs up
+            reply += chunk
+    head, _sep, rest = reply.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    length = next(
+        int(line.partition(":")[2]) for line in lines
+        if line.lower().startswith("content-length:")
+    )
+    assert len(rest) == length, "bytes after the one response"
+    return lines[0], lines[1:], json.loads(rest)
+
+
+def assert_refused_then_served(client, send, status, code):
+    """``send()`` gets exactly one ``status`` answer with ``code`` and
+    ``Connection: close``, then EOF; the refusal is counted and the
+    next connection is served."""
+    rejected = client.metrics()["requests"]["rejected"].get(code, 0)
+    first, headers, body = send()
+    assert first.startswith(f"HTTP/1.1 {status} ")
+    assert "Connection: close" in headers
+    assert body["error"]["code"] == code
+    assert client.healthz() == {"status": "ok"}
+    assert client.metrics()["requests"]["rejected"][code] == rejected + 1
+
+
 @pytest.mark.parametrize("length, status, code", [
     ("abc", 400, "bad_request"),
     ("-5", 400, "bad_request"),
@@ -542,25 +574,44 @@ def test_client_errors_are_typed(client):
 def test_unreadable_content_length_is_answered_then_closed(
     service, client, caplog, length, status, code
 ):
-    rejected = client.metrics()["requests"]["rejected"].get(code, 0)
-    with socket.create_connection(
-        ("127.0.0.1", service.port), timeout=10.0
-    ) as sock:
-        sock.sendall(
-            f"POST /query HTTP/1.1\r\nHost: localhost\r\n"
-            f"Content-Length: {length}\r\n\r\n".encode("latin-1")
-        )
-        reply = b""
-        while chunk := sock.recv(65536):  # until the server hangs up
-            reply += chunk
-    head, _sep, body = reply.partition(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    assert lines[0].startswith(f"HTTP/1.1 {status} ")
-    assert "Connection: close" in lines
-    assert json.loads(body)["error"]["code"] == code
-    # the server keeps serving, and counts the refusal
-    assert client.healthz() == {"status": "ok"}
-    assert client.metrics()["requests"]["rejected"][code] == rejected + 1
+    assert_refused_then_served(client, lambda: raw_exchange(
+        service.port,
+        f"POST /query HTTP/1.1\r\nHost: localhost\r\n"
+        f"Content-Length: {length}\r\n\r\n".encode("latin-1"),
+    ), status, code)
+    assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+@pytest.mark.parametrize("lines", [101, 150])
+def test_too_many_header_lines_are_answered_then_closed(
+    service, client, caplog, lines
+):
+    # the header after the limit must not be read as a request line
+    pad = "".join(f"X-Pad-{i}: GET /healthz\r\n" for i in range(lines))
+    assert_refused_then_served(client, lambda: raw_exchange(
+        service.port,
+        f"GET /healthz HTTP/1.1\r\n{pad}\r\n".encode("latin-1"),
+    ), 431, "headers_too_large")
+    assert not [r for r in caplog.records if r.name == "asyncio"]
+
+
+def test_a_hundred_header_lines_are_read(service, client):
+    pad = "".join(f"X-Pad-{i}: 1\r\n" for i in range(99))
+    first, _headers, body = raw_exchange(
+        service.port,
+        f"GET /healthz HTTP/1.1\r\n{pad}Connection: close\r\n\r\n"
+        .encode("latin-1"),
+    )
+    assert first.startswith("HTTP/1.1 200 ") and body == {"status": "ok"}
+
+
+@pytest.mark.parametrize("line", [b"GARBAGE", b"", b"/healthz"])
+def test_a_short_request_line_is_answered_then_closed(
+    service, client, caplog, line
+):
+    assert_refused_then_served(client, lambda: raw_exchange(
+        service.port, line + b"\r\nHost: localhost\r\n\r\n"
+    ), 400, "bad_request")
     assert not [r for r in caplog.records if r.name == "asyncio"]
 
 

@@ -3,14 +3,18 @@
 ``Delta.load_snapshot`` builds a graph from the rows of one stored
 root→leaf snapshot path without :meth:`Graph.from_parts`' mirror walk,
 which is sound only if those rows are symmetric on the nodes they hold.
-Hypothesis draws histories (churn, edge-attribute edits, string ids
-through ``relabelled``), built in one go or as a build plus an update,
-under random and min-cut partitioning with boundary replication on and
-off.  For every span, every leaf and a drawn subset of partitions (as a
-degraded fetch leaves them) the path rows' union is symmetric on its
-nodes, and the load equals ``Delta.sum(rows).to_graph()`` —
-node order, attributes, edges in order, edge attributes and the edge
-count.
+A whole path (every partition's rows) also skips the dangling drop,
+which is sound only if its overlay is closed: every edge-list entry
+names a node it holds.  Hypothesis draws histories (churn, edge-attribute
+edits, string ids through ``relabelled``), built in one go or as a build
+plus an update, under random and min-cut partitioning with boundary
+replication on and off.  For every span and every leaf the whole path's
+rows are symmetric and closed, and a drawn subset of partitions (as a
+degraded fetch leaves them) symmetric; each loads — the whole path with
+``whole=True``, the subset with the dangling drop — equal to
+``Delta.sum(rows).to_graph()``: node order, attributes, edges in order,
+edge attributes and the edge count.  A degraded fetch through the index
+loads what the surviving partitions' rows and eventlists give.
 """
 
 from __future__ import annotations
@@ -19,10 +23,12 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.deltas.base import Delta
+from repro.faults import CrashWindow, FaultSchedule, clear_faults, inject_faults
 from repro.index.tgi import TGI, TGIConfig
 from repro.index.tgi.config import PartitioningStrategy
 from repro.index.tgi.layout import TAG_SNAPSHOT
 from repro.kvstore.cluster import ClusterConfig
+from repro.kvstore.degrade import PartialCollector, partial_scope
 from tests.helpers import random_history, relabelled
 
 
@@ -66,6 +72,23 @@ def path_rows(tgi, span, leaf, pids):
     return [values[key] for key in path]
 
 
+def assert_closed(rows):
+    """Every edge-list entry names a node the rows hold."""
+    adjacency = Delta.sum(rows).columns()[0]
+    for u, nbrs in adjacency.items():
+        for v in nbrs:
+            assert v in adjacency, (u, v)
+
+
+def assert_loads_like_overlay(got, want):
+    assert list(got.nodes()) == list(want.nodes())
+    assert got.node_attr_maps() == want.node_attr_maps()
+    assert list(got.edges()) == list(want.edges())
+    assert got.attributed_edges() == want.attributed_edges()
+    assert got.num_edges == want.num_edges
+    assert got == want
+
+
 def assert_symmetric(rows):
     """Every edge-list entry and explicit edge between two held nodes is
     listed by both of them."""
@@ -93,12 +116,51 @@ def test_stored_paths_are_symmetric_and_load_like_their_overlay(tgi, data):
             for pids in (None, subset):
                 rows = path_rows(tgi, span, leaf, pids)
                 assert_symmetric(rows)
-                got = Delta.load_snapshot(rows)
+                if pids is None:
+                    assert_closed(rows)
+                got = Delta.load_snapshot(rows, whole=pids is None)
                 # the reference reads rows decoded apart from the loader's
                 want = Delta.sum(path_rows(tgi, span, leaf, pids)).to_graph()
-                assert list(got.nodes()) == list(want.nodes())
-                assert got.node_attr_maps() == want.node_attr_maps()
-                assert list(got.edges()) == list(want.edges())
-                assert got.attributed_edges() == want.attributed_edges()
-                assert got.num_edges == want.num_edges
-                assert got == want
+                assert_loads_like_overlay(got, want)
+
+
+def test_a_degraded_fetch_loads_only_what_survived():
+    """A crashed machine (replication 1) costs a snapshot whole
+    partitions; the rest load with the dangling drop, equal to the
+    surviving rows' overlay replayed over the surviving eventlists."""
+    events = random_history(
+        steps=300, seed=3, edge_attr_churn=True, bare_edges=True
+    )
+    tgi = TGI(TGIConfig(
+        events_per_timespan=100, eventlist_size=12, micro_partition_size=5,
+        cluster=ClusterConfig(num_machines=3, replication=1),
+    ))
+    tgi.build(events)
+    times = sorted({ev.time for ev in events})
+    dangling = 0
+    for t in times[::17]:
+        span = tgi._span_at(t)
+        for victim in range(3):
+            inject_faults(tgi.cluster, FaultSchedule(
+                crashes=(CrashWindow(victim, 0.0),),
+            ))
+            collector = PartialCollector()
+            with partial_scope(collector):
+                got, _stats = tgi.retrieve_snapshot(t)
+            clear_faults(tgi.cluster)
+            kept = {
+                pid for pid in range(span.num_pids)
+                if f"ts{span.tsid}:p{pid}" not in collector.partitions
+            }
+            path_groups, ekeys = tgi._snapshot_plan(span, t, pids=kept)
+            path = [key for group in path_groups for key in group]
+            values, _stats = tgi.cluster.multiget(path + ekeys)
+            rows = [values[key] for key in path]
+            held = Delta.sum(rows).columns()[0]
+            dangling += sum(
+                v not in held for nbrs in held.values() for v in nbrs
+            )
+            want = Delta.sum(rows).to_graph()
+            want.apply_columnar([values[key] for key in ekeys], until=t)
+            assert_loads_like_overlay(got, want)
+    assert dangling > 0  # the drop had entries to drop
