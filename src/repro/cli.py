@@ -24,7 +24,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro import __version__
 from repro.api import (
@@ -419,18 +419,29 @@ def _cmd_query_batch(session: GraphSession,
     return 0
 
 
-def _cmd_query(args: argparse.Namespace) -> int:
+def _open_query_session(
+    args: argparse.Namespace,
+) -> Union[GraphSession, int]:
+    """The session ``hgs query`` / ``trace`` run against, or the exit
+    code: 2 unless exactly one of a query subcommand and ``--batch`` is
+    given (checked before the index is opened), 1 for an index
+    :func:`_open_session` refuses."""
     if args.batch is None and args.query_kind is None:
-        print("hgs query: a query subcommand (snapshot/node/khop) or "
-              "--batch FILE is required", file=sys.stderr)
+        print(f"hgs {args.command}: a query subcommand (snapshot/node/khop) "
+              "or --batch FILE is required", file=sys.stderr)
         return 2
     if args.batch is not None and args.query_kind is not None:
-        print("hgs query: --batch replaces the query subcommand; "
+        print(f"hgs {args.command}: --batch replaces the query subcommand; "
               "give one or the other", file=sys.stderr)
         return 2
     session = _open_session(args)
-    if session is None:
-        return 1
+    return 1 if session is None else session
+
+
+def _cmd_query(args: argparse.Namespace) -> int:
+    session = _open_query_session(args)
+    if isinstance(session, int):
+        return session
     if args.batch is not None:
         return _cmd_query_batch(session, args)
     request = _request_for(args)
@@ -448,17 +459,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Trace one query (or a batch) and export the span tree."""
     from repro.obs import SamplingPolicy, Tracer, write_trace
 
-    if args.batch is None and args.query_kind is None:
-        print("hgs trace: a query subcommand (snapshot/node/khop) or "
-              "--batch FILE is required", file=sys.stderr)
-        return 2
-    if args.batch is not None and args.query_kind is not None:
-        print("hgs trace: --batch replaces the query subcommand; "
-              "give one or the other", file=sys.stderr)
-        return 2
-    session = _open_session(args)
-    if session is None:
-        return 1
+    session = _open_query_session(args)
+    if isinstance(session, int):
+        return session
     session.tracer = Tracer(SamplingPolicy.all())
     if args.batch is not None:
         results = session.execute_batch(_batch_requests(args))

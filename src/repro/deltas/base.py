@@ -15,7 +15,7 @@ delta sum resolves such conflicts in favour of the right-hand operand
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     AbstractSet, Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple,
     Union,
@@ -23,7 +23,7 @@ from typing import (
 
 from repro.errors import DeltaError
 from repro.graph.static import Graph
-from repro.types import AttrMap, EdgeId, NodeId, TimePoint, canonical_edge
+from repro.types import AttrMap, EdgeId, NodeId, canonical_edge
 
 # A component key is ("n", node_id) or ("e", (u, v)).
 ComponentKey = Tuple[str, Union[NodeId, EdgeId]]

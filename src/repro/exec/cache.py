@@ -144,16 +144,11 @@ collector_paused = _CollectorPause()
 
 @dataclass(frozen=True)
 class CachedRow:
-    """A decoded row plus the sizes its fetch would have cost.
-
-    ``generation`` stamps the batch-update epoch the row was admitted in
-    (the cache owner bumps it on every ``TGI.update``), so introspection
-    can tell fresh rows from ones that survived an update."""
+    """A decoded row plus the sizes its fetch would have cost."""
 
     value: Any
     stored_bytes: int
     raw_bytes: int
-    generation: int = 0
 
 
 @dataclass(frozen=True)
@@ -168,7 +163,6 @@ class CacheStats:
     max_entries: int
     bytes_cached: int = 0
     invalidations: int = 0
-    generation: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -199,7 +193,6 @@ class DeltaCache:
         self.evictions = 0
         self.bytes_saved = 0
         self.invalidations = 0
-        self.generation = 0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -227,9 +220,7 @@ class DeltaCache:
             if old is not None:
                 self.bytes_cached -= old.stored_bytes
                 self._rows.move_to_end(key)
-            self._rows[key] = CachedRow(
-                value, stored_bytes, raw_bytes, self.generation
-            )
+            self._rows[key] = CachedRow(value, stored_bytes, raw_bytes)
             self.bytes_cached += stored_bytes
             while len(self._rows) > self.max_entries:
                 _k, evicted = self._rows.popitem(last=False)
@@ -256,13 +247,6 @@ class DeltaCache:
                     dropped += 1
         return dropped
 
-    def bump_generation(self) -> int:
-        """Start a new admission epoch (called by the index on every
-        batch update); rows admitted from now on carry the new stamp."""
-        with self._lock:
-            self.generation += 1
-            return self.generation
-
     def clear(self) -> None:
         """Drop all entries (counters are retained)."""
         with self._lock:
@@ -280,7 +264,6 @@ class DeltaCache:
                 max_entries=self.max_entries,
                 bytes_cached=self.bytes_cached,
                 invalidations=self.invalidations,
-                generation=self.generation,
             )
 
     def __repr__(self) -> str:

@@ -30,7 +30,7 @@ order, so a given schedule replays identically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Set, Tuple
 
 from repro.errors import StorageError

@@ -10,7 +10,7 @@ stream of events is an unambiguous description of the graph's history.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EventError

@@ -14,7 +14,7 @@ each child, so ``parent + (child − parent) = child`` exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 

@@ -38,7 +38,7 @@ from repro.index.tgi.version_chain import VersionChainStore
 from repro.kvstore.cluster import Cluster
 from repro.partitioning.mincut import MinCutPartitioner
 from repro.partitioning.random_part import hash_partition
-from repro.partitioning.temporal import collapse, partition_timespan
+from repro.partitioning.temporal import collapse
 from repro.stats.collect import collect_timespan_stats
 from repro.stats.model import GraphStatistics
 from repro.types import EdgeId, NodeId, TimePoint

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import IndexError_
 from repro.kvstore.cluster import ClusterConfig

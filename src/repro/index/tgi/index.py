@@ -231,7 +231,6 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
             # never change, and flush() reports exactly which version
             # chains gained pointers — drop those rows, keep the rest of
             # the working set warm across the batch update
-            self.delta_cache.bump_generation()
             self.delta_cache.invalidate_many(changed_chains)
         # materialized-state checkpoints stay warm: timespans are
         # append-only, so a state replayed inside an existing span can
@@ -395,7 +394,10 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
         ) -> Graph:
             """Advance ``g`` over the fetched eventlists to ``t`` and
             checkpoint it — unless a degraded fetch dropped partitions: a
-            degraded snapshot must never seed later fault-free queries."""
+            degraded snapshot must never seed later fault-free queries,
+            and holds no node of a dropped partition (lenient replay
+            re-creates one an edge event names; a near seed holds its
+            copy from before the fault)."""
             # bulk replay off the packed columns (dedups replicated
             # copies by seq, bounds by time via bisection)
             g.apply_columnar(
@@ -404,6 +406,10 @@ class TGI(KHopPlans, HistoryPlans, HistoricalGraphIndex):
             )
             if not bad:
                 self._admit_snapshot(span, t, g, move=read_only)
+            for pid in bad:
+                for node in span.members.get(pid, ()):
+                    if g.has_node(node):
+                        g.remove_node(node)
             return g
 
         if self.checkpoints is not None:

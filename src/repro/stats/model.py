@@ -33,7 +33,6 @@ three consumers:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -41,12 +40,11 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
-from repro.types import NodeId, TimePoint
+from repro.types import TimePoint
 
 #: Number of event-rate buckets per timespan (histogram resolution).
 DEFAULT_STATS_BUCKETS = 16

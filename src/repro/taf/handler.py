@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exec import FetchPlan, collector_paused
-from repro.graph.events import Event
-from repro.index.interface import NodeHistory, evolve_node_state
+from repro.index.interface import evolve_node_state
 from repro.index.tgi.index import TGI
 from repro.kvstore.cost import Counters, FetchStats
 from repro.spark.rdd import SparkContext, lpt_makespan

@@ -12,7 +12,6 @@ A **temporal subgraph** (SubgraphT) generalizes NodeT to a set of nodes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.deltas.base import StaticNode

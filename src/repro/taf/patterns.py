@@ -24,7 +24,6 @@ from __future__ import annotations
 import abc
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import AnalyticsError
 from repro.graph.events import Event, EventKind
 from repro.graph.static import Graph
 from repro.taf.node_t import SubgraphT

@@ -17,8 +17,10 @@ port directly.
 
 from __future__ import annotations
 
+import copy
 import inspect
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import AnalyticsError, QueryError, TimeRangeError
 from repro.exec import collector_paused
@@ -36,7 +38,7 @@ from repro.taf.expressions import (
 from repro.taf.handler import TGIHandler
 from repro.taf.node_t import NodeT, SubgraphT, induced_graph, states_by_point
 from repro.taf import timepoints as tp_mod
-from repro.types import NodeId, TimePoint, canonical_edge
+from repro.types import NodeId, TimePoint
 
 TimepointsSpec = Union[None, int, Sequence[TimePoint], Callable[..., List[TimePoint]]]
 
@@ -239,8 +241,195 @@ class TGraph:
         ]
 
 
-class SON:
+class _TemporalSet:
+    """What a SoN and a SoTS share (paper Sec. 5.1: a SoTS is a set whose
+    members are temporal subgraphs rather than temporal nodes): the
+    fetched members, ``Timeslice``, and the compute operators.
+
+    A subclass names its members (``_noun``) and supplies four hooks the
+    operators are written over: a member's key (``_key``), its operand
+    at one time (``_operand_at``), its operands over a grid
+    (``_operands_over``) and the incremental fold over its changes
+    (``_fold``)."""
+
+    def __init__(
+        self,
+        handler: Optional[TGIHandler],
+        members: Optional[list],
+        interval: Optional[Tuple[TimePoint, TimePoint]],
+    ) -> None:
+        self.handler = handler
+        self._members = members
+        self._interval = interval
+        self._pre_id_predicates: Tuple[IdPredicate, ...] = ()
+        #: fetch accounting of the retrieval that materialized this set
+        #: (None for unfetched or derived sets)
+        self.fetch_stats = None
+
+    # -- materialized access ---------------------------------------------
+    @property
+    def materialized(self) -> bool:
+        return self._members is not None
+
+    def collect(self) -> list:
+        if self._members is None:
+            raise QueryError(f"{self._noun} not fetched yet; call fetch()")
+        return self._members
+
+    def __iter__(self) -> Iterator:
+        return iter(self.collect())
+
+    def __len__(self) -> int:
+        return len(self.collect())
+
+    # -- specification -----------------------------------------------------
+    def Timeslice(self, arg, te: Optional[TimePoint] = None):
+        """Restrict the temporal scope (paper operator 2).
+
+        ``arg`` may be a time expression string (``"t >= Jan 1,2003 and
+        t < Jan 1,2004"``), a single timepoint, an explicit ``(ts, te)``
+        via two arguments, or a list of timepoints (returning a list of
+        sets, one per point).
+        """
+        if isinstance(arg, (list, tuple)) and te is None:
+            return [self.Timeslice(t) for t in arg]
+        if isinstance(arg, str):
+            ts, tend = parse_time_expression(arg)
+        elif te is not None:
+            ts, tend = int(arg), int(te)
+        else:
+            ts = tend = int(arg)
+        _clip_window(self.handler, (ts, tend))
+        sliced = None
+        if self._members is not None:
+            sliced = [m.timeslice(ts, tend) for m in self._members]
+        return self._clone(sliced, (ts, tend))
+
+    # lowercase alias so paper-style operators read naturally from the
+    # fluent session API (``session.nodes(...).timeslice(...).fetch()``)
+    timeslice = Timeslice
+
+    def _window(self) -> Tuple[TimePoint, TimePoint]:
+        """The clipped window a fetch of this specification reads."""
+        if self.handler is None:
+            raise QueryError(
+                f"cannot fetch a {self._noun} without a TGIHandler"
+            )
+        return _clip_window(self.handler, self._interval)
+
+    def _clone(
+        self,
+        members: Optional[list] = None,
+        interval: Optional[Tuple[TimePoint, TimePoint]] = None,
+    ):
+        """This set holding ``members`` (``None``: the specification,
+        unfetched) over ``interval`` (default: this set's), without
+        fetch accounting.  Predicates are tuples, so the copy shares
+        them safely."""
+        out = copy.copy(self)
+        out._members = members
+        out._interval = interval or self._interval
+        out.fetch_stats = None
+        return out
+
+    def _spark(self):
+        if self.handler is not None:
+            return self.handler.sc
+        from repro.spark.rdd import SparkContext
+
+        return SparkContext(num_workers=1)
+
+    def _map(self, run: Callable[[Any], Tuple[NodeId, Any]]) -> Dict:
+        """``{key: value}`` of ``run`` over the members, on the RDD."""
+        rdd = self._spark().parallelize(self.collect())
+        return dict(rdd.map(run).collect())
+
+    # -- compute operators ---------------------------------------------------
+    def NodeCompute(
+        self,
+        f: Callable,
+        key: Optional[str] = None,
+        append: bool = False,
+        at: Optional[TimePoint] = None,
+    ) -> ComputedValues:
+        """Paper operator 4 (map): apply ``f`` to each member's operand —
+        a node's :class:`StaticNode` state, a subgraph's k-hop
+        :class:`Graph` — as of ``at`` (default: the member's start), as
+        ``f(operand)`` or ``f(operand, key)``.  ``key``/``append`` are
+        accepted for API compatibility and recorded on the result.
+        """
+        call = _metric_caller(f)
+
+        def run(member):
+            name = self._key(member)
+            t = at if at is not None else member.get_start_time()
+            return name, call(self._operand_at(member, t), name)
+
+        return ComputedValues(self._map(run), key=key)
+
+    def NodeComputeTemporal(
+        self,
+        f: Callable,
+        timepoints: TimepointsSpec = None,
+    ) -> TemporalSeriesSet:
+        """Paper operator 5: evaluate ``f`` afresh on every version of
+        each member.  A member's operands over the whole grid come from
+        one pass over its events; for a subgraph, what is O(N·T) — the
+        contrast measured in Fig. 17 — is building one graph of the N
+        members per point and running ``f`` on it."""
+        call = _metric_caller(f)
+
+        def run(member):
+            name = self._key(member)
+            points = _resolve_timepoints(timepoints, member)
+            operands = self._operands_over(member, points)
+            return name, [
+                (t, call(operand, name))
+                for t, operand in zip(points, operands)
+            ]
+
+        return TemporalSeriesSet(self._map(run))
+
+    def NodeComputeDelta(
+        self,
+        f: Callable,
+        f_delta: Callable,
+        timepoints: TimepointsSpec = None,
+    ) -> TemporalSeriesSet:
+        """Paper operator 6: evaluate ``f`` once per member at its start,
+        then fold each change through ``f_delta(operand_before_event,
+        prev_value, event)`` instead of recomputing per version (cost
+        O(N+T) for a subgraph)."""
+        call = _metric_caller(f)
+
+        def run(member):
+            name = self._key(member)
+            ts = member.get_start_time()
+            operand, events, advance = self._fold(member, ts)
+            value = call(operand, name)
+            series: List[Tuple[TimePoint, Any]] = [(ts, value)]
+            wanted = (
+                None
+                if timepoints is None
+                else set(_resolve_timepoints(timepoints, member))
+            )
+            for ev in events:
+                value = f_delta(operand, value, ev)
+                operand = advance(operand, ev)
+                if wanted is None or ev.time in wanted:
+                    if series[-1][0] == ev.time:
+                        series[-1] = (ev.time, value)
+                    else:
+                        series.append((ev.time, value))
+            return name, series
+
+        return TemporalSeriesSet(self._map(run))
+
+
+class SON(_TemporalSet):
     """A Set of Temporal Nodes (paper Definition 7)."""
+
+    _noun = "SoN"
 
     def __init__(
         self,
@@ -248,34 +437,28 @@ class SON:
         _nodes: Optional[List[NodeT]] = None,
         _interval: Optional[Tuple[TimePoint, TimePoint]] = None,
     ) -> None:
-        self.handler = handler
-        self._nodes = _nodes
-        self._interval = _interval
-        self._pre_id_predicates: List[IdPredicate] = []
-        self._deferred_predicates: List[Callable[[NodeT], bool]] = []
+        super().__init__(handler, _nodes, _interval)
+        self._deferred_predicates: Tuple[Callable[[NodeT], bool], ...] = ()
         self._filter_keys: Optional[List[str]] = None
-        #: fetch accounting of the retrieval that materialized this set
-        #: (None for unfetched or derived sets)
-        self.fetch_stats = None
+
+    # -- the compute operators' hooks: a node's operand is its state
+    _key = staticmethod(attrgetter("node_id"))
+    _operand_at = staticmethod(NodeT.get_state_at)
+
+    @staticmethod
+    def _operands_over(nt: NodeT, points: Sequence[TimePoint]):
+        return nt.history.states_at(points)
+
+    @staticmethod
+    def _fold(nt: NodeT, ts: TimePoint):
+        node = nt.node_id
+        return nt.get_state_at(ts), nt.events, (
+            lambda state, ev: evolve_node_state(state, ev, node)
+        )
 
     # ------------------------------------------------------------------
     # state
     # ------------------------------------------------------------------
-    @property
-    def materialized(self) -> bool:
-        return self._nodes is not None
-
-    def collect(self) -> List[NodeT]:
-        if self._nodes is None:
-            raise QueryError("SoN not fetched yet; call fetch()")
-        return self._nodes
-
-    def __iter__(self) -> Iterator[NodeT]:
-        return iter(self.collect())
-
-    def __len__(self) -> int:
-        return len(self.collect())
-
     def node_ids(self) -> List[NodeId]:
         return sorted(nt.node_id for nt in self.collect())
 
@@ -295,29 +478,6 @@ class SON:
     # ------------------------------------------------------------------
     # specification / algebra operators
     # ------------------------------------------------------------------
-    def Timeslice(self, arg, te: Optional[TimePoint] = None):
-        """Restrict the temporal scope (paper operator 2).
-
-        ``arg`` may be a time expression string (``"t >= Jan 1,2003 and
-        t < Jan 1,2004"``), a single timepoint, an explicit ``(ts, te)``
-        via two arguments, or a list of timepoints (returning a list of
-        SoNs, one per point).
-        """
-        if isinstance(arg, (list, tuple)) and te is None and not isinstance(arg, str):
-            return [self.Timeslice(t) for t in arg]
-        if isinstance(arg, str):
-            ts, tend = parse_time_expression(arg)
-        elif te is not None:
-            ts, tend = int(arg), int(te)
-        else:
-            ts = tend = int(arg)
-        _clip_window(self.handler, (ts, tend))
-        if self._nodes is None:
-            out = self._clone(interval=(ts, tend))
-            return out
-        sliced = [nt.timeslice(ts, tend) for nt in self._nodes]
-        return self._with_nodes(sliced)
-
     def Select(self, predicate) -> "SON":
         """Entity-centric filtering (paper operator 1).
 
@@ -329,10 +489,10 @@ class SON:
         if isinstance(predicate, str):
             fields = predicate_fields(predicate)
             compiled = parse_entity_predicate(predicate)
-            if self._nodes is None and fields == {"id"}:
+            if self._members is None and fields == {"id"}:
                 out = self._clone()
-                out._pre_id_predicates.append(
-                    (compiled, id_intervals(predicate))
+                out._pre_id_predicates += (
+                    (compiled, id_intervals(predicate)),
                 )
                 return out
             pred = _any_version_predicate(compiled)
@@ -340,30 +500,30 @@ class SON:
             pred = predicate
         else:
             raise QueryError("Select needs a string or callable predicate")
-        if self._nodes is None:
+        if self._members is None:
             out = self._clone()
-            out._deferred_predicates.append(pred)
+            out._deferred_predicates += (pred,)
             return out
-        return self._with_nodes([nt for nt in self._nodes if pred(nt)])
+        return self._clone([nt for nt in self._members if pred(nt)])
+
+    select = Select
 
     def Filter(self, *keys: str) -> "SON":
         """Attribute projection (the Fig. 6 'filter' along the attribute
         dimension): keep only the named attribute keys."""
         if not keys:
             raise QueryError("Filter needs at least one attribute key")
-        if self._nodes is None:
+        if self._members is None:
             out = self._clone()
             out._filter_keys = list(keys)
             return out
-        return self._with_nodes([nt.project_attrs(keys) for nt in self._nodes])
+        return self._clone([nt.project_attrs(keys) for nt in self._members])
 
     def fetch(self) -> "SON":
         """Execute the accumulated specification against the TGI."""
-        if self._nodes is not None:
+        if self._members is not None:
             return self
-        if self.handler is None:
-            raise QueryError("cannot fetch a SoN without a TGIHandler")
-        ts, te = _clip_window(self.handler, self._interval)
+        ts, te = self._window()
         universe = _prune_ids(
             self.handler.known_nodes(ts, te), self._pre_id_predicates,
             ordered=True,
@@ -378,24 +538,9 @@ class SON:
             nodes = [nt for nt in nodes if pred(nt)]
         if self._filter_keys is not None:
             nodes = [nt.project_attrs(self._filter_keys) for nt in nodes]
-        out = SON(self.handler, _nodes=nodes, _interval=(ts, te))
+        out = self._clone(nodes, (ts, te))
         out.fetch_stats = stats
         return out
-
-    # lowercase aliases so paper-style operators read naturally from the
-    # fluent session API (``session.nodes(...).timeslice(...).fetch()``)
-    timeslice = Timeslice
-    select = Select
-
-    def _clone(self, interval=None) -> "SON":
-        out = SON(self.handler, _interval=interval or self._interval)
-        out._pre_id_predicates = list(self._pre_id_predicates)
-        out._deferred_predicates = list(self._deferred_predicates)
-        out._filter_keys = self._filter_keys
-        return out
-
-    def _with_nodes(self, nodes: List[NodeT]) -> "SON":
-        return SON(self.handler, _nodes=nodes, _interval=self._interval)
 
     # ------------------------------------------------------------------
     # graph materialization + evolution
@@ -418,86 +563,6 @@ class SON:
             induced_graph(states)
             for states in states_by_point(self.collect(), points)
         )
-
-    # ------------------------------------------------------------------
-    # compute operators
-    # ------------------------------------------------------------------
-    def NodeCompute(
-        self,
-        f: Callable,
-        key: Optional[str] = None,
-        append: bool = False,
-        at: Optional[TimePoint] = None,
-    ) -> ComputedValues:
-        """Paper operator 4 (map): apply ``f`` to each node's state.
-
-        ``f`` receives the node's :class:`StaticNode` state as of ``at``
-        (default: the slice start).  ``key``/``append`` are accepted for
-        API compatibility and recorded on the result.
-        """
-        rdd = self._spark().parallelize(self.collect())
-        call = _metric_caller(f)
-
-        def run(nt: NodeT):
-            t = at if at is not None else nt.get_start_time()
-            return (nt.node_id, call(nt.get_state_at(t), nt.node_id))
-
-        return ComputedValues(dict(rdd.map(run).collect()), key=key)
-
-    def NodeComputeTemporal(
-        self,
-        f: Callable,
-        timepoints: TimepointsSpec = None,
-    ) -> TemporalSeriesSet:
-        """Paper operator 5: evaluate ``f`` on every version of each node
-        (the node's states over the whole grid come from one pass over
-        its events)."""
-        rdd = self._spark().parallelize(self.collect())
-        call = _metric_caller(f)
-
-        def run(nt: NodeT):
-            points = _resolve_timepoints(timepoints, nt)
-            states = nt.history.states_at(points)
-            return (nt.node_id, [
-                (t, call(state, nt.node_id))
-                for t, state in zip(points, states)
-            ])
-
-        return TemporalSeriesSet(dict(rdd.map(run).collect()))
-
-    def NodeComputeDelta(
-        self,
-        f: Callable,
-        f_delta: Callable,
-        timepoints: TimepointsSpec = None,
-    ) -> TemporalSeriesSet:
-        """Paper operator 6: evaluate ``f`` once per node, then update the
-        value incrementally with ``f_delta(prev_state, prev_value, event)``
-        instead of recomputing per version."""
-        rdd = self._spark().parallelize(self.collect())
-        call = _metric_caller(f)
-
-        def run(nt: NodeT):
-            ts = nt.get_start_time()
-            state = nt.get_state_at(ts)
-            value = call(state, nt.node_id)
-            series: List[Tuple[TimePoint, Any]] = [(ts, value)]
-            wanted = (
-                None
-                if timepoints is None
-                else set(_resolve_timepoints(timepoints, nt))
-            )
-            for ev in nt.events:
-                value = f_delta(state, value, ev)
-                state = evolve_node_state(state, ev, nt.node_id)
-                if wanted is None or ev.time in wanted:
-                    if series[-1][0] == ev.time:
-                        series[-1] = (ev.time, value)
-                    else:
-                        series.append((ev.time, value))
-            return (nt.node_id, series)
-
-        return TemporalSeriesSet(dict(rdd.map(run).collect()))
 
     # ------------------------------------------------------------------
     # comparison
@@ -540,13 +605,6 @@ class SON:
         paper's Compare example, Fig. 7b)."""
         return lambda g: g.num_nodes
 
-    def _spark(self):
-        if self.handler is not None:
-            return self.handler.sc
-        from repro.spark.rdd import SparkContext
-
-        return SparkContext(num_workers=1)
-
 
 def _any_version_predicate(
     compiled: Callable[[int, dict], bool]
@@ -560,9 +618,11 @@ def _any_version_predicate(
     return pred
 
 
-class SOTS:
+class SOTS(_TemporalSet):
     """A Set of Temporal Subgraphs: k-hop neighborhoods around a set of
     center nodes, evolving over time (paper Definition 7 analogue)."""
+
+    _noun = "SoTS"
 
     def __init__(
         self,
@@ -573,64 +633,51 @@ class SOTS:
     ) -> None:
         if k < 1:
             raise QueryError("subgraph radius k must be >= 1")
+        super().__init__(handler, _subgraphs, _interval)
         self.k = k
-        self.handler = handler
-        self._subgraphs = _subgraphs
-        self._interval = _interval
-        self._pre_id_predicates: List[IdPredicate] = []
-        #: fetch accounting of the retrieval that materialized this set
-        self.fetch_stats = None
+
+    # -- the compute operators' hooks: a subgraph's operand at one time is
+    # its k-hop; over a grid, and in the fold (graph_before_event), it is
+    # the graph induced on every member, which events mutate in place
+    _key = staticmethod(attrgetter("center"))
+    _operand_at = staticmethod(SubgraphT.get_version_at)
+    _operands_over = staticmethod(SubgraphT.members_induced_over)
+
+    @staticmethod
+    def _fold(sg: SubgraphT, ts: TimePoint):
+        def advance(g: Graph, ev: Event) -> Graph:
+            g.apply_event(ev)
+            return g
+
+        events = [ev for ev in sg.member_events() if ev.time > ts]
+        return sg.members_induced_at(ts), events, advance
 
     # -- specification ---------------------------------------------------
-    def Timeslice(self, arg, te: Optional[TimePoint] = None):
-        if isinstance(arg, str):
-            ts, tend = parse_time_expression(arg)
-        elif te is not None:
-            ts, tend = int(arg), int(te)
-        else:
-            ts = tend = int(arg)
-        _clip_window(self.handler, (ts, tend))
-        if self._subgraphs is None:
-            out = SOTS(self.k, self.handler, _interval=(ts, tend))
-            out._pre_id_predicates = list(self._pre_id_predicates)
-            return out
-        return SOTS(
-            self.k,
-            self.handler,
-            _subgraphs=[sg.timeslice(ts, tend) for sg in self._subgraphs],
-            _interval=(ts, tend),
-        )
-
     def Select(self, predicate) -> "SOTS":
         """Restrict the *centers*; pure-id string predicates prune before
         fetch, callables filter after."""
-        if self._subgraphs is None:
+        if self._members is None:
             if isinstance(predicate, str):
                 if predicate_fields(predicate) != {"id"}:
                     raise QueryError(
                         "pre-fetch SOTS Select supports id predicates only"
                     )
-                out = SOTS(self.k, self.handler, _interval=self._interval)
-                out._pre_id_predicates = self._pre_id_predicates + [
-                    (parse_entity_predicate(predicate), id_intervals(predicate))
-                ]
+                out = self._clone()
+                out._pre_id_predicates += ((
+                    parse_entity_predicate(predicate), id_intervals(predicate)
+                ),)
                 return out
             raise QueryError("pre-fetch SOTS Select needs a string predicate")
         if not callable(predicate):
             raise QueryError("post-fetch SOTS Select needs a callable")
-        return SOTS(
-            self.k,
-            self.handler,
-            _subgraphs=[sg for sg in self._subgraphs if predicate(sg)],
-            _interval=self._interval,
-        )
+        return self._clone([sg for sg in self._members if predicate(sg)])
+
+    select = Select
 
     def fetch(self, centers: Optional[Sequence[NodeId]] = None) -> "SOTS":
-        if self._subgraphs is not None:
+        if self._members is not None:
             return self
-        if self.handler is None:
-            raise QueryError("cannot fetch a SoTS without a TGIHandler")
-        ts, te = _clip_window(self.handler, self._interval)
+        ts, te = self._window()
         # explicit centers keep their order: only the sorted known-node
         # universe can be sliced
         universe = _prune_ids(
@@ -641,109 +688,6 @@ class SOTS:
         subgraphs, stats = self.handler.retrieve_subgraphs(
             universe, self.k, ts, te
         )
-        out = SOTS(self.k, self.handler, _subgraphs=subgraphs,
-                   _interval=(ts, te))
+        out = self._clone(subgraphs, (ts, te))
         out.fetch_stats = stats
         return out
-
-    # lowercase aliases matching the fluent session API
-    timeslice = Timeslice
-    select = Select
-
-    # -- materialized access ------------------------------------------------
-    def collect(self) -> List[SubgraphT]:
-        if self._subgraphs is None:
-            raise QueryError("SoTS not fetched yet; call fetch()")
-        return self._subgraphs
-
-    def __iter__(self) -> Iterator[SubgraphT]:
-        return iter(self.collect())
-
-    def __len__(self) -> int:
-        return len(self.collect())
-
-    # -- compute operators ----------------------------------------------------
-    def NodeCompute(
-        self,
-        f: Callable,
-        key: Optional[str] = None,
-        append: bool = False,
-        at: Optional[TimePoint] = None,
-    ) -> ComputedValues:
-        """Apply ``f`` to each subgraph's state (``f(graph)`` or
-        ``f(graph, center)``) as of ``at`` / the slice start."""
-        rdd = self._spark().parallelize(self.collect())
-        call = _metric_caller(f)
-
-        def run(sg: SubgraphT):
-            t = at if at is not None else sg.get_start_time()
-            g = sg.get_version_at(t)
-            return (sg.center, call(g, sg.center))
-
-        return ComputedValues(dict(rdd.map(run).collect()), key=key)
-
-    def NodeComputeTemporal(
-        self,
-        f: Callable,
-        timepoints: TimepointsSpec = None,
-    ) -> TemporalSeriesSet:
-        """Recompute ``f`` afresh on the subgraph at every change point.
-
-        Each member's states over the whole grid come from one pass over
-        its events; what is O(N·T) — the contrast measured in Fig. 17 —
-        is building one graph of the N members per point and running
-        ``f`` on it."""
-        rdd = self._spark().parallelize(self.collect())
-        call = _metric_caller(f)
-
-        def run(sg: SubgraphT):
-            points = _resolve_timepoints(timepoints, sg)
-            graphs = sg.members_induced_over(points)
-            return (sg.center, [
-                (t, call(g, sg.center)) for t, g in zip(points, graphs)
-            ])
-
-        return TemporalSeriesSet(dict(rdd.map(run).collect()))
-
-    def NodeComputeDelta(
-        self,
-        f: Callable,
-        f_delta: Callable,
-        timepoints: TimepointsSpec = None,
-    ) -> TemporalSeriesSet:
-        """Incremental evaluation: compute ``f`` once on the initial
-        subgraph state, then fold each event through
-        ``f_delta(graph_before_event, prev_value, event)`` (cost O(N+T))."""
-        rdd = self._spark().parallelize(self.collect())
-        call = _metric_caller(f)
-
-        def run(sg: SubgraphT):
-            ts = sg.get_start_time()
-            g = sg.members_induced_at(ts)
-            value = call(g, sg.center)
-            series: List[Tuple[TimePoint, Any]] = [(ts, value)]
-            wanted = (
-                None
-                if timepoints is None
-                else set(_resolve_timepoints(timepoints, sg))
-            )
-            for ev in sg.member_events():
-                if ev.time <= ts:
-                    continue
-                value = f_delta(g, value, ev)
-                g.apply_event(ev)
-                if wanted is None or ev.time in wanted:
-                    if series[-1][0] == ev.time:
-                        series[-1] = (ev.time, value)
-                    else:
-                        series.append((ev.time, value))
-            return (sg.center, series)
-
-        return TemporalSeriesSet(dict(rdd.map(run).collect()))
-
-    def _spark(self):
-        if self.handler is not None:
-            return self.handler.sc
-        from repro.spark.rdd import SparkContext
-
-        return SparkContext(num_workers=1)

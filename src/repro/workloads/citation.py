@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.graph.events import Event, EventBuilder
 from repro.types import TimePoint

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Set, Tuple
 
 from repro.graph.events import Event, EventBuilder
-from repro.types import NodeId, TimePoint, canonical_edge
+from repro.types import NodeId, canonical_edge
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 from typing import List, Set, Tuple
 
-from repro.graph.events import Event, EventBuilder, EventKind
+from repro.graph.events import Event, EventBuilder
 from repro.graph.static import Graph
-from repro.types import NodeId, TimePoint, canonical_edge
+from repro.types import NodeId, canonical_edge
 
 
 def augment_with_churn(

@@ -275,8 +275,6 @@ def test_cache_selectively_invalidated_on_update(events):
     idx.update(events[400:])
     # span rows survive; only rewritten chains were invalidated
     assert len(idx.delta_cache) > 0
-    stats = idx.delta_cache.stats()
-    assert stats.generation == 2  # one epoch per build/update batch
     from tests.helpers import assert_history_equivalent
     from repro.graph.static import Graph
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import gc
 import pickle
+import types
 
 import hypothesis.strategies as st
 import pytest
@@ -38,14 +39,24 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import GraphSession
 from repro.api import QueryRequest
-from repro.errors import IndexError_
+from repro.errors import AnalyticsError, IndexError_, QueryError, TimeRangeError
 from repro.graph.static import Graph
+from repro.index.interface import NodeHistory, evolve_node_state
 from repro.index.tgi import TGI, TGIConfig, TGIPlanner
 from repro.index.tgi.states import _state_key
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.session.pricing import SessionPricing
+from repro.spark.rdd import SparkContext
+from repro.taf import timepoints as tp
+from repro.taf.handler import TGIHandler
+from repro.taf.son import SON, SOTS
 from tests.helpers import graph_parts, random_history, relabelled
-from tests.oracle import ground_truth_history, oracle_history, oracle_parts
+from tests.oracle import (
+    ground_truth_history,
+    ground_truth_subgraph,
+    oracle_history,
+    oracle_parts,
+)
 
 #: Every planner entry point that builds a plan.
 PLANNER_BUILDS = sorted(
@@ -341,3 +352,396 @@ def check_against_the_oracle(events, tgi, mix, prelude, alone,
             log.bytes
         )
         assert log.plans == 0
+
+
+# -- the TAF operators over a grid ----------------------------------------
+
+
+@st.composite
+def taf_scenarios(draw):
+    """A built index behind a TGIHandler, its history, a window inside
+    it, an id predicate, a timepoints spec, points inside the window and
+    a SoTS radius and center list."""
+    events = random_history(
+        steps=draw(st.integers(40, 110)),
+        seed=draw(st.integers(0, 10**6)),
+        edge_attr_churn=draw(st.booleans()),
+    )
+    tgi = TGI(TGIConfig(
+        events_per_timespan=draw(st.sampled_from([30, 80])),
+        eventlist_size=draw(st.sampled_from([6, 15])),
+        micro_partition_size=draw(st.sampled_from([4, 9])),
+        cluster=ClusterConfig(num_machines=3),
+    ))
+    tgi.build(events)
+    handler = TGIHandler(tgi, SparkContext(num_workers=2))
+    t_min, t_max = events[0].time, events[-1].time
+    ts, te = sorted(draw(st.integers(t_min, t_max)) for _ in range(2))
+    universe = sorted({ev.node for ev in events})
+    cut = draw(st.integers(0, universe[-1] + 1))
+    below = draw(st.booleans())
+    keep = (lambda n: n < cut) if below else (lambda n: n >= cut)
+    predicate = f"id < {cut}" if below else f"id >= {cut}"
+    inside = st.integers(ts, te)
+    timepoints = draw(st.one_of(
+        st.none(), st.integers(1, 4), st.lists(inside, min_size=1, max_size=4),
+    ))
+    points = sorted(draw(inside) for _ in range(2))
+    centers = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(universe), min_size=1, max_size=4, unique=True,
+    )))
+    return (events, handler, (ts, te), (predicate, keep), timepoints,
+            points, draw(st.sampled_from([1, 2])), centers)
+
+
+def score(state):
+    """A numeric node metric: the degree, -1 for a node not alive."""
+    return -1 if state is None else len(state.E)
+
+
+def shape(g):
+    """A structural graph metric: nodes with their attributes, and the
+    edges (edge attributes are not part of a SoTS's induced operand)."""
+    return (
+        frozenset((n, tuple(sorted(g.node_attr_maps()[n].items())))
+                  for n in g.nodes()),
+        frozenset(g.edges()),
+    )
+
+
+def son_delta(state, value, ev):
+    """``NodeComputeDelta``'s step for :func:`score`: the metric of the
+    state after ``ev``."""
+    node = ev.node if state is None else state.I
+    return score(evolve_node_state(state, ev, node))
+
+
+def sots_delta(g, value, ev):
+    """``NodeComputeDelta``'s step for :func:`shape`, leaving ``g`` to
+    the operator."""
+    after = g.copy()
+    after.apply_event(ev)
+    return shape(after)
+
+
+def son_oracle(events, keep, ts, te):
+    """The histories a SoN over ``[ts, te]`` holds: every node the
+    predicate keeps that is alive or changes in the window, by id."""
+    out = {}
+    for node in sorted({ev.node for ev in events}):
+        history = oracle_history(events, node, ts, te)
+        if keep(node) and (history.initial is not None or history.events):
+            out[node] = history
+    return out
+
+
+def histories(son):
+    """A fetched SoN's histories by node id."""
+    out = {nt.node_id: nt.history for nt in son}
+    assert len(out) == len(son)
+    return out
+
+
+def change_times(history):
+    """Times at which some event changes the node's state."""
+    times, state = [], history.initial
+    for ev in history.events:
+        after = evolve_node_state(state, ev, history.node)
+        if after != state and (not times or times[-1] != ev.time):
+            times.append(ev.time)
+        state = after
+    return times
+
+
+def grid(spec, ts, te, changes):
+    """The points a timepoints spec resolves to over ``[ts, te]``."""
+    if spec is None:
+        return [ts] + [t for t in changes if t != ts]
+    if isinstance(spec, int):
+        return tp.uniform(spec)(types.SimpleNamespace(
+            get_start_time=lambda: ts, get_end_time=lambda: te,
+        ))
+    return sorted(spec)
+
+
+def state_at(events, node, t):
+    return ground_truth_history(events, node, t, t)[0]
+
+
+def check_computed(computed, expected):
+    """``ComputedValues`` and its aggregates against the expected map."""
+    assert computed.values == expected
+    if not expected:
+        for aggregate in (computed.Max, computed.Min, computed.Mean):
+            with pytest.raises(AnalyticsError):
+                aggregate()
+        return
+    top = max(expected.values())
+    assert computed.Max() == (
+        min(n for n, v in expected.items() if v == top), top
+    )
+    assert computed.Min() == min(expected.items(), key=lambda kv: kv[::-1])
+    assert computed.Mean() == sum(expected.values()) / len(expected)
+
+
+def check_delta(delta, temporal, wanted, start, at_start):
+    """A ``NodeComputeDelta`` series: the start value first, then one
+    value per event time of ``wanted`` (every time, for ``None``), each
+    equal to ``NodeComputeTemporal``'s wherever that evaluated."""
+    assert delta[0] == (start, at_start)
+    times = [t for t, _v in delta[1:]]
+    assert times == sorted(set(times)) and all(t > start for t in times)
+    if wanted is not None:
+        assert set(times) <= set(wanted)
+    evaluated = dict(temporal)
+    for t, value in delta:
+        if t in evaluated:
+            assert value == evaluated[t]
+
+
+def check_son(events, handler, window, predicate, timepoints, points):
+    text, keep = predicate
+    ts, te = window
+    son = SON(handler).Select(text).Timeslice(ts, te).fetch()
+    expected = son_oracle(events, keep, ts, te)
+    assert histories(son) == expected
+    assert son.node_ids() == sorted(expected)
+    assert histories(SON(handler).Timeslice(ts, te).Select(text).fetch()) \
+        == expected
+
+    # a point, and a list of points before and after the fetch
+    t1, t2 = points
+    assert histories(SON(handler).Select(text).Timeslice(t1).fetch()) \
+        == son_oracle(events, keep, t1, t1)
+    for t, one in zip(points, SON(handler).Select(text).Timeslice(points)):
+        assert histories(one.fetch()) == son_oracle(events, keep, t, t)
+    for t, one in zip(points, son.Timeslice(points)):
+        assert histories(one) == {
+            n: oracle_history(events, n, t, t) for n in expected
+        }
+    assert histories(son.Timeslice(t1, t2)) == {
+        n: oracle_history(events, n, t1, t2) for n in expected
+    }
+
+    # pre- and post-fetch Select by attribute and by callable
+    def v_is_2(node, history):
+        states, state = [history.initial], history.initial
+        for ev in history.events:
+            state = evolve_node_state(state, ev, node)
+            states.append(state)
+        return any(s is not None and s.attrs.get("v") == 2 for s in states)
+
+    by_attr = {n: h for n, h in expected.items() if v_is_2(n, h)}
+    assert histories(son.Select("v = 2")) == by_attr
+    assert histories(
+        SON(handler).Select(text).Select("v = 2").Timeslice(ts, te).fetch()
+    ) == by_attr
+    even = lambda nt: len(nt.events) % 2 == 0  # noqa: E731
+    by_call = {n: h for n, h in expected.items() if len(h.events) % 2 == 0}
+    assert histories(son.Select(even)) == by_call
+    assert histories(
+        SON(handler).Select(even).Select(text).Timeslice(ts, te).fetch()
+    ) == by_call
+
+    # Filter: every state of the projection is the projected state
+    for projected in (
+        son.Filter("v"),
+        SON(handler).Select(text).Timeslice(ts, te).Filter("v").fetch(),
+    ):
+        assert sorted(projected.node_ids()) == sorted(expected)
+        for nt in projected:
+            h = expected[nt.node_id]
+            for t in [ts] + [ev.time for ev in h.events]:
+                full = state_at(events, nt.node_id, t)
+                got = nt.get_state_at(t)
+                assert (got is None) == (full is None)
+                if full is not None:
+                    assert got.E == full.E
+                    assert got.attrs == {
+                        k: v for k, v in full.attrs.items() if k == "v"
+                    }
+
+    # the compute operators
+    for at in (None, t2):
+        check_computed(son.NodeCompute(score, at=at), {
+            n: score(state_at(events, n, ts if at is None else at))
+            for n in expected
+        })
+    temporal = son.NodeComputeTemporal(score, timepoints)
+    assert set(temporal.series) == set(expected)
+    for n, h in expected.items():
+        assert temporal[n] == [
+            (t, score(state_at(events, n, t)))
+            for t in grid(timepoints, ts, te, change_times(h))
+        ]
+    delta = son.NodeComputeDelta(score, son_delta, timepoints)
+    assert set(delta.series) == set(expected)
+    for n, h in expected.items():
+        wanted = None if timepoints is None else grid(timepoints, ts, te, [])
+        check_delta(delta[n], temporal[n], wanted, ts,
+                    score(state_at(events, n, ts)))
+        assert [t for t, _v in delta[n][1:]] == sorted({
+            ev.time for ev in h.events
+            if wanted is None or ev.time in wanted
+        })
+        for t, value in delta[n]:
+            assert value == score(state_at(events, n, t))
+
+    # CompareNodes over the nodes two sets share, at one time
+    later = SON(handler).Timeslice(t2, te).fetch()
+    shared = set(expected) & set(histories(later))
+    assert SON.CompareNodes(son, later, score, t2) == {
+        n: (score(state_at(events, n, t2)),) * 2 for n in shared
+    }
+
+    for bad in bad_windows(handler, window):
+        with pytest.raises(TimeRangeError):
+            SON(handler).Timeslice(*bad)
+        with pytest.raises(TimeRangeError):
+            son.Timeslice(*bad)
+
+
+def bad_windows(handler, window):
+    """An inverted window, and two disjoint from the indexed history."""
+    lo, hi = handler.history_range()
+    return [(window[1] + 1, window[0]), (hi + 1, hi + 3), (lo - 3, lo - 1)]
+
+
+def sots_oracle(events, centers, keep, k, ts, te):
+    """A SoTS over ``[ts, te]``: per kept center that exists in the
+    window, its members' histories and the initial edge attributes."""
+    out = {}
+    for center in centers:
+        truth = ground_truth_subgraph(events, center, k, ts, te) \
+            if keep(center) else None
+        if truth is not None:
+            members, edge_attrs = truth
+            out[center] = ({
+                n: NodeHistory(n, ts, te, state, tuple(changes))
+                for n, (state, changes) in members.items()
+            }, edge_attrs)
+    return out
+
+
+def subgraphs(sots):
+    """A fetched SoTS's subgraphs by center, as the oracle states them."""
+    out = {
+        sg.center: ({n: nt.history for n, nt in sg.members.items()},
+                    sg.edge_attrs_initial)
+        for sg in sots
+    }
+    assert len(out) == len(sots)
+    return out
+
+
+def induced(events, members, t):
+    """The graph the members alive at ``t`` induce, from the log."""
+    states = {n: state_at(events, n, t) for n in members}
+    alive = {n: s for n, s in states.items() if s is not None}
+    return Graph.from_parts(
+        {n: s.attrs for n, s in alive.items()},
+        {n: s.E for n, s in alive.items()},
+    )
+
+
+def version_at(events, center, members, k, t):
+    """``get_version_at``: the center's k-hop at ``t``, or the members'
+    induced graph while the center is not alive."""
+    snapshot = Graph.replay(events, until=t)
+    if snapshot.has_node(center):
+        return snapshot.khop_subgraph(center, k)
+    return induced(events, members, t)
+
+
+def member_times(members):
+    """Times of events among the members (the SoTS change points)."""
+    return sorted({
+        ev.time for h in members.values() for ev in h.events
+        if ev.node in members and (ev.other is None or ev.other in members)
+    })
+
+
+def check_sots(events, handler, window, predicate, timepoints, points, k,
+               centers):
+    text, keep = predicate
+    ts, te = window
+    universe = sorted({ev.node for ev in events})
+    sots = SOTS(k, handler).Select(text).Timeslice(ts, te).fetch(centers)
+    expected = sots_oracle(events, centers or universe, keep, k, ts, te)
+    assert subgraphs(sots) == expected
+
+    # a point, and a list of points before and after the fetch
+    t1, t2 = points
+    assert subgraphs(SOTS(k, handler).Select(text).Timeslice(t1).fetch(
+        centers
+    )) == sots_oracle(events, centers or universe, keep, k, t1, t1)
+    for t, one in zip(points, SOTS(k, handler).Select(text).Timeslice(points)):
+        assert subgraphs(one.fetch(centers)) == sots_oracle(
+            events, centers or universe, keep, k, t, t
+        )
+    for t, one in zip(points, sots.Timeslice(points)):
+        assert subgraphs(one) == {
+            c: ({n: oracle_history(events, n, t, t) for n in members},
+                edge_attrs)
+            for c, (members, edge_attrs) in expected.items()
+        }
+
+    # post-fetch Select by callable; pre-fetch only by id
+    big = lambda sg: len(sg.members) > 2  # noqa: E731
+    assert subgraphs(sots.Select(big)) == {
+        c: v for c, v in expected.items() if len(v[0]) > 2
+    }
+    with pytest.raises(QueryError):
+        SOTS(k, handler).Select("v = 2")
+
+    # the compute operators
+    for at in (None, t2):
+        t = ts if at is None else at
+        assert sots.NodeCompute(shape, at=at).values == {
+            c: shape(version_at(events, c, members, k, t))
+            for c, (members, _attrs) in expected.items()
+        }
+        check_computed(sots.NodeCompute(lambda g: g.num_edges, at=at), {
+            c: version_at(events, c, members, k, t).num_edges
+            for c, (members, _attrs) in expected.items()
+        })
+    temporal = sots.NodeComputeTemporal(shape, timepoints)
+    delta = sots.NodeComputeDelta(shape, sots_delta, timepoints)
+    assert set(temporal.series) == set(delta.series) == set(expected)
+    for c, (members, _attrs) in expected.items():
+        changes = member_times(members)
+        assert temporal[c] == [
+            (t, shape(induced(events, members, t)))
+            for t in grid(timepoints, ts, te, changes)
+        ]
+        wanted = None if timepoints is None else grid(timepoints, ts, te, [])
+        check_delta(delta[c], temporal[c], wanted, ts,
+                    shape(induced(events, members, ts)))
+        assert [t for t, _v in delta[c][1:]] == [
+            t for t in changes if wanted is None or t in wanted
+        ]
+        if timepoints is None:  # the same grid: equal at every point
+            assert delta[c] == temporal[c]
+
+    for bad in bad_windows(handler, window):
+        with pytest.raises(TimeRangeError):
+            SOTS(k, handler).Timeslice(*bad)
+        with pytest.raises(TimeRangeError):
+            sots.Timeslice(*bad)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(taf_scenarios())
+def test_generated_son_operators_match_the_oracle(scenario):
+    events, handler, window, predicate, timepoints, points, _k, _c = scenario
+    check_son(events, handler, window, predicate, timepoints, points)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.data_too_large])
+@given(taf_scenarios())
+def test_generated_sots_operators_match_the_oracle(scenario):
+    check_sots(*scenario)

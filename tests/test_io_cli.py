@@ -79,6 +79,25 @@ def test_cli_generate_build_query(tmp_path, capsys):
     assert 5 in out["members"]
 
 
+@pytest.mark.parametrize("command", ["query", "trace"])
+def test_cli_query_and_trace_refuse_a_missing_or_doubled_query(
+    tmp_path, capsys, command
+):
+    """Both commands need exactly one of a query subcommand and
+    ``--batch``; either refusal exits 2 before the index is opened."""
+    index = str(tmp_path / "absent.hgs")
+    assert main([command, index]) == 2
+    assert capsys.readouterr().err == (
+        f"hgs {command}: a query subcommand (snapshot/node/khop) or "
+        "--batch FILE is required\n"
+    )
+    assert main([command, index, "--batch", "-", "snapshot", "5"]) == 2
+    assert capsys.readouterr().err == (
+        f"hgs {command}: --batch replaces the query subcommand; "
+        "give one or the other\n"
+    )
+
+
 def test_cli_inspect_events(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     main(["generate", "social", str(trace), "--nodes", "30", "--steps", "200"])

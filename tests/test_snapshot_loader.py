@@ -20,16 +20,18 @@ loads what the surviving partitions' rows and eventlists give.
 from __future__ import annotations
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.deltas.base import Delta
 from repro.faults import CrashWindow, FaultSchedule, clear_faults, inject_faults
+from repro.graph.static import Graph
 from repro.index.tgi import TGI, TGIConfig
 from repro.index.tgi.config import PartitioningStrategy
 from repro.index.tgi.layout import TAG_SNAPSHOT
 from repro.kvstore.cluster import ClusterConfig
 from repro.kvstore.degrade import PartialCollector, partial_scope
-from tests.helpers import random_history, relabelled
+from tests.helpers import graph_parts, random_history, relabelled
 
 
 @st.composite
@@ -127,7 +129,8 @@ def test_stored_paths_are_symmetric_and_load_like_their_overlay(tgi, data):
 def test_a_degraded_fetch_loads_only_what_survived():
     """A crashed machine (replication 1) costs a snapshot whole
     partitions; the rest load with the dangling drop, equal to the
-    surviving rows' overlay replayed over the surviving eventlists."""
+    surviving rows' overlay replayed over the surviving eventlists, less
+    the nodes of the dropped partitions that replay re-created."""
     events = random_history(
         steps=300, seed=3, edge_attr_churn=True, bare_edges=True
     )
@@ -162,5 +165,51 @@ def test_a_degraded_fetch_loads_only_what_survived():
             )
             want = Delta.sum(rows).to_graph()
             want.apply_columnar([values[key] for key in ekeys], until=t)
+            for node in list(want.nodes()):
+                if span.pid_of(node) not in kept:
+                    want.remove_node(node)
             assert_loads_like_overlay(got, want)
     assert dangling > 0  # the drop had entries to drop
+
+
+@pytest.mark.parametrize("seeded", [False, True], ids=["cold", "near"])
+def test_a_degraded_snapshot_holds_no_node_of_a_dropped_partition(seeded):
+    """Lenient replay of the surviving eventlists re-creates a dropped
+    partition's node wherever an edge event names it, and a near seed
+    holds its copies from before the fault: a degraded snapshot, cold or
+    near-seeded, is the fault-free one induced on the surviving
+    partitions' live nodes."""
+    events = random_history(
+        steps=300, seed=3, edge_attr_churn=True, bare_edges=True
+    )
+    tgi = TGI(TGIConfig(
+        events_per_timespan=100, eventlist_size=12, micro_partition_size=5,
+        checkpoint_entries=64 if seeded else 0,
+        cluster=ClusterConfig(num_machines=3, replication=1),
+    ))
+    tgi.build(events)
+    times = sorted({ev.time for ev in events})
+    degraded = near = 0
+    for before, t in list(zip(times, times[1:]))[::17]:
+        span = tgi._span_at(t)
+        whole = Graph.replay(events, until=t)
+        for victim in range(3):
+            if seeded:
+                tgi.retrieve_snapshot(before)  # the seed, fault-free
+            inject_faults(tgi.cluster, FaultSchedule(
+                crashes=(CrashWindow(victim, 0.0),),
+            ))
+            collector = PartialCollector()
+            with partial_scope(collector):
+                got, stats = tgi.retrieve_snapshot(t)
+            clear_faults(tgi.cluster)
+            bad = {
+                pid for pid in range(span.num_pids)
+                if f"ts{span.tsid}:p{pid}" in collector.partitions
+            }
+            kept = [n for n in whole.nodes() if span.pid_of(n) not in bad]
+            assert graph_parts(got) == graph_parts(whole.subgraph(kept))
+            degraded += bool(bad)
+            near += stats.checkpoint_near_hits
+    assert degraded > 0
+    assert (near > 0) == seeded

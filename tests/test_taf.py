@@ -3,7 +3,7 @@
 import pytest
 
 from repro import GraphSession
-from repro.errors import AnalyticsError, TimeRangeError
+from repro.errors import AnalyticsError, QueryError, TimeRangeError
 from repro.graph.events import EventKind
 from repro.graph.metrics import GraphMetrics, NodeMetrics
 from repro.graph.static import Graph
@@ -353,6 +353,31 @@ def test_timeslice_rejects_a_window_outside_the_history(handler, kind, case):
         else (lambda s: [sg.member_ids() for sg in s.collect()])
     )
     assert members(got) == members(want) and members(got)
+
+
+@pytest.mark.parametrize("kind", sorted(SETS))
+def test_both_sets_share_materialized_access_and_list_timeslice(
+    handler, kind
+):
+    make, fetch = SETS[kind]
+    noun = {"son": "SoN", "sots": "SoTS"}[kind]
+    lo, hi = handler.history_range()
+    spec = make(handler).Timeslice(lo, hi)
+    assert not spec.materialized
+    with pytest.raises(QueryError, match=f"^{noun} not fetched yet"):
+        spec.collect()
+    with pytest.raises(QueryError, match=f"cannot fetch a {noun} without"):
+        fetch(make(None))
+    whole = fetch(spec)
+    assert whole.materialized and len(whole) == len(list(whole))
+    points = [lo, (lo + hi) // 2]
+    unfetched = spec.Timeslice(points)
+    assert [s._interval for s in unfetched] == [(t, t) for t in points]
+    assert not any(s.materialized for s in unfetched)
+    for t, one in zip(points, whole.Timeslice(points)):
+        assert one.materialized and one.fetch_stats is None
+        assert len(one) == len(whole)
+        assert all(m.get_start_time() == t for m in one)
 
 
 # -- ComputedValues reductions and CompareNodes -------------------------
