@@ -18,10 +18,10 @@ from repro.deltas.columnar import (
 )
 from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
-from repro.graph.events import Event, check_sorted, dedup_sorted
+from repro.graph.events import Event, check_sorted
 from repro.graph.static import Graph
 from repro.index.common import advance_snapshot_delta, static_node_from_graph
-from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
+from repro.index.interface import HistoricalGraphIndex, NodeHistory, _fold_node_history
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.cost import FetchStats
 from repro.types import NodeId, TimePoint
@@ -127,16 +127,10 @@ class CopyLogIndex(HistoricalGraphIndex):
         values, stats = self.cluster.multiget(keys, clients=clients)
 
         snap: Delta = values[skey]
-        g_cp = snap.to_graph()
-        state = static_node_from_graph(g_cp, node)
-        changes: List[Event] = []
-        for key in [*ekeys_init, *ekeys_range]:
-            el: ColumnarEventList = values[key]
-            for ev in el:
-                if ev.time <= ts:
-                    if ev.time > cp_time:
-                        state = evolve_node_state(state, ev, node)
-                elif ev.time <= te and ev.touches(node):
-                    changes.append(ev)
-        changes = dedup_sorted(changes)
-        return NodeHistory(node, ts, te, state, tuple(changes)), stats
+        state = static_node_from_graph(snap.to_graph(), node)
+        events = (
+            ev for key in [*ekeys_init, *ekeys_range] for ev in values[key]
+        )
+        return _fold_node_history(
+            node, ts, te, events, state, after=cp_time
+        ), stats

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.deltas.base import StaticNode
 from repro.errors import IndexError_, TimeRangeError
-from repro.graph.events import Event, EventKind
+from repro.graph.events import Event, EventKind, dedup_sorted
 from repro.graph.static import Graph
 from repro.kvstore.cost import FetchStats
 from repro.types import NodeId, TimePoint
@@ -69,6 +69,28 @@ def evolve_node_state(
         assert ev.key is not None
         return state.without_attr(ev.key)
     return state
+
+
+def _fold_node_history(
+    node: NodeId,
+    ts: TimePoint,
+    te: TimePoint,
+    events: Iterable[Event],
+    state: Optional[StaticNode] = None,
+    after: Optional[TimePoint] = None,
+) -> "NodeHistory":
+    """A node's history over ``[ts, te]`` off a chronological stream:
+    the events at or before ``ts`` (and after ``after``, the time of a
+    checkpointed ``state``) fold into ``state``; those in ``(ts, te]``
+    touching the node are its changes, deduplicated and sorted."""
+    changes: List[Event] = []
+    for ev in events:
+        if ev.time <= ts:
+            if after is None or ev.time > after:
+                state = evolve_node_state(state, ev, node)
+        elif ev.time <= te and ev.touches(node):
+            changes.append(ev)
+    return NodeHistory(node, ts, te, state, tuple(dedup_sorted(changes)))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from repro.deltas.eventlist import split_events_into_lists
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, check_sorted
 from repro.graph.static import Graph
-from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
+from repro.index.interface import HistoricalGraphIndex, NodeHistory, _fold_node_history
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.cost import FetchStats
 from repro.types import NodeId, TimePoint
@@ -91,12 +91,5 @@ class LogIndex(HistoricalGraphIndex):
     ) -> Tuple[NodeHistory, FetchStats]:
         self._check_time(te)
         lists, stats = self._fetch_lists_until(te + 1, clients)
-        state = None
-        versions: List[Event] = []
-        for el in lists:
-            for ev in el:
-                if ev.time <= ts:
-                    state = evolve_node_state(state, ev, node)
-                elif ev.time <= te and ev.touches(node):
-                    versions.append(ev)
-        return NodeHistory(node, ts, te, state, tuple(versions)), stats
+        events = (ev for el in lists for ev in el)
+        return _fold_node_history(node, ts, te, events), stats

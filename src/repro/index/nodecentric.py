@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import IndexError_, TimeRangeError
 from repro.graph.events import Event, dedup_sorted
 from repro.graph.static import Graph
-from repro.index.interface import HistoricalGraphIndex, NodeHistory, evolve_node_state
+from repro.index.interface import HistoricalGraphIndex, NodeHistory
+from repro.index.interface import evolve_node_state, _fold_node_history
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.cost import FetchStats
 from repro.partitioning.random_part import hash_partition
@@ -70,14 +71,7 @@ class NodeCentricIndex(HistoricalGraphIndex):
         self._check_time(te)
         key = self._key(node)
         values, stats = self.cluster.multiget([key], clients=clients)
-        state = None
-        changes: List[Event] = []
-        for ev in values[key]:
-            if ev.time <= ts:
-                state = evolve_node_state(state, ev, node)
-            elif ev.time <= te:
-                changes.append(ev)
-        return NodeHistory(node, ts, te, state, tuple(changes)), stats
+        return _fold_node_history(node, ts, te, values[key]), stats
 
     def retrieve_khop(
         self, node: NodeId, t: TimePoint, k: int = 1, clients: int = 1

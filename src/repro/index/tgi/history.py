@@ -37,7 +37,7 @@ from repro.kvstore.degrade import (
     active_partial,
     partial_scope,
 )
-from repro.types import NodeId, TimePoint
+from repro.types import AttrMap, EdgeId, NodeId, TimePoint
 
 
 def _missing_chain(node) -> None:
@@ -94,7 +94,8 @@ class HistoryPlans:
         }
 
     def _node_histories_plan(
-        self, nodes: Sequence[NodeId], ts: TimePoint, te: TimePoint
+        self, nodes: Sequence[NodeId], ts: TimePoint, te: TimePoint,
+        edge_attrs: Optional[Dict[EdgeId, AttrMap]] = None,
     ) -> Compiled:
         """Build the batched Algorithm-2 plan for ``nodes`` plus a
         finalizer that maps the executed plan's values back to one
@@ -104,7 +105,10 @@ class HistoryPlans:
         execution.  The third element counts the checkpoint hits/misses
         the plan resolved at build time (warm partitions contribute no
         fetch keys — their initial states come from the memoized replay);
-        callers fold it into their fetch stats."""
+        callers fold it into their fetch stats.  With ``edge_attrs`` (a
+        SoTS level) the finalizer adds to it the attributed edges at
+        ``ts`` touching one of ``nodes`` off the replayed partition
+        states, complete by the self-containment invariant."""
         span = self._span_at(ts)
         extra = Counters()
 
@@ -146,6 +150,10 @@ class HistoryPlans:
             # initial state this window
             states.settle(values)
             initial = states.merged.nodes
+            if edge_attrs is not None:
+                for (u, v), attrs in states.merged.edge_attrs.items():
+                    if u in node_pid or v in node_pid:
+                        edge_attrs.setdefault((u, v), attrs)
             chains = fetched_chains(values)
             # the asked nodes whose chains point at each eventlist row
             readers: Dict[DeltaKey, List[NodeId]] = {}

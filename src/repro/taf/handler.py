@@ -5,6 +5,9 @@ parallel-fetch protocol: the node universe is split across the analytics
 cluster's partitions, each partition fetches its share of temporal nodes
 directly from the store (no aggregation bottleneck at the query manager),
 and the simulated fetch time is the makespan over the analytics workers.
+Both sets read node histories only: a SoN partition its nodes', a SoTS
+partition its centers' members, level by level (the edge attributes at
+``ts`` come from the same history plans' replayed partition states).
 A fetch is accounted in :class:`ParallelFetchStats`: the store's
 :class:`~repro.kvstore.cost.Counters` folded in per chunk fetch, plus
 that schedule.
@@ -16,35 +19,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.exec import FetchPlan, collector_paused
-from repro.index.interface import evolve_node_state
+from repro.index.interface import neighbor_intervals
 from repro.index.tgi.index import TGI
 from repro.kvstore.cost import Counters, FetchStats
 from repro.spark.rdd import SparkContext, lpt_makespan
 from repro.taf.node_t import NodeT, SubgraphT
-from repro.types import NodeId, TimePoint, canonical_edge
-
-
-def _neighbors_over_time(nt: NodeT) -> Set[NodeId]:
-    """Every node that is a neighbor of ``nt`` at any point it covers."""
-    nbrs: Set[NodeId] = set()
-    state = nt.history.initial
-    if state is not None:
-        nbrs |= state.E
-    for ev in nt.events:
-        state = evolve_node_state(state, ev, nt.node_id)
-        if state is not None:
-            nbrs |= state.E
-    return nbrs
-
-
-def _edge_attrs_of(g0) -> Dict[Tuple[NodeId, NodeId], dict]:
-    """The attributed edges of a k-hop graph (``None`` = center dead)."""
-    if g0 is None:
-        return {}
-    return {
-        canonical_edge(u, v): dict(attrs)
-        for (u, v), attrs in g0.attributed_edges().items()
-    }
+from repro.types import NodeId, TimePoint
 
 
 @dataclass
@@ -185,8 +165,8 @@ class TGIHandler:
         self, center: NodeId, k: int, ts: TimePoint, te: TimePoint
     ) -> Optional[SubgraphT]:
         """One temporal k-hop subgraph — the batch of one (``None`` for
-        a center that exists at no point of ``[ts, te]``; the root probe
-        still cost a fetch)."""
+        a center that exists at no point of ``[ts, te]``; fetching its
+        history still cost a fetch)."""
         out = self.fetch_subgraphs([center], k, ts, te)
         return out[0] if out else None
 
@@ -210,10 +190,10 @@ class TGIHandler:
         """Parallel fetch of temporal subgraphs (the SoTS data path).
 
         Each analytics chunk is driven through the shared-frontier
-        batched path (:meth:`_fetch_subgraph_batch`): every BFS level
-        fetches the whole chunk's frontier in one batched history plan,
-        the k-hop edge-attr plan runs overlapped with the expansion, and
-        the chunk costs O(levels) rounds instead of O(centers · levels).
+        batched path (:meth:`_fetch_subgraph_batch`): one plan per chunk,
+        whose every BFS level fetches the whole chunk's frontier in one
+        batched history plan, so the chunk costs O(levels) rounds instead
+        of O(centers · levels).
         """
         total = ParallelFetchStats(num_workers=self.sc.num_workers)
         out: List[SubgraphT] = []
@@ -231,30 +211,30 @@ class TGIHandler:
         ts: TimePoint,
         te: TimePoint,
     ) -> Tuple[List[Optional[SubgraphT]], FetchStats]:
-        """Whole-chunk SoTS fetch on the shared frontier.
-
-        Builds two independent plans and executes them pipelined on one
-        shared timeline: (a) the temporal-member BFS — each hop fetches the
-        union of every center's new frontier nodes in one batched history
-        plan (levels grow the plan dynamically via factories); (b) the
-        shared-frontier k-hop plan supplying the initial edge attributes
-        at ``ts`` (``None`` for a center not alive at ``ts``: its attrs
-        then resolve from events, and what the probe fetched still
-        counts).
+        """Whole-chunk SoTS fetch on the shared frontier: one plan, the
+        temporal-member BFS.  Each hop fetches the union of every
+        center's new frontier nodes in one batched history plan (levels
+        grow the plan dynamically via factories).  The levels' replayed
+        partition states at ``ts`` hold the attributes of every edge
+        touching a fetched node, which gives each subgraph the
+        attributed edges among its members alive at ``ts``.
 
         Member discovery is level-wise *over time*: starting from the
         center, each hop adds every node that is a neighbor at any point
-        during ``[ts, te]``, so the SubgraphT covers the neighborhood as it
-        evolves; ``get_version_at`` prunes back to the exact k-hop members
-        at each queried time.
+        during ``[ts, te]`` (Algorithm 5's step,
+        :func:`~repro.index.interface.neighbor_intervals`), so the
+        SubgraphT covers the neighborhood as it evolves;
+        ``get_version_at`` prunes back to the exact k-hop members at
+        each queried time.
         """
         tgi = self.tgi
         order = list(dict.fromkeys(centers))
         histories: Dict[NodeId, NodeT] = {}
+        edge_attrs: Dict[Tuple[NodeId, NodeId], dict] = {}
         members: Dict[NodeId, Set[NodeId]] = {c: {c} for c in order}
         frontier: Dict[NodeId, Set[NodeId]] = {c: {c} for c in order}
 
-        plan_a = FetchPlan(
+        plan = FetchPlan(
             f"subgraph-histories({len(order)} centers, k={k}, "
             f"ts={ts}, te={te})"
         )
@@ -264,8 +244,8 @@ class TGIHandler:
         def add_level(nodes: List[NodeId], hops_done: int) -> None:
             """Append one batched history fetch for ``nodes`` plus the
             factory that records the results and expands further hops."""
-            level = tgi._node_histories_plan(nodes, ts, te)
-            plan_a.stages.extend(level[0].stages)
+            level = tgi._node_histories_plan(nodes, ts, te, edge_attrs)
+            plan.stages.extend(level[0].stages)
 
             def expand(values: Dict) -> None:
                 for nid, history in zip(
@@ -279,7 +259,9 @@ class TGIHandler:
                     for c in order:
                         nbrs: Set[NodeId] = set()
                         for nid in frontier[c]:
-                            nbrs |= _neighbors_over_time(histories[nid])
+                            nbrs.update(n for n, _s, _e in neighbor_intervals(
+                                histories[nid].history
+                            ))
                         cand = nbrs - members[c]
                         members[c] |= cand
                         frontier[c] = cand
@@ -292,27 +274,26 @@ class TGIHandler:
                         return None
                 return None
 
-            plan_a.add_factory(expand)
+            plan.add_factory(expand)
 
         add_level(list(order), 0)
-        khops = tgi._khops_plan(order, ts, k)
         pipelined = tgi.executor.execute_many(
-            [plan_a, khops[0]], clients=self.clients_per_partition
+            [plan], clients=self.clients_per_partition
         )
         pipelined.stats.add(extra)
-        khop_graphs = dict(zip(order, tgi._finish(
-            khops, pipelined.results[1].values, pipelined.stats
-        )))
 
         subgraphs: Dict[NodeId, Optional[SubgraphT]] = {}
         for center in order:
-            root = histories[center]
-            if root.history.initial is None and not root.events:
+            hood = {nid: histories[nid] for nid in members[center]}
+            alive = {
+                nid: nt.history.initial for nid, nt in hood.items()
+                if nt.history.initial is not None
+            }
+            if center not in alive and not hood[center].events:
                 subgraphs[center] = None
                 continue
-            subgraphs[center] = SubgraphT(
-                center, k,
-                {nid: histories[nid] for nid in members[center]},
-                _edge_attrs_of(khop_graphs.get(center)),
-            )
+            subgraphs[center] = SubgraphT(center, k, hood, {
+                (u, v): dict(attrs) for (u, v), attrs in edge_attrs.items()
+                if u in alive and v in alive and v in alive[u].E
+            })
         return [subgraphs[c] for c in centers], pipelined.stats

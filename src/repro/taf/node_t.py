@@ -6,7 +6,9 @@ a time range; physically it is stored exactly as the paper prescribes
 sorted list of events, with iterator-style access.
 
 A **temporal subgraph** (SubgraphT) generalizes NodeT to a set of nodes
-(typically a k-hop neighborhood) and can materialize an in-memory
+(typically a k-hop neighborhood): the members' histories plus the
+attributed edges among them at the start, from which one fold of the
+member events materializes an in-memory
 :class:`~repro.graph.static.Graph` as of any covered time point.
 """
 
@@ -167,9 +169,12 @@ def induced_graph(
 class SubgraphT:
     """Evolution of a subgraph (k-hop neighborhood) over ``[ts, te]``.
 
-    Holds the member nodes' temporal histories plus the edge-attribute
-    events among them; ``get_version_at`` materializes an in-memory
-    :class:`Graph` of the subgraph as of a time point.
+    Held as the paper stores it (Sec. 5.2): the member nodes' temporal
+    histories plus ``edge_attrs_initial``, the attributed edges among the
+    members alive at ``ts``.  Its version at any covered ``t`` is one
+    fold (:meth:`_fold`): the graph the members induce at ``ts``, then
+    every member event up to ``t`` applied to it; ``get_version_at``
+    prunes that to the center's k-hop.
     """
 
     __slots__ = ("center", "k", "members", "edge_attrs_initial")
@@ -209,10 +214,7 @@ class SubgraphT:
         node's own edge list but not the induced subgraph, so they are
         excluded — this keeps ``NodeComputeTemporal`` and
         ``NodeComputeDelta`` on the same evaluation grid)."""
-        points: Set[TimePoint] = set()
-        for ev in self.member_events():
-            points.add(ev.time)
-        return sorted(points)
+        return sorted({ev.time for ev in self.member_events()})
 
     def events_sorted(self) -> List[Event]:
         """All member events, deduplicated (edge events appear in both
@@ -230,42 +232,60 @@ class SubgraphT:
     def member_events(self) -> List[Event]:
         """Events restricted to the member set (node events of members,
         edge events with both endpoints among members), deduplicated and
-        sorted.  This is the event stream the ``NodeCompute*`` operators
-        replay; it matches :meth:`members_induced_at` semantics."""
+        sorted: the events the fold applies."""
         keep = set(self.members)
-        out = []
-        for ev in self.events_sorted():
-            if ev.other is None:
-                if ev.node in keep:
-                    out.append(ev)
-            elif ev.node in keep and ev.other in keep:
-                out.append(ev)
-        return out
+        return [
+            ev for ev in self.events_sorted()
+            if ev.node in keep and (ev.other is None or ev.other in keep)
+        ]
+
+    def _fold(self) -> Tuple[Graph, List[Event]]:
+        """The one fold every version comes from: the graph the members
+        alive at the start induce, with the attributed edges among them,
+        and the member events after the start, in order.  The graph with
+        the events up to ``t`` applied is the members' version at ``t``;
+        the caller owns the graph and may apply them in place."""
+        states = {
+            n: nt.history.initial for n, nt in self.members.items()
+            if nt.history.initial is not None
+        }
+        return induced_graph(states, self.edge_attrs_initial), \
+            self.member_events()
 
     def members_induced_at(self, t: TimePoint) -> Graph:
         """Induced graph on *all* member nodes alive at ``t`` (no k-hop
         pruning) — the stable operand used by incremental computation."""
-        return next(self.members_induced_over((t,)))
+        return self.members_induced_over((t,))[0]
 
-    def members_induced_over(
-        self, points: Sequence[TimePoint]
-    ) -> Iterator[Graph]:
-        """:meth:`members_induced_at` at each of ``points``, in order: a
-        fresh graph per point, with every member's states over the whole
-        grid read in one pass over its events."""
-        attrs = self.edge_attrs_initial
-        return (
-            induced_graph(states, attrs)
-            for states in states_by_point(self.members.values(), points)
-        )
+    def members_induced_over(self, points: Sequence[TimePoint]) -> List[Graph]:
+        """:meth:`members_induced_at` at each of ``points`` (unsorted and
+        repeated points allowed; each must lie within the subgraph's
+        range), in the caller's order: a fresh graph per point, from one
+        pass of the fold over the sorted points."""
+        lo, hi = self.get_start_time(), self.get_end_time()
+        g, events = self._fold()
+        versions: Dict[int, Graph] = {}
+        i = 0
+        for j in sorted(range(len(points)), key=points.__getitem__):
+            if not lo <= points[j] <= hi:
+                raise TimeRangeError(
+                    f"time {points[j]} outside subgraph range [{lo}, {hi}]"
+                )
+            while i < len(events) and events[i].time <= points[j]:
+                g.apply_event(events[i])
+                i += 1
+            versions[j] = g.copy()
+        return [versions[j] for j in range(len(points))]
 
     def timeslice(self, ts: TimePoint, te: TimePoint) -> "SubgraphT":
-        return SubgraphT(
-            self.center,
-            self.k,
-            {nid: nt.timeslice(ts, te) for nid, nt in self.members.items()},
-            self.edge_attrs_initial,
-        )
+        """Restrict every member to ``[ts, te]`` ∩ the range (the window
+        must overlap it), with the attributed edges among the members at
+        the new start."""
+        members = {nid: nt.timeslice(ts, te) for nid, nt in self.members.items()}
+        start = self.members_induced_at(max(ts, self.get_start_time()))
+        return SubgraphT(self.center, self.k, members, {
+            e: dict(attrs) for e, attrs in start.attributed_edges().items()
+        })
 
     def __repr__(self) -> str:
         return (

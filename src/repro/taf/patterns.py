@@ -27,6 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.graph.events import Event, EventKind
 from repro.graph.static import Graph
 from repro.taf.node_t import SubgraphT
+from repro.taf.son import SOTS
 from repro.types import NodeId, TimePoint
 
 
@@ -248,26 +249,16 @@ def count_over_time(
 ) -> List[Tuple[TimePoint, float]]:
     """Run an incremental counter over a temporal subgraph.
 
-    Returns the count series at every change point of the subgraph; the
+    Returns the count series at every change point of the subgraph: the
     counter's auxiliary state is built once on the initial snapshot and
-    folded through the member events — the O(N + T) pattern the paper's
-    NodeComputeDelta exists for.
+    folded through the member events — ``NodeComputeDelta`` with the
+    counter's ``initial`` and ``update``, the O(N + T) pattern that
+    operator exists for.
     """
     counter = counter_factory()
-    ts = subgraph.get_start_time()
-    g = subgraph.members_induced_at(ts)
-    value = counter.initial(g)
-    series: List[Tuple[TimePoint, float]] = [(ts, value)]
-    for ev in subgraph.member_events():
-        if ev.time <= ts:
-            continue
-        value = counter.update(g, ev)
-        g.apply_event(ev)
-        if series[-1][0] == ev.time:
-            series[-1] = (ev.time, value)
-        else:
-            series.append((ev.time, value))
-    return series
+    return SOTS(subgraph.k, _subgraphs=[subgraph]).NodeComputeDelta(
+        counter.initial, lambda g, _value, ev: counter.update(g, ev)
+    )[subgraph.center]
 
 
 def brute_force_count(
@@ -277,11 +268,7 @@ def brute_force_count(
     """Reference implementation: recount on a fresh snapshot at every
     change point (O(N·T)); used to validate the incremental counters."""
     points = [subgraph.get_start_time()] + subgraph.change_points()
-    out = []
-    for t in points:
-        value = snapshot_counter(subgraph.members_induced_at(t))
-        if out and out[-1][0] == t:
-            out[-1] = (t, value)
-        else:
-            out.append((t, value))
-    return out
+    return [
+        (t, snapshot_counter(g))
+        for t, g in zip(points, subgraph.members_induced_over(points))
+    ]

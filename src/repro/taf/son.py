@@ -638,7 +638,8 @@ class SOTS(_TemporalSet):
 
     # -- the compute operators' hooks: a subgraph's operand at one time is
     # its k-hop; over a grid, and in the fold (graph_before_event), it is
-    # the graph induced on every member, which events mutate in place
+    # the graph induced on every member — all three from the subgraph's
+    # one fold, whose graph ``NodeComputeDelta`` mutates in place
     _key = staticmethod(attrgetter("center"))
     _operand_at = staticmethod(SubgraphT.get_version_at)
     _operands_over = staticmethod(SubgraphT.members_induced_over)
@@ -649,8 +650,7 @@ class SOTS(_TemporalSet):
             g.apply_event(ev)
             return g
 
-        events = [ev for ev in sg.member_events() if ev.time > ts]
-        return sg.members_induced_at(ts), events, advance
+        return (*sg._fold(), advance)
 
     # -- specification ---------------------------------------------------
     def Select(self, predicate) -> "SOTS":

@@ -10,7 +10,7 @@ from repro.errors import TimeRangeError
 from repro.graph.events import Event
 from repro.graph.static import Graph
 from repro.index.interface import NodeHistory, evolve_node_state
-from repro.types import NodeId, TimePoint, canonical_edge
+from repro.types import NodeId, TimePoint
 
 
 def replay_state_at(history, t: TimePoint):
@@ -56,10 +56,9 @@ def ground_truth_subgraph(
     log alone: ``(members, edge_attrs)``.  ``members`` maps every member
     to its :func:`ground_truth_history`, discovered level by level — each
     hop adds every node that neighbors a frontier node at *any* point of
-    the interval; ``edge_attrs`` holds the attributed edges of the
-    center's k-hop neighborhood in the snapshot at ``ts`` (empty when the
-    center is not alive then).  ``None`` for a center that exists at no
-    point of the interval."""
+    the interval; ``edge_attrs`` holds the attributed edges among the
+    members alive at ``ts`` (:func:`edge_attrs_among`).  ``None`` for a
+    center that exists at no point of the interval."""
     root = ground_truth_history(events, center, ts, te)
     if root[0] is None and not root[1]:
         return None
@@ -78,13 +77,14 @@ def ground_truth_subgraph(
         frontier = sorted(nbrs - set(members))
         for nid in frontier:
             members[nid] = ground_truth_history(events, nid, ts, te)
-    edge_attrs = {}
-    snapshot = Graph.replay(events, until=ts)
-    if snapshot.has_node(center):
-        hood = snapshot.khop_subgraph(center, k)
-        for (u, v), attrs in hood.attributed_edges().items():
-            edge_attrs[canonical_edge(u, v)] = dict(attrs)
-    return members, edge_attrs
+    return members, edge_attrs_among(events, members, ts)
+
+
+def edge_attrs_among(events: List[Event], members, t: TimePoint) -> dict:
+    """The attributed edges of the snapshot at ``t`` induced on
+    ``members``, by canonical edge id."""
+    induced = Graph.replay(events, until=t).subgraph(members)
+    return {e: dict(attrs) for e, attrs in induced.attributed_edges().items()}
 
 
 def oracle_parts(events, center, k, t):

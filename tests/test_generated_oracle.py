@@ -52,6 +52,7 @@ from repro.taf.handler import TGIHandler
 from repro.taf.son import SON, SOTS
 from tests.helpers import graph_parts, random_history, relabelled
 from tests.oracle import (
+    edge_attrs_among,
     ground_truth_history,
     ground_truth_subgraph,
     oracle_history,
@@ -400,12 +401,14 @@ def score(state):
 
 
 def shape(g):
-    """A structural graph metric: nodes with their attributes, and the
-    edges (edge attributes are not part of a SoTS's induced operand)."""
+    """A graph metric over everything a graph holds: nodes with their
+    attributes, the edges, and the attributed edges with theirs."""
     return (
         frozenset((n, tuple(sorted(g.node_attr_maps()[n].items())))
                   for n in g.nodes()),
         frozenset(g.edges()),
+        frozenset((e, tuple(sorted(attrs.items())))
+                  for e, attrs in g.attributed_edges().items()),
     )
 
 
@@ -609,7 +612,8 @@ def bad_windows(handler, window):
 
 def sots_oracle(events, centers, keep, k, ts, te):
     """A SoTS over ``[ts, te]``: per kept center that exists in the
-    window, its members' histories and the initial edge attributes."""
+    window, its members' histories and the attributed edges among them
+    at ``ts``."""
     out = {}
     for center in centers:
         truth = ground_truth_subgraph(events, center, k, ts, te) \
@@ -635,13 +639,9 @@ def subgraphs(sots):
 
 
 def induced(events, members, t):
-    """The graph the members alive at ``t`` induce, from the log."""
-    states = {n: state_at(events, n, t) for n in members}
-    alive = {n: s for n, s in states.items() if s is not None}
-    return Graph.from_parts(
-        {n: s.attrs for n, s in alive.items()},
-        {n: s.E for n, s in alive.items()},
-    )
+    """The graph the members alive at ``t`` induce in the log's snapshot
+    at ``t``, edge attributes included."""
+    return Graph.replay(events, until=t).subgraph(members)
 
 
 def version_at(events, center, members, k, t):
@@ -650,7 +650,7 @@ def version_at(events, center, members, k, t):
     snapshot = Graph.replay(events, until=t)
     if snapshot.has_node(center):
         return snapshot.khop_subgraph(center, k)
-    return induced(events, members, t)
+    return snapshot.subgraph(members)
 
 
 def member_times(members):
@@ -682,8 +682,8 @@ def check_sots(events, handler, window, predicate, timepoints, points, k,
     for t, one in zip(points, sots.Timeslice(points)):
         assert subgraphs(one) == {
             c: ({n: oracle_history(events, n, t, t) for n in members},
-                edge_attrs)
-            for c, (members, edge_attrs) in expected.items()
+                edge_attrs_among(events, members, t))
+            for c, (members, _attrs) in expected.items()
         }
 
     # post-fetch Select by callable; pre-fetch only by id

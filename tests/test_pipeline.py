@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from repro.errors import IndexError_, KeyNotFound
 from repro.exec import DeltaCache, FetchPlan, FetchStage, KeyGroup, PlanExecutor
+from repro.index.interface import neighbor_intervals
 from repro.index.tgi import TGI, TGIConfig
 from repro.kvstore.cluster import Cluster, ClusterConfig
 from repro.kvstore.cost import (
@@ -454,7 +455,7 @@ def handler(tgi):
 
 def _late_center(tgi, events):
     """A node dead at ``TS`` but born in ``(TS, TE]``, inside the span
-    that holds ``TS`` (so the k-hop probe has a partition to fetch)."""
+    that holds ``TS`` (so it has a partition there)."""
     span = tgi._span_at(TS)
     for node in sorted({ev.node for ev in events}):
         first = min(ev.time for ev in events if ev.touches(node))
@@ -574,9 +575,12 @@ def test_pipelined_warm_cache_hits_identical(events):
     )
 
 
-def test_subgraph_merges_khop_probe_stats_for_late_center(tgi, events):
-    """A center alive in (ts, te] but dead at ts keeps the accounting of
-    the k-hop probe that discovered it dead."""
+def test_late_center_fetch_is_charged_only_its_history_levels(
+    tgi, events, monkeypatch
+):
+    """A center alive in (ts, te] but dead at ts is fetched by its
+    history levels alone: no k-hop plan is built, and the fetch is
+    charged exactly the keys those levels ask for."""
     late = _late_center(tgi, events)
     handler = TGIHandler(tgi, SparkContext(num_workers=2))
 
@@ -593,17 +597,20 @@ def test_subgraph_merges_khop_probe_stats_for_late_center(tgi, events):
     histories, fetch = tgi.retrieve_node_histories([late], TS, TE)
     note(fetch)
     assert histories[0].initial is None and histories[0].events
-    from repro.taf.handler import _neighbors_over_time
-    from repro.taf.node_t import NodeT
-
-    nbrs = sorted(_neighbors_over_time(NodeT(histories[0])))
+    nbrs = [n for n, _s, _e in neighbor_intervals(histories[0])]
     if nbrs:
         note(tgi.retrieve_node_histories(nbrs, TS, TE)[1])
-    dead, probe = tgi.retrieve_khops([late], TS, k=1)
-    assert dead == [None]
-    assert probe.num_requests > 0  # the probe did fetch
-    note(probe)
 
+    khop_plans = []
+    build = TGI._khops_plan
+
+    def counted(self, *args, **kwargs):
+        khop_plans.append(args)
+        return build(self, *args, **kwargs)
+
+    monkeypatch.setattr(TGI, "_khops_plan", counted)
     (sg,), stats = handler.retrieve_subgraphs([late], 1, TS, TE)
+    assert khop_plans == []
+    assert sorted(sg.members) == sorted({late, *nbrs})
     assert stats.requests == len(keys)
     assert stats.requests + stats.coalesced_hits == asked

@@ -11,7 +11,8 @@ history once, each against a reference kept beside it:
 - the TAF operators built on it (SoN ``NodeComputeTemporal``,
   ``Evolution``, ``Compare``, ``GetGraph(t)``; SoTS
   ``NodeComputeTemporal`` and ``get_version_at``) against graphs built
-  from those per-point states with ``helpers.per_edge_graph``;
+  from those per-point states with ``helpers.per_edge_graph`` (a SoTS's
+  edge attributes from the log's snapshot at each point);
 - the fetch finalizer's one scan per eventlist row, ``group_by_id``, on
   the packed row against ``filter_by_time(ts, te).filter_by_id((node,))``
   per node and against the window's events touching each node —
@@ -28,6 +29,7 @@ import pytest
 from repro.deltas.columnar import ColumnarEventList, count_decoded, pack_eventlist
 from repro.errors import TimeRangeError
 from repro.graph.events import Event, EventKind
+from repro.graph.static import Graph
 from repro.index.interface import NodeHistory
 from repro.taf import timepoints as tp
 from repro.taf.expressions import id_intervals, parse_entity_predicate
@@ -189,16 +191,20 @@ def test_sots_operators_equal_per_point_reference(data):
         return
     sots = SOTS(k, _subgraphs=subgraphs, _interval=(ts, te))
     got = sots.NodeComputeTemporal(lambda g, c: (c, graph_parts(g)))
+
+    def reference(histories, t):
+        # edge attributes as the log has them at ``t``
+        attrs = Graph.replay(events, until=t).attributed_edges()
+        return _reference_graph(histories, t, attrs)
+
     for sg in subgraphs:
         histories = [nt.history for nt in sg.members.values()]
         assert got[sg.center] == [
-            (t, (sg.center, graph_parts(
-                _reference_graph(histories, t, sg.edge_attrs_initial)
-            )))
+            (t, (sg.center, graph_parts(reference(histories, t))))
             for t in tp.all_change_points(sg)
         ]
         t = data.draw(st.integers(ts, te))
-        want = _reference_graph(histories, t, sg.edge_attrs_initial)
+        want = reference(histories, t)
         if want.has_node(sg.center):
             want = want.khop_subgraph(sg.center, k)
         assert graph_parts(sg.get_version_at(t)) == graph_parts(want)
